@@ -12,8 +12,7 @@ use stash_dfs::{
 use stash_geo::time::epoch_seconds;
 use stash_geo::{cover_bbox, BBox, Geohash, TemporalRes, TimeBin, TimeRange};
 use stash_model::{
-    AggQuery, Cell, CellKey, CellSummary, Level, Observation, SketchFoldMode, SketchSpec,
-    SummaryStats, UddSketch,
+    AggQuery, Cell, CellKey, CellSummary, Level, Observation, SketchSpec, SummaryStats, UddSketch,
 };
 use std::str::FromStr;
 use std::sync::Arc;
@@ -336,14 +335,6 @@ fn bench_sketch_fold(c: &mut Criterion) {
     sketched.scan_block(bk, &wanted);
     group.bench_function(format!("scan_with_sketches_{rows}rows"), |b| {
         b.iter(|| sketched.scan_block(bk, std::hint::black_box(&wanted)))
-    });
-    // Fold only at the finest group, derive coarser cells by sketch merge.
-    let mut ftm_spec = SketchSpec::standard();
-    ftm_spec.fold_mode = SketchFoldMode::FinestThenMerge;
-    let ftm = scan_store().with_sketches(ftm_spec);
-    ftm.scan_block(bk, &wanted);
-    group.bench_function(format!("scan_sketches_finest_then_merge_{rows}rows"), |b| {
-        b.iter(|| ftm.scan_block(bk, std::hint::black_box(&wanted)))
     });
 
     // Merging 32 partials (4 attrs each), exact-only vs. sketch-carrying.

@@ -1,5 +1,5 @@
-//! PR 9 regression scenarios: the sharded delivery fabric and the batched
-//! scatter/gather must be *invisible* to correctness.
+//! Sharded-fabric regression scenarios: the sharded delivery fabric and
+//! the scatter/gather on top of it must be *invisible* to correctness.
 //!
 //! Two claims are pinned here (the router-level twin of the first —
 //! identical per-link drop/duplicate/delay schedules — lives in
@@ -9,9 +9,10 @@
 //!    identical query answers whether the fabric runs 1 delivery shard or
 //!    K. Per-link fault counters live on the destination's one owning
 //!    shard, so the deterministic schedule cannot depend on K.
-//! 2. **Batch equivalence** — batched scatter (`Msg::SubQueryBatch`, one
-//!    envelope per owner) is bit-for-bit equivalent to the per-fragment
-//!    ablation (one `Msg::SubQuery` per fragment), fault-free and lossy.
+//! 2. **Scatter exactness** — one `Msg::SubQuery` per owner answers
+//!    exactly what the cache-less Basic system answers, and when replies
+//!    are lost the straggler route (retry, then replica failover) — the
+//!    only retry route there is — recovers the same answers.
 
 use stash_chaos::{assert_results_match, chaos_config, grid_queries, ground_truth, run_workload};
 use stash_cluster::{Mode, SimCluster};
@@ -67,53 +68,26 @@ fn same_seed_same_answers_with_one_vs_many_shards() {
     }
 }
 
-/// Batched scatter/gather vs the per-fragment ablation on a clean wire:
-/// tiny fragments force real multi-fragment batches, and every answer must
-/// be bit-for-bit identical between the two modes.
+/// Scatter/gather on a clean wire: every STASH answer is exactly the
+/// Basic system's (no cache, every query scans blocks).
 #[test]
-fn batched_scatter_is_bit_for_bit_equivalent_to_per_fragment() {
-    let run = |batch: bool| {
-        let mut config = chaos_config(Mode::Stash);
-        config.client_timeout = Duration::from_millis(1000);
-        // Force multi-fragment owner shares even on small viewports.
-        config.scatter_fragment_keys = 4;
-        config.batch_scatter = batch;
-        let queries = grid_queries(5);
-        let cluster = SimCluster::new(config);
-        let client = cluster.client();
-        let results: Vec<_> = run_workload(&client, &queries)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|e| panic!("query {i} failed (batch={batch}): {e:?}")))
-            .collect();
-        let envelopes = cluster.router().stats().messages_sent();
-        cluster.shutdown();
-        (results, envelopes)
-    };
-    let (batched, batched_envelopes) = run(true);
-    let (single, single_envelopes) = run(false);
-    assert_eq!(batched.len(), single.len());
-    for (i, (a, b)) in batched.iter().zip(&single).enumerate() {
-        assert_results_match(a, b, &format!("query {i}, batched vs per-fragment"));
+fn clean_wire_scatter_matches_basic_ground_truth() {
+    let queries = grid_queries(5);
+    let basic = ground_truth(chaos_config(Mode::Basic), &queries);
+    let stash = ground_truth(chaos_config(Mode::Stash), &queries);
+    for (i, (got, want)) in stash.iter().zip(&basic).enumerate() {
+        assert_results_match(got, want, &format!("clean-wire query {i} vs Basic"));
     }
-    // The whole point of batching: same answers, strictly fewer envelopes.
-    assert!(
-        batched_envelopes < single_envelopes,
-        "batching did not reduce wire trips: batched {batched_envelopes} vs single {single_envelopes}"
-    );
 }
 
-/// Batch equivalence under the lossy-links acceptance bar: with tiny
-/// fragments, per-fragment failures inside a batch reply must flow through
-/// the straggler/retry path and still produce exact answers.
+/// The lossy-links acceptance bar: lost sub-queries and replies must flow
+/// through the straggler/retry path and still produce exact answers.
 #[test]
-fn batched_scatter_survives_drops_exactly() {
+fn scatter_survives_drops_exactly() {
     let mut config = chaos_config(Mode::Stash);
     config.sub_rpc_timeout = Duration::from_millis(80);
     config.retry_backoff = Duration::from_millis(2);
     config.client_timeout = Duration::from_millis(1000);
-    config.scatter_fragment_keys = 4;
-    config.batch_scatter = true;
     let queries = grid_queries(5);
     let truth = ground_truth(config.clone(), &queries);
 
@@ -127,12 +101,16 @@ fn batched_scatter_survives_drops_exactly() {
     {
         let r = got
             .as_ref()
-            .unwrap_or_else(|e| panic!("batched query {i} failed under loss: {e:?}"));
-        assert_results_match(r, want, &format!("batched lossy query {i}"));
+            .unwrap_or_else(|e| panic!("query {i} failed under loss: {e:?}"));
+        assert_results_match(r, want, &format!("lossy query {i}"));
     }
     assert!(
         cluster.router().stats().messages_dropped() > 0,
         "the fault plan never actually dropped anything"
     );
+    let retries: u64 = (0..cluster.n_nodes())
+        .map(|n| cluster.node(n).obs.counter("query.retries").get())
+        .sum();
+    assert!(retries > 0, "no coordinator ever took the straggler route");
     cluster.shutdown();
 }

@@ -94,15 +94,6 @@ pub struct ClusterConfig {
     /// `false` is the ablation: every affected Cell is invalidated instead,
     /// forcing recomputation from DFS on next touch.
     pub ingest_patch: bool,
-    /// Coalesce a coordinator's scatter into one [`Msg::SubQueryBatch`]
-    /// envelope per owner (PR 9). `false` is the ablation baseline: one
-    /// [`Msg::SubQuery`] per fragment, paying per-message base latency for
-    /// every fragment. Answers are bit-for-bit identical either way — the
-    /// owner evaluates each fragment independently in both modes.
-    pub batch_scatter: bool,
-    /// Largest key count of one scatter fragment; an owner's share is
-    /// chunked into fragments of at most this many Cells before batching.
-    pub scatter_fragment_keys: usize,
     /// Continuous-rollup policy (DESIGN.md §17). Disabled by default;
     /// enabled policies can only be built through
     /// [`crate::config::RollupPolicy`]'s validated constructors.
@@ -147,8 +138,6 @@ impl Default for ClusterConfig {
             live_blocks: Vec::new(),
             live_base_fraction: 0.5,
             ingest_patch: true,
-            batch_scatter: true,
-            scatter_fragment_keys: 64,
             rollup: RollupPolicy::disabled(),
         }
     }

@@ -48,8 +48,6 @@ pub enum ConfigError {
     Stash(String),
     /// The rollup policy disagrees with the cluster it is attached to.
     Rollup(String),
-    /// Scatter batching parameters are degenerate.
-    Scatter(String),
     /// A timeout or backoff is zero.
     Timing(String),
 }
@@ -64,7 +62,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::LiveSet(m) => write!(f, "live set: {m}"),
             ConfigError::Stash(m) => write!(f, "stash: {m}"),
             ConfigError::Rollup(m) => write!(f, "rollup: {m}"),
-            ConfigError::Scatter(m) => write!(f, "scatter: {m}"),
             ConfigError::Timing(m) => write!(f, "timing: {m}"),
         }
     }
@@ -271,11 +268,6 @@ impl ClusterConfig {
                 }
             }
         }
-        if self.scatter_fragment_keys == 0 {
-            return Err(ConfigError::Scatter(
-                "scatter_fragment_keys must be at least 1".into(),
-            ));
-        }
         if self.sub_rpc_timeout.is_zero()
             || self.distress_timeout.is_zero()
             || self.client_timeout.is_zero()
@@ -356,8 +348,6 @@ impl ClusterConfigBuilder {
     setter!(live_blocks: Vec<(Geohash, TimeBin)>);
     setter!(live_base_fraction: f64);
     setter!(ingest_patch: bool);
-    setter!(batch_scatter: bool);
-    setter!(scatter_fragment_keys: usize);
     setter!(
         /// Continuous-rollup policy; [`RollupPolicy`]'s private fields mean
         /// only validated policies can reach this setter.
@@ -440,12 +430,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(stash, ConfigError::Stash(_)), "{stash}");
-
-        let scatter = ClusterConfig::builder()
-            .scatter_fragment_keys(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(scatter, ConfigError::Scatter(_)), "{scatter}");
 
         let timing = ClusterConfig::builder()
             .client_timeout(Duration::ZERO)

@@ -46,9 +46,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub enum RpcReply {
     SubResult(Result<QueryResult, ClusterError>, StageTimes),
-    /// Per-fragment outcomes of one [`Msg::SubQueryBatch`], index-aligned
-    /// with the request's fragments.
-    SubBatch(Vec<Result<QueryResult, ClusterError>>, StageTimes),
     Partials(
         Result<Vec<(CellKey, CellSummary)>, ClusterError>,
         StageTimes,
@@ -303,14 +300,6 @@ impl NodeCtx {
                 trace.wire_ns += wire_ns;
                 self.rpc.complete(rpc, RpcReply::SubResult(result, trace));
             }
-            Msg::SubQueryBatchResponse {
-                rpc,
-                results,
-                mut trace,
-            } => {
-                trace.wire_ns += wire_ns;
-                self.rpc.complete(rpc, RpcReply::SubBatch(results, trace));
-            }
             Msg::PartialsResponse {
                 rpc,
                 partials,
@@ -419,50 +408,6 @@ impl NodeCtx {
                     },
                 });
             }
-            // Batched scatter sheds like the per-fragment path: the whole
-            // batch reroutes only when the helper covers *every* fragment
-            // (the routing decision runs over the flattened key set).
-            Msg::SubQueryBatch {
-                rpc,
-                reply_to,
-                fragments,
-                allow_reroute,
-                via_guest,
-            } => {
-                if allow_reroute && !via_guest && self.is_hotspotted() {
-                    let all: Vec<CellKey> = fragments.iter().flatten().copied().collect();
-                    let decision = self.routing.lock().decide(&all);
-                    if let RouteDecision::Covered { helper } = decision {
-                        if self.flip(self.config.stash.reroute_probability) {
-                            let forwarded = Msg::SubQueryBatch {
-                                rpc,
-                                reply_to,
-                                fragments: fragments.clone(),
-                                allow_reroute: false,
-                                via_guest: true,
-                            };
-                            if self.send(NodeId(helper), forwarded) {
-                                self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
-                                self.obs.inc("handoff.reroute");
-                                return;
-                            }
-                            self.routing.lock().drop_helper(helper);
-                        }
-                    }
-                }
-                self.dispatch(Envelope {
-                    src: env.src,
-                    dst: env.dst,
-                    wire: env.wire,
-                    payload: Msg::SubQueryBatch {
-                        rpc,
-                        reply_to,
-                        fragments,
-                        allow_reroute,
-                        via_guest,
-                    },
-                });
-            }
             // Everything else is real work.
             payload => {
                 self.dispatch(Envelope {
@@ -543,43 +488,6 @@ impl NodeCtx {
                 let (result, mut trace) = self.eval_subquery_traced(&keys, via_guest);
                 trace.wire_ns += wire_ns;
                 let _ = self.send(reply_to, Msg::SubQueryResponse { rpc, result, trace });
-                self.maintain();
-            }
-            Msg::SubQueryBatch {
-                rpc,
-                reply_to,
-                fragments,
-                via_guest,
-                ..
-            } => {
-                // Each fragment is evaluated exactly as a standalone
-                // SubQuery would be — fragments succeed or fail
-                // independently, so the coordinator can absorb the good
-                // ones and retry only the bad.
-                self.stats
-                    .subqueries
-                    .fetch_add(fragments.len() as u64, Ordering::Relaxed);
-                if let Some(k) = fragments.iter().flatten().next() {
-                    self.hot_level.store(k.level().index(), Ordering::Relaxed);
-                }
-                let mut trace = StageTimes::default();
-                let results: Vec<Result<QueryResult, ClusterError>> = fragments
-                    .iter()
-                    .map(|keys| {
-                        let (result, st) = self.eval_subquery_traced(keys, via_guest);
-                        trace.add(&st);
-                        result
-                    })
-                    .collect();
-                trace.wire_ns += wire_ns;
-                let _ = self.send(
-                    reply_to,
-                    Msg::SubQueryBatchResponse {
-                        rpc,
-                        results,
-                        trace,
-                    },
-                );
                 self.maintain();
             }
             Msg::FetchPartials {
@@ -841,55 +749,25 @@ impl NodeCtx {
         // Evaluate our own share inline (no message round-trip and no risk
         // of waiting on our own queue), scatter the rest.
         let own = by_owner.remove(&self.node_idx);
-        // Each owner's share is chunked into fragments of at most
-        // `scatter_fragment_keys` Cells. Batched mode (the default) ships
-        // all of an owner's fragments in one SubQueryBatch envelope — one
-        // wire trip per owner; the ablation pays one SubQuery envelope per
-        // fragment. Fragments are evaluated independently by the owner in
-        // both modes, so the merged answer is bit-for-bit identical.
-        let frag_keys = self.config.scatter_fragment_keys.max(1);
-        let mut single_waits = Vec::new();
-        let mut batch_waits = Vec::new();
+        let mut waits = Vec::with_capacity(by_owner.len());
         let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
         for (owner, group) in by_owner {
-            let fragments: Vec<Vec<CellKey>> =
-                group.chunks(frag_keys).map(|c| c.to_vec()).collect();
-            if self.config.batch_scatter {
-                let (rpc, rx) = self.rpc.register();
-                let msg = Msg::SubQueryBatch {
-                    rpc,
-                    reply_to: self.id,
-                    fragments: fragments.clone(),
-                    allow_reroute: true,
-                    via_guest: false,
-                };
-                if self.send(NodeId(owner), msg) {
-                    trace.subqueries += fragments.len() as u32;
-                    batch_waits.push((owner, fragments, rpc, rx));
-                } else {
-                    self.rpc.cancel(rpc);
-                    stragglers.extend(fragments.into_iter().map(|f| (owner, f)));
-                }
+            let (rpc, rx) = self.rpc.register();
+            let msg = Msg::SubQuery {
+                rpc,
+                reply_to: self.id,
+                keys: group.clone(),
+                allow_reroute: true,
+                via_guest: false,
+            };
+            if self.send(NodeId(owner), msg) {
+                waits.push((owner, group, rpc, rx));
             } else {
-                for frag in fragments {
-                    let (rpc, rx) = self.rpc.register();
-                    let msg = Msg::SubQuery {
-                        rpc,
-                        reply_to: self.id,
-                        keys: frag.clone(),
-                        allow_reroute: true,
-                        via_guest: false,
-                    };
-                    if self.send(NodeId(owner), msg) {
-                        trace.subqueries += 1;
-                        single_waits.push((owner, frag, rpc, rx));
-                    } else {
-                        self.rpc.cancel(rpc);
-                        stragglers.push((owner, frag));
-                    }
-                }
+                self.rpc.cancel(rpc);
+                stragglers.push((owner, group));
             }
         }
+        trace.subqueries += waits.len() as u32;
         trace.local.route_ns += route.elapsed().as_nanos() as u64;
         let mut merged = match own {
             Some(group) => {
@@ -909,7 +787,7 @@ impl NodeCtx {
             merged.rollup_hits += part.rollup_hits;
         };
         let waited = Instant::now();
-        for (owner, group, rpc, rx) in single_waits {
+        for (owner, group, rpc, rx) in waits {
             match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
                 Ok(RpcReply::SubResult(Ok(part), st)) => {
                     trace.absorb_sub(&st);
@@ -925,40 +803,6 @@ impl NodeCtx {
                     )))
                 }
                 Err(RpcError::Timeout) => stragglers.push((owner, group)),
-                Err(RpcError::Canceled) => {
-                    return Err(ClusterError::Protocol("rpc slot canceled".into()))
-                }
-            }
-        }
-        for (owner, fragments, rpc, rx) in batch_waits {
-            match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
-                Ok(RpcReply::SubBatch(results, st)) => {
-                    trace.absorb_sub(&st);
-                    if results.len() != fragments.len() {
-                        return Err(ClusterError::Protocol(format!(
-                            "batch reply carried {} results for {} fragments",
-                            results.len(),
-                            fragments.len()
-                        )));
-                    }
-                    // Fragments fail independently: absorb the good ones,
-                    // send only the bad back through the straggler path.
-                    for (frag, result) in fragments.into_iter().zip(results) {
-                        match result {
-                            Ok(part) => absorb(&mut merged, part),
-                            Err(e) if e.is_transient() => stragglers.push((owner, frag)),
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                Ok(other) => {
-                    return Err(ClusterError::Protocol(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
-                Err(RpcError::Timeout) => {
-                    stragglers.extend(fragments.into_iter().map(|f| (owner, f)));
-                }
                 Err(RpcError::Canceled) => {
                     return Err(ClusterError::Protocol("rpc slot canceled".into()))
                 }
@@ -1191,8 +1035,9 @@ impl NodeCtx {
             // materialized rollup Cells ARE the answer — always fresh
             // (every applied append folded its delta in), bit-for-bit equal
             // to a cold recompute, and reached without touching the graph
-            // or any raw block. All-or-nothing per sub-query, so a mixed
-            // key set keeps a single authority.
+            // or any raw block. All-or-nothing per owner share (`keys` is
+            // everything the query asks of this owner), so a mixed key set
+            // keeps a single authority.
             if let Some(served) = rollup.serve(keys) {
                 self.obs.inc("rollup.serves");
                 self.obs.counter("rollup.cells").add(served.len() as u64);

@@ -120,30 +120,6 @@ pub enum Msg {
         /// response leg from its envelope).
         trace: StageTimes,
     },
-    /// All of a coordinator's fragments for one destination in a single
-    /// wire trip (PR 9): each inner `Vec<CellKey>` is one fragment,
-    /// evaluated independently by the owner exactly as a standalone
-    /// [`Msg::SubQuery`] would be. The cost model charges one list
-    /// envelope for the batch plus each fragment's own envelope + keys,
-    /// so batching saves `(n_fragments - 1)` wire round-trips and
-    /// envelopes, never payload bytes.
-    SubQueryBatch {
-        rpc: u64,
-        reply_to: NodeId,
-        fragments: Vec<Vec<CellKey>>,
-        allow_reroute: bool,
-        /// See [`Msg::SubQuery::via_guest`].
-        via_guest: bool,
-    },
-    /// Per-fragment results, index-aligned with the request's `fragments`.
-    /// Fragments succeed or fail independently — a helper that lost its
-    /// guest Cells for one fragment refuses just that fragment.
-    SubQueryBatchResponse {
-        rpc: u64,
-        results: Vec<Result<QueryResult, ClusterError>>,
-        /// The owner's combined stage timings across all fragments.
-        trace: StageTimes,
-    },
 
     // ---- Raw storage access (Basic mode; coarse cells spanning partitions;
     //      failover reads against DFS replicas) -----------------------------
@@ -280,20 +256,6 @@ pub fn partials_bytes(p: &Result<FlatPartials, ClusterError>) -> usize {
     }
 }
 
-/// Exact serialized bytes of a fragment batch request: one outer list
-/// envelope plus each fragment's own flat key list. The bytes are the sum
-/// of the per-fragment [`keys_bytes`] plus one envelope — batching
-/// collapses wire trips, not payloads.
-pub fn batch_keys_bytes(fragments: &[Vec<CellKey>]) -> usize {
-    LIST_ENVELOPE_BYTES + fragments.iter().map(|f| keys_bytes(f.len())).sum::<usize>()
-}
-
-/// Exact serialized bytes of a fragment batch response: one outer list
-/// envelope plus each fragment's own [`result_bytes`].
-pub fn batch_results_bytes(results: &[Result<QueryResult, ClusterError>]) -> usize {
-    LIST_ENVELOPE_BYTES + results.iter().map(result_bytes).sum::<usize>()
-}
-
 /// Exact serialized bytes of replicated cells: flat key + freshness word +
 /// exact summary bytes per cell, under one list envelope.
 pub fn cells_bytes(cells: &[(Cell, f64)]) -> usize {
@@ -312,8 +274,6 @@ impl Msg {
             Msg::QueryResponse { result, .. } => result_bytes(result),
             Msg::SubQuery { keys, .. } => keys_bytes(keys.len()),
             Msg::SubQueryResponse { result, .. } => result_bytes(result),
-            Msg::SubQueryBatch { fragments, .. } => batch_keys_bytes(fragments),
-            Msg::SubQueryBatchResponse { results, .. } => batch_results_bytes(results),
             Msg::FetchPartials { keys, exclude, .. } => keys_bytes(keys.len()) + 8 * exclude.len(),
             Msg::PartialsResponse { partials, .. } => partials_bytes(partials),
             Msg::Distress { .. } => 64,
@@ -442,41 +402,38 @@ mod tests {
     }
 
     #[test]
-    fn batch_envelope_saves_trips_not_bytes() {
-        // A batch of F fragments costs exactly the F standalone SubQuery
-        // payloads plus ONE extra outer envelope — so the per-message
-        // base_latency is paid once instead of F times, while payload
-        // bytes stay honest.
-        let frags: Vec<Vec<CellKey>> = vec![vec![cell().key; 3], vec![cell().key; 5], vec![]];
-        let batch = Msg::SubQueryBatch {
-            rpc: 1,
-            reply_to: NodeId(0),
-            fragments: frags.clone(),
-            allow_reroute: true,
-            via_guest: false,
-        };
-        let singles: usize = frags.iter().map(|f| keys_bytes(f.len())).sum();
-        assert_eq!(batch.wire_size(), LIST_ENVELOPE_BYTES + singles);
-        assert_eq!(
-            batch.wire_size(),
-            LIST_ENVELOPE_BYTES + 3 * LIST_ENVELOPE_BYTES + (3 + 5) * KEY_BYTES
-        );
-
-        // Same shape on the response leg, and fragments fail independently.
-        let results: Vec<Result<QueryResult, ClusterError>> = vec![
-            Ok(QueryResult {
-                cells: vec![cell(); 2],
-                ..Default::default()
-            }),
-            Err(ClusterError::RerouteRefused { helper: 3 }),
-        ];
-        let resp = Msg::SubQueryBatchResponse {
-            rpc: 1,
-            results: results.clone(),
-            trace: StageTimes::default(),
-        };
-        let singles: usize = results.iter().map(result_bytes).sum();
-        assert_eq!(resp.wire_size(), LIST_ENVELOPE_BYTES + singles);
+    fn subquery_sizes_are_exact_and_pinned() {
+        // One owner's whole share rides in one SubQuery: one flat key
+        // list, whatever the share's size.
+        for n in [0, 1, 64, 200] {
+            let req = Msg::SubQuery {
+                rpc: 1,
+                reply_to: NodeId(0),
+                keys: vec![cell().key; n],
+                allow_reroute: true,
+                via_guest: false,
+            };
+            assert_eq!(req.wire_size(), keys_bytes(n));
+        }
+        // The answer is priced as its cells (4 exact 40-byte summaries
+        // behind a header word each), an error as its error payload.
+        let ok = Ok(QueryResult {
+            cells: vec![cell(); 3],
+            ..Default::default()
+        });
+        let err = Err(ClusterError::RerouteRefused { helper: 3 });
+        for (result, bytes) in [
+            (ok, LIST_ENVELOPE_BYTES + 3 * (KEY_BYTES + 8 + 4 * 40)),
+            (err, 16),
+        ] {
+            assert_eq!(result_bytes(&result), bytes);
+            let resp = Msg::SubQueryResponse {
+                rpc: 1,
+                result,
+                trace: StageTimes::default(),
+            };
+            assert_eq!(resp.wire_size(), bytes);
+        }
     }
 
     #[test]

@@ -45,8 +45,7 @@ use stash_geo::{Geohash, TemporalRes, TimeBin};
 use stash_model::fx::{FxHashMap, FxHashSet};
 use stash_model::slot::{self, INVALID_SLOT};
 use stash_model::{
-    AttrSketches, CellKey, CellSummary, FoldCtx, Observation, PreparedValue, SketchFoldMode,
-    SketchSpec, SummaryStats,
+    CellKey, CellSummary, FoldCtx, Observation, PreparedValue, SketchSpec, SummaryStats,
 };
 use std::sync::Arc;
 
@@ -103,9 +102,6 @@ pub struct BlockFrame {
 pub struct FrameAggregation {
     pub cells: Vec<(CellKey, CellSummary)>,
     pub derived_cells: u64,
-    /// Cells whose *sketches* were derived by merging finest-group bundles
-    /// instead of row folds (`SketchFoldMode::FinestThenMerge` only).
-    pub sketch_merged_cells: u64,
 }
 
 /// The geohash length a frame must be encoded at to serve `wanted`:
@@ -397,27 +393,17 @@ impl BlockFrame {
     /// and replayed into every covering cell back-to-back, quantile bucket
     /// counts apply as per-slot batches, and cells with identical slot
     /// coverage fold once and clone. Every cell sees its rows in ascending
-    /// `(slot, row)` order; under the default
-    /// [`SketchFoldMode::PerGroup`] the result is bit-identical to folding
-    /// the raw observations into each cell directly whenever heavy-hitter
+    /// `(slot, row)` order; the result is bit-identical to folding the
+    /// raw observations into each cell directly whenever heavy-hitter
     /// candidate sets stay within their cap (always for finest cells,
     /// whose slot order *is* row order; every other sketch state is
     /// fold-order invariant) — pinned by the
     /// `frame_kernel_sketches_match_direct_fold` proptest.
-    ///
-    /// Under [`SketchFoldMode::FinestThenMerge`], rows are folded only into
-    /// the finest group's cells and every coarser cell's bundles are
-    /// derived by *merging* the finest bundles that cover it (row folds
-    /// remain only for cells the finest group doesn't cover). Quantile and
-    /// distinct state stays bit-identical (exact merge laws); heavy-hitter
-    /// candidate sets may diverge from a raw fold beyond the candidate cap
-    /// — see DESIGN.md §14 for the trade.
     pub fn aggregate_with(&self, wanted: &[CellKey], sketch: &SketchSpec) -> FrameAggregation {
         if wanted.is_empty() {
             return FrameAggregation {
                 cells: Vec::new(),
                 derived_cells: 0,
-                sketch_merged_cells: 0,
             };
         }
         let tile = self.block.geohash;
@@ -614,121 +600,25 @@ impl BlockFrame {
             }
         }
 
-        let mut sketch_merged_cells = 0u64;
         if sketch.enabled {
-            let ctx = FoldCtx::new(sketch);
-            let all_groups: Vec<usize> = (0..groups.len()).collect();
-            // FinestThenMerge needs a group whose slot → cell mapping is
-            // injective over the accumulator: the one at (max spatial res,
-            // finest temporal res). Absent that group, fold per group.
-            let g0 = match sketch.fold_mode {
-                SketchFoldMode::PerGroup => None,
-                SketchFoldMode::FinestThenMerge => {
-                    let s0 = groups.iter().map(|&(s, _)| s).max().expect("non-empty");
-                    groups.iter().position(|&g| g == (s0, finest_t))
-                }
-            };
-            match g0 {
-                None => {
-                    self.sketch_fold_rows(
-                        &ctx,
-                        &mut out,
-                        &row_dense,
-                        &slot_out_all,
-                        dense_count,
-                        &all_groups,
-                        None,
-                    );
-                }
-                Some(g0) => {
-                    // Row-fold the finest group only, then derive every
-                    // other group's bundles by merging the finest bundles
-                    // over the slots that feed each cell.
-                    self.sketch_fold_rows(
-                        &ctx,
-                        &mut out,
-                        &row_dense,
-                        &slot_out_all,
-                        dense_count,
-                        &[g0],
-                        None,
-                    );
-                    // A coarser cell is derivable only when every slot that
-                    // feeds it also fed a wanted finest cell; otherwise the
-                    // finest bundles don't cover its rows and the cell
-                    // falls back to a row fold.
-                    let mut uncovered: FxHashSet<u32> = FxHashSet::default();
-                    let mut fallback_groups: Vec<usize> = Vec::new();
-                    // One template bundle cloned per merge target — same
-                    // arena trick as the output table above.
-                    let empty_bundle = AttrSketches::new(sketch);
-                    for g in 0..groups.len() {
-                        if g == g0 {
-                            continue;
-                        }
-                        // Target cell → finest source cells, in ascending
-                        // slot order (deterministic merge order).
-                        let mut targets: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-                        let mut bad: FxHashSet<u32> = FxHashSet::default();
-                        for &(_, dense) in &occupied {
-                            let oi = slot_out_all[g * dense_count + dense as usize];
-                            if oi == u32::MAX {
-                                continue;
-                            }
-                            let src = slot_out_all[g0 * dense_count + dense as usize];
-                            if src == u32::MAX {
-                                bad.insert(oi);
-                            } else {
-                                targets.entry(oi).or_default().push(src);
-                            }
-                        }
-                        for (&oi, sources) in &targets {
-                            if bad.contains(&oi) {
-                                continue;
-                            }
-                            sketch_merged_cells += 1;
-                            for a in 0..self.n_attrs {
-                                let mut bundle = empty_bundle.clone();
-                                for &src in sources {
-                                    if let Some(sb) = out[src as usize].1.attr_sketches(a) {
-                                        bundle.merge(sb);
-                                    }
-                                }
-                                if let Some(t) = out[oi as usize].1.attr_sketches_mut(a) {
-                                    *t = bundle;
-                                }
-                            }
-                        }
-                        if !bad.is_empty() {
-                            uncovered.extend(bad);
-                            fallback_groups.push(g);
-                        }
-                    }
-                    if !uncovered.is_empty() {
-                        self.sketch_fold_rows(
-                            &ctx,
-                            &mut out,
-                            &row_dense,
-                            &slot_out_all,
-                            dense_count,
-                            &fallback_groups,
-                            Some(&uncovered),
-                        );
-                    }
-                }
-            }
+            self.sketch_fold_rows(
+                &FoldCtx::new(sketch),
+                &mut out,
+                &row_dense,
+                &slot_out_all,
+                dense_count,
+                groups.len(),
+            );
         }
         FrameAggregation {
             cells: out,
             derived_cells,
-            sketch_merged_cells,
         }
     }
 
     /// The batched sketch row fold behind [`aggregate_with`](Self::
     /// aggregate_with): fold every valid row into the bundles of the cells
-    /// it maps to under `group_idxs` (restricted to `only_targets` when
-    /// given).
+    /// it maps to under any of the `n_groups` resolution groups.
     ///
     /// The fold is slot-major: rows are bucketed by finest slot once
     /// (stable counting sort), then each slot's rows are prepared once per
@@ -744,7 +634,6 @@ impl BlockFrame {
     /// documented exactness regime). Quantile updates apply per
     /// `(cell, bucket)` in one batched pass, order-invariant by the
     /// quantile sketch's canonical compaction.
-    #[allow(clippy::too_many_arguments)]
     fn sketch_fold_rows(
         &self,
         ctx: &FoldCtx,
@@ -752,8 +641,7 @@ impl BlockFrame {
         row_dense: &[u32],
         slot_out_all: &[u32],
         dense_count: usize,
-        group_idxs: &[usize],
-        only_targets: Option<&FxHashSet<u32>>,
+        n_groups: usize,
     ) {
         // starts[d]..starts[d+1] indexes slot d's rows, ascending row order.
         let mut starts: Vec<u32> = vec![0; dense_count + 1];
@@ -785,16 +673,13 @@ impl BlockFrame {
         // rows participate; below that, cloning costs more than folding.
         const DEDUP_MIN_ROWS: u32 = 64;
         let mut cov: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        for &g in group_idxs {
+        for g in 0..n_groups {
             for d in 0..dense_count {
                 if starts[d] == starts[d + 1] {
                     continue;
                 }
                 let oi = slot_out_all[g * dense_count + d];
                 if oi == u32::MAX {
-                    continue;
-                }
-                if only_targets.is_some_and(|t| !t.contains(&oi)) {
                     continue;
                 }
                 cov.entry(oi).or_default().push(d as u32);
@@ -825,7 +710,7 @@ impl BlockFrame {
         }
         let cloned: FxHashSet<u32> = clone_from.iter().map(|&(dup, _)| dup).collect();
 
-        let mut targets: Vec<u32> = Vec::with_capacity(group_idxs.len());
+        let mut targets: Vec<u32> = Vec::with_capacity(n_groups);
         let mut prepared: Vec<PreparedValue> = Vec::new();
         // Per-(slot, attr) quantile-bucket tally. Small slots dedup by
         // linear scan; big slots go through the hash map once and drain
@@ -839,12 +724,9 @@ impl BlockFrame {
                 continue;
             }
             targets.clear();
-            for &g in group_idxs {
+            for g in 0..n_groups {
                 let oi = slot_out_all[g * dense_count + d];
                 if oi == u32::MAX {
-                    continue;
-                }
-                if only_targets.is_some_and(|t| !t.contains(&oi)) {
                     continue;
                 }
                 if cloned.contains(&oi) {
@@ -1143,53 +1025,6 @@ mod tests {
         }
         // Groups coarser than (finest_s, finest_t) were derived, not binned.
         assert!(agg.derived_cells > 0);
-    }
-
-    #[test]
-    fn finest_then_merge_counts_derived_and_falls_back_when_uncovered() {
-        let bk = block("9xj", 2015, 2, 2);
-        let obs = rows();
-        let day = bk.day;
-        let mut ftm = SketchSpec::standard();
-        ftm.fold_mode = SketchFoldMode::FinestThenMerge;
-
-        // Full coverage: the tile cell plus every child — each coarse cell's
-        // slots all feed wanted finest cells, so its sketches are derived by
-        // merge, bit-identically to the default fold (quantized values).
-        let mut wanted: Vec<CellKey> = vec![CellKey::new(bk.geohash, day)];
-        wanted.extend(bk.geohash.children().unwrap().map(|g| CellKey::new(g, day)));
-        let frame = BlockFrame::decode(bk, &obs, 4, frame_spatial_res(3, &wanted));
-        let merged = frame.aggregate_with(&wanted, &ftm);
-        assert_eq!(merged.sketch_merged_cells, 1, "the tile cell derives");
-        let base = frame.aggregate_with(&wanted, &SketchSpec::standard());
-        assert_eq!(base.sketch_merged_cells, 0, "PerGroup never derives");
-        let sort = |mut v: Vec<(CellKey, CellSummary)>| {
-            v.sort_by_key(|(k, _)| *k);
-            v
-        };
-        assert_eq!(sort(merged.cells), sort(base.cells));
-
-        // Partial coverage: drop one child from the wanted set. The tile
-        // cell still aggregates that child's rows, but the finest bundles
-        // no longer cover them — it must fall back to a row fold (still
-        // matching the default output) and not count as derived.
-        let mut partial: Vec<CellKey> = vec![CellKey::new(bk.geohash, day)];
-        let children: Vec<CellKey> = bk
-            .geohash
-            .children()
-            .unwrap()
-            .map(|g| CellKey::new(g, day))
-            .filter(|k| frame.aggregate(&[*k]).cells[0].1.count() > 0)
-            .collect();
-        assert!(children.len() > 1, "need at least two occupied children");
-        partial.extend(&children[1..]);
-        let merged = frame.aggregate_with(&partial, &ftm);
-        assert_eq!(
-            merged.sketch_merged_cells, 0,
-            "uncovered cell must not derive"
-        );
-        let base = frame.aggregate_with(&partial, &SketchSpec::standard());
-        assert_eq!(sort(merged.cells), sort(base.cells));
     }
 
     #[test]

@@ -403,11 +403,6 @@ impl NodeStore {
                 .counter("dfs.cells_derived")
                 .add(agg.derived_cells);
         }
-        if agg.sketch_merged_cells > 0 {
-            self.metrics
-                .counter("sketch.cells_merged")
-                .add(agg.sketch_merged_cells);
-        }
         if self.sketches.enabled {
             let bytes: usize = agg.cells.iter().map(|(_, s)| s.sketch_wire_bytes()).sum();
             self.metrics.counter("sketch.bytes").add(bytes as u64);

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use stash_dfs::{BlockKey, BlockSource, DiskModel, NodeStore, Partitioner};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange};
-use stash_model::{CellKey, CellSummary, Observation, SketchFoldMode, SketchSpec};
+use stash_model::{CellKey, CellSummary, Observation, SketchSpec};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -261,137 +261,6 @@ proptest! {
                     entry.count,
                     exact.len()
                 );
-            }
-        }
-    }
-
-    /// `FinestThenMerge` folds rows only at the finest group and derives
-    /// coarser bundles by sketch merge. On data whose distinct values stay
-    /// within the heavy-hitter candidate cap (this generator: ≤ 100 rows,
-    /// cap 256) no candidate eviction ever fires, so the merge laws make
-    /// the *entire* output — exact stats and all three sketches — bit-for-
-    /// bit identical to the default per-group row fold.
-    #[test]
-    fn finest_then_merge_matches_per_group_within_cap(
-        tile_idx in 0usize..TILES.len(),
-        raw_rows in proptest::collection::vec(
-            (0.0f64..1.0, 0.0f64..1.0, 0u32..86_400, -4096i32..=4096, -4096i32..=4096),
-            1..100,
-        ),
-        level_mask in 1u8..64,
-        subset_stride in 1usize..4,
-    ) {
-        let tile = Geohash::from_str(TILES[tile_idx]).unwrap();
-        let tb = tile.bbox();
-        let day = TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0));
-        let day_start = day.start();
-        let rows: Vec<Observation> = raw_rows
-            .iter()
-            .map(|&(u, v, sec, q0, q1)| {
-                Observation::new(
-                    tb.min_lat + u * (tb.max_lat - tb.min_lat),
-                    tb.min_lon + v * (tb.max_lon - tb.min_lon),
-                    day_start + sec as i64 % DAY_SECS,
-                    vec![q0 as f64 * 0.25, q1 as f64 * 0.25],
-                )
-            })
-            .collect();
-        let mut wanted: Vec<CellKey> = Vec::new();
-        for (bit, &(delta, t_res)) in COMBOS.iter().enumerate() {
-            if level_mask & (1 << bit) == 0 {
-                continue;
-            }
-            let s_res = (tile.len() as i8 + delta).clamp(1, 12) as u8;
-            for obs in rows.iter().step_by(subset_stride) {
-                if let Some(key) = obs.cell_key(s_res, t_res) {
-                    wanted.push(key);
-                }
-            }
-        }
-        prop_assert!(!wanted.is_empty(), "mask {level_mask} selected no cells");
-        let bk = BlockKey { geohash: tile, day };
-
-        let per_group = store_for(tile, rows.clone(), 0)
-            .with_sketches(SketchSpec::standard());
-        let mut ftm_spec = SketchSpec::standard();
-        ftm_spec.fold_mode = SketchFoldMode::FinestThenMerge;
-        let finest = store_for(tile, rows.clone(), 0).with_sketches(ftm_spec);
-
-        let base = sorted(per_group.scan_block(bk, &wanted).cells);
-        let merged = sorted(finest.scan_block(bk, &wanted).cells);
-        prop_assert_eq!(&merged, &base, "FinestThenMerge diverged within the cap");
-    }
-
-    /// On continuous data — where candidate eviction does fire — the
-    /// documented `FinestThenMerge` contract is weaker: quantile and
-    /// distinct state stay bit-identical (exact merge laws), the count-min
-    /// matrix and totals stay bit-identical (entrywise adds commute), and
-    /// only the heavy-hitter *candidate set* may differ. Pin exactly that.
-    #[test]
-    fn finest_then_merge_contract_on_continuous_data(
-        tile_idx in 0usize..TILES.len(),
-        raw_rows in proptest::collection::vec(
-            (0.0f64..1.0, 0.0f64..1.0, 0u32..86_400, -1000.0f64..1000.0, -1000.0f64..1000.0),
-            1..100,
-        ),
-        level_mask in 1u8..64,
-    ) {
-        let tile = Geohash::from_str(TILES[tile_idx]).unwrap();
-        let tb = tile.bbox();
-        let day = TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0));
-        let day_start = day.start();
-        let rows: Vec<Observation> = raw_rows
-            .iter()
-            .map(|&(u, v, sec, a0, a1)| {
-                Observation::new(
-                    tb.min_lat + u * (tb.max_lat - tb.min_lat),
-                    tb.min_lon + v * (tb.max_lon - tb.min_lon),
-                    day_start + sec as i64 % DAY_SECS,
-                    vec![a0, a1],
-                )
-            })
-            .collect();
-        let mut wanted: Vec<CellKey> = Vec::new();
-        for (bit, &(delta, t_res)) in COMBOS.iter().enumerate() {
-            if level_mask & (1 << bit) == 0 {
-                continue;
-            }
-            let s_res = (tile.len() as i8 + delta).clamp(1, 12) as u8;
-            for obs in &rows {
-                if let Some(key) = obs.cell_key(s_res, t_res) {
-                    wanted.push(key);
-                }
-            }
-        }
-        prop_assert!(!wanted.is_empty(), "mask {level_mask} selected no cells");
-        let bk = BlockKey { geohash: tile, day };
-
-        // A tiny candidate cap forces eviction on nearly every cell.
-        let mut pg_spec = SketchSpec::standard();
-        pg_spec.hh_candidates = 4;
-        let mut ftm_spec = pg_spec.clone();
-        ftm_spec.fold_mode = SketchFoldMode::FinestThenMerge;
-        let per_group = store_for(tile, rows.clone(), 0).with_sketches(pg_spec);
-        let finest = store_for(tile, rows.clone(), 0).with_sketches(ftm_spec);
-
-        let base = sorted(per_group.scan_block(bk, &wanted).cells);
-        let merged = sorted(finest.scan_block(bk, &wanted).cells);
-        prop_assert_eq!(base.len(), merged.len());
-        for ((bk_, bs), (mk, ms)) in base.iter().zip(&merged) {
-            prop_assert_eq!(bk_, mk);
-            for a in 0..2 {
-                let b = bs.attr_sketches(a).unwrap();
-                let m = ms.attr_sketches(a).unwrap();
-                prop_assert_eq!(&b.quantile, &m.quantile, "quantile state must be exact");
-                prop_assert_eq!(&b.distinct, &m.distinct, "distinct state must be exact");
-                prop_assert_eq!(b.heavy.count(), m.heavy.count(), "matrix totals must match");
-                prop_assert_eq!(b.heavy.error_bound(), m.heavy.error_bound());
-                // The count-min matrix is merge-exact, so point estimates
-                // agree even where the candidate sets have diverged.
-                for obs in rows.iter().take(8) {
-                    let v = obs.values[a];
-                    prop_assert_eq!(b.heavy.estimate(v), m.heavy.estimate(v));
-                }
             }
         }
     }

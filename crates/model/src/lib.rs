@@ -41,6 +41,6 @@ pub use observation::Observation;
 pub use query::{AggFunc, AggQuery, QueryError, QueryResult};
 pub use stash_sketch::{
     AttrSketches, DistinctEstimate, DistinctSketch, FoldCtx, HeavyHitters, MergeError,
-    PreparedValue, QuantileEstimate, SketchFoldMode, SketchSpec, TopKEntry, TopKResult, UddSketch,
+    PreparedValue, QuantileEstimate, SketchSpec, TopKEntry, TopKResult, UddSketch,
 };
 pub use stats::{CellStats, CellSummary, SummaryStats};

@@ -53,4 +53,4 @@ pub use error::MergeError;
 pub use fold::{FoldCtx, PreparedValue};
 pub use heavy::{HeavyHitters, TopKEntry, TopKResult};
 pub use quantile::{QuantileEstimate, UddSketch};
-pub use spec::{SketchFoldMode, SketchSpec};
+pub use spec::SketchSpec;

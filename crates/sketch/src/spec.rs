@@ -8,61 +8,6 @@
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
-/// How the scan kernel folds rows into per-group sketch bundles.
-///
-/// The kernel emits one Cell per resolution group, and every valid row
-/// belongs to *every* group — so the fold cost is `rows × groups` pushes
-/// unless coarser groups reuse finer ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SketchFoldMode {
-    /// Fold every row into every group's bundle (the default). Sketch state
-    /// is bit-for-bit identical to folding the raw rows directly into each
-    /// Cell — the strongest reproducibility property, at `rows × groups`
-    /// push cost.
-    #[default]
-    PerGroup,
-    /// Fold rows only at the finest (spatial, temporal) group and derive
-    /// every coarser group's bundles by *merging* the finest Cells' sketches
-    /// (≈ `rows + cells` work instead of `rows × groups`). Quantile and
-    /// distinct sketches are exactly merge-invariant, so their state is
-    /// still bit-identical to a raw fold; heavy-hitter *candidate sets* may
-    /// differ from a raw fold once an attribute exceeds the candidate cap
-    /// (the count-min matrix and its error bounds are unaffected). The
-    /// trade is spelled out in DESIGN.md §14.
-    FinestThenMerge,
-}
-
-impl SketchFoldMode {
-    /// Canonical wire name.
-    fn as_str(self) -> &'static str {
-        match self {
-            SketchFoldMode::PerGroup => "per_group",
-            SketchFoldMode::FinestThenMerge => "finest_then_merge",
-        }
-    }
-}
-
-impl serde::Serialize for SketchFoldMode {
-    fn to_value(&self) -> Value {
-        Value::String(self.as_str().to_string())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for SketchFoldMode {
-    fn from_value(v: &Value) -> Result<Self, serde::de::DeError> {
-        match v {
-            // Configs written before fold modes existed.
-            Value::Null => Ok(SketchFoldMode::PerGroup),
-            Value::String(s) if s == "per_group" => Ok(SketchFoldMode::PerGroup),
-            Value::String(s) if s == "finest_then_merge" => Ok(SketchFoldMode::FinestThenMerge),
-            other => Err(serde::de::DeError::message(format!(
-                "sketch.fold_mode: expected \"per_group\" or \"finest_then_merge\", got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
 /// Knobs for the per-attribute sketch bundle. `enabled: false` (the
 /// default) keeps Cells exact-only and bit-for-bit identical to a build
 /// without this crate.
@@ -84,9 +29,6 @@ pub struct SketchSpec {
     /// Heavy-hitter candidate-list cap; exact merge invariance holds while
     /// the distinct values per attribute stay within it.
     pub hh_candidates: usize,
-    /// How the scan kernel folds rows into group bundles (see
-    /// [`SketchFoldMode`]).
-    pub fold_mode: SketchFoldMode,
 }
 
 impl Default for SketchSpec {
@@ -116,7 +58,6 @@ impl SketchSpec {
             cm_width: 64,
             cm_depth: 3,
             hh_candidates: 256,
-            fold_mode: SketchFoldMode::PerGroup,
         }
     }
 
@@ -156,7 +97,6 @@ struct WireSpec {
     cm_width: u64,
     cm_depth: u64,
     hh_candidates: u64,
-    fold_mode: SketchFoldMode,
 }
 
 impl serde::Serialize for SketchSpec {
@@ -169,7 +109,6 @@ impl serde::Serialize for SketchSpec {
             cm_width: self.cm_width as u64,
             cm_depth: self.cm_depth as u64,
             hh_candidates: self.hh_candidates as u64,
-            fold_mode: self.fold_mode,
         }
         .serialize(serializer)
     }
@@ -191,7 +130,6 @@ impl<'de> serde::Deserialize<'de> for SketchSpec {
             cm_width: w.cm_width as usize,
             cm_depth: w.cm_depth as usize,
             hh_candidates: w.hh_candidates as usize,
-            fold_mode: w.fold_mode,
         };
         spec.validate().map_err(serde::de::Error::custom)?;
         Ok(spec)
@@ -218,29 +156,29 @@ mod tests {
 
     #[test]
     fn roundtrips_through_json() {
-        let mut spec = SketchSpec::standard();
-        for mode in [SketchFoldMode::PerGroup, SketchFoldMode::FinestThenMerge] {
-            spec.fold_mode = mode;
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: SketchSpec = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, spec);
-        }
+        let spec = SketchSpec::standard();
+        let json = serde_json::to_string(&spec).unwrap();
+        let back: SketchSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, spec);
     }
 
     #[test]
-    fn fold_mode_defaults_and_rejects_unknown() {
-        // Configs written before fold modes existed carry no key: PerGroup.
-        let mut json = serde_json::to_string(&SketchSpec::standard()).unwrap();
-        json = json.replace(",\"fold_mode\":\"per_group\"", "");
+    fn stored_fold_mode_key_is_ignored_on_load() {
+        // Configs written while the kernel had a selectable fold mode carry
+        // a "fold_mode" key. Like any unknown key it is ignored on load:
+        // the one remaining fold is the stronger (bit-for-bit) contract, so
+        // neither stored value can be answered worse than it asked for.
+        let json = serde_json::to_string(&SketchSpec::standard()).unwrap();
         assert!(!json.contains("fold_mode"));
-        let back: SketchSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.fold_mode, SketchFoldMode::PerGroup);
-        // An unknown mode string is a config error, not a silent default.
-        let bad = json.replace(
-            "\"enabled\":true",
-            "\"enabled\":true,\"fold_mode\":\"fastest\"",
-        );
-        assert!(serde_json::from_str::<SketchSpec>(&bad).is_err());
+        for mode in ["per_group", "finest_then_merge"] {
+            let stored = json.replace(
+                "\"enabled\":true",
+                &format!("\"enabled\":true,\"fold_mode\":\"{mode}\""),
+            );
+            assert!(stored.contains("fold_mode"));
+            let back: SketchSpec = serde_json::from_str(&stored).unwrap();
+            assert_eq!(back, SketchSpec::standard());
+        }
     }
 
     #[test]
