@@ -391,6 +391,49 @@ mod tests {
     }
 
     #[test]
+    fn priced_payloads_equal_their_flat_encoding() {
+        // `SubQueryResponse`, `QueryResponse` and `ReplicationRequest` are
+        // priced, never encoded: hold the arithmetic to the real encoder
+        // over sketched Cells in every form — no rows, a few rows (sparse
+        // register file and count-min matrix), thousands (both promoted).
+        let spec = stash_model::SketchSpec::standard();
+        let cells: Vec<Cell> = [0usize, 1, 5, 40, 3000]
+            .iter()
+            .enumerate()
+            .map(|(i, &rows)| {
+                let mut c = cell();
+                c.key.time.idx += i as i64;
+                c.summary = stash_model::CellSummary::empty_with(4, &spec);
+                for r in 0..rows {
+                    let v = (r * 7 % 1201) as f64 / 64.0;
+                    c.summary.push_row(&[v, -v, v * 3.0, 1.0]);
+                }
+                c
+            })
+            .collect();
+        let sketch_bytes: Vec<usize> = cells
+            .iter()
+            .map(|c| c.summary.sketch_wire_bytes())
+            .collect();
+        assert!(
+            sketch_bytes.windows(2).all(|w| w[0] < w[1]),
+            "payload follows content: {sketch_bytes:?}"
+        );
+        let parts: Vec<_> = cells.iter().map(|c| (c.key, c.summary.clone())).collect();
+        let encoded = FlatPartials::encode(&parts).to_bytes().len();
+        // A result is the fragment's layout exactly: the list envelope is
+        // its magic and count words.
+        let result = Ok(QueryResult {
+            cells: cells.clone(),
+            ..Default::default()
+        });
+        assert_eq!(result_bytes(&result), encoded);
+        // Replicated Cells add one freshness word each.
+        let replicated: Vec<(Cell, f64)> = cells.iter().map(|c| (c.clone(), 0.5)).collect();
+        assert_eq!(cells_bytes(&replicated), encoded + 8 * cells.len());
+    }
+
+    #[test]
     fn key_list_sizes_are_exact_flat_lengths() {
         let keys = vec![cell().key; 7];
         let msg = Msg::Invalidate {

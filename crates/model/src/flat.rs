@@ -7,7 +7,7 @@
 //! that with one contiguous little-endian word buffer per fragment:
 //!
 //! ```text
-//! word 0        magic "STSHPRT1"
+//! word 0        magic "STSHPRT2"
 //! word 1        entry count n
 //! per entry     key   (3 words: geohash bits|len, temporal res, bin index)
 //!               stats (header word, 5 words per attribute, optional
@@ -26,8 +26,9 @@ use stash_flat::{magic, FlatError, WordReader, WordWriter};
 use stash_geo::{Geohash, TemporalRes, TimeBin};
 use stash_sketch::AttrSketches;
 
-/// Magic word of a flat partials fragment.
-pub const PARTIALS_MAGIC: u64 = magic(b"STSHPRT1");
+/// Magic word of a flat partials fragment (`2`: sketch bundles carry
+/// sparse-until-dense runs, which a `1` decoder would misread).
+pub const PARTIALS_MAGIC: u64 = magic(b"STSHPRT2");
 
 /// Words of one flat-encoded [`CellKey`].
 pub const KEY_WORDS: usize = 3;
@@ -163,7 +164,6 @@ impl FlatPartials {
             encode_key(&mut w, key);
             encode_cell_stats(&mut w, stats);
         }
-        debug_assert_eq!(w.len(), total, "flat partials size arithmetic drifted");
         FlatPartials {
             words: w.into_words(),
         }
@@ -226,16 +226,28 @@ mod tests {
         CellKey::new(Geohash::from_str(gh).unwrap(), TimeBin { res, idx })
     }
 
+    /// Cells of 1, 2, 3, 0 and 2 000 rows: with sketches that is every
+    /// form a bundle takes — sparse lists, nothing at all, and a promoted
+    /// register file and count-min matrix.
     fn sample_parts(with_sketches: bool) -> Vec<(CellKey, CellStats)> {
         let spec = SketchSpec::standard();
         let mut parts = Vec::new();
-        for (i, gh) in ["9xj", "9xj0", "dr5ru7"].iter().enumerate() {
+        for (i, (gh, rows)) in [
+            ("9xj", 1),
+            ("9xj0", 2),
+            ("dr5ru7", 3),
+            ("9", 0),
+            ("c2", 2000),
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let mut stats = if with_sketches {
                 CellStats::empty_with(4, &spec)
             } else {
                 CellStats::empty(4)
             };
-            for row in 0..=i {
+            for row in 0..rows {
                 let base = (i * 10 + row) as f64;
                 stats.push_row(&[base, -base, base * 0.5, 0.0]);
             }
@@ -278,14 +290,24 @@ mod tests {
 
     #[test]
     fn wire_size_matches_component_arithmetic() {
-        let parts = sample_parts(true);
-        let flat = FlatPartials::encode(&parts);
-        let expected = 16
-            + parts
-                .iter()
-                .map(|(_, s)| KEY_WORDS * 8 + s.wire_bytes())
-                .sum::<usize>();
-        assert_eq!(flat.wire_size(), expected);
+        // The protocol prices payloads with this arithmetic and never
+        // encodes most of them; it must equal the encoder in any build
+        // profile, over sketches in every form.
+        for with_sketches in [false, true] {
+            let parts = sample_parts(with_sketches);
+            let flat = FlatPartials::encode(&parts);
+            let expected = 16
+                + parts
+                    .iter()
+                    .map(|(_, s)| KEY_WORDS * 8 + s.wire_bytes())
+                    .sum::<usize>();
+            assert_eq!(flat.wire_size(), expected);
+        }
+        let sizes: Vec<usize> = sample_parts(true)
+            .iter()
+            .map(|(_, s)| s.sketch_wire_bytes())
+            .collect();
+        assert!(sizes[3] < sizes[0] && sizes[2] < sizes[4] / 4, "{sizes:?}");
     }
 
     #[test]

@@ -3,10 +3,24 @@
 
 use proptest::prelude::*;
 use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange};
-use stash_model::{AggFunc, AggQuery, Cell, CellKey, CellSummary, SketchSpec, SummaryStats};
+use stash_model::{
+    AggFunc, AggQuery, Cell, CellKey, CellSummary, FlatPartials, SketchSpec, SummaryStats,
+};
 
 fn arb_values(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1000.0f64..1000.0, 0..max_len)
+}
+
+/// Row counts on both sides of the promotion points of the small spec in
+/// `sketched_cells_merge_across_promotion`: a few rows keep both sketch
+/// arrays sparse, a dozen or more promote them, a hundred saturate them.
+fn arb_spanning_rows() -> impl Strategy<Value = Vec<[i32; 2]>> {
+    let row = || prop::array::uniform2(-100i32..100);
+    prop_oneof![
+        prop::collection::vec(row(), 0..4),
+        prop::collection::vec(row(), 4..30),
+        prop::collection::vec(row(), 100..200),
+    ]
 }
 
 proptest! {
@@ -200,6 +214,65 @@ proptest! {
         let mut seed = CellSummary::empty(2);
         seed.merge(&union);
         prop_assert_eq!(&seed, &union);
+    }
+
+    /// The same law with operands on both sides of the sketches' promotion
+    /// points, lifted from `stash-sketch`'s own suite: under a spec small
+    /// enough that a dozen rows promote the register file (64 registers,
+    /// dense from 15 non-zero) and the count-min matrix (16 × 2, dense from
+    /// 8), two Cells merge sparse + sparse (staying or crossing), sparse +
+    /// dense and dense + dense. Merge order, the union fold, the flat wire
+    /// form and a force-promoted copy must all agree, answers included.
+    #[test]
+    fn sketched_cells_merge_across_promotion(
+        ra in arb_spanning_rows(), rb in arb_spanning_rows(), rc in arb_spanning_rows(),
+    ) {
+        let rows = [ra, rb, rc];
+        let spec = SketchSpec { hll_precision: 6, cm_width: 16, cm_depth: 2, ..SketchSpec::standard() };
+        let fold = |parts: &[&Vec<[i32; 2]>]| {
+            let mut cs = CellSummary::empty_with(2, &spec);
+            for r in parts.iter().flat_map(|p| p.iter()) {
+                cs.push_row(&[r[0] as f64, r[1] as f64 * 0.5]);
+            }
+            cs
+        };
+        let [a, b, c] = [fold(&[&rows[0]]), fold(&[&rows[1]]), fold(&[&rows[2]])];
+        let union = fold(&[&rows[0], &rows[1], &rows[2]]);
+        let mut left = a.clone();
+        left.merge(&b);
+        left.merge(&c);
+        let mut right = c.clone();
+        right.merge(&b);
+        let mut seed = CellSummary::empty(2);
+        seed.merge(&a);
+        seed.merge(&right);
+        prop_assert_eq!(&left, &union);
+        prop_assert_eq!(&seed, &union);
+        // Equal states are one encoding, priced exactly, whatever route
+        // (and so whatever sequence of forms) built them.
+        let key = CellKey::new(
+            Geohash::encode(40.0, -105.0, 4).unwrap(),
+            TimeBin { res: TemporalRes::Day, idx: 16_470 },
+        );
+        let encode = |cs: &CellSummary| FlatPartials::encode(&[(key, cs.clone())]);
+        let flat = encode(&union);
+        prop_assert_eq!(&encode(&left), &flat);
+        prop_assert_eq!(&encode(&seed), &flat);
+        prop_assert_eq!(flat.wire_size(), 16 + 24 + union.wire_bytes());
+        prop_assert_eq!(&flat.decode().unwrap()[0].1, &union);
+        // Held dense regardless, the Cell is equal and answers bit for bit.
+        let mut forced = union.clone();
+        for attr in 0..2 {
+            let sk = forced.attr_sketches_mut(attr).unwrap();
+            sk.distinct.force_dense();
+            sk.heavy.force_dense();
+        }
+        prop_assert_eq!(&forced, &union);
+        for attr in 0..2 {
+            let (f, u) = (forced.attr_sketches(attr).unwrap(), union.attr_sketches(attr).unwrap());
+            prop_assert_eq!(f.distinct.estimate().count.to_bits(), u.distinct.estimate().count.to_bits());
+            prop_assert_eq!(f.heavy.top_k(5), u.heavy.top_k(5));
+        }
     }
 
     /// A non-empty exact-only partial degrades the merged Cell to

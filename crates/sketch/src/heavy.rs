@@ -7,6 +7,13 @@
 //! probability `1 − 2^−depth`. The matrix merges entrywise, so it is exactly
 //! merge-order invariant.
 //!
+//! The matrix is held **sparse until dense**, like the HLL register file
+//! next door: a sorted list of the non-zero counters — index and count
+//! packed into one word each — while that is smaller than the full matrix,
+//! the full matrix from then on. Counters only grow, so the form is a pure
+//! function of the state and never reverts; the flat wire form mirrors it
+//! (DESIGN.md §14, §15).
+//!
 //! A count-min matrix alone cannot *enumerate* the heavy values, so the
 //! sketch also carries a capped candidate set of values actually seen. The
 //! set is an open-addressed hash table ([`CandidateSet`], same idiom as the
@@ -32,6 +39,7 @@
 use crate::error::MergeError;
 use crate::fold::PreparedValue;
 use crate::hash::{canonical_bits, is_canonical_bits, splitmix64};
+use crate::sparse::{coalesce, merge_run, RUN_BUFFER};
 use serde::{Deserialize, Serialize};
 use stash_flat::{FlatError, WordReader, WordWriter};
 
@@ -197,6 +205,61 @@ impl FromIterator<u64> for CandidateSet {
     }
 }
 
+/// The count-min matrix, sparse until dense.
+#[derive(Debug, Clone)]
+enum Counters {
+    /// The non-zero counters as `index << value_bits | count`, ascending
+    /// (`index` is the row-major position). Held while there are fewer
+    /// than [`promote_at`] of them and the sketch's total — which bounds
+    /// every counter — fits the count field.
+    Sparse(Vec<u64>),
+    /// `depth × width` counters, row-major (saturating on overflow).
+    Dense(Vec<u64>),
+}
+
+/// Flag bit (word 5 of the flat form) of a sparse matrix run; the entry
+/// count sits in the word's upper half.
+const SPARSE_FLAG: u64 = 1 << 1;
+
+/// The promotion point for a matrix of `cells` counters: a quarter of them
+/// non-zero — a function of the matrix size alone. Size alone would keep
+/// the list until every counter is non-zero (an entry costs one word, like
+/// a counter), but every update of the list is a merge pass over it where
+/// the array takes an indexed add, and a gather that keeps merging small
+/// Cells into one accumulator would walk a list as long as the matrix each
+/// time (measured: 3× the dense merge, and +40 % on the scan kernel's
+/// `core_micro` `scan_with_sketches`). The list is therefore kept only while
+/// it is at least four times smaller than the matrix.
+#[inline]
+const fn promote_at(cells: usize) -> usize {
+    cells / 4
+}
+
+/// Bits of a sparse entry left for the count once the index of a `cells`-
+/// counter matrix has taken the top ones.
+#[inline]
+const fn value_bits(cells: usize) -> u32 {
+    ((cells - 1) as u64).leading_zeros()
+}
+
+/// A sparse entry: counter `idx` holding `count`.
+#[inline]
+const fn entry(idx: usize, count: u64, vbits: u32) -> u64 {
+    (idx as u64) << vbits | count
+}
+
+/// Matrix position of a sparse entry.
+#[inline]
+const fn entry_index(e: u64, vbits: u32) -> usize {
+    (e >> vbits) as usize
+}
+
+/// Count held by a sparse entry.
+#[inline]
+const fn entry_count(e: u64, vbits: u32) -> u64 {
+    e & !(u64::MAX << vbits)
+}
+
 /// Mergeable heavy-hitters sketch (the partial state of the two-step
 /// aggregate).
 #[derive(Debug, Clone)]
@@ -207,16 +270,17 @@ pub struct HeavyHitters {
     limit: usize,
     /// True once any trim evicted candidates (sticky, merged with OR).
     trimmed: bool,
-    /// Total observations folded in (saturating on overflow).
+    /// Total observations folded in (saturating on overflow). No counter
+    /// exceeds it.
     total: u64,
-    /// `depth × width` counters, row-major (saturating on overflow).
-    rows: Vec<u64>,
+    counters: Counters,
     /// Canonical bit patterns of candidate values.
     candidates: CandidateSet,
 }
 
 /// Two sketches are equal when their canonical states match; the candidate
-/// table's internal layout (capacity, probe order) is irrelevant.
+/// table's internal layout (capacity, probe order) and the form holding
+/// the matrix are irrelevant.
 impl PartialEq for HeavyHitters {
     fn eq(&self, other: &Self) -> bool {
         self.width == other.width
@@ -224,7 +288,7 @@ impl PartialEq for HeavyHitters {
             && self.limit == other.limit
             && self.trimmed == other.trimmed
             && self.total == other.total
-            && self.rows == other.rows
+            && self.counters_eq(other)
             && self.candidates.sorted() == other.candidates.sorted()
     }
 }
@@ -239,14 +303,166 @@ impl HeavyHitters {
         assert!(width >= 8, "count-min width must be at least 8");
         assert!((1..=8).contains(&depth), "count-min depth must be in 1..=8");
         assert!(limit > 0, "heavy-hitter candidate limit must be positive");
+        assert!(
+            width.checked_mul(depth).is_some(),
+            "count-min matrix size overflows"
+        );
         HeavyHitters {
             width,
             depth,
             limit,
             trimmed: false,
             total: 0,
-            rows: vec![0; width * depth],
+            counters: Counters::Sparse(Vec::new()),
             candidates: CandidateSet::new(),
+        }
+    }
+
+    /// Matrix size in counters.
+    #[inline]
+    fn cells(&self) -> usize {
+        self.width * self.depth
+    }
+
+    /// True iff a state with this many non-zero counters and this total is
+    /// held (and shipped) sparse.
+    #[inline]
+    fn is_sparse_state(cells: usize, nonzero: usize, total: u64) -> bool {
+        nonzero < promote_at(cells) && total >> value_bits(cells) == 0
+    }
+
+    /// The canonical form of a dense matrix whose counters `total` bounds.
+    fn canonical(cells: usize, rows: Vec<u64>, total: u64) -> Counters {
+        let nonzero = rows.iter().filter(|&&c| c != 0).count();
+        if !Self::is_sparse_state(cells, nonzero, total) {
+            return Counters::Dense(rows);
+        }
+        let vbits = value_bits(cells);
+        let mut entries = Vec::with_capacity(nonzero);
+        entries.extend(
+            rows.iter()
+                .enumerate()
+                .filter(|(_, &c)| c != 0)
+                .map(|(i, &c)| entry(i, c, vbits)),
+        );
+        Counters::Sparse(entries)
+    }
+
+    /// The dense matrix of either form.
+    fn to_dense(&self) -> Vec<u64> {
+        match &self.counters {
+            Counters::Dense(rows) => rows.clone(),
+            Counters::Sparse(entries) => {
+                let vbits = value_bits(self.cells());
+                let mut rows = vec![0u64; self.cells()];
+                for &e in entries {
+                    rows[entry_index(e, vbits)] = entry_count(e, vbits);
+                }
+                rows
+            }
+        }
+    }
+
+    /// Switch to the dense form whatever the state. The sketch does this
+    /// itself at the promotion point, and for the length of a fold
+    /// ([`AttrSketches::begin_fold`](crate::AttrSketches::begin_fold));
+    /// done on its own it leaves an equal sketch in a form the wire decoder
+    /// would reject — public **for tests** that pin the accessors'
+    /// independence of the form.
+    #[doc(hidden)]
+    pub fn force_dense(&mut self) {
+        if let Counters::Sparse(_) = self.counters {
+            self.counters = Counters::Dense(self.to_dense());
+        }
+    }
+
+    /// Return to the canonical form after [`force_dense`](Self::force_dense).
+    pub(crate) fn canonicalize(&mut self) {
+        let cells = self.cells();
+        if let Counters::Dense(rows) = &mut self.counters {
+            self.counters = Self::canonical(cells, std::mem::take(rows), self.total);
+        }
+    }
+
+    /// Leave the sparse form once the total no longer fits an entry's
+    /// count field. Call after raising `total` and before adding to any
+    /// counter: it keeps packed additions from carrying into the index.
+    #[inline]
+    fn fit_total(&mut self) {
+        if self.total >> value_bits(self.cells()) != 0 {
+            self.force_dense();
+        }
+    }
+
+    /// Fold in a run of packed entries, ascending strictly by index: every
+    /// named counter grows by the entry's count, and the sparse list is
+    /// promoted once it reaches the promotion point. `total` must already
+    /// include the run ([`fit_total`](Self::fit_total) done).
+    fn absorb(&mut self, run: &[u64]) {
+        let cells = self.cells();
+        let vbits = value_bits(cells);
+        match &mut self.counters {
+            Counters::Dense(rows) => {
+                for &e in run {
+                    let c = &mut rows[entry_index(e, vbits)];
+                    *c = c.saturating_add(entry_count(e, vbits));
+                }
+            }
+            Counters::Sparse(entries) => {
+                // No counter exceeds the total and the total fits the count
+                // field: the sum cannot carry into the index.
+                merge_run(
+                    entries,
+                    run,
+                    |e| entry_index(e, vbits),
+                    |a, b| a + entry_count(b, vbits),
+                );
+                if entries.len() >= promote_at(cells) {
+                    self.force_dense();
+                }
+            }
+        }
+    }
+
+    /// Count one observation whose row-`d` column is `cols[d]`.
+    #[inline]
+    fn absorb_one(&mut self, cols: &[u32; 8]) {
+        let vbits = value_bits(self.cells());
+        // Row-major positions ascend with the row: already a sorted run.
+        let mut run = [0u64; 8];
+        for (d, e) in run.iter_mut().enumerate().take(self.depth) {
+            *e = entry(d * self.width + cols[d] as usize, 1, vbits);
+        }
+        self.absorb(&run[..self.depth]);
+    }
+
+    /// Counter `(row, col)` of the matrix — the one read path of both
+    /// forms, so no estimate can depend on which one holds the state.
+    #[inline]
+    fn count_at(&self, row: usize, col: usize) -> u64 {
+        let idx = row * self.width + col;
+        match &self.counters {
+            Counters::Dense(rows) => rows[idx],
+            Counters::Sparse(entries) => {
+                let vbits = value_bits(self.cells());
+                entries
+                    .binary_search_by_key(&idx, |&e| entry_index(e, vbits))
+                    .map_or(0, |i| entry_count(entries[i], vbits))
+            }
+        }
+    }
+
+    fn counters_eq(&self, other: &HeavyHitters) -> bool {
+        match (&self.counters, &other.counters) {
+            (Counters::Sparse(a), Counters::Sparse(b))
+            | (Counters::Dense(a), Counters::Dense(b)) => a == b,
+            (Counters::Sparse(s), Counters::Dense(d))
+            | (Counters::Dense(d), Counters::Sparse(s)) => {
+                let vbits = value_bits(self.cells());
+                d.iter().filter(|&&c| c != 0).count() == s.len()
+                    && s.iter()
+                        .all(|&e| d[entry_index(e, vbits)] == entry_count(e, vbits))
+            }
         }
     }
 
@@ -267,11 +483,12 @@ impl HeavyHitters {
     pub fn push(&mut self, value: f64) {
         let bits = canonical_bits(value);
         self.total = self.total.saturating_add(1);
-        for d in 0..self.depth {
-            let col = self.column(bits, d);
-            let c = &mut self.rows[d * self.width + col];
-            *c = c.saturating_add(1);
+        self.fit_total();
+        let mut cols = [0u32; 8];
+        for (d, col) in cols.iter_mut().enumerate().take(self.depth) {
+            *col = self.column(bits, d) as u32;
         }
+        self.absorb_one(&cols);
         // The set only grows past the trim threshold on a *new* insert, so
         // trimming is a no-op (an early-return len check) otherwise.
         if self.candidates.insert(bits) {
@@ -287,14 +504,8 @@ impl HeavyHitters {
     #[inline]
     pub(crate) fn push_prepared(&mut self, pv: &PreparedValue) {
         self.total = self.total.saturating_add(1);
-        for (row, &col) in self
-            .rows
-            .chunks_exact_mut(self.width)
-            .zip(&pv.cols[..self.depth])
-        {
-            let c = &mut row[col as usize];
-            *c = c.saturating_add(1);
-        }
+        self.fit_total();
+        self.absorb_one(&pv.cols);
         if self.candidates.insert_hashed(pv.bits, pv.hash) {
             self.trim();
         }
@@ -305,13 +516,46 @@ impl HeavyHitters {
     /// The count-min updates apply matrix-row-major across the batch
     /// (saturating adds commute, so the matrix state is order-invariant),
     /// and candidate inserts keep the per-insert trim schedule so the
-    /// eviction sequence matches the one-at-a-time fold exactly.
+    /// eviction sequence matches the one-at-a-time fold exactly. Into the
+    /// sparse list the batch goes as sorted runs, one merge pass each; a
+    /// batch that could promote the list by itself folds into the dense
+    /// array instead and returns to the canonical form afterwards.
     pub(crate) fn push_prepared_batch(&mut self, pvs: &[PreparedValue]) {
         self.total = self.total.saturating_add(pvs.len() as u64);
-        for (d, row) in self.rows.chunks_exact_mut(self.width).enumerate() {
-            for pv in pvs {
-                let c = &mut row[pv.cols[d] as usize];
-                *c = c.saturating_add(1);
+        self.fit_total();
+        let (cells, width, depth) = (self.cells(), self.width, self.depth);
+        let sparse = matches!(self.counters, Counters::Sparse(_));
+        if sparse && pvs.len() * depth < promote_at(cells) {
+            let vbits = value_bits(cells);
+            for chunk in pvs.chunks(RUN_BUFFER / depth) {
+                let mut run = [0u64; RUN_BUFFER];
+                let mut n = 0;
+                for d in 0..depth {
+                    for pv in chunk {
+                        run[n] = entry(d * width + pv.cols[d] as usize, 1, vbits);
+                        n += 1;
+                    }
+                }
+                let n = coalesce(
+                    &mut run[..n],
+                    |e| entry_index(e, vbits),
+                    |a, b| a + entry_count(b, vbits),
+                );
+                self.absorb(&run[..n]);
+            }
+        } else {
+            self.force_dense();
+            let Counters::Dense(rows) = &mut self.counters else {
+                unreachable!("force_dense leaves the dense form");
+            };
+            for (d, row) in rows.chunks_exact_mut(width).enumerate() {
+                for pv in pvs {
+                    let c = &mut row[pv.cols[d] as usize];
+                    *c = c.saturating_add(1);
+                }
+            }
+            if sparse {
+                self.canonicalize();
             }
         }
         for pv in pvs {
@@ -341,8 +585,20 @@ impl HeavyHitters {
         self.check_config(other)?;
         self.total = self.total.saturating_add(other.total);
         self.trimmed |= other.trimmed;
-        for (a, &b) in self.rows.iter_mut().zip(&other.rows) {
-            *a = a.saturating_add(b);
+        self.fit_total();
+        match &other.counters {
+            Counters::Sparse(entries) => self.absorb(entries),
+            Counters::Dense(theirs) => {
+                // The sum has at least their non-zeros and their total: it
+                // is dense.
+                self.force_dense();
+                let Counters::Dense(ours) = &mut self.counters else {
+                    unreachable!("force_dense leaves the dense form");
+                };
+                for (a, &b) in ours.iter_mut().zip(theirs) {
+                    *a = a.saturating_add(b);
+                }
+            }
         }
         for bits in other.candidates.iter() {
             self.candidates.insert(bits);
@@ -396,7 +652,7 @@ impl HeavyHitters {
     /// Count-min point estimate for a canonical bit pattern.
     fn estimate_bits(&self, bits: u64) -> u64 {
         (0..self.depth)
-            .map(|d| self.rows[d * self.width + self.column(bits, d)])
+            .map(|d| self.count_at(d, self.column(bits, d)))
             .min()
             .unwrap_or(0)
     }
@@ -469,10 +725,12 @@ impl HeavyHitters {
         }
     }
 
-    /// Approximate in-memory footprint, for cache budgets.
+    /// In-memory footprint, for cache budgets: the struct plus whatever the
+    /// held matrix form and the candidate table have allocated.
     pub fn estimated_bytes(&self) -> usize {
+        let (Counters::Sparse(held) | Counters::Dense(held)) = &self.counters;
         std::mem::size_of::<HeavyHitters>()
-            + self.rows.len() * 8
+            + held.capacity() * 8
             + self.candidates.estimated_bytes()
     }
 
@@ -482,31 +740,43 @@ impl HeavyHitters {
     }
 
     /// Words of this sketch's flat encoding (DESIGN.md §15): a 6-word
-    /// header (config, total, candidate count, flags), the count-min
-    /// matrix row-major, then candidates in sorted bit order.
+    /// header (config, total, candidate count, flags), the matrix run —
+    /// one word per sparse entry or the whole matrix row-major — then
+    /// candidates in sorted bit order. All three lengths are read off the
+    /// held state; no counter is visited.
     pub fn flat_words(&self) -> usize {
-        6 + self.rows.len() + self.candidates.len()
+        let (Counters::Sparse(held) | Counters::Dense(held)) = &self.counters;
+        6 + held.len() + self.candidates.len()
     }
 
-    /// Append the flat wire form to `w`. Equal sketches encode to
-    /// identical words (candidates drain in canonical sorted order).
+    /// Append the flat wire form to `w`, the matrix run mirroring the held
+    /// form: flags word `trimmed | SPARSE_FLAG | n << 32` and the `n`
+    /// packed entries, or flags word `trimmed` and the matrix row-major.
+    /// Equal sketches encode to identical words (the form is a function of
+    /// the state; candidates drain in canonical sorted order).
     pub fn flat_encode(&self, w: &mut WordWriter) {
+        let (flags, held) = match &self.counters {
+            Counters::Sparse(entries) => (SPARSE_FLAG | (entries.len() as u64) << 32, entries),
+            Counters::Dense(rows) => (0, rows),
+        };
         w.push_u64(self.width as u64);
         w.push_u64(self.depth as u64);
         w.push_u64(self.limit as u64);
         w.push_u64(self.total);
         w.push_u64(self.candidates.len() as u64);
-        w.push_u64(self.trimmed as u64);
-        w.extend_u64(&self.rows);
+        w.push_u64(flags | self.trimmed as u64);
+        w.extend_u64(held);
         for bits in self.candidates.sorted() {
             w.push_u64(bits);
         }
     }
 
     /// Decode a flat wire form, validating the same invariants as the
-    /// constructor plus the canonical candidate form (sorted, canonical
-    /// bit patterns only — which also keeps the table's `u64::MAX`
-    /// sentinel unreachable). Never panics on corrupt input.
+    /// constructor, that no counter exceeds the total, that the matrix run
+    /// is the canonical one for its state, plus the canonical candidate
+    /// form (sorted, canonical bit patterns only — which also keeps the
+    /// table's `u64::MAX` sentinel unreachable). Never panics on corrupt
+    /// input.
     pub fn flat_decode(r: &mut WordReader) -> Result<Self, FlatError> {
         let width = r.u64()? as usize;
         let depth = r.u64()? as usize;
@@ -520,13 +790,46 @@ impl HeavyHitters {
         if n_candidates > limit.saturating_mul(2) {
             return Err(FlatError::Corrupt("heavy-hitter candidate overflow"));
         }
-        if flags > 1 {
+        let n_entries = (flags >> 32) as usize;
+        let sparse = flags & SPARSE_FLAG != 0;
+        if flags & 0xFFFF_FFFC != 0 || (!sparse && n_entries != 0) {
             return Err(FlatError::Corrupt("unknown heavy-hitter flags"));
         }
         let cells = width
             .checked_mul(depth)
             .ok_or(FlatError::Corrupt("heavy-hitter matrix size overflow"))?;
-        let rows = r.take(cells)?.to_vec();
+        let counters = if sparse {
+            if !Self::is_sparse_state(cells, n_entries, total) {
+                return Err(FlatError::Corrupt(
+                    "heavy-hitter sparse run at or above promotion",
+                ));
+            }
+            // `take` bounds the run by the buffer before it is copied.
+            let entries = r.take(n_entries)?;
+            let vbits = value_bits(cells);
+            let mut next_idx = 0usize;
+            for &e in entries {
+                let (idx, count) = (entry_index(e, vbits), entry_count(e, vbits));
+                if idx < next_idx || idx >= cells {
+                    return Err(FlatError::Corrupt("heavy-hitter sparse index out of order"));
+                }
+                if count == 0 || count > total {
+                    return Err(FlatError::Corrupt("heavy-hitter counter out of range"));
+                }
+                next_idx = idx + 1;
+            }
+            Counters::Sparse(entries.to_vec())
+        } else {
+            let rows = r.take(cells)?;
+            if rows.iter().any(|&c| c > total) {
+                return Err(FlatError::Corrupt("heavy-hitter counter out of range"));
+            }
+            let nonzero = rows.iter().filter(|&&c| c != 0).count();
+            if Self::is_sparse_state(cells, nonzero, total) {
+                return Err(FlatError::Corrupt("heavy-hitter dense run below promotion"));
+            }
+            Counters::Dense(rows.to_vec())
+        };
         let mut candidates = CandidateSet::new();
         let mut prev: Option<u64> = None;
         for &bits in r.take(n_candidates)? {
@@ -543,15 +846,16 @@ impl HeavyHitters {
             width,
             depth,
             limit,
-            trimmed: flags == 1,
+            trimmed: flags & 1 == 1,
             total,
-            rows,
+            counters,
             candidates,
         })
     }
 }
 
-/// Wire mirror: matrix row-major, candidates in sorted bit order.
+/// Wire mirror: matrix row-major — always the full matrix, whichever form
+/// holds it — and candidates in sorted bit order.
 #[derive(Serialize, Deserialize)]
 struct WireHh {
     width: u64,
@@ -571,7 +875,7 @@ impl serde::Serialize for HeavyHitters {
             limit: self.limit as u64,
             trimmed: self.trimmed,
             total: self.total,
-            rows: self.rows.clone(),
+            rows: self.to_dense(),
             candidates: self.candidates.sorted(),
         }
         .serialize(serializer)
@@ -585,8 +889,14 @@ impl<'de> serde::Deserialize<'de> for HeavyHitters {
         if width < 8 || !(1..=8).contains(&depth) || limit == 0 {
             return Err(serde::de::Error::custom("invalid heavy-hitter config"));
         }
-        if w.rows.len() != width * depth || w.candidates.len() > 2 * limit {
+        let cells = width.checked_mul(depth);
+        if cells != Some(w.rows.len()) || w.candidates.len() > limit.saturating_mul(2) {
             return Err(serde::de::Error::custom("heavy-hitter payload size"));
+        }
+        if w.rows.iter().any(|&c| c > w.total) {
+            return Err(serde::de::Error::custom(
+                "heavy-hitter counter out of range",
+            ));
         }
         if w.candidates.iter().any(|&b| !is_canonical_bits(b)) {
             return Err(serde::de::Error::custom(
@@ -599,7 +909,7 @@ impl<'de> serde::Deserialize<'de> for HeavyHitters {
             limit,
             trimmed: w.trimmed,
             total: w.total,
-            rows: w.rows,
+            counters: Self::canonical(w.rows.len(), w.rows, w.total),
             candidates: w.candidates.into_iter().collect(),
         })
     }
@@ -615,6 +925,29 @@ mod tests {
             s.push(v);
         }
         s
+    }
+
+    fn flat_words_of(s: &HeavyHitters) -> Vec<u64> {
+        let mut w = WordWriter::new();
+        s.flat_encode(&mut w);
+        assert_eq!(w.len(), s.flat_words());
+        assert_eq!(w.len() * 8, s.wire_bytes());
+        w.into_words()
+    }
+
+    fn decode(words: &[u64]) -> Result<HeavyHitters, FlatError> {
+        let mut r = WordReader::new(words);
+        let s = HeavyHitters::flat_decode(&mut r)?;
+        r.finish()?;
+        Ok(s)
+    }
+
+    fn is_sparse(s: &HeavyHitters) -> bool {
+        matches!(s.counters, Counters::Sparse(_))
+    }
+
+    fn nonzero(s: &HeavyHitters) -> usize {
+        s.to_dense().iter().filter(|&&c| c != 0).count()
     }
 
     #[test]
@@ -739,19 +1072,15 @@ mod tests {
         assert_eq!(a.count(), 4);
     }
 
-    /// A sketch with an arbitrary (huge) total, built through the wire
-    /// decoder — the only way to reach counter-boundary states.
+    /// A sketch with an arbitrary (huge) total and its one counter as
+    /// large, taken through the wire decoder — states no fold can reach.
     fn with_total(total: u64) -> HeavyHitters {
-        let mut w = WordWriter::new();
         let mut s = HeavyHitters::new(8, 1, 4);
         s.push(1.0);
-        s.flat_encode(&mut w);
-        let mut words = w.into_words();
-        words[3] = total;
-        // Saturate the single matrix counter too.
-        let row = words[6..14].iter().position(|&c| c != 0).unwrap();
-        words[6 + row] = total;
-        HeavyHitters::flat_decode(&mut WordReader::new(&words)).unwrap()
+        let rows = s.to_dense().iter().map(|&c| c * total).collect();
+        s.total = total;
+        s.counters = HeavyHitters::canonical(8, rows, total);
+        decode(&flat_words_of(&s)).unwrap()
     }
 
     #[test]
@@ -796,44 +1125,194 @@ mod tests {
     }
 
     #[test]
+    fn promotes_exactly_at_the_promotion_point() {
+        // 16 × 2 = 32 counters: sparse while fewer than 8 are non-zero.
+        assert_eq!(promote_at(32), 8);
+        let mut s = HeavyHitters::new(16, 2, 512);
+        for i in 0..400 {
+            s.push(i as f64 * 0.5);
+            let nonzero = nonzero(&s);
+            assert_eq!(is_sparse(&s), nonzero < 8, "at {nonzero} non-zeros");
+            let run = if nonzero < 8 { nonzero } else { 32 };
+            assert_eq!(s.flat_words(), 6 + run + s.candidates.len());
+        }
+        assert!(!is_sparse(&s));
+        // A total beyond an entry's count field also ends the sparse form:
+        // 8 counters leave 61 bits.
+        assert_eq!(value_bits(8), 61);
+        let small = with_total((1 << 61) - 2);
+        assert!(is_sparse(&small));
+        let mut grown = small.clone();
+        grown.push(1.0);
+        assert!(is_sparse(&grown));
+        grown.push(1.0);
+        assert!(!is_sparse(&grown));
+        assert_eq!(grown.estimate(1.0), 1 << 61);
+        let mut merged = small.clone();
+        merged.merge(&small);
+        assert!(!is_sparse(&merged));
+        assert_eq!(merged.estimate(1.0), (1 << 62) - 4);
+    }
+
+    #[test]
+    fn accessors_do_not_depend_on_the_form() {
+        for n in [0usize, 1, 9, 60, 300, 3000] {
+            let held = sketch_of((0..n).map(|i| ((i * 7) % 500) as f64 * 0.25));
+            let mut dense = held.clone();
+            dense.force_dense();
+            let via_serde: HeavyHitters =
+                serde_json::from_str(&serde_json::to_string(&held).unwrap()).unwrap();
+            let via_flat = decode(&flat_words_of(&held)).unwrap();
+            for other in [&dense, &via_serde, &via_flat] {
+                assert_eq!(other, &held, "n={n}");
+                assert_eq!(other.top_k(16), held.top_k(16), "n={n}");
+                for v in [0.0, 0.25, 17.5, 124.75, 9999.0] {
+                    assert_eq!(other.estimate(v), held.estimate(v), "n={n} v={v}");
+                }
+            }
+            // Serde and flat decoding both land in the canonical form.
+            assert_eq!(is_sparse(&via_serde), is_sparse(&held));
+            assert_eq!(is_sparse(&via_flat), is_sparse(&held));
+            // The JSON is the full matrix whatever the form.
+            assert_eq!(
+                serde_json::to_string(&dense).unwrap(),
+                serde_json::to_string(&held).unwrap()
+            );
+        }
+        assert!(is_sparse(&sketch_of((0..10).map(f64::from))));
+        assert!(!is_sparse(&sketch_of((0..3000).map(f64::from))));
+    }
+
+    #[test]
+    fn batch_fold_matches_single_pushes_in_state_and_form() {
+        let ctx = crate::FoldCtx::new(&crate::SketchSpec::standard());
+        for n in [1usize, 7, 8, 50, 2000] {
+            for distinct in [2usize, 30, 1500] {
+                let values: Vec<f64> = (0..n).map(|i| (i % distinct) as f64).collect();
+                let pvs: Vec<PreparedValue> = values.iter().map(|&v| ctx.prepare(v)).collect();
+                // A cap no run here reaches: batching is exact within it.
+                let seeded = || {
+                    let mut s = HeavyHitters::new(64, 3, 4096);
+                    s.push(-1.0);
+                    s.push(-2.0);
+                    s
+                };
+                let mut batched = seeded();
+                batched.push_prepared_batch(&pvs);
+                let mut one_by_one = seeded();
+                for pv in &pvs {
+                    one_by_one.push_prepared(pv);
+                }
+                let mut pushed = seeded();
+                for &v in &values {
+                    pushed.push(v);
+                }
+                assert_eq!(batched, pushed, "n={n} d={distinct}");
+                assert_eq!(one_by_one, pushed, "n={n} d={distinct}");
+                assert_eq!(is_sparse(&batched), is_sparse(&pushed));
+                assert_eq!(is_sparse(&one_by_one), is_sparse(&pushed));
+            }
+        }
+    }
+
+    #[test]
+    fn estimated_bytes_follow_the_held_form() {
+        let empty = HeavyHitters::new(64, 3, 32);
+        assert_eq!(empty.estimated_bytes(), std::mem::size_of::<HeavyHitters>());
+        let small = sketch_of((0..4).map(f64::from));
+        assert!(
+            small.estimated_bytes() < std::mem::size_of::<HeavyHitters>() + 16 * 8 + 16 * 8 + 8
+        );
+        let big = sketch_of((0..3000).map(f64::from));
+        assert!(big.estimated_bytes() >= std::mem::size_of::<HeavyHitters>() + 192 * 8);
+    }
+
+    #[test]
     fn flat_roundtrip_preserves_state_and_length() {
-        let s = sketch_of((0..60).map(|i| (i % 11) as f64 - 5.0));
-        let mut w = WordWriter::new();
-        s.flat_encode(&mut w);
-        assert_eq!(w.len(), s.flat_words());
-        assert_eq!(w.len() * 8, s.wire_bytes());
-        let words = w.into_words();
-        let mut r = WordReader::new(&words);
-        let back = HeavyHitters::flat_decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, s);
+        for n in [0usize, 1, 60, 3000] {
+            let s = sketch_of((0..n).map(|i| (i % 1100) as f64 - 5.0));
+            let back = decode(&flat_words_of(&s)).unwrap();
+            assert_eq!(back, s);
+            assert_eq!(flat_words_of(&back), flat_words_of(&s));
+        }
+        // A small sketch ships its non-zero counters, not the matrix.
+        assert_eq!(sketch_of([1.0, 1.0, 1.0]).flat_words(), 6 + 3 + 1);
+        let big = sketch_of((0..3000).map(f64::from));
+        assert_eq!(big.flat_words(), 6 + 192 + big.candidates.len());
     }
 
     #[test]
     fn flat_decode_rejects_corrupt_buffers() {
-        let s = sketch_of((0..10).map(f64::from));
-        let mut w = WordWriter::new();
-        s.flat_encode(&mut w);
-        let words = w.into_words();
-        for cut in 0..words.len() {
-            let mut r = WordReader::new(&words[..cut]);
-            assert!(HeavyHitters::flat_decode(&mut r).is_err(), "cut {cut}");
+        let sparse = flat_words_of(&sketch_of((0..10).map(f64::from)));
+        let dense = flat_words_of(&sketch_of((0..3000).map(f64::from)));
+        assert_eq!(sparse[5] & 0xFFFF_FFFF, SPARSE_FLAG);
+        assert_eq!(dense[5], 1, "trimmed, dense");
+        for words in [&sparse, &dense] {
+            for cut in 0..words.len() {
+                assert!(decode(&words[..cut]).is_err(), "cut {cut}");
+            }
+            // A zero-depth config is rejected.
+            let mut bad = words.clone();
+            bad[1] = 0;
+            assert!(decode(&bad).is_err());
+            // More candidates than the hysteresis ceiling is rejected.
+            let mut bad = words.clone();
+            bad[4] = 1000;
+            assert!(decode(&bad).is_err());
+            // Unknown flag bits are rejected.
+            let mut bad = words.clone();
+            bad[5] |= 4;
+            assert!(decode(&bad).is_err());
+            // A non-canonical candidate (the table sentinel) is rejected.
+            let mut bad = words.clone();
+            *bad.last_mut().unwrap() = u64::MAX;
+            assert!(decode(&bad).is_err());
+            // A counter above the total is rejected.
+            let mut bad = words.clone();
+            bad[3] = 0;
+            assert!(decode(&bad).is_err());
         }
-        // A zero-depth config is rejected.
-        let mut bad = words.clone();
-        bad[1] = 0;
-        assert!(HeavyHitters::flat_decode(&mut WordReader::new(&bad)).is_err());
-        // More candidates than the hysteresis ceiling is rejected.
-        let mut bad = words.clone();
-        bad[4] = 1000;
-        assert!(HeavyHitters::flat_decode(&mut WordReader::new(&bad)).is_err());
-        // Unknown flag bits are rejected.
-        let mut bad = words.clone();
-        bad[5] = 2;
-        assert!(HeavyHitters::flat_decode(&mut WordReader::new(&bad)).is_err());
-        // A non-canonical candidate (the table sentinel) is rejected.
-        let mut bad = words;
-        *bad.last_mut().unwrap() = u64::MAX;
-        assert!(HeavyHitters::flat_decode(&mut WordReader::new(&bad)).is_err());
+        // A dense run carrying an entry count is rejected.
+        let mut bad = dense.clone();
+        bad[5] |= 3 << 32;
+        assert!(decode(&bad).is_err());
+        // A dense run whose state encodes sparse is not canonical.
+        let few = sketch_of((0..10).map(f64::from));
+        let mut words = vec![64, 3, 32, 10, 0, 0];
+        words.extend(few.to_dense());
+        assert!(decode(&words).is_err());
+
+        // 16 × 2 matrix: 5 index bits, 59 count bits, sparse below 8
+        // entries; total 9.
+        let entries = |es: &[(u64, u64)]| -> Vec<u64> {
+            let mut words = vec![16, 2, 4, 9, 0, SPARSE_FLAG | (es.len() as u64) << 32];
+            words.extend(es.iter().map(|&(idx, count)| idx << 59 | count));
+            words
+        };
+        assert!(decode(&entries(&[(0, 2), (3, 4), (7, 3)])).is_ok());
+        // Unsorted and repeated indices.
+        assert!(decode(&entries(&[(3, 4), (0, 2)])).is_err());
+        assert!(decode(&entries(&[(3, 4), (3, 5)])).is_err());
+        // Zero count, and a count above the total.
+        assert!(decode(&entries(&[(3, 0)])).is_err());
+        assert!(decode(&entries(&[(3, 10)])).is_err());
+        // An entry count at or above the promotion point, encoded sparse.
+        let full: Vec<(u64, u64)> = (0..8).map(|i| (i, 1)).collect();
+        assert!(decode(&entries(&full)).is_err());
+        assert!(decode(&entries(&full[..7])).is_ok());
+        // A total beyond the count field, encoded sparse.
+        let mut bad = entries(&[(3, 4)]);
+        bad[3] = 1 << 59;
+        assert!(decode(&bad).is_err());
+        // A huge entry count fails on the buffer bound, before allocating.
+        let mut bad = entries(&[(3, 4)]);
+        bad[5] = SPARSE_FLAG | 7 << 32;
+        assert!(decode(&bad).is_err());
+        // An index beyond the matrix (12 × 1: 4 index bits, 12 counters).
+        let mut words = vec![12, 1, 4, 9, 0, SPARSE_FLAG | 1 << 32];
+        words.push(11 << 60 | 1);
+        assert!(decode(&words).is_ok());
+        *words.last_mut().unwrap() = 12 << 60 | 1;
+        assert!(decode(&words).is_err());
     }
 }

@@ -30,6 +30,13 @@
 //! registers in a canonical sorted order, so equal states produce equal
 //! bytes — the property the cluster's bit-for-bit equivalence tests lean on.
 //!
+//! State follows content: the HLL register file and the count-min matrix
+//! are held — and flat-encoded — as sorted lists of their non-zero slots
+//! until a promotion point computed from the array length, as the full
+//! arrays from then on. Slots only move away from zero, so the form is a
+//! function of the state like everything else here, and a Cell that saw a
+//! handful of rows costs a handful of words to keep, copy and ship.
+//!
 //! Two fold entry points serve the scan kernel's hot path: [`FoldCtx`]
 //! prepares each value once (hash, count-min columns, quantile bucket key)
 //! so folding it into many groups skips the per-group recomputation, and
@@ -45,6 +52,7 @@ mod fold;
 mod hash;
 mod heavy;
 mod quantile;
+mod sparse;
 mod spec;
 
 pub use bundle::AttrSketches;

@@ -1,8 +1,10 @@
 //! Merge laws for the sketch partials — the algebra that makes cached
 //! hierarchical roll-ups of sketch-valued Cells answer like a direct fold
 //! over the raw observations — plus oracle tests pinning the heavy-hitter
-//! candidate table against the ordered-set implementation it replaced, and
-//! corruption tests for the wire decoders.
+//! candidate table against the ordered-set implementation it replaced,
+//! dense-array oracles pinning the sparse-until-dense register file and
+//! count-min matrix across their promotion points, and corruption tests for
+//! the wire decoders.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -18,6 +20,22 @@ fn arb_values(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 /// candidate list is exactly merge-order invariant.
 fn arb_quantized(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec((-40i32..40).prop_map(|i| i as f64), 0..max_len)
+}
+
+/// Operand sizes on both sides of both promotion points of [`hll_of`] (64
+/// registers: dense from 15 non-zeros) and [`hh_wide_of`] (32 × 3 matrix:
+/// dense from 24 non-zero counters, about eight distinct values): a handful
+/// of values stays sparse in both, a few dozen promote both, a few hundred
+/// saturate them. Merging two draws covers sparse + sparse staying sparse,
+/// sparse + sparse crossing, sparse + dense and dense + dense
+/// (`every_form_pairing_merges_like_the_dense_fold` pins one of each).
+fn arb_spanning() -> impl Strategy<Value = Vec<f64>> {
+    let value = || (-300i32..300).prop_map(|i| i as f64 * 0.5);
+    prop_oneof![
+        prop::collection::vec(value(), 0..6),
+        prop::collection::vec(value(), 6..40),
+        prop::collection::vec(value(), 300..450),
+    ]
 }
 
 fn udd_of(values: &[f64]) -> UddSketch {
@@ -44,6 +62,16 @@ fn hh_of(values: &[f64]) -> HeavyHitters {
     s
 }
 
+/// [`hh_of`] with a cap the 600-value domain of [`arb_spanning`] never
+/// reaches, so the candidate set stays exactly merge-order invariant.
+fn hh_wide_of(values: &[f64]) -> HeavyHitters {
+    let mut s = HeavyHitters::new(32, 3, 1024);
+    for &v in values {
+        s.push(v);
+    }
+    s
+}
+
 fn bundle_of(values: &[f64]) -> AttrSketches {
     let mut s = AttrSketches::new(&SketchSpec::standard());
     for &v in values {
@@ -60,14 +88,14 @@ fn bundle_of(values: &[f64]) -> AttrSketches {
 mod oracle {
     use std::collections::BTreeSet;
 
-    fn splitmix64(mut x: u64) -> u64 {
+    pub fn splitmix64(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
         x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         x ^ (x >> 31)
     }
 
-    fn canonical_bits(v: f64) -> u64 {
+    pub fn canonical_bits(v: f64) -> u64 {
         if v == 0.0 {
             0.0f64.to_bits()
         } else if v.is_nan() {
@@ -158,6 +186,69 @@ mod oracle {
     }
 }
 
+/// The register file and the count-min matrix as plain dense arrays, folded
+/// from raw values with no notion of a sparse form, and the same arrays read
+/// back from a sketch's serde mirror (which always carries them whole).
+mod dense {
+    use super::oracle::{canonical_bits, splitmix64};
+    use stash_sketch::{DistinctSketch, HeavyHitters};
+
+    pub fn registers_of(values: &[f64], precision: u32) -> Vec<u8> {
+        let mut regs = vec![0u8; 1 << precision];
+        for &v in values {
+            let h = splitmix64(canonical_bits(v));
+            let rank = ((h << precision).leading_zeros() + 1).min(64 - precision + 1) as u8;
+            let r = &mut regs[(h >> (64 - precision)) as usize];
+            *r = (*r).max(rank);
+        }
+        regs
+    }
+
+    pub fn matrix_of(values: &[f64], width: usize, depth: usize) -> Vec<u64> {
+        let mut rows = vec![0u64; width * depth];
+        for &v in values {
+            for d in 0..depth {
+                let h = splitmix64(canonical_bits(v) ^ (0xC0FF_EE00 + d as u64));
+                rows[d * width + (h % width as u64) as usize] += 1;
+            }
+        }
+        rows
+    }
+
+    fn u64s(v: &serde_json::Value, key: &str) -> Vec<u64> {
+        let items = v.get(key).and_then(|a| a.as_array()).expect("array field");
+        items.iter().map(|x| x.as_u64().expect("u64")).collect()
+    }
+
+    pub fn registers(s: &DistinctSketch) -> Vec<u8> {
+        let packed = u64s(&serde_json::to_value(s).unwrap(), "packed");
+        packed.iter().flat_map(|w| w.to_be_bytes()).collect()
+    }
+
+    pub fn matrix(s: &HeavyHitters) -> Vec<u64> {
+        u64s(&serde_json::to_value(s).unwrap(), "rows")
+    }
+
+    pub fn candidates(s: &HeavyHitters) -> Vec<u64> {
+        u64s(&serde_json::to_value(s).unwrap(), "candidates")
+    }
+}
+
+/// Flat-encode, check the priced length, decode, and hand the words back.
+macro_rules! flat_roundtrip {
+    ($ty:ty, $s:expr) => {{
+        let mut w = WordWriter::new();
+        $s.flat_encode(&mut w);
+        prop_assert_eq!(w.len(), $s.flat_words());
+        let words = w.into_words();
+        let mut r = WordReader::new(&words);
+        let back = <$ty>::flat_decode(&mut r).unwrap();
+        r.finish().unwrap();
+        prop_assert_eq!(&back, $s);
+        words
+    }};
+}
+
 /// Build matched (new, oracle) heavy-hitter folds with a cap small enough
 /// that continuous values trim constantly.
 fn hh_pair(values: &[f64]) -> (HeavyHitters, oracle::BTreeHh) {
@@ -170,20 +261,53 @@ fn hh_pair(values: &[f64]) -> (HeavyHitters, oracle::BTreeHh) {
     (new, old)
 }
 
-/// Assert the new table's canonical state matches the oracle bit-for-bit,
-/// via the deterministic flat wire form (header + matrix + sorted
-/// candidates).
+/// Assert the new table's canonical state matches the oracle bit-for-bit
+/// (total, full matrix, sorted candidates).
 fn assert_matches_oracle(new: &HeavyHitters, old: &oracle::BTreeHh) -> Result<(), TestCaseError> {
-    let mut w = WordWriter::new();
-    new.flat_encode(&mut w);
-    let words = w.into_words();
-    prop_assert_eq!(words[3], old.total, "total");
-    let n_cand = words[4] as usize;
-    let rows_end = 6 + old.rows.len();
-    prop_assert_eq!(&words[6..rows_end], &old.rows[..], "count-min matrix");
-    let cands = &words[rows_end..rows_end + n_cand];
-    prop_assert_eq!(cands, &old.sorted_candidates()[..], "candidate set");
+    prop_assert_eq!(new.count(), old.total, "total");
+    prop_assert_eq!(dense::matrix(new), &old.rows[..], "count-min matrix");
+    prop_assert_eq!(
+        dense::candidates(new),
+        old.sorted_candidates(),
+        "candidate set"
+    );
     Ok(())
+}
+
+#[test]
+fn every_form_pairing_merges_like_the_dense_fold() {
+    let run = |lo: i32, hi: i32| -> Vec<f64> { (lo..hi).map(|i| i as f64 * 0.5).collect() };
+    // (left, right, left dense?, right dense?, merged dense?)
+    let hll_dense = |s: &DistinctSketch| s.flat_words() == 1 + 8;
+    for (a, b, forms) in [
+        (run(0, 3), run(3, 6), [false, false, false]),
+        (run(0, 12), run(12, 24), [false, false, true]),
+        (run(0, 5), run(5, 200), [false, true, true]),
+        (run(0, 200), run(100, 300), [true, true, true]),
+    ] {
+        let (sa, sb) = (hll_of(&a), hll_of(&b));
+        let mut merged = sa.clone();
+        merged.merge(&sb);
+        assert_eq!([&sa, &sb, &merged].map(hll_dense), forms);
+        let all = [&a[..], &b[..]].concat();
+        assert_eq!(merged, hll_of(&all));
+        assert_eq!(dense::registers(&merged), dense::registers_of(&all, 6));
+    }
+    let hh_dense = |s: &HeavyHitters| s.flat_words() == 6 + 96 + dense::candidates(s).len();
+    for (a, b, forms) in [
+        (run(0, 3), run(2, 5), [false, false, false]),
+        (run(0, 6), run(6, 12), [false, false, true]),
+        (run(0, 5), run(5, 600), [false, true, true]),
+        (run(0, 500), run(100, 600), [true, true, true]),
+    ] {
+        let (sa, sb) = (hh_wide_of(&a), hh_wide_of(&b));
+        let mut merged = sa.clone();
+        merged.merge(&sb);
+        assert_eq!([&sa, &sb, &merged].map(hh_dense), forms);
+        let all = [&a[..], &b[..]].concat();
+        assert_eq!(merged, hh_wide_of(&all));
+        assert_eq!(dense::matrix(&merged), dense::matrix_of(&all, 32, 3));
+    }
 }
 
 proptest! {
@@ -365,23 +489,123 @@ proptest! {
         prop_assert_eq!(prepared, pushed);
     }
 
+    // ---- sparse-until-dense state vs. plain dense arrays ----
+
+    #[test]
+    fn hll_merge_laws_hold_across_promotion(
+        a in arb_spanning(), b in arb_spanning(), c in arb_spanning(),
+    ) {
+        let (sa, sb, sc) = (hll_of(&a), hll_of(&b), hll_of(&c));
+        let mut ab = sa.clone();
+        ab.merge(&sb);
+        let mut ba = sb.clone();
+        ba.merge(&sa);
+        prop_assert_eq!(&ab, &ba);
+        let mut left = ab.clone();
+        left.merge(&sc);
+        let mut bc = sb.clone();
+        bc.merge(&sc);
+        let mut right = sa.clone();
+        right.merge(&bc);
+        prop_assert_eq!(&left, &right);
+        // Partition equals whole, and both equal the plain dense fold.
+        let all: Vec<f64> = a.iter().chain(&b).chain(&c).copied().collect();
+        let whole = hll_of(&all);
+        prop_assert_eq!(&left, &whole);
+        prop_assert_eq!(dense::registers(&left), dense::registers_of(&all, 6));
+        prop_assert_eq!(dense::registers(&ab), dense::registers_of(&[&a[..], &b[..]].concat(), 6));
+        // The form is a function of the non-zero count alone: merged and
+        // folded states encode to the same words, sparse below 15 entries.
+        for s in [&ab, &left, &right, &whole] {
+            let nonzero = dense::registers(s).iter().filter(|&&r| r != 0).count();
+            let run = if nonzero < 15 { nonzero.div_ceil(2) } else { 8 };
+            prop_assert_eq!(s.flat_words(), 1 + run);
+            let mut forced = s.clone();
+            forced.force_dense();
+            prop_assert_eq!(&forced, s);
+            prop_assert_eq!(forced.estimate().count.to_bits(), s.estimate().count.to_bits());
+        }
+        prop_assert_eq!(flat_roundtrip!(DistinctSketch, &left), flat_roundtrip!(DistinctSketch, &whole));
+    }
+
+    #[test]
+    fn hh_merge_laws_hold_across_promotion(
+        a in arb_spanning(), b in arb_spanning(), c in arb_spanning(),
+    ) {
+        let (sa, sb, sc) = (hh_wide_of(&a), hh_wide_of(&b), hh_wide_of(&c));
+        let mut ab = sa.clone();
+        ab.merge(&sb);
+        let mut ba = sb.clone();
+        ba.merge(&sa);
+        prop_assert_eq!(&ab, &ba);
+        let mut left = ab.clone();
+        left.merge(&sc);
+        let mut bc = sb.clone();
+        bc.merge(&sc);
+        let mut right = sa.clone();
+        right.merge(&bc);
+        prop_assert_eq!(&left, &right);
+        let all: Vec<f64> = a.iter().chain(&b).chain(&c).copied().collect();
+        let whole = hh_wide_of(&all);
+        prop_assert_eq!(&left, &whole);
+        prop_assert_eq!(dense::matrix(&left), dense::matrix_of(&all, 32, 3));
+        prop_assert_eq!(dense::matrix(&ab), dense::matrix_of(&[&a[..], &b[..]].concat(), 32, 3));
+        for s in [&ab, &left, &right, &whole] {
+            let nonzero = dense::matrix(s).iter().filter(|&&c| c != 0).count();
+            let run = if nonzero < 24 { nonzero } else { 96 };
+            prop_assert_eq!(s.flat_words(), 6 + run + dense::candidates(s).len());
+            let mut forced = s.clone();
+            forced.force_dense();
+            prop_assert_eq!(&forced, s);
+            prop_assert_eq!(forced.top_k(8), s.top_k(8));
+            for &v in all.iter().take(5) {
+                prop_assert_eq!(forced.estimate(v), s.estimate(v));
+            }
+        }
+        prop_assert_eq!(flat_roundtrip!(HeavyHitters, &left), flat_roundtrip!(HeavyHitters, &whole));
+    }
+
+    #[test]
+    fn prepared_batches_match_pushes_across_promotion(values in arb_spanning(), chunk in 1usize..80) {
+        // The scan kernel's entry point, in runs short enough to search the
+        // sparse lists and long enough to fold through the dense arrays.
+        let spec = SketchSpec { hll_precision: 6, cm_width: 32, hh_candidates: 1024, ..SketchSpec::standard() };
+        let ctx = FoldCtx::new(&spec);
+        let mut pushed = AttrSketches::new(&spec);
+        let mut batched = AttrSketches::new(&spec);
+        for run in values.chunks(chunk) {
+            let prepared: Vec<_> = run.iter().map(|&v| ctx.prepare(v)).collect();
+            batched.push_prepared_batch(&prepared);
+            for (&v, pv) in run.iter().zip(&prepared) {
+                pushed.push(v);
+                batched.add_quantile_batch(pv.quantile_key(), 1);
+            }
+        }
+        prop_assert_eq!(&batched, &pushed);
+        prop_assert_eq!(dense::registers(&batched.distinct), dense::registers_of(&values, 6));
+        prop_assert_eq!(dense::matrix(&batched.heavy), dense::matrix_of(&values, 32, 3));
+        prop_assert_eq!(flat_roundtrip!(AttrSketches, &batched), flat_roundtrip!(AttrSketches, &pushed));
+    }
+
     // ---- wire-form corruption never panics ----
 
     #[test]
     fn corrupt_flat_bundles_never_panic(
-        values in arb_values(60),
-        cut in 0usize..4096,
+        values in prop_oneof![arb_values(12), arb_values(60), arb_values(1200)],
         flip_word in 0usize..4096,
         flip_bit in 0u32..64,
     ) {
+        // Continuous values, none to a thousand: a standard bundle's matrix
+        // (dense from 48 counters) and register file (from 63) in either
+        // form, independently.
         let bundle = bundle_of(&values);
         let mut w = WordWriter::new();
         bundle.flat_encode(&mut w);
         let words = w.into_words();
-        // Truncation at an arbitrary point: must error or succeed, never
-        // panic.
-        let cut = cut.min(words.len());
-        let _ = AttrSketches::flat_decode(&mut WordReader::new(&words[..cut]));
+        // Truncation at every prefix: an error, never a panic.
+        for cut in 0..words.len() {
+            prop_assert!(AttrSketches::flat_decode(&mut WordReader::new(&words[..cut])).is_err());
+        }
         // A single bit flip anywhere in the payload: same contract. (A
         // flip can leave the words decodable — that's fine; the property
         // is panic-freedom, not detection.)
