@@ -376,6 +376,11 @@ fn bench_sketch_fold(c: &mut Criterion) {
     });
 
     let spec = SketchSpec::standard();
+    // Row-at-a-time fold (`CellSummary::push_row`, the live-ingest patch
+    // path): 32 fresh Cells of 32 rows each, exact-only vs. sketch-carrying.
+    group.throughput(Throughput::Elements(values.len() as u64));
+    group.bench_function("push_row_32x32_exact", |b| b.iter(|| build(None)));
+    group.bench_function("push_row_32x32_sketched", |b| b.iter(|| build(Some(&spec))));
     for (label, parts) in [
         ("merge_32_exact_partials", build(None)),
         ("merge_32_sketched_partials", build(Some(&spec))),

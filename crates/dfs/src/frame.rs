@@ -45,8 +45,7 @@ use stash_geo::{Geohash, TemporalRes, TimeBin};
 use stash_model::fx::{FxHashMap, FxHashSet};
 use stash_model::slot::{self, INVALID_SLOT};
 use stash_model::{
-    AttrSketches, CellKey, CellSummary, FoldCtx, Observation, PreparedValue, SketchSpec,
-    SummaryStats,
+    CellKey, CellSummary, FoldCtx, Observation, PreparedValue, SketchSpec, SummaryStats,
 };
 use std::sync::Arc;
 
@@ -688,9 +687,9 @@ impl BlockFrame {
         }
         let mut clone_from: Vec<(u32, u32)> = Vec::new();
         {
-            let mut items: Vec<(u32, &Vec<u32>)> = cov.iter().map(|(&oi, c)| (oi, c)).collect();
+            let mut items: Vec<(u32, Vec<u32>)> = cov.into_iter().collect();
             items.sort_unstable_by_key(|&(oi, _)| oi);
-            let mut classes: FxHashMap<&Vec<u32>, u32> = FxHashMap::default();
+            let mut classes: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
             for (oi, c) in items {
                 let row_span: u32 = c
                     .iter()
@@ -710,26 +709,6 @@ impl BlockFrame {
             }
         }
         let cloned: FxHashSet<u32> = clone_from.iter().map(|&(dup, _)| dup).collect();
-
-        // A cell fed by several slots takes that many small batches: it
-        // holds its sketch arrays dense for the fold (an indexed add per
-        // update) and returns to the canonical sparse-until-dense form
-        // below. A cell fed by one slot is built from its single batch.
-        let multi_slot: Vec<u32> = cov
-            .iter()
-            .filter(|(oi, slots)| slots.len() > 1 && !cloned.contains(oi))
-            .map(|(&oi, _)| oi)
-            .collect();
-        let for_multi_slot = |out: &mut [(CellKey, CellSummary)], f: fn(&mut AttrSketches)| {
-            for &oi in &multi_slot {
-                for a in 0..self.n_attrs {
-                    if let Some(sk) = out[oi as usize].1.attr_sketches_mut(a) {
-                        f(sk);
-                    }
-                }
-            }
-        };
-        for_multi_slot(out, AttrSketches::begin_fold);
 
         let mut targets: Vec<u32> = Vec::with_capacity(n_groups);
         let mut prepared: Vec<PreparedValue> = Vec::new();
@@ -791,7 +770,6 @@ impl BlockFrame {
             }
         }
 
-        for_multi_slot(out, AttrSketches::end_fold);
         for &(dup, rep) in &clone_from {
             for a in 0..self.n_attrs {
                 if let Some(src) = out[rep as usize].1.attr_sketches(a).cloned() {

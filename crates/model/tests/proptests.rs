@@ -221,8 +221,8 @@ proptest! {
     /// enough that a dozen rows promote the register file (64 registers,
     /// dense from 15 non-zero) and the count-min matrix (16 × 2, dense from
     /// 8), two Cells merge sparse + sparse (staying or crossing), sparse +
-    /// dense and dense + dense. Merge order, the union fold, the flat wire
-    /// form and a force-promoted copy must all agree, answers included.
+    /// dense and dense + dense. Merge order, the union fold and the flat wire
+    /// form must all agree.
     #[test]
     fn sketched_cells_merge_across_promotion(
         ra in arb_spanning_rows(), rb in arb_spanning_rows(), rc in arb_spanning_rows(),
@@ -260,19 +260,6 @@ proptest! {
         prop_assert_eq!(&encode(&seed), &flat);
         prop_assert_eq!(flat.wire_size(), 16 + 24 + union.wire_bytes());
         prop_assert_eq!(&flat.decode().unwrap()[0].1, &union);
-        // Held dense regardless, the Cell is equal and answers bit for bit.
-        let mut forced = union.clone();
-        for attr in 0..2 {
-            let sk = forced.attr_sketches_mut(attr).unwrap();
-            sk.distinct.force_dense();
-            sk.heavy.force_dense();
-        }
-        prop_assert_eq!(&forced, &union);
-        for attr in 0..2 {
-            let (f, u) = (forced.attr_sketches(attr).unwrap(), union.attr_sketches(attr).unwrap());
-            prop_assert_eq!(f.distinct.estimate().count.to_bits(), u.distinct.estimate().count.to_bits());
-            prop_assert_eq!(f.heavy.top_k(5), u.heavy.top_k(5));
-        }
     }
 
     /// A non-empty exact-only partial degrades the merged Cell to

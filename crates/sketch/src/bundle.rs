@@ -65,24 +65,6 @@ impl AttrSketches {
         self.heavy.push_prepared_batch(pvs);
     }
 
-    /// Hold the register file and the count-min matrix as plain arrays
-    /// until [`end_fold`](Self::end_fold), whatever they hold: a bundle
-    /// about to take *many small* batches (a coarse Cell fed slot by slot)
-    /// then pays an indexed add per update instead of a merge pass over
-    /// its sparse lists per batch. Between the two calls the bundle
-    /// compares and merges as usual but must not be encoded.
-    pub fn begin_fold(&mut self) {
-        self.distinct.force_dense();
-        self.heavy.force_dense();
-    }
-
-    /// Return both to their canonical form (sparse below the promotion
-    /// points) after [`begin_fold`](Self::begin_fold).
-    pub fn end_fold(&mut self) {
-        self.distinct.canonicalize();
-        self.heavy.canonicalize();
-    }
-
     /// Fold `count` quantile observations sharing one packed bucket key in
     /// one step (the deferred half of [`push_prepared`](Self::push_prepared);
     /// see [`UddSketch::add_packed`]).

@@ -19,7 +19,7 @@
 
 use crate::error::MergeError;
 use crate::hash::hash_value;
-use crate::sparse::{coalesce, merge_run, RUN_BUFFER};
+use crate::sparse::{coalesce, merge_run, upsert, RUN_BUFFER};
 use serde::{Deserialize, Serialize};
 use stash_flat::{FlatError, WordReader, WordWriter};
 
@@ -124,8 +124,7 @@ pub struct DistinctSketch {
 }
 
 /// Two sketches are equal when their registers are; which form holds them
-/// is irrelevant (and, outside [`force_dense`](DistinctSketch::force_dense),
-/// determined by them).
+/// is irrelevant (and, at rest, determined by them).
 impl PartialEq for DistinctSketch {
     fn eq(&self, other: &Self) -> bool {
         self.precision == other.precision
@@ -188,29 +187,37 @@ impl DistinctSketch {
                 // Entries of one index differ in rank only: the larger wins.
                 merge_run(entries, run, index, u32::max);
                 if entries.len() >= promote_at(1 << self.precision) {
-                    self.force_dense();
+                    self.promote();
                 }
             }
         }
     }
 
-    /// Switch to the dense form whatever the non-zero count. The sketch
-    /// does this itself at the promotion point, and for the length of a
-    /// fold ([`AttrSketches::begin_fold`](crate::AttrSketches::begin_fold));
-    /// done on its own it leaves an equal sketch in a form the wire decoder
-    /// would reject — public **for tests** that pin the accessors'
-    /// independence of the form.
-    #[doc(hidden)]
-    pub fn force_dense(&mut self) {
+    /// Switch to the dense form. Private: below the promotion point the
+    /// result is an equal sketch in a form the wire decoder rejects, so a
+    /// caller that is not at or past it must [`canonicalize`](Self::canonicalize)
+    /// before returning (only the long-batch fold does; tests use it to
+    /// pin the accessors' independence of the form).
+    fn promote(&mut self) {
         if let Registers::Sparse(_) = self.registers {
             self.registers = Registers::Dense(self.registers.to_dense(self.m()));
         }
     }
 
-    /// Return to the canonical form after [`force_dense`](Self::force_dense).
-    pub(crate) fn canonicalize(&mut self) {
+    /// Return to the canonical form after [`promote`](Self::promote).
+    fn canonicalize(&mut self) {
         if let Registers::Dense(regs) = &mut self.registers {
             self.registers = Registers::from_dense(std::mem::take(regs));
+        }
+    }
+
+    /// True iff the held form is the one the non-zero count prescribes —
+    /// what every `&self` outside this module sees.
+    fn is_canonical(&self) -> bool {
+        let promote_at = promote_at(self.m());
+        match &self.registers {
+            Registers::Sparse(entries) => entries.len() < promote_at,
+            Registers::Dense(regs) => regs.iter().filter(|&&r| r != 0).count() >= promote_at,
         }
     }
 
@@ -225,7 +232,15 @@ impl DistinctSketch {
     #[inline]
     pub(crate) fn push_hashed(&mut self, h: u64) {
         let (idx, rank) = Self::route(self.precision, h);
-        self.absorb(&[entry(idx, rank)]);
+        match &mut self.registers {
+            Registers::Dense(regs) => regs[idx] = regs[idx].max(rank),
+            Registers::Sparse(entries) => {
+                upsert(entries, entry(idx, rank), index, u32::max);
+                if entries.len() >= promote_at(1 << self.precision) {
+                    self.promote();
+                }
+            }
+        }
     }
 
     /// Fold a run of precomputed digests in — bit-identical to calling
@@ -253,9 +268,9 @@ impl DistinctSketch {
                 self.absorb(&run[..n]);
             }
         }
-        self.force_dense();
+        self.promote();
         let Registers::Dense(regs) = &mut self.registers else {
-            unreachable!("force_dense leaves the dense form");
+            unreachable!("promote leaves the dense form");
         };
         for h in hashes {
             let (idx, rank) = Self::route(precision, h);
@@ -287,9 +302,9 @@ impl DistinctSketch {
             Registers::Sparse(entries) => self.absorb(entries),
             Registers::Dense(theirs) => {
                 // The union has at least their non-zeros: it is dense.
-                self.force_dense();
+                self.promote();
                 let Registers::Dense(ours) = &mut self.registers else {
-                    unreachable!("force_dense leaves the dense form");
+                    unreachable!("promote leaves the dense form");
                 };
                 for (a, &b) in ours.iter_mut().zip(theirs) {
                     if b > *a {
@@ -400,6 +415,7 @@ impl DistinctSketch {
     /// Dense: header `precision`, then registers packed big-endian eight
     /// per word in register order. Both are canonical.
     pub fn flat_encode(&self, w: &mut WordWriter) {
+        debug_assert!(self.is_canonical(), "encoding a non-canonical form");
         match &self.registers {
             Registers::Sparse(entries) => {
                 w.push_u64(self.precision as u64 | SPARSE_TAG | (entries.len() as u64) << 32);
@@ -654,7 +670,7 @@ mod tests {
         for n in [0usize, 1, 7, 40, 62, 63, 500] {
             let held = sketch_of((0..n).map(|i| i as f64 * 1.5 - 9.0));
             let mut dense = held.clone();
-            dense.force_dense();
+            dense.promote();
             let via_serde: DistinctSketch =
                 serde_json::from_str(&serde_json::to_string(&held).unwrap()).unwrap();
             let via_flat = decode(&flat_words_of(&held)).unwrap();

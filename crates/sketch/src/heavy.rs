@@ -39,7 +39,7 @@
 use crate::error::MergeError;
 use crate::fold::PreparedValue;
 use crate::hash::{canonical_bits, is_canonical_bits, splitmix64};
-use crate::sparse::{coalesce, merge_run, RUN_BUFFER};
+use crate::sparse::{coalesce, merge_run, upsert, RUN_BUFFER};
 use serde::{Deserialize, Serialize};
 use stash_flat::{FlatError, WordReader, WordWriter};
 
@@ -363,24 +363,36 @@ impl HeavyHitters {
         }
     }
 
-    /// Switch to the dense form whatever the state. The sketch does this
-    /// itself at the promotion point, and for the length of a fold
-    /// ([`AttrSketches::begin_fold`](crate::AttrSketches::begin_fold));
-    /// done on its own it leaves an equal sketch in a form the wire decoder
-    /// would reject — public **for tests** that pin the accessors'
-    /// independence of the form.
-    #[doc(hidden)]
-    pub fn force_dense(&mut self) {
+    /// Switch to the dense form. Private: on a state that is still a
+    /// sparse one the result is an equal sketch in a form the wire decoder
+    /// rejects, so a caller that has not reached the promotion point must
+    /// [`canonicalize`](Self::canonicalize) before returning (only the
+    /// long-batch fold does; tests use it to pin the accessors'
+    /// independence of the form).
+    fn promote(&mut self) {
         if let Counters::Sparse(_) = self.counters {
             self.counters = Counters::Dense(self.to_dense());
         }
     }
 
-    /// Return to the canonical form after [`force_dense`](Self::force_dense).
-    pub(crate) fn canonicalize(&mut self) {
+    /// Return to the canonical form after [`promote`](Self::promote).
+    fn canonicalize(&mut self) {
         let cells = self.cells();
         if let Counters::Dense(rows) = &mut self.counters {
             self.counters = Self::canonical(cells, std::mem::take(rows), self.total);
+        }
+    }
+
+    /// True iff the held form is the one the state prescribes — what every
+    /// `&self` outside this module sees.
+    fn is_canonical(&self) -> bool {
+        let cells = self.cells();
+        match &self.counters {
+            Counters::Sparse(entries) => Self::is_sparse_state(cells, entries.len(), self.total),
+            Counters::Dense(rows) => {
+                let nonzero = rows.iter().filter(|&&c| c != 0).count();
+                !Self::is_sparse_state(cells, nonzero, self.total)
+            }
         }
     }
 
@@ -390,7 +402,7 @@ impl HeavyHitters {
     #[inline]
     fn fit_total(&mut self) {
         if self.total >> value_bits(self.cells()) != 0 {
-            self.force_dense();
+            self.promote();
         }
     }
 
@@ -418,22 +430,36 @@ impl HeavyHitters {
                     |a, b| a + entry_count(b, vbits),
                 );
                 if entries.len() >= promote_at(cells) {
-                    self.force_dense();
+                    self.promote();
                 }
             }
         }
     }
 
-    /// Count one observation whose row-`d` column is `cols[d]`.
+    /// Count one observation whose row-`d` column is `cols[d]`. `total`
+    /// must already include it ([`fit_total`](Self::fit_total) done).
     #[inline]
     fn absorb_one(&mut self, cols: &[u32; 8]) {
-        let vbits = value_bits(self.cells());
-        // Row-major positions ascend with the row: already a sorted run.
-        let mut run = [0u64; 8];
-        for (d, e) in run.iter_mut().enumerate().take(self.depth) {
-            *e = entry(d * self.width + cols[d] as usize, 1, vbits);
+        let cells = self.cells();
+        let vbits = value_bits(cells);
+        for (d, &col) in cols.iter().enumerate().take(self.depth) {
+            let idx = d * self.width + col as usize;
+            match &mut self.counters {
+                Counters::Dense(rows) => rows[idx] = rows[idx].saturating_add(1),
+                Counters::Sparse(entries) => {
+                    // As in `absorb`: the sum cannot carry into the index.
+                    upsert(
+                        entries,
+                        entry(idx, 1, vbits),
+                        |e| entry_index(e, vbits),
+                        |a, b| a + entry_count(b, vbits),
+                    );
+                    if entries.len() >= promote_at(cells) {
+                        self.promote();
+                    }
+                }
+            }
         }
-        self.absorb(&run[..self.depth]);
     }
 
     /// Counter `(row, col)` of the matrix — the one read path of both
@@ -544,9 +570,9 @@ impl HeavyHitters {
                 self.absorb(&run[..n]);
             }
         } else {
-            self.force_dense();
+            self.promote();
             let Counters::Dense(rows) = &mut self.counters else {
-                unreachable!("force_dense leaves the dense form");
+                unreachable!("promote leaves the dense form");
             };
             for (d, row) in rows.chunks_exact_mut(width).enumerate() {
                 for pv in pvs {
@@ -591,9 +617,9 @@ impl HeavyHitters {
             Counters::Dense(theirs) => {
                 // The sum has at least their non-zeros and their total: it
                 // is dense.
-                self.force_dense();
+                self.promote();
                 let Counters::Dense(ours) = &mut self.counters else {
-                    unreachable!("force_dense leaves the dense form");
+                    unreachable!("promote leaves the dense form");
                 };
                 for (a, &b) in ours.iter_mut().zip(theirs) {
                     *a = a.saturating_add(b);
@@ -755,6 +781,7 @@ impl HeavyHitters {
     /// Equal sketches encode to identical words (the form is a function of
     /// the state; candidates drain in canonical sorted order).
     pub fn flat_encode(&self, w: &mut WordWriter) {
+        debug_assert!(self.is_canonical(), "encoding a non-canonical form");
         let (flags, held) = match &self.counters {
             Counters::Sparse(entries) => (SPARSE_FLAG | (entries.len() as u64) << 32, entries),
             Counters::Dense(rows) => (0, rows),
@@ -1159,7 +1186,7 @@ mod tests {
         for n in [0usize, 1, 9, 60, 300, 3000] {
             let held = sketch_of((0..n).map(|i| ((i * 7) % 500) as f64 * 0.25));
             let mut dense = held.clone();
-            dense.force_dense();
+            dense.promote();
             let via_serde: HeavyHitters =
                 serde_json::from_str(&serde_json::to_string(&held).unwrap()).unwrap();
             let via_flat = decode(&flat_words_of(&held)).unwrap();

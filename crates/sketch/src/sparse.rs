@@ -3,12 +3,14 @@
 //! count-min matrix ([`HeavyHitters`]).
 //!
 //! Both keep their non-zero slots as one machine word each, the slot index
-//! in the high bits and the value in the low ones, ascending by index. Every
-//! update — one observation, a batch of them, another sketch's list — arrives
-//! as a sorted *run* of such entries and is merged in with one pass from the
-//! back, so an update costs O(list + run) with no search per entry and no
-//! allocation beyond the list's own growth. What "merging" two entries of
-//! one index means (max of ranks, sum of counts) is the caller's `combine`.
+//! in the high bits and the value in the low ones, ascending by index. A
+//! batch of observations or another sketch's list arrives as a sorted *run*
+//! of such entries and is merged in with one pass from the back, so it
+//! costs O(list + run) with no search per entry and no allocation beyond
+//! the list's own growth; a single observation's one-or-`depth` entries are
+//! [`upsert`]ed, a binary search and a shift each. What "merging" two
+//! entries of one index means (max of ranks, sum of counts) is the caller's
+//! `combine`.
 //!
 //! [`DistinctSketch`]: crate::DistinctSketch
 //! [`HeavyHitters`]: crate::HeavyHitters
@@ -39,6 +41,22 @@ pub(crate) fn coalesce<T: Copy + Ord>(
         }
     }
     last + 1
+}
+
+/// Fold one entry into `entries` (ascending strictly by index): an entry of
+/// its index already held becomes `combine(held, incoming)`, otherwise the
+/// entry is inserted in place — a search and one shift, no pass over the list.
+pub(crate) fn upsert<T: Copy>(
+    entries: &mut Vec<T>,
+    e: T,
+    index: impl Fn(T) -> usize,
+    combine: impl Fn(T, T) -> T,
+) {
+    let at = entries.partition_point(|&held| index(held) < index(e));
+    match entries.get_mut(at) {
+        Some(held) if index(*held) == index(e) => *held = combine(*held, e),
+        _ => entries.insert(at, e),
+    }
 }
 
 /// Merge `run` into `entries`; both ascend strictly by index. Entries of an
@@ -105,6 +123,22 @@ mod tests {
         let n = coalesce(&mut run, index, sum);
         assert_eq!(&run[..n], &[e(2, 5), e(5, 4), e(9, 1)]);
         assert_eq!(coalesce(&mut [] as &mut [u32], index, sum), 0);
+    }
+
+    #[test]
+    fn upsert_matches_a_one_entry_merge() {
+        for held_mask in 0u32..64 {
+            for idx in 0..20 {
+                let mut entries: Vec<u32> = (0..6)
+                    .filter(|i| held_mask >> i & 1 == 1)
+                    .map(|i| e(i * 3, 7))
+                    .collect();
+                let mut expect = entries.clone();
+                merge_run(&mut expect, &[e(idx, 2)], index, sum);
+                upsert(&mut entries, e(idx, 2), index, sum);
+                assert_eq!(entries, expect);
+            }
+        }
     }
 
     #[test]
