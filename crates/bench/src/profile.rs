@@ -38,6 +38,14 @@ pub struct Profile {
     /// Equal by construction (DESIGN.md §15); `--profile --smoke` asserts it.
     pub frame_cache_bytes: u64,
     pub frame_cache_buffer_bytes: u64,
+    /// Modeled against real fetch time (DESIGN.md §2b): what the cost model
+    /// billed on the spindle and scan lanes (`dfs.charge.disk_ns`,
+    /// `dfs.charge.scan_ns`) for how many block reads, and what the fetches
+    /// took (`dfs.fetch.wall_ns`).
+    pub disk_reads: u64,
+    pub charged_disk_ns: u64,
+    pub charged_scan_ns: u64,
+    pub fetch_wall_ns: u64,
     /// Sketch-pipeline counters summed over nodes (DESIGN.md §14).
     pub sketch_merges: u64,
     pub sketch_bytes: u64,
@@ -105,6 +113,12 @@ pub fn run(scale: &Scale) -> Profile {
     let rows_decoded = kernel("dfs.rows_decoded");
     let cells_derived = kernel("dfs.cells_derived");
     let decode_ns = kernel("dfs.decode_ns");
+    let charged_disk_ns = kernel("dfs.charge.disk_ns");
+    let charged_scan_ns = kernel("dfs.charge.scan_ns");
+    let fetch_wall_ns = kernel("dfs.fetch.wall_ns");
+    let disk_reads = (0..cluster.n_nodes())
+        .map(|i| cluster.node(i).store.disk_stats().reads())
+        .sum();
     let sketch_merges = kernel("sketch.merges");
     let sketch_bytes = kernel("sketch.bytes");
     let frame_cache_bytes = (0..cluster.n_nodes())
@@ -133,6 +147,10 @@ pub fn run(scale: &Scale) -> Profile {
         decode_ns,
         frame_cache_bytes,
         frame_cache_buffer_bytes,
+        disk_reads,
+        charged_disk_ns,
+        charged_scan_ns,
+        fetch_wall_ns,
         sketch_merges,
         sketch_bytes,
     }
@@ -161,6 +179,7 @@ pub fn table(p: &Profile) -> Table {
          scan kernel: frame cache {} hits / {} misses / {} B evicted, \
          {} rows decoded in {:.0} ns/row, {} cells derived, \
          {} B resident ({} B buffers); \
+         fetches: {} wall for {} disk + {} scan billed, {} reads at {:.0} us; \
          sketches: {} merges, {} B emitted",
         p.subqueries,
         p.retries,
@@ -173,6 +192,11 @@ pub fn table(p: &Profile) -> Table {
         p.cells_derived,
         p.frame_cache_bytes,
         p.frame_cache_buffer_bytes,
+        col_ms(p.fetch_wall_ns),
+        col_ms(p.charged_disk_ns),
+        col_ms(p.charged_scan_ns),
+        p.disk_reads,
+        p.charged_disk_ns as f64 / 1e3 / p.disk_reads.max(1) as f64,
         p.sketch_merges,
         p.sketch_bytes
     ));
@@ -232,6 +256,9 @@ mod tests {
         // sum of its resident flat buffers' lengths.
         assert!(p.frame_cache_bytes > 0, "warm caches hold frames");
         assert_eq!(p.frame_cache_bytes, p.frame_cache_buffer_bytes);
+        // Every miss is one read, and the fetch lanes wrote their bill.
+        assert_eq!(p.disk_reads, p.frame_misses);
+        assert!(p.charged_disk_ns > 0 && p.fetch_wall_ns > 0);
         // The sketch pipeline runs in profile deployments: scans emit
         // sketch-carrying cells and cross-node gathers merge them.
         assert!(p.sketch_bytes > 0, "scans must emit sketch state");

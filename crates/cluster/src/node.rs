@@ -247,6 +247,24 @@ impl NodeCtx {
         false
     }
 
+    /// The one way a request leaves this node: register a reply slot, send
+    /// the message built around its id, and hand the slot back — or `None`,
+    /// with the slot already cancelled, when the fabric refuses the send.
+    /// Every fan-out is "send first, work second, wait last" on top of it.
+    fn send_rpc(
+        &self,
+        dst: usize,
+        build: impl FnOnce(u64) -> Msg,
+    ) -> Option<(u64, Receiver<RpcReply>)> {
+        let (rpc, rx) = self.rpc.register();
+        if self.send(NodeId(dst), build(rpc)) {
+            Some((rpc, rx))
+        } else {
+            self.rpc.cancel(rpc);
+            None
+        }
+    }
+
     // =======================================================================
     // Main thread
     // =======================================================================
@@ -636,18 +654,15 @@ impl NodeCtx {
             let mut waits = Vec::with_capacity(by_owner.len());
             let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
             for (owner, group) in by_owner {
-                let (rpc, rx) = self.rpc.register();
-                let msg = Msg::FetchPartials {
+                let sent = self.send_rpc(owner, |rpc| Msg::FetchPartials {
                     rpc,
                     reply_to: self.id,
                     keys: group.clone(),
                     exclude: Vec::new(),
-                };
-                if self.send(NodeId(owner), msg) {
-                    waits.push((owner, group, rpc, rx));
-                } else {
-                    self.rpc.cancel(rpc);
-                    stragglers.push((owner, group));
+                });
+                match sent {
+                    Some((rpc, rx)) => waits.push((owner, group, rpc, rx)),
+                    None => stragglers.push((owner, group)),
                 }
             }
             trace.subqueries += waits.len() as u32;
@@ -752,19 +767,16 @@ impl NodeCtx {
         let mut waits = Vec::with_capacity(by_owner.len());
         let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
         for (owner, group) in by_owner {
-            let (rpc, rx) = self.rpc.register();
-            let msg = Msg::SubQuery {
+            let sent = self.send_rpc(owner, |rpc| Msg::SubQuery {
                 rpc,
                 reply_to: self.id,
                 keys: group.clone(),
                 allow_reroute: true,
                 via_guest: false,
-            };
-            if self.send(NodeId(owner), msg) {
-                waits.push((owner, group, rpc, rx));
-            } else {
-                self.rpc.cancel(rpc);
-                stragglers.push((owner, group));
+            });
+            match sent {
+                Some((rpc, rx)) => waits.push((owner, group, rpc, rx)),
+                None => stragglers.push((owner, group)),
             }
         }
         trace.subqueries += waits.len() as u32;
@@ -872,18 +884,15 @@ impl NodeCtx {
                 std::thread::sleep(nap);
                 acc.retry_ns += nap.as_nanos() as u64;
             }
-            let (rpc, rx) = self.rpc.register();
-            let msg = Msg::SubQuery {
-                rpc,
-                reply_to: self.id,
-                keys: keys.to_vec(),
-                allow_reroute,
-                via_guest: false,
-            };
-            if !self.send(NodeId(owner), msg) {
-                self.rpc.cancel(rpc);
-                return Err(ClusterError::Unreachable { node: owner });
-            }
+            let (rpc, rx) = self
+                .send_rpc(owner, |rpc| Msg::SubQuery {
+                    rpc,
+                    reply_to: self.id,
+                    keys: keys.to_vec(),
+                    allow_reroute,
+                    via_guest: false,
+                })
+                .ok_or(ClusterError::Unreachable { node: owner })?;
             match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
                 Ok(RpcReply::SubResult(result, st)) => {
                     acc.add(&st);
@@ -932,17 +941,14 @@ impl NodeCtx {
                 std::thread::sleep(nap);
                 acc.retry_ns += nap.as_nanos() as u64;
             }
-            let (rpc, rx) = self.rpc.register();
-            let msg = Msg::FetchPartials {
-                rpc,
-                reply_to: self.id,
-                keys: keys.to_vec(),
-                exclude: exclude.to_vec(),
-            };
-            if !self.send(NodeId(owner), msg) {
-                self.rpc.cancel(rpc);
-                return Err(ClusterError::Unreachable { node: owner });
-            }
+            let (rpc, rx) = self
+                .send_rpc(owner, |rpc| Msg::FetchPartials {
+                    rpc,
+                    reply_to: self.id,
+                    keys: keys.to_vec(),
+                    exclude: exclude.to_vec(),
+                })
+                .ok_or(ClusterError::Unreachable { node: owner })?;
             match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
                 Ok(RpcReply::Partials(result, st)) => {
                     acc.add(&st);
@@ -1238,16 +1244,13 @@ impl NodeCtx {
         let n_nodes = self.store.partitioner().n_nodes();
         let mut waits = Vec::new();
         for peer in (0..n_nodes).filter(|&p| p != self.node_idx) {
-            let (rpc, rx) = self.rpc.register();
-            let msg = Msg::Invalidate {
+            let sent = self.send_rpc(peer, |rpc| Msg::Invalidate {
                 rpc,
                 reply_to: self.id,
                 keys: keys.to_vec(),
-            };
-            if self.send(NodeId(peer), msg) {
+            });
+            if let Some((rpc, rx)) = sent {
                 waits.push((peer, rpc, rx));
-            } else {
-                self.rpc.cancel(rpc);
             }
         }
         let mut all_ok = true;
@@ -1272,16 +1275,13 @@ impl NodeCtx {
         let attempts = (self.config.sub_rpc_retries + 1).max(6);
         for attempt in 1..=attempts {
             std::thread::sleep(self.backoff(attempt, peer as u64 ^ 0x1A55));
-            let (rpc, rx) = self.rpc.register();
-            let msg = Msg::Invalidate {
+            let Some((rpc, rx)) = self.send_rpc(peer, |rpc| Msg::Invalidate {
                 rpc,
                 reply_to: self.id,
                 keys: keys.to_vec(),
-            };
-            if !self.send(NodeId(peer), msg) {
-                self.rpc.cancel(rpc);
+            }) else {
                 return true; // peer crashed: nothing left to invalidate
-            }
+            };
             if matches!(
                 self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout),
                 Ok(RpcReply::Ack(_))
@@ -1353,37 +1353,38 @@ impl NodeCtx {
         owners.sort_unstable();
         owners.dedup();
 
+        // Every remote owner gets its FetchPartials before this node scans
+        // its own blocks, so the round costs max(local, slowest remote), not
+        // local + slowest remote.
         let mut waits = Vec::new();
-        let mut local: Vec<(CellKey, CellSummary)> = Vec::new();
-        for owner in owners {
-            if owner == self.node_idx {
-                let scan = Instant::now();
-                local = self
-                    .store
-                    .fetch_partials_excluding(keys, exclude)
-                    .map(|v| v.into_iter().map(|p| (p.key, p.summary)).collect())
-                    .map_err(|e| GatherFailure::Fatal(ClusterError::Storage(e.to_string())))?;
-                acc.dfs_ns += scan.elapsed().as_nanos() as u64;
-            } else {
-                let (rpc, rx) = self.rpc.register();
-                let msg = Msg::FetchPartials {
-                    rpc,
-                    reply_to: self.id,
-                    keys: keys.to_vec(),
-                    exclude: exclude.to_vec(),
-                };
-                if self.send(NodeId(owner), msg) {
-                    waits.push((owner, rpc, rx));
-                } else {
-                    self.rpc.cancel(rpc);
-                    // Keep draining nothing — abort now; peers' replies for
-                    // this round land in removed slots and are dropped.
+        for &owner in owners.iter().filter(|&&o| o != self.node_idx) {
+            let sent = self.send_rpc(owner, |rpc| Msg::FetchPartials {
+                rpc,
+                reply_to: self.id,
+                keys: keys.to_vec(),
+                exclude: exclude.to_vec(),
+            });
+            match sent {
+                Some((rpc, rx)) => waits.push((owner, rpc, rx)),
+                // Abort now; peers' replies for this round land in
+                // removed slots and are dropped.
+                None => {
                     return Err(GatherFailure::Owner(
                         owner,
                         ClusterError::Unreachable { node: owner },
-                    ));
+                    ))
                 }
             }
+        }
+        let mut local: Vec<(CellKey, CellSummary)> = Vec::new();
+        if owners.contains(&self.node_idx) {
+            let scan = Instant::now();
+            local = self
+                .store
+                .fetch_partials_excluding(keys, exclude)
+                .map(|v| v.into_iter().map(|p| (p.key, p.summary)).collect())
+                .map_err(|e| GatherFailure::Fatal(ClusterError::Storage(e.to_string())))?;
+            acc.dfs_ns += scan.elapsed().as_nanos() as u64;
         }
         // Merge partials per key; keys with no observations end up with an
         // empty summary (a valid "computed, empty" answer).
@@ -1534,18 +1535,13 @@ impl NodeCtx {
 
     fn try_replicate_to(self: &Arc<Self>, clique: &stash_core::Clique, helper: usize) -> bool {
         // Step 3: Distress Request / acknowledgement.
-        let (rpc, rx) = self.rpc.register();
-        if !self.send(
-            NodeId(helper),
-            Msg::Distress {
-                rpc,
-                reply_to: self.id,
-                n_cells: clique.size(),
-            },
-        ) {
-            self.rpc.cancel(rpc);
+        let Some((rpc, rx)) = self.send_rpc(helper, |rpc| Msg::Distress {
+            rpc,
+            reply_to: self.id,
+            n_cells: clique.size(),
+        }) else {
             return false;
-        }
+        };
         match self.rpc.wait(rpc, &rx, self.config.distress_timeout) {
             Ok(RpcReply::Ack(true)) => {}
             Ok(RpcReply::Ack(false)) => {
@@ -1560,19 +1556,14 @@ impl NodeCtx {
             return false;
         }
         let replicated: Vec<CellKey> = snapshot.iter().map(|(c, _)| c.key).collect();
-        let (rpc, rx) = self.rpc.register();
-        if !self.send(
-            NodeId(helper),
-            Msg::ReplicationRequest {
-                rpc,
-                reply_to: self.id,
-                src_node: self.node_idx,
-                cells: snapshot,
-            },
-        ) {
-            self.rpc.cancel(rpc);
+        let Some((rpc, rx)) = self.send_rpc(helper, |rpc| Msg::ReplicationRequest {
+            rpc,
+            reply_to: self.id,
+            src_node: self.node_idx,
+            cells: snapshot,
+        }) else {
             return false;
-        }
+        };
         match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
             Ok(RpcReply::Ack(true)) => {
                 // Step 5: routing table population.

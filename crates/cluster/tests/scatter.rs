@@ -1,26 +1,33 @@
-//! Scatter/gather accounting: one sub-query per owner, whatever the size
-//! of that owner's share.
+//! Scatter/gather accounting and shape: one sub-query per owner, whatever
+//! the size of that owner's share, and every fan-out sends before it works.
 //!
 //! The freshness policy (§V-C) scores an *accessed region* and decays by
 //! logical time, so how a viewport travels on the wire must not show in an
 //! owner's clock or in the trace: a remote owner's share is one evaluation
 //! — one tick, one sub-query — exactly as the coordinator's own share is.
+//! And a Cell that spans partitions is gathered with "up to one query
+//! forwarding" (§IV-D) per block owner, all of them in flight while the
+//! gathering node reads its own blocks.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use stash_cluster::{ClusterConfig, Mode, SimCluster};
 use stash_data::GeneratorConfig;
-use stash_dfs::DiskModel;
+use stash_dfs::{plan_blocks, DiskModel};
 use stash_geo::time::epoch_seconds;
-use stash_geo::{BBox, TemporalRes, TimeRange};
-use stash_model::AggQuery;
+use stash_geo::{cover_bbox, BBox, TemporalRes, TimeBin, TimeRange};
+use stash_model::{AggQuery, CellKey};
 
 fn config(mode: Mode) -> ClusterConfig {
+    config_with_disk(mode, DiskModel::free())
+}
+
+fn config_with_disk(mode: Mode, disk: DiskModel) -> ClusterConfig {
     ClusterConfig::builder()
         .n_nodes(8)
         .mode(mode)
-        .disk(DiskModel::free())
+        .disk(disk)
         .generator(GeneratorConfig {
             seed: 12,
             obs_per_deg2_per_day: 40.0,
@@ -97,4 +104,95 @@ fn one_subquery_and_one_clock_tick_per_owner_share() {
         assert_eq!(result.cells, truth.cells, "{pass}: answer vs Basic");
     }
     stash.shutdown();
+}
+
+#[test]
+fn spanning_first_touch_overlaps_local_and_remote_scans() {
+    // Only the disk costs anything: 2 ms per block read, one disk per node.
+    let read_cost = Duration::from_millis(2);
+    let disk = DiskModel {
+        seek: read_cost,
+        bytes_per_sec: f64::INFINITY,
+    };
+    let cluster = SimCluster::new(config_with_disk(Mode::Stash, disk));
+    let cfg = cluster.config().clone();
+    let part = cluster.node(0).store.partitioner().clone();
+    let day = TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0));
+
+    // A resolution-1 Cell spans partitions. Take one whose owner — the
+    // node that gathers it — is the lowest-indexed of its block owners:
+    // the case where scanning locally before sending delays every peer.
+    let (cell, blocks) = cover_bbox(&cfg.data_bbox, 1)
+        .into_iter()
+        .find_map(|gh| {
+            let key = CellKey::new(gh, day);
+            let plan = plan_blocks(
+                &[key],
+                cfg.block_len,
+                &cfg.data_bbox,
+                &cfg.data_time,
+                cfg.stash.max_blocks_per_fetch,
+            )
+            .ok()?;
+            let mut blocks: BTreeMap<usize, u32> = BTreeMap::new();
+            for bk in plan.keys() {
+                *blocks.entry(part.owner(bk.geohash)).or_default() += 1;
+            }
+            let gatherer = part.owner_of_cell(&key);
+            (blocks.len() > 1 && blocks.keys().next() == Some(&gatherer)).then_some((key, blocks))
+        })
+        .expect("a res-1 Cell gathered by its lowest-indexed block owner");
+    let gatherer = part.owner_of_cell(&cell);
+    let slowest = read_cost * *blocks.values().max().unwrap();
+    assert!(
+        read_cost * blocks[&gatherer] * 2 >= slowest,
+        "the local scan must be long enough to show: {blocks:?}"
+    );
+
+    let centre = cell.geohash.bbox();
+    let query = AggQuery::new(
+        BBox::from_corner_extent(
+            (centre.min_lat + centre.max_lat) / 2.0,
+            (centre.min_lon + centre.max_lon) / 2.0,
+            0.5,
+            0.5,
+        ),
+        day.range(),
+        1,
+        TemporalRes::Day,
+    );
+    assert_eq!(query.target_keys(usize::MAX).unwrap(), vec![cell]);
+    let t0 = Instant::now();
+    let result = cluster
+        .client()
+        .query(&query)
+        .at(gatherer)
+        .run()
+        .expect("first touch");
+    let wall = t0.elapsed();
+    assert_eq!(result.misses, 1, "a first touch");
+    assert!(
+        wall >= slowest,
+        "{wall:?}: the slowest owner's disk alone takes {slowest:?}"
+    );
+    // What the model billed is what was read: every block once, nowhere a
+    // disk paid for a frame-cache hit (DESIGN.md §2b).
+    let (reads, billed) =
+        (0..cluster.n_nodes())
+            .map(|n| cluster.node(n))
+            .fold((0, 0), |(reads, billed), node| {
+                (
+                    reads + node.store.disk_stats().reads(),
+                    billed + node.obs.counter("dfs.charge.disk_ns").get(),
+                )
+            });
+    assert_eq!(reads, blocks.values().map(|&b| u64::from(b)).sum::<u64>());
+    assert_eq!(Duration::from_nanos(billed), read_cost * reads as u32);
+    // local + slowest remote would be >= 1.5 x; max(local, slowest) is ~1 x.
+    assert!(
+        wall < slowest * 3 / 2,
+        "{wall:?} for blocks per owner {blocks:?}: the gather waited for the \
+         local scan before asking the peers (slowest owner {slowest:?})"
+    );
+    cluster.shutdown();
 }

@@ -5,9 +5,16 @@
 //! bandwidth` of real wall-clock time in the *reading node's* thread — disk
 //! time occupies the node, unlike wire time, which matches reality: a node
 //! mid-read cannot serve other work on that thread.
+//!
+//! How the charges of one multi-block fetch add up is [`Lanes`]: reads are
+//! sequential on the node's one spindle, aggregation is sequential on one
+//! modeled CPU, and the two overlap the way read-ahead overlaps them on a
+//! real node. Every system in the workspace that pays a disk (the STASH and
+//! Basic stores, the `stash-elastic` baseline) bills through it.
 
+use stash_obs::MetricsRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Seek/transfer cost model for one simulated drive.
 #[derive(Debug, Clone)]
@@ -43,15 +50,102 @@ impl DiskModel {
     pub fn read_cost(&self, bytes: usize) -> Duration {
         self.seek + Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
     }
+}
 
-    /// Charge a read: sleeps the calling thread for the modeled duration
-    /// and records it in `stats`.
-    pub fn charge_read(&self, bytes: usize, stats: &DiskStats) {
-        stats.record_read(bytes);
-        let cost = self.read_cost(bytes);
-        if cost > Duration::ZERO {
-            std::thread::sleep(cost);
+/// The virtual-time schedule of one block fetch (DESIGN.md §2b): two lanes
+/// that run beside each other.
+///
+/// * The **spindle lane** — one disk per node, strictly sequential. Block
+///   *i* is ready at `ready[i-1] + read_cost(i)`; [`Lanes::read`] sleeps
+///   the calling thread to that *absolute* deadline, so wake-up slop does
+///   not add up over a long plan and real work done between two reads (a
+///   single-threaded caller aggregating block *i*) is time the disk spent
+///   reading ahead.
+/// * The **modeled scan lane** — one modeled CPU. The charge for block *i*
+///   starts when the previous charge has ended *and* block *i*'s real scan
+///   has finished; [`Lanes::end`] sleeps until the last charge ends.
+///
+/// Σ disk and Σ scan charged are exactly what a serial bill would charge;
+/// only the *wall* shrinks, by what a real node overlaps. With nothing to
+/// charge neither lane ever sleeps.
+#[derive(Debug)]
+pub struct Lanes {
+    start: Instant,
+    disk_free: Instant,
+    scan_free: Instant,
+    disk: Duration,
+    scan: Duration,
+}
+
+/// What one fetch was billed and what it took ([`Lanes::end`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneBill {
+    /// Σ read costs charged on the spindle lane.
+    pub disk: Duration,
+    /// Σ aggregation costs charged on the modeled scan lane.
+    pub scan: Duration,
+    /// Wall-clock time from [`Lanes::begin`] to the end of the last charge.
+    pub wall: Duration,
+}
+
+impl Lanes {
+    pub fn begin() -> Self {
+        let start = Instant::now();
+        Lanes {
+            start,
+            disk_free: start,
+            scan_free: start,
+            disk: Duration::ZERO,
+            scan: Duration::ZERO,
         }
+    }
+
+    /// Spindle lane: charge one read behind the reads before it and sleep
+    /// until the disk has finished it. A zero cost (a cached block, a free
+    /// disk) leaves the lane untouched.
+    pub fn read(&mut self, cost: Duration) {
+        if cost.is_zero() {
+            return;
+        }
+        self.disk += cost;
+        self.disk_free += cost;
+        sleep_until(self.disk_free);
+    }
+
+    /// Modeled scan lane: charge `cost` for a block whose real scan ended at
+    /// `finished`. Call in plan order; nothing sleeps until [`Lanes::end`].
+    pub fn scan(&mut self, finished: Instant, cost: Duration) {
+        self.scan += cost;
+        self.scan_free = self.scan_free.max(finished) + cost;
+    }
+
+    /// Sleep until the last scan charge has ended and hand back the bill.
+    pub fn end(self) -> LaneBill {
+        sleep_until(self.scan_free);
+        LaneBill {
+            disk: self.disk,
+            scan: self.scan,
+            wall: self.start.elapsed(),
+        }
+    }
+}
+
+impl LaneBill {
+    /// Add the bill to a node's registry: `dfs.charge.disk_ns` and
+    /// `dfs.charge.scan_ns` are what the *model* billed, `dfs.fetch.wall_ns`
+    /// what the fetches took — real and modeled time side by side.
+    pub fn record(&self, metrics: &MetricsRegistry) {
+        let ns = |d: Duration| d.as_nanos() as u64;
+        metrics.counter("dfs.charge.disk_ns").add(ns(self.disk));
+        metrics.counter("dfs.charge.scan_ns").add(ns(self.scan));
+        metrics.counter("dfs.fetch.wall_ns").add(ns(self.wall));
+    }
+}
+
+fn sleep_until(deadline: Instant) {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if !left.is_zero() {
+        std::thread::sleep(left);
     }
 }
 
@@ -79,10 +173,36 @@ impl DiskStats {
     }
 }
 
+/// What the timing tests of this crate share.
+#[cfg(test)]
+pub(crate) mod timing {
+    use std::time::Duration;
+
+    pub(crate) const MS: Duration = Duration::from_millis(1);
+    /// Timer and scheduler slop allowed on top of a schedule's exact length.
+    pub(crate) const SLACK: Duration = Duration::from_millis(6);
+
+    /// A schedule's length is asserted from below on every run — a sleep
+    /// cannot end early — and from above on the best of a few: tests run
+    /// beside each other and a busy host only ever adds time. Returns the
+    /// first wall under `upper`.
+    pub(crate) fn within(upper: Duration, attempt: impl Fn() -> Duration) -> Duration {
+        let mut walls = Vec::new();
+        for _ in 0..5 {
+            let wall = attempt();
+            if wall < upper {
+                return wall;
+            }
+            walls.push(wall);
+        }
+        panic!("{walls:?}: never under {upper:?}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::timing::{within, MS, SLACK};
     use super::*;
-    use std::time::Instant;
 
     #[test]
     fn read_cost_combines_seek_and_transfer() {
@@ -97,40 +217,67 @@ mod tests {
     }
 
     #[test]
-    fn free_model_costs_nothing() {
+    fn free_model_costs_nothing_and_never_sleeps() {
         let m = DiskModel::free();
         assert_eq!(m.read_cost(usize::MAX / 2), Duration::ZERO);
-        let stats = DiskStats::default();
-        let t0 = Instant::now();
-        m.charge_read(1 << 30, &stats);
-        assert!(t0.elapsed() < Duration::from_millis(50));
-        assert_eq!(stats.reads(), 1);
-        assert_eq!(stats.bytes(), 1 << 30);
+        let mut lanes = Lanes::begin();
+        for _ in 0..1000 {
+            lanes.read(m.read_cost(1 << 30));
+            lanes.scan(Instant::now(), Duration::ZERO);
+        }
+        let bill = lanes.end();
+        assert_eq!((bill.disk, bill.scan), (Duration::ZERO, Duration::ZERO));
+        assert!(bill.wall < 50 * MS, "{:?}", bill.wall);
+    }
+
+    /// One block costs its read plus its scan; over many, a disk-bound
+    /// fetch costs Σ disk plus the last block's scan and a scan-bound one
+    /// the first block's read plus Σ scan — never the serial Σ disk + Σ scan.
+    #[test]
+    fn lanes_overlap_reads_and_scans() {
+        for (n, disk, scan, wall) in [
+            (1, 15 * MS, 6 * MS, 21 * MS),
+            (8, 5 * MS, 2 * MS, 42 * MS),
+            (8, MS, 4 * MS, 33 * MS),
+        ] {
+            within(wall + SLACK, || {
+                let mut lanes = Lanes::begin();
+                for _ in 0..n {
+                    lanes.read(disk);
+                    lanes.scan(Instant::now(), scan);
+                }
+                let bill = lanes.end();
+                assert_eq!((bill.disk, bill.scan), (disk * n, scan * n));
+                assert!(bill.wall >= wall, "{:?} vs {wall:?}", bill.wall);
+                bill.wall
+            });
+        }
     }
 
     #[test]
-    fn charge_read_sleeps() {
-        let m = DiskModel {
-            seek: Duration::from_millis(15),
-            bytes_per_sec: f64::INFINITY,
+    fn bill_lands_in_the_registry() {
+        let metrics = MetricsRegistry::new();
+        let bill = LaneBill {
+            disk: 3 * MS,
+            scan: 2 * MS,
+            wall: 4 * MS,
         };
-        let stats = DiskStats::default();
-        let t0 = Instant::now();
-        m.charge_read(100, &stats);
-        assert!(t0.elapsed() >= Duration::from_millis(14));
-        assert_eq!(stats.reads(), 1);
+        bill.record(&metrics);
+        bill.record(&metrics);
+        assert_eq!(metrics.counter("dfs.charge.disk_ns").get(), 6_000_000);
+        assert_eq!(metrics.counter("dfs.charge.scan_ns").get(), 4_000_000);
+        assert_eq!(metrics.counter("dfs.fetch.wall_ns").get(), 8_000_000);
     }
 
     #[test]
     fn stats_accumulate_across_threads() {
-        let m = DiskModel::free();
         let stats = std::sync::Arc::new(DiskStats::default());
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let (m, s) = (m.clone(), std::sync::Arc::clone(&stats));
+                let s = std::sync::Arc::clone(&stats);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        m.charge_read(10, &s);
+                        s.record_read(10);
                     }
                 })
             })

@@ -874,9 +874,9 @@ impl FrameCache {
         Some(Arc::clone(&e.frame))
     }
 
-    /// Presence check without refreshing recency (used to decide whether
-    /// the disk model must be charged before the parallel scan). Applies
-    /// the same resolution and version gates as [`FrameCache::lookup`].
+    /// Presence check without refreshing recency, for inspection: a fetch
+    /// decides hit or read with the one [`FrameCache::lookup`] it acts on.
+    /// Applies the same resolution and version gates.
     pub fn contains(&self, key: &BlockKey, min_spatial_res: u8, version: u64) -> bool {
         self.inner.lock().map.get(key).is_some_and(|e| {
             e.frame.spatial_res() >= min_spatial_res && e.frame.version() == version

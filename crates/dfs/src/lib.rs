@@ -16,11 +16,15 @@
 //!   can evaluate locally; finding any block's owner costs no network hops.
 //! * **Expensive cold reads** — every block read is charged through a
 //!   [`DiskModel`] (seek + transfer time) before its observations are
-//!   scanned. This is the cost STASH exists to avoid.
+//!   scanned. This is the cost STASH exists to avoid. Reads are sequential
+//!   on the node's one disk; [`Lanes`] is the schedule that lets the disk
+//!   read block *i+1* while block *i* is aggregated, for this store and
+//!   for the `stash-elastic` baseline alike.
 //! * **Local aggregation** — [`NodeStore::fetch_partials`] scans owned
-//!   blocks (in parallel with rayon) and returns per-Cell partial
-//!   summaries, which a coordinator merges (the monoid property of
-//!   [`stash_model::SummaryStats`] makes partial merging exact).
+//!   blocks as they become ready (on as many threads as the host has
+//!   cores) and returns per-Cell partial summaries, which a coordinator
+//!   merges (the monoid property of [`stash_model::SummaryStats`] makes
+//!   partial merging exact).
 //!
 //! The "disk" is the deterministic `stash-data`-style generator supplied
 //! by the embedder: any block expands to the same observations on every
@@ -36,7 +40,7 @@ pub mod rollup;
 pub mod store;
 
 pub use block::{plan_blocks, BlockKey, BlockPlanError};
-pub use disk::{DiskModel, DiskStats};
+pub use disk::{DiskModel, DiskStats, LaneBill, Lanes};
 pub use frame::{
     frame_spatial_res, BlockFrame, FrameAggregation, FrameBuilder, FrameCache,
     DEFAULT_FRAME_CACHE_BYTES,

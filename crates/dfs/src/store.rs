@@ -9,16 +9,17 @@
 //! to the summary monoid, so the coordinator never re-reads anything.
 
 use crate::block::{plan_blocks, BlockKey, BlockPlanError};
-use crate::disk::{DiskModel, DiskStats};
+use crate::disk::{DiskModel, DiskStats, Lanes};
 use crate::frame::{frame_spatial_res, BlockFrame, FrameCache, DEFAULT_FRAME_CACHE_BYTES};
 use crate::partitioner::Partitioner;
-use rayon::prelude::*;
+use parking_lot::Mutex;
 use stash_geo::{BBox, Geohash, TimeRange};
 use stash_model::fx::FxHashMap;
 use stash_model::{CellKey, CellSummary, Observation, SketchSpec};
 use stash_obs::MetricsRegistry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A per-partition fragment of a Cell's summary. Fragments for the same key
 /// from different nodes merge into the complete Cell.
@@ -289,51 +290,68 @@ impl NodeStore {
             return Ok(Vec::new());
         }
 
-        // Charge the disk sequentially — one spindle per node — while the
-        // CPU scan below runs in parallel across cores. Modeling the read
-        // as one up-front sleep overlaps disk and CPU the way readahead
-        // does on a real node. Blocks whose decoded frame is already cached
-        // never touch the disk at all.
-        let mut total_cost = std::time::Duration::ZERO;
-        for (bk, wanted) in &owned {
-            if self.frame_cache.contains(
-                bk,
-                frame_spatial_res(self.block_len, wanted),
-                self.source.block_version(*bk),
-            ) {
-                continue;
+        // One schedule, two virtual-time lanes ([`Lanes`], DESIGN.md §2b).
+        // This thread is the spindle: one disk per node, so blocks become
+        // ready one after another in plan order, and each is decided hit or
+        // read exactly once, here. The scan workers take blocks as they
+        // become ready — block i+1 is read while block i is aggregated, as
+        // read-ahead does on a real node. With a free disk every block is
+        // ready at once and this is a plain parallel scan. A lone block has
+        // nothing to overlap: this thread reads it, then scans it.
+        let n_workers = match owned.len() {
+            1 => 0,
+            n => std::thread::available_parallelism().map_or(1, |c| c.get().min(n)),
+        };
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<(usize, Option<Arc<BlockFrame>>)>();
+        let ready_rx = Mutex::new(ready_rx);
+        let scan_ready = || {
+            let mut done = Vec::new();
+            loop {
+                let ready = ready_rx.lock().recv();
+                let Ok((i, cached)) = ready else { break };
+                let (bk, wanted) = &owned[i];
+                let scan = self.scan_frame(*bk, wanted, cached);
+                done.push((i, scan, Instant::now()));
             }
-            let bytes = self.source.block_bytes(bk.geohash);
-            total_cost += self.disk.read_cost(bytes);
+            done
+        };
+        let mut lanes = Lanes::begin();
+        let mut scans = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..n_workers).map(|_| s.spawn(scan_ready)).collect();
+            for (i, (bk, wanted)) in owned.iter().enumerate() {
+                let cached = self.lookup_frame(*bk, wanted);
+                if cached.is_none() {
+                    lanes.read(self.disk.read_cost(self.source.block_bytes(bk.geohash)));
+                }
+                ready_tx
+                    .send((i, cached))
+                    .expect("the receiver outlives the spindle lane");
+            }
+            drop(ready_tx);
+            let mut scans = if workers.is_empty() {
+                scan_ready()
+            } else {
+                Vec::new()
+            };
+            for h in workers {
+                scans.extend(h.join().expect("scan worker panicked"));
+            }
+            scans
+        });
+        // Charge the modeled aggregation CPU (virtual time — see field
+        // docs) on the scan lane, in plan order. Rows aggregated from a
+        // cached frame skip the decode, so they cost a fraction of a cold
+        // row.
+        scans.sort_unstable_by_key(|(i, ..)| *i);
+        for (_, scan, finished) in &scans {
+            let per_row = if scan.cache_hit {
+                self.scan_cost_per_obs / FRAME_AGG_COST_DIVISOR
+            } else {
+                self.scan_cost_per_obs
+            };
+            lanes.scan(*finished, per_row * scan.rows as u32);
         }
-        if total_cost > std::time::Duration::ZERO {
-            std::thread::sleep(total_cost);
-        }
-
-        // Scan owned blocks in parallel; each yields a fragment.
-        let cold_rows = std::sync::atomic::AtomicUsize::new(0);
-        let warm_rows = std::sync::atomic::AtomicUsize::new(0);
-        let fragments: Vec<Vec<(CellKey, CellSummary)>> = owned
-            .par_iter()
-            .map(|(bk, wanted)| {
-                let scan = self.scan_block(*bk, wanted);
-                let ctr = if scan.cache_hit {
-                    &warm_rows
-                } else {
-                    &cold_rows
-                };
-                ctr.fetch_add(scan.rows, std::sync::atomic::Ordering::Relaxed);
-                scan.cells
-            })
-            .collect();
-        // Charge the modeled aggregation CPU for the scan (virtual time —
-        // see field docs). Rows aggregated from a cached frame skip the
-        // decode, so they cost a fraction of a cold row.
-        let scan_cost = self.scan_cost_per_obs * cold_rows.into_inner() as u32
-            + self.scan_cost_per_obs / FRAME_AGG_COST_DIVISOR * warm_rows.into_inner() as u32;
-        if scan_cost > std::time::Duration::ZERO {
-            std::thread::sleep(scan_cost);
-        }
+        lanes.end().record(&self.metrics);
 
         // Merge fragments (same cell can appear in many blocks: months span
         // days, coarse cells span tiles). Accumulate in a hash map — one
@@ -341,8 +359,8 @@ impl NodeStore {
         // paying ordered-map entry churn per key.
         let mut merged: FxHashMap<CellKey, CellSummary> = FxHashMap::default();
         let mut sketch_merges = 0u64;
-        for frag in fragments {
-            for (key, summary) in frag {
+        for (_, scan, _) in scans {
+            for (key, summary) in scan.cells {
                 match merged.entry(key) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         v.insert(summary);
@@ -370,33 +388,57 @@ impl NodeStore {
     /// Scan one block for the cells that need it, through the columnar
     /// frame kernel and the decoded-frame cache (DESIGN.md §12).
     pub fn scan_block(&self, bk: BlockKey, wanted: &[CellKey]) -> BlockScan {
+        let cached = self.lookup_frame(bk, wanted);
+        self.scan_frame(bk, wanted, cached)
+    }
+
+    /// The one hit-or-miss decision of a block scan: whoever calls this
+    /// also charges the disk on `None` and hands the answer to
+    /// [`NodeStore::scan_frame`], so a concurrent fetch or eviction can
+    /// never make a node pay the disk for a hit or read for free.
+    fn lookup_frame(&self, bk: BlockKey, wanted: &[CellKey]) -> Option<Arc<BlockFrame>> {
         let need_res = frame_spatial_res(self.block_len, wanted);
-        let version = self.source.block_version(bk);
-        let (frame, cache_hit) = match self.frame_cache.lookup(&bk, need_res, version) {
-            Some(f) => {
-                self.metrics.inc("dfs.frame_cache.hit");
-                (f, true)
-            }
-            None => {
-                self.metrics.inc("dfs.frame_cache.miss");
-                let t0 = std::time::Instant::now();
-                let f = Arc::new(self.source.read_frame(bk, need_res));
+        let cached = self
+            .frame_cache
+            .lookup(&bk, need_res, self.source.block_version(bk));
+        self.metrics.inc(if cached.is_some() {
+            "dfs.frame_cache.hit"
+        } else {
+            "dfs.frame_cache.miss"
+        });
+        cached
+    }
+
+    /// Aggregate `wanted` from the block's frame: the cached one, or —
+    /// `None` — a fresh read, which is counted as a disk read and cached.
+    fn scan_frame(
+        &self,
+        bk: BlockKey,
+        wanted: &[CellKey],
+        cached: Option<Arc<BlockFrame>>,
+    ) -> BlockScan {
+        let cache_hit = cached.is_some();
+        let frame = cached.unwrap_or_else(|| {
+            let t0 = Instant::now();
+            let f = Arc::new(
+                self.source
+                    .read_frame(bk, frame_spatial_res(self.block_len, wanted)),
+            );
+            self.metrics
+                .counter("dfs.decode_ns")
+                .add(t0.elapsed().as_nanos() as u64);
+            self.stats.record_read(self.source.block_bytes(bk.geohash));
+            self.metrics
+                .counter("dfs.rows_decoded")
+                .add(f.n_rows() as u64);
+            let evicted = self.frame_cache.insert(Arc::clone(&f));
+            if evicted > 0 {
                 self.metrics
-                    .counter("dfs.decode_ns")
-                    .add(t0.elapsed().as_nanos() as u64);
-                self.stats.record_read(self.source.block_bytes(bk.geohash));
-                self.metrics
-                    .counter("dfs.rows_decoded")
-                    .add(f.n_rows() as u64);
-                let evicted = self.frame_cache.insert(Arc::clone(&f));
-                if evicted > 0 {
-                    self.metrics
-                        .counter("dfs.frame_cache.evicted_bytes")
-                        .add(evicted as u64);
-                }
-                (f, false)
+                    .counter("dfs.frame_cache.evicted_bytes")
+                    .add(evicted as u64);
             }
-        };
+            f
+        });
         let agg = frame.aggregate_with(wanted, &self.sketches);
         if agg.derived_cells > 0 {
             self.metrics
@@ -496,10 +538,12 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::timing::{within, MS, SLACK};
     use stash_data::{GeneratorConfig, NamGenerator};
     use stash_geo::time::epoch_seconds;
     use stash_geo::{TemporalRes, TimeBin};
     use std::str::FromStr;
+    use std::time::Duration;
 
     /// Adapter: NamGenerator as a BlockSource.
     struct GenSource(NamGenerator);
@@ -862,6 +906,236 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(s.metrics().counter("dfs.frame_cache.hit").get(), 0);
         assert_eq!(s.disk_stats().reads(), 2, "every fetch re-reads");
+    }
+
+    // -- The fetch schedule (DESIGN.md §2b) --------------------------------
+
+    const FIXED_ROWS: usize = 64;
+
+    /// Every block holds the same `FIXED_ROWS` rows at its tile's centre,
+    /// so the modeled scan cost per block is known exactly.
+    struct FixedSource;
+
+    impl BlockSource for FixedSource {
+        fn read_block(&self, key: BlockKey) -> Vec<Observation> {
+            let b = key.geohash.bbox();
+            let (lat, lon) = ((b.min_lat + b.max_lat) / 2.0, (b.min_lon + b.max_lon) / 2.0);
+            (0..FIXED_ROWS)
+                .map(|i| Observation::new(lat, lon, key.day.start() + i as i64, vec![i as f64]))
+                .collect()
+        }
+        fn block_bytes(&self, _geohash: Geohash) -> usize {
+            4096
+        }
+        fn n_attrs(&self) -> usize {
+            1
+        }
+    }
+
+    /// A one-node store over [`FixedSource`] charging `disk` per read and
+    /// `scan` per cold block.
+    fn charged_store(disk: Duration, scan: Duration) -> NodeStore {
+        let (bbox, time) = domain();
+        NodeStore::new(
+            0,
+            Partitioner::new(1, 2),
+            3,
+            bbox,
+            time,
+            DiskModel {
+                seek: disk,
+                bytes_per_sec: f64::INFINITY,
+            },
+            Arc::new(FixedSource),
+            10_000,
+        )
+        .with_scan_cost(scan / FIXED_ROWS as u32)
+    }
+
+    /// `n` single-block day Cells (the first tiles of "9x"), in plan order.
+    fn block_cells(n: usize) -> Vec<CellKey> {
+        let day = day_cell("9x").time;
+        let parent = Geohash::from_str("9x").unwrap();
+        let cells: Vec<CellKey> = parent
+            .children()
+            .unwrap()
+            .take(n)
+            .map(|g| CellKey::new(g, day))
+            .collect();
+        assert_eq!(cells.len(), n);
+        cells
+    }
+
+    fn timed_fetch(s: &NodeStore, cells: &[CellKey]) -> Duration {
+        let t0 = Instant::now();
+        let partials = s.fetch_partials(cells).unwrap();
+        let wall = t0.elapsed();
+        assert_eq!(partials.len(), cells.len());
+        wall
+    }
+
+    fn counter(s: &NodeStore, name: &str) -> Duration {
+        Duration::from_nanos(s.metrics().counter(name).get())
+    }
+
+    #[test]
+    fn multi_block_fetch_reads_ahead_while_it_scans() {
+        // Disk-bound: every scan charge but the last hides behind the next
+        // read, so n blocks cost n reads + one scan, not n × (read + scan).
+        let n = 8u32;
+        let law = 5 * MS * n + 2 * MS;
+        let wall = within(law + SLACK, || {
+            let s = charged_store(5 * MS, 2 * MS);
+            let wall = timed_fetch(&s, &block_cells(n as usize));
+            assert!(wall >= law, "{wall:?} vs {law:?}");
+            // What was *charged* is the serial bill, to the nanosecond:
+            // disk_ns == Σ read_cost, one read per block. What the fetch
+            // *took* is on the registry beside it.
+            assert_eq!(s.disk_stats().reads(), n as u64);
+            assert_eq!(
+                counter(&s, "dfs.charge.disk_ns"),
+                s.disk.read_cost(4096) * n
+            );
+            assert_eq!(counter(&s, "dfs.charge.scan_ns"), 2 * MS * n);
+            assert!(counter(&s, "dfs.fetch.wall_ns") <= wall);
+            wall
+        });
+        assert!(wall < 6 * MS * n, "the serial bill is {:?}", 7 * MS * n);
+    }
+
+    #[test]
+    fn one_block_costs_disk_plus_scan() {
+        within(7 * MS + SLACK, || {
+            let s = charged_store(5 * MS, 2 * MS);
+            let wall = timed_fetch(&s, &block_cells(1));
+            assert!(wall >= 7 * MS, "{wall:?}");
+            wall
+        });
+    }
+
+    #[test]
+    fn cached_blocks_behind_an_uncached_one_keep_plan_order() {
+        // Warm rows cost 1/8 of a cold row: 8 ms cold, 1 ms warm per block.
+        let cells = block_cells(5);
+        for (cold, law) in [
+            // Uncached first: the four cached blocks behind it are charged
+            // after it — read 10 + cold scan 8 + 4 × 1.
+            (0, 22 * MS),
+            // Uncached last: its read overlaps the four warm charges.
+            (4, 18 * MS),
+        ] {
+            within(law + 4 * MS, || {
+                let s = charged_store(10 * MS, 8 * MS);
+                let warm: Vec<CellKey> = (0..5).filter(|&i| i != cold).map(|i| cells[i]).collect();
+                s.fetch_partials(&warm).unwrap();
+                let reads = s.disk_stats().reads();
+                let wall = timed_fetch(&s, &cells);
+                assert_eq!(s.disk_stats().reads() - reads, 1, "one uncached block");
+                assert!(wall >= law, "uncached at {cold}: {wall:?} vs {law:?}");
+                wall
+            });
+        }
+    }
+
+    #[test]
+    fn nothing_charged_means_nothing_slept() {
+        let n = 32;
+        let s = charged_store(Duration::ZERO, Duration::ZERO);
+        let wall = timed_fetch(&s, &block_cells(n));
+        assert!(wall < Duration::from_millis(50), "{wall:?}");
+        assert_eq!(counter(&s, "dfs.charge.disk_ns"), Duration::ZERO);
+        assert_eq!(counter(&s, "dfs.charge.scan_ns"), Duration::ZERO);
+        // Every block scanned exactly once.
+        assert_eq!(s.disk_stats().reads(), n as u64);
+        assert_eq!(s.metrics().counter("dfs.frame_cache.miss").get(), n as u64);
+        assert_eq!(s.metrics().counter("dfs.frame_cache.hit").get(), 0);
+        assert_eq!(
+            s.metrics().counter("dfs.rows_decoded").get(),
+            (n * FIXED_ROWS) as u64
+        );
+    }
+
+    #[test]
+    fn fetch_equals_direct_scans_merged_in_plan_order() {
+        // Dyadic values make every sum exact, so `==` is bit for bit even
+        // where the frame kernel and the direct binning add in another
+        // order (see tests/frame_equivalence.rs).
+        let (bbox, time) = domain();
+        let source = Arc::new(GenSource(NamGenerator::new(GeneratorConfig {
+            seed: 11,
+            obs_per_deg2_per_day: 50.0,
+            max_obs_per_block: 50_000,
+            value_quantum: 1.0 / 64.0,
+        })));
+        let s = NodeStore::new(
+            0,
+            Partitioner::new(1, 2),
+            3,
+            bbox,
+            time,
+            DiskModel::free(),
+            source,
+            10_000,
+        );
+        let mut cells = vec![
+            day_cell("9x"),
+            day_cell("9w"),
+            day_cell("9xj"),
+            day_cell("9w3"),
+        ];
+        cells.extend(block_cells(4).iter().flat_map(|c| {
+            c.geohash
+                .children()
+                .unwrap()
+                .map(|g| CellKey::new(g, c.time))
+        }));
+        let plan = plan_blocks(&cells, 3, &bbox, &time, 10_000).unwrap();
+        assert!(plan.len() >= 64, "{} blocks", plan.len());
+        let mut merged: BTreeMap<CellKey, CellSummary> = BTreeMap::new();
+        for (bk, wanted) in &plan {
+            for (key, summary) in s.scan_block_direct(*bk, wanted) {
+                match merged.entry(key) {
+                    std::collections::btree_map::Entry::Vacant(v) => {
+                        v.insert(summary);
+                    }
+                    std::collections::btree_map::Entry::Occupied(mut o) => {
+                        o.get_mut().merge(&summary)
+                    }
+                }
+            }
+        }
+        let direct: Vec<PartialCell> = merged
+            .into_iter()
+            .map(|(key, summary)| PartialCell { key, summary })
+            .collect();
+        assert!(direct.iter().any(|p| p.summary.count() > 0));
+        assert_eq!(s.fetch_partials(&cells).unwrap(), direct);
+    }
+
+    #[test]
+    fn concurrent_fetches_are_charged_for_exactly_the_blocks_they_read() {
+        // Two fetches race over the same cold blocks: whichever inserts a
+        // frame first turns the other's later blocks into hits. Each block
+        // is decided hit or read once, so charged reads == disk reads.
+        let s = charged_store(MS, Duration::ZERO);
+        let cells = block_cells(16);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    s.fetch_partials(&cells).unwrap();
+                });
+            }
+        });
+        let reads = s.disk_stats().reads();
+        assert!((16..=32).contains(&reads), "{reads} reads");
+        assert_eq!(counter(&s, "dfs.charge.disk_ns"), MS * reads as u32);
+        assert_eq!(
+            s.metrics().counter("dfs.frame_cache.miss").get(),
+            reads,
+            "every miss is a read"
+        );
     }
 
     /// Appendable source for the append-path tests: each block starts with

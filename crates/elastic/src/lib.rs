@@ -21,9 +21,10 @@
 //!   *disk* cost fades while *aggregation* cost remains. ("Three types of
 //!   caches … stored the query results, aggregations, and field values.")
 //!
-//! The engine shares the dataset generator, disk model, and network fabric
-//! with the STASH cluster so Fig. 8's comparisons hold the substrate fixed
-//! and vary only the middleware.
+//! The engine shares the dataset generator, disk model, fetch schedule
+//! ([`stash_dfs::Lanes`]: the disk reads ahead while a block is collected)
+//! and network fabric with the STASH cluster so Fig. 8's comparisons hold
+//! the substrate fixed and vary only the middleware.
 
 pub mod cluster;
 pub mod lru;

@@ -2,7 +2,7 @@
 
 use crate::lru::LruCache;
 use parking_lot::Mutex;
-use stash_dfs::{plan_blocks, BlockKey, BlockSource, DiskModel, DiskStats};
+use stash_dfs::{plan_blocks, BlockKey, BlockSource, DiskModel, DiskStats, Lanes};
 use stash_geo::{BBox, TimeRange};
 use stash_model::{AggQuery, CellKey, CellSummary, Observation};
 use std::collections::{HashMap, HashSet};
@@ -163,10 +163,12 @@ impl NodeShards {
 
         let n_attrs = self.source.n_attrs();
         let mut out: HashMap<CellKey, CellSummary> = HashMap::new();
-        let mut scanned = 0usize;
+        // The same two-lane schedule the STASH and Basic stores bill
+        // through (DESIGN.md §2b): the disk reads block i+1 while this
+        // thread collects block i.
+        let mut lanes = Lanes::begin();
         for (bk, wanted) in &mine {
-            let observations = self.load_block(*bk);
-            scanned += observations.len();
+            let observations = self.load_block(*bk, &mut lanes);
             let mut by_level: HashMap<(u8, stash_geo::TemporalRes), HashSet<CellKey>> =
                 HashMap::new();
             for &c in wanted {
@@ -187,13 +189,15 @@ impl NodeShards {
                     }
                 }
             }
+            // Charge the modeled collection cost (virtual time — the
+            // paper's shards re-aggregate raw documents on every
+            // request-cache miss).
+            lanes.scan(
+                std::time::Instant::now(),
+                self.scan_cost_per_obs * observations.len() as u32,
+            );
         }
-        // Charge the modeled collection cost (virtual time — the paper's
-        // shards re-aggregate raw documents on every request-cache miss).
-        let scan_cost = self.scan_cost_per_obs * scanned as u32;
-        if scan_cost > std::time::Duration::ZERO {
-            std::thread::sleep(scan_cost);
-        }
+        lanes.end();
         let mut result: Vec<(CellKey, CellSummary)> = out.into_iter().collect();
         result.sort_by_key(|(k, _)| *k);
         let shared = Arc::new(result);
@@ -201,8 +205,9 @@ impl NodeShards {
         Ok(shared.as_ref().clone())
     }
 
-    /// Read a block through the field-data cache; disk is charged on miss.
-    fn load_block(&self, bk: BlockKey) -> Arc<Vec<Observation>> {
+    /// Read a block through the field-data cache; a miss is charged on the
+    /// fetch's spindle lane.
+    fn load_block(&self, bk: BlockKey, lanes: &mut Lanes) -> Arc<Vec<Observation>> {
         if let Some(hit) = self.field_cache.lock().get(&bk).cloned() {
             self.stats.field_cache_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
@@ -210,8 +215,9 @@ impl NodeShards {
         self.stats
             .field_cache_misses
             .fetch_add(1, Ordering::Relaxed);
-        self.disk
-            .charge_read(self.source.block_bytes(bk.geohash), &self.disk_stats);
+        let bytes = self.source.block_bytes(bk.geohash);
+        self.disk_stats.record_read(bytes);
+        lanes.read(self.disk.read_cost(bytes));
         let obs = Arc::new(self.source.read_block(bk));
         self.field_cache.lock().put(bk, Arc::clone(&obs));
         obs
@@ -245,6 +251,10 @@ mod tests {
     }
 
     fn shards(node_idx: usize, n_nodes: usize) -> NodeShards {
+        shards_on(node_idx, n_nodes, DiskModel::free())
+    }
+
+    fn shards_on(node_idx: usize, n_nodes: usize, disk: DiskModel) -> NodeShards {
         NodeShards::new(
             node_idx,
             n_nodes,
@@ -256,7 +266,7 @@ mod tests {
                 epoch_seconds(2016, 1, 1, 0, 0, 0),
             )
             .unwrap(),
-            DiskModel::free(),
+            disk,
             Arc::new(GenSource(NamGenerator::new(GeneratorConfig {
                 seed: 11,
                 obs_per_deg2_per_day: 100.0,
@@ -343,6 +353,53 @@ mod tests {
             "field cache should absorb most repeat reads: {new_reads} vs {reads_after_first}"
         );
         assert!(s.stats.field_cache_hits.load(Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn cold_search_is_billed_on_the_stores_lanes() {
+        // The baseline pays the same schedule as the STASH and Basic stores
+        // (DESIGN.md §2b): the disk reads ahead while a block is collected,
+        // so a cold search costs Σ disk + the last block's collection, not
+        // Σ disk + Σ collection.
+        use std::time::{Duration, Instant};
+        let read = Duration::from_millis(3);
+        let per_doc = Duration::from_micros(10);
+        let s = shards_on(
+            0,
+            1,
+            DiskModel {
+                seek: read,
+                bytes_per_sec: f64::INFINITY,
+            },
+        )
+        .with_scan_cost(per_doc);
+        let q = AggQuery::new(
+            BBox::from_corner_extent(36.0, -108.0, 4.0, 8.0),
+            TimeRange::whole_day(2015, 2, 2),
+            4,
+            TemporalRes::Day,
+        );
+        let keys = q.target_keys(100_000).unwrap();
+        let plan = plan_blocks(&keys, 3, &s.data_bbox, &s.data_time, 10_000).unwrap();
+        let docs: Vec<u32> = plan
+            .keys()
+            .map(|bk| s.source.read_block(*bk).len() as u32)
+            .collect();
+        let disk = read * docs.len() as u32;
+        let collect = per_doc * docs.iter().sum::<u32>();
+        let last = per_doc * *docs.last().unwrap();
+        assert!(docs.len() >= 8 && collect > last * 4, "{docs:?}");
+
+        let t0 = Instant::now();
+        s.search(&q, &keys).unwrap();
+        let wall = t0.elapsed();
+        assert_eq!(s.disk_stats().reads(), docs.len() as u64);
+        assert!(wall >= disk + last, "{wall:?} < {:?}", disk + last);
+        assert!(
+            wall < disk + collect / 2,
+            "{wall:?}: the serial bill is {:?}",
+            disk + collect
+        );
     }
 
     #[test]
