@@ -107,6 +107,39 @@ fn bench_graph(c: &mut Criterion) {
         b.iter(|| graph.touch_region(&keys))
     });
 
+    // One owner's share of a query: the children of three adjacent res-3
+    // boxes on one day, inside the wider cached area above — so the ring
+    // around the share finds cached neighbors to bump.
+    let mid = Geohash::encode(38.0, -100.0, 3).unwrap();
+    let share: Vec<CellKey> = [mid.offset(0, -1).unwrap(), mid, mid.offset(0, 1).unwrap()]
+        .iter()
+        .flat_map(|parent| parent.children().unwrap())
+        .map(|gh| CellKey::new(gh, keys[0].time))
+        .collect();
+    assert!(share.iter().all(|k| graph.contains_fresh(k)));
+    group.throughput(Throughput::Elements(share.len() as u64));
+    group.bench_function(format!("touch_region_share_{}", share.len()), |b| {
+        b.iter(|| graph.touch_region(&share))
+    });
+
+    // The `scan_evict` hit: a warmed level of sketch-valued Cells, each
+    // folded from a block's worth of rows (~190), looked up 256 at a time.
+    let spec = SketchSpec::standard();
+    let sketched = StashGraph::new(StashConfig::default(), Arc::new(LogicalClock::new()));
+    sketched.insert_many(keys.iter().take(256).enumerate().map(|(c, &k)| {
+        let mut summary = CellSummary::empty_with(4, &spec);
+        for r in 0..190 {
+            let x = ((c * 190 + r) as f64 * 0.7).sin();
+            summary.push_row(&[x * 30.0, 50.0 + x * 40.0, x.abs() * 5.0, x.abs() * 60.0]);
+        }
+        Cell::new(k, summary)
+    }));
+    group.throughput(Throughput::Elements(256));
+    group.bench_function("get_many_sketched_256", |b| {
+        b.iter(|| sketched.get_many(&keys[..256]))
+    });
+    group.throughput(Throughput::Elements(keys.len() as u64));
+
     let cells: Vec<Cell> = keys.iter().map(|&k| Cell::empty(k, 4)).collect();
     group.bench_function(format!("insert_many_{}cells", cells.len()), |b| {
         b.iter_batched(

@@ -13,6 +13,7 @@ use crate::report::Table;
 use stash_data::QuerySizeClass;
 use stash_model::SketchSpec;
 use stash_obs::{Histogram, HistogramSnapshot, QueryTrace};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Collected stage distributions of one profiled run.
 #[derive(Debug)]
@@ -49,6 +50,11 @@ pub struct Profile {
     /// Sketch-pipeline counters summed over nodes (DESIGN.md §14).
     pub sketch_merges: u64,
     pub sketch_bytes: u64,
+    /// Freshness dispersal summed over the nodes' graphs (DESIGN.md §5):
+    /// neighbor entries bumped, and neighborhood keys looked up to find
+    /// them — useful over attempted.
+    pub dispersals: u64,
+    pub dispersal_probes: u64,
 }
 
 /// Fold one trace into the stage histograms.
@@ -121,6 +127,13 @@ pub fn run(scale: &Scale) -> Profile {
         .sum();
     let sketch_merges = kernel("sketch.merges");
     let sketch_bytes = kernel("sketch.bytes");
+    let graph_stat = |stat: fn(&stash_core::GraphStats) -> &AtomicU64| -> u64 {
+        (0..cluster.n_nodes())
+            .map(|i| stat(cluster.node(i).graph.stats()).load(Ordering::Relaxed))
+            .sum()
+    };
+    let dispersals = graph_stat(|s| &s.dispersals);
+    let dispersal_probes = graph_stat(|s| &s.dispersal_probes);
     let frame_cache_bytes = (0..cluster.n_nodes())
         .map(|i| cluster.node(i).store.frame_cache().bytes() as u64)
         .sum();
@@ -153,6 +166,8 @@ pub fn run(scale: &Scale) -> Profile {
         fetch_wall_ns,
         sketch_merges,
         sketch_bytes,
+        dispersals,
+        dispersal_probes,
     }
 }
 
@@ -180,7 +195,8 @@ pub fn table(p: &Profile) -> Table {
          {} rows decoded in {:.0} ns/row, {} cells derived, \
          {} B resident ({} B buffers); \
          fetches: {} wall for {} disk + {} scan billed, {} reads at {:.0} us; \
-         sketches: {} merges, {} B emitted",
+         sketches: {} merges, {} B emitted; \
+         dispersal: {} neighbors bumped of {} probed",
         p.subqueries,
         p.retries,
         p.failovers,
@@ -198,7 +214,9 @@ pub fn table(p: &Profile) -> Table {
         p.disk_reads,
         p.charged_disk_ns as f64 / 1e3 / p.disk_reads.max(1) as f64,
         p.sketch_merges,
-        p.sketch_bytes
+        p.sketch_bytes,
+        p.dispersals,
+        p.dispersal_probes
     ));
     for (stage, snap) in &p.stages {
         let sum: u64 = snap.sums.iter().sum();
@@ -277,5 +295,8 @@ mod tests {
             rendered.contains("sketches:"),
             "sketch counters missing in:\n{rendered}"
         );
+        // Dispersal bumps only what it looked up, and a session of
+        // overlapping pans over warmed neighbors finds some.
+        assert!(p.dispersals > 0 && p.dispersals <= p.dispersal_probes);
     }
 }

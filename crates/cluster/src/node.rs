@@ -33,7 +33,7 @@ use stash_model::level::MAX_SPATIAL_RES;
 use stash_model::{Cell, CellKey, CellSummary, FlatPartials, Level, Observation, QueryResult};
 use stash_net::rpc::RpcError;
 use stash_net::{Envelope, NodeId, Router, RpcTable};
-use stash_obs::{MetricsRegistry, QueryTrace, StageTimes};
+use stash_obs::{Histogram, MetricsRegistry, QueryTrace, StageTimes};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -118,6 +118,9 @@ pub struct NodeCtx {
     pub stats: NodeStats,
     /// Named counters/gauges/histograms for this node (DESIGN.md §11).
     pub obs: Arc<MetricsRegistry>,
+    /// The `query.stage.*` histograms in [`StageTimes::stages`] order,
+    /// resolved once so a coordinated query records without a name lookup.
+    stage_hists: [Arc<Histogram>; 7],
     /// Requests dispatched to workers and not yet finished (all tiers).
     pending: AtomicUsize,
     /// Data-service work (subqueries, fetches, replication) queued or in
@@ -185,6 +188,9 @@ impl NodeCtx {
             clock,
             rpc: RpcTable::default(),
             stats: NodeStats::default(),
+            stage_hists: StageTimes::default()
+                .stages()
+                .map(|(stage, _)| obs.histogram(&format!("query.stage.{stage}"))),
             obs,
             pending: AtomicUsize::new(0),
             service_pending: AtomicUsize::new(0),
@@ -610,9 +616,9 @@ impl NodeCtx {
             "query.coordinate.err"
         });
         self.obs.observe("query.wall", trace.wall_ns);
-        for (stage, ns) in trace.agg.stages() {
+        for (hist, (_, ns)) in self.stage_hists.iter().zip(trace.agg.stages()) {
             if ns > 0 {
-                self.obs.observe(&format!("query.stage.{stage}"), ns);
+                hist.record(ns);
             }
         }
         if trace.retries > 0 {

@@ -23,7 +23,7 @@ use crate::freshness::Freshness;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::plm::Plm;
 use parking_lot::RwLock;
-use stash_geo::{BBox, TimeRange};
+use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange};
 use stash_model::level::NUM_LEVELS;
 use stash_model::{Cell, CellKey, CellSummary, Level};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,6 +43,9 @@ pub struct LevelStats {
     pub evictions: AtomicU64,
     /// Freshness dispersal bumps applied to cached neighbors (§V-C2).
     pub dispersals: AtomicU64,
+    /// Neighborhood keys looked up to apply them: `dispersals` over this is
+    /// the useful share of dispersal work.
+    pub dispersal_probes: AtomicU64,
 }
 
 /// Monitoring counters (relaxed atomics).
@@ -63,6 +66,9 @@ pub struct GraphStats {
     pub evict_passes: AtomicU64,
     /// Neighborhood freshness bumps applied by [`StashGraph::touch_region`].
     pub dispersals: AtomicU64,
+    /// Neighborhood keys [`StashGraph::touch_region`] looked up (attempted;
+    /// `dispersals` is the useful part).
+    pub dispersal_probes: AtomicU64,
     pub plm_fresh: AtomicU64,
     pub plm_stale: AtomicU64,
     pub plm_absent: AtomicU64,
@@ -79,6 +85,7 @@ impl Default for GraphStats {
             evictions: AtomicU64::new(0),
             evict_passes: AtomicU64::new(0),
             dispersals: AtomicU64::new(0),
+            dispersal_probes: AtomicU64::new(0),
             plm_fresh: AtomicU64::new(0),
             plm_stale: AtomicU64::new(0),
             plm_absent: AtomicU64::new(0),
@@ -352,53 +359,171 @@ impl StashGraph {
         Some(Cell::from_children(*key, n_attrs, cells))
     }
 
-    /// Region-level freshness update (§V-C2): every Cell of the accessed
-    /// region gets `+f_inc`; every cached Cell in the region's immediate
-    /// spatiotemporal neighborhood (lateral neighbors and parents, the grey
-    /// cells of Fig. 3) gets `+f_inc * neighbor_fraction`. Cells of the
-    /// region itself already got their direct bump in [`StashGraph::get`];
-    /// this call boosts the ones that were just inserted and disperses to
-    /// the neighborhood.
+    /// Region-level freshness update (§V-C2): every cached Cell in the
+    /// immediate spatiotemporal neighborhood of the accessed region — the
+    /// lateral neighbors that are not themselves region Cells, plus every
+    /// region Cell's parents; the grey cells of Fig. 3 — gets
+    /// `+f_inc * neighbor_fraction`, **exactly once per call** however many
+    /// region Cells it borders. Cells of the region itself got their direct
+    /// bump in [`StashGraph::get`] / [`StashGraph::get_many`] or were just
+    /// inserted.
+    ///
+    /// The neighborhood is planned once per call in grid coordinates, not
+    /// Cell by Cell (DESIGN.md §5). Any key order is correct; the order
+    /// [`stash_model::AggQuery::target_keys`] produces (bin by bin, geohash
+    /// ordered) is the fast one.
     pub fn touch_region(&self, region: &[CellKey]) {
         if region.is_empty() || self.config.neighbor_fraction == 0.0 {
             return;
         }
-        let now = self.clock.now();
-        let tau = self.config.decay_tau;
-        let region_set: FxHashSet<&CellKey> = region.iter().collect();
-        // Neighborhood = (lateral ∪ parents) \ region, grouped by level so
-        // each level's lock is taken exactly once below.
-        let mut by_level: FxHashMap<Level, FxHashSet<CellKey>> = FxHashMap::default();
+        // Candidate keys by the level they live at. A query's region is one
+        // level; each level of a mixed region adds to at most four.
+        let mut plan: Vec<(Level, Vec<CellKey>)> = Vec::new();
+        let mut planned: Vec<Level> = Vec::new();
         for key in region {
-            for n in key.lateral_neighbors() {
-                if !region_set.contains(&n) {
-                    by_level.entry(n.level()).or_default().insert(n);
-                }
-            }
-            for p in key.parents() {
-                by_level.entry(p.level()).or_default().insert(p);
+            let level = key.level();
+            if !planned.contains(&level) {
+                planned.push(level);
+                self.plan_dispersal(level, region, &mut plan);
             }
         }
+
+        let now = self.clock.now();
+        let tau = self.config.decay_tau;
         let frac = self.config.f_inc * self.config.neighbor_fraction;
-        for (level, neighbors) in by_level {
+        for (level, mut candidates) in plan {
+            // One sort makes "once each" hold across region Cells sharing a
+            // neighbor and across the levels of a mixed region.
+            candidates.sort_unstable();
+            candidates.dedup();
             let mut dispersed = 0u64;
             {
                 let map = self.levels[level.index() as usize].read();
-                for n in &neighbors {
+                for n in &candidates {
                     if let Some(e) = map.get(n) {
                         e.fresh.bump(frac, now, tau);
                         dispersed += 1;
                     }
                 }
             }
+            let probes = candidates.len() as u64;
+            let lstats = self.stats.level(level);
+            self.stats
+                .dispersal_probes
+                .fetch_add(probes, Ordering::Relaxed);
+            lstats.dispersal_probes.fetch_add(probes, Ordering::Relaxed);
             if dispersed > 0 {
                 self.stats
                     .dispersals
                     .fetch_add(dispersed, Ordering::Relaxed);
-                self.stats
-                    .level(level)
-                    .dispersals
-                    .fetch_add(dispersed, Ordering::Relaxed);
+                lstats.dispersals.fetch_add(dispersed, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The dispersal candidates contributed by the region keys of one
+    /// `level`, appended to `plan` under each candidate's own level:
+    /// lateral neighbors that are not region keys, then the three parents.
+    /// Nothing is generated for a level that holds no Cell.
+    fn plan_dispersal(
+        &self,
+        level: Level,
+        region: &[CellKey],
+        plan: &mut Vec<(Level, Vec<CellKey>)>,
+    ) {
+        let (len, res) = (level.spatial_res(), level.temporal_res());
+        let occupied = |spatial_res: u8, temporal_res: Option<TemporalRes>| {
+            let level = Level::of(spatial_res, temporal_res?).ok()?;
+            let holds_cells = !self.levels[level.index() as usize].read().is_empty();
+            holds_cells.then(|| (level, Vec::new()))
+        };
+        let mut lateral = occupied(len, Some(res));
+        let mut spatial = occupied(len - 1, Some(res));
+        let mut temporal = occupied(len, res.coarser());
+        let mut both = occupied(len - 1, res.coarser());
+        let keys = || {
+            region
+                .iter()
+                .filter(|k| k.geohash.len() == len && k.time.res == res)
+        };
+
+        if let Some((_, out)) = &mut lateral {
+            // Region membership in grid coordinates: (time index, row and
+            // column packed — an axis has at most 30 bits). A ring is walked
+            // by integer arithmetic and only the boxes outside the region
+            // are interleaved back into geohashes.
+            let pack = |lat: u64, lon: u64| lat << 32 | lon;
+            let members: FxHashSet<(i64, u64)> = keys()
+                .map(|k| {
+                    let (lat, lon) = k.geohash.grid_index();
+                    (k.time.idx, pack(lat, lon))
+                })
+                .collect();
+            let (lat_bits, lon_bits) = Geohash::axis_bits(len);
+            let (lat_end, lon_mask) = (1u64 << lat_bits, (1u64 << lon_bits) - 1);
+            for k in keys() {
+                let (lat, lon) = k.geohash.grid_index();
+                for nlat in [lat.wrapping_sub(1), lat, lat + 1] {
+                    if nlat >= lat_end {
+                        continue; // no neighbor beyond the poles
+                    }
+                    // Columns wrap across the antimeridian.
+                    for nlon in [lon.wrapping_sub(1) & lon_mask, lon, (lon + 1) & lon_mask] {
+                        let own = nlat == lat && nlon == lon;
+                        if !own && !members.contains(&(k.time.idx, pack(nlat, nlon))) {
+                            let geohash = Geohash::from_grid_index(nlat, nlon, len)
+                                .expect("row range-checked, column masked");
+                            out.push(CellKey::new(geohash, k.time));
+                        }
+                    }
+                }
+                for t in k.time.neighbors() {
+                    if !members.contains(&(t.idx, pack(lat, lon))) {
+                        out.push(CellKey::new(k.geohash, t));
+                    }
+                }
+            }
+        }
+
+        if spatial.is_some() || temporal.is_some() || both.is_some() {
+            // Runs of one time bin share one calendar conversion and runs
+            // of siblings one pushed parent; the sort catches the rest.
+            let mut parent_bin: Option<(i64, TimeBin)> = None;
+            let push_run = |out: &mut Vec<CellKey>, key: CellKey| {
+                if out.last() != Some(&key) {
+                    out.push(key);
+                }
+            };
+            for k in keys() {
+                if let Some((_, out)) = &mut spatial {
+                    let geohash = k.geohash.parent().expect("occupied: len > 1");
+                    push_run(out, CellKey::new(geohash, k.time));
+                }
+                if temporal.is_none() && both.is_none() {
+                    continue;
+                }
+                let bin = match parent_bin {
+                    Some((idx, bin)) if idx == k.time.idx => bin,
+                    _ => {
+                        let bin = k.time.parent().expect("occupied: a coarser bin");
+                        parent_bin = Some((k.time.idx, bin));
+                        bin
+                    }
+                };
+                if let Some((_, out)) = &mut temporal {
+                    push_run(out, CellKey::new(k.geohash, bin));
+                }
+                if let Some((_, out)) = &mut both {
+                    let geohash = k.geohash.parent().expect("occupied: len > 1");
+                    push_run(out, CellKey::new(geohash, bin));
+                }
+            }
+        }
+
+        for (level, mut keys) in [lateral, spatial, temporal, both].into_iter().flatten() {
+            match plan.iter_mut().find(|(l, _)| *l == level) {
+                Some((_, planned)) => planned.append(&mut keys),
+                None => plan.push((level, keys)),
             }
         }
     }
@@ -568,7 +693,6 @@ impl StashGraph {
 mod tests {
     use super::*;
     use stash_geo::time::epoch_seconds;
-    use stash_geo::{Geohash, TemporalRes, TimeBin};
     use std::str::FromStr;
 
     fn key(gh: &str, res: TemporalRes) -> CellKey {
@@ -643,6 +767,36 @@ mod tests {
         // Absent cells cannot be patched either.
         let absent = key("9q8z", TemporalRes::Day);
         assert!(!g.patch(&absent, &delta));
+    }
+
+    #[test]
+    fn a_served_cell_is_a_snapshot_a_later_patch_cannot_reach() {
+        use stash_model::SketchSpec;
+        let spec = SketchSpec::standard();
+        let k = key("9q8y", TemporalRes::Day);
+        let rows = |lo: u32, hi: u32| (lo..hi).map(|i| [i as f64 * 0.5, (i % 7) as f64]);
+        let built = |lo: u32, hi: u32| {
+            let mut s = CellSummary::empty_with(2, &spec);
+            rows(lo, hi).for_each(|r| s.push_row(&r));
+            s
+        };
+        let g = small_graph();
+        g.insert(Cell::new(k, built(0, 150)));
+
+        // A reply in flight: what get_many handed out, sketches shared
+        // with the resident Cell.
+        let (served, missing) = g.get_many(&[k]);
+        assert!(missing.is_empty());
+        assert!(served[0].summary.has_sketches());
+
+        // Live ingest patches the resident Cell while the reply is held.
+        assert!(g.patch(&k, &built(150, 190)));
+        assert_eq!(served[0], Cell::new(k, built(0, 150)), "reply changed");
+
+        // The patched resident is what a cold build over all rows gives.
+        let mut cold = built(0, 150);
+        cold.merge(&built(150, 190));
+        assert_eq!(g.peek(&k).unwrap().summary, cold);
     }
 
     #[test]
@@ -978,6 +1132,146 @@ mod tests {
         assert_eq!(g.len(), 32);
         for ck in &children {
             assert!(g.contains_fresh(ck));
+        }
+    }
+
+    /// The per-Cell dispersal `touch_region` replaced, kept verbatim as the
+    /// reference the proptest below pins the planned one to: build every
+    /// key's lateral neighbors and parents, drop the laterals that are
+    /// region keys, dedup through per-level sets, bump what is cached.
+    fn touch_region_reference(g: &StashGraph, region: &[CellKey]) {
+        if region.is_empty() || g.config.neighbor_fraction == 0.0 {
+            return;
+        }
+        let now = g.clock.now();
+        let tau = g.config.decay_tau;
+        let region_set: FxHashSet<&CellKey> = region.iter().collect();
+        let mut by_level: FxHashMap<Level, FxHashSet<CellKey>> = FxHashMap::default();
+        for key in region {
+            for n in key.lateral_neighbors() {
+                if !region_set.contains(&n) {
+                    by_level.entry(n.level()).or_default().insert(n);
+                }
+            }
+            for p in key.parents() {
+                by_level.entry(p.level()).or_default().insert(p);
+            }
+        }
+        let frac = g.config.f_inc * g.config.neighbor_fraction;
+        for (level, neighbors) in by_level {
+            let mut dispersed = 0u64;
+            {
+                let map = g.levels[level.index() as usize].read();
+                for n in &neighbors {
+                    if let Some(e) = map.get(n) {
+                        e.fresh.bump(frac, now, tau);
+                        dispersed += 1;
+                    }
+                }
+            }
+            if dispersed > 0 {
+                g.stats.dispersals.fetch_add(dispersed, Ordering::Relaxed);
+                g.stats
+                    .level(level)
+                    .dispersals
+                    .fetch_add(dispersed, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// 5x5 blocks of keys (row-major, boxes beyond a pole left out) around
+    /// three anchors — mid-latitude, touching the north pole, straddling
+    /// the antimeridian — at two geohash lengths, over days with a hole
+    /// across a month boundary, the hours around a midnight, and the
+    /// months and year above them: every block's parents at all three
+    /// precisions are themselves in some block.
+    fn dispersal_pool() -> Vec<Vec<CellKey>> {
+        let at = |res, (y, m, d, h)| TimeBin::containing(res, epoch_seconds(y, m, d, h, 0, 0));
+        let mut bins: Vec<TimeBin> = [(1, 30), (1, 31), (2, 2), (2, 3)]
+            .map(|(m, d)| at(TemporalRes::Day, (2015, m, d, 0)))
+            .to_vec();
+        bins.extend(
+            [(1, 31, 22), (1, 31, 23), (2, 1, 0)]
+                .map(|(m, d, h)| at(TemporalRes::Hour, (2015, m, d, h))),
+        );
+        bins.extend([1, 2].map(|m| at(TemporalRes::Month, (2015, m, 1, 0))));
+        bins.push(at(TemporalRes::Year, (2015, 1, 1, 0)));
+        let mut blocks = Vec::new();
+        for (lat, lon) in [(40.0, -100.0), (89.9, 10.0), (0.0, 179.9)] {
+            for len in [2u8, 3] {
+                let anchor = Geohash::encode(lat, lon, len).unwrap();
+                let boxes: Vec<Geohash> = (-2i64..=2)
+                    .flat_map(|dy| (-2i64..=2).filter_map(move |dx| anchor.offset(dy, dx)))
+                    .collect();
+                for &bin in &bins {
+                    blocks.push(boxes.iter().map(|&g| CellKey::new(g, bin)).collect());
+                }
+            }
+        }
+        blocks
+    }
+
+    proptest::proptest! {
+        /// Planned dispersal == per-Cell dispersal: the same entries bumped
+        /// once each with the same amount at the same tick, over regions of
+        /// mixed levels, several days with a hole, pole rows, antimeridian
+        /// columns, repeated keys, and regions holding their own
+        /// neighbors' parents.
+        #[test]
+        fn planned_dispersal_equals_per_cell_reference(
+            (cached, rounds) in (
+                proptest::collection::vec(proptest::prelude::any::<bool>(), 1500..=1500),
+                proptest::collection::vec(
+                    (
+                        // Contiguous rectangles of blocks (overlapping
+                        // draws repeat keys), then single keys.
+                        proptest::collection::vec((0usize..60, 0usize..25, 1usize..=25), 0..5),
+                        proptest::collection::vec((0usize..60, 0usize..25), 0..12),
+                        0u64..4,
+                    ),
+                    1..4,
+                ),
+            ),
+        ) {
+            let pool = dispersal_pool();
+            proptest::prop_assert_eq!(pool.len(), 60);
+            let all: Vec<CellKey> = pool.iter().flatten().copied().collect();
+            let twins = [(); 2].map(|_| graph(StashConfig::default()));
+            for g in &twins {
+                for (k, _) in all.iter().zip(&cached).filter(|(_, &c)| c) {
+                    g.insert(Cell::empty(*k, 1));
+                }
+            }
+            for (spans, singles, ticks) in rounds {
+                let mut region: Vec<CellKey> = Vec::new();
+                for (b, start, n) in spans {
+                    region.extend(pool[b].iter().skip(start).take(n));
+                }
+                for (b, i) in singles {
+                    region.extend(pool[b].get(i));
+                }
+                for g in &twins {
+                    g.clock.advance_by(ticks);
+                }
+                twins[0].touch_region(&region);
+                touch_region_reference(&twins[1], &region);
+                for k in &all {
+                    proptest::prop_assert_eq!(
+                        twins[0].freshness_of(k).map(f64::to_bits),
+                        twins[1].freshness_of(k).map(f64::to_bits),
+                        "freshness of {} after touching {:?}", k, region
+                    );
+                }
+                let [new, old] = [twins[0].stats(), twins[1].stats()];
+                let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                proptest::prop_assert_eq!(count(&new.dispersals), count(&old.dispersals));
+                for i in 0..NUM_LEVELS as u8 {
+                    let level = Level::from_index(i).unwrap();
+                    let (new, old) = (new.level(level), old.level(level));
+                    proptest::prop_assert_eq!(count(&new.dispersals), count(&old.dispersals));
+                    proptest::prop_assert!(count(&new.dispersal_probes) >= count(&new.dispersals));
+                }
+            }
         }
     }
 }

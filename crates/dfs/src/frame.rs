@@ -412,7 +412,8 @@ impl BlockFrame {
         // Distinct resolution groups, plus the output table (dedup by key).
         // Output bundles are stamped from one template: constructing an
         // empty sketch bundle re-validates the spec every time, while a
-        // clone copies a few words (an empty bundle holds no arrays) —
+        // clone shares the template's payload and a cell's first fold
+        // copies a few words (an empty bundle holds no arrays) —
         // measurable across hundreds of wanted cells (guarded by the
         // `figures --profile --smoke` fold shootout).
         let template = CellSummary::empty_with(self.n_attrs, sketch);

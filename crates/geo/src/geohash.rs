@@ -235,46 +235,53 @@ impl Geohash {
     /// Even interleave positions carry longitude, so odd lengths give
     /// longitude one extra bit.
     #[inline]
-    fn axis_bits(len: u8) -> (u32, u32) {
+    pub fn axis_bits(len: u8) -> (u32, u32) {
         let total = len as u32 * 5;
         (total / 2, total.div_ceil(2))
     }
 
     /// De-interleave the packed digits into per-axis grid indexes
     /// `(lat_idx, lon_idx)`: row/column of this box in the regular grid of
-    /// its resolution, counted from the south-west corner.
-    fn split_axes(&self) -> (u64, u64) {
-        let total = self.len as u32 * 5;
-        let (mut lat, mut lon) = (0u64, 0u64);
-        // Bit 0 of the interleave (MSB of `bits`) is longitude.
-        for i in 0..total {
-            let bit = (self.bits >> (total - 1 - i)) & 1;
-            if i % 2 == 0 {
-                lon = (lon << 1) | bit;
-            } else {
-                lat = (lat << 1) | bit;
-            }
+    /// its resolution, counted from the south-west corner. Two boxes are
+    /// lateral neighbors iff their rows differ by at most one and their
+    /// columns by at most one modulo the column count, which lets callers
+    /// that walk many neighborhoods (freshness dispersal) do so by integer
+    /// arithmetic and re-interleave only the boxes they need.
+    #[inline]
+    pub fn grid_index(&self) -> (u64, u64) {
+        // Bit 0 of the interleave (MSB of `bits`) is longitude, so which
+        // parity of positions *counted from the LSB* holds longitude
+        // depends on the parity of the total bit count.
+        let (even, odd) = (
+            compact_even_bits(self.bits),
+            compact_even_bits(self.bits >> 1),
+        );
+        if self.len.is_multiple_of(2) {
+            (even, odd)
+        } else {
+            (odd, even)
         }
-        (lat, lon)
     }
 
-    /// Re-interleave per-axis grid indexes into a geohash of length `len`.
-    fn from_axes(lat_idx: u64, lon_idx: u64, len: u8) -> Geohash {
-        let total = len as u32 * 5;
-        let (lat_bits, lon_bits) = Self::axis_bits(len);
-        let mut bits = 0u64;
-        let (mut lat_left, mut lon_left) = (lat_bits, lon_bits);
-        for i in 0..total {
-            bits <<= 1;
-            if i % 2 == 0 {
-                lon_left -= 1;
-                bits |= (lon_idx >> lon_left) & 1;
-            } else {
-                lat_left -= 1;
-                bits |= (lat_idx >> lat_left) & 1;
-            }
+    /// Re-interleave per-axis grid indexes into a geohash of length `len` —
+    /// the inverse of [`grid_index`](Self::grid_index). Errors on a bad
+    /// length or an index beyond the grid of that length.
+    #[inline]
+    pub fn from_grid_index(lat_idx: u64, lon_idx: u64, len: u8) -> Result<Geohash, GeohashError> {
+        if len == 0 || len > MAX_GEOHASH_LEN {
+            return Err(GeohashError::BadLength(len as usize));
         }
-        Geohash { bits, len }
+        let (lat_bits, lon_bits) = Self::axis_bits(len);
+        if lat_idx >> lat_bits != 0 || lon_idx >> lon_bits != 0 {
+            return Err(GeohashError::BadCoordinate);
+        }
+        let (lat, lon) = (spread_to_even_bits(lat_idx), spread_to_even_bits(lon_idx));
+        let bits = if len.is_multiple_of(2) {
+            lat | lon << 1
+        } else {
+            lon | lat << 1
+        };
+        Ok(Geohash { bits, len })
     }
 
     /// The grid neighbor `dy` rows north and `dx` columns east, or `None`
@@ -283,14 +290,17 @@ impl Geohash {
     /// (§V-C2 touches ~10 neighbors per Cell per query).
     pub fn offset(&self, dy: i64, dx: i64) -> Option<Geohash> {
         let (lat_bits, lon_bits) = Self::axis_bits(self.len);
-        let (lat, lon) = self.split_axes();
+        let (lat, lon) = self.grid_index();
         let new_lat = lat as i64 + dy;
         if new_lat < 0 || new_lat >= (1i64 << lat_bits) {
             return None; // no neighbor beyond the poles
         }
         let lon_span = 1i64 << lon_bits;
         let new_lon = (lon as i64 + dx).rem_euclid(lon_span);
-        Some(Self::from_axes(new_lat as u64, new_lon as u64, self.len))
+        Some(
+            Self::from_grid_index(new_lat as u64, new_lon as u64, self.len)
+                .expect("row range-checked, column wrapped"),
+        )
     }
 
     /// The up-to-8 lateral neighbors: same-resolution boxes sharing an edge
@@ -366,6 +376,30 @@ impl Geohash {
         }
         (buf, n)
     }
+}
+
+/// Gather the even-position bits (0, 2, 4, …) of `x` into the low half —
+/// one axis of a 2-D Morton de-interleave, by mask-and-shift.
+#[inline]
+fn compact_even_bits(x: u64) -> u64 {
+    let mut x = x & 0x5555_5555_5555_5555;
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
+    (x | x >> 16) & 0x0000_0000_ffff_ffff
+}
+
+/// Inverse of [`compact_even_bits`]: spread the low 32 bits of `x` to the
+/// even positions.
+#[inline]
+fn spread_to_even_bits(x: u64) -> u64 {
+    let mut x = x & 0x0000_0000_ffff_ffff;
+    x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+    x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
 }
 
 impl std::fmt::Display for Geohash {

@@ -10,6 +10,40 @@ fn arb_latlon() -> impl Strategy<Value = (f64, f64)> {
     (-90.0f64..=90.0, -180.0f64..180.0)
 }
 
+/// The bit-at-a-time de-interleave `Geohash::grid_index` replaced: bit 0
+/// of the interleave (MSB of the packed digits) is longitude.
+fn split_axes_loop(bits: u64, len: u8) -> (u64, u64) {
+    let total = len as u32 * 5;
+    let (mut lat, mut lon) = (0u64, 0u64);
+    for i in 0..total {
+        let bit = (bits >> (total - 1 - i)) & 1;
+        if i % 2 == 0 {
+            lon = (lon << 1) | bit;
+        } else {
+            lat = (lat << 1) | bit;
+        }
+    }
+    (lat, lon)
+}
+
+/// The bit-at-a-time re-interleave `Geohash::from_grid_index` replaced.
+fn from_axes_loop(lat_idx: u64, lon_idx: u64, len: u8) -> u64 {
+    let total = len as u32 * 5;
+    let (mut lat_left, mut lon_left) = Geohash::axis_bits(len);
+    let mut bits = 0u64;
+    for i in 0..total {
+        bits <<= 1;
+        if i % 2 == 0 {
+            lon_left -= 1;
+            bits |= (lon_idx >> lon_left) & 1;
+        } else {
+            lat_left -= 1;
+            bits |= (lat_idx >> lat_left) & 1;
+        }
+    }
+    bits
+}
+
 proptest! {
     #[test]
     fn encode_decode_contains_point(((lat, lon), len) in (arb_latlon(), 1u8..=10)) {
@@ -184,5 +218,42 @@ proptest! {
         let b = epoch_seconds(y, m, d2, 0, 0, 0);
         prop_assert_eq!(a < b, d1 < d2);
         prop_assert_eq!((b - a).abs() % 86_400, 0);
+    }
+
+    /// The mask-and-shift (de)interleave equals the loops it replaced at
+    /// every length, and `offset`/`neighbors` built on it are unchanged —
+    /// poles and the antimeridian included (random digits reach both).
+    #[test]
+    fn grid_index_equals_loop_reference(
+        (raw, dy, dx) in (any::<u64>(), -3i64..=3, -3i64..=3),
+    ) {
+        for len in 1u8..=12 {
+            let bits = raw & ((1u64 << (5 * len as u32)) - 1);
+            let gh = Geohash::from_bits(bits, len).unwrap();
+            let (lat, lon) = gh.grid_index();
+            prop_assert_eq!((lat, lon), split_axes_loop(bits, len), "split, len {}", len);
+            prop_assert_eq!(from_axes_loop(lat, lon, len), bits, "loop join, len {}", len);
+            prop_assert_eq!(Geohash::from_grid_index(lat, lon, len).unwrap(), gh);
+
+            let (lat_bits, lon_bits) = Geohash::axis_bits(len);
+            prop_assert!(Geohash::from_grid_index(1 << lat_bits, lon, len).is_err());
+            prop_assert!(Geohash::from_grid_index(lat, 1 << lon_bits, len).is_err());
+            let offset_ref = |dy: i64, dx: i64| {
+                let new_lat = lat as i64 + dy;
+                (0..1i64 << lat_bits).contains(&new_lat).then(|| {
+                    let new_lon = (lon as i64 + dx).rem_euclid(1i64 << lon_bits);
+                    let bits = from_axes_loop(new_lat as u64, new_lon as u64, len);
+                    Geohash::from_bits(bits, len).unwrap()
+                })
+            };
+            prop_assert_eq!(gh.offset(dy, dx), offset_ref(dy, dx), "offset, len {}", len);
+            let ring: Vec<Geohash> = [-1i64, 0, 1]
+                .into_iter()
+                .flat_map(|dy| [-1i64, 0, 1].map(|dx| (dy, dx)))
+                .filter(|&d| d != (0, 0))
+                .filter_map(|(dy, dx)| offset_ref(dy, dx))
+                .collect();
+            prop_assert_eq!(gh.neighbors(), ring, "neighbors, len {}", len);
+        }
     }
 }

@@ -103,7 +103,7 @@ pub fn encode_cell_stats(w: &mut WordWriter, s: &CellStats) {
         encode_summary(w, summary);
     }
     if let Some(sketches) = &s.sketches {
-        for bundle in sketches {
+        for bundle in sketches.iter() {
             bundle.flat_encode(w);
         }
     }
@@ -131,7 +131,7 @@ pub fn decode_cell_stats(r: &mut WordReader) -> Result<CellStats, FlatError> {
         for _ in 0..n_attrs {
             bundles.push(AttrSketches::flat_decode(r)?);
         }
-        Some(bundles)
+        Some(bundles.into())
     } else {
         None
     };

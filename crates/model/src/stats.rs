@@ -11,6 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 use stash_sketch::{AttrSketches, MergeError, SketchSpec};
+use std::sync::Arc;
 
 /// Aggregated statistics for one attribute over one spatiotemporal bin.
 ///
@@ -192,12 +193,22 @@ impl<'de> serde::Deserialize<'de> for SummaryStats {
 /// form are bit-for-bit identical to the historical exact-only
 /// `CellSummary`. The serialized object gains a `"sketches"` key only when
 /// sketch state is present.
+///
+/// The sketch payload is **shared and copy-on-write**: cloning a sketched
+/// `CellStats` copies the exact summaries and bumps a reference count, so a
+/// cache hit, a rollup serve or a handoff snapshot never deep-copies
+/// estimator state, and a clone already handed out is an immutable snapshot.
+/// The three writers — [`push_row`](Self::push_row), the pairwise arm of
+/// [`merge_strict`](Self::merge_strict) and
+/// [`attr_sketches_mut`](Self::attr_sketches_mut) — un-share first
+/// (`Arc::make_mut`: free while unshared, one deep copy otherwise). Equality
+/// and both serialized forms see content only (DESIGN.md §14).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellStats {
     pub(crate) summaries: Vec<SummaryStats>,
     /// `Some` iff this Cell carries sketch partials; aligned with
     /// `summaries` when present.
-    pub(crate) sketches: Option<Vec<AttrSketches>>,
+    pub(crate) sketches: Option<Arc<[AttrSketches]>>,
 }
 
 /// Historical name for [`CellStats`], kept so existing call sites and wire
@@ -217,9 +228,7 @@ impl CellStats {
     /// state when `spec` enables it (exact-only otherwise).
     pub fn empty_with(n_attrs: usize, spec: &SketchSpec) -> Self {
         let mut s = CellStats::empty(n_attrs);
-        if spec.enabled {
-            s.sketches = Some(vec![AttrSketches::new(spec); n_attrs]);
-        }
+        s.ensure_sketches(spec);
         s
     }
 
@@ -272,7 +281,7 @@ impl CellStats {
             s.push(v);
         }
         if let Some(sketches) = &mut self.sketches {
-            for (s, &v) in sketches.iter_mut().zip(values) {
+            for (s, &v) in Arc::make_mut(sketches).iter_mut().zip(values) {
                 s.push(v);
             }
         }
@@ -322,14 +331,17 @@ impl CellStats {
         // Decide sketch state from pre-merge counts, before exact folding.
         if !(other.count() == 0 && other.sketches.is_none()) {
             if self.count() == 0 && self.sketches.is_none() {
+                // Adopting is sharing: a count bump, not a copy.
                 self.sketches = other.sketches.clone();
             } else {
                 match (&mut self.sketches, &other.sketches) {
                     (Some(a), Some(b)) => {
+                        // Checked before un-sharing: a refused merge
+                        // neither copies nor touches anything.
                         for (x, y) in a.iter().zip(b.iter()) {
                             x.check_config(y)?;
                         }
-                        for (x, y) in a.iter_mut().zip(b) {
+                        for (x, y) in Arc::make_mut(a).iter_mut().zip(b.iter()) {
                             x.try_merge(y).expect("checked sketch config");
                         }
                     }
@@ -371,17 +383,19 @@ impl CellStats {
     }
 
     /// Mutable sketch partials for attribute `i`, if carried — the sketch
-    /// emission primitive of the scan kernel.
+    /// emission primitive of the scan kernel. Un-shares the payload first.
     #[inline]
     pub fn attr_sketches_mut(&mut self, i: usize) -> Option<&mut AttrSketches> {
-        self.sketches.as_mut().and_then(|s| s.get_mut(i))
+        self.sketches
+            .as_mut()
+            .and_then(|s| Arc::make_mut(s).get_mut(i))
     }
 
     /// Attach empty sketch state configured per `spec` if none is carried
     /// yet (no-op when `spec` is disabled or sketches are already present).
     pub fn ensure_sketches(&mut self, spec: &SketchSpec) {
         if spec.enabled && self.sketches.is_none() {
-            self.sketches = Some(vec![AttrSketches::new(spec); self.summaries.len()]);
+            self.sketches = Some(vec![AttrSketches::new(spec); self.summaries.len()].into());
         }
     }
 
@@ -427,9 +441,9 @@ impl serde::Serialize for CellStats {
 impl<'de> serde::Deserialize<'de> for CellStats {
     fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::DeError> {
         let summaries = Vec::<SummaryStats>::from_value(v.get_or_null("summaries"))?;
-        let sketches = match v.get_or_null("sketches") {
+        let sketches: Option<Arc<[AttrSketches]>> = match v.get_or_null("sketches") {
             serde::value::Value::Null => None,
-            present => Some(Vec::<AttrSketches>::from_value(present)?),
+            present => Some(Vec::<AttrSketches>::from_value(present)?.into()),
         };
         if let Some(s) = &sketches {
             if s.len() != summaries.len() {
@@ -577,5 +591,94 @@ mod tests {
         let small = CellSummary::empty(1);
         let big = CellSummary::empty(8);
         assert!(big.estimated_bytes() > small.estimated_bytes());
+    }
+
+    // -- Shared, copy-on-write sketch payload ------------------------------
+
+    fn sketched(spec: &SketchSpec, rows: std::ops::Range<u32>) -> CellStats {
+        let mut s = CellStats::empty_with(2, spec);
+        for i in rows {
+            s.push_row(&[i as f64 * 0.25, (i % 5) as f64]);
+        }
+        s
+    }
+
+    fn flat_bytes(s: &CellStats) -> Vec<u8> {
+        let key = crate::CellKey::new(
+            "9q8y".parse().unwrap(),
+            stash_geo::TimeBin::containing(stash_geo::TemporalRes::Day, 0),
+        );
+        crate::FlatPartials::encode(&[(key, s.clone())]).to_bytes()
+    }
+
+    fn shares_payload(a: &CellStats, b: &CellStats) -> bool {
+        Arc::ptr_eq(a.sketches.as_ref().unwrap(), b.sketches.as_ref().unwrap())
+    }
+
+    #[test]
+    fn every_sketch_writer_unshares_and_leaves_clones_untouched() {
+        let spec = SketchSpec::standard();
+        let other = sketched(&spec, 100..140);
+        type Writer = fn(&mut CellStats, &CellStats);
+        let writers: [(&str, Writer); 3] = [
+            ("push_row", |s, _| s.push_row(&[7.5, 2.0])),
+            ("merge", |s, other| s.merge(other)),
+            ("attr_sketches_mut", |s, _| {
+                s.attr_sketches_mut(1).unwrap().push(3.0)
+            }),
+        ];
+        for (name, write) in writers {
+            let mut original = sketched(&spec, 0..100);
+            let mut twin = sketched(&spec, 0..100); // never shared
+            let snapshot = original.clone();
+            assert!(shares_payload(&original, &snapshot), "{name}: clone copied");
+            let before = flat_bytes(&snapshot);
+
+            write(&mut original, &other);
+            write(&mut twin, &other);
+            assert!(!shares_payload(&original, &snapshot), "{name}");
+            assert_eq!(flat_bytes(&snapshot), before, "{name}: clone changed");
+            assert_ne!(original, snapshot, "{name}: write lost");
+            assert_eq!(original, twin, "{name}");
+            assert_eq!(flat_bytes(&original), flat_bytes(&twin), "{name}");
+        }
+    }
+
+    #[test]
+    fn refused_merge_neither_copies_nor_changes_a_shared_payload() {
+        let spec = SketchSpec::standard();
+        let mismatched = sketched(
+            &SketchSpec {
+                hll_precision: spec.hll_precision + 1,
+                ..spec.clone()
+            },
+            0..10,
+        );
+        let mut original = sketched(&spec, 0..100);
+        let snapshot = original.clone();
+        let before = flat_bytes(&snapshot);
+        assert!(original.merge_strict(&mismatched).is_err());
+        assert!(shares_payload(&original, &snapshot), "error path copied");
+        assert_eq!(flat_bytes(&original), before);
+        assert_eq!(flat_bytes(&snapshot), before);
+        assert_eq!(original, sketched(&spec, 0..100));
+    }
+
+    #[test]
+    fn adopting_merge_shares_instead_of_copying() {
+        let spec = SketchSpec::standard();
+        let source = sketched(&spec, 0..100);
+        let before = flat_bytes(&source);
+        let mut acc = CellStats::empty(2);
+        acc.merge_strict(&source).unwrap();
+        assert!(shares_payload(&acc, &source));
+        assert_eq!(acc, source);
+        // The accumulator's next fold pays the one copy; the source (a
+        // resident Cell, a reply in flight) never sees it.
+        acc.merge(&sketched(&spec, 100..140));
+        assert_eq!(flat_bytes(&source), before);
+        let mut cold = sketched(&spec, 0..100);
+        cold.merge(&sketched(&spec, 100..140));
+        assert_eq!(flat_bytes(&acc), flat_bytes(&cold));
     }
 }
