@@ -39,7 +39,23 @@ pub struct Row {
     pub rows: u64,
     pub cells_patched: u64,
     pub cells_invalidated: u64,
+    /// Useful ÷ attempted for the fence and the invalidation fan-out
+    /// ([`FENCE_COUNTERS`] order), summed over nodes.
+    pub fence: [u64; 6],
 }
+
+/// The counters printed in the table's note line: evaluations an ingest
+/// event overlapped, those that re-staled at least one key, the keys they
+/// re-staled, evaluations that outlived the fence log, finest keys sent in
+/// `Invalidate`s, and deltas the appliers built.
+pub const FENCE_COUNTERS: [&str; 6] = [
+    "ingest.fence.overlapped",
+    "ingest.eval_raced",
+    "ingest.fence.restaled_cells",
+    "ingest.fence.overflow",
+    "ingest.invalidate.keys",
+    "ingest.delta_cells",
+];
 
 fn live_day() -> TimeBin {
     TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0))
@@ -128,6 +144,7 @@ fn run_one(scale: &Scale, patch: bool) -> Row {
     };
     let cells_patched = counter("ingest.cells_patched");
     let cells_invalidated = counter("ingest.cells_invalidated");
+    let fence = FENCE_COUNTERS.map(counter);
     let queries_issued = lat_ms.len();
     cluster.shutdown();
 
@@ -140,6 +157,7 @@ fn run_one(scale: &Scale, patch: bool) -> Row {
         rows,
         cells_patched,
         cells_invalidated,
+        fence,
     }
 }
 
@@ -149,6 +167,17 @@ pub fn run(scale: &Scale) -> Vec<Row> {
 }
 
 pub fn table(rows: &[Row]) -> Table {
+    let fence: String = rows
+        .iter()
+        .map(|r| {
+            let counts: Vec<String> = FENCE_COUNTERS
+                .iter()
+                .zip(r.fence)
+                .map(|(name, n)| format!("{name} {n}"))
+                .collect();
+            format!(" [{}: {}]", r.policy, counts.join(", "))
+        })
+        .collect();
     let mut t = Table::new(
         "Ingest staleness — mid-stream query latency: patch vs invalidate-all",
         &[
@@ -161,12 +190,13 @@ pub fn table(rows: &[Row]) -> Table {
             "cells invalidated",
         ],
     )
-    .with_note(
+    .with_note(format!(
         "Delta-patching keeps resident Cells fresh through appends, so \
          mid-stream queries stay on the cache path; the ablation stales \
          every affected Cell and pays DFS recomputation per touch. \
-         Both policies converge to bit-identical answers (tests/ingest.rs).",
-    );
+         Both policies converge to bit-identical answers (tests/ingest.rs). \
+         Fence and fan-out, summed over nodes:{fence}"
+    ));
     for r in rows {
         t.push(vec![
             r.policy.to_string(),

@@ -71,6 +71,8 @@ impl AppendSink for IngestClient {
         last: bool,
     ) -> Result<(), IngestError> {
         let n_nodes = self.partitioner.n_nodes();
+        // One copy of the batch for every attempt and failover target.
+        let rows: Arc<[Observation]> = rows.into();
         let mut exclude: Vec<usize> = Vec::new();
         loop {
             let target = self.partitioner.owner_excluding(block.geohash, &exclude);
@@ -84,7 +86,7 @@ impl AppendSink for IngestClient {
                     reply_to: self.gateway,
                     block,
                     seq,
-                    rows: rows.to_vec(),
+                    rows: Arc::clone(&rows),
                     last,
                 };
                 let bytes = msg.wire_size();

@@ -25,6 +25,7 @@ pub mod client;
 pub mod client_cache;
 pub mod cluster;
 pub mod config;
+mod fence;
 pub mod ingest;
 pub mod node;
 pub mod protocol;

@@ -19,6 +19,7 @@
 //! message queue crosses a configured threshold" (§VII-B1).
 
 use crate::cluster::{ClusterConfig, Mode, NodeStats};
+use crate::fence::IngestFence;
 use crate::protocol::{ClusterError, Msg};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
@@ -29,12 +30,13 @@ use stash_dfs::{
     frame_spatial_res, plan_blocks, AppendOutcome, BlockFrame, BlockKey, NodeStore, RollupStore,
 };
 use stash_geo::TemporalRes;
+use stash_model::key::ancestors_at;
 use stash_model::level::MAX_SPATIAL_RES;
 use stash_model::{Cell, CellKey, CellSummary, FlatPartials, Level, Observation, QueryResult};
 use stash_net::rpc::RpcError;
 use stash_net::{Envelope, NodeId, Router, RpcTable};
 use stash_obs::{Histogram, MetricsRegistry, QueryTrace, StageTimes};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -131,18 +133,20 @@ pub struct NodeCtx {
     hot_level: AtomicU8,
     handoff_inflight: AtomicBool,
     cooldown_until: AtomicU64,
-    /// Ingest fence (DESIGN.md §13). Bumped once *before* a storage append
-    /// and once *after* its patch/invalidate pass (so an odd value means an
-    /// apply is in flight), and by two per processed [`Msg::Invalidate`].
-    /// The evaluator reads it around `evaluate`: if it moved — or was odd
-    /// at the start — cells cached by that evaluation may predate the
-    /// newest rows and the requested keys are conservatively re-staled.
-    pub ingest_epoch: AtomicU64,
-    /// Serializes this node's append applies; the epoch's parity trick
-    /// above needs non-overlapping apply windows.
+    /// Ingest fence (DESIGN.md §13): the epoch every apply and every
+    /// processed [`Msg::Invalidate`] moves, and the log of which keys each
+    /// of them touched. Evaluations and Clique snapshots read it around
+    /// their work and re-stale what an overlapping event can have changed.
+    pub(crate) fence: IngestFence,
+    /// Serializes this node's append applies; the fence's parity rule
+    /// needs non-overlapping apply windows.
     ingest_apply: Mutex<()>,
     /// Deterministic per-node RNG stream for reroute coin flips.
     rng_state: AtomicU64,
+    /// One-shot callback the race tests park at a named point of an
+    /// evaluation or a handoff, so the interleaving under test is fixed.
+    #[cfg(test)]
+    hook: Mutex<Option<(tests::Site, tests::Hook)>>,
     /// Tiered work queues. Coordination (tier 0) may block on subquery
     /// service (tier 1), which may block on block fetches (tier 2), which
     /// never block — the cross-node wait graph is acyclic by construction,
@@ -201,9 +205,11 @@ impl NodeCtx {
             ),
             handoff_inflight: AtomicBool::new(false),
             cooldown_until: AtomicU64::new(0),
-            ingest_epoch: AtomicU64::new(0),
+            fence: IngestFence::default(),
             ingest_apply: Mutex::new(()),
             rng_state: AtomicU64::new((0x9E37_79B9u64 ^ ((node_idx as u64) << 17)) | 1),
+            #[cfg(test)]
+            hook: Mutex::new(None),
             config,
             router,
             store,
@@ -353,7 +359,7 @@ impl NodeCtx {
             // Ingest invalidation: answered inline on the main thread, so
             // an applier's ack-wait doubles as a processing barrier — once
             // every peer acked, no cache anywhere still serves the
-            // pre-append summary as fresh (DESIGN.md §13). Epoch first:
+            // pre-append summary as fresh (DESIGN.md §13). Fence first:
             // an evaluation that caches a cell between our stale-marks and
             // its own final fence check must still see the bump.
             Msg::Invalidate {
@@ -361,8 +367,9 @@ impl NodeCtx {
                 reply_to,
                 keys,
             } => {
-                self.ingest_epoch.fetch_add(2, Ordering::SeqCst);
-                let marked = self.graph.mark_stale_keys(&keys) + self.guest.mark_stale_keys(&keys);
+                self.fence.invalidate(Arc::clone(&keys));
+                let marked =
+                    self.graph.mark_stale_covering(&keys) + self.guest.mark_stale_covering(&keys);
                 self.obs.inc("ingest.invalidate.recv");
                 self.obs
                     .counter("ingest.cells_invalidated")
@@ -1075,12 +1082,14 @@ impl NodeCtx {
         let gather_acc = Arc::new(Mutex::new(StageTimes::default()));
         let fetch_acc = Arc::clone(&gather_acc);
         let fetch = move |missing: &[CellKey]| {
+            #[cfg(test)]
+            this.fire(tests::Site::MidFetch);
             let mut acc = StageTimes::default();
             let cells = this.gather_partials_as_cells(missing, &mut acc);
             fetch_acc.lock().add(&acc);
             cells
         };
-        let epoch0 = self.ingest_epoch.load(Ordering::SeqCst);
+        let epoch0 = self.fence.begin();
         let result = match evaluate_traced(graph, keys, &fetch) {
             Ok((part, times)) => {
                 st.add(&times);
@@ -1091,15 +1100,25 @@ impl NodeCtx {
         };
         // Ingest fence: if an append apply or invalidation overlapped this
         // evaluation (epoch moved, or an apply was mid-flight when we
-        // started), any cells the evaluation cached may predate the newest
+        // started), cells the evaluation cached may predate the batch's
         // rows — or have been delta-patched *after* we fetched them from
-        // storage, double-counting the batch in the cached copy. The
+        // storage, double-counting the batch in the cached copy. Only keys
+        // containing a row of an overlapping batch can be either. The
         // *returned* result is untouched (it was correct when read);
-        // conservatively re-staling the requested keys makes the next
-        // access recompute instead of trusting a racy cache fill.
-        if self.ingest_epoch.load(Ordering::SeqCst) != epoch0 || epoch0 & 1 == 1 {
-            graph.mark_stale_keys(keys);
-            self.obs.inc("ingest.eval_raced");
+        // re-staling those keys makes the next access recompute instead of
+        // trusting a racy cache fill.
+        if let Some(overlap) = self.fence.end(epoch0, keys) {
+            self.obs.inc("ingest.fence.overlapped");
+            if overlap.overflow {
+                self.obs.inc("ingest.fence.overflow");
+            }
+            if !overlap.restale.is_empty() {
+                graph.mark_stale_keys(&overlap.restale);
+                self.obs.inc("ingest.eval_raced");
+                self.obs
+                    .counter("ingest.fence.restaled_cells")
+                    .add(overlap.restale.len() as u64);
+            }
         }
         let acc = *gather_acc.lock();
         st.dfs_ns = st.dfs_ns.saturating_sub(acc.wire_ns + acc.retry_ns);
@@ -1120,10 +1139,18 @@ impl NodeCtx {
     /// Apply one ingest batch: append to storage, then either delta-patch
     /// this node's resident Cells (merging the batch's per-Cell partials
     /// into cached summaries, PLM untouched) or mark them stale, and
-    /// finally broadcast the affected keys to every live peer. The ack is
-    /// positive only when storage accepted the batch *and* every reachable
-    /// peer confirmed invalidation — so a producer that has drained its
-    /// acks knows no cache in the cluster still serves pre-batch data.
+    /// finally broadcast the batch's finest keys to every live peer. The
+    /// ack is positive only when storage accepted the batch *and* every
+    /// reachable peer confirmed invalidation — so a producer that has
+    /// drained its acks knows no cache in the cluster still serves
+    /// pre-batch data.
+    ///
+    /// A batch can change exactly the Cells that contain one of its rows:
+    /// the ancestors-or-self of its distinct finest-level keys. Those ≤
+    /// `rows.len()` keys are the batch's identity everywhere — in the fence
+    /// log, on the wire, and here, where they are projected onto the levels
+    /// that can use a delta (rollup levels, and the levels this graph holds
+    /// Cells at) instead of onto all 48.
     ///
     /// Retried batches ([`AppendOutcome::Duplicate`]) skip the patch (the
     /// delta was already merged once) but re-broadcast invalidations: the
@@ -1134,40 +1161,58 @@ impl NodeCtx {
         reply_to: NodeId,
         block: BlockKey,
         seq: u64,
-        rows: Vec<Observation>,
+        rows: Arc<[Observation]>,
         last: bool,
     ) {
-        let affected = affected_keys(&rows);
+        let finest: Arc<[CellKey]> = finest_keys(&rows).into();
         let apply = self.ingest_apply.lock();
-        // Open the parity window (see `ingest_epoch`) before storage
-        // changes; close it only after the local patch/stale pass.
-        self.ingest_epoch.fetch_add(1, Ordering::SeqCst);
+        // Open the fence's parity window before storage changes; close it
+        // only after the local patch/stale pass.
+        self.fence.open_apply(Arc::clone(&finest));
         let outcome = self.store.append_block(block, seq, &rows);
         if let AppendOutcome::Applied { .. } = outcome {
             self.obs.counter("ingest.rows").add(rows.len() as u64);
             self.obs.inc("ingest.batches");
+            // Which levels want a delta. The graph's occupancy is read
+            // inside the fence window: an evaluation that caches a level's
+            // first Cell after this read sees the epoch move, and its keys
+            // contain the batch's rows, so it re-stales them itself. The
+            // rollup is not a cache — it folds in every mode, and its seq
+            // guard makes the fold exactly once under retries and owner
+            // failover (DESIGN.md §17).
+            let mut levels: Vec<Level> = self
+                .rollup
+                .as_ref()
+                .map_or_else(Vec::new, |r| r.levels().to_vec());
             if self.config.ingest_patch {
-                // Deltas for every affected level in one kernel pass over
-                // just the batch rows (stage-2/3 of the columnar kernel).
-                let res = frame_spatial_res(self.store.block_len(), &affected);
-                let frame = BlockFrame::decode(block, &rows, self.config.n_attrs, res);
+                levels.extend(self.graph.occupied_levels());
+                levels.sort_unstable();
+                levels.dedup();
+            }
+            let wanted: Vec<CellKey> = levels
+                .iter()
+                .flat_map(|&level| ancestors_at(finest.iter(), level))
+                .collect();
+            // One kernel pass over just the batch rows (stage-2/3 of the
+            // columnar kernel). Deltas carry sketch partials when sketches
+            // are on, so a patch merges estimator state exactly as a cold
+            // rebuild would fold it — resident Cells never silently degrade
+            // to exact-only under live ingest.
+            let sketch = &self.config.stash.sketch;
+            let res = frame_spatial_res(self.store.block_len(), &wanted);
+            let frame = BlockFrame::decode(block, &rows, self.config.n_attrs, res);
+            let deltas = frame.aggregate_with(&wanted, sketch).cells;
+            self.obs
+                .counter("ingest.delta_cells")
+                .add(deltas.len() as u64);
+            if let Some(rollup) = &self.rollup {
+                if rollup.fold(block, seq, &deltas) {
+                    self.obs.inc("rollup.folds");
+                }
+            }
+            let own_staled = if self.config.ingest_patch {
                 let mut patched = 0u64;
                 let mut unpatched = Vec::new();
-                // Deltas carry sketch partials when sketches are on, so a
-                // patch merges estimator state exactly as a cold rebuild
-                // would fold it — resident Cells never silently degrade to
-                // exact-only under live ingest.
-                let sketch = &self.config.stash.sketch;
-                let deltas = frame.aggregate_with(&affected, sketch).cells;
-                // Fold once, patch both: `affected` spans all 48 levels,
-                // so the same kernel output carries the rollup-level
-                // deltas — the rollup's seq guard makes the fold exactly
-                // once under retries and owner failover (DESIGN.md §17).
-                if let Some(rollup) = &self.rollup {
-                    if rollup.fold(block, seq, &deltas) {
-                        self.obs.inc("rollup.folds");
-                    }
-                }
                 for (key, delta) in deltas {
                     if self.graph.patch(&key, &delta) {
                         patched += 1;
@@ -1180,37 +1225,21 @@ impl NodeCtx {
                         .counter("sketch.merges")
                         .add(patched * self.config.n_attrs as u64);
                 }
-                // Cells we could not patch (absent or already stale) plus
-                // all guest replicas go stale; fresh guest copies are not
-                // patched because their home node patches independently
-                // and the guestbook's freshness bookkeeping is the home's.
-                let invalidated =
-                    self.graph.mark_stale_keys(&unpatched) + self.guest.mark_stale_keys(&affected);
                 self.obs.counter("ingest.cells_patched").add(patched);
-                self.obs
-                    .counter("ingest.cells_invalidated")
-                    .add(invalidated as u64);
+                // Cells we could not patch (already stale, or evicted under
+                // us) go stale.
+                self.graph.mark_stale_keys(&unpatched)
             } else {
-                // Ablation: invalidate everything the batch touched. The
-                // rollup still folds — it is not a cache, and its
-                // correctness contract (fresh under the watermark) holds in
-                // every mode the policy allows.
-                if let Some(rollup) = &self.rollup {
-                    let res = frame_spatial_res(self.store.block_len(), &affected);
-                    let frame = BlockFrame::decode(block, &rows, self.config.n_attrs, res);
-                    let deltas = frame
-                        .aggregate_with(&affected, &self.config.stash.sketch)
-                        .cells;
-                    if rollup.fold(block, seq, &deltas) {
-                        self.obs.inc("rollup.folds");
-                    }
-                }
-                let invalidated =
-                    self.graph.mark_stale_keys(&affected) + self.guest.mark_stale_keys(&affected);
-                self.obs
-                    .counter("ingest.cells_invalidated")
-                    .add(invalidated as u64);
-            }
+                // Ablation: invalidate everything the batch touched.
+                self.graph.mark_stale_covering(&finest)
+            };
+            // All guest replicas go stale; fresh guest copies are not
+            // patched because their home node patches independently and
+            // the guestbook's freshness bookkeeping is the home's.
+            let invalidated = own_staled + self.guest.mark_stale_covering(&finest);
+            self.obs
+                .counter("ingest.cells_invalidated")
+                .add(invalidated as u64);
         }
         // Seal on the block's final batch — on Duplicate too: the usual
         // duplicate cause is a retry whose ack was lost after the batch
@@ -1226,11 +1255,11 @@ impl NodeCtx {
                 self.obs.inc("rollup.seals");
             }
         }
-        self.ingest_epoch.fetch_add(1, Ordering::SeqCst);
+        self.fence.close_apply();
         drop(apply);
         let applied = match outcome {
             AppendOutcome::Applied { .. } | AppendOutcome::Duplicate => {
-                self.broadcast_invalidate(&affected)
+                self.broadcast_invalidate(&finest)
             }
             AppendOutcome::OutOfOrder | AppendOutcome::Unsupported => {
                 self.obs.inc("ingest.rejected");
@@ -1240,22 +1269,34 @@ impl NodeCtx {
         let _ = self.send(reply_to, Msg::AppendAck { rpc, applied });
     }
 
-    /// Tell every live peer to stale its cached copies of `keys` and wait
-    /// for all acks (peers answer inline on their main threads, so this
-    /// service-tier block cannot deadlock). Crashed peers — the fabric
+    /// One `Invalidate` to one peer: the reply slot, or `None` when the
+    /// fabric refuses the send (peer crashed).
+    fn send_invalidate(
+        &self,
+        peer: usize,
+        keys: &Arc<[CellKey]>,
+    ) -> Option<(u64, Receiver<RpcReply>)> {
+        self.obs
+            .counter("ingest.invalidate.keys")
+            .add(keys.len() as u64);
+        self.send_rpc(peer, |rpc| Msg::Invalidate {
+            rpc,
+            reply_to: self.id,
+            keys: Arc::clone(keys),
+        })
+    }
+
+    /// Tell every live peer to stale its cached Cells containing `keys` and
+    /// wait for all acks (peers answer inline on their main threads, so
+    /// this service-tier block cannot deadlock). Crashed peers — the fabric
     /// refuses the send — are skipped: their graphs died with them, and a
     /// restarted node boots empty. Returns whether every reachable peer
     /// confirmed.
-    fn broadcast_invalidate(&self, keys: &[CellKey]) -> bool {
+    fn broadcast_invalidate(&self, keys: &Arc<[CellKey]>) -> bool {
         let n_nodes = self.store.partitioner().n_nodes();
         let mut waits = Vec::new();
         for peer in (0..n_nodes).filter(|&p| p != self.node_idx) {
-            let sent = self.send_rpc(peer, |rpc| Msg::Invalidate {
-                rpc,
-                reply_to: self.id,
-                keys: keys.to_vec(),
-            });
-            if let Some((rpc, rx)) = sent {
+            if let Some((rpc, rx)) = self.send_invalidate(peer, keys) {
                 waits.push((peer, rpc, rx));
             }
         }
@@ -1277,15 +1318,11 @@ impl NodeCtx {
     /// correctness hazard (a stale summary would keep serving as fresh),
     /// so this leans harder on retries than the query path — the producer
     /// is blocked on the batch ack anyway.
-    fn invalidate_peer_with_retries(&self, peer: usize, keys: &[CellKey]) -> bool {
+    fn invalidate_peer_with_retries(&self, peer: usize, keys: &Arc<[CellKey]>) -> bool {
         let attempts = (self.config.sub_rpc_retries + 1).max(6);
         for attempt in 1..=attempts {
             std::thread::sleep(self.backoff(attempt, peer as u64 ^ 0x1A55));
-            let Some((rpc, rx)) = self.send_rpc(peer, |rpc| Msg::Invalidate {
-                rpc,
-                reply_to: self.id,
-                keys: keys.to_vec(),
-            }) else {
+            let Some((rpc, rx)) = self.send_invalidate(peer, keys) else {
                 return true; // peer crashed: nothing left to invalidate
             };
             if matches!(
@@ -1556,12 +1593,18 @@ impl NodeCtx {
             }
             _ => return false,
         }
-        // Step 4: Replication Request / Response.
+        // Step 4: Replication Request / Response, under the ingest fence:
+        // the helper caches what it is handed as fresh, and an append that
+        // lands after the snapshot reaches the helper's guest graph before
+        // the replicas do.
+        let epoch0 = self.fence.begin();
         let snapshot = self.graph.snapshot(&clique.members);
         if snapshot.is_empty() {
             return false;
         }
         let replicated: Vec<CellKey> = snapshot.iter().map(|(c, _)| c.key).collect();
+        #[cfg(test)]
+        self.fire(tests::Site::AfterSnapshot);
         let Some((rpc, rx)) = self.send_rpc(helper, |rpc| Msg::ReplicationRequest {
             rpc,
             reply_to: self.id,
@@ -1570,16 +1613,32 @@ impl NodeCtx {
         }) else {
             return false;
         };
-        match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
-            Ok(RpcReply::Ack(true)) => {
-                // Step 5: routing table population.
-                self.routing
-                    .lock()
-                    .insert(clique.root, helper, &replicated, self.clock.now());
-                true
-            }
-            _ => false,
+        if !matches!(
+            self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout),
+            Ok(RpcReply::Ack(true))
+        ) {
+            return false;
         }
+        // Replicas an overlapping append touched are stale on arrival: have
+        // the helper mark them before any query is routed to it.
+        if let Some(overlap) = self.fence.end(epoch0, &replicated) {
+            self.obs.inc("handoff.snapshot_raced");
+            if !overlap.restale.is_empty() {
+                let acked = self
+                    .send_invalidate(helper, &overlap.restale.into())
+                    .is_some_and(|(rpc, rx)| {
+                        self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout).is_ok()
+                    });
+                if !acked {
+                    return false;
+                }
+            }
+        }
+        // Step 5: routing table population.
+        self.routing
+            .lock()
+            .insert(clique.root, helper, &replicated, self.clock.now());
+        true
     }
 
     /// Helper side of replication: stash the Cells in the guest graph.
@@ -1618,104 +1677,20 @@ impl NodeCtx {
     }
 }
 
-/// The invalidation set of one append batch: every Cell key, at every one
-/// of the 48 (spatial × temporal) levels, that contains at least one of the
-/// batch's rows — deduplicated and sorted for deterministic wire payloads.
-pub(crate) fn affected_keys(rows: &[Observation]) -> Vec<CellKey> {
-    let mut set: HashSet<CellKey> = HashSet::new();
-    for obs in rows {
-        for t_res in TemporalRes::ALL {
-            for s_res in 1..=MAX_SPATIAL_RES {
-                if let Some(key) = obs.cell_key(s_res, t_res) {
-                    set.insert(key);
-                }
-            }
-        }
-    }
-    let mut keys: Vec<CellKey> = set.into_iter().collect();
+/// The identity of one append batch: the distinct finest-level
+/// (`MAX_SPATIAL_RES`, Hour) keys its rows fall in, sorted for deterministic
+/// wire payloads. Every Cell the batch can change is an ancestor-or-self of
+/// one of them; rows with invalid coordinates fall in no Cell.
+fn finest_keys(rows: &[Observation]) -> Vec<CellKey> {
+    let mut keys: Vec<CellKey> = rows
+        .iter()
+        .filter_map(|obs| obs.cell_key(MAX_SPATIAL_RES, TemporalRes::Hour))
+        .collect();
     keys.sort_unstable();
+    keys.dedup();
     keys
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use stash_geo::time::epoch_seconds;
-    use stash_model::level::NUM_LEVELS;
-
-    #[test]
-    fn affected_keys_covers_every_level_once() {
-        let obs = Observation::new(
-            37.7749,
-            -122.4194,
-            epoch_seconds(2015, 3, 9, 14, 0, 0),
-            vec![1.0, 2.0, 3.0, 4.0],
-        );
-        let keys = affected_keys(std::slice::from_ref(&obs));
-        assert_eq!(keys.len(), NUM_LEVELS, "one key per level for one row");
-        for k in &keys {
-            assert!(k.geohash.bbox().contains(obs.lat, obs.lon));
-            assert!(k.time.range().contains(obs.time));
-        }
-        // Two rows in the same fine cell add nothing new.
-        let twice = affected_keys(&[obs.clone(), obs]);
-        assert_eq!(twice.len(), NUM_LEVELS);
-    }
-
-    /// Regression: a partials fragment whose sketches were built by a peer
-    /// running different sketch parameters used to panic the gathering
-    /// node inside `AttrSketches::merge`. It must instead surface as a
-    /// typed [`ClusterError::Protocol`] and leave the accumulator intact —
-    /// exercised through the real wire form ([`FlatPartials`]), exactly as
-    /// a `PartialsResponse` arrives.
-    #[test]
-    fn gather_refuses_wire_fragment_with_mismatched_sketch_config() {
-        use stash_geo::{TemporalRes, TimeBin};
-        use stash_model::SketchSpec;
-        use std::str::FromStr;
-
-        let key = CellKey::new(
-            stash_geo::Geohash::from_str("9q8").unwrap(),
-            TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0)),
-        );
-        let spec = SketchSpec::standard();
-        let mut peer_spec = spec.clone();
-        peer_spec.cm_depth += 1; // a stale peer with different parameters
-
-        let summary = |spec: &SketchSpec, row: &[f64]| {
-            let mut s = CellSummary::empty(row.len());
-            s.ensure_sketches(spec);
-            s.push_row(row);
-            s
-        };
-        let seed = summary(&spec, &[1.0, 2.0]);
-        let mut merged: HashMap<CellKey, CellSummary> = [(key, seed.clone())].into_iter().collect();
-        let wire = |s: CellSummary| FlatPartials::encode(&[(key, s)]).decode().unwrap();
-
-        let mut sketch_merges = 0u64;
-        let err = absorb_fragment(
-            &mut merged,
-            &mut sketch_merges,
-            wire(summary(&peer_spec, &[3.0, 4.0])),
-        )
-        .unwrap_err();
-        match err {
-            GatherFailure::Fatal(ClusterError::Protocol(msg)) => {
-                assert!(msg.contains("sketch config mismatch"), "got: {msg}");
-            }
-            other => panic!("expected a Protocol error, got {other:?}"),
-        }
-        assert_eq!(merged[&key], seed, "refused fragment must not be applied");
-        assert_eq!(sketch_merges, 0);
-
-        // The same fragment built with matching parameters absorbs fine.
-        absorb_fragment(
-            &mut merged,
-            &mut sketch_merges,
-            wire(summary(&spec, &[3.0, 4.0])),
-        )
-        .unwrap();
-        assert_eq!(merged[&key].count(), 2, "both rows merged");
-        assert_eq!(sketch_merges, 2, "one pairwise sketch merge per attr");
-    }
-}
+#[path = "node_tests.rs"]
+mod tests;

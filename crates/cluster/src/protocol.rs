@@ -15,6 +15,7 @@ use stash_model::flat::KEY_WORDS;
 use stash_model::{AggQuery, Cell, CellKey, FlatPartials, Observation, QueryResult};
 use stash_net::NodeId;
 use stash_obs::{QueryTrace, StageTimes};
+use std::sync::Arc;
 
 /// Bytes of the flat list envelope: one magic word plus one count word.
 pub const LIST_ENVELOPE_BYTES: usize = 16;
@@ -185,7 +186,9 @@ pub enum Msg {
         reply_to: NodeId,
         block: BlockKey,
         seq: u64,
-        rows: Vec<Observation>,
+        /// Shared, not copied: one allocation serves every retry, failover
+        /// target and fabric duplicate of the batch.
+        rows: Arc<[Observation]>,
         /// The block's final batch: applying it seals the block, which
         /// advances the continuous-rollup watermark (DESIGN.md §17).
         last: bool,
@@ -198,13 +201,17 @@ pub enum Msg {
         rpc: u64,
         applied: bool,
     },
-    /// Applier → peers: these exact Cell keys changed on disk; mark any
-    /// cached copies (own graph and guest graph) stale. Answered inline on
-    /// the peer's main loop so the ack doubles as a processing barrier.
+    /// Applier → peers: rows landed in these Cells; mark stale every cached
+    /// Cell (own graph and guest graph) that contains one of them, itself
+    /// included. An append sends its batch's distinct finest-level keys and
+    /// each receiver projects them onto the levels it holds Cells at; a
+    /// Clique Handoff sends the replicated keys an append overlapped.
+    /// Answered inline on the peer's main loop so the ack doubles as a
+    /// processing barrier. Shared, not copied, across peers and retries.
     Invalidate {
         rpc: u64,
         reply_to: NodeId,
-        keys: Vec<CellKey>,
+        keys: Arc<[CellKey]>,
     },
     InvalidateAck {
         rpc: u64,
@@ -439,7 +446,7 @@ mod tests {
         let msg = Msg::Invalidate {
             rpc: 1,
             reply_to: NodeId(0),
-            keys: keys.clone(),
+            keys: keys.into(),
         };
         assert_eq!(msg.wire_size(), LIST_ENVELOPE_BYTES + 7 * KEY_BYTES);
     }

@@ -294,3 +294,62 @@ fn streamed_equivalence_survives_drops_and_owner_crash() {
     }
     cluster.shutdown();
 }
+
+/// An append costs readers only what it touched: a reader looping over a
+/// day the stream never writes keeps every Cell fresh while batches and
+/// invalidations land on the same nodes — no Cell miss, no disk read.
+#[test]
+fn a_reader_of_unwritten_days_never_misses_mid_stream() {
+    // A stream long enough (hundreds of batches) to overlap the reader.
+    let mut cfg = config(true);
+    cfg.generator.obs_per_deg2_per_day = 2_000.0;
+    let cluster = SimCluster::new(cfg);
+    let client = cluster.client();
+    // A few thousand Cells, so an evaluation lasts long enough to overlap.
+    let quiet_day = AggQuery::new(
+        BBox::from_corner_extent(36.6, -123.7, 2.0, 2.6),
+        TimeRange::whole_day(2015, 6, 10),
+        5,
+        TemporalRes::Day,
+    );
+    let warm = client.query(&quiet_day).run().expect("warm-up");
+    let asked = quiet_day
+        .target_keys(10_000)
+        .expect("a small viewport")
+        .len() as u64;
+    let totals = |cluster: &SimCluster| {
+        cluster.node_stats().iter().fold((0, 0, 0), |t, n| {
+            (t.0 + n.cache_hits, t.1 + n.cache_misses, t.2 + n.disk_reads)
+        })
+    };
+    let before = totals(&cluster);
+
+    let stream = cluster.live_stream(16);
+    let sink = Arc::new(cluster.ingest_client());
+    let producer = std::thread::spawn(move || run_stream(&stream, sink, IngestConfig::default()));
+    let mut rounds = 0u64;
+    while !producer.is_finished() || rounds < 50 {
+        let got = client.query(&quiet_day).run().expect("mid-stream query");
+        assert_bit_identical(&got, &warm, "mid-stream");
+        rounds += 1;
+    }
+    let stats = producer.join().expect("producer thread");
+    assert_eq!(stats.batches_failed, 0);
+
+    let after = totals(&cluster);
+    assert_eq!(after.1, before.1, "a Cell of the quiet day missed");
+    assert_eq!(after.2, before.2, "the quiet day was read from disk again");
+    assert_eq!(
+        after.0 - before.0,
+        rounds * asked,
+        "hit ratio 1.0 over {rounds} rounds"
+    );
+    let overlapped: u64 = (0..cluster.n_nodes())
+        .map(|i| cluster.node(i).obs.counter("ingest.fence.overlapped").get())
+        .sum();
+    assert!(
+        overlapped > 0,
+        "no evaluation overlapped an ingest event in {rounds} rounds: the test raced nothing"
+    );
+    cluster.shutdown();
+}

@@ -24,6 +24,7 @@ use crate::fx::{FxHashMap, FxHashSet};
 use crate::plm::Plm;
 use parking_lot::RwLock;
 use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange};
+use stash_model::key::ancestors_at;
 use stash_model::level::NUM_LEVELS;
 use stash_model::{Cell, CellKey, CellSummary, Level};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -635,6 +636,32 @@ impl StashGraph {
         marked
     }
 
+    /// The levels at which the PLM holds at least one Cell, ascending —
+    /// where an append can find anything to patch or invalidate.
+    pub fn occupied_levels(&self) -> Vec<Level> {
+        self.plm.read().occupied_levels()
+    }
+
+    /// Mark stale every cached Cell that contains one of `fine` (itself
+    /// included): each key is projected onto the levels that hold Cells and
+    /// only those are probed. Occupancy is read under the same PLM lock the
+    /// marks are made under, so a Cell cached before this call is never
+    /// skipped. Equal, in bits set and in the count returned, to
+    /// [`StashGraph::mark_stale_keys`] over the keys' ancestors at all 48
+    /// levels — absent keys were always no-ops.
+    pub fn mark_stale_covering(&self, fine: &[CellKey]) -> usize {
+        let mut plm = self.plm.write();
+        let mut marked = 0;
+        for level in plm.occupied_levels() {
+            for k in ancestors_at(fine, level) {
+                if plm.mark_stale(&k) {
+                    marked += 1;
+                }
+            }
+        }
+        marked
+    }
+
     /// All cached keys whose Cell bounds intersect the given region.
     pub fn keys_intersecting(&self, bbox: &BBox, time: &TimeRange) -> Vec<CellKey> {
         let mut out = Vec::new();
@@ -660,12 +687,16 @@ impl StashGraph {
             .collect()
     }
 
-    /// Snapshot Cells with their freshness scores for replication.
+    /// Snapshot Cells with their freshness scores for replication. Only
+    /// PLM-fresh Cells are taken: the receiving graph caches what it is
+    /// handed as fresh, so a stale Cell must not travel ("the PLM helps
+    /// identify the stale replicas", §VII-A).
     pub fn snapshot(&self, keys: &[CellKey]) -> Vec<(Cell, f64)> {
         let now = self.clock.now();
         let tau = self.config.decay_tau;
         let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
+        let plm = self.plm.read();
+        for key in keys.iter().filter(|k| plm.is_fresh(k)) {
             let map = self.level_map(key).read();
             if let Some(e) = map.get(key) {
                 out.push((e.cell.clone(), e.fresh.effective(now, tau)));
@@ -817,6 +848,58 @@ mod tests {
         let mut delta = CellSummary::empty(1);
         delta.push_row(&[7.0]);
         assert!(g.patch(&a, &delta));
+    }
+
+    #[test]
+    fn mark_stale_covering_equals_marking_every_ancestor() {
+        // Twin graphs holding Cells at three levels, one of them unrelated
+        // to the appended rows; the reference marks the fine keys' ancestors
+        // at all 48 levels.
+        let resident = [
+            cell("9q8y", TemporalRes::Day, 1.0),
+            cell("9q8z", TemporalRes::Day, 2.0),
+            cell("9q", TemporalRes::Month, 3.0),
+            cell("9q8yy", TemporalRes::Hour, 4.0),
+            cell("dr5r", TemporalRes::Day, 5.0),
+        ];
+        let (g, reference) = (small_graph(), small_graph());
+        for c in &resident {
+            g.insert(c.clone());
+            reference.insert(c.clone());
+        }
+        assert_eq!(
+            g.occupied_levels(),
+            vec![
+                key("9q", TemporalRes::Month).level(),
+                key("9q8y", TemporalRes::Day).level(),
+                key("9q8yy", TemporalRes::Hour).level(),
+            ]
+        );
+        let fine = [
+            key("9q8yyzzzzzzz", TemporalRes::Hour),
+            key("9q8yy0000000", TemporalRes::Hour),
+        ];
+        let every_level: Vec<CellKey> = (0..NUM_LEVELS as u8)
+            .flat_map(|i| ancestors_at(&fine, Level::from_index(i).unwrap()))
+            .collect();
+        // The two share their first five digits: 7 finer lengths x 4 bins.
+        assert_eq!(every_level.len(), NUM_LEVELS + 28);
+        assert_eq!(
+            g.mark_stale_covering(&fine),
+            reference.mark_stale_keys(&every_level)
+        );
+        for c in &resident {
+            assert_eq!(
+                g.contains_fresh(&c.key),
+                reference.contains_fresh(&c.key),
+                "{}",
+                c.key
+            );
+        }
+        assert!(g.contains_fresh(&key("9q8z", TemporalRes::Day)));
+        assert!(g.contains_fresh(&key("dr5r", TemporalRes::Day)));
+        assert!(!g.contains_fresh(&key("9q", TemporalRes::Month)));
+        assert_eq!(g.mark_stale_covering(&fine), 0, "no second transition");
     }
 
     #[test]
@@ -1003,6 +1086,19 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].0.key, c.key);
         assert!(snap[0].1 > g.config().f_inc * 0.9);
+    }
+
+    #[test]
+    fn snapshot_skips_stale_cells() {
+        let g = small_graph();
+        let fresh = cell("9q8y", TemporalRes::Day, 1.0);
+        let stale = cell("9q8z", TemporalRes::Day, 2.0);
+        g.insert(fresh.clone());
+        g.insert(stale.clone());
+        g.mark_stale_keys(&[stale.key]);
+        let snap = g.snapshot(&[fresh.key, stale.key]);
+        assert_eq!(snap.len(), 1, "a stale Cell must not be replicated");
+        assert_eq!(snap[0].0.key, fresh.key);
     }
 
     #[test]

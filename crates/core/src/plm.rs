@@ -19,7 +19,7 @@
 
 use crate::bitmap::SparseBitmap;
 use stash_model::level::NUM_LEVELS;
-use stash_model::CellKey;
+use stash_model::{CellKey, Level};
 
 /// One node's precision-level map.
 #[derive(Debug, Default)]
@@ -94,6 +94,14 @@ impl Plm {
     /// Cells cached at one level.
     pub fn cached_at_level(&self, level_index: usize) -> usize {
         self.cached.get(level_index).map_or(0, SparseBitmap::len)
+    }
+
+    /// The levels holding at least one cached Cell, ascending.
+    pub fn occupied_levels(&self) -> Vec<Level> {
+        (0..NUM_LEVELS)
+            .filter(|&i| self.cached_at_level(i) > 0)
+            .map(|i| Level::from_index(i as u8).expect("index below NUM_LEVELS"))
+            .collect()
     }
 
     /// Total cached Cells across levels.

@@ -112,6 +112,17 @@ impl CellKey {
         self.geohash.is_within(&ancestor.geohash) && self.time.is_within(&ancestor.time)
     }
 
+    /// The key at `level` that contains this one — itself when `level` is
+    /// its own, `None` when `level` is finer in either dimension. Pure label
+    /// arithmetic (geohash prefix, calendar coarsening), equal to binning
+    /// any observation of this Cell at `level` directly.
+    pub fn ancestor_at(&self, level: Level) -> Option<CellKey> {
+        Some(CellKey::new(
+            self.geohash.prefix(level.spatial_res())?,
+            self.time.coarsened(level.temporal_res())?,
+        ))
+    }
+
     /// All descendant keys down to `target` level that are nested within
     /// this key — the membership of a *Clique* of the given depth rooted
     /// here (§VII-B2). Follows spatial refinement first, then temporal, so
@@ -165,6 +176,20 @@ impl CellKey {
         x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
         x ^ (x >> 31)
     }
+}
+
+/// The distinct keys at `level` containing any of `keys`, sorted — the
+/// projection of a set of fine keys (an append batch's finest keys) onto one
+/// level of the hierarchy. Keys coarser than `level` have no ancestor there
+/// and are skipped.
+pub fn ancestors_at<'a>(keys: impl IntoIterator<Item = &'a CellKey>, level: Level) -> Vec<CellKey> {
+    let mut out: Vec<CellKey> = keys
+        .into_iter()
+        .filter_map(|k| k.ancestor_at(level))
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 impl std::fmt::Display for CellKey {
@@ -283,6 +308,58 @@ mod tests {
         for c in k.spatial_children().unwrap() {
             assert!(ids.insert(c.dense_id()), "dense_id collision with {c}");
         }
+    }
+
+    #[test]
+    fn ancestor_at_equals_binning_the_observation_at_every_level() {
+        use crate::level::{MAX_SPATIAL_RES, NUM_LEVELS};
+        use crate::Observation;
+        // Points on a block edge, a day boundary and a year boundary.
+        let points = [
+            (37.7749, -122.4194, epoch_seconds(2015, 3, 9, 14, 0, 0)),
+            (36.5625, -123.75, epoch_seconds(2015, 2, 2, 0, 0, 0)),
+            (-33.86, 151.21, epoch_seconds(2015, 12, 31, 23, 59, 59)),
+            (90.0, 180.0, epoch_seconds(2016, 2, 29, 12, 30, 0)),
+        ];
+        for (lat, lon, t) in points {
+            let obs = Observation::new(lat, lon, t, vec![]);
+            let finest = obs.cell_key(MAX_SPATIAL_RES, TemporalRes::Hour).unwrap();
+            for i in 0..NUM_LEVELS as u8 {
+                let level = Level::from_index(i).unwrap();
+                assert_eq!(
+                    finest.ancestor_at(level),
+                    obs.cell_key(level.spatial_res(), level.temporal_res()),
+                    "{finest} at {level:?}"
+                );
+            }
+        }
+        // A level finer in either dimension has no ancestor; the own level
+        // is the identity.
+        let k = key("9q8y", TemporalRes::Day, 2015, 2, 2);
+        assert_eq!(k.ancestor_at(k.level()), Some(k));
+        assert_eq!(k.ancestor_at(Level::of(5, TemporalRes::Day).unwrap()), None);
+        assert_eq!(
+            k.ancestor_at(Level::of(4, TemporalRes::Hour).unwrap()),
+            None
+        );
+    }
+
+    #[test]
+    fn ancestors_at_projects_sorts_and_dedups() {
+        let level = Level::of(3, TemporalRes::Day).unwrap();
+        let fine = [
+            key("9q9p1", TemporalRes::Hour, 2015, 2, 2),
+            key("9q8y7", TemporalRes::Hour, 2015, 2, 2),
+            key("9q8zz", TemporalRes::Hour, 2015, 2, 2),
+            key("9q", TemporalRes::Hour, 2015, 2, 2), // coarser than the level
+        ];
+        assert_eq!(
+            ancestors_at(&fine, level),
+            vec![
+                key("9q8", TemporalRes::Day, 2015, 2, 2),
+                key("9q9", TemporalRes::Day, 2015, 2, 2),
+            ]
+        );
     }
 
     #[test]
