@@ -143,16 +143,15 @@ struct Args {
     fault_sweep: bool,
     ingest: bool,
     profile: bool,
-    /// Sustained warm-path load per delivery-shard count (ROADMAP item 1):
-    /// req/s plus p50/p95/p99 from a closed-loop multi-client harness.
+    /// Sustained warm-path load: req/s plus p50/p95/p99 from a closed-loop
+    /// multi-client harness.
     sustained: bool,
     /// Long-history coarse queries: rollup-served vs raw recompute
     /// (DESIGN.md §17). With `--smoke`, a regression gate: the
     /// rollup-served leg must undercut the raw ablation.
     rollup: bool,
     /// CI-sized run: shrink the workload so `--profile` and `--sustained`
-    /// finish in seconds (no effect on the figure experiments), and turn
-    /// `--sustained` into a sharded-vs-single-shard regression gate.
+    /// finish in seconds (no effect on the figure experiments).
     smoke: bool,
     scale: Scale,
     markdown: Option<String>,
@@ -247,9 +246,8 @@ fn main() {
     }
     if wants("6b") {
         emit(fig6::throughput::table(&fig6::throughput::run(scale)));
-        // PR 9 core-scaling legs: the same mix against STASH alone per
-        // delivery-shard count — does req/s scale with cores?
-        emit(fig6::core_scaling::table(&fig6::core_scaling::run(scale)));
+        // The same mix against STASH alone, warmed first.
+        emit(fig6::warm::table(&fig6::warm::run(scale)));
     }
     if wants("6c") {
         emit(fig6::maintenance::table(&fig6::maintenance::run(scale)));
@@ -312,57 +310,17 @@ fn main() {
     }
 
     if args.sustained {
-        // Smoke: a self-calibrating sharded-vs-single shootout (best of 3
-        // per leg irons out scheduler noise on small CI hosts); full run:
-        // one 10⁵-request pass per shard leg.
-        let (requests, distinct, tries) = if args.smoke {
-            (2_000, 32, 3)
+        let (requests, distinct) = if args.smoke {
+            (2_000, 32)
         } else {
-            (100_000, 256, 1)
+            (100_000, 256)
         };
-        let legs = if args.smoke {
-            let top = *sustained::shard_legs().last().expect("at least one leg");
-            if top > 1 {
-                vec![1, top]
-            } else {
-                vec![1]
-            }
-        } else {
-            sustained::shard_legs()
-        };
-        let rows: Vec<sustained::Row> = legs
-            .into_iter()
-            .map(|shards| {
-                (0..tries)
-                    .map(|_| sustained::run_leg(scale, shards, requests, distinct))
-                    .max_by(|a, b| a.rps.total_cmp(&b.rps))
-                    .expect("at least one try")
-            })
-            .collect();
-        if args.smoke {
-            let single = rows.first().expect("single-shard leg");
-            let sharded = rows.last().expect("sharded leg");
-            if sharded.shards > single.shards {
-                assert!(
-                    sharded.rps >= single.rps,
-                    "sharded fabric regressed: {} shards sustained {:.0} req/s, \
-                     single shard {:.0} req/s on this host",
-                    sharded.shards,
-                    sharded.rps,
-                    single.rps
-                );
-            }
-            eprintln!(
-                "sustained smoke gate: {} shards {:.0} req/s >= 1 shard {:.0} req/s \
-                 (best of {tries}, {requests} requests/leg)",
-                sharded.shards, sharded.rps, single.rps
-            );
-        }
+        let rows = [sustained::run_leg(scale, requests, distinct)];
         emit(sustained::table(&rows));
         let mut json = BenchJson::new("sustained");
         for r in &rows {
             json.push_stats(LegStats {
-                leg: format!("{}_shards", r.shards),
+                leg: "warm".to_string(),
                 samples: r.requests,
                 mean_ms: 1e3 * r.secs / r.requests.max(1) as f64,
                 p50_ms: r.p50_ms,

@@ -132,66 +132,46 @@ pub mod throughput {
     }
 }
 
-/// Fig. 6b core-scaling legs (PR 9): the same panning mix against STASH
-/// alone, repeated per delivery-shard count of the fabric. On the old
-/// single-router-thread fabric every leg is the same number; on the
-/// sharded fabric req/s should grow toward the host's core count.
-pub mod core_scaling {
+/// Fig. 6b warm leg: the same panning mix against STASH alone, warmed
+/// before measuring. (PR 9 repeated it per delivery-shard count of the
+/// fabric; the fabric has had no delivery threads since PR 24.)
+pub mod warm {
     use super::*;
-    use crate::sustained::shard_legs;
 
     #[derive(Debug, Clone, PartialEq)]
     pub struct Row {
-        pub shards: usize,
         pub stash_rps: f64,
     }
 
-    pub fn run(scale: &Scale) -> Vec<Row> {
+    pub fn run(scale: &Scale) -> Row {
         let wl = scale.workload();
         let mut rng = scale.rng();
         let pans = 20usize;
         let n_rects = (scale.throughput_requests / (pans + 1)).max(1);
         let queries =
             Arc::new(wl.throughput_mix(&mut rng, QuerySizeClass::State, n_rects, pans, 0.10));
-        shard_legs()
-            .into_iter()
-            .map(|shards| {
-                let stash = scale.stash_cluster_with(|c| c.net.delivery_shards = shards);
-                // Warm pass: the cold first touch of every viewport is
-                // virtual-disk-bound (modeled sleeps), which would mask the
-                // fabric entirely. The measured pass is the warm path — the
-                // part whose throughput the shards are supposed to scale.
-                let warm = stash.client();
-                for q in queries.iter() {
-                    warm.query(q).run().expect("core-scaling warm-up");
-                }
-                let (secs, _) = drive_concurrent(&stash, Arc::clone(&queries), scale.clients);
-                stash.shutdown();
-                Row {
-                    shards,
-                    stash_rps: queries.len() as f64 / secs,
-                }
-            })
-            .collect()
+        let stash = scale.stash_cluster();
+        // Warm pass: the cold first touch of every viewport is
+        // virtual-disk-bound (modeled sleeps), which would mask the fabric
+        // entirely. The measured pass is the warm path.
+        let warm = stash.client();
+        for q in queries.iter() {
+            warm.query(q).run().expect("warm-leg warm-up");
+        }
+        let (secs, _) = drive_concurrent(&stash, Arc::clone(&queries), scale.clients);
+        stash.shutdown();
+        Row {
+            stash_rps: queries.len() as f64 / secs,
+        }
     }
 
-    pub fn table(rows: &[Row]) -> Table {
-        let base = rows.first().map(|r| r.stash_rps).unwrap_or(1.0);
+    pub fn table(row: &Row) -> Table {
         let mut t = Table::new(
-            "Fig. 6b core-scaling legs — warm STASH req/s vs delivery shards (state class)",
-            &["shards", "STASH req/s", "vs 1 shard"],
+            "Fig. 6b warm leg — warm STASH req/s (state class)",
+            &["STASH req/s"],
         )
-        .with_note(
-            "same panning mix per leg, warmed before measuring; the 1-shard leg is the \
-             old single-router-thread fabric — scaling is bounded by the host's real core count",
-        );
-        for r in rows {
-            t.push(vec![
-                r.shards.to_string(),
-                format!("{:.0}", r.stash_rps),
-                ratio(r.stash_rps / base.max(1e-9)),
-            ]);
-        }
+        .with_note("the Fig. 6b panning mix, warmed before measuring");
+        t.push(vec![format!("{:.0}", row.stash_rps)]);
         t
     }
 }

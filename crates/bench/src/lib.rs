@@ -16,7 +16,7 @@
 //! | [`ablation`] | DESIGN.md §8 | dispersion, derivation, helper selection, reroute sweep |
 //! | [`fault_sweep`] | — (robustness) | throughput under uniform message loss, 100% success |
 //! | [`ingest`] | — (DESIGN.md §13) | mid-stream query latency: delta-patch vs invalidate-all |
-//! | [`sustained`] | — (DESIGN.md §16) | 10⁵-query closed-loop warm load: req/s + p50/p95/p99 vs delivery shards |
+//! | [`sustained`] | — (DESIGN.md §16) | 10⁵-query closed-loop warm load: req/s + p50/p95/p99 |
 //! | [`rollup`] | — (DESIGN.md §17) | long-history coarse queries: rollup-served vs raw recompute |
 //! | [`profile`] | — (observability) | per-stage p50/p95/p99 latency breakdown from query traces |
 //!

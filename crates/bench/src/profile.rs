@@ -55,6 +55,9 @@ pub struct Profile {
     /// them — useful over attempted.
     pub dispersals: u64,
     pub dispersal_probes: u64,
+    /// `net.late_ns` over every node's registry and the gateway's: how long
+    /// after its due time each modeled wire wait ended (DESIGN.md §11).
+    pub late: HistogramSnapshot,
 }
 
 /// Fold one trace into the stage histograms.
@@ -134,6 +137,10 @@ pub fn run(scale: &Scale) -> Profile {
     };
     let dispersals = graph_stat(|s| &s.dispersals);
     let dispersal_probes = graph_stat(|s| &s.dispersal_probes);
+    let mut late = cluster.gateway_obs().histogram("net.late_ns").snapshot();
+    for i in 0..cluster.n_nodes() {
+        late.merge(&cluster.node(i).obs.histogram("net.late_ns").snapshot());
+    }
     let frame_cache_bytes = (0..cluster.n_nodes())
         .map(|i| cluster.node(i).store.frame_cache().bytes() as u64)
         .sum();
@@ -168,6 +175,7 @@ pub fn run(scale: &Scale) -> Profile {
         sketch_bytes,
         dispersals,
         dispersal_probes,
+        late,
     }
 }
 
@@ -195,6 +203,7 @@ pub fn table(p: &Profile) -> Table {
          {} rows decoded in {:.0} ns/row, {} cells derived, \
          {} B resident ({} B buffers); \
          fetches: {} wall for {} disk + {} scan billed, {} reads at {:.0} us; \
+         wire waits: {} ended {:.0} us (p50) / {:.0} us (p99) after due; \
          sketches: {} merges, {} B emitted; \
          dispersal: {} neighbors bumped of {} probed",
         p.subqueries,
@@ -213,6 +222,9 @@ pub fn table(p: &Profile) -> Table {
         col_ms(p.charged_scan_ns),
         p.disk_reads,
         p.charged_disk_ns as f64 / 1e3 / p.disk_reads.max(1) as f64,
+        p.late.count(),
+        p.late.percentile(50.0) as f64 / 1e3,
+        p.late.percentile(99.0) as f64 / 1e3,
         p.sketch_merges,
         p.sketch_bytes,
         p.dispersals,
@@ -277,6 +289,8 @@ mod tests {
         // Every miss is one read, and the fetch lanes wrote their bill.
         assert_eq!(p.disk_reads, p.frame_misses);
         assert!(p.charged_disk_ns > 0 && p.fetch_wall_ns > 0);
+        // Every hop's wait was recorded by whoever finished it.
+        assert!(p.late.count() > p.requests as u64, "net.late_ns is empty");
         // The sketch pipeline runs in profile deployments: scans emit
         // sketch-carrying cells and cross-node gathers merge them.
         assert!(p.sketch_bytes > 0, "scans must emit sketch state");

@@ -2,10 +2,9 @@
 //!
 //! A fixed set of viewports is warmed once, then a closed-loop multi-client
 //! harness drives a large request stream (the acceptance run uses 10⁵)
-//! round-robin over the warm set, measuring every request's latency. The
-//! experiment is repeated per delivery-shard count, so the table shows
-//! whether fabric throughput actually scales with cores — the question the
-//! single-router-thread fabric answered "no" to (ROADMAP item 1).
+//! round-robin over the warm set, measuring every request's latency. (PR 9
+//! repeated it per delivery-shard count; the fabric has had no delivery
+//! threads since PR 24, so there is one leg.)
 
 use crate::harness::Scale;
 use crate::report::Table;
@@ -15,11 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One sustained-load leg: a shard count and what it delivered.
+/// What one sustained-load leg delivered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// Delivery shards of the fabric for this leg.
-    pub shards: usize,
     pub requests: usize,
     pub secs: f64,
     pub rps: f64,
@@ -79,11 +76,10 @@ pub fn drive_sustained(
     (t0.elapsed().as_secs_f64(), lats)
 }
 
-/// Run one sustained leg at a given shard count: build a STASH cluster
-/// whose fabric uses `shards` delivery shards, warm `distinct` viewports,
+/// Run the sustained leg: build a STASH cluster, warm `distinct` viewports,
 /// then drive `requests` closed-loop queries and report the distribution.
-pub fn run_leg(scale: &Scale, shards: usize, requests: usize, distinct: usize) -> Row {
-    let cluster = scale.stash_cluster_with(|c| c.net.delivery_shards = shards);
+pub fn run_leg(scale: &Scale, requests: usize, distinct: usize) -> Row {
+    let cluster = scale.stash_cluster();
     let wl = scale.workload();
     let mut rng = scale.rng();
     let queries: Vec<AggQuery> = (0..distinct.max(1))
@@ -99,7 +95,6 @@ pub fn run_leg(scale: &Scale, shards: usize, requests: usize, distinct: usize) -
     cluster.shutdown();
     lats.sort_by(|a, b| a.total_cmp(b));
     Row {
-        shards,
         requests,
         secs,
         rps: requests as f64 / secs,
@@ -109,54 +104,19 @@ pub fn run_leg(scale: &Scale, shards: usize, requests: usize, distinct: usize) -
     }
 }
 
-/// The shard legs the sustained/core-scaling experiments compare: 1 (the
-/// old single-router-thread fabric), 2, and the host's parallelism (≤ 8),
-/// deduplicated and ascending.
-pub fn shard_legs() -> Vec<usize> {
-    let n = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8);
-    let mut legs = vec![1, 2, n];
-    legs.sort_unstable();
-    legs.dedup();
-    legs
-}
-
-/// Run the full sustained experiment: one leg per shard count.
-pub fn run(scale: &Scale, requests: usize, distinct: usize) -> Vec<Row> {
-    shard_legs()
-        .into_iter()
-        .map(|shards| run_leg(scale, shards, requests, distinct))
-        .collect()
-}
-
 pub fn table(rows: &[Row]) -> Table {
-    let base = rows.first().map(|r| r.rps).unwrap_or(1.0);
     let mut t = Table::new(
-        "Sustained warm-path load — closed-loop clients vs delivery shards",
+        "Sustained warm-path load — closed-loop clients",
         &[
-            "shards",
-            "requests",
-            "secs",
-            "req/s",
-            "vs 1 shard",
-            "p50 (ms)",
-            "p95 (ms)",
-            "p99 (ms)",
+            "requests", "secs", "req/s", "p50 (ms)", "p95 (ms)", "p99 (ms)",
         ],
     )
-    .with_note(
-        "same warm viewport set per leg; req/s should grow with shards on a \
-         multi-core host (ROADMAP item 1: fabric no longer single-threaded)",
-    );
+    .with_note("one warm viewport set, replayed round-robin");
     for r in rows {
         t.push(vec![
-            r.shards.to_string(),
             r.requests.to_string(),
             format!("{:.2}", r.secs),
             format!("{:.0}", r.rps),
-            format!("{:.2}x", r.rps / base.max(1e-9)),
             format!("{:.2}", r.p50_ms),
             format!("{:.2}", r.p95_ms),
             format!("{:.2}", r.p99_ms),
@@ -180,19 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_legs_start_at_one_and_ascend() {
-        let legs = shard_legs();
-        assert_eq!(legs[0], 1);
-        assert!(legs.windows(2).all(|w| w[0] < w[1]));
-        assert!(*legs.last().unwrap() <= 8);
-    }
-
-    #[test]
     fn sustained_leg_reports_a_full_distribution() {
         let mut scale = Scale::small();
         scale.n_nodes = 2;
         scale.clients = 8;
-        let row = run_leg(&scale, 1, 64, 4);
+        let row = run_leg(&scale, 64, 4);
         assert_eq!(row.requests, 64);
         assert!(row.rps > 0.0);
         assert!(row.p50_ms <= row.p95_ms && row.p95_ms <= row.p99_ms);

@@ -21,15 +21,129 @@
 use crate::protocol::{ClusterError, Msg};
 use stash_model::{AggQuery, QueryResult};
 use stash_net::rpc::RpcError;
-use stash_net::{NodeId, Router, RpcTable};
-use stash_obs::{MetricsRegistry, QueryTrace};
+use stash_net::{Handover, NodeId, Parked, Port, ReplySlot, Router, RpcTable};
+use stash_obs::{Histogram, MetricsRegistry, QueryTrace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the gateway hands back per query: the cluster's answer plus the
-/// coordinator-assembled trace (response-leg wire time already folded in).
-pub(crate) type ClientReply = (Result<QueryResult, ClusterError>, QueryTrace);
+/// The front-end's attachment to the fabric, shared by every client handle
+/// of a cluster: the node id requests leave from and replies are addressed
+/// to, and the slots those replies complete. Its port is all replies, so
+/// it has no thread: each reply's slot is completed at send time with its
+/// due time, and the client that waits for it sleeps out the wire itself.
+pub(crate) struct Gateway {
+    pub(crate) id: NodeId,
+    pub(crate) router: Router<Msg>,
+    rpc: RpcTable<Msg>,
+    pub(crate) obs: Arc<MetricsRegistry>,
+    /// `net.late_ns` of the client-side waits.
+    late: Arc<Histogram>,
+}
+
+impl Gateway {
+    pub(crate) fn new(id: NodeId, router: Router<Msg>) -> Arc<Self> {
+        let obs = Arc::new(MetricsRegistry::new());
+        Arc::new(Gateway {
+            id,
+            router,
+            rpc: RpcTable::default(),
+            late: obs.histogram("net.late_ns"),
+            obs,
+        })
+    }
+
+    /// The gateway's port (see [`stash_net::Port`]): every reply completes
+    /// its slot; nothing falls through, there is no inbox to drain.
+    pub(crate) fn port(self: &Arc<Self>) -> Port<Msg> {
+        let this = Arc::clone(self);
+        Arc::new(move |parked: Parked<Msg>| {
+            match parked.env.payload.reply_id() {
+                // A reply nobody waits for any more (a fabric duplicate, or
+                // its client timed out) ends here.
+                Some(rpc) => {
+                    this.rpc.complete_parked(rpc, parked);
+                }
+                // A message the gateway has no business receiving. Counted,
+                // not asserted: chaos runs must survive it.
+                None => this.obs.inc("gateway.unexpected_msg"),
+            }
+            Handover::Taken
+        })
+    }
+
+    /// Register a reply slot and send the request built around its id to
+    /// node `dst` — or `None`, with the slot already cancelled, when the
+    /// fabric refuses the send.
+    pub(crate) fn send_rpc(
+        &self,
+        dst: usize,
+        build: impl FnOnce(u64, NodeId) -> Msg,
+    ) -> Option<(u64, ReplySlot<Msg>)> {
+        let (rpc, slot) = self.rpc.register();
+        let msg = build(rpc, self.id);
+        let bytes = msg.wire_size();
+        if self.router.send(self.id, NodeId(dst), msg, bytes) {
+            Some((rpc, slot))
+        } else {
+            self.rpc.cancel(rpc);
+            None
+        }
+    }
+
+    /// Wait for a reply until it is due (or `timeout`); hands back the
+    /// reply and its observed wire time — the response leg is the one hop
+    /// nobody inside the cluster could have measured.
+    pub(crate) fn wait(
+        &self,
+        rpc: u64,
+        slot: &ReplySlot<Msg>,
+        timeout: Duration,
+    ) -> Result<(Msg, u64), RpcError> {
+        let arrived = self.rpc.wait(rpc, slot, timeout)?;
+        if let Some(late) = arrived.late {
+            self.late.record_duration(late);
+        }
+        Ok((arrived.response, arrived.wire.as_nanos() as u64))
+    }
+}
+
+/// A query-path reply as the front-end sees it: the cluster's answer plus
+/// the trace, response-leg wire time folded in.
+pub(crate) fn client_reply(
+    reply: Msg,
+    wire_ns: u64,
+) -> (Result<QueryResult, ClusterError>, QueryTrace) {
+    match reply {
+        Msg::QueryResponse {
+            result, mut trace, ..
+        } => {
+            trace.agg.wire_ns += wire_ns;
+            (result, trace)
+        }
+        // Front-end caching clients (§IX-A) issue SubQueries directly. The
+        // owner's stage record becomes a one-subquery trace.
+        Msg::SubQueryResponse {
+            result,
+            trace: mut st,
+            ..
+        } => {
+            st.wire_ns += wire_ns;
+            let trace = QueryTrace {
+                agg: st,
+                subqueries: 1,
+                ..QueryTrace::default()
+            };
+            (result, trace)
+        }
+        other => (
+            Err(ClusterError::Protocol(format!(
+                "unexpected reply {other:?}"
+            ))),
+            QueryTrace::default(),
+        ),
+    }
+}
 
 /// Client-side failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,9 +171,7 @@ impl std::error::Error for ClientError {}
 /// A handle for issuing front-end queries against a [`crate::SimCluster`].
 #[derive(Clone)]
 pub struct ClusterClient {
-    router: Router<Msg>,
-    gateway: NodeId,
-    rpc: Arc<RpcTable<ClientReply>>,
+    gateway: Arc<Gateway>,
     n_nodes: usize,
     next_coordinator: Arc<AtomicUsize>,
     timeout: Duration,
@@ -68,17 +180,13 @@ pub struct ClusterClient {
 
 impl ClusterClient {
     pub(crate) fn new(
-        router: Router<Msg>,
-        gateway: NodeId,
-        rpc: Arc<RpcTable<ClientReply>>,
+        gateway: Arc<Gateway>,
         n_nodes: usize,
         timeout: Duration,
         retries: u32,
     ) -> Self {
         ClusterClient {
-            router,
             gateway,
-            rpc,
             n_nodes,
             next_coordinator: Arc::new(AtomicUsize::new(0)),
             timeout,
@@ -122,7 +230,7 @@ impl ClusterClient {
             let mut coord = None;
             for _ in 0..self.n_nodes {
                 let c = self.next_coordinator.fetch_add(1, Ordering::Relaxed) % self.n_nodes;
-                if !self.router.is_crashed(NodeId(c)) {
+                if !self.gateway.router.is_crashed(NodeId(c)) {
                     coord = Some(c);
                     break;
                 }
@@ -148,23 +256,21 @@ impl ClusterClient {
         coordinator: usize,
     ) -> Result<(QueryResult, QueryTrace), ClientError> {
         assert!(coordinator < self.n_nodes, "coordinator index out of range");
-        let (rpc_id, rx) = self.rpc.register();
-        let msg = Msg::Query {
-            rpc: rpc_id,
-            reply_to: self.gateway,
-            query: query.clone(),
-        };
-        let bytes = msg.wire_size();
-        if !self
-            .router
-            .send(self.gateway, NodeId(coordinator), msg, bytes)
-        {
-            self.rpc.cancel(rpc_id);
+        let Some((rpc, slot)) = self
+            .gateway
+            .send_rpc(coordinator, |rpc, reply_to| Msg::Query {
+                rpc,
+                reply_to,
+                query: query.clone(),
+            })
+        else {
             return Err(ClientError::Disconnected);
-        }
-        match self.rpc.wait(rpc_id, &rx, self.timeout) {
-            Ok((Ok(result), trace)) => Ok((result, trace)),
-            Ok((Err(remote), _)) => Err(ClientError::Remote(remote)),
+        };
+        match self.gateway.wait(rpc, &slot, self.timeout) {
+            Ok((reply, wire_ns)) => match client_reply(reply, wire_ns) {
+                (Ok(result), trace) => Ok((result, trace)),
+                (Err(remote), _) => Err(ClientError::Remote(remote)),
+            },
             Err(RpcError::Timeout) => Err(ClientError::Timeout),
             Err(RpcError::Canceled) => Err(ClientError::Disconnected),
         }
@@ -270,59 +376,5 @@ impl TracedQueryCall<'_> {
     /// Send the query; block until result and trace arrive (or fail).
     pub fn run(self) -> Result<(QueryResult, QueryTrace), ClientError> {
         self.call.dispatch()
-    }
-}
-
-/// Gateway pump: drains the client endpoint and completes waiting queries
-/// and ingest acks. Runs on its own thread until shutdown.
-pub(crate) fn run_gateway(
-    inbox: stash_net::Inbox<Msg>,
-    rpc: Arc<RpcTable<ClientReply>>,
-    ingest_rpc: Arc<RpcTable<bool>>,
-    obs: Arc<MetricsRegistry>,
-) {
-    while let Ok(env) = inbox.recv() {
-        let wire_ns = env.wire.as_nanos() as u64;
-        match env.payload {
-            Msg::QueryResponse {
-                rpc: id,
-                result,
-                mut trace,
-            } => {
-                // The response leg back to the client is the one wire hop
-                // the coordinator could not have measured.
-                trace.agg.wire_ns += wire_ns;
-                rpc.complete(id, (result, trace));
-            }
-            // Front-end caching clients (§IX-A) issue SubQueries directly;
-            // their answers share the client RPC table. The owner's stage
-            // record becomes a one-subquery trace.
-            Msg::SubQueryResponse {
-                rpc: id,
-                result,
-                trace: mut st,
-            } => {
-                st.wire_ns += wire_ns;
-                let trace = QueryTrace {
-                    agg: st,
-                    subqueries: 1,
-                    ..QueryTrace::default()
-                };
-                rpc.complete(id, (result, trace));
-            }
-            // Ingest producers ([`crate::ingest::IngestClient`]) wait on
-            // their own RPC table; a positive ack means batch applied and
-            // every peer's caches invalidated.
-            Msg::AppendAck { rpc: id, applied } => {
-                ingest_rpc.complete(id, applied);
-            }
-            Msg::Shutdown => return,
-            // A message the gateway has no business receiving (fabric
-            // duplication faults can produce these after an RPC slot is
-            // gone). Counted, not asserted: chaos runs must survive it.
-            _ => {
-                obs.inc("gateway.unexpected_msg");
-            }
-        }
     }
 }

@@ -12,12 +12,11 @@
 //!    pan trajectory: after each interaction it warms the viewport the
 //!    user is most likely to request next, in the background.
 
-use crate::client::{ClientError, ClientReply, ClusterClient};
+use crate::client::{client_reply, ClientError, ClusterClient, Gateway};
 use crate::protocol::{ClusterError, Msg};
 use stash_core::{LogicalClock, StashConfig, StashGraph};
 use stash_dfs::Partitioner;
 use stash_model::{AggQuery, Cell, CellKey, QueryResult};
-use stash_net::{NodeId, Router, RpcTable};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,9 +25,7 @@ use std::time::Duration;
 /// A front-end with its own STASH graph and an optional prefetcher.
 pub struct CachingClient {
     inner: ClusterClient,
-    router: Router<Msg>,
-    gateway: NodeId,
-    sub_rpc: Arc<RpcTable<ClientReply>>,
+    gateway: Arc<Gateway>,
     partitioner: Partitioner,
     graph: Arc<StashGraph>,
     clock: Arc<LogicalClock>,
@@ -44,12 +41,9 @@ pub struct CachingClient {
 
 impl CachingClient {
     /// Wrap a cluster client with a front-end graph of `max_cells` capacity.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         inner: ClusterClient,
-        router: Router<Msg>,
-        gateway: NodeId,
-        sub_rpc: Arc<RpcTable<ClientReply>>,
+        gateway: Arc<Gateway>,
         partitioner: Partitioner,
         max_cells: usize,
         timeout: Duration,
@@ -62,9 +56,7 @@ impl CachingClient {
         };
         CachingClient {
             inner,
-            router,
             gateway,
-            sub_rpc,
             partitioner,
             graph: Arc::new(StashGraph::new(config, Arc::clone(&clock))),
             clock,
@@ -151,34 +143,34 @@ impl CachingClient {
         }
         let mut waits = Vec::with_capacity(by_owner.len());
         for (owner, group) in by_owner {
-            let (rpc, rx) = self.sub_rpc.register();
-            let msg = Msg::SubQuery {
+            let sent = self.gateway.send_rpc(owner, |rpc, reply_to| Msg::SubQuery {
                 rpc,
-                reply_to: self.gateway,
+                reply_to,
                 keys: group,
                 allow_reroute: true,
                 via_guest: false,
-            };
-            let bytes = msg.wire_size();
-            if !self.router.send(self.gateway, NodeId(owner), msg, bytes) {
-                self.sub_rpc.cancel(rpc);
+            });
+            let Some(wait) = sent else {
                 return Err(ClientError::Disconnected);
-            }
-            waits.push((rpc, rx));
+            };
+            waits.push(wait);
         }
         let mut cells = Vec::with_capacity(missing.len());
         let mut fetched_keys = std::collections::HashSet::with_capacity(missing.len());
         for (rpc, rx) in waits {
-            match self.sub_rpc.wait(rpc, &rx, self.timeout) {
-                Ok((Ok(part), _trace)) => {
+            let (reply, wire_ns) = match self.gateway.wait(rpc, &rx, self.timeout) {
+                Ok(arrived) => arrived,
+                Err(stash_net::rpc::RpcError::Timeout) => return Err(ClientError::Timeout),
+                Err(stash_net::rpc::RpcError::Canceled) => return Err(ClientError::Disconnected),
+            };
+            match client_reply(reply, wire_ns) {
+                (Ok(part), _trace) => {
                     for c in part.cells {
                         fetched_keys.insert(c.key);
                         cells.push(c);
                     }
                 }
-                Ok((Err(e), _trace)) => return Err(ClientError::Remote(e)),
-                Err(stash_net::rpc::RpcError::Timeout) => return Err(ClientError::Timeout),
-                Err(stash_net::rpc::RpcError::Canceled) => return Err(ClientError::Disconnected),
+                (Err(e), _trace) => return Err(ClientError::Remote(e)),
             }
         }
         // Empty regions come back as no cell; cache their emptiness too so

@@ -1,12 +1,11 @@
 //! Cluster assembly: configuration, node spawning, stats, teardown.
 
-use crate::client::{run_gateway, ClientReply, ClusterClient};
+use crate::client::{ClusterClient, Gateway};
 use crate::config::RollupPolicy;
 use crate::ingest::IngestClient;
 use crate::node::{NodeCtx, WorkTiers};
 use crate::protocol::Msg;
 use crate::source::{GenBlockSource, LiveSource};
-use crossbeam::channel::unbounded;
 use stash_core::LogicalClock;
 use stash_core::StashConfig;
 use stash_data::{GeneratorConfig, NamGenerator, StreamConfig, StreamSource};
@@ -14,7 +13,7 @@ use stash_dfs::{BlockKey, BlockSource, DiskModel, NodeStore, Partitioner, Rollup
 use stash_geo::time::epoch_seconds;
 use stash_geo::{BBox, Geohash, TimeBin, TimeRange};
 use stash_model::CellKey;
-use stash_net::{NetConfig, NodeId, Router, RpcTable};
+use stash_net::{NetConfig, NodeId, Parked, Router};
 use stash_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -184,10 +183,7 @@ pub struct SimCluster {
     config: Arc<ClusterConfig>,
     router: Router<Msg>,
     nodes: Vec<Arc<NodeCtx>>,
-    client_rpc: Arc<RpcTable<ClientReply>>,
-    ingest_rpc: Arc<RpcTable<bool>>,
-    gateway_obs: Arc<MetricsRegistry>,
-    gateway: NodeId,
+    gateway: Arc<Gateway>,
     partitioner: Partitioner,
     source: Arc<dyn BlockSource>,
     /// Same object as `source` when `live_blocks` is non-empty.
@@ -241,9 +237,11 @@ fn spawn_node(
     )
     .with_scan_cost(config.scan_cost_per_obs);
     let clock = Arc::new(LogicalClock::new());
-    let (coord_tx, coord_rx) = unbounded();
-    let (service_tx, service_rx) = unbounded();
-    let (fetch_tx, fetch_rx) = unbounded();
+    let tiers = WorkTiers {
+        coord: router.delay_queue(ep.id),
+        service: router.delay_queue(ep.id),
+        fetch: router.delay_queue(ep.id),
+    };
     let ctx = Arc::new(NodeCtx::new(
         node_idx,
         Arc::clone(config),
@@ -251,12 +249,15 @@ fn spawn_node(
         store,
         rollup.clone(),
         clock,
-        WorkTiers {
-            coord_tx,
-            service_tx,
-            fetch_tx,
-        },
+        tiers.clone(),
     ));
+    // From here on the fabric hands this node's messages to its port, on
+    // the sender's thread; only what falls through reaches the inbox.
+    let port_ctx = Arc::clone(&ctx);
+    router.install_port(
+        ep.id,
+        Arc::new(move |parked: Parked<Msg>| port_ctx.accept(parked)),
+    );
     // Main thread.
     let main_ctx = Arc::clone(&ctx);
     threads.push(
@@ -267,14 +268,14 @@ fn spawn_node(
     );
     // Tiered workers.
     let tiers = [
-        ("coord", config.coord_workers, coord_rx),
-        ("service", config.service_workers, service_rx),
-        ("fetch", config.fetch_workers, fetch_rx),
+        ("coord", config.coord_workers, tiers.coord),
+        ("service", config.service_workers, tiers.service),
+        ("fetch", config.fetch_workers, tiers.fetch),
     ];
-    for (tier_name, count, rx) in tiers {
+    for (tier_name, count, queue) in tiers {
         for w in 0..count {
             let worker_ctx = Arc::clone(&ctx);
-            let rx = rx.clone();
+            let rx = queue.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("stash-{tier_name}-{node_idx}-{w}"))
@@ -287,8 +288,10 @@ fn spawn_node(
 }
 
 impl SimCluster {
-    /// Boot a cluster: spawns `n_nodes * (1 + coord + service + fetch workers) + 2`
-    /// threads (mains, workers, router, gateway).
+    /// Boot a cluster: spawns `n_nodes × (1 + coord + service + fetch
+    /// workers)` threads — mains and workers. The fabric and the gateway
+    /// have none: every message waits out its wire time on the thread that
+    /// consumes it.
     pub fn new(config: ClusterConfig) -> Self {
         // Backstop for configs assembled by struct literal during the
         // builder deprecation window; builder-built configs already passed
@@ -298,8 +301,11 @@ impl SimCluster {
         }
         let config = Arc::new(config);
         let (router, mut endpoints) = Router::<Msg>::new(config.n_nodes + 1, config.net.clone());
+        // The gateway's port takes every reply, so its inbox stays empty
+        // and undrained.
         let gateway_ep = endpoints.pop().expect("gateway endpoint");
-        let gateway = gateway_ep.id;
+        let gateway = Gateway::new(gateway_ep.id, router.clone());
+        router.install_port(gateway.id, gateway.port());
         let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
         // Sealed dataset by default; with live blocks configured, the same
         // shared storage serves truncated blocks that grow via appends.
@@ -362,27 +368,10 @@ impl SimCluster {
             ));
         }
 
-        // Gateway pump.
-        let client_rpc = Arc::new(RpcTable::default());
-        let ingest_rpc: Arc<RpcTable<bool>> = Arc::new(RpcTable::default());
-        let gateway_obs = Arc::new(MetricsRegistry::new());
-        let pump_rpc = Arc::clone(&client_rpc);
-        let pump_ingest = Arc::clone(&ingest_rpc);
-        let pump_obs = Arc::clone(&gateway_obs);
-        threads.push(
-            std::thread::Builder::new()
-                .name("stash-gateway".into())
-                .spawn(move || run_gateway(gateway_ep.inbox, pump_rpc, pump_ingest, pump_obs))
-                .expect("spawn gateway"),
-        );
-
         SimCluster {
             config,
             router,
             nodes,
-            client_rpc,
-            ingest_rpc,
-            gateway_obs,
             gateway,
             partitioner,
             source,
@@ -435,9 +424,7 @@ impl SimCluster {
     /// A new front-end handle.
     pub fn client(&self) -> ClusterClient {
         ClusterClient::new(
-            self.router.clone(),
-            self.gateway,
-            Arc::clone(&self.client_rpc),
+            Arc::clone(&self.gateway),
             self.config.n_nodes,
             self.config.client_timeout,
             self.config.client_retries,
@@ -456,9 +443,7 @@ impl SimCluster {
     pub fn caching_client(&self, max_cells: usize) -> crate::client_cache::CachingClient {
         crate::client_cache::CachingClient::new(
             self.client(),
-            self.router.clone(),
-            self.gateway,
-            Arc::clone(&self.client_rpc),
+            Arc::clone(&self.gateway),
             self.partitioner.clone(),
             max_cells,
             self.config.client_timeout,
@@ -470,9 +455,7 @@ impl SimCluster {
     /// `stash_ingest::run_stream` pumps batches into (DESIGN.md §13).
     pub fn ingest_client(&self) -> IngestClient {
         IngestClient::new(
-            self.router.clone(),
-            self.gateway,
-            Arc::clone(&self.ingest_rpc),
+            Arc::clone(&self.gateway),
             self.partitioner.clone(),
             self.config.sub_rpc_timeout,
             self.config.client_retries,
@@ -554,9 +537,10 @@ impl SimCluster {
         )
     }
 
-    /// Gateway-side metrics (unexpected-message counter, …).
+    /// Gateway-side metrics (unexpected-message counter, `net.late_ns` of
+    /// the client-side waits).
     pub fn gateway_obs(&self) -> &Arc<MetricsRegistry> {
-        &self.gateway_obs
+        &self.gateway.obs
     }
 
     /// Direct node access for experiments and tests.
@@ -636,7 +620,7 @@ impl SimCluster {
     pub fn invalidate_region(&self, bbox: BBox, time: TimeRange) {
         for n in &self.nodes {
             self.router.send(
-                self.gateway,
+                self.gateway.id,
                 NodeId(n.node_idx),
                 Msg::InvalidateRegion { bbox, time },
                 96,
@@ -656,10 +640,8 @@ impl SimCluster {
         self.router.heal_partition();
         for n in &self.nodes {
             self.router
-                .send(self.gateway, NodeId(n.node_idx), Msg::Shutdown, 16);
+                .send(self.gateway.id, NodeId(n.node_idx), Msg::Shutdown, 16);
         }
-        self.router
-            .send(self.gateway, self.gateway, Msg::Shutdown, 16);
     }
 }
 
@@ -669,8 +651,8 @@ impl Drop for SimCluster {
         // Give threads a moment to drain the shutdown messages, then stop
         // the fabric; threads blocked on closed channels exit.
         for t in self.threads.drain(..) {
-            // Shutdown messages traverse the delay queue; joining bounds
-            // teardown at a few wire latencies.
+            // Shutdown messages wait out their wire time in each inbox;
+            // joining bounds teardown at a few wire latencies.
             if t.join().is_err() {
                 // A panicked node thread shouldn't abort teardown.
             }

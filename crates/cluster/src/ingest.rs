@@ -10,20 +10,18 @@
 //! to *any* node is safe: a retried batch that already landed is a
 //! `Duplicate`, which re-broadcasts invalidations and acks positively.
 
+use crate::client::Gateway;
 use crate::protocol::Msg;
 use stash_dfs::{BlockKey, Partitioner};
 use stash_ingest::{AppendSink, IngestError};
 use stash_model::Observation;
 use stash_net::rpc::RpcError;
-use stash_net::{NodeId, Router, RpcTable};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Producer-side handle for streaming batches into a running cluster.
 pub struct IngestClient {
-    router: Router<Msg>,
-    gateway: NodeId,
-    rpc: Arc<RpcTable<bool>>,
+    gateway: Arc<Gateway>,
     partitioner: Partitioner,
     timeout: Duration,
     retries: u32,
@@ -32,18 +30,14 @@ pub struct IngestClient {
 
 impl IngestClient {
     pub(crate) fn new(
-        router: Router<Msg>,
-        gateway: NodeId,
-        rpc: Arc<RpcTable<bool>>,
+        gateway: Arc<Gateway>,
         partitioner: Partitioner,
         timeout: Duration,
         retries: u32,
         backoff: Duration,
     ) -> Self {
         IngestClient {
-            router,
             gateway,
-            rpc,
             partitioner,
             timeout,
             retries,
@@ -80,23 +74,24 @@ impl AppendSink for IngestClient {
                 if attempt > 0 {
                     std::thread::sleep(self.backoff.saturating_mul(1 << (attempt - 1).min(4)));
                 }
-                let (rpc, rx) = self.rpc.register();
-                let msg = Msg::AppendBatch {
-                    rpc,
-                    reply_to: self.gateway,
-                    block,
-                    seq,
-                    rows: Arc::clone(&rows),
-                    last,
-                };
-                let bytes = msg.wire_size();
-                if !self.router.send(self.gateway, NodeId(target), msg, bytes) {
-                    self.rpc.cancel(rpc);
+                let sent = self
+                    .gateway
+                    .send_rpc(target, |rpc, reply_to| Msg::AppendBatch {
+                        rpc,
+                        reply_to,
+                        block,
+                        seq,
+                        rows: Arc::clone(&rows),
+                        last,
+                    });
+                let Some((rpc, slot)) = sent else {
                     break; // target crashed: fail over now
-                }
-                match self.rpc.wait(rpc, &rx, self.timeout) {
-                    Ok(true) => return Ok(()),
-                    Ok(false) | Err(RpcError::Timeout) => {} // retry / fail over
+                };
+                // A positive ack means batch applied and every peer's
+                // caches invalidated; anything else is retried.
+                match self.gateway.wait(rpc, &slot, self.timeout) {
+                    Ok((Msg::AppendAck { applied: true, .. }, _)) => return Ok(()),
+                    Ok(_) | Err(RpcError::Timeout) => {} // retry / fail over
                     Err(RpcError::Canceled) => {
                         return Err(IngestError("cluster disconnected".into()))
                     }

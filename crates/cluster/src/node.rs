@@ -3,13 +3,20 @@
 //!
 //! Threading discipline (this is what keeps the cluster deadlock-free):
 //!
-//! * The **main thread** drains the fabric inbox and never blocks: RPC
-//!   responses complete waiting slots immediately, control messages
-//!   (Distress) are answered inline, and all real work is dispatched to the
-//!   worker pool. Because main threads always drain, a worker blocked on a
-//!   sub-RPC is always eventually woken by its peer's main thread.
-//! * **Workers** (the paper's 8-core nodes, scaled down) evaluate queries,
-//!   scan blocks, and may block on sub-RPCs to other nodes.
+//! * The node's **port** ([`NodeCtx::accept`]) is handed every message at
+//!   send time, on the *sender's* thread, and only places it where its
+//!   consumer will wait out the wire time: a reply completes its RPC slot
+//!   with its due time, work is parked on its tier's delay queue. It never
+//!   blocks and never sends.
+//! * The **main thread** drains the fabric inbox — whatever the port let
+//!   fall through because it must run at its due time on a thread that
+//!   never blocks: control messages (Invalidate, Distress) are answered
+//!   inline, a hotspotted node's reroute decision is taken here. Because
+//!   main threads always drain, a worker blocked on an Invalidate or
+//!   Distress round is always eventually answered.
+//! * **Workers** (the paper's 8-core nodes, scaled down) take work off
+//!   their tier's queue as it comes due, evaluate queries, scan blocks,
+//!   and may block on sub-RPCs to other nodes.
 //! * **Handoff** runs on its own short-lived thread, at most one at a time,
 //!   so a hotspotted node can replicate Cliques while its workers stay busy
 //!   serving the very queue that triggered the hotspot.
@@ -21,7 +28,6 @@
 use crate::cluster::{ClusterConfig, Mode, NodeStats};
 use crate::fence::IngestFence;
 use crate::protocol::{ClusterError, Msg};
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use stash_core::{
     evaluate_traced, CliqueFinder, GuestBook, LogicalClock, RouteDecision, RoutingTable, StashGraph,
@@ -34,19 +40,19 @@ use stash_model::key::ancestors_at;
 use stash_model::level::MAX_SPATIAL_RES;
 use stash_model::{Cell, CellKey, CellSummary, FlatPartials, Level, Observation, QueryResult};
 use stash_net::rpc::RpcError;
-use stash_net::{Envelope, NodeId, Router, RpcTable};
-use stash_obs::{Histogram, MetricsRegistry, QueryTrace, StageTimes};
+use stash_net::{DelayQueue, Envelope, Handover, NodeId, Parked, ReplySlot, Router, RpcTable};
+use stash_obs::{sleep_until, Histogram, MetricsRegistry, QueryTrace, StageTimes};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Replies a node can wait for. Data replies carry the responder's
-/// [`StageTimes`]; the response-leg wire time is folded in by the main
-/// thread when the reply envelope is drained (it is the only place that
-/// sees the envelope's delivery timestamp).
+/// Replies a node can wait for, as [`NodeCtx::wait_reply`] hands them to
+/// the waiter. Data replies carry the responder's [`StageTimes`] with the
+/// response-leg wire time folded in — the waiter is the only one who
+/// observes it.
 #[derive(Debug)]
-pub enum RpcReply {
+enum RpcReply {
     SubResult(Result<QueryResult, ClusterError>, StageTimes),
     Partials(
         Result<Vec<(CellKey, CellSummary)>, ClusterError>,
@@ -116,13 +122,18 @@ pub struct NodeCtx {
     pub guestbook: Mutex<GuestBook>,
     pub routing: Mutex<RoutingTable>,
     pub clock: Arc<LogicalClock>,
-    pub rpc: RpcTable<RpcReply>,
+    /// Reply slots, completed by the port with the reply message as it came
+    /// and its due time.
+    pub rpc: RpcTable<Msg>,
     pub stats: NodeStats,
     /// Named counters/gauges/histograms for this node (DESIGN.md §11).
     pub obs: Arc<MetricsRegistry>,
     /// The `query.stage.*` histograms in [`StageTimes::stages`] order,
     /// resolved once so a coordinated query records without a name lookup.
     stage_hists: [Arc<Histogram>; 7],
+    /// `net.late_ns`: how long after its due time each modeled wire wait of
+    /// this node (tier queues, inbox, reply slots) actually ended.
+    late: Arc<Histogram>,
     /// Requests dispatched to workers and not yet finished (all tiers).
     pending: AtomicUsize,
     /// Data-service work (subqueries, fetches, replication) queued or in
@@ -154,12 +165,13 @@ pub struct NodeCtx {
     tiers: WorkTiers,
 }
 
-/// The three per-node worker tiers (see module docs).
+/// The three per-node worker tiers (see module docs): each a delay queue
+/// of the node's, pushed to by its port and consumed by the tier's workers.
 #[derive(Clone)]
 pub struct WorkTiers {
-    pub coord_tx: Sender<Envelope<Msg>>,
-    pub service_tx: Sender<Envelope<Msg>>,
-    pub fetch_tx: Sender<Envelope<Msg>>,
+    pub coord: DelayQueue<Msg>,
+    pub service: DelayQueue<Msg>,
+    pub fetch: DelayQueue<Msg>,
 }
 
 impl NodeCtx {
@@ -195,6 +207,7 @@ impl NodeCtx {
             stage_hists: StageTimes::default()
                 .stages()
                 .map(|(stage, _)| obs.histogram(&format!("query.stage.{stage}"))),
+            late: obs.histogram("net.late_ns"),
             obs,
             pending: AtomicUsize::new(0),
             service_pending: AtomicUsize::new(0),
@@ -267,7 +280,7 @@ impl NodeCtx {
         &self,
         dst: usize,
         build: impl FnOnce(u64) -> Msg,
-    ) -> Option<(u64, Receiver<RpcReply>)> {
+    ) -> Option<(u64, ReplySlot<Msg>)> {
         let (rpc, rx) = self.rpc.register();
         if self.send(NodeId(dst), build(rpc)) {
             Some((rpc, rx))
@@ -277,63 +290,36 @@ impl NodeCtx {
         }
     }
 
-    // =======================================================================
-    // Main thread
-    // =======================================================================
-
-    /// Drain the fabric inbox until shutdown — or until the fabric severs
-    /// the inbox (node crash): either way the workers are poisoned so the
-    /// whole node winds down instead of leaving threads parked forever.
-    pub fn run_main(self: &Arc<Self>, inbox: stash_net::Inbox<Msg>) {
-        while let Ok(env) = inbox.recv() {
-            if matches!(env.payload, Msg::Shutdown) {
-                self.poison_workers();
-                return;
-            }
-            self.handle_fast(env);
-        }
-        // recv() erred: the router crashed this node and dropped its inbox
-        // sender. Workers must die too — a crashed node answers nothing.
-        self.poison_workers();
-    }
-
-    /// Send every worker in every tier a poison pill.
-    fn poison_workers(&self) {
-        let poisons = [
-            (&self.tiers.coord_tx, self.config.coord_workers),
-            (&self.tiers.service_tx, self.config.service_workers),
-            (&self.tiers.fetch_tx, self.config.fetch_workers),
-        ];
-        for (tx, n) in poisons {
-            for _ in 0..n {
-                let _ = tx.send(Envelope {
-                    src: self.id,
-                    dst: self.id,
-                    wire: Duration::ZERO,
-                    payload: Msg::Shutdown,
-                });
-            }
+    /// A modeled wire wait of this node ended `late` after its due time.
+    fn record_late(&self, late: Option<Duration>) {
+        if let Some(late) = late {
+            self.late.record_duration(late);
         }
     }
 
-    fn handle_fast(self: &Arc<Self>, env: Envelope<Msg>) {
-        let wire_ns = env.wire.as_nanos() as u64;
-        match env.payload {
-            // RPC completions — wake waiting workers/handoff immediately.
-            // Data replies get their response-leg wire time folded in here:
-            // the envelope's delivery timestamp dies with the envelope.
+    /// Wait for the reply to `rpc` until it is due (or `timeout`), and hand
+    /// it over the way the callers match on it: response-leg wire time
+    /// folded into the reply's trace, partials validated and decoded.
+    fn wait_reply(
+        &self,
+        rpc: u64,
+        slot: &ReplySlot<Msg>,
+        timeout: Duration,
+    ) -> Result<RpcReply, RpcError> {
+        let arrived = self.rpc.wait(rpc, slot, timeout)?;
+        self.record_late(arrived.late);
+        let wire_ns = arrived.wire.as_nanos() as u64;
+        Ok(match arrived.response {
             Msg::SubQueryResponse {
-                rpc,
-                result,
-                mut trace,
+                result, mut trace, ..
             } => {
                 trace.wire_ns += wire_ns;
-                self.rpc.complete(rpc, RpcReply::SubResult(result, trace));
+                RpcReply::SubResult(result, trace)
             }
             Msg::PartialsResponse {
-                rpc,
                 partials,
                 mut trace,
+                ..
             } => {
                 trace.wire_ns += wire_ns;
                 // Validate the flat buffer at the trust boundary; a corrupt
@@ -342,20 +328,86 @@ impl NodeCtx {
                     fp.decode()
                         .map_err(|e| ClusterError::Protocol(format!("partials fragment: {e}")))
                 });
-                self.rpc.complete(rpc, RpcReply::Partials(decoded, trace));
+                RpcReply::Partials(decoded, trace)
             }
-            Msg::DistressAck { rpc, accept } => {
-                self.rpc.complete(rpc, RpcReply::Ack(accept));
+            Msg::DistressAck { accept, .. } => RpcReply::Ack(accept),
+            Msg::ReplicationResponse { ok, .. } => RpcReply::Ack(ok),
+            Msg::AppendAck { applied, .. } => RpcReply::Ack(applied),
+            Msg::InvalidateAck { .. } => RpcReply::Ack(true),
+            other => unreachable!("slot completed with a non-reply {other:?}"),
+        })
+    }
+
+    // =======================================================================
+    // Port (the sender's thread) and main thread
+    // =======================================================================
+
+    /// This node's port (see [`stash_net::Port`]): place one message, at
+    /// send time, where its consumer will wait for its due time. Replies go
+    /// to their slot, work to its tier; control that answers by sending,
+    /// and a SubQuery this node might reroute (a reroute is a send), fall
+    /// through to the inbox so the main thread handles them once due.
+    pub fn accept(&self, parked: Parked<Msg>) -> Handover<Msg> {
+        if let Some(rpc) = parked.env.payload.reply_id() {
+            // A reply nobody waits for any more (duplicate, or its waiter
+            // timed out) ends here.
+            self.rpc.complete_parked(rpc, parked);
+            return Handover::Taken;
+        }
+        match &parked.env.payload {
+            Msg::SubQuery {
+                allow_reroute,
+                via_guest,
+                ..
+            } if *allow_reroute && !*via_guest && self.is_hotspotted() => Handover::Inbox(parked),
+            Msg::Query { .. }
+            | Msg::SubQuery { .. }
+            | Msg::FetchPartials { .. }
+            | Msg::AppendBatch { .. }
+            | Msg::ReplicationRequest { .. } => {
+                self.enqueue(parked);
+                Handover::Queued
             }
-            Msg::ReplicationResponse { rpc, ok } => {
-                self.rpc.complete(rpc, RpcReply::Ack(ok));
+            _ => Handover::Inbox(parked),
+        }
+    }
+
+    /// Drain the fabric inbox until shutdown — or until the fabric severs
+    /// the inbox (node crash): either way the workers are poisoned so the
+    /// whole node winds down instead of leaving threads parked forever.
+    pub fn run_main(self: &Arc<Self>, inbox: stash_net::Inbox<Msg>) {
+        while let Ok(env) = inbox.recv() {
+            if matches!(env.payload, Msg::Shutdown) {
+                break;
             }
-            Msg::AppendAck { rpc, applied } => {
-                self.rpc.complete(rpc, RpcReply::Ack(applied));
+            self.handle_fast(env);
+        }
+        // On a crash recv() erred: the router severed this node's inbox
+        // (and closed its tier queues, so the poison below is moot).
+        // Workers must die too — a crashed node answers nothing.
+        self.poison_workers();
+    }
+
+    /// Send every worker in every tier a poison pill.
+    fn poison_workers(&self) {
+        let poisons = [
+            (&self.tiers.coord, self.config.coord_workers),
+            (&self.tiers.service, self.config.service_workers),
+            (&self.tiers.fetch, self.config.fetch_workers),
+        ];
+        for (queue, n) in poisons {
+            for _ in 0..n {
+                queue.push(Parked::local(Envelope::local(self.id, Msg::Shutdown)));
             }
-            Msg::InvalidateAck { rpc } => {
-                self.rpc.complete(rpc, RpcReply::Ack(true));
-            }
+        }
+    }
+
+    /// What fell through the port, at its due time, on the thread that
+    /// never blocks. (What is relayed to a tier keeps its stamps; the worker
+    /// that takes it records its lateness.)
+    fn handle_fast(self: &Arc<Self>, env: Envelope<Msg>) {
+        let late = env.late;
+        match env.payload {
             // Ingest invalidation: answered inline on the main thread, so
             // an applier's ack-wait doubles as a processing barrier — once
             // every peer acked, no cache anywhere still serves the
@@ -367,6 +419,7 @@ impl NodeCtx {
                 reply_to,
                 keys,
             } => {
+                self.record_late(late);
                 self.fence.invalidate(Arc::clone(&keys));
                 let marked =
                     self.graph.mark_stale_covering(&keys) + self.guest.mark_stale_covering(&keys);
@@ -383,6 +436,7 @@ impl NodeCtx {
                 reply_to,
                 n_cells,
             } => {
+                self.record_late(late);
                 let accept = !self.is_hotspotted()
                     && self
                         .guestbook
@@ -427,9 +481,6 @@ impl NodeCtx {
                     }
                 }
                 self.dispatch(Envelope {
-                    src: env.src,
-                    dst: env.dst,
-                    wire: env.wire,
                     payload: Msg::SubQuery {
                         rpc,
                         reply_to,
@@ -437,46 +488,55 @@ impl NodeCtx {
                         allow_reroute,
                         via_guest,
                     },
+                    ..env
                 });
+            }
+            // A reply that found no port (it raced a restart's wiring).
+            payload if payload.reply_id().is_some() => {
+                let _ = self.accept(Parked::local(Envelope { payload, ..env }));
             }
             // Everything else is real work.
-            payload => {
-                self.dispatch(Envelope {
-                    src: env.src,
-                    dst: env.dst,
-                    wire: env.wire,
-                    payload,
-                });
-            }
+            payload => self.dispatch(Envelope { payload, ..env }),
         }
     }
 
+    /// Main-thread dispatch of a message that is already due; its arrival
+    /// is also where a hotspot is noticed.
     fn dispatch(self: &Arc<Self>, env: Envelope<Msg>) {
+        self.enqueue(Parked::local(env));
+        self.maybe_start_handoff();
+    }
+
+    /// Park work on its tier's queue. Runs on the sender's thread when the
+    /// port calls it: counting and a push, nothing else.
+    fn enqueue(&self, parked: Parked<Msg>) {
         self.pending.fetch_add(1, Ordering::Relaxed);
-        if !matches!(env.payload, Msg::Query { .. }) {
+        if !matches!(parked.env.payload, Msg::Query { .. }) {
             self.service_pending.fetch_add(1, Ordering::Relaxed);
         }
         // Route to the tier whose workers may safely block on the tiers
-        // below it. Channels only close at shutdown; drop silently then.
-        let tx = match &env.payload {
-            Msg::Query { .. } => &self.tiers.coord_tx,
-            Msg::FetchPartials { .. } => &self.tiers.fetch_tx,
-            _ => &self.tiers.service_tx,
+        // below it. Queues only close at crash or shutdown; the message is
+        // dropped (and counted) then.
+        let queue = match &parked.env.payload {
+            Msg::Query { .. } => &self.tiers.coord,
+            Msg::FetchPartials { .. } => &self.tiers.fetch,
+            _ => &self.tiers.service,
         };
-        let _ = tx.send(env);
-        self.maybe_start_handoff();
+        queue.push(parked);
     }
 
     // =======================================================================
     // Workers
     // =======================================================================
 
-    /// Worker loop: process dispatched envelopes until shutdown.
-    pub fn run_worker(self: &Arc<Self>, work_rx: Receiver<Envelope<Msg>>) {
-        while let Ok(env) = work_rx.recv() {
+    /// Worker loop: take work off the tier's queue as it comes due, until
+    /// shutdown (a poison pill) or crash (the queue closes).
+    pub fn run_worker(self: &Arc<Self>, work: DelayQueue<Msg>) {
+        while let Ok(env) = work.recv() {
             if matches!(env.payload, Msg::Shutdown) {
                 return;
             }
+            self.record_late(env.late);
             let is_service = !matches!(env.payload, Msg::Query { .. });
             self.process(env);
             self.pending.fetch_sub(1, Ordering::Relaxed);
@@ -577,7 +637,7 @@ impl NodeCtx {
             } => {
                 self.apply_append(rpc, reply_to, block, seq, rows, last);
             }
-            // Responses never reach workers (completed on the main thread).
+            // Replies never reach workers (the port completes their slots).
             other => unreachable!("worker received non-work message {other:?}"),
         }
     }
@@ -693,7 +753,7 @@ impl NodeCtx {
             }
             let waited = Instant::now();
             for (owner, group, rpc, rx) in waits {
-                match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
+                match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
                     Ok(RpcReply::Partials(Ok(parts), st)) => {
                         trace.absorb_sub(&st);
                         summaries.extend(parts);
@@ -813,7 +873,7 @@ impl NodeCtx {
         };
         let waited = Instant::now();
         for (owner, group, rpc, rx) in waits {
-            match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
+            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
                 Ok(RpcReply::SubResult(Ok(part), st)) => {
                     trace.absorb_sub(&st);
                     absorb(&mut merged, part);
@@ -906,7 +966,7 @@ impl NodeCtx {
                     via_guest: false,
                 })
                 .ok_or(ClusterError::Unreachable { node: owner })?;
-            match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
+            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
                 Ok(RpcReply::SubResult(result, st)) => {
                     acc.add(&st);
                     match result {
@@ -962,7 +1022,7 @@ impl NodeCtx {
                     exclude: exclude.to_vec(),
                 })
                 .ok_or(ClusterError::Unreachable { node: owner })?;
-            match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
+            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
                 Ok(RpcReply::Partials(result, st)) => {
                     acc.add(&st);
                     match result {
@@ -1072,7 +1132,7 @@ impl NodeCtx {
                 // lookup, merge, serialization (DESIGN.md §2).
                 let serve = self.config.cell_service_cost * keys.len() as u32;
                 if serve > Duration::ZERO {
-                    std::thread::sleep(serve);
+                    sleep_until(Instant::now() + serve);
                     st.merge_ns += serve.as_nanos() as u64;
                 }
                 return (Ok(result), st);
@@ -1128,7 +1188,7 @@ impl NodeCtx {
         // paper's hardware, charged as virtual time (DESIGN.md §2).
         let serve = self.config.cell_service_cost * keys.len() as u32;
         if serve > Duration::ZERO {
-            std::thread::sleep(serve);
+            sleep_until(Instant::now() + serve);
             st.merge_ns += serve.as_nanos() as u64;
         }
         (result, st)
@@ -1271,11 +1331,7 @@ impl NodeCtx {
 
     /// One `Invalidate` to one peer: the reply slot, or `None` when the
     /// fabric refuses the send (peer crashed).
-    fn send_invalidate(
-        &self,
-        peer: usize,
-        keys: &Arc<[CellKey]>,
-    ) -> Option<(u64, Receiver<RpcReply>)> {
+    fn send_invalidate(&self, peer: usize, keys: &Arc<[CellKey]>) -> Option<(u64, ReplySlot<Msg>)> {
         self.obs
             .counter("ingest.invalidate.keys")
             .add(keys.len() as u64);
@@ -1303,7 +1359,7 @@ impl NodeCtx {
         let mut all_ok = true;
         for (peer, rpc, rx) in waits {
             let ok = matches!(
-                self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout),
+                self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout),
                 Ok(RpcReply::Ack(_))
             ) || self.invalidate_peer_with_retries(peer, keys);
             all_ok &= ok;
@@ -1326,7 +1382,7 @@ impl NodeCtx {
                 return true; // peer crashed: nothing left to invalidate
             };
             if matches!(
-                self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout),
+                self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout),
                 Ok(RpcReply::Ack(_))
             ) {
                 return true;
@@ -1440,7 +1496,7 @@ impl NodeCtx {
         absorb_fragment(&mut merged, &mut sketch_merges, local)?;
         let mut dead: Option<(usize, ClusterError)> = None;
         for (owner, rpc, rx) in waits {
-            match self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout) {
+            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
                 Ok(RpcReply::Partials(Ok(parts), st)) => {
                     acc.add(&st);
                     absorb_fragment(&mut merged, &mut sketch_merges, parts)?;
@@ -1585,7 +1641,7 @@ impl NodeCtx {
         }) else {
             return false;
         };
-        match self.rpc.wait(rpc, &rx, self.config.distress_timeout) {
+        match self.wait_reply(rpc, &rx, self.config.distress_timeout) {
             Ok(RpcReply::Ack(true)) => {}
             Ok(RpcReply::Ack(false)) => {
                 self.obs.inc("handoff.declined");
@@ -1614,7 +1670,7 @@ impl NodeCtx {
             return false;
         };
         if !matches!(
-            self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout),
+            self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout),
             Ok(RpcReply::Ack(true))
         ) {
             return false;
@@ -1627,7 +1683,8 @@ impl NodeCtx {
                 let acked = self
                     .send_invalidate(helper, &overlap.restale.into())
                     .is_some_and(|(rpc, rx)| {
-                        self.rpc.wait(rpc, &rx, self.config.sub_rpc_timeout).is_ok()
+                        self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout)
+                            .is_ok()
                     });
                 if !acked {
                     return false;

@@ -197,16 +197,14 @@ fn an_unrelated_batch_mid_evaluation_leaves_every_key_fresh() {
     node.park(Site::MidFetch, |node| {
         let elsewhere = CellKey::new(tile("9qc"), day(2));
         append_now(node, live_blocks()[3], 0, vec![row_in(&elsewhere)]);
-        node.handle_fast(Envelope {
-            src: node.id,
-            dst: node.id,
-            wire: Duration::ZERO,
-            payload: Msg::Invalidate {
+        node.handle_fast(Envelope::local(
+            node.id,
+            Msg::Invalidate {
                 rpc: 0,
                 reply_to: node.id,
                 keys: finest_keys(&[row_in(&CellKey::new(tile("9q9"), day(2)))]).into(),
             },
-        });
+        ));
     });
     node.eval_subquery(&asked, false).unwrap();
     assert_eq!(counter(node, "ingest.batches"), 1, "the hook ran");
@@ -288,16 +286,14 @@ fn an_evaluation_that_outlives_the_fence_log_stales_all_it_asked_for() {
         let keys: Arc<[CellKey]> =
             finest_keys(&[row_in(&CellKey::new(tile("9qc"), day(2)))]).into();
         for _ in 0..=FENCE_LOG_LEN {
-            node.handle_fast(Envelope {
-                src: node.id,
-                dst: node.id,
-                wire: Duration::ZERO,
-                payload: Msg::Invalidate {
+            node.handle_fast(Envelope::local(
+                node.id,
+                Msg::Invalidate {
                     rpc: 0,
                     reply_to: node.id,
                     keys: Arc::clone(&keys),
                 },
-            });
+            ));
         }
     });
     node.eval_subquery(&asked, false).unwrap();

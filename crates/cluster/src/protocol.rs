@@ -274,6 +274,21 @@ pub fn cells_bytes(cells: &[(Cell, f64)]) -> usize {
 }
 
 impl Msg {
+    /// The correlation id of a reply — the messages whose only consumer is
+    /// the waiter on that RPC slot.
+    pub fn reply_id(&self) -> Option<u64> {
+        match self {
+            Msg::QueryResponse { rpc, .. }
+            | Msg::SubQueryResponse { rpc, .. }
+            | Msg::PartialsResponse { rpc, .. }
+            | Msg::DistressAck { rpc, .. }
+            | Msg::ReplicationResponse { rpc, .. }
+            | Msg::AppendAck { rpc, .. }
+            | Msg::InvalidateAck { rpc } => Some(*rpc),
+            _ => None,
+        }
+    }
+
     /// Wire size estimate for the fabric's bandwidth model.
     pub fn wire_size(&self) -> usize {
         match self {

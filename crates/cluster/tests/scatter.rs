@@ -7,7 +7,8 @@
 //! — one tick, one sub-query — exactly as the coordinator's own share is.
 //! And a Cell that spans partitions is gathered with "up to one query
 //! forwarding" (§IV-D) per block owner, all of them in flight while the
-//! gathering node reads its own blocks.
+//! gathering node reads its own blocks. A hop costs what the wire model
+//! says it costs: a warm remote hit is four of them and little else.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -18,6 +19,7 @@ use stash_dfs::{plan_blocks, DiskModel};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{cover_bbox, BBox, TemporalRes, TimeBin, TimeRange};
 use stash_model::{AggQuery, CellKey};
+use stash_net::NetConfig;
 
 fn config(mode: Mode) -> ClusterConfig {
     config_with_disk(mode, DiskModel::free())
@@ -193,6 +195,92 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
         wall < slowest * 3 / 2,
         "{wall:?} for blocks per owner {blocks:?}: the gather waited for the \
          local scan before asking the peers (slowest owner {slowest:?})"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_warm_remote_hit_costs_its_four_hops() {
+    // Two nodes, the default wire, nothing else modeled: a warm viewport
+    // owned by one node and coordinated at the other is client → coordinator
+    // → owner → coordinator → client, each hop slept once, to its deadline,
+    // by the thread that consumes the message.
+    let cluster = SimCluster::new(
+        ClusterConfig::builder()
+            .n_nodes(2)
+            .disk(DiskModel::free())
+            .scan_cost_per_obs(Duration::ZERO)
+            .cell_service_cost(Duration::ZERO)
+            .build()
+            .expect("two-node config is valid"),
+    );
+    let wire = NetConfig::default();
+    assert_eq!(cluster.config().net.base_latency, wire.base_latency);
+    let day = epoch_seconds(2015, 2, 2, 0, 0, 0);
+    let query = AggQuery::new(
+        BBox::from_corner_extent(38.0, -105.0, 0.3, 0.6),
+        TimeRange::new(day, day + 86_400).unwrap(),
+        4,
+        TemporalRes::Day,
+    );
+    let part = cluster.node(0).store.partitioner().clone();
+    let keys = query.target_keys(usize::MAX).unwrap();
+    let owner = part.owner_of_cell(&keys[0]);
+    assert!(
+        keys.iter().all(|k| part.owner_of_cell(k) == owner),
+        "the viewport must have a single owner"
+    );
+    let coordinator = 1 - owner;
+    let client = cluster.client();
+    client.query(&query).at(coordinator).run().expect("warm-up");
+
+    let hops = wire.base_latency * 4;
+    let warm_hit = || {
+        let sent = cluster.net_stats().bytes_sent();
+        let t0 = Instant::now();
+        let (result, trace) = client
+            .query(&query)
+            .at(coordinator)
+            .traced()
+            .run()
+            .expect("warm hit");
+        let wall = t0.elapsed();
+        assert_eq!(
+            (result.misses, trace.subqueries),
+            (0, 1),
+            "warm, one remote owner"
+        );
+        // A sleep cannot end early: the lower bound holds on every run.
+        assert!(
+            wall >= hops,
+            "{wall:?} for four hops of {:?}",
+            wire.base_latency
+        );
+        assert!(
+            Duration::from_nanos(trace.agg.wire_ns) >= hops,
+            "observed wire time {} ns",
+            trace.agg.wire_ns
+        );
+        let bytes = cluster.net_stats().bytes_sent() - sent;
+        let bandwidth = Duration::from_secs_f64(bytes as f64 / wire.bytes_per_sec);
+        (wall, hops + bandwidth + Duration::from_micros(200))
+    };
+    // A busy host only ever adds time, so the upper bound is asked of the
+    // best of five rounds — spread out, so that the tests running beside
+    // this one are not busy through all of them, and each a burst of
+    // queries, so that the cores it wakes on are not asleep themselves.
+    let mut walls = Vec::new();
+    let met = (0..5).any(|round| {
+        std::thread::sleep(Duration::from_millis(40 * round));
+        (0..8).any(|_| {
+            let (wall, upper) = warm_hit();
+            walls.push(wall);
+            wall <= upper
+        })
+    });
+    assert!(
+        met,
+        "{walls:?}: never within 200 us of four hops ({hops:?}) + bandwidth"
     );
     cluster.shutdown();
 }

@@ -12,7 +12,7 @@
 //! real node. Every system in the workspace that pays a disk (the STASH and
 //! Basic stores, the `stash-elastic` baseline) bills through it.
 
-use stash_obs::MetricsRegistry;
+use stash_obs::{sleep_until, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -139,13 +139,6 @@ impl LaneBill {
         metrics.counter("dfs.charge.disk_ns").add(ns(self.disk));
         metrics.counter("dfs.charge.scan_ns").add(ns(self.scan));
         metrics.counter("dfs.fetch.wall_ns").add(ns(self.wall));
-    }
-}
-
-fn sleep_until(deadline: Instant) {
-    let left = deadline.saturating_duration_since(Instant::now());
-    if !left.is_zero() {
-        std::thread::sleep(left);
     }
 }
 

@@ -152,21 +152,14 @@ impl EsNode {
         while let Ok(env) = inbox.recv() {
             match env.payload {
                 EsMsg::Shutdown => {
-                    for _ in 0..self.config.coord_workers {
-                        let _ = self.coord_tx.send(Envelope {
-                            src: self.id,
-                            dst: self.id,
-                            wire: Duration::ZERO,
-                            payload: EsMsg::Shutdown,
-                        });
-                    }
-                    for _ in 0..self.config.shard_workers {
-                        let _ = self.shard_tx.send(Envelope {
-                            src: self.id,
-                            dst: self.id,
-                            wire: Duration::ZERO,
-                            payload: EsMsg::Shutdown,
-                        });
+                    let poisons = [
+                        (&self.coord_tx, self.config.coord_workers),
+                        (&self.shard_tx, self.config.shard_workers),
+                    ];
+                    for (tx, n) in poisons {
+                        for _ in 0..n {
+                            let _ = tx.send(Envelope::local(self.id, EsMsg::Shutdown));
+                        }
                     }
                     return;
                 }
@@ -176,20 +169,10 @@ impl EsNode {
                 // Shard searches never block on peers, so they get their
                 // own tier; coordinations may block waiting for them.
                 payload @ EsMsg::ShardSearch { .. } => {
-                    let _ = self.shard_tx.send(Envelope {
-                        src: env.src,
-                        dst: env.dst,
-                        wire: env.wire,
-                        payload,
-                    });
+                    let _ = self.shard_tx.send(Envelope { payload, ..env });
                 }
                 payload => {
-                    let _ = self.coord_tx.send(Envelope {
-                        src: env.src,
-                        dst: env.dst,
-                        wire: env.wire,
-                        payload,
-                    });
+                    let _ = self.coord_tx.send(Envelope { payload, ..env });
                 }
             }
         }
@@ -259,8 +242,7 @@ impl EsNode {
         absorb(own);
         for (rpc, rx) in waits {
             match self.rpc.wait(rpc, &rx, self.config.shard_rpc_timeout) {
-                Ok(Ok(parts)) => absorb(parts),
-                Ok(Err(e)) => return Err(e),
+                Ok(arrived) => absorb(arrived.response?),
                 Err(e) => return Err(format!("shard rpc failed: {e}")),
             }
         }
@@ -305,7 +287,7 @@ impl EsClient {
             return Err("cluster disconnected".into());
         }
         match self.rpc.wait(rpc_id, &rx, self.timeout) {
-            Ok(r) => r,
+            Ok(arrived) => arrived.response,
             Err(RpcError::Timeout) => Err("search timed out".into()),
             Err(RpcError::Canceled) => Err("cluster disconnected".into()),
         }

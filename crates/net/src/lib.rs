@@ -6,12 +6,13 @@
 //! in-process message-passing fabric (DESIGN.md §2) with the properties the
 //! experiments depend on:
 //!
-//! * **Real concurrency** — every simulated node is an OS thread draining a
-//!   real channel, so queueing delay, hotspots, and head-of-line blocking
+//! * **Real concurrency** — every simulated node is OS threads draining
+//!   real queues, so queueing delay, hotspots, and head-of-line blocking
 //!   *emerge* rather than being modeled.
-//! * **Modeled wire time** — each message is held in a delay queue for
-//!   `base_latency + bytes / bandwidth` before delivery, without occupying
-//!   either endpoint (messages are genuinely in flight).
+//! * **Modeled wire time** — each message is handed to its destination at
+//!   send time, stamped due `base_latency + bytes / bandwidth` later, and
+//!   waited for by the thread that consumes it, without occupying either
+//!   endpoint (messages are genuinely in flight; the fabric has no threads).
 //! * **Observability** — per-node inbox depth (the paper's hotspot trigger,
 //!   §VII-B1) and fabric-wide message/byte counters.
 //!
@@ -25,11 +26,13 @@
 //! the way real processes do — silence, duplicates, and dead peers.
 
 pub mod fault;
+pub mod queue;
 pub mod router;
 pub mod rpc;
 pub mod stats;
 
 pub use fault::{FaultDecision, FaultPlan, LinkFault};
-pub use router::{Endpoint, Envelope, Inbox, NetConfig, NodeId, Router};
-pub use rpc::RpcTable;
+pub use queue::{DelayQueue, Inbox, Parked};
+pub use router::{Endpoint, Envelope, Handover, NetConfig, NodeId, Port, Router};
+pub use rpc::{Arrived, ReplySlot, RpcTable};
 pub use stats::NetStats;

@@ -3,20 +3,82 @@
 //! The fabric only sends; callers that need an answer (a client waiting for
 //! a query result, a hotspotted node waiting for a Distress acknowledgement)
 //! register a pending slot here, ship the correlation id inside their
-//! message, and block on the returned receiver. The responder completes the
-//! slot by id.
+//! message, and block on the returned slot. The responder's message
+//! completes the slot by id — at *send* time, stamped with the instant it
+//! is due ([`RpcTable::complete_at`], called from the destination's port on
+//! the sender's thread) — and the waiter sleeps out the rest of the wire
+//! time itself: one timed wait on the thread that will use the reply.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crate::queue::Parked;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+enum SlotState<R> {
+    Empty,
+    /// The waiter is blocked on `filled` (or about to be): whoever changes
+    /// the state must notify. Nobody else ever waits on a slot, so a
+    /// responder that finds it `Empty` saves the wake-up syscall.
+    Waiting,
+    Filled {
+        response: R,
+        sent_at: Instant,
+        due: Instant,
+    },
+    Canceled,
+}
+
+struct Slot<R> {
+    state: Mutex<SlotState<R>>,
+    filled: Condvar,
+}
+
+impl<R> Slot<R> {
+    /// Move the slot to its final state and wake its waiter, if it waits.
+    fn set(&self, state: SlotState<R>) {
+        let before = std::mem::replace(&mut *self.state.lock(), state);
+        if matches!(before, SlotState::Waiting) {
+            self.filled.notify_one();
+        }
+    }
+}
+
+/// The waiter's half of a pending request ([`RpcTable::register`]).
+pub struct ReplySlot<R>(Arc<Slot<R>>);
+
+impl<R> std::fmt::Debug for ReplySlot<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ReplySlot { .. }")
+    }
+}
+
+/// A response as its waiter took it.
+#[derive(Debug)]
+pub struct Arrived<R> {
+    pub response: R,
+    /// Observed wire time of the response: its modeled time (due − sent)
+    /// plus the waiter's lateness, if it waited.
+    pub wire: Duration,
+    /// How long after its due time the waiter took it, when it had to wait
+    /// for that time; `None` when the response was due before its waiter
+    /// came for it.
+    pub late: Option<Duration>,
+}
 
 /// A table of in-flight requests awaiting responses of type `R`.
-#[derive(Debug)]
 pub struct RpcTable<R> {
     next_id: AtomicU64,
-    pending: Mutex<HashMap<u64, Sender<R>>>,
+    pending: Mutex<HashMap<u64, Arc<Slot<R>>>>,
+}
+
+impl<R> std::fmt::Debug for RpcTable<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RpcTable")
+            .field("in_flight", &self.in_flight())
+            .finish()
+    }
 }
 
 impl<R> Default for RpcTable<R> {
@@ -33,7 +95,7 @@ impl<R> Default for RpcTable<R> {
 pub enum RpcError {
     /// No response within the deadline; the slot has been reclaimed.
     Timeout,
-    /// The responder dropped the slot without answering.
+    /// The slot was canceled without an answer.
     Canceled,
 }
 
@@ -50,33 +112,93 @@ impl std::error::Error for RpcError {}
 
 impl<R> RpcTable<R> {
     /// Allocate a correlation id and its response slot.
-    pub fn register(&self) -> (u64, Receiver<R>) {
+    pub fn register(&self) -> (u64, ReplySlot<R>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.pending.lock().insert(id, tx);
-        (id, rx)
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState::Empty),
+            filled: Condvar::new(),
+        });
+        self.pending.lock().insert(id, Arc::clone(&slot));
+        (id, ReplySlot(slot))
     }
 
-    /// Deliver the response for `id`. Returns `false` when the id is unknown
-    /// (already completed, timed out, or never registered) — duplicate
-    /// responses are tolerated, mirroring at-least-once delivery.
+    /// Deliver the response for `id`, due now. See
+    /// [`RpcTable::complete_at`].
     pub fn complete(&self, id: u64, response: R) -> bool {
-        match self.pending.lock().remove(&id) {
-            Some(tx) => tx.send(response).is_ok(),
-            None => false,
-        }
+        let now = Instant::now();
+        self.complete_at(id, response, now, now)
     }
 
-    /// Block on a response slot with a deadline. On timeout the slot is
-    /// forgotten, so a late response is dropped rather than leaking.
-    pub fn wait(&self, id: u64, rx: &Receiver<R>, timeout: Duration) -> Result<R, RpcError> {
-        match rx.recv_timeout(timeout) {
-            Ok(r) => Ok(r),
-            Err(RecvTimeoutError::Timeout) => {
-                self.pending.lock().remove(&id);
-                Err(RpcError::Timeout)
+    /// Hand over the response for `id`: it entered the wire at `sent_at`
+    /// and its waiter may have it from `due`. Returns `false` when the id is
+    /// unknown (already completed, timed out, or never registered) —
+    /// duplicate responses are tolerated, mirroring at-least-once delivery.
+    pub fn complete_at(&self, id: u64, response: R, sent_at: Instant, due: Instant) -> bool {
+        // The table lock is released before the slot's is taken; a waiter
+        // takes them in the other order.
+        let Some(slot) = self.pending.lock().remove(&id) else {
+            return false;
+        };
+        slot.set(SlotState::Filled {
+            response,
+            sent_at,
+            due,
+        });
+        true
+    }
+
+    /// [`RpcTable::complete_at`] for a port: the response is the payload of
+    /// a message it was handed (one that never rode the wire is due now).
+    pub fn complete_parked(&self, id: u64, parked: Parked<R>) -> bool {
+        let Parked { due, sent_at, env } = parked;
+        self.complete_at(id, env.payload, sent_at.unwrap_or(due), due)
+    }
+
+    /// Block on a response slot until the response is due or `timeout`
+    /// passes. On timeout the slot is forgotten, so a late response is
+    /// dropped rather than leaking; a response due only after the deadline
+    /// is the timeout it would have been.
+    pub fn wait(
+        &self,
+        id: u64,
+        slot: &ReplySlot<R>,
+        timeout: Duration,
+    ) -> Result<Arrived<R>, RpcError> {
+        let deadline = Instant::now() + timeout;
+        let mut state = slot.0.state.lock();
+        loop {
+            match std::mem::replace(&mut *state, SlotState::Waiting) {
+                SlotState::Filled {
+                    response,
+                    sent_at,
+                    due,
+                } => {
+                    drop(state);
+                    if due > deadline {
+                        stash_obs::sleep_until(deadline);
+                        return Err(RpcError::Timeout);
+                    }
+                    let waited = Instant::now() < due;
+                    stash_obs::sleep_until(due);
+                    let late = waited.then(|| due.elapsed());
+                    return Ok(Arrived {
+                        response,
+                        wire: due.saturating_duration_since(sent_at) + late.unwrap_or_default(),
+                        late,
+                    });
+                }
+                SlotState::Canceled => return Err(RpcError::Canceled),
+                SlotState::Empty | SlotState::Waiting => {}
             }
-            Err(RecvTimeoutError::Disconnected) => Err(RpcError::Canceled),
+            if stash_obs::wait_until(&slot.0.filled, &mut state, deadline) {
+                // Past the deadline the slot is reclaimed — unless a
+                // responder took it out of the table a moment ago and is
+                // about to fill it: then the answer is one notify away.
+                if self.pending.lock().remove(&id).is_some() {
+                    return Err(RpcError::Timeout);
+                }
+                slot.0.filled.wait(&mut state);
+            }
         }
     }
 
@@ -85,9 +207,13 @@ impl<R> RpcTable<R> {
         self.pending.lock().len()
     }
 
-    /// Drop a pending slot (e.g. caller giving up early).
+    /// Drop a pending slot (e.g. caller giving up early); a waiter on it
+    /// sees [`RpcError::Canceled`].
     pub fn cancel(&self, id: u64) {
-        self.pending.lock().remove(&id);
+        let slot = self.pending.lock().remove(&id);
+        if let Some(slot) = slot {
+            slot.set(SlotState::Canceled);
+        }
     }
 }
 
@@ -103,7 +229,7 @@ mod tests {
         assert_eq!(table.in_flight(), 1);
         assert!(table.complete(id, "ok".into()));
         let got = table.wait(id, &rx, Duration::from_secs(1)).unwrap();
-        assert_eq!(got, "ok");
+        assert_eq!(got.response, "ok");
         assert_eq!(table.in_flight(), 0);
     }
 
@@ -125,7 +251,13 @@ mod tests {
         let (id, rx) = table.register();
         assert!(table.complete(id, 1));
         assert!(!table.complete(id, 2), "duplicate response accepted");
-        assert_eq!(table.wait(id, &rx, Duration::from_secs(1)).unwrap(), 1);
+        assert_eq!(
+            table
+                .wait(id, &rx, Duration::from_secs(1))
+                .unwrap()
+                .response,
+            1
+        );
     }
 
     #[test]
@@ -164,7 +296,61 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             t.complete(id, 42);
         });
-        assert_eq!(table.wait(id, &rx, Duration::from_secs(2)).unwrap(), 42);
+        assert_eq!(
+            table
+                .wait(id, &rx, Duration::from_secs(2))
+                .unwrap()
+                .response,
+            42
+        );
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_is_taken_at_its_due_time_not_at_handover() {
+        let table = RpcTable::<u32>::default();
+        let (id, slot) = table.register();
+        let sent = Instant::now();
+        let delay = Duration::from_millis(15);
+        assert!(table.complete_at(id, 7, sent, sent + delay));
+        let got = table.wait(id, &slot, Duration::from_secs(2)).unwrap();
+        assert_eq!(got.response, 7);
+        assert!(sent.elapsed() >= delay, "handed out before due");
+        let late = got.late.expect("the waiter slept to the due time");
+        assert!(late < Duration::from_secs(1));
+        assert_eq!(got.wire, delay + late);
+        // A reply already due when its waiter comes for it was not late.
+        let (id, slot) = table.register();
+        assert!(table.complete(id, 8));
+        let got = table.wait(id, &slot, Duration::from_secs(2)).unwrap();
+        assert_eq!((got.response, got.late), (8, None));
+    }
+
+    #[test]
+    fn a_reply_due_after_the_deadline_is_a_timeout_and_its_slot_is_reclaimed() {
+        let table = RpcTable::<u32>::default();
+        let (id, slot) = table.register();
+        let sent = Instant::now();
+        assert!(table.complete_at(id, 7, sent, sent + Duration::from_secs(60)));
+        let err = table
+            .wait(id, &slot, Duration::from_millis(10))
+            .unwrap_err();
+        assert_eq!(err, RpcError::Timeout);
+        // The wait ran to its deadline (as it would have without the early
+        // handover) and not to the reply's due time.
+        assert!(sent.elapsed() >= Duration::from_millis(10));
+        assert!(sent.elapsed() < Duration::from_secs(30));
+        assert_eq!(table.in_flight(), 0);
+        assert!(!table.complete(id, 8), "reclaimed slot took a late reply");
+    }
+
+    #[test]
+    fn cancel_wakes_a_waiter() {
+        let table = Arc::new(RpcTable::<u32>::default());
+        let (id, slot) = table.register();
+        let t = Arc::clone(&table);
+        let h = std::thread::spawn(move || t.wait(id, &slot, Duration::from_secs(10)));
+        table.cancel(id);
+        assert_eq!(h.join().unwrap().unwrap_err(), RpcError::Canceled);
     }
 }

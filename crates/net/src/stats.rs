@@ -2,13 +2,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One cache line of fabric-total counters. The totals are striped across
-/// one lane per delivery shard so senders and shard threads touching
-/// different shards never bounce a shared counter line between cores;
-/// read-out sums the lanes.
+/// One cache line of counters for one destination node. Every ledger event
+/// of a message is recorded under its destination, so senders to different
+/// nodes never bounce a shared counter line between cores; the fabric-wide
+/// totals are the sums over the lanes.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct LaneTotals {
+struct Lane {
     messages_sent: AtomicU64,
     messages_delivered: AtomicU64,
     messages_dropped: AtomicU64,
@@ -23,95 +23,79 @@ struct LaneTotals {
 /// synchronization. (Per the concurrency guide: counters that no control
 /// flow depends on need no happens-before edges.)
 ///
-/// Fabric-wide totals are striped into shard-local lanes
-/// ([`NetStats::with_topology`]); getters merge the lanes at read time.
-/// Per-node slots are sized once at fabric construction and indexed by
-/// node id; a default (node-less) stats block still tracks the totals.
+/// One lane per destination node, sized once at fabric construction; a
+/// default (node-less) stats block has a single lane that tracks the totals
+/// only.
 #[derive(Debug)]
 pub struct NetStats {
-    /// Shard-local total stripes; always at least one lane.
-    lanes: Vec<LaneTotals>,
-    /// Per-destination delivered counts, indexed by node id.
-    node_delivered: Vec<AtomicU64>,
-    /// Per-destination dropped counts, indexed by node id.
-    node_dropped: Vec<AtomicU64>,
-    /// Per-destination refused counts, indexed by node id.
-    node_refused: Vec<AtomicU64>,
+    /// Always at least one lane.
+    lanes: Vec<Lane>,
+    n_nodes: usize,
 }
 
 impl Default for NetStats {
     fn default() -> Self {
-        NetStats::with_topology(0, 1)
+        NetStats::with_nodes(0)
     }
 }
 
 impl NetStats {
-    /// Stats block with per-node slots for a fabric of `n_nodes` and one
-    /// total lane per delivery shard (`lanes` is clamped to ≥ 1).
-    pub fn with_topology(n_nodes: usize, lanes: usize) -> Self {
+    /// Stats block with one lane per node of a fabric of `n_nodes`.
+    pub fn with_nodes(n_nodes: usize) -> Self {
         NetStats {
-            lanes: (0..lanes.max(1)).map(|_| LaneTotals::default()).collect(),
-            node_delivered: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
-            node_dropped: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
-            node_refused: (0..n_nodes).map(|_| AtomicU64::new(0)).collect(),
+            lanes: (0..n_nodes.max(1)).map(|_| Lane::default()).collect(),
+            n_nodes,
         }
     }
 
-    /// Stats block with per-node slots and a single total lane.
-    pub fn with_nodes(n_nodes: usize) -> Self {
-        NetStats::with_topology(n_nodes, 1)
+    fn lane(&self, dst: usize) -> &Lane {
+        // Modulo keeps any index safe on a node-less block.
+        &self.lanes[dst % self.lanes.len()]
     }
 
-    fn lane(&self, lane: usize) -> &LaneTotals {
-        // Callers pass a shard index; modulo keeps any index safe.
-        &self.lanes[lane % self.lanes.len()]
-    }
-
-    pub(crate) fn record_send(&self, lane: usize, bytes: usize) {
-        let l = self.lane(lane);
+    pub(crate) fn record_send(&self, dst: usize, bytes: usize) {
+        let l = self.lane(dst);
         l.messages_sent.fetch_add(1, Ordering::Relaxed);
         l.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_deliver(&self, lane: usize, dst: usize) {
-        self.lane(lane)
+    pub(crate) fn record_deliver(&self, dst: usize) {
+        self.lane(dst)
             .messages_delivered
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.node_delivered.get(dst) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
-    pub(crate) fn record_drop(&self, lane: usize, dst: usize) {
-        self.lane(lane)
+    pub(crate) fn record_drop(&self, dst: usize) {
+        self.lane(dst)
             .messages_dropped
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.node_dropped.get(dst) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
-    pub(crate) fn record_loopback(&self, lane: usize, _dst: usize) {
-        // Per-node slots stay wire-only; the total keeps the ledger honest.
-        self.lane(lane)
+    pub(crate) fn record_loopback(&self, dst: usize) {
+        self.lane(dst)
             .messages_loopback
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_refuse(&self, lane: usize, dst: usize) {
-        self.lane(lane)
+    pub(crate) fn record_refuse(&self, dst: usize) {
+        self.lane(dst)
             .messages_refused
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = self.node_refused.get(dst) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
-    fn sum(&self, field: impl Fn(&LaneTotals) -> &AtomicU64) -> u64 {
+    fn sum(&self, field: impl Fn(&Lane) -> &AtomicU64) -> u64 {
         self.lanes
             .iter()
             .map(|l| field(l).load(Ordering::Relaxed))
             .sum()
+    }
+
+    fn of_node(&self, node: usize, field: impl Fn(&Lane) -> &AtomicU64) -> u64 {
+        if node < self.n_nodes {
+            field(&self.lanes[node]).load(Ordering::Relaxed)
+        } else {
+            0
+        }
     }
 
     /// Messages accepted by [`Router::send`](crate::Router::send).
@@ -119,7 +103,7 @@ impl NetStats {
         self.sum(|l| &l.messages_sent)
     }
 
-    /// Messages that completed their wire delay and were handed to an inbox
+    /// Messages whose wire delay ended on a live queue of their destination
     /// (loopback sends skip the wire and are counted in
     /// [`NetStats::messages_loopback`] instead).
     pub fn messages_delivered(&self) -> u64 {
@@ -157,26 +141,20 @@ impl NetStats {
         self.sum(|l| &l.bytes_sent)
     }
 
-    /// Wire deliveries into `node`'s inbox; 0 if the id is out of range.
+    /// Wire deliveries to `node`; 0 if the id is out of range.
     pub fn node_delivered(&self, node: usize) -> u64 {
-        self.node_delivered
-            .get(node)
-            .map_or(0, |s| s.load(Ordering::Relaxed))
+        self.of_node(node, |l| &l.messages_delivered)
     }
 
     /// Messages destined for `node` that were lost; 0 if out of range.
     pub fn node_dropped(&self, node: usize) -> u64 {
-        self.node_dropped
-            .get(node)
-            .map_or(0, |s| s.load(Ordering::Relaxed))
+        self.of_node(node, |l| &l.messages_dropped)
     }
 
     /// Sends to `node` refused because a peer was crashed; 0 if out of
     /// range.
     pub fn node_refused(&self, node: usize) -> u64 {
-        self.node_refused
-            .get(node)
-            .map_or(0, |s| s.load(Ordering::Relaxed))
+        self.of_node(node, |l| &l.messages_refused)
     }
 }
 
@@ -187,10 +165,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = NetStats::with_nodes(2);
-        s.record_send(0, 10);
-        s.record_send(0, 20);
-        s.record_deliver(0, 1);
-        s.record_drop(0, 0);
+        s.record_send(1, 10);
+        s.record_send(1, 20);
+        s.record_deliver(1);
+        s.record_drop(0);
         assert_eq!(s.messages_sent(), 2);
         assert_eq!(s.bytes_sent(), 30);
         assert_eq!(s.messages_delivered(), 1);
@@ -205,8 +183,8 @@ mod tests {
     fn loopback_and_refusals_have_their_own_ledger_lines() {
         let s = NetStats::with_nodes(2);
         s.record_send(0, 8);
-        s.record_loopback(0, 0);
-        s.record_refuse(0, 1);
+        s.record_loopback(0);
+        s.record_refuse(1);
         assert_eq!(s.messages_sent(), 1);
         assert_eq!(s.messages_loopback(), 1);
         assert_eq!(s.messages_refused(), 1);
@@ -221,8 +199,8 @@ mod tests {
     #[test]
     fn out_of_range_node_counts_totals_only() {
         let s = NetStats::default();
-        s.record_deliver(0, 7);
-        s.record_drop(0, 7);
+        s.record_deliver(7);
+        s.record_drop(7);
         assert_eq!(s.messages_delivered(), 1);
         assert_eq!(s.messages_dropped(), 1);
         assert_eq!(s.node_delivered(7), 0);
@@ -231,29 +209,29 @@ mod tests {
 
     #[test]
     fn lanes_merge_at_read_time() {
-        let s = NetStats::with_topology(1, 4);
-        for lane in 0..4 {
-            s.record_send(lane, 10);
-            s.record_deliver(lane, 0);
+        let s = NetStats::with_nodes(4);
+        for dst in 0..4 {
+            s.record_send(dst, 10);
+            s.record_deliver(dst);
         }
-        // Out-of-range lane indices wrap instead of panicking.
+        // Out-of-range destinations wrap instead of panicking.
         s.record_send(17, 5);
         assert_eq!(s.messages_sent(), 5);
         assert_eq!(s.bytes_sent(), 45);
         assert_eq!(s.messages_delivered(), 4);
-        assert_eq!(s.node_delivered(0), 4);
+        assert_eq!(s.node_delivered(2), 1);
     }
 
     #[test]
     fn counters_are_thread_safe() {
-        let s = std::sync::Arc::new(NetStats::with_topology(1, 4));
+        let s = std::sync::Arc::new(NetStats::with_nodes(1));
         let handles: Vec<_> = (0..8)
-            .map(|t| {
+            .map(|_| {
                 let s = std::sync::Arc::clone(&s);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        s.record_send(t, 1);
-                        s.record_deliver(t, 0);
+                        s.record_send(0, 1);
+                        s.record_deliver(0);
                     }
                 })
             })

@@ -129,6 +129,24 @@ impl HistogramSnapshot {
         self.counts.iter().sum()
     }
 
+    /// Fold another snapshot in — the same metric read off another node's
+    /// registry — as if every sample had been recorded into one histogram.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        if other.count() == 0 {
+            return;
+        }
+        self.min = if self.count() == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
+        self.max = self.max.max(other.max);
+        for b in 0..NUM_BUCKETS {
+            self.counts[b] += other.counts[b];
+            self.sums[b] += other.sums[b];
+        }
+    }
+
     /// See [`Histogram::percentile`].
     pub fn percentile(&self, p: f64) -> u64 {
         let n = self.count();
@@ -179,6 +197,27 @@ mod tests {
             assert_eq!(s.counts[b], 1, "bucket {b}");
             assert_eq!(s.sums[b], 1u64 << (b - 1));
         }
+    }
+
+    #[test]
+    fn merged_snapshots_read_as_one_histogram() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [40, 900, 70_000] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [7, 1_000, 1_000_000] {
+            b.record(v);
+            both.record(v);
+        }
+        let mut merged = Histogram::new().snapshot();
+        merged.merge(&a.snapshot());
+        merged.merge(&b.snapshot());
+        merged.merge(&Histogram::new().snapshot());
+        let want = both.snapshot();
+        assert_eq!((merged.counts, merged.sums), (want.counts, want.sums));
+        assert_eq!((merged.min, merged.max), (7, 1_000_000));
+        assert_eq!(merged.percentile(50.0), want.percentile(50.0));
     }
 
     #[test]
