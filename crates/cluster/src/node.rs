@@ -344,9 +344,11 @@ impl NodeCtx {
 
     /// This node's port (see [`stash_net::Port`]): place one message, at
     /// send time, where its consumer will wait for its due time. Replies go
-    /// to their slot, work to its tier; control that answers by sending,
-    /// and a SubQuery this node might reroute (a reroute is a send), fall
-    /// through to the inbox so the main thread handles them once due.
+    /// to their slot, work to its tier; control that answers by sending
+    /// falls through to the inbox so the main thread handles it once due —
+    /// and so does all work that finds the node hotspotted or makes it so:
+    /// shedding it (a reroute) and relieving the node (a Clique Handoff)
+    /// both send, which a port may not.
     pub fn accept(&self, parked: Parked<Msg>) -> Handover<Msg> {
         if let Some(rpc) = parked.env.payload.reply_id() {
             // A reply nobody waits for any more (duplicate, or its waiter
@@ -355,21 +357,27 @@ impl NodeCtx {
             return Handover::Taken;
         }
         match &parked.env.payload {
-            Msg::SubQuery {
-                allow_reroute,
-                via_guest,
-                ..
-            } if *allow_reroute && !*via_guest && self.is_hotspotted() => Handover::Inbox(parked),
-            Msg::Query { .. }
+            work @ (Msg::Query { .. }
             | Msg::SubQuery { .. }
             | Msg::FetchPartials { .. }
             | Msg::AppendBatch { .. }
-            | Msg::ReplicationRequest { .. } => {
+            | Msg::ReplicationRequest { .. }) => {
+                let queued = self.service_pending.load(Ordering::Relaxed)
+                    + usize::from(Self::is_service(work));
+                if queued > self.config.stash.hotspot_threshold {
+                    return Handover::Inbox(parked);
+                }
                 self.enqueue(parked);
                 Handover::Queued
             }
             _ => Handover::Inbox(parked),
         }
+    }
+
+    /// Does `work` count towards the hotspot predicate? Everything the
+    /// service and fetch tiers take; a coordinator's Query does not.
+    fn is_service(work: &Msg) -> bool {
+        !matches!(work, Msg::Query { .. })
     }
 
     /// Drain the fabric inbox until shutdown — or until the fabric severs
@@ -491,10 +499,9 @@ impl NodeCtx {
                     ..env
                 });
             }
-            // A reply that found no port (it raced a restart's wiring).
-            payload if payload.reply_id().is_some() => {
-                let _ = self.accept(Parked::local(Envelope { payload, ..env }));
-            }
+            // A reply that found no port: it raced a restart's wiring, and
+            // a restarted node has no request outstanding. Stale.
+            payload if payload.reply_id().is_some() => self.obs.inc("node.stale_reply"),
             // Everything else is real work.
             payload => self.dispatch(Envelope { payload, ..env }),
         }
@@ -511,7 +518,7 @@ impl NodeCtx {
     /// port calls it: counting and a push, nothing else.
     fn enqueue(&self, parked: Parked<Msg>) {
         self.pending.fetch_add(1, Ordering::Relaxed);
-        if !matches!(parked.env.payload, Msg::Query { .. }) {
+        if Self::is_service(&parked.env.payload) {
             self.service_pending.fetch_add(1, Ordering::Relaxed);
         }
         // Route to the tier whose workers may safely block on the tiers
@@ -537,7 +544,7 @@ impl NodeCtx {
                 return;
             }
             self.record_late(env.late);
-            let is_service = !matches!(env.payload, Msg::Query { .. });
+            let is_service = Self::is_service(&env.payload);
             self.process(env);
             self.pending.fetch_sub(1, Ordering::Relaxed);
             if is_service {

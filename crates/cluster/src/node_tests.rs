@@ -341,6 +341,62 @@ fn a_handoff_raced_by_an_append_serves_rerouted_queries_the_appended_rows() {
     cluster.shutdown();
 }
 
+/// The hotspot predicate counts every request in the data-service queue
+/// (§VII-B1): a backlog of FetchPartials alone — placed by the port, nothing
+/// reroutable among it — must still reach the main thread's hotspot check
+/// and start a Clique Handoff.
+#[test]
+fn a_fetch_partials_backlog_starts_a_handoff() {
+    let mut config = test_config(2);
+    config.stash.hotspot_threshold = 2;
+    // Every fetch below reads a block nobody has read: 3 ms each on the
+    // node's one fetch worker, so eight of them queue up.
+    config.disk = DiskModel {
+        seek: Duration::from_millis(3),
+        bytes_per_sec: f64::INFINITY,
+    };
+    let cluster = SimCluster::new(config);
+    let members = viewport();
+    let home_idx = cluster
+        .node(0)
+        .store
+        .partitioner()
+        .owner_of_cell(&members[0]);
+    let (home, peer) = (cluster.node(home_idx), cluster.node(1 - home_idx));
+    // A Clique to hand off.
+    home.eval_subquery(&members, false).unwrap();
+    let waits: Vec<_> = (4..12)
+        .map(|d| {
+            let keys = CellKey::new(tile("9q8"), day(d))
+                .spatial_children()
+                .unwrap();
+            peer.send_rpc(home_idx, |rpc| Msg::FetchPartials {
+                rpc,
+                reply_to: peer.id,
+                keys,
+                exclude: Vec::new(),
+            })
+            .expect("the fabric is up")
+        })
+        .collect();
+    for (rpc, slot) in &waits {
+        let reply = peer.wait_reply(*rpc, slot, Duration::from_secs(10));
+        assert!(matches!(reply, Ok(RpcReply::Partials(Ok(_), _))));
+    }
+    let started = Instant::now();
+    while home.stats.handoffs.load(Ordering::Relaxed) == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "a backlog of {} fetches over a threshold of 2 started no handoff",
+            waits.len()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(peer.guest.len(), members.len());
+    assert_eq!(counter(home, "handoff.reroute"), 0);
+    cluster.shutdown();
+}
+
 // -- Level-projected propagation == the 48-level reference --------------------
 
 /// Everything an append may change on one node, in comparable form.

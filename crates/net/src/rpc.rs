@@ -192,12 +192,15 @@ impl<R> RpcTable<R> {
             }
             if stash_obs::wait_until(&slot.0.filled, &mut state, deadline) {
                 // Past the deadline the slot is reclaimed — unless a
-                // responder took it out of the table a moment ago and is
-                // about to fill it: then the answer is one notify away.
+                // responder took it out of the table a moment ago. It has
+                // filled the slot since this wait timed out (its notify
+                // found nobody), or it is about to and will notify.
                 if self.pending.lock().remove(&id).is_some() {
                     return Err(RpcError::Timeout);
                 }
-                slot.0.filled.wait(&mut state);
+                while matches!(*state, SlotState::Waiting) {
+                    slot.0.filled.wait(&mut state);
+                }
             }
         }
     }
@@ -342,6 +345,65 @@ mod tests {
         assert!(sent.elapsed() < Duration::from_secs(30));
         assert_eq!(table.in_flight(), 0);
         assert!(!table.complete(id, 8), "reclaimed slot took a late reply");
+    }
+
+    /// A reply handed over just as its waiter's deadline fires: the waiter
+    /// has left the condvar, the responder has taken the id out of the
+    /// table. Whatever the interleaving, every wait must return, and with
+    /// an answer only if the responder was told its completion took.
+    #[test]
+    fn a_reply_racing_the_deadline_never_strands_its_waiter() {
+        const ROUNDS: u32 = 2_000;
+        let table = Arc::new(RpcTable::<u32>::default());
+        let (ids_tx, ids_rx) = std::sync::mpsc::channel::<(u64, Duration)>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<bool>();
+        let responder = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                for (id, nap) in ids_rx {
+                    std::thread::sleep(nap);
+                    if done_tx.send(table.complete(id, 1)).is_err() {
+                        break;
+                    }
+                }
+            })
+        };
+        let waiter = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    // Timeouts of 0–1 ms against a completion swept across
+                    // the deadline: from 200 µs before it (a sleeping
+                    // responder overshoots) to 50 µs after.
+                    let timeout = Duration::from_micros(u64::from(round % 11) * 100);
+                    let nap = (timeout + Duration::from_micros(u64::from(round % 26) * 10))
+                        .saturating_sub(Duration::from_micros(200));
+                    let (id, slot) = table.register();
+                    ids_tx.send((id, nap)).unwrap();
+                    let got = table.wait(id, &slot, timeout);
+                    let completed = done_rx.recv().unwrap();
+                    match got {
+                        Ok(arrived) => assert!(completed && arrived.response == 1),
+                        // Also with `completed`: a reply due after the
+                        // deadline is the timeout it would have been.
+                        Err(e) => assert_eq!(e, RpcError::Timeout),
+                    }
+                }
+            })
+        };
+        // A stranded waiter blocks forever; give the loop far more than the
+        // ~2 s it needs and fail instead of hanging the suite.
+        let started = Instant::now();
+        while !waiter.is_finished() {
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "a wait never returned"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        waiter.join().unwrap();
+        responder.join().unwrap();
+        assert_eq!(table.in_flight(), 0);
     }
 
     #[test]
