@@ -9,15 +9,17 @@
 //! not yet due. A hop is one timed wait on the thread that will use the
 //! message.
 //!
-//! With several consumers on one queue (a node's worker tier) exactly one
-//! of them is in a timed wait for the head; the others block untimed and
-//! are handed the watch when the timed one leaves with a message — one
-//! wake-up per message, not one per consumer.
+//! With several consumers on one queue (a node's worker tier) every idle
+//! one waits for the head's due time and the first to get there takes the
+//! message. Having one of them keep the watch for the rest (one wake-up per
+//! message, not one per consumer) was built and measured: a fifth fewer
+//! context switches, no faster at the median, and a tail — the one watcher
+//! is sometimes the thread the scheduler keeps waiting (EXPERIMENTS.md).
 
 use crate::router::{Envelope, NodeId};
 use crate::stats::NetStats;
 use crossbeam::channel::{RecvError, RecvTimeoutError, TryRecvError};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -79,13 +81,6 @@ struct State<M> {
     ready: VecDeque<Parked<M>>,
     seq: u64,
     closed: bool,
-    /// Consumers blocked on `wakeup`.
-    waiting: usize,
-    /// The ticket of the consumer in a timed wait for the head of `wire`.
-    /// At most one; the rest wait untimed. A push of an earlier head
-    /// retires it (`None`), and whoever wakes next takes up the watch.
-    timer: Option<u64>,
-    tickets: u64,
 }
 
 impl<M> State<M> {
@@ -109,13 +104,6 @@ impl<M> State<M> {
             stats.record_deliver(node);
         }
         self.ready.push_back(parked);
-    }
-
-    /// Must a leaving consumer wake another? Yes when a message is ready
-    /// for it, or when messages are pending and nobody times the head.
-    fn hand_on(&self) -> bool {
-        self.waiting > 0
-            && (!self.ready.is_empty() || (!self.wire.is_empty() && self.timer.is_none()))
     }
 }
 
@@ -158,9 +146,6 @@ impl<M> DelayQueue<M> {
                     ready: VecDeque::new(),
                     seq: 0,
                     closed: false,
-                    waiting: 0,
-                    timer: None,
-                    tickets: 0,
                 }),
                 wakeup: Condvar::new(),
                 stats,
@@ -186,11 +171,11 @@ impl<M> DelayQueue<M> {
         st.mature(now, &s.stats, s.node);
         let wake = if parked.due <= now {
             st.arrive(parked, &s.stats, s.node);
-            st.waiting > 0
+            true
         } else {
-            // A new head (strictly earlier than every parked message) needs
-            // a new watch: retire the timed consumer's and wake any
-            // consumer to take it up.
+            // Every idle consumer waits for the head's due time: a new
+            // head (strictly earlier than every parked message) must
+            // re-arm them all.
             let new_head = st
                 .wire
                 .peek()
@@ -198,14 +183,11 @@ impl<M> DelayQueue<M> {
             let seq = st.seq;
             st.seq += 1;
             st.wire.push(Reverse(Entry { seq, parked }));
-            if new_head && st.waiting > 0 {
-                st.timer = None;
-            }
-            new_head && st.waiting > 0
+            new_head
         };
         drop(st);
         if wake {
-            s.wakeup.notify_one();
+            s.wakeup.notify_all();
         }
         true
     }
@@ -218,51 +200,29 @@ impl<M> DelayQueue<M> {
         // `taken − due` the lateness of a wait; a message that was due
         // before its consumer came for it was queueing, not late.
         let mut waited = false;
-        let out = loop {
+        loop {
             let now = Instant::now();
             st.mature(now, &s.stats, s.node);
             if let Some(parked) = st.ready.pop_front() {
-                break Ok(stamp(parked, now, waited));
+                return Ok(stamp(parked, now, waited));
             }
             if st.closed {
-                break Err(Idle::Closed);
+                return Err(Idle::Closed);
             }
             if deadline.is_some_and(|d| now >= d) {
-                break Err(Idle::TimedOut);
+                return Err(Idle::TimedOut);
             }
             waited = true;
+            // To the head's due time or the caller's deadline, whichever
+            // is first; a push that makes either too late wakes us.
             let head = st.wire.peek().map(|Reverse(e)| e.parked.due);
-            match head {
-                Some(due) if st.timer.is_none() => {
-                    st.tickets += 1;
-                    let ticket = st.tickets;
-                    st.timer = Some(ticket);
-                    let until = deadline.map_or(due, |d| d.min(due));
-                    self.block(&mut st, Some(until));
-                    if st.timer == Some(ticket) {
-                        st.timer = None;
-                    }
+            match head.into_iter().chain(deadline).min() {
+                Some(until) => {
+                    stash_obs::wait_until(&s.wakeup, &mut st, until);
                 }
-                _ => self.block(&mut st, deadline),
+                None => s.wakeup.wait(&mut st),
             }
-        };
-        let wake = st.hand_on();
-        drop(st);
-        if wake {
-            s.wakeup.notify_one();
         }
-        out
-    }
-
-    fn block(&self, st: &mut MutexGuard<'_, State<M>>, until: Option<Instant>) {
-        st.waiting += 1;
-        match until {
-            Some(t) => {
-                stash_obs::wait_until(&self.shared.wakeup, st, t);
-            }
-            None => self.shared.wakeup.wait(st),
-        }
-        st.waiting -= 1;
     }
 
     /// Block until a message is due (or the queue is closed).

@@ -18,10 +18,6 @@ use std::time::{Duration, Instant};
 
 enum SlotState<R> {
     Empty,
-    /// The waiter is blocked on `filled` (or about to be): whoever changes
-    /// the state must notify. Nobody else ever waits on a slot, so a
-    /// responder that finds it `Empty` saves the wake-up syscall.
-    Waiting,
     Filled {
         response: R,
         sent_at: Instant,
@@ -38,10 +34,8 @@ struct Slot<R> {
 impl<R> Slot<R> {
     /// Move the slot to its final state and wake its waiter, if it waits.
     fn set(&self, state: SlotState<R>) {
-        let before = std::mem::replace(&mut *self.state.lock(), state);
-        if matches!(before, SlotState::Waiting) {
-            self.filled.notify_one();
-        }
+        *self.state.lock() = state;
+        self.filled.notify_one();
     }
 }
 
@@ -167,7 +161,7 @@ impl<R> RpcTable<R> {
         let deadline = Instant::now() + timeout;
         let mut state = slot.0.state.lock();
         loop {
-            match std::mem::replace(&mut *state, SlotState::Waiting) {
+            match std::mem::replace(&mut *state, SlotState::Empty) {
                 SlotState::Filled {
                     response,
                     sent_at,
@@ -188,7 +182,7 @@ impl<R> RpcTable<R> {
                     });
                 }
                 SlotState::Canceled => return Err(RpcError::Canceled),
-                SlotState::Empty | SlotState::Waiting => {}
+                SlotState::Empty => {}
             }
             if stash_obs::wait_until(&slot.0.filled, &mut state, deadline) {
                 // Past the deadline the slot is reclaimed — unless a
@@ -198,7 +192,7 @@ impl<R> RpcTable<R> {
                 if self.pending.lock().remove(&id).is_some() {
                     return Err(RpcError::Timeout);
                 }
-                while matches!(*state, SlotState::Waiting) {
+                while matches!(*state, SlotState::Empty) {
                     slot.0.filled.wait(&mut state);
                 }
             }
