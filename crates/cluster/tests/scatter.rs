@@ -269,13 +269,14 @@ fn a_warm_remote_hit_costs_its_four_hops() {
     // best of five rounds — spread out, so that the tests running beside
     // this one are not busy through all of them, and each a burst of
     // queries, so that the cores it wakes on are not asleep themselves.
-    // Why a burst and not one query a round: the bound sits on this host's
-    // *median*. Alone on an idle 2-core VM a warm hit is 95–130 µs over
-    // the model at best and 190–240 µs at p50 (four wake-ups from idle at
-    // ~45 µs each plus ~30 µs of real work), so a single try meets it 4
-    // times in 10 and five single tries would fail one run in thirteen
-    // with nothing wrong. With eight tries a round, a round that misses
-    // means the host was busy — which is what the five rounds are for.
+    // Why a burst and not one query a round: the bound sits just above
+    // this host's *median*. Alone on an idle 2-core VM a warm hit is
+    // 100–115 µs over the model at best and 160–190 µs at p50 (four
+    // wake-ups from idle at ~40 µs each plus ~30 µs of real work), so a
+    // single try meets it 6 to 8 times in 10 there — and the other tests
+    // of this file run beside it and only add time. With eight tries a
+    // round, a round that misses means the host was busy, which is what
+    // the five rounds are for.
     let mut walls = Vec::new();
     let met = (0..5).any(|round| {
         std::thread::sleep(Duration::from_millis(40 * round));

@@ -347,7 +347,7 @@ mod tests {
     /// an answer only if the responder was told its completion took.
     #[test]
     fn a_reply_racing_the_deadline_never_strands_its_waiter() {
-        const ROUNDS: u32 = 2_000;
+        const ROUNDS: u32 = 4_000;
         let table = Arc::new(RpcTable::<u32>::default());
         let (ids_tx, ids_rx) = std::sync::mpsc::channel::<(u64, Duration)>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<bool>();
