@@ -18,132 +18,14 @@
 //! panel would render. Clients are cheap to clone; the throughput
 //! experiments run hundreds of them concurrently.
 
-use crate::protocol::{ClusterError, Msg};
+use crate::caller::Caller;
+use crate::protocol::{ClusterError, Msg, QUERY_REPLY};
 use stash_model::{AggQuery, QueryResult};
-use stash_net::rpc::RpcError;
-use stash_net::{Handover, NodeId, Parked, Port, ReplySlot, Router, RpcTable};
-use stash_obs::{Histogram, MetricsRegistry, QueryTrace};
+use stash_net::NodeId;
+use stash_obs::QueryTrace;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The front-end's attachment to the fabric, shared by every client handle
-/// of a cluster: the node id requests leave from and replies are addressed
-/// to, and the slots those replies complete. Its port is all replies, so
-/// it has no thread: each reply's slot is completed at send time with its
-/// due time, and the client that waits for it sleeps out the wire itself.
-pub(crate) struct Gateway {
-    pub(crate) id: NodeId,
-    pub(crate) router: Router<Msg>,
-    rpc: RpcTable<Msg>,
-    pub(crate) obs: Arc<MetricsRegistry>,
-    /// `net.late_ns` of the client-side waits.
-    late: Arc<Histogram>,
-}
-
-impl Gateway {
-    pub(crate) fn new(id: NodeId, router: Router<Msg>) -> Arc<Self> {
-        let obs = Arc::new(MetricsRegistry::new());
-        Arc::new(Gateway {
-            id,
-            router,
-            rpc: RpcTable::default(),
-            late: obs.histogram("net.late_ns"),
-            obs,
-        })
-    }
-
-    /// The gateway's port (see [`stash_net::Port`]): every reply completes
-    /// its slot; nothing falls through, there is no inbox to drain.
-    pub(crate) fn port(self: &Arc<Self>) -> Port<Msg> {
-        let this = Arc::clone(self);
-        Arc::new(move |parked: Parked<Msg>| {
-            match parked.env.payload.reply_id() {
-                // A reply nobody waits for any more (a fabric duplicate, or
-                // its client timed out) ends here.
-                Some(rpc) => {
-                    this.rpc.complete_parked(rpc, parked);
-                }
-                // A message the gateway has no business receiving. Counted,
-                // not asserted: chaos runs must survive it.
-                None => this.obs.inc("gateway.unexpected_msg"),
-            }
-            Handover::Taken
-        })
-    }
-
-    /// Register a reply slot and send the request built around its id to
-    /// node `dst` — or `None`, with the slot already cancelled, when the
-    /// fabric refuses the send.
-    pub(crate) fn send_rpc(
-        &self,
-        dst: usize,
-        build: impl FnOnce(u64, NodeId) -> Msg,
-    ) -> Option<(u64, ReplySlot<Msg>)> {
-        let (rpc, slot) = self.rpc.register();
-        let msg = build(rpc, self.id);
-        let bytes = msg.wire_size();
-        if self.router.send(self.id, NodeId(dst), msg, bytes) {
-            Some((rpc, slot))
-        } else {
-            self.rpc.cancel(rpc);
-            None
-        }
-    }
-
-    /// Wait for a reply until it is due (or `timeout`); hands back the
-    /// reply and its observed wire time — the response leg is the one hop
-    /// nobody inside the cluster could have measured.
-    pub(crate) fn wait(
-        &self,
-        rpc: u64,
-        slot: &ReplySlot<Msg>,
-        timeout: Duration,
-    ) -> Result<(Msg, u64), RpcError> {
-        let arrived = self.rpc.wait(rpc, slot, timeout)?;
-        if let Some(late) = arrived.late {
-            self.late.record_duration(late);
-        }
-        Ok((arrived.response, arrived.wire.as_nanos() as u64))
-    }
-}
-
-/// A query-path reply as the front-end sees it: the cluster's answer plus
-/// the trace, response-leg wire time folded in.
-pub(crate) fn client_reply(
-    reply: Msg,
-    wire_ns: u64,
-) -> (Result<QueryResult, ClusterError>, QueryTrace) {
-    match reply {
-        Msg::QueryResponse {
-            result, mut trace, ..
-        } => {
-            trace.agg.wire_ns += wire_ns;
-            (result, trace)
-        }
-        // Front-end caching clients (§IX-A) issue SubQueries directly. The
-        // owner's stage record becomes a one-subquery trace.
-        Msg::SubQueryResponse {
-            result,
-            trace: mut st,
-            ..
-        } => {
-            st.wire_ns += wire_ns;
-            let trace = QueryTrace {
-                agg: st,
-                subqueries: 1,
-                ..QueryTrace::default()
-            };
-            (result, trace)
-        }
-        other => (
-            Err(ClusterError::Protocol(format!(
-                "unexpected reply {other:?}"
-            ))),
-            QueryTrace::default(),
-        ),
-    }
-}
 
 /// Client-side failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,10 +50,22 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+impl ClientError {
+    /// A front-end call that got no answer: a refused send is a
+    /// disconnected cluster, a wait past its deadline a timeout.
+    pub(crate) fn unanswered(e: ClusterError) -> Self {
+        match e {
+            ClusterError::Unreachable { .. } => ClientError::Disconnected,
+            ClusterError::Timeout { .. } => ClientError::Timeout,
+            e => ClientError::Remote(e),
+        }
+    }
+}
+
 /// A handle for issuing front-end queries against a [`crate::SimCluster`].
 #[derive(Clone)]
 pub struct ClusterClient {
-    gateway: Arc<Gateway>,
+    gateway: Arc<Caller>,
     n_nodes: usize,
     next_coordinator: Arc<AtomicUsize>,
     timeout: Duration,
@@ -180,7 +74,7 @@ pub struct ClusterClient {
 
 impl ClusterClient {
     pub(crate) fn new(
-        gateway: Arc<Gateway>,
+        gateway: Arc<Caller>,
         n_nodes: usize,
         timeout: Duration,
         retries: u32,
@@ -256,23 +150,20 @@ impl ClusterClient {
         coordinator: usize,
     ) -> Result<(QueryResult, QueryTrace), ClientError> {
         assert!(coordinator < self.n_nodes, "coordinator index out of range");
-        let Some((rpc, slot)) = self
+        let reply = self
             .gateway
-            .send_rpc(coordinator, |rpc, reply_to| Msg::Query {
-                rpc,
-                reply_to,
-                query: query.clone(),
-            })
-        else {
-            return Err(ClientError::Disconnected);
-        };
-        match self.gateway.wait(rpc, &slot, self.timeout) {
-            Ok((reply, wire_ns)) => match client_reply(reply, wire_ns) {
-                (Ok(result), trace) => Ok((result, trace)),
-                (Err(remote), _) => Err(ClientError::Remote(remote)),
-            },
-            Err(RpcError::Timeout) => Err(ClientError::Timeout),
-            Err(RpcError::Canceled) => Err(ClientError::Disconnected),
+            .ask(coordinator, self.timeout, QUERY_REPLY, |rpc, reply_to| {
+                Msg::Query {
+                    rpc,
+                    reply_to,
+                    query: query.clone(),
+                }
+            });
+        match reply {
+            Ok((result, trace)) => result
+                .map(|result| (result, trace))
+                .map_err(ClientError::Remote),
+            Err(e) => Err(ClientError::unanswered(e)),
         }
     }
 }

@@ -12,12 +12,13 @@
 //!    pan trajectory: after each interaction it warms the viewport the
 //!    user is most likely to request next, in the background.
 
-use crate::client::{client_reply, ClientError, ClusterClient, Gateway};
-use crate::protocol::{ClusterError, Msg};
+use crate::caller::Caller;
+use crate::client::{ClientError, ClusterClient};
+use crate::node::by_owner;
+use crate::protocol::{ClusterError, Msg, SUB_RESULT};
 use stash_core::{LogicalClock, StashConfig, StashGraph};
 use stash_dfs::Partitioner;
 use stash_model::{AggQuery, Cell, CellKey, QueryResult};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,7 +26,7 @@ use std::time::Duration;
 /// A front-end with its own STASH graph and an optional prefetcher.
 pub struct CachingClient {
     inner: ClusterClient,
-    gateway: Arc<Gateway>,
+    gateway: Arc<Caller>,
     partitioner: Partitioner,
     graph: Arc<StashGraph>,
     clock: Arc<LogicalClock>,
@@ -43,7 +44,7 @@ impl CachingClient {
     /// Wrap a cluster client with a front-end graph of `max_cells` capacity.
     pub(crate) fn new(
         inner: ClusterClient,
-        gateway: Arc<Gateway>,
+        gateway: Arc<Caller>,
         partitioner: Partitioner,
         max_cells: usize,
         timeout: Duration,
@@ -134,43 +135,31 @@ impl CachingClient {
     /// Ship missing keys straight to their owner nodes (the client knows
     /// the zero-hop partitioner) and merge the answers.
     fn fetch_remote(&self, missing: &[CellKey]) -> Result<Vec<Cell>, ClientError> {
-        let mut by_owner: BTreeMap<usize, Vec<CellKey>> = BTreeMap::new();
-        for &k in missing {
-            by_owner
-                .entry(self.partitioner.owner_of_cell(&k))
-                .or_default()
-                .push(k);
-        }
+        let by_owner = by_owner(&self.partitioner, missing.iter().copied());
         let mut waits = Vec::with_capacity(by_owner.len());
         for (owner, group) in by_owner {
-            let sent = self.gateway.send_rpc(owner, |rpc, reply_to| Msg::SubQuery {
-                rpc,
-                reply_to,
-                keys: group,
-                allow_reroute: true,
-                via_guest: false,
-            });
-            let Some(wait) = sent else {
-                return Err(ClientError::Disconnected);
-            };
-            waits.push(wait);
+            let call = self
+                .gateway
+                .call(owner, |rpc, reply_to| Msg::SubQuery {
+                    rpc,
+                    reply_to,
+                    keys: group,
+                    allow_reroute: true,
+                    via_guest: false,
+                })
+                .map_err(ClientError::unanswered)?;
+            waits.push(call);
         }
         let mut cells = Vec::with_capacity(missing.len());
         let mut fetched_keys = std::collections::HashSet::with_capacity(missing.len());
-        for (rpc, rx) in waits {
-            let (reply, wire_ns) = match self.gateway.wait(rpc, &rx, self.timeout) {
-                Ok(arrived) => arrived,
-                Err(stash_net::rpc::RpcError::Timeout) => return Err(ClientError::Timeout),
-                Err(stash_net::rpc::RpcError::Canceled) => return Err(ClientError::Disconnected),
-            };
-            match client_reply(reply, wire_ns) {
-                (Ok(part), _trace) => {
-                    for c in part.cells {
-                        fetched_keys.insert(c.key);
-                        cells.push(c);
-                    }
-                }
-                (Err(e), _trace) => return Err(ClientError::Remote(e)),
+        for call in waits {
+            let (part, _trace) = self
+                .gateway
+                .wait(call, self.timeout, SUB_RESULT)
+                .map_err(ClientError::unanswered)?;
+            for c in part.map_err(ClientError::Remote)?.cells {
+                fetched_keys.insert(c.key);
+                cells.push(c);
             }
         }
         // Empty regions come back as no cell; cache their emptiness too so

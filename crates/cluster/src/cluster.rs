@@ -1,9 +1,10 @@
 //! Cluster assembly: configuration, node spawning, stats, teardown.
 
-use crate::client::{ClusterClient, Gateway};
+use crate::caller::Caller;
+use crate::client::ClusterClient;
 use crate::config::RollupPolicy;
 use crate::ingest::IngestClient;
-use crate::node::{NodeCtx, WorkTiers};
+use crate::node::{by_owner, NodeCtx, WorkTiers};
 use crate::protocol::Msg;
 use crate::source::{GenBlockSource, LiveSource};
 use stash_core::LogicalClock;
@@ -15,7 +16,6 @@ use stash_geo::{BBox, Geohash, TimeBin, TimeRange};
 use stash_model::CellKey;
 use stash_net::{NetConfig, NodeId, Parked, Router};
 use stash_obs::MetricsRegistry;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -151,9 +151,6 @@ pub struct NodeStats {
     pub guest_serves: AtomicU64,
     pub handoffs: AtomicU64,
     pub replicas_hosted: AtomicU64,
-    /// Sends the fabric refused (peer crashed / shutdown) — each one is a
-    /// failover trigger somewhere upstream.
-    pub send_failures: AtomicU64,
 }
 
 /// A point-in-time snapshot of one node's state, for experiment reporting.
@@ -174,6 +171,8 @@ pub struct NodeStatsSnapshot {
     pub guest_serves: u64,
     pub handoffs: u64,
     pub replicas_hosted: u64,
+    /// Sends the fabric refused (peer crashed / shutdown) — each one is a
+    /// failover trigger somewhere upstream.
     pub send_failures: u64,
     pub pending: usize,
 }
@@ -183,7 +182,8 @@ pub struct SimCluster {
     config: Arc<ClusterConfig>,
     router: Router<Msg>,
     nodes: Vec<Arc<NodeCtx>>,
-    gateway: Arc<Gateway>,
+    /// The front end's caller: every client handle asks through it.
+    gateway: Arc<Caller>,
     partitioner: Partitioner,
     source: Arc<dyn BlockSource>,
     /// Same object as `source` when `live_blocks` is non-empty.
@@ -304,7 +304,12 @@ impl SimCluster {
         // The gateway's port takes every reply, so its inbox stays empty
         // and undrained.
         let gateway_ep = endpoints.pop().expect("gateway endpoint");
-        let gateway = Gateway::new(gateway_ep.id, router.clone());
+        let gateway = Arc::new(Caller::new(
+            gateway_ep.id,
+            router.clone(),
+            Arc::new(MetricsRegistry::new()),
+            config.retry_backoff,
+        ));
         router.install_port(gateway.id, gateway.port());
         let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
         // Sealed dataset by default; with live blocks configured, the same
@@ -459,7 +464,6 @@ impl SimCluster {
             self.partitioner.clone(),
             self.config.sub_rpc_timeout,
             self.config.client_retries,
-            self.config.retry_backoff,
         )
     }
 
@@ -537,8 +541,8 @@ impl SimCluster {
         )
     }
 
-    /// Gateway-side metrics (unexpected-message counter, `net.late_ns` of
-    /// the client-side waits).
+    /// Gateway-side metrics (unexpected-message and stale-reply counters,
+    /// `net.late_ns` of the client-side waits).
     pub fn gateway_obs(&self) -> &Arc<MetricsRegistry> {
         &self.gateway.obs
     }
@@ -577,7 +581,7 @@ impl SimCluster {
                 guest_serves: n.stats.guest_serves.load(Ordering::Relaxed),
                 handoffs: n.stats.handoffs.load(Ordering::Relaxed),
                 replicas_hosted: n.stats.replicas_hosted.load(Ordering::Relaxed),
-                send_failures: n.stats.send_failures.load(Ordering::Relaxed),
+                send_failures: n.caller.refused.load(Ordering::Relaxed),
                 pending: n.pending(),
             })
             .collect()
@@ -593,14 +597,7 @@ impl SimCluster {
     /// "randomly stack the STASH graph" with 50/75/100 % of the relevant
     /// Cells.
     pub fn warm_keys(&self, keys: &[CellKey]) -> Result<(), String> {
-        let mut by_owner: BTreeMap<usize, Vec<CellKey>> = BTreeMap::new();
-        for &k in keys {
-            by_owner
-                .entry(self.nodes[0].store.partitioner().owner_of_cell(&k))
-                .or_default()
-                .push(k);
-        }
-        for (owner, group) in by_owner {
+        for (owner, group) in by_owner(&self.partitioner, keys.iter().copied()) {
             self.nodes[owner]
                 .eval_subquery(&group, false)
                 .map_err(|e| e.to_string())?;
@@ -616,15 +613,13 @@ impl SimCluster {
         }
     }
 
-    /// Broadcast a storage-update invalidation (stale PLM bits, §IV-D).
+    /// A storage update over `bbox` × `time`: stale every cached Cell
+    /// overlapping it on every node (PLM bits, §IV-D). Every graph is
+    /// marked when this returns.
     pub fn invalidate_region(&self, bbox: BBox, time: TimeRange) {
         for n in &self.nodes {
-            self.router.send(
-                self.gateway.id,
-                NodeId(n.node_idx),
-                Msg::InvalidateRegion { bbox, time },
-                96,
-            );
+            n.graph.invalidate_region(&bbox, &time);
+            n.guest.invalidate_region(&bbox, &time);
         }
     }
 
@@ -785,8 +780,6 @@ mod tests {
         let q = county_query();
         client.query(&q).run().unwrap();
         cluster.invalidate_region(q.bbox, q.time);
-        // Invalidations travel over the fabric; give them a beat.
-        std::thread::sleep(Duration::from_millis(100));
         let r = client.query(&q).run().unwrap();
         assert!(r.misses > 0, "stale cells must be recomputed");
         cluster.shutdown();

@@ -10,38 +10,34 @@
 //! to *any* node is safe: a retried batch that already landed is a
 //! `Duplicate`, which re-broadcasts invalidations and acks positively.
 
-use crate::client::Gateway;
-use crate::protocol::Msg;
+use crate::caller::Caller;
+use crate::protocol::{ClusterError, Msg, ACK};
 use stash_dfs::{BlockKey, Partitioner};
 use stash_ingest::{AppendSink, IngestError};
 use stash_model::Observation;
-use stash_net::rpc::RpcError;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Producer-side handle for streaming batches into a running cluster.
 pub struct IngestClient {
-    gateway: Arc<Gateway>,
+    gateway: Arc<Caller>,
     partitioner: Partitioner,
     timeout: Duration,
     retries: u32,
-    backoff: Duration,
 }
 
 impl IngestClient {
     pub(crate) fn new(
-        gateway: Arc<Gateway>,
+        gateway: Arc<Caller>,
         partitioner: Partitioner,
         timeout: Duration,
         retries: u32,
-        backoff: Duration,
     ) -> Self {
         IngestClient {
             gateway,
             partitioner,
             timeout,
             retries,
-            backoff,
         }
     }
 }
@@ -54,9 +50,10 @@ impl AppendSink for IngestClient {
     /// Send the batch to the block's owner; on repeated timeouts or a
     /// refused send (owner crashed) walk the replica chain — any node can
     /// apply against the shared storage. Negative acks (rejected batch,
-    /// incomplete invalidation round) are retried in place: they are
-    /// usually transient fault-plan weather, and `Duplicate` idempotency
-    /// makes re-sends harmless.
+    /// incomplete invalidation round) are retried in place like lost ones,
+    /// under the cluster's one retry policy: they are usually transient
+    /// fault-plan weather, and `Duplicate` idempotency makes re-sends
+    /// harmless.
     fn append(
         &self,
         block: BlockKey,
@@ -70,33 +67,31 @@ impl AppendSink for IngestClient {
         let mut exclude: Vec<usize> = Vec::new();
         loop {
             let target = self.partitioner.owner_excluding(block.geohash, &exclude);
-            for attempt in 0..=self.retries {
-                if attempt > 0 {
-                    std::thread::sleep(self.backoff.saturating_mul(1 << (attempt - 1).min(4)));
-                }
-                let sent = self
+            let attempts = self.retries + 1;
+            let (applied, _) = self.gateway.retry(target as u64, attempts, false, || {
+                let applied = self
                     .gateway
-                    .send_rpc(target, |rpc, reply_to| Msg::AppendBatch {
-                        rpc,
-                        reply_to,
-                        block,
-                        seq,
-                        rows: Arc::clone(&rows),
-                        last,
-                    });
-                let Some((rpc, slot)) = sent else {
-                    break; // target crashed: fail over now
-                };
+                    .ask(target, self.timeout, ACK, |rpc, reply_to| {
+                        Msg::AppendBatch {
+                            rpc,
+                            reply_to,
+                            block,
+                            seq,
+                            rows: Arc::clone(&rows),
+                            last,
+                        }
+                    })?;
                 // A positive ack means batch applied and every peer's
-                // caches invalidated; anything else is retried.
-                match self.gateway.wait(rpc, &slot, self.timeout) {
-                    Ok((Msg::AppendAck { applied: true, .. }, _)) => return Ok(()),
-                    Ok(_) | Err(RpcError::Timeout) => {} // retry / fail over
-                    Err(RpcError::Canceled) => {
-                        return Err(IngestError("cluster disconnected".into()))
-                    }
-                }
+                // caches invalidated; a negative one is asked again.
+                applied.then_some(()).ok_or(ClusterError::Timeout {
+                    node: target,
+                    op: "append",
+                })
+            });
+            if applied.is_ok() {
+                return Ok(());
             }
+            // The target crashed, or never confirmed: fail over.
             exclude.push(target);
             if exclude.len() >= n_nodes {
                 return Err(IngestError(format!(

@@ -21,6 +21,7 @@
 //! [`Mode::Basic`] — the bare storage system, every query scans blocks —
 //! and [`Mode::Stash`] — the full caching middleware.
 
+mod caller;
 pub mod client;
 pub mod client_cache;
 pub mod cluster;

@@ -25,41 +25,28 @@
 //! deems itself to be hotspotted when the number of pending requests in its
 //! message queue crosses a configured threshold" (§VII-B1).
 
+use crate::caller::{Call, Caller};
 use crate::cluster::{ClusterConfig, Mode, NodeStats};
 use crate::fence::IngestFence;
-use crate::protocol::{ClusterError, Msg};
+use crate::protocol::{ClusterError, Msg, Reply, ACK, PARTIALS, SUB_RESULT};
 use parking_lot::Mutex;
 use stash_core::{
     evaluate_traced, CliqueFinder, GuestBook, LogicalClock, RouteDecision, RoutingTable, StashGraph,
 };
 use stash_dfs::{
-    frame_spatial_res, plan_blocks, AppendOutcome, BlockFrame, BlockKey, NodeStore, RollupStore,
+    frame_spatial_res, plan_blocks, AppendOutcome, BlockFrame, BlockKey, NodeStore, Partitioner,
+    RollupStore,
 };
 use stash_geo::TemporalRes;
 use stash_model::key::ancestors_at;
 use stash_model::level::MAX_SPATIAL_RES;
 use stash_model::{Cell, CellKey, CellSummary, FlatPartials, Level, Observation, QueryResult};
-use stash_net::rpc::RpcError;
-use stash_net::{DelayQueue, Envelope, Handover, NodeId, Parked, ReplySlot, Router, RpcTable};
+use stash_net::{DelayQueue, Envelope, Handover, NodeId, Parked, Router};
 use stash_obs::{sleep_until, Histogram, MetricsRegistry, QueryTrace, StageTimes};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Replies a node can wait for, as [`NodeCtx::wait_reply`] hands them to
-/// the waiter. Data replies carry the responder's [`StageTimes`] with the
-/// response-leg wire time folded in — the waiter is the only one who
-/// observes it.
-#[derive(Debug)]
-enum RpcReply {
-    SubResult(Result<QueryResult, ClusterError>, StageTimes),
-    Partials(
-        Result<Vec<(CellKey, CellSummary)>, ClusterError>,
-        StageTimes,
-    ),
-    Ack(bool),
-}
 
 /// Why one gather round could not complete (see [`NodeCtx::try_gather`]):
 /// an unreachable owner is recoverable — grow the exclusion set and replan
@@ -107,9 +94,7 @@ fn absorb_fragment(
 /// thread.
 pub struct NodeCtx {
     pub node_idx: usize,
-    pub id: NodeId,
     pub config: Arc<ClusterConfig>,
-    pub router: Router<Msg>,
     pub store: NodeStore,
     /// Shared continuous-rollup state (DESIGN.md §17), when the cluster's
     /// [`crate::config::RollupPolicy`] is enabled. Cluster-wide durable
@@ -122,18 +107,16 @@ pub struct NodeCtx {
     pub guestbook: Mutex<GuestBook>,
     pub routing: Mutex<RoutingTable>,
     pub clock: Arc<LogicalClock>,
-    /// Reply slots, completed by the port with the reply message as it came
-    /// and its due time.
-    pub rpc: RpcTable<Msg>,
+    /// How this node asks its peers and answers them; its reply slots are
+    /// completed by the port with the reply message as it came and its due
+    /// time.
+    pub(crate) caller: Caller,
     pub stats: NodeStats,
     /// Named counters/gauges/histograms for this node (DESIGN.md §11).
     pub obs: Arc<MetricsRegistry>,
     /// The `query.stage.*` histograms in [`StageTimes::stages`] order,
     /// resolved once so a coordinated query records without a name lookup.
     stage_hists: [Arc<Histogram>; 7],
-    /// `net.late_ns`: how long after its due time each modeled wire wait of
-    /// this node (tier queues, inbox, reply slots) actually ended.
-    late: Arc<Histogram>,
     /// Requests dispatched to workers and not yet finished (all tiers).
     pending: AtomicUsize,
     /// Data-service work (subqueries, fetches, replication) queued or in
@@ -196,18 +179,21 @@ impl NodeCtx {
             .with_sketches(config.stash.sketch.clone());
         NodeCtx {
             node_idx,
-            id: NodeId(node_idx),
+            caller: Caller::new(
+                NodeId(node_idx),
+                router,
+                Arc::clone(&obs),
+                config.retry_backoff,
+            ),
             graph: StashGraph::new(config.stash.clone(), Arc::clone(&clock)),
             guest: StashGraph::new(guest_cfg, Arc::clone(&clock)),
             guestbook: Mutex::new(GuestBook::new()),
             routing: Mutex::new(RoutingTable::new()),
             clock,
-            rpc: RpcTable::default(),
             stats: NodeStats::default(),
             stage_hists: StageTimes::default()
                 .stages()
                 .map(|(stage, _)| obs.histogram(&format!("query.stage.{stage}"))),
-            late: obs.histogram("net.late_ns"),
             obs,
             pending: AtomicUsize::new(0),
             service_pending: AtomicUsize::new(0),
@@ -224,7 +210,6 @@ impl NodeCtx {
             #[cfg(test)]
             hook: Mutex::new(None),
             config,
-            router,
             store,
             rollup,
             tiers,
@@ -252,92 +237,6 @@ impl NodeCtx {
         ((x >> 11) as f64 / (1u64 << 53) as f64) < probability
     }
 
-    /// Send over the fabric. Returns `false` when the fabric refuses the
-    /// message — destination (or self) crashed, or shutdown. Refusals are
-    /// counted per node and logged once; callers on the query path must
-    /// treat `false` as [`ClusterError::Unreachable`] and fail over.
-    #[must_use]
-    fn send(&self, dst: NodeId, msg: Msg) -> bool {
-        let bytes = msg.wire_size();
-        if self.router.send(self.id, dst, msg, bytes) {
-            return true;
-        }
-        if self.stats.send_failures.fetch_add(1, Ordering::Relaxed) == 0 {
-            eprintln!(
-                "stash-cluster: node {} -> {} send refused by fabric (peer crashed or shutdown); \
-                 further refusals counted silently",
-                self.node_idx, dst.0
-            );
-        }
-        false
-    }
-
-    /// The one way a request leaves this node: register a reply slot, send
-    /// the message built around its id, and hand the slot back — or `None`,
-    /// with the slot already cancelled, when the fabric refuses the send.
-    /// Every fan-out is "send first, work second, wait last" on top of it.
-    fn send_rpc(
-        &self,
-        dst: usize,
-        build: impl FnOnce(u64) -> Msg,
-    ) -> Option<(u64, ReplySlot<Msg>)> {
-        let (rpc, rx) = self.rpc.register();
-        if self.send(NodeId(dst), build(rpc)) {
-            Some((rpc, rx))
-        } else {
-            self.rpc.cancel(rpc);
-            None
-        }
-    }
-
-    /// A modeled wire wait of this node ended `late` after its due time.
-    fn record_late(&self, late: Option<Duration>) {
-        if let Some(late) = late {
-            self.late.record_duration(late);
-        }
-    }
-
-    /// Wait for the reply to `rpc` until it is due (or `timeout`), and hand
-    /// it over the way the callers match on it: response-leg wire time
-    /// folded into the reply's trace, partials validated and decoded.
-    fn wait_reply(
-        &self,
-        rpc: u64,
-        slot: &ReplySlot<Msg>,
-        timeout: Duration,
-    ) -> Result<RpcReply, RpcError> {
-        let arrived = self.rpc.wait(rpc, slot, timeout)?;
-        self.record_late(arrived.late);
-        let wire_ns = arrived.wire.as_nanos() as u64;
-        Ok(match arrived.response {
-            Msg::SubQueryResponse {
-                result, mut trace, ..
-            } => {
-                trace.wire_ns += wire_ns;
-                RpcReply::SubResult(result, trace)
-            }
-            Msg::PartialsResponse {
-                partials,
-                mut trace,
-                ..
-            } => {
-                trace.wire_ns += wire_ns;
-                // Validate the flat buffer at the trust boundary; a corrupt
-                // fragment becomes a protocol error, never a panic.
-                let decoded = partials.and_then(|fp| {
-                    fp.decode()
-                        .map_err(|e| ClusterError::Protocol(format!("partials fragment: {e}")))
-                });
-                RpcReply::Partials(decoded, trace)
-            }
-            Msg::DistressAck { accept, .. } => RpcReply::Ack(accept),
-            Msg::ReplicationResponse { ok, .. } => RpcReply::Ack(ok),
-            Msg::AppendAck { applied, .. } => RpcReply::Ack(applied),
-            Msg::InvalidateAck { .. } => RpcReply::Ack(true),
-            other => unreachable!("slot completed with a non-reply {other:?}"),
-        })
-    }
-
     // =======================================================================
     // Port (the sender's thread) and main thread
     // =======================================================================
@@ -351,9 +250,7 @@ impl NodeCtx {
     /// both send, which a port may not.
     pub fn accept(&self, parked: Parked<Msg>) -> Handover<Msg> {
         if let Some(rpc) = parked.env.payload.reply_id() {
-            // A reply nobody waits for any more (duplicate, or its waiter
-            // timed out) ends here.
-            self.rpc.complete_parked(rpc, parked);
+            self.caller.complete(rpc, parked);
             return Handover::Taken;
         }
         match &parked.env.payload {
@@ -405,7 +302,10 @@ impl NodeCtx {
         ];
         for (queue, n) in poisons {
             for _ in 0..n {
-                queue.push(Parked::local(Envelope::local(self.id, Msg::Shutdown)));
+                queue.push(Parked::local(Envelope::local(
+                    self.caller.id,
+                    Msg::Shutdown,
+                )));
             }
         }
     }
@@ -427,7 +327,7 @@ impl NodeCtx {
                 reply_to,
                 keys,
             } => {
-                self.record_late(late);
+                self.caller.record_late(late);
                 self.fence.invalidate(Arc::clone(&keys));
                 let marked =
                     self.graph.mark_stale_covering(&keys) + self.guest.mark_stale_covering(&keys);
@@ -435,7 +335,7 @@ impl NodeCtx {
                 self.obs
                     .counter("ingest.cells_invalidated")
                     .add(marked as u64);
-                let _ = self.send(reply_to, Msg::InvalidateAck { rpc });
+                let _ = self.caller.send(reply_to, Msg::InvalidateAck { rpc });
             }
             // Control plane: answer inline (§VII-B3). A hotspotted or full
             // helper declines.
@@ -444,7 +344,7 @@ impl NodeCtx {
                 reply_to,
                 n_cells,
             } => {
-                self.record_late(late);
+                self.caller.record_late(late);
                 let accept = !self.is_hotspotted()
                     && self
                         .guestbook
@@ -455,7 +355,7 @@ impl NodeCtx {
                 } else {
                     "handoff.distress.decline"
                 });
-                let _ = self.send(reply_to, Msg::DistressAck { rpc, accept });
+                let _ = self.caller.send(reply_to, Msg::DistressAck { rpc, accept });
             }
             // Rerouting decision happens *before* queueing (§VII-C): a
             // hotspotted node sheds covered subqueries to their helper.
@@ -477,7 +377,7 @@ impl NodeCtx {
                                 allow_reroute: false,
                                 via_guest: true,
                             };
-                            if self.send(NodeId(helper), forwarded) {
+                            if self.caller.send(NodeId(helper), forwarded) {
                                 self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
                                 self.obs.inc("handoff.reroute");
                                 return;
@@ -543,7 +443,7 @@ impl NodeCtx {
             if matches!(env.payload, Msg::Shutdown) {
                 return;
             }
-            self.record_late(env.late);
+            self.caller.record_late(env.late);
             let is_service = Self::is_service(&env.payload);
             self.process(env);
             self.pending.fetch_sub(1, Ordering::Relaxed);
@@ -570,7 +470,9 @@ impl NodeCtx {
                 let (result, mut trace) = self.coordinate(&query);
                 trace.agg.wire_ns += wire_ns;
                 self.observe_query(&trace, result.is_ok());
-                let _ = self.send(reply_to, Msg::QueryResponse { rpc, result, trace });
+                let _ = self
+                    .caller
+                    .send(reply_to, Msg::QueryResponse { rpc, result, trace });
             }
             Msg::SubQuery {
                 rpc,
@@ -585,7 +487,9 @@ impl NodeCtx {
                 }
                 let (result, mut trace) = self.eval_subquery_traced(&keys, via_guest);
                 trace.wire_ns += wire_ns;
-                let _ = self.send(reply_to, Msg::SubQueryResponse { rpc, result, trace });
+                let _ = self
+                    .caller
+                    .send(reply_to, Msg::SubQueryResponse { rpc, result, trace });
                 self.maintain();
             }
             Msg::FetchPartials {
@@ -612,7 +516,7 @@ impl NodeCtx {
                     ..StageTimes::default()
                 };
                 self.obs.observe("store.scan", trace.dfs_ns);
-                let _ = self.send(
+                let _ = self.caller.send(
                     reply_to,
                     Msg::PartialsResponse {
                         rpc,
@@ -628,11 +532,9 @@ impl NodeCtx {
                 cells,
             } => {
                 let ok = self.accept_replicas(src_node, cells);
-                let _ = self.send(reply_to, Msg::ReplicationResponse { rpc, ok });
-            }
-            Msg::InvalidateRegion { bbox, time } => {
-                self.graph.invalidate_region(&bbox, &time);
-                self.guest.invalidate_region(&bbox, &time);
+                let _ = self
+                    .caller
+                    .send(reply_to, Msg::ReplicationResponse { rpc, ok });
             }
             Msg::AppendBatch {
                 rpc,
@@ -722,27 +624,15 @@ impl NodeCtx {
             keys.iter().partition(|k| k.geohash.len() >= prefix_len);
         let mut summaries: Vec<(CellKey, CellSummary)> = Vec::with_capacity(keys.len());
         if !local_ownable.is_empty() {
-            let mut by_owner: BTreeMap<usize, Vec<CellKey>> = BTreeMap::new();
-            for k in local_ownable {
-                by_owner
-                    .entry(self.store.partitioner().owner_of_cell(&k))
-                    .or_default()
-                    .push(k);
-            }
+            let mut by_owner = by_owner(self.store.partitioner(), local_ownable);
             let own = by_owner.remove(&self.node_idx);
             // First wave: one scattered attempt per owner, waits in parallel.
             let mut waits = Vec::with_capacity(by_owner.len());
             let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
             for (owner, group) in by_owner {
-                let sent = self.send_rpc(owner, |rpc| Msg::FetchPartials {
-                    rpc,
-                    reply_to: self.id,
-                    keys: group.clone(),
-                    exclude: Vec::new(),
-                });
-                match sent {
-                    Some((rpc, rx)) => waits.push((owner, group, rpc, rx)),
-                    None => stragglers.push((owner, group)),
+                match self.send_fetch(owner, &group, &[]) {
+                    Ok(call) => waits.push((owner, group, call)),
+                    Err(_) => stragglers.push((owner, group)),
                 }
             }
             trace.subqueries += waits.len() as u32;
@@ -759,43 +649,20 @@ impl NodeCtx {
                 trace.local.dfs_ns += scan.elapsed().as_nanos() as u64;
             }
             let waited = Instant::now();
-            for (owner, group, rpc, rx) in waits {
-                match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
-                    Ok(RpcReply::Partials(Ok(parts), st)) => {
+            for (owner, group, call) in waits {
+                match self.wait(call, PARTIALS) {
+                    Ok((Ok(parts), st)) => {
                         trace.absorb_sub(&st);
                         summaries.extend(parts);
                     }
-                    Ok(RpcReply::Partials(Err(e), _)) => return Err(e),
-                    Ok(other) => {
-                        return Err(ClusterError::Protocol(format!(
-                            "unexpected reply {other:?}"
-                        )))
-                    }
-                    Err(RpcError::Timeout) => stragglers.push((owner, group)),
-                    Err(RpcError::Canceled) => {
-                        return Err(ClusterError::Protocol("rpc slot canceled".into()))
-                    }
+                    Err(ClusterError::Timeout { .. }) => stragglers.push((owner, group)),
+                    Ok((Err(e), _)) | Err(e) => return Err(e),
                 }
             }
             trace.local.wait_ns += waited.elapsed().as_nanos() as u64;
-            // Second wave: retry each straggler with backoff; if the owner
-            // stays dark, read its blocks from the replica chain.
             for (owner, group) in stragglers {
-                trace.retries += 1;
-                let retried = Instant::now();
-                let mut acc = StageTimes::default();
-                let outcome = self.fetch_partials_rpc(owner, &group, &[], &mut acc);
-                let outcome = match outcome {
-                    Ok(parts) => Ok(parts),
-                    Err(e) if e.is_transient() => {
-                        trace.failovers += 1;
-                        self.gather_partials(&group, &[owner], &mut acc)
-                    }
-                    Err(e) => Err(e),
-                };
-                trace.local.retry_ns += retried.elapsed().as_nanos() as u64;
-                trace.absorb_sub(&acc);
-                summaries.extend(outcome?);
+                let retried = |acc: &mut StageTimes| self.fetch_retried(owner, &group, &[], acc);
+                summaries.extend(self.straggler(owner, &group, trace, retried, |parts| parts)?);
             }
         } else {
             trace.local.route_ns += route.elapsed().as_nanos() as u64;
@@ -834,29 +701,16 @@ impl NodeCtx {
         trace: &mut QueryTrace,
     ) -> Result<QueryResult, ClusterError> {
         let route = Instant::now();
-        let mut by_owner: BTreeMap<usize, Vec<CellKey>> = BTreeMap::new();
-        for &k in keys {
-            by_owner
-                .entry(self.store.partitioner().owner_of_cell(&k))
-                .or_default()
-                .push(k);
-        }
+        let mut by_owner = by_owner(self.store.partitioner(), keys.iter().copied());
         // Evaluate our own share inline (no message round-trip and no risk
         // of waiting on our own queue), scatter the rest.
         let own = by_owner.remove(&self.node_idx);
         let mut waits = Vec::with_capacity(by_owner.len());
         let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
         for (owner, group) in by_owner {
-            let sent = self.send_rpc(owner, |rpc| Msg::SubQuery {
-                rpc,
-                reply_to: self.id,
-                keys: group.clone(),
-                allow_reroute: true,
-                via_guest: false,
-            });
-            match sent {
-                Some((rpc, rx)) => waits.push((owner, group, rpc, rx)),
-                None => stragglers.push((owner, group)),
+            match self.send_subquery(owner, &group, true) {
+                Ok(call) => waits.push((owner, group, call)),
+                Err(_) => stragglers.push((owner, group)),
             }
         }
         trace.subqueries += waits.len() as u32;
@@ -879,60 +733,32 @@ impl NodeCtx {
             merged.rollup_hits += part.rollup_hits;
         };
         let waited = Instant::now();
-        for (owner, group, rpc, rx) in waits {
-            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
-                Ok(RpcReply::SubResult(Ok(part), st)) => {
+        for (owner, group, call) in waits {
+            match self.wait(call, SUB_RESULT) {
+                Ok((Ok(part), st)) => {
                     trace.absorb_sub(&st);
                     absorb(&mut merged, part);
                 }
-                Ok(RpcReply::SubResult(Err(e), _)) if e.is_transient() => {
-                    stragglers.push((owner, group));
-                }
-                Ok(RpcReply::SubResult(Err(e), _)) => return Err(e),
-                Ok(other) => {
-                    return Err(ClusterError::Protocol(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
-                Err(RpcError::Timeout) => stragglers.push((owner, group)),
-                Err(RpcError::Canceled) => {
-                    return Err(ClusterError::Protocol("rpc slot canceled".into()))
-                }
+                Ok((Err(e), _)) | Err(e) if e.is_transient() => stragglers.push((owner, group)),
+                Ok((Err(e), _)) | Err(e) => return Err(e),
             }
         }
         trace.local.wait_ns += waited.elapsed().as_nanos() as u64;
         for (owner, group) in stragglers {
-            trace.retries += 1;
-            let retried = Instant::now();
-            let mut acc = StageTimes::default();
-            let outcome = self.subquery_rpc(owner, &group, &mut acc);
-            let outcome = match outcome {
-                Ok(part) => {
-                    absorb(&mut merged, part);
-                    Ok(())
-                }
-                Err(e) if e.is_transient() => {
-                    // The owner is gone: recompute its share from raw
-                    // storage, reading its blocks off the replica chain.
-                    // Empty summaries are dropped exactly as `evaluate`
-                    // drops them, so results match the fault-free path.
-                    trace.failovers += 1;
-                    let parts = self.gather_partials(&group, &[owner], &mut acc);
-                    parts.map(|parts| {
-                        merged.misses += group.len();
-                        merged.cells.extend(
-                            parts
-                                .into_iter()
-                                .filter(|(_, s)| !s.is_empty())
-                                .map(|(key, summary)| Cell { key, summary }),
-                        );
-                    })
-                }
-                Err(e) => Err(e),
+            let retried = |acc: &mut StageTimes| self.subquery_retried(owner, &group, acc);
+            // Empty summaries are dropped exactly as `evaluate` drops them,
+            // so a failed-over share matches the fault-free path.
+            let failed_over = |parts: Vec<(CellKey, CellSummary)>| QueryResult {
+                cells: parts
+                    .into_iter()
+                    .filter(|(_, s)| !s.is_empty())
+                    .map(|(key, summary)| Cell { key, summary })
+                    .collect(),
+                misses: group.len(),
+                ..QueryResult::default()
             };
-            trace.local.retry_ns += retried.elapsed().as_nanos() as u64;
-            trace.absorb_sub(&acc);
-            outcome?;
+            let part = self.straggler(owner, &group, trace, retried, failed_over)?;
+            absorb(&mut merged, part);
         }
         let merge = Instant::now();
         merged.cells.sort_by_key(|c| c.key);
@@ -941,73 +767,101 @@ impl NodeCtx {
         Ok(merged)
     }
 
-    /// One owner's SubQuery with deadline, bounded retries, and backoff.
+    /// A straggling owner's share, second wave: asked again under the retry
+    /// policy (`retried`) and, if the owner stays dark, recomputed from raw
+    /// storage with the owner excluded, reading its blocks off the replica
+    /// chain (`failed_over` makes those partials an answer).
+    fn straggler<T>(
+        self: &Arc<Self>,
+        owner: usize,
+        group: &[CellKey],
+        trace: &mut QueryTrace,
+        retried: impl FnOnce(&mut StageTimes) -> Result<T, ClusterError>,
+        failed_over: impl FnOnce(Vec<(CellKey, CellSummary)>) -> T,
+    ) -> Result<T, ClusterError> {
+        trace.retries += 1;
+        let started = Instant::now();
+        let mut acc = StageTimes::default();
+        let outcome = match retried(&mut acc) {
+            Err(e) if e.is_transient() => {
+                trace.failovers += 1;
+                self.gather_partials(group, &[owner], &mut acc)
+                    .map(failed_over)
+            }
+            outcome => outcome,
+        };
+        trace.local.retry_ns += started.elapsed().as_nanos() as u64;
+        trace.absorb_sub(&acc);
+        outcome
+    }
+
+    /// Wait for a reply to one of this node's sub-RPCs.
+    fn wait<T>(&self, call: Call, reply: Reply<T>) -> Result<T, ClusterError> {
+        self.caller.wait(call, self.config.sub_rpc_timeout, reply)
+    }
+
+    /// One SubQuery for `keys` to their owner.
+    fn send_subquery(
+        &self,
+        owner: usize,
+        keys: &[CellKey],
+        allow_reroute: bool,
+    ) -> Result<Call, ClusterError> {
+        self.caller.call(owner, |rpc, reply_to| Msg::SubQuery {
+            rpc,
+            reply_to,
+            keys: keys.to_vec(),
+            allow_reroute,
+            via_guest: false,
+        })
+    }
+
+    /// One FetchPartials for `keys` to a block owner under `exclude`.
+    fn send_fetch(
+        &self,
+        owner: usize,
+        keys: &[CellKey],
+        exclude: &[usize],
+    ) -> Result<Call, ClusterError> {
+        self.caller.call(owner, |rpc, reply_to| Msg::FetchPartials {
+            rpc,
+            reply_to,
+            keys: keys.to_vec(),
+            exclude: exclude.to_vec(),
+        })
+    }
+
+    /// A straggling owner's SubQuery, asked again under the retry policy.
     /// A [`ClusterError::RerouteRefused`] answer (stale guest route) is
-    /// resent once directly to the owner with rerouting disabled.
+    /// resent at once, straight to the owner, inside the same attempt.
     ///
     /// `acc` collects the remote party's stage times (on any answered
-    /// attempt) plus this thread's backoff sleeps, for the trace's
-    /// aggregate view.
-    fn subquery_rpc(
+    /// attempt) plus this thread's backoff naps, for the trace's aggregate
+    /// view.
+    fn subquery_retried(
         &self,
         owner: usize,
         keys: &[CellKey],
         acc: &mut StageTimes,
     ) -> Result<QueryResult, ClusterError> {
         let mut allow_reroute = true;
-        let mut refused_once = false;
         let attempts = self.config.sub_rpc_retries + 1;
-        let mut attempt = 0;
-        while attempt < attempts {
-            if attempt > 0 {
-                let nap = self.backoff(attempt, owner as u64);
-                std::thread::sleep(nap);
-                acc.retry_ns += nap.as_nanos() as u64;
+        let (outcome, napped) = self.caller.retry(owner as u64, attempts, false, || loop {
+            let call = self.send_subquery(owner, keys, allow_reroute)?;
+            let (result, st) = self.wait(call, SUB_RESULT)?;
+            acc.add(&st);
+            match result {
+                Err(ClusterError::RerouteRefused { .. }) if allow_reroute => allow_reroute = false,
+                result => return result,
             }
-            let (rpc, rx) = self
-                .send_rpc(owner, |rpc| Msg::SubQuery {
-                    rpc,
-                    reply_to: self.id,
-                    keys: keys.to_vec(),
-                    allow_reroute,
-                    via_guest: false,
-                })
-                .ok_or(ClusterError::Unreachable { node: owner })?;
-            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
-                Ok(RpcReply::SubResult(result, st)) => {
-                    acc.add(&st);
-                    match result {
-                        Ok(part) => return Ok(part),
-                        Err(e @ ClusterError::RerouteRefused { .. }) => {
-                            if refused_once {
-                                return Err(e); // a direct send cannot be refused twice
-                            }
-                            refused_once = true;
-                            allow_reroute = false; // resend straight to the owner
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(other) => {
-                    return Err(ClusterError::Protocol(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
-                Err(RpcError::Timeout) => attempt += 1,
-                Err(RpcError::Canceled) => {
-                    return Err(ClusterError::Protocol("rpc slot canceled".into()))
-                }
-            }
-        }
-        Err(ClusterError::Timeout {
-            node: owner,
-            op: "subquery",
-        })
+        });
+        acc.retry_ns += napped.as_nanos() as u64;
+        outcome
     }
 
-    /// One owner's FetchPartials with deadline, bounded retries, backoff.
-    /// `acc` collects the responder's stage times and backoff sleeps.
-    fn fetch_partials_rpc(
+    /// A block owner's FetchPartials, asked again under the retry policy.
+    /// `acc` collects the responder's stage times and the backoff naps.
+    fn fetch_retried(
         &self,
         owner: usize,
         keys: &[CellKey],
@@ -1015,62 +869,15 @@ impl NodeCtx {
         acc: &mut StageTimes,
     ) -> Result<Vec<(CellKey, CellSummary)>, ClusterError> {
         let attempts = self.config.sub_rpc_retries + 1;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let nap = self.backoff(attempt, owner as u64 ^ 0xF00D);
-                std::thread::sleep(nap);
-                acc.retry_ns += nap.as_nanos() as u64;
-            }
-            let (rpc, rx) = self
-                .send_rpc(owner, |rpc| Msg::FetchPartials {
-                    rpc,
-                    reply_to: self.id,
-                    keys: keys.to_vec(),
-                    exclude: exclude.to_vec(),
-                })
-                .ok_or(ClusterError::Unreachable { node: owner })?;
-            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
-                Ok(RpcReply::Partials(result, st)) => {
-                    acc.add(&st);
-                    match result {
-                        Ok(parts) => return Ok(parts),
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(other) => {
-                    return Err(ClusterError::Protocol(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
-                Err(RpcError::Timeout) => continue,
-                Err(RpcError::Canceled) => {
-                    return Err(ClusterError::Protocol("rpc slot canceled".into()))
-                }
-            }
-        }
-        Err(ClusterError::Timeout {
-            node: owner,
-            op: "partials",
-        })
-    }
-
-    /// Exponential backoff with deterministic jitter. Jitter is a pure hash
-    /// of (node, salt, attempt) so replayed fault schedules see identical
-    /// retry timing — the chaos suite depends on it.
-    fn backoff(&self, attempt: u32, salt: u64) -> std::time::Duration {
-        let exp = self
-            .config
-            .retry_backoff
-            .saturating_mul(1 << (attempt - 1).min(4));
-        let mut x = (self.node_idx as u64)
-            ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ ((attempt as u64) << 32);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        exp + exp.mul_f64((x % 1024) as f64 / 2048.0)
+        let salt = owner as u64 ^ 0xF00D;
+        let (outcome, napped) = self.caller.retry(salt, attempts, false, || {
+            let call = self.send_fetch(owner, keys, exclude)?;
+            let (result, st) = self.wait(call, PARTIALS)?;
+            acc.add(&st);
+            result
+        });
+        acc.retry_ns += napped.as_nanos() as u64;
+        outcome
     }
 
     // -- Owner role ------------------------------------------------------------
@@ -1333,18 +1140,17 @@ impl NodeCtx {
                 false
             }
         };
-        let _ = self.send(reply_to, Msg::AppendAck { rpc, applied });
+        let _ = self.caller.send(reply_to, Msg::AppendAck { rpc, applied });
     }
 
-    /// One `Invalidate` to one peer: the reply slot, or `None` when the
-    /// fabric refuses the send (peer crashed).
-    fn send_invalidate(&self, peer: usize, keys: &Arc<[CellKey]>) -> Option<(u64, ReplySlot<Msg>)> {
+    /// One `Invalidate` to one peer.
+    fn send_invalidate(&self, peer: usize, keys: &Arc<[CellKey]>) -> Result<Call, ClusterError> {
         self.obs
             .counter("ingest.invalidate.keys")
             .add(keys.len() as u64);
-        self.send_rpc(peer, |rpc| Msg::Invalidate {
+        self.caller.call(peer, |rpc, reply_to| Msg::Invalidate {
             rpc,
-            reply_to: self.id,
+            reply_to,
             keys: Arc::clone(keys),
         })
     }
@@ -1355,47 +1161,34 @@ impl NodeCtx {
     /// refuses the send — are skipped: their graphs died with them, and a
     /// restarted node boots empty. Returns whether every reachable peer
     /// confirmed.
+    ///
+    /// A missed invalidation is a correctness hazard (a stale summary would
+    /// keep serving as fresh), so a peer that does not ack is asked again
+    /// more patiently than the query path asks — the producer is blocked on
+    /// the batch ack anyway.
     fn broadcast_invalidate(&self, keys: &Arc<[CellKey]>) -> bool {
         let n_nodes = self.store.partitioner().n_nodes();
-        let mut waits = Vec::new();
-        for peer in (0..n_nodes).filter(|&p| p != self.node_idx) {
-            if let Some((rpc, rx)) = self.send_invalidate(peer, keys) {
-                waits.push((peer, rpc, rx));
-            }
-        }
+        let waits: Vec<Call> = (0..n_nodes)
+            .filter(|&p| p != self.node_idx)
+            .filter_map(|peer| self.send_invalidate(peer, keys).ok())
+            .collect();
+        let attempts = (self.config.sub_rpc_retries + 1).max(6);
         let mut all_ok = true;
-        for (peer, rpc, rx) in waits {
-            let ok = matches!(
-                self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout),
-                Ok(RpcReply::Ack(_))
-            ) || self.invalidate_peer_with_retries(peer, keys);
-            all_ok &= ok;
+        for call in waits {
+            let peer = call.node;
+            all_ok &= self.wait(call, ACK).is_ok() || {
+                let salt = peer as u64 ^ 0x1A55;
+                let (acked, _) = self.caller.retry(salt, attempts, true, || {
+                    self.wait(self.send_invalidate(peer, keys)?, ACK)
+                });
+                // A peer that crashed meanwhile has nothing left to stale.
+                matches!(acked, Ok(_) | Err(ClusterError::Unreachable { .. }))
+            };
         }
         if !all_ok {
             self.obs.inc("ingest.invalidate.incomplete");
         }
         all_ok
-    }
-
-    /// Patient per-peer invalidation retry. A missed invalidation is a
-    /// correctness hazard (a stale summary would keep serving as fresh),
-    /// so this leans harder on retries than the query path — the producer
-    /// is blocked on the batch ack anyway.
-    fn invalidate_peer_with_retries(&self, peer: usize, keys: &Arc<[CellKey]>) -> bool {
-        let attempts = (self.config.sub_rpc_retries + 1).max(6);
-        for attempt in 1..=attempts {
-            std::thread::sleep(self.backoff(attempt, peer as u64 ^ 0x1A55));
-            let Some((rpc, rx)) = self.send_invalidate(peer, keys) else {
-                return true; // peer crashed: nothing left to invalidate
-            };
-            if matches!(
-                self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout),
-                Ok(RpcReply::Ack(_))
-            ) {
-                return true;
-            }
-        }
-        false
     }
 
     // -- Storage scatter/gather -------------------------------------------------
@@ -1464,23 +1257,12 @@ impl NodeCtx {
         // local + slowest remote.
         let mut waits = Vec::new();
         for &owner in owners.iter().filter(|&&o| o != self.node_idx) {
-            let sent = self.send_rpc(owner, |rpc| Msg::FetchPartials {
-                rpc,
-                reply_to: self.id,
-                keys: keys.to_vec(),
-                exclude: exclude.to_vec(),
-            });
-            match sent {
-                Some((rpc, rx)) => waits.push((owner, rpc, rx)),
-                // Abort now; peers' replies for this round land in
-                // removed slots and are dropped.
-                None => {
-                    return Err(GatherFailure::Owner(
-                        owner,
-                        ClusterError::Unreachable { node: owner },
-                    ))
-                }
-            }
+            // A refused send aborts the round; peers' replies for it land
+            // in removed slots and are dropped.
+            let call = self
+                .send_fetch(owner, keys, exclude)
+                .map_err(|e| GatherFailure::Owner(owner, e))?;
+            waits.push(call);
         }
         let mut local: Vec<(CellKey, CellSummary)> = Vec::new();
         if owners.contains(&self.node_idx) {
@@ -1502,34 +1284,24 @@ impl NodeCtx {
         let mut sketch_merges = 0u64;
         absorb_fragment(&mut merged, &mut sketch_merges, local)?;
         let mut dead: Option<(usize, ClusterError)> = None;
-        for (owner, rpc, rx) in waits {
-            match self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout) {
-                Ok(RpcReply::Partials(Ok(parts), st)) => {
+        for call in waits {
+            let owner = call.node;
+            match self.wait(call, PARTIALS) {
+                Ok((Ok(parts), st)) => {
                     acc.add(&st);
                     absorb_fragment(&mut merged, &mut sketch_merges, parts)?;
                 }
-                Ok(RpcReply::Partials(Err(e), _)) => return Err(GatherFailure::Fatal(e)),
-                Ok(other) => {
-                    return Err(GatherFailure::Fatal(ClusterError::Protocol(format!(
-                        "unexpected reply {other:?}"
-                    ))))
-                }
-                Err(RpcError::Timeout) => {
-                    // Retry this owner alone before declaring it dead; keep
-                    // draining the other waits either way.
-                    if dead.is_none() {
-                        match self.fetch_partials_rpc(owner, keys, exclude, acc) {
-                            Ok(parts) => absorb_fragment(&mut merged, &mut sketch_merges, parts)?,
-                            Err(e) if e.is_transient() => dead = Some((owner, e)),
-                            Err(e) => return Err(GatherFailure::Fatal(e)),
-                        }
+                // Retry this owner alone before declaring it dead; keep
+                // draining the other waits either way.
+                Err(ClusterError::Timeout { .. }) if dead.is_none() => {
+                    match self.fetch_retried(owner, keys, exclude, acc) {
+                        Ok(parts) => absorb_fragment(&mut merged, &mut sketch_merges, parts)?,
+                        Err(e) if e.is_transient() => dead = Some((owner, e)),
+                        Err(e) => return Err(GatherFailure::Fatal(e)),
                     }
                 }
-                Err(RpcError::Canceled) => {
-                    return Err(GatherFailure::Fatal(ClusterError::Protocol(
-                        "rpc slot canceled".into(),
-                    )))
-                }
+                Err(ClusterError::Timeout { .. }) => {}
+                Ok((Err(e), _)) | Err(e) => return Err(GatherFailure::Fatal(e)),
             }
         }
         if let Some((node, err)) = dead {
@@ -1641,20 +1413,23 @@ impl NodeCtx {
 
     fn try_replicate_to(self: &Arc<Self>, clique: &stash_core::Clique, helper: usize) -> bool {
         // Step 3: Distress Request / acknowledgement.
-        let Some((rpc, rx)) = self.send_rpc(helper, |rpc| Msg::Distress {
-            rpc,
-            reply_to: self.id,
-            n_cells: clique.size(),
-        }) else {
-            return false;
-        };
-        match self.wait_reply(rpc, &rx, self.config.distress_timeout) {
-            Ok(RpcReply::Ack(true)) => {}
-            Ok(RpcReply::Ack(false)) => {
+        let accepted = self.caller.ask(
+            helper,
+            self.config.distress_timeout,
+            ACK,
+            |rpc, reply_to| Msg::Distress {
+                rpc,
+                reply_to,
+                n_cells: clique.size(),
+            },
+        );
+        match accepted {
+            Ok(true) => {}
+            Ok(false) => {
                 self.obs.inc("handoff.declined");
                 return false;
             }
-            _ => return false,
+            Err(_) => return false,
         }
         // Step 4: Replication Request / Response, under the ingest fence:
         // the helper caches what it is handed as fresh, and an append that
@@ -1668,18 +1443,17 @@ impl NodeCtx {
         let replicated: Vec<CellKey> = snapshot.iter().map(|(c, _)| c.key).collect();
         #[cfg(test)]
         self.fire(tests::Site::AfterSnapshot);
-        let Some((rpc, rx)) = self.send_rpc(helper, |rpc| Msg::ReplicationRequest {
-            rpc,
-            reply_to: self.id,
-            src_node: self.node_idx,
-            cells: snapshot,
-        }) else {
-            return false;
-        };
-        if !matches!(
-            self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout),
-            Ok(RpcReply::Ack(true))
-        ) {
+        let hosted = self
+            .caller
+            .ask(helper, self.config.sub_rpc_timeout, ACK, |rpc, reply_to| {
+                Msg::ReplicationRequest {
+                    rpc,
+                    reply_to,
+                    src_node: self.node_idx,
+                    cells: snapshot,
+                }
+            });
+        if hosted != Ok(true) {
             return false;
         }
         // Replicas an overlapping append touched are stale on arrival: have
@@ -1689,11 +1463,8 @@ impl NodeCtx {
             if !overlap.restale.is_empty() {
                 let acked = self
                     .send_invalidate(helper, &overlap.restale.into())
-                    .is_some_and(|(rpc, rx)| {
-                        self.wait_reply(rpc, &rx, self.config.sub_rpc_timeout)
-                            .is_ok()
-                    });
-                if !acked {
+                    .and_then(|call| self.wait(call, ACK));
+                if acked.is_err() {
                     return false;
                 }
             }
@@ -1739,6 +1510,21 @@ impl NodeCtx {
             .lock()
             .purge_expired(now, self.config.stash.routing_ttl_ticks);
     }
+}
+
+/// `keys` grouped by the node that owns them, in node order.
+pub(crate) fn by_owner(
+    partitioner: &Partitioner,
+    keys: impl IntoIterator<Item = CellKey>,
+) -> BTreeMap<usize, Vec<CellKey>> {
+    let mut groups: BTreeMap<usize, Vec<CellKey>> = BTreeMap::new();
+    for key in keys {
+        groups
+            .entry(partitioner.owner_of_cell(&key))
+            .or_default()
+            .push(key);
+    }
+    groups
 }
 
 /// The identity of one append batch: the distinct finest-level

@@ -170,7 +170,7 @@ fn row_in(cell: &CellKey) -> Observation {
 }
 
 fn append_now(node: &Arc<NodeCtx>, block: BlockKey, seq: u64, rows: Vec<Observation>) {
-    node.apply_append(0, node.id, block, seq, rows.into(), false);
+    node.apply_append(0, node.caller.id, block, seq, rows.into(), false);
 }
 
 fn stale_among(node: &NodeCtx, keys: &[CellKey]) -> Vec<CellKey> {
@@ -198,10 +198,10 @@ fn an_unrelated_batch_mid_evaluation_leaves_every_key_fresh() {
         let elsewhere = CellKey::new(tile("9qc"), day(2));
         append_now(node, live_blocks()[3], 0, vec![row_in(&elsewhere)]);
         node.handle_fast(Envelope::local(
-            node.id,
+            node.caller.id,
             Msg::Invalidate {
                 rpc: 0,
-                reply_to: node.id,
+                reply_to: node.caller.id,
                 keys: finest_keys(&[row_in(&CellKey::new(tile("9q9"), day(2)))]).into(),
             },
         ));
@@ -287,10 +287,10 @@ fn an_evaluation_that_outlives_the_fence_log_stales_all_it_asked_for() {
             finest_keys(&[row_in(&CellKey::new(tile("9qc"), day(2)))]).into();
         for _ in 0..=FENCE_LOG_LEN {
             node.handle_fast(Envelope::local(
-                node.id,
+                node.caller.id,
                 Msg::Invalidate {
                     rpc: 0,
-                    reply_to: node.id,
+                    reply_to: node.caller.id,
                     keys: Arc::clone(&keys),
                 },
             ));
@@ -370,30 +370,151 @@ fn a_fetch_partials_backlog_starts_a_handoff() {
             let keys = CellKey::new(tile("9q8"), day(d))
                 .spatial_children()
                 .unwrap();
-            peer.send_rpc(home_idx, |rpc| Msg::FetchPartials {
-                rpc,
-                reply_to: peer.id,
-                keys,
-                exclude: Vec::new(),
-            })
-            .expect("the fabric is up")
+            peer.send_fetch(home_idx, &keys, &[])
+                .expect("the fabric is up")
         })
         .collect();
-    for (rpc, slot) in &waits {
-        let reply = peer.wait_reply(*rpc, slot, Duration::from_secs(10));
-        assert!(matches!(reply, Ok(RpcReply::Partials(Ok(_), _))));
+    let fetches = waits.len();
+    for call in waits {
+        let reply = peer.caller.wait(call, Duration::from_secs(10), PARTIALS);
+        assert!(matches!(reply, Ok((Ok(_), _))));
     }
     let started = Instant::now();
     while home.stats.handoffs.load(Ordering::Relaxed) == 0 {
         assert!(
             started.elapsed() < Duration::from_secs(10),
-            "a backlog of {} fetches over a threshold of 2 started no handoff",
-            waits.len()
+            "a backlog of {fetches} fetches over a threshold of 2 started no handoff"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(peer.guest.len(), members.len());
     assert_eq!(counter(home, "handoff.reroute"), 0);
+    cluster.shutdown();
+}
+
+// -- Retry counts per site, with the peer partitioned away --------------------
+
+/// Two nodes with short deadlines and naps, two retries per sub-RPC, and the
+/// owner of [`viewport`] partitioned away from the other: `(cluster, from,
+/// owner)`. Every message to the owner is lost, so its per-destination send
+/// count is exactly the number of attempts made on it.
+fn partitioned_pair() -> (SimCluster, usize, usize) {
+    let mut config = test_config(2);
+    config.sub_rpc_timeout = Duration::from_millis(40);
+    config.retry_backoff = Duration::from_millis(1);
+    config.sub_rpc_retries = 2;
+    let cluster = SimCluster::new(config);
+    let owner = cluster
+        .node(0)
+        .store
+        .partitioner()
+        .owner_of_cell(&viewport()[0]);
+    let from = 1 - owner;
+    cluster.router().set_partition(&[vec![from], vec![owner]]);
+    (cluster, from, owner)
+}
+
+fn retries(cluster: &SimCluster) -> u64 {
+    u64::from(cluster.config().sub_rpc_retries)
+}
+
+#[test]
+fn a_dark_owner_gets_its_first_wave_subquery_then_retries_plus_one_more() {
+    let (cluster, from, owner) = partitioned_pair();
+    let mut trace = QueryTrace::default();
+    let mut answer = cluster
+        .node(from)
+        .coordinate_stash(&viewport(), &mut trace)
+        .unwrap();
+    assert_eq!(
+        cluster.net_stats().node_sent(owner),
+        1 + (retries(&cluster) + 1)
+    );
+    assert_eq!((trace.retries, trace.failovers), (1, 1));
+    // The failover read the owner's blocks off the replica chain: exact.
+    cluster.router().heal_partition();
+    let mut direct = cluster
+        .node(owner)
+        .eval_subquery(&viewport(), false)
+        .unwrap();
+    answer.cells.sort_by_key(|c| c.key);
+    direct.cells.sort_by_key(|c| c.key);
+    assert_eq!(answer.cells, direct.cells);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_dark_gather_owner_is_retried_once_then_excluded() {
+    let (cluster, from, owner) = partitioned_pair();
+    let mut acc = StageTimes::default();
+    let parts = cluster
+        .node(from)
+        .gather_partials(&viewport(), &[], &mut acc)
+        .unwrap();
+    assert_eq!(parts.len(), viewport().len());
+    assert_eq!(
+        cluster.net_stats().node_sent(owner),
+        1 + (retries(&cluster) + 1)
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_dark_peer_gets_at_least_six_invalidate_retries() {
+    let (cluster, from, owner) = partitioned_pair();
+    let node = cluster.node(from);
+    append_now(node, live_blocks()[0], 0, vec![row_in(&viewport()[3])]);
+    assert_eq!(
+        cluster.net_stats().node_sent(owner),
+        1 + (retries(&cluster) + 1).max(6)
+    );
+    assert_eq!(counter(node, "ingest.invalidate.incomplete"), 1);
+    cluster.shutdown();
+}
+
+// -- Reply ids across a restart ------------------------------------------------
+
+/// A peer's worker that answers after its coordinator crashed and came back
+/// addresses the new incarnation with the old reply id: it must find no
+/// slot there — not one of the new node's own requests — and be counted.
+#[test]
+fn a_restarted_node_takes_no_reply_meant_for_its_previous_incarnation() {
+    let mut cluster = SimCluster::new(test_config(2));
+    // Node 1 never hears node 0's requests, so they stay outstanding.
+    cluster.router().set_partition(&[vec![0], vec![1]]);
+    let ask = |cluster: &SimCluster| {
+        cluster
+            .node(0)
+            .caller
+            .call(1, |rpc, reply_to| Msg::Distress {
+                rpc,
+                reply_to,
+                n_cells: 1,
+            })
+            .expect("node 1 is up")
+    };
+    let old = ask(&cluster);
+    cluster.crash_node(0);
+    cluster.restart_node(0);
+    let new = ask(&cluster);
+    assert_ne!(old.id, new.id, "a restarted node reuses reply ids");
+    cluster.router().heal_partition();
+    assert!(cluster.router().send(
+        NodeId(1),
+        NodeId(0),
+        Msg::DistressAck {
+            rpc: old.id,
+            accept: true,
+        },
+        48,
+    ));
+    let node = cluster.node(0);
+    let got = node.caller.wait(new, Duration::from_millis(50), ACK);
+    assert!(
+        matches!(got, Err(ClusterError::Timeout { node: 1, .. })),
+        "the new request took the old incarnation's reply: {got:?}"
+    );
+    assert_eq!(counter(node, "node.stale_reply"), 1);
     cluster.shutdown();
 }
 

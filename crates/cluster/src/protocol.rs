@@ -10,9 +10,8 @@
 //! fragments actually travel as one contiguous [`FlatPartials`] buffer.
 
 use stash_dfs::BlockKey;
-use stash_geo::{BBox, TimeRange};
 use stash_model::flat::KEY_WORDS;
-use stash_model::{AggQuery, Cell, CellKey, FlatPartials, Observation, QueryResult};
+use stash_model::{AggQuery, Cell, CellKey, CellSummary, FlatPartials, Observation, QueryResult};
 use stash_net::NodeId;
 use stash_obs::{QueryTrace, StageTimes};
 use std::sync::Arc;
@@ -42,7 +41,8 @@ pub enum ClusterError {
     Storage(String),
     /// The query itself could not be planned.
     BadQuery(String),
-    /// Protocol violation: a reply of the wrong kind for the RPC slot.
+    /// Protocol violation: a reply of the wrong kind for the wait, or a
+    /// payload that does not decode.
     Protocol(String),
 }
 
@@ -169,14 +169,6 @@ pub enum Msg {
         ok: bool,
     },
 
-    // ---- Storage updates -----------------------------------------------------
-    /// Real-time ingest notification: summaries overlapping this region are
-    /// stale (PLM adjustment, §IV-D).
-    InvalidateRegion {
-        bbox: BBox,
-        time: TimeRange,
-    },
-
     // ---- Live ingest (DESIGN.md §13) ----------------------------------------
     /// Append one batch of observations to a live block. `seq` is the
     /// per-block batch number (0-based, contiguous) — the storage layer's
@@ -273,6 +265,91 @@ pub fn cells_bytes(cells: &[(Cell, f64)]) -> usize {
             .sum::<usize>()
 }
 
+/// A data reply as its waiter reads it: the responder's answer, and its
+/// stage times with the response leg's wire time folded in — the waiter is
+/// the only one who observes that leg.
+pub(crate) type Answer<T> = (Result<T, ClusterError>, StageTimes);
+
+/// One reply kind and the one place it is read. A waiter names the kind it
+/// waits for ([`crate::caller::Caller::wait`]); a reply of any other kind is
+/// a [`ClusterError::Protocol`] error, never a panic.
+pub(crate) struct Reply<T> {
+    /// What a wait for it is called in a [`ClusterError::Timeout`].
+    pub(crate) op: &'static str,
+    /// Read the reply out of its message, given its observed wire time in
+    /// nanoseconds. Payloads are moved out, not cloned.
+    pub(crate) read: fn(Msg, u64) -> Result<T, ClusterError>,
+}
+
+fn unexpected<T>(reply: Msg) -> Result<T, ClusterError> {
+    Err(ClusterError::Protocol(format!(
+        "unexpected reply {reply:?}"
+    )))
+}
+
+/// A coordinator's answer to the front end, with the whole trace; the
+/// client-bound leg is folded into its aggregate view.
+pub(crate) const QUERY_REPLY: Reply<(Result<QueryResult, ClusterError>, QueryTrace)> = Reply {
+    op: "query",
+    read: |reply, wire_ns| match reply {
+        Msg::QueryResponse {
+            result, mut trace, ..
+        } => {
+            trace.agg.wire_ns += wire_ns;
+            Ok((result, trace))
+        }
+        other => unexpected(other),
+    },
+};
+
+/// An owner's share of a scatter.
+pub(crate) const SUB_RESULT: Reply<Answer<QueryResult>> = Reply {
+    op: "subquery",
+    read: |reply, wire_ns| match reply {
+        Msg::SubQueryResponse {
+            result, mut trace, ..
+        } => {
+            trace.wire_ns += wire_ns;
+            Ok((result, trace))
+        }
+        other => unexpected(other),
+    },
+};
+
+/// A partials fragment, its flat buffer validated and decoded at the trust
+/// boundary: a corrupt fragment is a protocol error of the answer.
+pub(crate) const PARTIALS: Reply<Answer<Vec<(CellKey, CellSummary)>>> = Reply {
+    op: "partials",
+    read: |reply, wire_ns| match reply {
+        Msg::PartialsResponse {
+            partials,
+            mut trace,
+            ..
+        } => {
+            trace.wire_ns += wire_ns;
+            let decoded = partials.and_then(|fp| {
+                fp.decode()
+                    .map_err(|e| ClusterError::Protocol(format!("partials fragment: {e}")))
+            });
+            Ok((decoded, trace))
+        }
+        other => unexpected(other),
+    },
+};
+
+/// A yes/no acknowledgement: Distress, Replication, AppendBatch or
+/// Invalidate.
+pub(crate) const ACK: Reply<bool> = Reply {
+    op: "ack",
+    read: |reply, _| match reply {
+        Msg::DistressAck { accept, .. } => Ok(accept),
+        Msg::ReplicationResponse { ok, .. } => Ok(ok),
+        Msg::AppendAck { applied, .. } => Ok(applied),
+        Msg::InvalidateAck { .. } => Ok(true),
+        other => unexpected(other),
+    },
+};
+
 impl Msg {
     /// The correlation id of a reply — the messages whose only consumer is
     /// the waiter on that RPC slot.
@@ -302,7 +379,6 @@ impl Msg {
             Msg::DistressAck { .. } => 48,
             Msg::ReplicationRequest { cells, .. } => cells_bytes(cells),
             Msg::ReplicationResponse { .. } => 48,
-            Msg::InvalidateRegion { .. } => 96,
             Msg::AppendBatch { rows, .. } => 64 + 56 * rows.len(),
             Msg::AppendAck { .. } => 24,
             Msg::Invalidate { keys, .. } => keys_bytes(keys.len()),
@@ -513,6 +589,110 @@ mod tests {
         assert!(!ClusterError::Storage("disk".into()).is_transient());
         assert!(!ClusterError::BadQuery("res".into()).is_transient());
         assert!(!ClusterError::Protocol("reply".into()).is_transient());
+    }
+
+    /// Every reply kind through every reader: the one kind each reader
+    /// takes comes out, every other kind is a protocol error.
+    #[test]
+    fn each_reader_takes_its_kinds_and_refuses_the_rest() {
+        let st = StageTimes {
+            wire_ns: 5,
+            ..StageTimes::default()
+        };
+        let replies = || {
+            vec![
+                Msg::QueryResponse {
+                    rpc: 1,
+                    result: Ok(QueryResult::default()),
+                    trace: QueryTrace::default(),
+                },
+                Msg::SubQueryResponse {
+                    rpc: 1,
+                    result: Ok(QueryResult::default()),
+                    trace: st,
+                },
+                Msg::PartialsResponse {
+                    rpc: 1,
+                    partials: Ok(FlatPartials::encode(&[(cell().key, cell().summary)])),
+                    trace: st,
+                },
+                Msg::DistressAck {
+                    rpc: 1,
+                    accept: false,
+                },
+                Msg::ReplicationResponse { rpc: 1, ok: true },
+                Msg::AppendAck {
+                    rpc: 1,
+                    applied: false,
+                },
+                Msg::InvalidateAck { rpc: 1 },
+            ]
+        };
+        assert!(replies().iter().all(|r| r.reply_id() == Some(1)));
+        let wire = 100;
+        // Which of the seven kinds (in `replies` order) each reader takes.
+        let query: Vec<bool> = replies()
+            .into_iter()
+            .map(|r| match (QUERY_REPLY.read)(r, wire) {
+                Ok((Ok(_), trace)) => {
+                    assert_eq!(trace.agg.wire_ns, wire);
+                    true
+                }
+                Ok((Err(e), _)) => panic!("no reader makes up an answer: {e}"),
+                Err(e) => !matches!(e, ClusterError::Protocol(_)),
+            })
+            .collect();
+        let sub: Vec<bool> = replies()
+            .into_iter()
+            .map(|r| match (SUB_RESULT.read)(r, wire) {
+                Ok((result, trace)) => {
+                    assert!(result.is_ok());
+                    assert_eq!(trace.wire_ns, 5 + wire);
+                    true
+                }
+                Err(e) => !matches!(e, ClusterError::Protocol(_)),
+            })
+            .collect();
+        let partials: Vec<bool> = replies()
+            .into_iter()
+            .map(|r| match (PARTIALS.read)(r, wire) {
+                Ok((parts, trace)) => {
+                    assert_eq!(parts.unwrap(), vec![(cell().key, cell().summary)]);
+                    assert_eq!(trace.wire_ns, 5 + wire);
+                    true
+                }
+                Err(e) => !matches!(e, ClusterError::Protocol(_)),
+            })
+            .collect();
+        let acks: Vec<Option<bool>> = replies()
+            .into_iter()
+            .map(|r| match (ACK.read)(r, wire) {
+                Ok(ack) => Some(ack),
+                Err(ClusterError::Protocol(_)) => None,
+                Err(e) => panic!("not a protocol error: {e}"),
+            })
+            .collect();
+        let (t, f) = (true, false);
+        assert_eq!(query, [t, f, f, f, f, f, f]);
+        assert_eq!(sub, [f, t, f, f, f, f, f]);
+        assert_eq!(partials, [f, f, t, f, f, f, f]);
+        assert_eq!(acks, [None, None, None, Some(f), Some(t), Some(f), Some(t)]);
+        // Names for the timeouts of their waits.
+        let ops = [QUERY_REPLY.op, SUB_RESULT.op, PARTIALS.op, ACK.op];
+        assert_eq!(ops, ["query", "subquery", "partials", "ack"]);
+    }
+
+    #[test]
+    fn a_corrupt_fragment_is_a_protocol_error_of_the_answer() {
+        let mut bytes = FlatPartials::encode(&[(cell().key, cell().summary)]).to_bytes();
+        bytes.truncate(bytes.len() - 8);
+        let reply = Msg::PartialsResponse {
+            rpc: 1,
+            partials: Ok(FlatPartials::from_bytes(&bytes).unwrap()),
+            trace: StageTimes::default(),
+        };
+        let (parts, _) = (PARTIALS.read)(reply, 0).expect("the right kind");
+        assert!(matches!(parts, Err(ClusterError::Protocol(_))));
     }
 
     #[test]

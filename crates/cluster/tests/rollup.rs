@@ -477,9 +477,8 @@ fn retention_drops_raw_blocks_with_exact_accounting() {
         report.raw_bytes_dropped
     );
 
-    // Fine-grained history over a dropped block is gone from raw storage;
-    // once the async invalidations settle, the caches agree.
-    std::thread::sleep(Duration::from_millis(100));
+    // Fine-grained history over a dropped block is gone from raw storage,
+    // and retention staled every cache over it before returning.
     let fine = client
         .query(&q_fine_dropped)
         .run()

@@ -7,7 +7,6 @@ use stash_dfs::{BlockKey, BlockSource, DiskModel};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{BBox, Geohash, TimeRange};
 use stash_model::{AggQuery, Cell, CellKey, CellSummary, Observation, QueryResult};
-use stash_net::rpc::RpcError;
 use stash_net::{Envelope, NetConfig, NodeId, Router, RpcTable};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -242,8 +241,8 @@ impl EsNode {
         absorb(own);
         for (rpc, rx) in waits {
             match self.rpc.wait(rpc, &rx, self.config.shard_rpc_timeout) {
-                Ok(arrived) => absorb(arrived.response?),
-                Err(e) => return Err(format!("shard rpc failed: {e}")),
+                Some(arrived) => absorb(arrived.response?),
+                None => return Err("shard rpc timed out".into()),
             }
         }
         let mut cells: Vec<Cell> = merged
@@ -287,9 +286,8 @@ impl EsClient {
             return Err("cluster disconnected".into());
         }
         match self.rpc.wait(rpc_id, &rx, self.timeout) {
-            Ok(arrived) => arrived.response,
-            Err(RpcError::Timeout) => Err("search timed out".into()),
-            Err(RpcError::Canceled) => Err("cluster disconnected".into()),
+            Some(arrived) => arrived.response,
+            None => Err("search timed out".into()),
         }
     }
 }

@@ -8,35 +8,28 @@
 //! is due ([`RpcTable::complete_at`], called from the destination's port on
 //! the sender's thread) — and the waiter sleeps out the rest of the wire
 //! time itself: one timed wait on the thread that will use the reply.
+//!
+//! Correlation ids are unique for the life of the process, across every
+//! table: a node restarted with a fresh table must never take a reply a
+//! peer addressed to its previous incarnation for one of its own requests.
 
-use crate::queue::Parked;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-enum SlotState<R> {
-    Empty,
-    Filled {
-        response: R,
-        sent_at: Instant,
-        due: Instant,
-    },
-    Canceled,
+/// A response handed over: it entered the wire at `sent_at` and its waiter
+/// may have it from `due`.
+struct Filled<R> {
+    response: R,
+    sent_at: Instant,
+    due: Instant,
 }
 
 struct Slot<R> {
-    state: Mutex<SlotState<R>>,
+    state: Mutex<Option<Filled<R>>>,
     filled: Condvar,
-}
-
-impl<R> Slot<R> {
-    /// Move the slot to its final state and wake its waiter, if it waits.
-    fn set(&self, state: SlotState<R>) {
-        *self.state.lock() = state;
-        self.filled.notify_one();
-    }
 }
 
 /// The waiter's half of a pending request ([`RpcTable::register`]).
@@ -61,9 +54,12 @@ pub struct Arrived<R> {
     pub late: Option<Duration>,
 }
 
+/// The next correlation id of any table: nothing keys on an id's value,
+/// only on its uniqueness.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
 /// A table of in-flight requests awaiting responses of type `R`.
 pub struct RpcTable<R> {
-    next_id: AtomicU64,
     pending: Mutex<HashMap<u64, Arc<Slot<R>>>>,
 }
 
@@ -78,38 +74,18 @@ impl<R> std::fmt::Debug for RpcTable<R> {
 impl<R> Default for RpcTable<R> {
     fn default() -> Self {
         RpcTable {
-            next_id: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
         }
     }
 }
 
-/// Why a wait ended without a response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpcError {
-    /// No response within the deadline; the slot has been reclaimed.
-    Timeout,
-    /// The slot was canceled without an answer.
-    Canceled,
-}
-
-impl std::fmt::Display for RpcError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RpcError::Timeout => write!(f, "rpc timed out"),
-            RpcError::Canceled => write!(f, "rpc canceled"),
-        }
-    }
-}
-
-impl std::error::Error for RpcError {}
-
 impl<R> RpcTable<R> {
-    /// Allocate a correlation id and its response slot.
+    /// Allocate a correlation id, unique in the process, and its response
+    /// slot.
     pub fn register(&self) -> (u64, ReplySlot<R>) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState::Empty),
+            state: Mutex::new(None),
             filled: Condvar::new(),
         });
         self.pending.lock().insert(id, Arc::clone(&slot));
@@ -133,56 +109,42 @@ impl<R> RpcTable<R> {
         let Some(slot) = self.pending.lock().remove(&id) else {
             return false;
         };
-        slot.set(SlotState::Filled {
+        *slot.state.lock() = Some(Filled {
             response,
             sent_at,
             due,
         });
+        slot.filled.notify_one();
         true
     }
 
-    /// [`RpcTable::complete_at`] for a port: the response is the payload of
-    /// a message it was handed (one that never rode the wire is due now).
-    pub fn complete_parked(&self, id: u64, parked: Parked<R>) -> bool {
-        let Parked { due, sent_at, env } = parked;
-        self.complete_at(id, env.payload, sent_at.unwrap_or(due), due)
-    }
-
-    /// Block on a response slot until the response is due or `timeout`
-    /// passes. On timeout the slot is forgotten, so a late response is
-    /// dropped rather than leaking; a response due only after the deadline
-    /// is the timeout it would have been.
-    pub fn wait(
-        &self,
-        id: u64,
-        slot: &ReplySlot<R>,
-        timeout: Duration,
-    ) -> Result<Arrived<R>, RpcError> {
+    /// Block on a response slot until the response is due, or `None` once
+    /// `timeout` passes. On timeout the slot is forgotten, so a late
+    /// response is dropped rather than leaking; a response due only after
+    /// the deadline is the timeout it would have been.
+    pub fn wait(&self, id: u64, slot: &ReplySlot<R>, timeout: Duration) -> Option<Arrived<R>> {
         let deadline = Instant::now() + timeout;
         let mut state = slot.0.state.lock();
         loop {
-            match std::mem::replace(&mut *state, SlotState::Empty) {
-                SlotState::Filled {
-                    response,
-                    sent_at,
-                    due,
-                } => {
-                    drop(state);
-                    if due > deadline {
-                        stash_obs::sleep_until(deadline);
-                        return Err(RpcError::Timeout);
-                    }
-                    let waited = Instant::now() < due;
-                    stash_obs::sleep_until(due);
-                    let late = waited.then(|| due.elapsed());
-                    return Ok(Arrived {
-                        response,
-                        wire: due.saturating_duration_since(sent_at) + late.unwrap_or_default(),
-                        late,
-                    });
+            if let Some(Filled {
+                response,
+                sent_at,
+                due,
+            }) = state.take()
+            {
+                drop(state);
+                if due > deadline {
+                    stash_obs::sleep_until(deadline);
+                    return None;
                 }
-                SlotState::Canceled => return Err(RpcError::Canceled),
-                SlotState::Empty => {}
+                let waited = Instant::now() < due;
+                stash_obs::sleep_until(due);
+                let late = waited.then(|| due.elapsed());
+                return Some(Arrived {
+                    response,
+                    wire: due.saturating_duration_since(sent_at) + late.unwrap_or_default(),
+                    late,
+                });
             }
             if stash_obs::wait_until(&slot.0.filled, &mut state, deadline) {
                 // Past the deadline the slot is reclaimed — unless a
@@ -190,9 +152,9 @@ impl<R> RpcTable<R> {
                 // filled the slot since this wait timed out (its notify
                 // found nobody), or it is about to and will notify.
                 if self.pending.lock().remove(&id).is_some() {
-                    return Err(RpcError::Timeout);
+                    return None;
                 }
-                while matches!(*state, SlotState::Empty) {
+                while state.is_none() {
                     slot.0.filled.wait(&mut state);
                 }
             }
@@ -204,13 +166,10 @@ impl<R> RpcTable<R> {
         self.pending.lock().len()
     }
 
-    /// Drop a pending slot (e.g. caller giving up early); a waiter on it
-    /// sees [`RpcError::Canceled`].
+    /// Forget a pending id whose request never left (the fabric refused
+    /// the send): a reply to it is stale.
     pub fn cancel(&self, id: u64) {
-        let slot = self.pending.lock().remove(&id);
-        if let Some(slot) = slot {
-            slot.set(SlotState::Canceled);
-        }
+        self.pending.lock().remove(&id);
     }
 }
 
@@ -234,8 +193,7 @@ mod tests {
     fn timeout_reclaims_slot() {
         let table = RpcTable::<u32>::default();
         let (id, rx) = table.register();
-        let err = table.wait(id, &rx, Duration::from_millis(10)).unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
+        assert!(table.wait(id, &rx, Duration::from_millis(10)).is_none());
         assert_eq!(table.in_flight(), 0);
         // A late response is ignored.
         assert!(!table.complete(id, 5));
@@ -273,6 +231,18 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 400);
+    }
+
+    #[test]
+    fn ids_are_unique_across_tables() {
+        // A restarted node gets a fresh table; a reply addressed to its
+        // previous incarnation must find no slot in it.
+        let (old, new) = (RpcTable::<u32>::default(), RpcTable::<u32>::default());
+        let (stale, _slot) = old.register();
+        let (id, _slot) = new.register();
+        assert_ne!(stale, id);
+        assert!(!new.complete(stale, 1));
+        assert_eq!(new.in_flight(), 1);
     }
 
     #[test]
@@ -329,10 +299,7 @@ mod tests {
         let (id, slot) = table.register();
         let sent = Instant::now();
         assert!(table.complete_at(id, 7, sent, sent + Duration::from_secs(60)));
-        let err = table
-            .wait(id, &slot, Duration::from_millis(10))
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
+        assert!(table.wait(id, &slot, Duration::from_millis(10)).is_none());
         // The wait ran to its deadline (as it would have without the early
         // handover) and not to the reply's due time.
         assert!(sent.elapsed() >= Duration::from_millis(10));
@@ -376,11 +343,10 @@ mod tests {
                     ids_tx.send((id, nap)).unwrap();
                     let got = table.wait(id, &slot, timeout);
                     let completed = done_rx.recv().unwrap();
-                    match got {
-                        Ok(arrived) => assert!(completed && arrived.response == 1),
-                        // Also with `completed`: a reply due after the
-                        // deadline is the timeout it would have been.
-                        Err(e) => assert_eq!(e, RpcError::Timeout),
+                    // A timeout also with `completed`: a reply due after
+                    // the deadline is the timeout it would have been.
+                    if let Some(arrived) = got {
+                        assert!(completed && arrived.response == 1);
                     }
                 }
             })
@@ -398,15 +364,5 @@ mod tests {
         waiter.join().unwrap();
         responder.join().unwrap();
         assert_eq!(table.in_flight(), 0);
-    }
-
-    #[test]
-    fn cancel_wakes_a_waiter() {
-        let table = Arc::new(RpcTable::<u32>::default());
-        let (id, slot) = table.register();
-        let t = Arc::clone(&table);
-        let h = std::thread::spawn(move || t.wait(id, &slot, Duration::from_secs(10)));
-        table.cancel(id);
-        assert_eq!(h.join().unwrap().unwrap_err(), RpcError::Canceled);
     }
 }

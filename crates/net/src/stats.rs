@@ -141,6 +141,12 @@ impl NetStats {
         self.sum(|l| &l.bytes_sent)
     }
 
+    /// Messages to `node` accepted by [`Router::send`](crate::Router::send);
+    /// 0 if the id is out of range.
+    pub fn node_sent(&self, node: usize) -> u64 {
+        self.of_node(node, |l| &l.messages_sent)
+    }
+
     /// Wire deliveries to `node`; 0 if the id is out of range.
     pub fn node_delivered(&self, node: usize) -> u64 {
         self.of_node(node, |l| &l.messages_delivered)
@@ -173,6 +179,8 @@ mod tests {
         assert_eq!(s.bytes_sent(), 30);
         assert_eq!(s.messages_delivered(), 1);
         assert_eq!(s.messages_dropped(), 1);
+        assert_eq!(s.node_sent(1), 2);
+        assert_eq!(s.node_sent(0), 0);
         assert_eq!(s.node_delivered(1), 1);
         assert_eq!(s.node_delivered(0), 0);
         assert_eq!(s.node_dropped(0), 1);

@@ -208,7 +208,6 @@ fn staleness_invalidation_is_end_to_end() {
 
     // A storage update arrives for the region: all caches must recompute.
     stash.invalidate_region(q.bbox, q.time);
-    std::thread::sleep(std::time::Duration::from_millis(100));
     let after = sc.query(&q).run().expect("after invalidation");
     assert!(after.misses > 0, "stale cells must be refetched");
     assert_eq!(
