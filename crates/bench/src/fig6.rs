@@ -1,6 +1,6 @@
 //! Fig. 6 experiments: core latency/throughput/maintenance/hotspot results.
 
-use crate::harness::{bucketize, drive_concurrent, mean_latency_ms, time_ms, Scale};
+use crate::harness::{bucketize, drive_concurrent, time_ms, Scale};
 use crate::report::{ms, ratio, Table};
 use rand::Rng;
 use stash_data::QuerySizeClass;
@@ -128,50 +128,6 @@ pub mod throughput {
                 ratio(r.stash_rps / r.basic_rps.max(1e-9)),
             ]);
         }
-        t
-    }
-}
-
-/// Fig. 6b warm leg: the same panning mix against STASH alone, warmed
-/// before measuring. (PR 9 repeated it per delivery-shard count of the
-/// fabric; the fabric has had no delivery threads since PR 24.)
-pub mod warm {
-    use super::*;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Row {
-        pub stash_rps: f64,
-    }
-
-    pub fn run(scale: &Scale) -> Row {
-        let wl = scale.workload();
-        let mut rng = scale.rng();
-        let pans = 20usize;
-        let n_rects = (scale.throughput_requests / (pans + 1)).max(1);
-        let queries =
-            Arc::new(wl.throughput_mix(&mut rng, QuerySizeClass::State, n_rects, pans, 0.10));
-        let stash = scale.stash_cluster();
-        // Warm pass: the cold first touch of every viewport is
-        // virtual-disk-bound (modeled sleeps), which would mask the fabric
-        // entirely. The measured pass is the warm path.
-        let warm = stash.client();
-        for q in queries.iter() {
-            warm.query(q).run().expect("warm-leg warm-up");
-        }
-        let (secs, _) = drive_concurrent(&stash, Arc::clone(&queries), scale.clients);
-        stash.shutdown();
-        Row {
-            stash_rps: queries.len() as f64 / secs,
-        }
-    }
-
-    pub fn table(row: &Row) -> Table {
-        let mut t = Table::new(
-            "Fig. 6b warm leg — warm STASH req/s (state class)",
-            &["STASH req/s"],
-        )
-        .with_note("the Fig. 6b panning mix, warmed before measuring");
-        t.push(vec![format!("{:.0}", row.stash_rps)]);
         t
     }
 }
@@ -313,21 +269,6 @@ pub mod hotspot {
         }
         t
     }
-}
-
-/// Sequential-latency helper shared by the criterion wrappers.
-pub fn warm_latency_ms(scale: &Scale, class: QuerySizeClass) -> f64 {
-    let stash = scale.stash_cluster();
-    let wl = scale.workload();
-    let mut rng = scale.rng();
-    let q = wl.random_query(&mut rng, class);
-    let client = stash.client();
-    client.query(&q).run().expect("warm-up");
-    let lat = mean_latency_ms(std::slice::from_ref(&q), |q| {
-        client.query(q).run().expect("timed");
-    });
-    stash.shutdown();
-    lat
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Minutes-long `cargo bench` scale.
+    /// Quick scale for verification runs.
     pub fn small() -> Self {
         Scale {
             n_nodes: 4,
@@ -158,16 +158,6 @@ pub fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let t0 = Instant::now();
     let r = f();
     (t0.elapsed().as_secs_f64() * 1e3, r)
-}
-
-/// Mean of per-query latencies over a stream, sequentially.
-pub fn mean_latency_ms(queries: &[AggQuery], mut run: impl FnMut(&AggQuery)) -> f64 {
-    assert!(!queries.is_empty());
-    let t0 = Instant::now();
-    for q in queries {
-        run(q);
-    }
-    t0.elapsed().as_secs_f64() * 1e3 / queries.len() as f64
 }
 
 /// Drive a query stream with `clients` concurrent closed-loop clients.

@@ -1,8 +1,4 @@
-//! Plain-text and markdown table rendering for experiment output, plus the
-//! machine-readable `BENCH_<name>.json` emission CI and plotting scripts
-//! consume (mean/p50/p95/p99 per leg).
-
-use std::path::{Path, PathBuf};
+//! Plain-text and markdown table rendering for experiment output.
 
 /// A rendered experiment table: header + rows of equal arity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,103 +80,6 @@ impl Table {
     }
 }
 
-/// Latency statistics of one benchmark leg, in milliseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LegStats {
-    pub leg: String,
-    pub samples: usize,
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    pub p99_ms: f64,
-}
-
-impl LegStats {
-    /// Compute the stats of one leg from raw latency samples.
-    pub fn from_samples(leg: impl Into<String>, samples_ms: &[f64]) -> Self {
-        let mut sorted = samples_ms.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let mean = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted.iter().sum::<f64>() / sorted.len() as f64
-        };
-        LegStats {
-            leg: leg.into(),
-            samples: sorted.len(),
-            mean_ms: mean,
-            p50_ms: percentile(&sorted, 0.50),
-            p95_ms: percentile(&sorted, 0.95),
-            p99_ms: percentile(&sorted, 0.99),
-        }
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted sample set.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// A machine-readable benchmark report: one named bench, one entry per
-/// leg. Serialized as `BENCH_<name>.json` next to the console tables so CI
-/// and plotting scripts parse numbers instead of scraping table text.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchJson {
-    pub name: String,
-    pub legs: Vec<LegStats>,
-}
-
-impl BenchJson {
-    pub fn new(name: impl Into<String>) -> Self {
-        BenchJson {
-            name: name.into(),
-            legs: Vec::new(),
-        }
-    }
-
-    /// Append a leg computed from raw latency samples (ms).
-    pub fn push_leg(&mut self, leg: impl Into<String>, samples_ms: &[f64]) {
-        self.legs.push(LegStats::from_samples(leg, samples_ms));
-    }
-
-    /// Append a leg whose stats were already computed elsewhere.
-    pub fn push_stats(&mut self, stats: LegStats) {
-        self.legs.push(stats);
-    }
-
-    /// The JSON document: `{"name": ..., "legs": [{"leg": ..., "samples":
-    /// ..., "mean_ms": ..., "p50_ms": ..., "p95_ms": ..., "p99_ms": ...}]}`.
-    pub fn to_json(&self) -> String {
-        let legs: Vec<serde_json::Value> = self
-            .legs
-            .iter()
-            .map(|l| {
-                serde_json::json!({
-                    "leg": l.leg,
-                    "samples": l.samples,
-                    "mean_ms": l.mean_ms,
-                    "p50_ms": l.p50_ms,
-                    "p95_ms": l.p95_ms,
-                    "p99_ms": l.p99_ms,
-                })
-            })
-            .collect();
-        let doc = serde_json::json!({ "name": self.name, "legs": legs });
-        serde_json::to_string_pretty(&doc).expect("bench report serializes")
-    }
-
-    /// Write `BENCH_<name>.json` into `dir` and return its path.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
 /// Format milliseconds with sensible precision.
 pub fn ms(v: f64) -> String {
     if v >= 100.0 {
@@ -243,54 +142,6 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("x", &["a", "b"]);
         t.push(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn leg_stats_from_samples() {
-        let samples: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let s = LegStats::from_samples("warm", &samples);
-        assert_eq!(s.samples, 100);
-        assert!((s.mean_ms - 50.5).abs() < 1e-9);
-        assert_eq!(s.p50_ms, 51.0);
-        assert_eq!(s.p95_ms, 95.0);
-        assert_eq!(s.p99_ms, 99.0);
-        // Unsorted input is handled.
-        let s = LegStats::from_samples("x", &[3.0, 1.0, 2.0]);
-        assert_eq!(s.p50_ms, 2.0);
-        // Empty input degrades to zeros instead of panicking.
-        let s = LegStats::from_samples("empty", &[]);
-        assert_eq!((s.samples, s.mean_ms, s.p99_ms), (0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn bench_json_shape_and_write() {
-        let mut b = BenchJson::new("rollup");
-        b.push_leg("rollup_served", &[1.0, 2.0, 3.0]);
-        b.push_stats(LegStats {
-            leg: "raw_recompute".into(),
-            samples: 3,
-            mean_ms: 10.0,
-            p50_ms: 9.0,
-            p95_ms: 12.0,
-            p99_ms: 13.0,
-        });
-        let v: serde_json::Value = serde_json::from_str(&b.to_json()).expect("valid JSON");
-        assert_eq!(v["name"], "rollup");
-        let legs = v["legs"].as_array().expect("legs array");
-        assert_eq!(legs.len(), 2);
-        assert_eq!(legs[0]["leg"], "rollup_served");
-        assert_eq!(legs[0]["samples"], 3);
-        assert_eq!(legs[0]["p50_ms"], 2.0);
-        assert_eq!(legs[1]["mean_ms"], 10.0);
-
-        let dir = std::env::temp_dir().join("stash_bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = b.write_to(&dir).expect("write json");
-        assert_eq!(path.file_name().unwrap(), "BENCH_rollup.json");
-        let back: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back["legs"].as_array().unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -190,6 +190,21 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
             });
     assert_eq!(reads, blocks.values().map(|&b| u64::from(b)).sum::<u64>());
     assert_eq!(Duration::from_nanos(billed), read_cost * reads as u32);
+    // Every frame-cache miss is one read, and its decode is timed.
+    let counter = |name: &str| -> u64 {
+        (0..cluster.n_nodes())
+            .map(|n| cluster.node(n).obs.counter(name).get())
+            .sum()
+    };
+    assert_eq!(
+        reads,
+        counter("dfs.frame_cache.miss"),
+        "disk reads vs frame-cache misses"
+    );
+    assert!(
+        counter("dfs.decode_ns") > 0,
+        "misses must charge decode time"
+    );
     // local + slowest remote would be >= 1.5 x; max(local, slowest) is ~1 x.
     assert!(
         wall < slowest * 3 / 2,
@@ -290,5 +305,13 @@ fn a_warm_remote_hit_costs_its_four_hops() {
         met,
         "{walls:?}: never within 200 us of four hops ({hops:?}) + bandwidth"
     );
+    // Every hop's wait was recorded by whoever finished it (`net.late_ns`).
+    let queries = 1 + walls.len() as u64;
+    let late: u64 = (0..cluster.n_nodes())
+        .map(|n| &cluster.node(n).obs)
+        .chain([cluster.gateway_obs()])
+        .map(|obs| obs.histogram("net.late_ns").snapshot().count())
+        .sum();
+    assert!(late > queries, "{late} waits for {queries} queries");
     cluster.shutdown();
 }
