@@ -266,6 +266,44 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
     cluster.shutdown();
 }
 
+/// Crash a viewport's *home* — its owner, where the client coordinates it:
+/// pinned there, the query errs; the rotating client skips the corpse,
+/// coordinates elsewhere, and the answer stays exact.
+#[test]
+fn a_crashed_home_is_skipped_and_the_answer_stays_exact() {
+    let config = chaos_config(Mode::Stash);
+    let q = county_query();
+    let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+    let keys = q.target_keys(200_000).expect("valid query");
+    let home = partitioner.owner_of_cell(&keys[0]);
+    assert!(
+        keys.iter().all(|k| partitioner.owner_of_cell(k) == home),
+        "the viewport must have a single owner"
+    );
+    let truth = ground_truth(config.clone(), std::slice::from_ref(&q));
+
+    let cluster = SimCluster::new(config);
+    let client = cluster.client();
+    cluster.crash_node(home);
+    assert!(
+        client.query(&q).at(home).run().is_err(),
+        "a crashed home cannot coordinate"
+    );
+    let r = client
+        .query(&q)
+        .run()
+        .expect("the rotating client must route around a crashed home");
+    assert_results_match(&r, &truth[0], "query with its home down");
+    let coordinated: Vec<u64> = cluster
+        .node_stats()
+        .iter()
+        .map(|s| s.queries_coordinated)
+        .collect();
+    assert_eq!(coordinated[home], 0);
+    assert_eq!(coordinated.iter().sum::<u64>(), 1, "{coordinated:?}");
+    cluster.shutdown();
+}
+
 /// The schedule of a [`FaultPlan`] is a pure function of its seed: identical
 /// plans agree on every decision, different seeds diverge, and link-scoped
 /// rules never leak onto other links.

@@ -4,7 +4,7 @@
 //! [`ClusterClient::query`] call, a small builder:
 //!
 //! ```text
-//! client.query(&q).run()                  // round-robin coordinators, retries
+//! client.query(&q).run()                  // at the viewport's home, retries rotate
 //! client.query(&q).at(3).run()            // pinned coordinator, one attempt
 //! client.query(&q).traced().run()         // result + per-stage QueryTrace
 //! client.query(&q).at(3).traced().run()   // both
@@ -15,14 +15,19 @@
 //!
 //! The query is sent to a coordinator node over the fabric, and the
 //! JSON-serializable [`QueryResult`] that comes back is what the WorldMap
-//! panel would render. Clients are cheap to clone; the throughput
-//! experiments run hundreds of them concurrently.
+//! panel would render. The front end knows the zero-hop partitioner (§IV-D),
+//! so it coordinates each viewport where most of its Cells live: that
+//! node's share is answered without a hop of its own. Clients are cheap to
+//! clone; the throughput experiments run hundreds of them concurrently.
 
 use crate::caller::Caller;
 use crate::protocol::{ClusterError, Msg, QUERY_REPLY};
+use stash_dfs::Partitioner;
+use stash_geo::cover_bbox_bounded;
 use stash_model::{AggQuery, QueryResult};
 use stash_net::NodeId;
 use stash_obs::QueryTrace;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,7 +71,10 @@ impl ClientError {
 #[derive(Clone)]
 pub struct ClusterClient {
     gateway: Arc<Caller>,
-    n_nodes: usize,
+    partitioner: Partitioner,
+    /// The planner's cell budget: a viewport whose cover exceeds it has no
+    /// home (the coordinator refuses it anyway).
+    max_cells: usize,
     next_coordinator: Arc<AtomicUsize>,
     timeout: Duration,
     retries: u32,
@@ -75,13 +83,15 @@ pub struct ClusterClient {
 impl ClusterClient {
     pub(crate) fn new(
         gateway: Arc<Caller>,
-        n_nodes: usize,
+        partitioner: Partitioner,
+        max_cells: usize,
         timeout: Duration,
         retries: u32,
     ) -> Self {
         ClusterClient {
             gateway,
-            n_nodes,
+            partitioner,
+            max_cells,
             next_coordinator: Arc::new(AtomicUsize::new(0)),
             timeout,
             retries,
@@ -93,13 +103,17 @@ impl ClusterClient {
     /// [`QueryCall::traced`] (get the per-stage trace back), then
     /// [`QueryCall::run`] to block until the summary arrives.
     ///
-    /// Without `.at(..)`, coordinators rotate round-robin, mimicking a
-    /// front-end load balancer that skips coordinators known to be down;
-    /// transient failures (timeout, crash mid-coordination) are retried on
-    /// the next live coordinator, up to `client_retries` extra attempts.
-    /// With `.at(..)`, exactly one attempt goes to that coordinator —
-    /// experiments that need deterministic placement get deterministic
-    /// failures too.
+    /// Without `.at(..)`, the first attempt goes to the viewport's *home*:
+    /// the node owning the most Cells of its spatial cover (every cover
+    /// cell has the same number of time bins, so this is the node owning
+    /// the most target Cells), ties to the lowest index. It answers that
+    /// share itself, with no hop. When the home is down or the cover cannot
+    /// be planned, and for every retry of a transient failure (timeout,
+    /// crash mid-coordination), coordinators rotate round-robin like a
+    /// front-end load balancer that skips nodes known to be down — up to
+    /// `client_retries` extra attempts in all. With `.at(..)`, exactly one
+    /// attempt goes to that coordinator — experiments that need
+    /// deterministic placement get deterministic failures too.
     pub fn query<'a>(&'a self, query: &'a AggQuery) -> QueryCall<'a> {
         QueryCall {
             client: self,
@@ -110,25 +124,42 @@ impl ClusterClient {
 
     /// Number of storage nodes queries can coordinate on.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.partitioner.n_nodes()
     }
 
-    /// Round-robin dispatch with retries (no pinned coordinator).
+    /// The node owning the most Cells of `query`'s spatial cover, ties to
+    /// the lowest index; `None` when the cover is empty or cannot be
+    /// planned.
+    fn home(&self, query: &AggQuery) -> Option<usize> {
+        let cover = cover_bbox_bounded(&query.bbox, query.spatial_res, self.max_cells).ok()?;
+        let mut owned = vec![0usize; self.n_nodes()];
+        for gh in cover {
+            owned[self.partitioner.owner(gh)] += 1;
+        }
+        let (home, &most) = owned
+            .iter()
+            .enumerate()
+            .max_by_key(|&(node, &n)| (n, Reverse(node)))?;
+        (most > 0).then_some(home)
+    }
+
+    /// Dispatch with retries (no pinned coordinator): the home first, then
+    /// round-robin.
     fn dispatch_rotating(
         &self,
         query: &AggQuery,
     ) -> Result<(QueryResult, QueryTrace), ClientError> {
+        let is_up = |node: usize| !self.gateway.router.is_crashed(NodeId(node));
+        let mut home = self.home(query).filter(|&node| is_up(node));
+        let n_nodes = self.n_nodes();
         let mut last = ClientError::Disconnected;
         for _ in 0..=self.retries {
-            // Pick the next coordinator the fabric still talks to.
-            let mut coord = None;
-            for _ in 0..self.n_nodes {
-                let c = self.next_coordinator.fetch_add(1, Ordering::Relaxed) % self.n_nodes;
-                if !self.gateway.router.is_crashed(NodeId(c)) {
-                    coord = Some(c);
-                    break;
-                }
-            }
+            // The home, else the next coordinator the fabric still talks to.
+            let coord = home.take().or_else(|| {
+                (0..n_nodes)
+                    .map(|_| self.next_coordinator.fetch_add(1, Ordering::Relaxed) % n_nodes)
+                    .find(|&c| is_up(c))
+            });
             let Some(coord) = coord else {
                 return Err(ClientError::Disconnected); // every node is down
             };
@@ -149,7 +180,10 @@ impl ClusterClient {
         query: &AggQuery,
         coordinator: usize,
     ) -> Result<(QueryResult, QueryTrace), ClientError> {
-        assert!(coordinator < self.n_nodes, "coordinator index out of range");
+        assert!(
+            coordinator < self.n_nodes(),
+            "coordinator index out of range"
+        );
         let reply = self
             .gateway
             .ask(coordinator, self.timeout, QUERY_REPLY, |rpc, reply_to| {

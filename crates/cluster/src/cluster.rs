@@ -79,8 +79,9 @@ pub struct ClusterConfig {
     pub sub_rpc_retries: u32,
     /// Base delay of the sub-RPC retry backoff.
     pub retry_backoff: Duration,
-    /// Client-side retries of a whole query (each lands on the next live
-    /// coordinator in the round-robin rotation).
+    /// Client-side retries of a whole query (the first attempt goes to the
+    /// viewport's home; each retry lands on the next live coordinator in
+    /// the round-robin rotation).
     pub client_retries: u32,
     /// Blocks that boot truncated and grow through live ingestion
     /// (DESIGN.md §13). Empty (the default) means a fully sealed dataset —
@@ -430,7 +431,8 @@ impl SimCluster {
     pub fn client(&self) -> ClusterClient {
         ClusterClient::new(
             Arc::clone(&self.gateway),
-            self.config.n_nodes,
+            self.partitioner.clone(),
+            self.config.stash.max_cells_per_query,
             self.config.client_timeout,
             self.config.client_retries,
         )
@@ -852,8 +854,7 @@ mod tests {
             .map(|i| cluster.node(i).obs.counter("query.coordinate.ok").get())
             .sum();
         assert_eq!(coordinated, 1);
-        // A warm repeat serves from cache: PLM/lookup time recorded, and
-        // the cache stats that feed `figures --profile` moved.
+        // A warm repeat serves from cache: PLM/lookup time recorded.
         let (_, warm) = client.query(&q).traced().run().expect("warm traced query");
         assert!(warm.agg.plm_ns > 0, "warm query must charge plm lookups");
         cluster.shutdown();

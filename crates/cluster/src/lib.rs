@@ -30,6 +30,7 @@ mod fence;
 pub mod ingest;
 pub mod node;
 pub mod protocol;
+mod slots;
 pub mod source;
 
 pub use client::{ClientError, ClusterClient, QueryCall, TracedQueryCall};

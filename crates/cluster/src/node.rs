@@ -11,7 +11,9 @@
 //! * The **main thread** drains the fabric inbox — whatever the port let
 //!   fall through because it must run at its due time on a thread that
 //!   never blocks: control messages (Invalidate, Distress) are answered
-//!   inline, a hotspotted node's reroute decision is taken here. Because
+//!   inline, a hotspotted node's reroute decision for a received SubQuery
+//!   is taken here. (A coordinator takes the same decision for its own
+//!   share, on its worker.) Because
 //!   main threads always drain, a worker blocked on an Invalidate or
 //!   Distress round is always eventually answered.
 //! * **Workers** (the paper's 8-core nodes, scaled down) take work off
@@ -23,12 +25,15 @@
 //!
 //! The pending-work counter doubles as the paper's hotspot signal: "a node
 //! deems itself to be hotspotted when the number of pending requests in its
-//! message queue crosses a configured threshold" (§VII-B1).
+//! message queue crosses a configured threshold" (§VII-B1). It counts every
+//! request queued here and the data-service work running here — a
+//! coordinator's own share included, its waits on other nodes not.
 
 use crate::caller::{Call, Caller};
 use crate::cluster::{ClusterConfig, Mode, NodeStats};
 use crate::fence::IngestFence;
 use crate::protocol::{ClusterError, Msg, Reply, ACK, PARTIALS, SUB_RESULT};
+use crate::slots::Slots;
 use parking_lot::Mutex;
 use stash_core::{
     evaluate_traced, CliqueFinder, GuestBook, LogicalClock, RouteDecision, RoutingTable, StashGraph,
@@ -119,11 +124,18 @@ pub struct NodeCtx {
     stage_hists: [Arc<Histogram>; 7],
     /// Requests dispatched to workers and not yet finished (all tiers).
     pending: AtomicUsize,
-    /// Data-service work (subqueries, fetches, replication) queued or in
-    /// flight — the hotspot signal. Coordination waits are excluded: a
-    /// node blocked *waiting on others* is not itself overloaded.
+    /// The hotspot signal: every request queued here — a Query included,
+    /// since the front end sends it where most of its Cells live — plus
+    /// the data-service work running here (subqueries, fetches,
+    /// replication, appends, a coordinator's own share). Coordination waits
+    /// are excluded: a node blocked *waiting on others* is not itself
+    /// overloaded.
     service_pending: AtomicUsize,
-    /// Level of the most recent SubQuery — where a hotspot's Cliques live.
+    /// The node's Cell-serving capacity: every evaluation holds one of
+    /// `service_workers` slots, wherever it runs (DESIGN.md §2b).
+    serving: Slots,
+    /// Level of the most recent share served here — where a hotspot's
+    /// Cliques live.
     hot_level: AtomicU8,
     handoff_inflight: AtomicBool,
     cooldown_until: AtomicU64,
@@ -197,6 +209,7 @@ impl NodeCtx {
             obs,
             pending: AtomicUsize::new(0),
             service_pending: AtomicUsize::new(0),
+            serving: Slots::new(config.service_workers),
             hot_level: AtomicU8::new(
                 Level::of(4, stash_geo::TemporalRes::Day)
                     .expect("static level")
@@ -254,13 +267,13 @@ impl NodeCtx {
             return Handover::Taken;
         }
         match &parked.env.payload {
-            work @ (Msg::Query { .. }
+            Msg::Query { .. }
             | Msg::SubQuery { .. }
             | Msg::FetchPartials { .. }
             | Msg::AppendBatch { .. }
-            | Msg::ReplicationRequest { .. }) => {
-                let queued = self.service_pending.load(Ordering::Relaxed)
-                    + usize::from(Self::is_service(work));
+            | Msg::ReplicationRequest { .. } => {
+                // Counted with this message queued.
+                let queued = self.service_pending.load(Ordering::Relaxed) + 1;
                 if queued > self.config.stash.hotspot_threshold {
                     return Handover::Inbox(parked);
                 }
@@ -271,8 +284,11 @@ impl NodeCtx {
         }
     }
 
-    /// Does `work` count towards the hotspot predicate? Everything the
-    /// service and fetch tiers take; a coordinator's Query does not.
+    /// Does `work` count towards the hotspot predicate until it finishes?
+    /// Everything the service and fetch tiers take does. A Query counts
+    /// only while it is queued: once a coordinator takes it, what is this
+    /// node's own work is its own share, counted while it runs
+    /// ([`NodeCtx::eval_own_share`]).
     fn is_service(work: &Msg) -> bool {
         !matches!(work, Msg::Query { .. })
     }
@@ -358,7 +374,8 @@ impl NodeCtx {
                 let _ = self.caller.send(reply_to, Msg::DistressAck { rpc, accept });
             }
             // Rerouting decision happens *before* queueing (§VII-C): a
-            // hotspotted node sheds covered subqueries to their helper.
+            // hotspotted node sheds covered subqueries to their helper,
+            // which answers the coordinator directly.
             Msg::SubQuery {
                 rpc,
                 reply_to,
@@ -366,27 +383,18 @@ impl NodeCtx {
                 allow_reroute,
                 via_guest,
             } => {
-                if allow_reroute && !via_guest && self.is_hotspotted() {
-                    let decision = self.routing.lock().decide(&keys);
-                    if let RouteDecision::Covered { helper } = decision {
-                        if self.flip(self.config.stash.reroute_probability) {
-                            let forwarded = Msg::SubQuery {
-                                rpc,
-                                reply_to,
-                                keys: keys.clone(),
-                                allow_reroute: false,
-                                via_guest: true,
-                            };
-                            if self.caller.send(NodeId(helper), forwarded) {
-                                self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
-                                self.obs.inc("handoff.reroute");
-                                return;
-                            }
-                            // Helper crashed since the route was recorded:
-                            // drop its routes and serve locally instead.
-                            self.routing.lock().drop_helper(helper);
-                        }
-                    }
+                let forward = |helper: usize| {
+                    let forwarded = Msg::SubQuery {
+                        rpc,
+                        reply_to,
+                        keys: keys.clone(),
+                        allow_reroute: false,
+                        via_guest: true,
+                    };
+                    self.caller.send(NodeId(helper), forwarded).then_some(())
+                };
+                if allow_reroute && !via_guest && self.shed(&keys, forward).is_some() {
+                    return;
                 }
                 self.dispatch(Envelope {
                     payload: Msg::SubQuery {
@@ -418,9 +426,7 @@ impl NodeCtx {
     /// port calls it: counting and a push, nothing else.
     fn enqueue(&self, parked: Parked<Msg>) {
         self.pending.fetch_add(1, Ordering::Relaxed);
-        if Self::is_service(&parked.env.payload) {
-            self.service_pending.fetch_add(1, Ordering::Relaxed);
-        }
+        self.service_pending.fetch_add(1, Ordering::Relaxed);
         // Route to the tier whose workers may safely block on the tiers
         // below it. Queues only close at crash or shutdown; the message is
         // dropped (and counted) then.
@@ -445,6 +451,9 @@ impl NodeCtx {
             }
             self.caller.record_late(env.late);
             let is_service = Self::is_service(&env.payload);
+            if !is_service {
+                self.service_pending.fetch_sub(1, Ordering::Relaxed);
+            }
             self.process(env);
             self.pending.fetch_sub(1, Ordering::Relaxed);
             if is_service {
@@ -482,9 +491,7 @@ impl NodeCtx {
                 ..
             } => {
                 self.stats.subqueries.fetch_add(1, Ordering::Relaxed);
-                if let Some(k) = keys.first() {
-                    self.hot_level.store(k.level().index(), Ordering::Relaxed);
-                }
+                self.note_hot_level(&keys);
                 let (result, mut trace) = self.eval_subquery_traced(&keys, via_guest);
                 trace.wire_ns += wire_ns;
                 let _ = self
@@ -702,10 +709,8 @@ impl NodeCtx {
     ) -> Result<QueryResult, ClusterError> {
         let route = Instant::now();
         let mut by_owner = by_owner(self.store.partitioner(), keys.iter().copied());
-        // Evaluate our own share inline (no message round-trip and no risk
-        // of waiting on our own queue), scatter the rest.
         let own = by_owner.remove(&self.node_idx);
-        let mut waits = Vec::with_capacity(by_owner.len());
+        let mut waits = Vec::with_capacity(by_owner.len() + 1);
         let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
         for (owner, group) in by_owner {
             match self.send_subquery(owner, &group, true) {
@@ -713,13 +718,37 @@ impl NodeCtx {
                 Err(_) => stragglers.push((owner, group)),
             }
         }
+        // Our own share is data-service work like any SubQuery we receive:
+        // a hotspotted node sheds it to a covering helper the same way, or
+        // else evaluates it inline (no message round-trip and no risk of
+        // waiting on our own queue).
+        let own = own.and_then(|group| {
+            let reroute = |helper: usize| {
+                self.caller
+                    .call(helper, |rpc, reply_to| Msg::SubQuery {
+                        rpc,
+                        reply_to,
+                        keys: group.clone(),
+                        allow_reroute: false,
+                        via_guest: true,
+                    })
+                    .ok()
+            };
+            match self.shed(&group, reroute) {
+                Some(call) => {
+                    waits.push((self.node_idx, group, call));
+                    None
+                }
+                None => Some(group),
+            }
+        });
         trace.subqueries += waits.len() as u32;
         trace.local.route_ns += route.elapsed().as_nanos() as u64;
+        // Our own share runs on this very thread: its stage times are local
+        // wall segments, not a fan-out contribution.
         let mut merged = match own {
             Some(group) => {
-                let (result, st) = self.eval_subquery_traced(&group, false);
-                // Our own share ran on this very thread: its stage times
-                // are local wall segments, not a fan-out contribution.
+                let (result, st) = self.eval_own_share(&group);
                 trace.local.add(&st);
                 result?
             }
@@ -745,6 +774,13 @@ impl NodeCtx {
         }
         trace.local.wait_ns += waited.elapsed().as_nanos() as u64;
         for (owner, group) in stragglers {
+            if owner == self.node_idx {
+                // A shed share of ours whose helper did not answer.
+                let (result, st) = self.eval_own_share(&group);
+                trace.local.add(&st);
+                absorb(&mut merged, result?);
+                continue;
+            }
             let retried = |acc: &mut StageTimes| self.subquery_retried(owner, &group, acc);
             // Empty summaries are dropped exactly as `evaluate` drops them,
             // so a failed-over share matches the fault-free path.
@@ -765,6 +801,59 @@ impl NodeCtx {
         merged.cells.dedup_by_key(|c| c.key);
         trace.local.merge_ns += merge.elapsed().as_nanos() as u64;
         Ok(merged)
+    }
+
+    /// This node's own share of a query it coordinates, evaluated on the
+    /// coordinating thread. It is data-service work like a SubQuery this
+    /// node receives: it counts towards the hotspot predicate while it runs
+    /// (so the port lets further work fall through to the main thread's
+    /// hotspot check) and marks the level a Clique Handoff replicates.
+    fn eval_own_share(
+        self: &Arc<Self>,
+        keys: &[CellKey],
+    ) -> (Result<QueryResult, ClusterError>, StageTimes) {
+        self.service_pending.fetch_add(1, Ordering::Relaxed);
+        self.note_hot_level(keys);
+        let evaluated = self.eval_subquery_traced(keys, false);
+        self.service_pending.fetch_sub(1, Ordering::Relaxed);
+        evaluated
+    }
+
+    /// Remember the level of the latest share served here: where a
+    /// hotspot's Cliques live.
+    fn note_hot_level(&self, keys: &[CellKey]) {
+        if let Some(k) = keys.first() {
+            self.hot_level.store(k.level().index(), Ordering::Relaxed);
+        }
+    }
+
+    /// The reroute decision of §VII-C, for every share this node would
+    /// serve from its local graph — a SubQuery it received or its own share
+    /// of a query it coordinates: while the node is hotspotted and one
+    /// helper hosts every key, shed the share to it with the configured
+    /// probability. `send` hands the helper a `via_guest` SubQuery and
+    /// returns what the caller keeps of it, `None` when the fabric refused;
+    /// then the helper crashed since its route was recorded, its routes are
+    /// dropped and the share stays here.
+    fn shed<T>(&self, keys: &[CellKey], send: impl FnOnce(usize) -> Option<T>) -> Option<T> {
+        if !self.is_hotspotted() {
+            return None;
+        }
+        let decision = self.routing.lock().decide(keys);
+        let RouteDecision::Covered { helper } = decision else {
+            return None;
+        };
+        if !self.flip(self.config.stash.reroute_probability) {
+            return None;
+        }
+        let sent = send(helper);
+        if sent.is_some() {
+            self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
+            self.obs.inc("handoff.reroute");
+        } else {
+            self.routing.lock().drop_helper(helper);
+        }
+        sent
     }
 
     /// A straggling owner's share, second wave: asked again under the retry
@@ -903,6 +992,7 @@ impl NodeCtx {
         keys: &[CellKey],
         via_guest: bool,
     ) -> (Result<QueryResult, ClusterError>, StageTimes) {
+        let _serving = self.serving.take();
         let graph = if via_guest { &self.guest } else { &self.graph };
         let mut st = StageTimes::default();
         if via_guest {
@@ -980,13 +1070,16 @@ impl NodeCtx {
         // containing a row of an overlapping batch can be either. The
         // *returned* result is untouched (it was correct when read);
         // re-staling those keys makes the next access recompute instead of
-        // trusting a racy cache fill.
+        // trusting a racy cache fill. An evaluation that cached nothing —
+        // every key a hit — left no fill behind: the Cells it read are the
+        // ones the apply patches or stales itself, so it re-stales nothing.
+        let cached = !matches!(&result, Ok(part) if part.misses + part.derived_hits == 0);
         if let Some(overlap) = self.fence.end(epoch0, keys) {
             self.obs.inc("ingest.fence.overlapped");
             if overlap.overflow {
                 self.obs.inc("ingest.fence.overflow");
             }
-            if !overlap.restale.is_empty() {
+            if cached && !overlap.restale.is_empty() {
                 graph.mark_stale_keys(&overlap.restale);
                 self.obs.inc("ingest.eval_raced");
                 self.obs

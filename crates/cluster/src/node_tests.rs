@@ -255,6 +255,26 @@ fn an_evaluation_started_mid_apply_stales_that_applys_keys() {
     cluster.shutdown();
 }
 
+/// An evaluation that only read resident Cells wrote nothing an apply can
+/// race with: the apply patches (or stales) those Cells itself, so an apply
+/// in flight the whole time leaves every key fresh.
+#[test]
+fn a_cache_only_evaluation_during_an_apply_restales_nothing() {
+    let cluster = SimCluster::new(test_config(1));
+    let node = cluster.node(0);
+    let asked = viewport();
+    node.eval_subquery(&asked, false).unwrap();
+    node.fence
+        .open_apply(finest_keys(&[row_in(&asked[5])]).into());
+    let hits = node.eval_subquery(&asked, false).unwrap();
+    node.fence.close_apply();
+    assert_eq!(hits.cache_hits, asked.len());
+    assert_eq!(stale_among(node, &asked), vec![]);
+    assert_eq!(counter(node, "ingest.fence.overlapped"), 1);
+    assert_eq!(counter(node, "ingest.eval_raced"), 0);
+    cluster.shutdown();
+}
+
 #[test]
 fn a_first_cell_at_a_level_the_batch_saw_empty_is_staled_by_the_fence() {
     let cluster = SimCluster::new(test_config(1));
@@ -389,6 +409,104 @@ fn a_fetch_partials_backlog_starts_a_handoff() {
     }
     assert_eq!(peer.guest.len(), members.len());
     assert_eq!(counter(home, "handoff.reroute"), 0);
+    cluster.shutdown();
+}
+
+// -- A coordinator's own share is service work --------------------------------
+
+/// The hotspot predicate counts what a node has to serve: a Query while it
+/// waits in the queue, then — once a coordinator takes it — its own share
+/// while it runs, which also marks the share's level as the one a handoff
+/// replicates. The coordination itself is not counted.
+#[test]
+fn a_queued_query_and_a_running_own_share_count_as_service_work() {
+    let cluster = SimCluster::new(test_config(1));
+    let node = cluster.node(0);
+    // Res-5 Cells: not the level `hot_level` starts at.
+    let cell = viewport()[0];
+    let query = AggQuery::new(cell.geohash.bbox(), cell.time.range(), 5, TemporalRes::Day);
+    let level = Level::of(5, TemporalRes::Day).unwrap().index();
+    let seen = Arc::new(Mutex::new(None));
+    let probe = Arc::clone(&seen);
+    let behind = query.clone();
+    // Parked on the node's one coordinator, mid-evaluation of its share.
+    node.park(Site::MidFetch, move |node| {
+        let running = node.service_pending.load(Ordering::Relaxed);
+        let gateway = NodeId(node.store.partitioner().n_nodes());
+        let queued = Msg::Query {
+            rpc: u64::MAX,
+            reply_to: gateway,
+            query: behind,
+        };
+        assert!(node
+            .caller
+            .router
+            .send(node.caller.id, node.caller.id, queued, 64));
+        *probe.lock() = Some((
+            running,
+            node.service_pending.load(Ordering::Relaxed),
+            node.hot_level.load(Ordering::Relaxed),
+        ));
+    });
+    cluster.client().query(&query).at(0).run().unwrap();
+    assert_eq!(*seen.lock(), Some((1, 2, level)));
+    let started = Instant::now();
+    while node.pending() > 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the queued Query never ran"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(node.service_pending.load(Ordering::Relaxed), 0);
+    cluster.shutdown();
+}
+
+/// A hotspotted coordinator whose own share a helper covers sheds that
+/// share exactly as it sheds a SubQuery it receives: the helper serves it
+/// from its guest graph, every reroute is one guest serve, and the answer
+/// is the one the home would have given.
+#[test]
+fn a_hotspotted_home_sheds_its_own_share_to_the_covering_helper() {
+    let mut config = test_config(2);
+    config.stash.reroute_probability = 1.0;
+    let cluster = SimCluster::new(config);
+    let members = viewport();
+    let home_idx = cluster
+        .node(0)
+        .store
+        .partitioner()
+        .owner_of_cell(&members[0]);
+    let (home, helper) = (cluster.node(home_idx), cluster.node(1 - home_idx));
+    let mut served_home = home.eval_subquery(&members, false).unwrap().cells;
+    let clique = stash_core::Clique {
+        root: CellKey::new(tile("9q8"), day(2)),
+        members: members.clone(),
+        cumulative_freshness: 1.0,
+    };
+    assert!(home.try_replicate_to(&clique, helper.node_idx));
+    let reroutes = || home.stats.reroutes.load(Ordering::Relaxed);
+    let guest_serves = || helper.stats.guest_serves.load(Ordering::Relaxed);
+
+    let backlog = home.config.stash.hotspot_threshold + 1;
+    home.service_pending.fetch_add(backlog, Ordering::Relaxed);
+    let mut trace = QueryTrace::default();
+    let mut shed = home.coordinate_stash(&members, &mut trace).unwrap().cells;
+    home.service_pending.fetch_sub(backlog, Ordering::Relaxed);
+    assert_eq!(
+        trace.subqueries, 1,
+        "the own share went out as one SubQuery"
+    );
+    assert_eq!((reroutes(), guest_serves()), (1, 1));
+    shed.sort_by_key(|c| c.key);
+    served_home.sort_by_key(|c| c.key);
+    assert_eq!(shed, served_home);
+
+    // Not hotspotted: the share is the home's to serve again.
+    let mut trace = QueryTrace::default();
+    home.coordinate_stash(&members, &mut trace).unwrap();
+    assert_eq!(trace.subqueries, 0);
+    assert_eq!((reroutes(), guest_serves()), (1, 1));
     cluster.shutdown();
 }
 

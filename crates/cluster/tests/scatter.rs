@@ -214,12 +214,9 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
     cluster.shutdown();
 }
 
-#[test]
-fn a_warm_remote_hit_costs_its_four_hops() {
-    // Two nodes, the default wire, nothing else modeled: a warm viewport
-    // owned by one node and coordinated at the other is client → coordinator
-    // → owner → coordinator → client, each hop slept once, to its deadline,
-    // by the thread that consumes the message.
+/// Two nodes, the default wire, nothing else modeled, and a warm viewport
+/// with a single owner: `(cluster, query, owner)`.
+fn two_nodes_and_a_single_owner_viewport() -> (SimCluster, AggQuery, usize) {
     let cluster = SimCluster::new(
         ClusterConfig::builder()
             .n_nodes(2)
@@ -229,8 +226,10 @@ fn a_warm_remote_hit_costs_its_four_hops() {
             .build()
             .expect("two-node config is valid"),
     );
-    let wire = NetConfig::default();
-    assert_eq!(cluster.config().net.base_latency, wire.base_latency);
+    assert_eq!(
+        cluster.config().net.base_latency,
+        NetConfig::default().base_latency
+    );
     let day = epoch_seconds(2015, 2, 2, 0, 0, 0);
     let query = AggQuery::new(
         BBox::from_corner_extent(38.0, -105.0, 0.3, 0.6),
@@ -245,47 +244,62 @@ fn a_warm_remote_hit_costs_its_four_hops() {
         keys.iter().all(|k| part.owner_of_cell(k) == owner),
         "the viewport must have a single owner"
     );
-    let coordinator = 1 - owner;
-    let client = cluster.client();
-    client.query(&query).at(coordinator).run().expect("warm-up");
+    (cluster, query, owner)
+}
 
-    let hops = wire.base_latency * 4;
+/// A warm hit of `query` — coordinated at `at`, or where the client places
+/// it — with `subqueries` remote owners costs `hops` wire latencies: each
+/// hop slept once, to its deadline, by the thread that consumes the message.
+fn assert_warm_hit_costs_its_hops(
+    cluster: &SimCluster,
+    query: &AggQuery,
+    at: Option<usize>,
+    subqueries: u32,
+    hops: u32,
+) {
+    let wire = NetConfig::default();
+    let client = cluster.client();
+    let run = || {
+        let call = client.query(query);
+        match at {
+            Some(node) => call.at(node).traced().run(),
+            None => call.traced().run(),
+        }
+    };
+    run().expect("warm-up");
+
+    let modeled = wire.base_latency * hops;
     let warm_hit = || {
         let sent = cluster.net_stats().bytes_sent();
         let t0 = Instant::now();
-        let (result, trace) = client
-            .query(&query)
-            .at(coordinator)
-            .traced()
-            .run()
-            .expect("warm hit");
+        let (result, trace) = run().expect("warm hit");
         let wall = t0.elapsed();
         assert_eq!(
             (result.misses, trace.subqueries),
-            (0, 1),
-            "warm, one remote owner"
+            (0, subqueries),
+            "warm, {subqueries} remote owner(s)"
         );
         // A sleep cannot end early: the lower bound holds on every run.
         assert!(
-            wall >= hops,
-            "{wall:?} for four hops of {:?}",
+            wall >= modeled,
+            "{wall:?} for {hops} hops of {:?}",
             wire.base_latency
         );
         assert!(
-            Duration::from_nanos(trace.agg.wire_ns) >= hops,
+            Duration::from_nanos(trace.agg.wire_ns) >= modeled,
             "observed wire time {} ns",
             trace.agg.wire_ns
         );
         let bytes = cluster.net_stats().bytes_sent() - sent;
         let bandwidth = Duration::from_secs_f64(bytes as f64 / wire.bytes_per_sec);
-        (wall, hops + bandwidth + Duration::from_micros(200))
+        (wall, modeled + bandwidth + Duration::from_micros(200))
     };
     // A busy host only ever adds time, so the upper bound is asked of the
     // best of five rounds — spread out, so that the tests running beside
     // this one are not busy through all of them, and each a burst of
     // queries, so that the cores it wakes on are not asleep themselves.
     // Why a burst and not one query a round: the bound sits just above
-    // this host's *median*. Alone on an idle 2-core VM a warm hit is
+    // this host's *median*. Alone on an idle 2-core VM a warm remote hit is
     // 100–115 µs over the model at best and 160–190 µs at p50 (four
     // wake-ups from idle at ~40 µs each plus ~30 µs of real work), so a
     // single try meets it 6 to 8 times in 10 there — and the other tests
@@ -303,7 +317,7 @@ fn a_warm_remote_hit_costs_its_four_hops() {
     });
     assert!(
         met,
-        "{walls:?}: never within 200 us of four hops ({hops:?}) + bandwidth"
+        "{walls:?}: never within 200 us of {hops} hops ({modeled:?}) + bandwidth"
     );
     // Every hop's wait was recorded by whoever finished it (`net.late_ns`).
     let queries = 1 + walls.len() as u64;
@@ -313,5 +327,21 @@ fn a_warm_remote_hit_costs_its_four_hops() {
         .map(|obs| obs.histogram("net.late_ns").snapshot().count())
         .sum();
     assert!(late > queries, "{late} waits for {queries} queries");
+}
+
+#[test]
+fn a_warm_remote_hit_costs_its_four_hops() {
+    // Coordinated at the node that does not own it: client → coordinator
+    // → owner → coordinator → client.
+    let (cluster, query, owner) = two_nodes_and_a_single_owner_viewport();
+    assert_warm_hit_costs_its_hops(&cluster, &query, Some(1 - owner), 1, 4);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_warm_local_hit_costs_its_two_hops() {
+    // Placed by the client, which knows the owner: client → owner → client.
+    let (cluster, query, _) = two_nodes_and_a_single_owner_viewport();
+    assert_warm_hit_costs_its_hops(&cluster, &query, None, 0, 2);
     cluster.shutdown();
 }

@@ -414,8 +414,7 @@ impl BlockFrame {
         // empty sketch bundle re-validates the spec every time, while a
         // clone shares the template's payload and a cell's first fold
         // copies a few words (an empty bundle holds no arrays) —
-        // measurable across hundreds of wanted cells (guarded by the
-        // `figures --profile --smoke` fold shootout).
+        // measurable across hundreds of wanted cells.
         let template = CellSummary::empty_with(self.n_attrs, sketch);
         let mut out: Vec<(CellKey, CellSummary)> = Vec::with_capacity(wanted.len());
         let mut index: FxHashMap<CellKey, usize> = FxHashMap::default();
@@ -834,8 +833,8 @@ impl FrameCache {
 
     /// Audit: sum of the resident frames' actual flat-buffer lengths.
     /// Must always equal [`FrameCache::bytes`] — the accounting charges
-    /// exact buffer lengths, nothing estimated. `figures --profile` asserts
-    /// this invariant on live caches.
+    /// exact buffer lengths, nothing estimated (held across inserts and
+    /// removals by `cache_byte_accounting_matches_buffer_lengths`).
     pub fn buffer_bytes(&self) -> usize {
         self.inner
             .lock()
