@@ -76,6 +76,16 @@ fn lossy_links_never_surface_to_the_client() {
         cluster.router().stats().messages_dropped() > 0,
         "the fault plan never actually dropped anything"
     );
+    // Some of the losses hit a scatter's share: those queries were
+    // coordinated instead, and still came back exact.
+    assert!(
+        cluster
+            .gateway_obs()
+            .counter("query.scatter.fallback")
+            .get()
+            > 0,
+        "no scatter ever handed a query to a coordinator"
+    );
     cluster.shutdown();
 }
 
@@ -266,9 +276,10 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
     cluster.shutdown();
 }
 
-/// Crash a viewport's *home* — its owner, where the client coordinates it:
-/// pinned there, the query errs; the rotating client skips the corpse,
-/// coordinates elsewhere, and the answer stays exact.
+/// Crash a viewport's *home* — its owner, where a failed scatter is
+/// coordinated: pinned there, the query errs; the rotating client's scatter
+/// is refused, it skips the corpse, coordinates elsewhere, and the answer
+/// stays exact.
 #[test]
 fn a_crashed_home_is_skipped_and_the_answer_stays_exact() {
     let config = chaos_config(Mode::Stash);

@@ -4,7 +4,7 @@
 //! [`ClusterClient::query`] call, a small builder:
 //!
 //! ```text
-//! client.query(&q).run()                  // at the viewport's home, retries rotate
+//! client.query(&q).run()                  // scattered to its owners
 //! client.query(&q).at(3).run()            // pinned coordinator, one attempt
 //! client.query(&q).traced().run()         // result + per-stage QueryTrace
 //! client.query(&q).at(3).traced().run()   // both
@@ -13,24 +13,29 @@
 //! client.query(&q).top_k(0, 8)            // heavy hitters with bounds
 //! ```
 //!
-//! The query is sent to a coordinator node over the fabric, and the
-//! JSON-serializable [`QueryResult`] that comes back is what the WorldMap
-//! panel would render. The front end knows the zero-hop partitioner (§IV-D),
-//! so it coordinates each viewport where most of its Cells live: that
-//! node's share is answered without a hop of its own. Clients are cheap to
-//! clone; the throughput experiments run hundreds of them concurrently.
+//! The front end knows the zero-hop partitioner (§IV-D), so it plans a
+//! viewport itself and sends every owner its share as one SubQuery: a warm
+//! viewport costs two wire hops whatever its owner count, and every Cell
+//! crosses the wire once. Only when a share fails does the query go to a
+//! coordinator node — the viewport's home, where most of its Cells live —
+//! whose straggler retry and replica failover carry it. The
+//! JSON-serializable [`QueryResult`] is what the WorldMap panel would
+//! render. Clients are cheap to clone; the throughput experiments run
+//! hundreds of them concurrently.
 
-use crate::caller::Caller;
-use crate::protocol::{ClusterError, Msg, QUERY_REPLY};
+use crate::caller::{Call, Caller};
+use crate::cluster::Mode;
+use crate::node::{absorb, by_owner};
+use crate::protocol::{ClusterError, Msg, QUERY_REPLY, SUB_RESULT};
 use stash_dfs::Partitioner;
 use stash_geo::cover_bbox_bounded;
-use stash_model::{AggQuery, QueryResult};
+use stash_model::{AggQuery, CellKey, QueryResult};
 use stash_net::NodeId;
 use stash_obs::QueryTrace;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client-side failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,11 +77,15 @@ impl ClientError {
 pub struct ClusterClient {
     gateway: Arc<Caller>,
     partitioner: Partitioner,
-    /// The planner's cell budget: a viewport whose cover exceeds it has no
-    /// home (the coordinator refuses it anyway).
+    mode: Mode,
+    /// The planner's cell budget: a viewport whose cover exceeds it is
+    /// refused, by the front end as by a coordinator.
     max_cells: usize,
     next_coordinator: Arc<AtomicUsize>,
+    /// Deadline of a coordinated attempt.
     timeout: Duration,
+    /// Deadline of one owner's share of a scatter (`sub_rpc_timeout`).
+    share_timeout: Duration,
     retries: u32,
 }
 
@@ -84,16 +93,20 @@ impl ClusterClient {
     pub(crate) fn new(
         gateway: Arc<Caller>,
         partitioner: Partitioner,
+        mode: Mode,
         max_cells: usize,
         timeout: Duration,
+        share_timeout: Duration,
         retries: u32,
     ) -> Self {
         ClusterClient {
             gateway,
             partitioner,
+            mode,
             max_cells,
             next_coordinator: Arc::new(AtomicUsize::new(0)),
             timeout,
+            share_timeout,
             retries,
         }
     }
@@ -103,17 +116,18 @@ impl ClusterClient {
     /// [`QueryCall::traced`] (get the per-stage trace back), then
     /// [`QueryCall::run`] to block until the summary arrives.
     ///
-    /// Without `.at(..)`, the first attempt goes to the viewport's *home*:
-    /// the node owning the most Cells of its spatial cover (every cover
-    /// cell has the same number of time bins, so this is the node owning
-    /// the most target Cells), ties to the lowest index. It answers that
-    /// share itself, with no hop. When the home is down or the cover cannot
-    /// be planned, and for every retry of a transient failure (timeout,
-    /// crash mid-coordination), coordinators rotate round-robin like a
-    /// front-end load balancer that skips nodes known to be down — up to
-    /// `client_retries` extra attempts in all. With `.at(..)`, exactly one
-    /// attempt goes to that coordinator — experiments that need
-    /// deterministic placement get deterministic failures too.
+    /// Without `.at(..)`, a STASH cluster's query is first *scattered*: the
+    /// client plans its target Cells and sends every owner its share, which
+    /// the owner answers straight back. When a share fails transiently, and
+    /// always in Basic mode, the query is coordinated instead: first at its
+    /// *home* — the node owning the most Cells of its spatial cover, ties
+    /// to the lowest index — and, for every retry of a transient failure
+    /// (timeout, crash mid-coordination) or while the home is down,
+    /// round-robin like a front-end load balancer that skips nodes known to
+    /// be down; `client_retries + 1` attempts in all, the scatter included.
+    /// With `.at(..)`, exactly one attempt goes to that coordinator —
+    /// experiments that need deterministic placement get deterministic
+    /// failures too.
     pub fn query<'a>(&'a self, query: &'a AggQuery) -> QueryCall<'a> {
         QueryCall {
             client: self,
@@ -125,6 +139,107 @@ impl ClusterClient {
     /// Number of storage nodes queries can coordinate on.
     pub fn n_nodes(&self) -> usize {
         self.partitioner.n_nodes()
+    }
+
+    /// The target Cells of `query` under the cluster's cell budget.
+    pub(crate) fn plan(&self, query: &AggQuery) -> Result<Vec<CellKey>, ClientError> {
+        query
+            .target_keys(self.max_cells)
+            .map_err(|e| ClientError::Remote(ClusterError::BadQuery(e.to_string())))
+    }
+
+    /// `keys` of `query` answered by one scatter or, when a share of it
+    /// fails transiently, by coordinating the whole of `query` with the
+    /// attempts left. The front end's registry counts each scatter that
+    /// answers as `query.scatter.ok` and each that hands over as
+    /// `query.scatter.fallback`.
+    pub(crate) fn scatter_or_coordinate(
+        &self,
+        query: &AggQuery,
+        keys: &[CellKey],
+        planned: Instant,
+    ) -> Result<(QueryResult, QueryTrace), ClientError> {
+        match self.scatter(keys, planned) {
+            Ok(answer) => {
+                self.gateway.obs.inc("query.scatter.ok");
+                Ok(answer)
+            }
+            Err(e) if !e.is_transient() => Err(ClientError::Remote(e)),
+            Err(e) => {
+                self.gateway.obs.inc("query.scatter.fallback");
+                self.coordinate(query, self.retries, ClientError::unanswered(e))
+            }
+        }
+    }
+
+    /// One scatter of `keys`, planned from `planned` on: every owner gets
+    /// its share as one reroutable SubQuery, all of them in flight before
+    /// the client waits for any, each answered within the share deadline.
+    /// A share a helper refuses (its owner's guest route was stale) is sent
+    /// once more, straight to the owner. The answers merge as a
+    /// coordinator's do. The trace is the front end's: `local` holds this
+    /// thread's route, wait and merge segments, `agg` adds every share's
+    /// stage times to them, `subqueries` counts the shares sent.
+    ///
+    /// The first share that fails ends the scatter with its error.
+    fn scatter(
+        &self,
+        keys: &[CellKey],
+        planned: Instant,
+    ) -> Result<(QueryResult, QueryTrace), ClusterError> {
+        let mut trace = QueryTrace::default();
+        let mut calls = Vec::new();
+        for (owner, share) in by_owner(&self.partitioner, keys.iter().copied()) {
+            calls.push(self.send_share(owner, share, true)?);
+        }
+        trace.subqueries = calls.len() as u32;
+        let sent = Instant::now();
+        trace.local.route_ns = (sent - planned).as_nanos() as u64;
+        let mut merged = QueryResult::default();
+        for call in calls {
+            let owner = call.node;
+            let (mut result, st) = self.gateway.wait(call, self.share_timeout, SUB_RESULT)?;
+            trace.absorb_sub(&st);
+            if let Err(ClusterError::RerouteRefused { .. }) = result {
+                trace.retries += 1;
+                let share = keys
+                    .iter()
+                    .copied()
+                    .filter(|k| self.partitioner.owner_of_cell(k) == owner)
+                    .collect();
+                let call = self.send_share(owner, share, false)?;
+                let (again, st) = self.gateway.wait(call, self.share_timeout, SUB_RESULT)?;
+                trace.absorb_sub(&st);
+                result = again;
+            }
+            absorb(&mut merged, result?);
+        }
+        let waited = Instant::now();
+        trace.local.wait_ns = (waited - sent).as_nanos() as u64;
+        merged.cells.sort_by_key(|c| c.key);
+        merged.cells.dedup_by_key(|c| c.key);
+        let done = Instant::now();
+        trace.local.merge_ns = (done - waited).as_nanos() as u64;
+        trace.wall_ns = (done - planned).as_nanos() as u64;
+        let local = trace.local;
+        trace.agg.add(&local);
+        Ok((merged, trace))
+    }
+
+    /// One owner's share on the wire.
+    fn send_share(
+        &self,
+        owner: usize,
+        keys: Vec<CellKey>,
+        allow_reroute: bool,
+    ) -> Result<Call, ClusterError> {
+        self.gateway.call(owner, |rpc, reply_to| Msg::SubQuery {
+            rpc,
+            reply_to,
+            keys,
+            allow_reroute,
+            via_guest: false,
+        })
     }
 
     /// The node owning the most Cells of `query`'s spatial cover, ties to
@@ -143,17 +258,36 @@ impl ClusterClient {
         (most > 0).then_some(home)
     }
 
-    /// Dispatch with retries (no pinned coordinator): the home first, then
-    /// round-robin.
+    /// Dispatch with retries (no pinned coordinator): a STASH query is
+    /// scattered first; the rest of its attempts, and all of a Basic one's,
+    /// are coordinated.
     fn dispatch_rotating(
         &self,
         query: &AggQuery,
     ) -> Result<(QueryResult, QueryTrace), ClientError> {
+        if self.mode == Mode::Basic {
+            return self.coordinate(query, self.retries + 1, ClientError::Disconnected);
+        }
+        let planned = Instant::now();
+        let keys = self.plan(query)?;
+        if keys.is_empty() {
+            return Ok(Default::default());
+        }
+        self.scatter_or_coordinate(query, &keys, planned)
+    }
+
+    /// Up to `attempts` coordinated attempts: the home first, then
+    /// round-robin. `last` is the error returned if no attempt is left.
+    fn coordinate(
+        &self,
+        query: &AggQuery,
+        attempts: u32,
+        mut last: ClientError,
+    ) -> Result<(QueryResult, QueryTrace), ClientError> {
         let is_up = |node: usize| !self.gateway.router.is_crashed(NodeId(node));
         let mut home = self.home(query).filter(|&node| is_up(node));
         let n_nodes = self.n_nodes();
-        let mut last = ClientError::Disconnected;
-        for _ in 0..=self.retries {
+        for _ in 0..attempts {
             // The home, else the next coordinator the fabric still talks to.
             let coord = home.take().or_else(|| {
                 (0..n_nodes)

@@ -12,25 +12,18 @@
 //!    pan trajectory: after each interaction it warms the viewport the
 //!    user is most likely to request next, in the background.
 
-use crate::caller::Caller;
 use crate::client::{ClientError, ClusterClient};
-use crate::node::by_owner;
-use crate::protocol::{ClusterError, Msg, SUB_RESULT};
 use stash_core::{LogicalClock, StashConfig, StashGraph};
-use stash_dfs::Partitioner;
 use stash_model::{AggQuery, Cell, CellKey, QueryResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// A front-end with its own STASH graph and an optional prefetcher.
 pub struct CachingClient {
     inner: ClusterClient,
-    gateway: Arc<Caller>,
-    partitioner: Partitioner,
     graph: Arc<StashGraph>,
     clock: Arc<LogicalClock>,
-    timeout: Duration,
     /// Dataset attribute count, for caching empty regions with the right
     /// summary width.
     n_attrs: usize,
@@ -42,14 +35,7 @@ pub struct CachingClient {
 
 impl CachingClient {
     /// Wrap a cluster client with a front-end graph of `max_cells` capacity.
-    pub(crate) fn new(
-        inner: ClusterClient,
-        gateway: Arc<Caller>,
-        partitioner: Partitioner,
-        max_cells: usize,
-        timeout: Duration,
-        n_attrs: usize,
-    ) -> Self {
+    pub(crate) fn new(inner: ClusterClient, max_cells: usize, n_attrs: usize) -> Self {
         let clock = Arc::new(LogicalClock::new());
         let config = StashConfig {
             max_cells,
@@ -57,11 +43,8 @@ impl CachingClient {
         };
         CachingClient {
             inner,
-            gateway,
-            partitioner,
             graph: Arc::new(StashGraph::new(config, Arc::clone(&clock))),
             clock,
-            timeout,
             n_attrs,
             local_only: AtomicU64::new(0),
             remote: AtomicU64::new(0),
@@ -90,9 +73,7 @@ impl CachingClient {
     /// network at all; only missing Cells become back-end subqueries.
     pub fn query(&self, query: &AggQuery) -> Result<QueryResult, ClientError> {
         self.clock.advance();
-        let keys = query
-            .target_keys(200_000)
-            .map_err(|e| ClientError::Remote(ClusterError::BadQuery(e.to_string())))?;
+        let keys = self.inner.plan(query)?;
         if keys.is_empty() {
             return Ok(QueryResult::default());
         }
@@ -114,7 +95,7 @@ impl CachingClient {
             self.local_only.fetch_add(1, Ordering::Relaxed);
         } else {
             self.remote.fetch_add(1, Ordering::Relaxed);
-            let remote_cells = self.fetch_remote(&missing)?;
+            let remote_cells = self.fetch_remote(query, missing)?;
             fetched = remote_cells.len();
             self.graph.insert_many(remote_cells.iter().cloned());
             cells.extend(remote_cells);
@@ -132,44 +113,35 @@ impl CachingClient {
         })
     }
 
-    /// Ship missing keys straight to their owner nodes (the client knows
-    /// the zero-hop partitioner) and merge the answers.
-    fn fetch_remote(&self, missing: &[CellKey]) -> Result<Vec<Cell>, ClientError> {
-        let by_owner = by_owner(&self.partitioner, missing.iter().copied());
-        let mut waits = Vec::with_capacity(by_owner.len());
-        for (owner, group) in by_owner {
-            let call = self
-                .gateway
-                .call(owner, |rpc, reply_to| Msg::SubQuery {
-                    rpc,
-                    reply_to,
-                    keys: group,
-                    allow_reroute: true,
-                    via_guest: false,
-                })
-                .map_err(ClientError::unanswered)?;
-            waits.push(call);
-        }
-        let mut cells = Vec::with_capacity(missing.len());
-        let mut fetched_keys = std::collections::HashSet::with_capacity(missing.len());
-        for call in waits {
-            let (part, _trace) = self
-                .gateway
-                .wait(call, self.timeout, SUB_RESULT)
-                .map_err(ClientError::unanswered)?;
-            for c in part.map_err(ClientError::Remote)?.cells {
-                fetched_keys.insert(c.key);
-                cells.push(c);
-            }
-        }
+    /// Scatter the missing keys of `query` straight to their owners (the
+    /// client knows the zero-hop partitioner) — or, when a share fails,
+    /// coordinate the whole query — and keep one Cell per missing key.
+    fn fetch_remote(
+        &self,
+        query: &AggQuery,
+        mut missing: Vec<CellKey>,
+    ) -> Result<Vec<Cell>, ClientError> {
+        let (answer, _) = self
+            .inner
+            .scatter_or_coordinate(query, &missing, Instant::now())?;
+        missing.sort_unstable();
+        // Both answers are sorted by key; a coordinated one also holds the
+        // Cells this client already had.
+        let mut answered = answer
+            .cells
+            .into_iter()
+            .filter(|c| missing.binary_search(&c.key).is_ok())
+            .peekable();
         // Empty regions come back as no cell; cache their emptiness too so
         // panning over ocean stays local.
-        for &k in missing {
-            if !fetched_keys.contains(&k) {
-                cells.push(Cell::empty(k, self.n_attrs));
-            }
-        }
-        Ok(cells)
+        Ok(missing
+            .iter()
+            .map(|&k| {
+                answered
+                    .next_if(|c| c.key == k)
+                    .unwrap_or_else(|| Cell::empty(k, self.n_attrs))
+            })
+            .collect())
     }
 }
 

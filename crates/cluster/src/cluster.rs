@@ -69,6 +69,8 @@ pub struct ClusterConfig {
     /// Modeled CPU cost per Cell served from the STASH graph (lookup,
     /// merge, serialization on the paper's nodes).
     pub cell_service_cost: Duration,
+    /// Deadline of one sub-RPC reply: a coordinator's, or the front end's
+    /// for one share of its scatter.
     pub sub_rpc_timeout: Duration,
     pub distress_timeout: Duration,
     pub client_timeout: Duration,
@@ -79,9 +81,10 @@ pub struct ClusterConfig {
     pub sub_rpc_retries: u32,
     /// Base delay of the sub-RPC retry backoff.
     pub retry_backoff: Duration,
-    /// Client-side retries of a whole query (the first attempt goes to the
-    /// viewport's home; each retry lands on the next live coordinator in
-    /// the round-robin rotation).
+    /// Client-side retries of a whole query (the first attempt is the
+    /// front end's scatter, or goes to the viewport's home; each retry
+    /// lands on the home or the next live coordinator in the round-robin
+    /// rotation).
     pub client_retries: u32,
     /// Blocks that boot truncated and grow through live ingestion
     /// (DESIGN.md §13). Empty (the default) means a fully sealed dataset —
@@ -432,8 +435,10 @@ impl SimCluster {
         ClusterClient::new(
             Arc::clone(&self.gateway),
             self.partitioner.clone(),
+            self.config.mode,
             self.config.stash.max_cells_per_query,
             self.config.client_timeout,
+            self.config.sub_rpc_timeout,
             self.config.client_retries,
         )
     }
@@ -448,14 +453,7 @@ impl SimCluster {
     /// `max_cells` capacity (the paper's §IX-A future work; see
     /// [`crate::client_cache`]).
     pub fn caching_client(&self, max_cells: usize) -> crate::client_cache::CachingClient {
-        crate::client_cache::CachingClient::new(
-            self.client(),
-            Arc::clone(&self.gateway),
-            self.partitioner.clone(),
-            max_cells,
-            self.config.client_timeout,
-            self.config.n_attrs,
-        )
+        crate::client_cache::CachingClient::new(self.client(), max_cells, self.config.n_attrs)
     }
 
     /// A producer-side ingest handle: the [`stash_ingest::AppendSink`] that
@@ -836,7 +834,7 @@ mod tests {
         let (result, trace) = client.query(&q).traced().run().expect("traced query");
         let client_wall = t0.elapsed().as_nanos() as u64;
         assert!(result.total_count() > 0);
-        assert!(trace.wall_ns > 0, "coordinator must time itself");
+        assert!(trace.wall_ns > 0, "the front end must time itself");
         assert!(
             trace.local_sum_ns() <= trace.wall_ns,
             "local stage segments are disjoint wall slices: {} > {}",
@@ -845,15 +843,18 @@ mod tests {
         );
         assert!(
             client_wall >= trace.wall_ns,
-            "client-visible latency includes the coordinator's wall"
+            "client-visible latency includes the scatter's wall"
         );
         // A cold county query misses everywhere: DFS time must show up.
         assert!(trace.agg.dfs_ns > 0, "cold query must charge dfs time");
-        // Exactly one coordinator observed the query into its registry.
+        // The front end scattered it, once, and no node coordinated it.
+        let gateway = cluster.gateway_obs();
+        assert_eq!(gateway.counter("query.scatter.ok").get(), 1);
+        assert_eq!(gateway.counter("query.scatter.fallback").get(), 0);
         let coordinated: u64 = (0..cluster.n_nodes())
             .map(|i| cluster.node(i).obs.counter("query.coordinate.ok").get())
             .sum();
-        assert_eq!(coordinated, 1);
+        assert_eq!(coordinated, 0);
         // A warm repeat serves from cache: PLM/lookup time recorded.
         let (_, warm) = client.query(&q).traced().run().expect("warm traced query");
         assert!(warm.agg.plm_ns > 0, "warm query must charge plm lookups");

@@ -1,9 +1,10 @@
 //! # stash-cluster
 //!
 //! The full simulated deployment of the paper's system (Fig. 4): Galileo
-//! storage nodes with STASH graphs in their memory, a coordinator-per-query
-//! scatter/gather evaluation path, the Clique Handoff hotspot protocol, and
-//! a client API standing in for the Grafana front-end.
+//! storage nodes with STASH graphs in their memory, a front end that
+//! scatters each query to its owners (with a coordinator node to fall back
+//! on), the Clique Handoff hotspot protocol, and a client API standing in
+//! for the Grafana front-end.
 //!
 //! One [`SimCluster`] owns:
 //!

@@ -754,13 +754,6 @@ impl NodeCtx {
             }
             None => QueryResult::default(),
         };
-        let absorb = |merged: &mut QueryResult, part: QueryResult| {
-            merged.cells.extend(part.cells);
-            merged.cache_hits += part.cache_hits;
-            merged.derived_hits += part.derived_hits;
-            merged.misses += part.misses;
-            merged.rollup_hits += part.rollup_hits;
-        };
         let waited = Instant::now();
         for (owner, group, call) in waits {
             match self.wait(call, SUB_RESULT) {
@@ -1603,6 +1596,17 @@ impl NodeCtx {
             .lock()
             .purge_expired(now, self.config.stash.routing_ttl_ticks);
     }
+}
+
+/// Add one owner's share of an answer to the answer so far: its Cells, and
+/// its four hit counters. The merged Cells are sorted and deduplicated once
+/// every share is in.
+pub(crate) fn absorb(merged: &mut QueryResult, part: QueryResult) {
+    merged.cells.extend(part.cells);
+    merged.cache_hits += part.cache_hits;
+    merged.derived_hits += part.derived_hits;
+    merged.misses += part.misses;
+    merged.rollup_hits += part.rollup_hits;
 }
 
 /// `keys` grouped by the node that owns them, in node order.

@@ -510,6 +510,43 @@ fn a_hotspotted_home_sheds_its_own_share_to_the_covering_helper() {
     cluster.shutdown();
 }
 
+/// A front end's share that a hotspotted owner sheds along a stale guest
+/// route — the helper hosts none of its keys — comes back refused and is
+/// sent once more, straight to the owner: a caching client still gets the
+/// exact answer, not the refusal.
+#[test]
+fn a_caching_client_resends_a_share_a_stale_route_got_refused() {
+    let mut config = test_config(2);
+    config.stash.reroute_probability = 1.0;
+    config.enable_replication = false;
+    let cluster = SimCluster::new(config);
+    let members = viewport();
+    let home_idx = cluster
+        .node(0)
+        .store
+        .partitioner()
+        .owner_of_cell(&members[0]);
+    let (home, helper) = (cluster.node(home_idx), cluster.node(1 - home_idx));
+    let mut want = home.eval_subquery(&members, false).unwrap().cells;
+    want.sort_by_key(|c| c.key);
+    want.retain(|c| !c.summary.is_empty());
+    let root = CellKey::new(tile("9q8"), day(2));
+    home.routing
+        .lock()
+        .insert(root, helper.node_idx, &members, home.clock.now());
+
+    let query = AggQuery::new(root.geohash.bbox(), root.time.range(), 4, TemporalRes::Day);
+    let client = cluster.caching_client(10_000);
+    let backlog = home.config.stash.hotspot_threshold + 1;
+    home.service_pending.fetch_add(backlog, Ordering::Relaxed);
+    let answer = client.query(&query);
+    home.service_pending.fetch_sub(backlog, Ordering::Relaxed);
+    assert_eq!(answer.expect("resent to the owner").cells, want);
+    assert_eq!(home.stats.reroutes.load(Ordering::Relaxed), 1);
+    assert_eq!(counter(helper, "handoff.guest.refuse"), 1);
+    cluster.shutdown();
+}
+
 // -- Retry counts per site, with the peer partitioned away --------------------
 
 /// Two nodes with short deadlines and naps, two retries per sub-RPC, and the

@@ -8,8 +8,11 @@
 //! And a Cell that spans partitions is gathered with "up to one query
 //! forwarding" (§IV-D) per block owner, all of them in flight while the
 //! gathering node reads its own blocks. A hop costs what the wire model
-//! says it costs: a warm remote hit is four of them and little else.
+//! says it costs: a warm hit the front end scatters is two of them whatever
+//! its owner count, one a coordinator forwards is four, and little else.
+//! A share that fails hands the whole query to a coordinator, once.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -19,7 +22,7 @@ use stash_dfs::{plan_blocks, DiskModel};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{cover_bbox, BBox, TemporalRes, TimeBin, TimeRange};
 use stash_model::{AggQuery, CellKey};
-use stash_net::NetConfig;
+use stash_net::{FaultPlan, NetConfig};
 
 fn config(mode: Mode) -> ClusterConfig {
     config_with_disk(mode, DiskModel::free())
@@ -214,18 +217,24 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
     cluster.shutdown();
 }
 
+/// Two nodes in `mode`, the default wire, nothing else modeled.
+fn two_nodes(mode: Mode) -> ClusterConfig {
+    ClusterConfig::builder()
+        .n_nodes(2)
+        .mode(mode)
+        .disk(DiskModel::free())
+        .scan_cost_per_obs(Duration::ZERO)
+        .cell_service_cost(Duration::ZERO)
+        .sub_rpc_timeout(Duration::from_millis(250))
+        .client_timeout(Duration::from_secs(5))
+        .build()
+        .expect("two-node config is valid")
+}
+
 /// Two nodes, the default wire, nothing else modeled, and a warm viewport
 /// with a single owner: `(cluster, query, owner)`.
 fn two_nodes_and_a_single_owner_viewport() -> (SimCluster, AggQuery, usize) {
-    let cluster = SimCluster::new(
-        ClusterConfig::builder()
-            .n_nodes(2)
-            .disk(DiskModel::free())
-            .scan_cost_per_obs(Duration::ZERO)
-            .cell_service_cost(Duration::ZERO)
-            .build()
-            .expect("two-node config is valid"),
-    );
+    let cluster = SimCluster::new(two_nodes(Mode::Stash));
     assert_eq!(
         cluster.config().net.base_latency,
         NetConfig::default().base_latency
@@ -247,9 +256,36 @@ fn two_nodes_and_a_single_owner_viewport() -> (SimCluster, AggQuery, usize) {
     (cluster, query, owner)
 }
 
-/// A warm hit of `query` — coordinated at `at`, or where the client places
-/// it — with `subqueries` remote owners costs `hops` wire latencies: each
-/// hop slept once, to its deadline, by the thread that consumes the message.
+/// A small viewport astride a partition edge whose two halves the two
+/// nodes of `cluster` own, and its Cells per owner.
+fn a_two_owner_viewport(cluster: &SimCluster) -> (AggQuery, BTreeMap<usize, usize>) {
+    let day = epoch_seconds(2015, 2, 2, 0, 0, 0);
+    let part = cluster.node(0).store.partitioner().clone();
+    // Partition columns (2-character geohashes) are 11.25° of longitude wide.
+    (1..8)
+        .map(|k| {
+            let edge = -123.75 + 11.25 * f64::from(k);
+            AggQuery::new(
+                BBox::from_corner_extent(38.0, edge - 0.3, 0.3, 0.6),
+                TimeRange::new(day, day + 86_400).unwrap(),
+                4,
+                TemporalRes::Day,
+            )
+        })
+        .find_map(|query| {
+            let mut shares: BTreeMap<usize, usize> = BTreeMap::new();
+            for key in query.target_keys(usize::MAX).unwrap() {
+                *shares.entry(part.owner_of_cell(&key)).or_default() += 1;
+            }
+            (shares.len() == 2).then_some((query, shares))
+        })
+        .expect("some partition edge has an owner on each side")
+}
+
+/// A warm hit of `query` — coordinated at `at`, or scattered by the client
+/// — with `subqueries` shares sent over the wire costs `hops` wire
+/// latencies: each hop slept once, to its deadline, by the thread that
+/// consumes the message.
 fn assert_warm_hit_costs_its_hops(
     cluster: &SimCluster,
     query: &AggQuery,
@@ -277,7 +313,7 @@ fn assert_warm_hit_costs_its_hops(
         assert_eq!(
             (result.misses, trace.subqueries),
             (0, subqueries),
-            "warm, {subqueries} remote owner(s)"
+            "warm, {subqueries} share(s) on the wire"
         );
         // A sleep cannot end early: the lower bound holds on every run.
         assert!(
@@ -340,8 +376,83 @@ fn a_warm_remote_hit_costs_its_four_hops() {
 
 #[test]
 fn a_warm_local_hit_costs_its_two_hops() {
-    // Placed by the client, which knows the owner: client → owner → client.
+    // Sent by the client, which knows the owner: client → owner → client.
     let (cluster, query, _) = two_nodes_and_a_single_owner_viewport();
-    assert_warm_hit_costs_its_hops(&cluster, &query, None, 0, 2);
+    assert_warm_hit_costs_its_hops(&cluster, &query, None, 1, 2);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_warm_hit_costs_two_hops_whatever_its_owners() {
+    // Each owner gets its share from the client and answers it there, both
+    // in flight at once: client → owners → client.
+    let cluster = SimCluster::new(two_nodes(Mode::Stash));
+    let (query, _) = a_two_owner_viewport(&cluster);
+    assert_warm_hit_costs_its_hops(&cluster, &query, None, 2, 2);
+    cluster.shutdown();
+}
+
+/// How often the front end's scatter answered and handed over, and how
+/// many attempts the client made in all: the scatters plus the Queries the
+/// nodes coordinated.
+fn scatters_and_attempts(cluster: &SimCluster) -> (u64, u64, u64) {
+    let gateway = cluster.gateway_obs();
+    let ok = gateway.counter("query.scatter.ok").get();
+    let fallback = gateway.counter("query.scatter.fallback").get();
+    let coordinated: u64 = cluster
+        .node_stats()
+        .iter()
+        .map(|s| s.queries_coordinated)
+        .sum();
+    (ok, fallback, ok + fallback + coordinated)
+}
+
+/// The cache-less answer to `query` on a fresh two-node cluster.
+fn ground_truth(query: &AggQuery) -> stash_model::QueryResult {
+    let basic = SimCluster::new(two_nodes(Mode::Basic));
+    let truth = basic.client().query(query).run().expect("basic");
+    basic.shutdown();
+    assert!(!truth.cells.is_empty());
+    truth
+}
+
+#[test]
+fn a_crashed_owner_hands_the_scatter_to_a_coordinator() {
+    let cluster = SimCluster::new(two_nodes(Mode::Stash));
+    let (query, shares) = a_two_owner_viewport(&cluster);
+    let truth = ground_truth(&query);
+    let (&crashed, _) = shares.iter().next().unwrap();
+    cluster.crash_node(crashed);
+    let result = cluster.client().query(&query).run().expect("exact anyway");
+    assert_eq!(result.cells, truth.cells);
+    let (ok, fallback, attempts) = scatters_and_attempts(&cluster);
+    assert_eq!((ok, fallback), (0, 1));
+    assert!(attempts <= u64::from(cluster.config().client_retries) + 1);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_lost_share_hands_the_scatter_to_a_coordinator() {
+    let cluster = SimCluster::new(two_nodes(Mode::Stash));
+    let (query, shares) = a_two_owner_viewport(&cluster);
+    let truth = ground_truth(&query);
+    // Every answer the smaller share's owner sends the front end is lost
+    // (the gateway is the fabric's endpoint after the nodes); the home —
+    // the owner of the larger share, ties to the lower index — coordinates
+    // the fallback and hears from it.
+    let (&lost, _) = shares
+        .iter()
+        .min_by_key(|&(&node, &n)| (n, Reverse(node)))
+        .unwrap();
+    let gateway = cluster.n_nodes();
+    cluster
+        .router()
+        .install_faults(FaultPlan::new(7).drop_link(lost, gateway, 1.0));
+    let result = cluster.client().query(&query).run().expect("exact anyway");
+    assert_eq!(result.cells, truth.cells);
+    assert!(cluster.net_stats().messages_dropped() > 0);
+    let (ok, fallback, attempts) = scatters_and_attempts(&cluster);
+    assert_eq!((ok, fallback), (0, 1));
+    assert!(attempts <= u64::from(cluster.config().client_retries) + 1);
     cluster.shutdown();
 }
