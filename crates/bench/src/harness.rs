@@ -139,7 +139,6 @@ impl Scale {
     ) -> SimCluster {
         let mut config = self.base_cluster_config(Mode::Stash);
         config.enable_replication = enable_replication;
-        config.coord_workers = 24;
         config.cell_service_cost = Duration::from_micros(100);
         config.stash.hotspot_threshold = 24;
         config.stash.cooldown_ticks = 400;

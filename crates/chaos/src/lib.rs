@@ -6,10 +6,10 @@
 //! decision from a pure hash of `(plan seed, link, message index)`, so a
 //! scenario's fault schedule is a function of its seed — rerunning a
 //! scenario replays the same faults. The scenarios in `tests/` exercise the
-//! robustness layer end to end: lossy links, multi-way partitions,
-//! coordinator crashes mid-scatter, and owner crashes with PLM-driven
-//! recovery, each asserting that answers stay **exactly** equal to a
-//! fault-free run of the very same workload.
+//! robustness layer end to end: lossy links, multi-way partitions, owner
+//! crashes mid-scatter, and owner crashes with PLM-driven recovery, each
+//! asserting that answers stay **exactly** equal to a fault-free run of the
+//! very same workload.
 //!
 //! This crate's library is the shared scenario toolkit: a cluster
 //! configuration tuned for fault runs (tight sub-RPC deadlines so failover
@@ -31,7 +31,6 @@ use std::time::Duration;
 pub fn chaos_config(mode: Mode) -> ClusterConfig {
     ClusterConfig::builder()
         .n_nodes(4)
-        .coord_workers(2)
         .service_workers(2)
         .fetch_workers(2)
         .mode(mode)
@@ -45,7 +44,6 @@ pub fn chaos_config(mode: Mode) -> ClusterConfig {
         .cell_service_cost(Duration::ZERO)
         .sub_rpc_timeout(Duration::from_millis(250))
         .distress_timeout(Duration::from_millis(100))
-        .client_timeout(Duration::from_secs(5))
         .sub_rpc_retries(2)
         .retry_backoff(Duration::from_millis(5))
         .client_retries(9)

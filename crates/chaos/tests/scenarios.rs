@@ -44,7 +44,6 @@ fn lossy_links_never_surface_to_the_client() {
     let mut config = chaos_config(Mode::Stash);
     config.sub_rpc_timeout = Duration::from_millis(80);
     config.retry_backoff = Duration::from_millis(2);
-    config.client_timeout = Duration::from_millis(1000);
     let queries = grid_queries(10); // 200 interactions
     let truth = ground_truth(config.clone(), &queries);
 
@@ -76,15 +75,11 @@ fn lossy_links_never_surface_to_the_client() {
         cluster.router().stats().messages_dropped() > 0,
         "the fault plan never actually dropped anything"
     );
-    // Some of the losses hit a scatter's share: those queries were
-    // coordinated instead, and still came back exact.
+    // Some of the losses hit a scatter's share: the front end asked those
+    // shares again, alone, and the answers still came back exact.
     assert!(
-        cluster
-            .gateway_obs()
-            .counter("query.scatter.fallback")
-            .get()
-            > 0,
-        "no scatter ever handed a query to a coordinator"
+        cluster.gateway_obs().counter("query.retries").get() > 0,
+        "no share ever took the front end's retry ladder"
     );
     cluster.shutdown();
 }
@@ -97,7 +92,6 @@ fn basic_mode_scatter_gather_survives_drops() {
     let mut config = chaos_config(Mode::Basic);
     config.sub_rpc_timeout = Duration::from_millis(80);
     config.retry_backoff = Duration::from_millis(2);
-    config.client_timeout = Duration::from_millis(1000);
     let queries = grid_queries(2); // 40 interactions, all cold
     let truth = ground_truth(config.clone(), &queries);
 
@@ -119,15 +113,14 @@ fn basic_mode_scatter_gather_survives_drops() {
     cluster.shutdown();
 }
 
-/// A 3-way partition strands two owners outside the coordinator's group.
-/// The coordinator must walk the replica chain *inside its group* and still
+/// A 3-way partition strands two owners outside the front end's group. Their
+/// shares must be read off the replica chain *inside its group* and still
 /// answer exactly; after healing, the stranded nodes serve again.
 #[test]
 fn three_way_partition_serves_exactly_from_in_group_replicas() {
     let mut config = chaos_config(Mode::Stash);
     config.sub_rpc_timeout = Duration::from_millis(150);
     config.retry_backoff = Duration::from_millis(3);
-    config.client_timeout = Duration::from_secs(20);
     let q = wide_query();
 
     // Precondition: the viewport really does have owners in the stranded
@@ -149,14 +142,13 @@ fn three_way_partition_serves_exactly_from_in_group_replicas() {
     let client = cluster.client();
 
     // Groups are fabric endpoints: nodes 0..4 plus the client gateway (4),
-    // which stays with the coordinator.
+    // which stays with nodes 0 and 1.
     cluster
         .router()
         .set_partition(&[vec![0, 1, 4], vec![2], vec![3]]);
     let dropped_before = cluster.router().stats().messages_dropped();
     let r = client
         .query(&q)
-        .at(0)
         .run()
         .expect("in-group replica chain must keep the answer exact");
     assert_results_match(&r, &truth[0], "partitioned query");
@@ -166,51 +158,48 @@ fn three_way_partition_serves_exactly_from_in_group_replicas() {
     );
 
     cluster.router().heal_partition();
-    let healed = client
-        .query(&q)
-        .at(2)
-        .run()
-        .expect("healed fabric serves again");
+    let served = |cluster: &SimCluster| cluster.node_stats()[2].subqueries;
+    let before = served(&cluster);
+    let healed = client.query(&q).run().expect("healed fabric serves again");
     assert_results_match(&healed, &truth[0], "post-heal query");
+    assert_eq!(
+        served(&cluster),
+        before + 1,
+        "node 2 serves its share again"
+    );
     cluster.shutdown();
 }
 
-/// Crash a coordinator while a query is in flight: the client must get a
-/// timely answer-or-error (never a hang), the round-robin client must route
-/// around the corpse, and a restarted coordinator must serve again.
+/// Crash an owner while a query is in flight: the in-flight query still
+/// gets the exact answer (its share is failed over to DFS replicas), the
+/// whole workload answers exactly around the corpse, and a restarted owner
+/// serves its shares again.
 #[test]
-fn coordinator_crash_mid_scatter_fails_fast_and_cluster_recovers() {
-    let mut config = chaos_config(Mode::Stash);
-    config.client_timeout = Duration::from_secs(2);
+fn owner_crash_mid_scatter_stays_exact_and_cluster_recovers() {
+    let config = chaos_config(Mode::Stash);
     let queries = grid_queries(1); // 20 distinct viewports
     let truth = ground_truth(config.clone(), &queries);
+    let q = &queries[5];
+    let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+    let victim = partitioner.owner_of_cell(&q.target_keys(200_000).expect("valid query")[0]);
 
     let mut cluster = SimCluster::new(config);
     let client = cluster.client();
-    let victim = 1usize;
-    let q = &queries[5];
 
     let in_flight = std::thread::scope(|s| {
         let racer = client.clone();
-        let h = s.spawn(move || racer.query(q).at(victim).run());
+        let h = s.spawn(move || racer.query(q).run());
         std::thread::sleep(Duration::from_millis(1));
         cluster.crash_node(victim);
         h.join()
             .expect("in-flight query must return, not hang or panic")
     });
-    // The race is fair game either way: a reply that beat the crash must be
-    // exact; a reply that lost it must be an error, not a wrong answer.
-    if let Ok(r) = &in_flight {
-        assert_results_match(r, &truth[5], "reply that raced the crash");
-    }
+    // Whether the owner answered before the crash or not, the answer is
+    // exact: a lost share is failed over, the others are kept.
+    let r = in_flight.expect("a crash mid-scatter costs latency, not the answer");
+    assert_results_match(&r, &truth[5], "reply that raced the crash");
 
-    // Direct routing at the corpse fails fast.
-    assert!(
-        client.query(q).at(victim).run().is_err(),
-        "a crashed coordinator cannot answer"
-    );
-
-    // The retrying client routes around it: full workload, zero errors.
+    // The full workload with the owner down: zero errors.
     for (i, (got, want)) in run_workload(&client, &queries)
         .iter()
         .zip(&truth)
@@ -223,12 +212,12 @@ fn coordinator_crash_mid_scatter_fails_fast_and_cluster_recovers() {
     }
 
     cluster.restart_node(victim);
-    let back = client
-        .query(q)
-        .at(victim)
-        .run()
-        .expect("restarted node coordinates again");
-    assert_results_match(&back, &truth[5], "post-restart coordination");
+    let back = client.query(q).run().expect("restarted owner serves again");
+    assert_results_match(&back, &truth[5], "post-restart query");
+    assert!(
+        cluster.node_stats()[victim].subqueries > 0,
+        "the restarted owner must serve its share again"
+    );
     cluster.shutdown();
 }
 
@@ -243,7 +232,6 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
     let keys = q.target_keys(200_000).expect("valid query");
     let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
     let owner = partitioner.owner_of_cell(&keys[0]);
-    let coordinator = (owner + 1) % config.n_nodes;
     let truth = ground_truth(config.clone(), std::slice::from_ref(&q));
 
     let mut cluster = SimCluster::new(config);
@@ -252,7 +240,6 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
     cluster.crash_node(owner);
     let r = client
         .query(&q)
-        .at(coordinator)
         .run()
         .expect("dead-owner sub-queries must fail over to DFS replicas");
     assert_results_match(&r, &truth[0], "query with the owner down");
@@ -263,11 +250,7 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
         0,
         "a restarted node must come back with an empty STASH graph"
     );
-    let again = client
-        .query(&q)
-        .at(coordinator)
-        .run()
-        .expect("query after owner restart");
+    let again = client.query(&q).run().expect("query after owner restart");
     assert_results_match(&again, &truth[0], "query after owner restart");
     assert!(
         cluster.node_stats()[owner].graph_cells > 0,
@@ -276,42 +259,38 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
     cluster.shutdown();
 }
 
-/// Crash a viewport's *home* — its owner, where a failed scatter is
-/// coordinated: pinned there, the query errs; the rotating client's scatter
-/// is refused, it skips the corpse, coordinates elsewhere, and the answer
-/// stays exact.
+/// Crash a viewport's only owner: the front end's SubQuery is refused, its
+/// retry too, and the share is recomputed from the owner's DFS replicas by
+/// the front end itself — once, exactly, with no other node serving it.
 #[test]
-fn a_crashed_home_is_skipped_and_the_answer_stays_exact() {
+fn a_crashed_sole_owner_is_failed_over_once_and_the_answer_stays_exact() {
     let config = chaos_config(Mode::Stash);
     let q = county_query();
     let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
     let keys = q.target_keys(200_000).expect("valid query");
-    let home = partitioner.owner_of_cell(&keys[0]);
+    let owner = partitioner.owner_of_cell(&keys[0]);
     assert!(
-        keys.iter().all(|k| partitioner.owner_of_cell(k) == home),
+        keys.iter().all(|k| partitioner.owner_of_cell(k) == owner),
         "the viewport must have a single owner"
     );
     let truth = ground_truth(config.clone(), std::slice::from_ref(&q));
 
     let cluster = SimCluster::new(config);
-    let client = cluster.client();
-    cluster.crash_node(home);
-    assert!(
-        client.query(&q).at(home).run().is_err(),
-        "a crashed home cannot coordinate"
-    );
-    let r = client
+    cluster.crash_node(owner);
+    let (r, trace) = cluster
+        .client()
         .query(&q)
+        .traced()
         .run()
-        .expect("the rotating client must route around a crashed home");
-    assert_results_match(&r, &truth[0], "query with its home down");
-    let coordinated: Vec<u64> = cluster
-        .node_stats()
-        .iter()
-        .map(|s| s.queries_coordinated)
-        .collect();
-    assert_eq!(coordinated[home], 0);
-    assert_eq!(coordinated.iter().sum::<u64>(), 1, "{coordinated:?}");
+        .expect("the front end must fail a dead owner's share over");
+    assert_results_match(&r, &truth[0], "query with its owner down");
+    assert_eq!(
+        (trace.subqueries, trace.retries, trace.failovers),
+        (0, 1, 1)
+    );
+    let served: u64 = cluster.node_stats().iter().map(|s| s.subqueries).sum();
+    assert_eq!(served, 0, "no node serves a crashed owner's share");
+    assert_eq!(cluster.gateway_obs().counter("query.failovers").get(), 1);
     cluster.shutdown();
 }
 

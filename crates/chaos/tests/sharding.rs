@@ -2,19 +2,17 @@
 //! of it must be *invisible* to correctness.
 //!
 //! One `Msg::SubQuery` per owner answers exactly what the cache-less Basic
-//! system answers, and when replies are lost the straggler route (retry,
-//! then replica failover) — the only retry route there is — recovers the
-//! same answers. (This file used to also pin that answers do not depend on
+//! system answers, and when replies are lost the front end's per-share
+//! ladder (retry, then replica failover) — the only retry route there is —
+//! recovers the same answers. (This file used to also pin that answers do not depend on
 //! the delivery-shard count; the fabric has no delivery threads any more,
 //! and that its fault schedule is still the threaded fabric's is pinned by
 //! a golden digest in `stash-net`,
 //! `fault_schedule_matches_the_golden_of_the_threaded_fabric`.)
 
 use stash_chaos::{assert_results_match, chaos_config, grid_queries, ground_truth};
-use stash_cluster::{ClientError, Mode, SimCluster};
-use stash_model::{AggQuery, QueryResult};
+use stash_cluster::{Mode, SimCluster};
 use stash_net::FaultPlan;
-use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn lossy_plan(seed: u64) -> FaultPlan {
@@ -36,50 +34,23 @@ fn clean_wire_scatter_matches_basic_ground_truth() {
     }
 }
 
-/// `query` coordinated by nodes that own none of its Cells, so that every
-/// share scatters: the client's retry policy (`client_retries` more
-/// attempts after the first, on a transient failure), rotating over those
-/// nodes. A rotating client sends most of this workload to the viewport's
-/// home, where a single-owner query scatters nothing.
-fn run_scattered(cluster: &SimCluster, query: &AggQuery) -> Result<QueryResult, ClientError> {
-    let partitioner = cluster.node(0).store.partitioner();
-    let owners: BTreeSet<usize> = query
-        .target_keys(usize::MAX)
-        .expect("valid query")
-        .iter()
-        .map(|k| partitioner.owner_of_cell(k))
-        .collect();
-    let strangers: Vec<usize> = (0..cluster.n_nodes())
-        .filter(|n| !owners.contains(n))
-        .collect();
-    let client = cluster.client();
-    let mut last = ClientError::Disconnected;
-    for attempt in 0..=cluster.config().client_retries as usize {
-        let at = strangers[attempt % strangers.len()];
-        match client.query(query).at(at).run() {
-            Err(ClientError::Remote(e)) if !e.is_transient() => return Err(ClientError::Remote(e)),
-            Err(e) => last = e,
-            answered => return answered,
-        }
-    }
-    Err(last)
-}
-
 /// The lossy-links acceptance bar: lost sub-queries and replies must flow
-/// through the straggler/retry path and still produce exact answers.
+/// through the per-share retry ladder and still produce exact answers.
 #[test]
 fn scatter_survives_drops_exactly() {
     let mut config = chaos_config(Mode::Stash);
     config.sub_rpc_timeout = Duration::from_millis(80);
     config.retry_backoff = Duration::from_millis(2);
-    config.client_timeout = Duration::from_millis(1000);
     let queries = grid_queries(5);
     let truth = ground_truth(config.clone(), &queries);
 
     let cluster = SimCluster::new(config);
     cluster.router().install_faults(lossy_plan(0xBADC0DE));
+    let client = cluster.client();
     for (i, (query, want)) in queries.iter().zip(&truth).enumerate() {
-        let r = run_scattered(&cluster, query)
+        let r = client
+            .query(query)
+            .run()
             .unwrap_or_else(|e| panic!("query {i} failed under loss: {e:?}"));
         assert_results_match(&r, want, &format!("lossy query {i}"));
     }
@@ -87,9 +58,7 @@ fn scatter_survives_drops_exactly() {
         cluster.router().stats().messages_dropped() > 0,
         "the fault plan never actually dropped anything"
     );
-    let retries: u64 = (0..cluster.n_nodes())
-        .map(|n| cluster.node(n).obs.counter("query.retries").get())
-        .sum();
-    assert!(retries > 0, "no coordinator ever took the straggler route");
+    let retries = cluster.gateway_obs().counter("query.retries").get();
+    assert!(retries > 0, "no share ever took the retry ladder");
     cluster.shutdown();
 }

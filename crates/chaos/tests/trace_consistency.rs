@@ -1,10 +1,10 @@
 //! Traces must stay honest under faults.
 //!
 //! Every answered query carries a [`QueryTrace`] whose `local` view is a set
-//! of *disjoint* wall-clock segments measured on the coordinator thread
-//! (route, merge, DFS, retry, wait, ...). Disjointness is a structural
+//! of *disjoint* wall-clock segments measured on the front end's thread
+//! (route, wait, retry, merge). Disjointness is a structural
 //! claim, so it admits a structural check: the segments can never sum to
-//! more than the coordinator's own wall clock, which in turn can never
+//! more than the front end's own wall clock, which in turn can never
 //! exceed the latency the client observed — no matter how many messages the
 //! fabric drops, duplicates, or delays along the way. If instrumentation
 //! ever double-counts a segment (say, charging a backoff nap to both retry
@@ -40,18 +40,18 @@ fn traces_stay_consistent_under_faults() {
         let client_wall_ns = start.elapsed().as_nanos() as u64;
         assert!(!result.cells.is_empty(), "query {i} returned no cells");
 
-        // The coordinator's disjoint stage segments fit inside its wall
+        // The front end's disjoint stage segments fit inside its wall
         // clock, and its wall clock fits inside the client's.
         assert!(trace.wall_ns > 0, "query {i}: empty wall clock");
         assert!(
             trace.local.sum_ns() <= trace.wall_ns,
-            "query {i}: local stages sum to {} ns > coordinator wall {} ns",
+            "query {i}: local stages sum to {} ns > front-end wall {} ns",
             trace.local.sum_ns(),
             trace.wall_ns
         );
         assert!(
             trace.wall_ns <= client_wall_ns,
-            "query {i}: coordinator wall {} ns > client-visible {} ns",
+            "query {i}: front-end wall {} ns > client-visible {} ns",
             trace.wall_ns,
             client_wall_ns
         );

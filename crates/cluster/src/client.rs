@@ -4,45 +4,41 @@
 //! [`ClusterClient::query`] call, a small builder:
 //!
 //! ```text
-//! client.query(&q).run()                  // scattered to its owners
-//! client.query(&q).at(3).run()            // pinned coordinator, one attempt
+//! client.query(&q).run()                  // the summary
 //! client.query(&q).traced().run()         // result + per-stage QueryTrace
-//! client.query(&q).at(3).traced().run()   // both
 //! client.query(&q).quantile(0, 0.99)      // sketch accessor: approximate p99
 //! client.query(&q).distinct(0)            // estimated distinct values
 //! client.query(&q).top_k(0, 8)            // heavy hitters with bounds
 //! ```
 //!
-//! The front end knows the zero-hop partitioner (§IV-D), so it plans a
-//! viewport itself and sends every owner its share as one SubQuery: a warm
-//! viewport costs two wire hops whatever its owner count, and every Cell
-//! crosses the wire once. Only when a share fails does the query go to a
-//! coordinator node — the viewport's home, where most of its Cells live —
-//! whose straggler retry and replica failover carry it. The
-//! JSON-serializable [`QueryResult`] is what the WorldMap panel would
-//! render. Clients are cheap to clone; the throughput experiments run
-//! hundreds of them concurrently.
+//! The front end is the only coordinator. It knows the zero-hop
+//! partitioner (§IV-D), so it plans a viewport itself and sends every owner
+//! its share as one SubQuery: a warm viewport costs two wire hops whatever
+//! its owner count, and every Cell crosses the wire once. A share that
+//! fails is settled on its own, the answered ones kept: asked again under
+//! the retry policy and, if its owner stays dark, recomputed from the
+//! owner's DFS replicas. Basic mode takes the same route; its owners answer
+//! from blocks. The JSON-serializable [`QueryResult`] is what the WorldMap
+//! panel would render. Clients are cheap to clone; the throughput
+//! experiments run hundreds of them concurrently.
 
 use crate::caller::{Call, Caller};
-use crate::cluster::Mode;
-use crate::node::{absorb, by_owner};
-use crate::protocol::{ClusterError, Msg, QUERY_REPLY, SUB_RESULT};
+use crate::cluster::ClusterConfig;
+use crate::gather::{recomputed, Gatherer};
+use crate::protocol::{ClusterError, Msg, SUB_RESULT};
 use stash_dfs::Partitioner;
-use stash_geo::cover_bbox_bounded;
 use stash_model::{AggQuery, CellKey, QueryResult};
-use stash_net::NodeId;
-use stash_obs::QueryTrace;
-use std::cmp::Reverse;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use stash_obs::{Counter, Histogram, QueryTrace, StageTimes};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Client-side failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// No response within the client timeout.
+    /// A share got no answer in time, and no replica answered for it.
     Timeout,
-    /// The cluster is shutting down.
+    /// The cluster refused the query's messages (nodes down, or shutdown).
     Disconnected,
     /// The cluster answered with an error.
     Remote(ClusterError),
@@ -72,268 +68,295 @@ impl ClientError {
     }
 }
 
+/// The gateway's per-query metrics (DESIGN.md §11), resolved once so a
+/// query records without a name lookup.
+struct QueryMetrics {
+    ok: Arc<Counter>,
+    err: Arc<Counter>,
+    wall: Arc<Histogram>,
+    /// The `query.stage.*` histograms in [`StageTimes::stages`] order.
+    stages: [Arc<Histogram>; 7],
+}
+
 /// A handle for issuing front-end queries against a [`crate::SimCluster`].
 #[derive(Clone)]
 pub struct ClusterClient {
     gateway: Arc<Caller>,
     partitioner: Partitioner,
-    mode: Mode,
-    /// The planner's cell budget: a viewport whose cover exceeds it is
-    /// refused, by the front end as by a coordinator.
-    max_cells: usize,
-    next_coordinator: Arc<AtomicUsize>,
-    /// Deadline of a coordinated attempt.
-    timeout: Duration,
-    /// Deadline of one owner's share of a scatter (`sub_rpc_timeout`).
-    share_timeout: Duration,
-    retries: u32,
+    config: Arc<ClusterConfig>,
+    metrics: Arc<QueryMetrics>,
 }
 
 impl ClusterClient {
     pub(crate) fn new(
         gateway: Arc<Caller>,
         partitioner: Partitioner,
-        mode: Mode,
-        max_cells: usize,
-        timeout: Duration,
-        share_timeout: Duration,
-        retries: u32,
+        config: Arc<ClusterConfig>,
     ) -> Self {
+        let obs = &gateway.obs;
+        let metrics = QueryMetrics {
+            ok: obs.counter("query.ok"),
+            err: obs.counter("query.err"),
+            wall: obs.histogram("query.wall"),
+            stages: StageTimes::default()
+                .stages()
+                .map(|(stage, _)| obs.histogram(&format!("query.stage.{stage}"))),
+        };
         ClusterClient {
+            metrics: Arc::new(metrics),
             gateway,
             partitioner,
-            mode,
-            max_cells,
-            next_coordinator: Arc::new(AtomicUsize::new(0)),
-            timeout,
-            share_timeout,
-            retries,
+            config,
         }
     }
 
     /// Start one aggregation query. Returns a [`QueryCall`] builder:
-    /// modify with [`QueryCall::at`] (pin the coordinator) and/or
-    /// [`QueryCall::traced`] (get the per-stage trace back), then
-    /// [`QueryCall::run`] to block until the summary arrives.
+    /// modify with [`QueryCall::traced`] (get the per-stage trace back),
+    /// then [`QueryCall::run`] to block until the summary arrives.
     ///
-    /// Without `.at(..)`, a STASH cluster's query is first *scattered*: the
-    /// client plans its target Cells and sends every owner its share, which
-    /// the owner answers straight back. When a share fails transiently, and
-    /// always in Basic mode, the query is coordinated instead: first at its
-    /// *home* — the node owning the most Cells of its spatial cover, ties
-    /// to the lowest index — and, for every retry of a transient failure
-    /// (timeout, crash mid-coordination) or while the home is down,
-    /// round-robin like a front-end load balancer that skips nodes known to
-    /// be down; `client_retries + 1` attempts in all, the scatter included.
-    /// With `.at(..)`, exactly one attempt goes to that coordinator —
-    /// experiments that need deterministic placement get deterministic
-    /// failures too.
+    /// The client plans the query's target Cells and sends every owner its
+    /// share, which the owner answers straight back. A share that fails
+    /// transiently is asked again under the retry policy and, if its owner
+    /// stays dark, recomputed from the owner's DFS replicas; the shares
+    /// already answered are kept. An error no retry can mend (a bad query,
+    /// a storage or protocol fault) ends the query.
     pub fn query<'a>(&'a self, query: &'a AggQuery) -> QueryCall<'a> {
         QueryCall {
             client: self,
             query,
-            coordinator: None,
         }
     }
 
-    /// Number of storage nodes queries can coordinate on.
-    pub fn n_nodes(&self) -> usize {
-        self.partitioner.n_nodes()
+    /// One query end to end, counted in the gateway's registry: `query.ok`
+    /// or `query.err`, and for a scattered one its wall, stage times,
+    /// retries and failovers.
+    fn run(&self, query: &AggQuery) -> Result<(QueryResult, QueryTrace), ClientError> {
+        let planned = Instant::now();
+        let keys = query
+            .target_keys(self.config.stash.max_cells_per_query)
+            .map_err(|e| {
+                self.metrics.err.inc();
+                ClientError::Remote(ClusterError::BadQuery(e.to_string()))
+            })?;
+        if keys.is_empty() {
+            self.metrics.ok.inc();
+            return Ok(Default::default());
+        }
+        let (result, trace) = self.scatter(&keys, planned);
+        self.observe(&trace, result.is_ok());
+        result
+            .map(|result| (result, trace))
+            .map_err(ClientError::unanswered)
     }
 
-    /// The target Cells of `query` under the cluster's cell budget.
-    pub(crate) fn plan(&self, query: &AggQuery) -> Result<Vec<CellKey>, ClientError> {
-        query
-            .target_keys(self.max_cells)
-            .map_err(|e| ClientError::Remote(ClusterError::BadQuery(e.to_string())))
-    }
-
-    /// `keys` of `query` answered by one scatter or, when a share of it
-    /// fails transiently, by coordinating the whole of `query` with the
-    /// attempts left. The front end's registry counts each scatter that
-    /// answers as `query.scatter.ok` and each that hands over as
-    /// `query.scatter.fallback`.
-    pub(crate) fn scatter_or_coordinate(
-        &self,
-        query: &AggQuery,
-        keys: &[CellKey],
-        planned: Instant,
-    ) -> Result<(QueryResult, QueryTrace), ClientError> {
-        match self.scatter(keys, planned) {
-            Ok(answer) => {
-                self.gateway.obs.inc("query.scatter.ok");
-                Ok(answer)
+    /// Record one scattered query into the gateway's registry.
+    fn observe(&self, trace: &QueryTrace, ok: bool) {
+        let m = &self.metrics;
+        if ok { &m.ok } else { &m.err }.inc();
+        m.wall.record(trace.wall_ns);
+        for (hist, (_, ns)) in m.stages.iter().zip(trace.agg.stages()) {
+            if ns > 0 {
+                hist.record(ns);
             }
-            Err(e) if !e.is_transient() => Err(ClientError::Remote(e)),
-            Err(e) => {
-                self.gateway.obs.inc("query.scatter.fallback");
-                self.coordinate(query, self.retries, ClientError::unanswered(e))
-            }
+        }
+        let obs = &self.gateway.obs;
+        if trace.retries > 0 {
+            obs.counter("query.retries").add(u64::from(trace.retries));
+        }
+        if trace.failovers > 0 {
+            obs.counter("query.failovers")
+                .add(u64::from(trace.failovers));
         }
     }
 
-    /// One scatter of `keys`, planned from `planned` on: every owner gets
-    /// its share as one reroutable SubQuery, all of them in flight before
-    /// the client waits for any, each answered within the share deadline.
-    /// A share a helper refuses (its owner's guest route was stale) is sent
-    /// once more, straight to the owner. The answers merge as a
-    /// coordinator's do. The trace is the front end's: `local` holds this
-    /// thread's route, wait and merge segments, `agg` adds every share's
-    /// stage times to them, `subqueries` counts the shares sent.
-    ///
-    /// The first share that fails ends the scatter with its error.
+    /// `keys` answered by their owners, planned from `planned` on, and the
+    /// front end's trace: `local` holds this thread's route, wait, retry
+    /// and merge segments, `agg` adds every share's stage times to them,
+    /// `subqueries` counts the first-wave shares sent.
     fn scatter(
         &self,
         keys: &[CellKey],
         planned: Instant,
-    ) -> Result<(QueryResult, QueryTrace), ClusterError> {
+    ) -> (Result<QueryResult, ClusterError>, QueryTrace) {
         let mut trace = QueryTrace::default();
-        let mut calls = Vec::new();
-        for (owner, share) in by_owner(&self.partitioner, keys.iter().copied()) {
-            calls.push(self.send_share(owner, share, true)?);
-        }
-        trace.subqueries = calls.len() as u32;
+        let result = self.gather_shares(keys, planned, &mut trace);
+        trace.wall_ns = planned.elapsed().as_nanos() as u64;
+        let local = trace.local;
+        trace.agg.add(&local);
+        (result, trace)
+    }
+
+    /// Every owner gets its share as one reroutable SubQuery, all of them
+    /// in flight before the client waits for any. The shares that fail
+    /// transiently are settled one by one once every first-wave answer is
+    /// in; the answers merge into one result.
+    fn gather_shares(
+        &self,
+        keys: &[CellKey],
+        planned: Instant,
+        trace: &mut QueryTrace,
+    ) -> Result<QueryResult, ClusterError> {
+        let shares: Vec<(usize, Vec<CellKey>, Result<Call, ClusterError>)> =
+            by_owner(&self.partitioner, keys.iter().copied())
+                .into_iter()
+                .map(|(owner, share)| {
+                    let call = self.send_share(owner, &share, true);
+                    (owner, share, call)
+                })
+                .collect();
+        trace.subqueries = shares.iter().filter(|(_, _, call)| call.is_ok()).count() as u32;
         let sent = Instant::now();
         trace.local.route_ns = (sent - planned).as_nanos() as u64;
         let mut merged = QueryResult::default();
-        for call in calls {
-            let owner = call.node;
-            let (mut result, st) = self.gateway.wait(call, self.share_timeout, SUB_RESULT)?;
-            trace.absorb_sub(&st);
-            if let Err(ClusterError::RerouteRefused { .. }) = result {
-                trace.retries += 1;
-                let share = keys
-                    .iter()
-                    .copied()
-                    .filter(|k| self.partitioner.owner_of_cell(k) == owner)
-                    .collect();
-                let call = self.send_share(owner, share, false)?;
-                let (again, st) = self.gateway.wait(call, self.share_timeout, SUB_RESULT)?;
-                trace.absorb_sub(&st);
-                result = again;
+        let mut stragglers = Vec::new();
+        for (owner, share, call) in shares {
+            match call.and_then(|call| self.answer(call, &share, trace)) {
+                Ok(part) => absorb(&mut merged, part),
+                Err(e) if e.is_transient() => stragglers.push((owner, share)),
+                Err(e) => return Err(e),
             }
-            absorb(&mut merged, result?);
         }
         let waited = Instant::now();
         trace.local.wait_ns = (waited - sent).as_nanos() as u64;
+        for (owner, share) in stragglers {
+            absorb(&mut merged, self.settle(owner, &share, trace)?);
+        }
+        let settled = Instant::now();
+        trace.local.retry_ns = (settled - waited).as_nanos() as u64;
         merged.cells.sort_by_key(|c| c.key);
         merged.cells.dedup_by_key(|c| c.key);
-        let done = Instant::now();
-        trace.local.merge_ns = (done - waited).as_nanos() as u64;
-        trace.wall_ns = (done - planned).as_nanos() as u64;
-        let local = trace.local;
-        trace.agg.add(&local);
-        Ok((merged, trace))
+        trace.local.merge_ns = settled.elapsed().as_nanos() as u64;
+        Ok(merged)
+    }
+
+    /// A share whose first wave failed transiently, settled on its own: its
+    /// SubQuery asked again under the retry policy (`sub_rpc_retries + 1`
+    /// attempts) and, if its owner stays dark, its Cells recomputed from
+    /// storage with the owner excluded, reading the owner's blocks off the
+    /// DFS replica chain. A failover that itself fails transiently runs the
+    /// whole ladder again, a fresh SubQuery first, `client_retries + 1`
+    /// times in all.
+    fn settle(
+        &self,
+        owner: usize,
+        keys: &[CellKey],
+        trace: &mut QueryTrace,
+    ) -> Result<QueryResult, ClusterError> {
+        let attempts = self.config.sub_rpc_retries + 1;
+        let mut rounds = 1;
+        loop {
+            trace.retries += 1;
+            let (retried, napped) = self.gateway.retry(owner as u64, attempts, false, || {
+                self.ask(owner, keys, trace)
+            });
+            trace.agg.retry_ns += napped.as_nanos() as u64;
+            let outcome = match retried {
+                Err(e) if e.is_transient() => {
+                    trace.failovers += 1;
+                    let mut acc = StageTimes::default();
+                    let parts = self.gatherer().gather_partials(keys, &[owner], &mut acc);
+                    trace.absorb_sub(&acc);
+                    parts.map(|parts| recomputed(parts, keys.len()))
+                }
+                done => done,
+            };
+            match outcome {
+                Err(e) if e.is_transient() && rounds <= self.config.client_retries => rounds += 1,
+                done => return done,
+            }
+            match self.ask(owner, keys, trace) {
+                Err(e) if e.is_transient() => {}
+                done => return done,
+            }
+        }
+    }
+
+    /// One attempt at a share: a reroutable SubQuery to its owner, and its
+    /// answer.
+    fn ask(
+        &self,
+        owner: usize,
+        keys: &[CellKey],
+        trace: &mut QueryTrace,
+    ) -> Result<QueryResult, ClusterError> {
+        self.answer(self.send_share(owner, keys, true)?, keys, trace)
+    }
+
+    /// The answer to the SubQuery `call` for `keys`, within the share
+    /// deadline. A share a helper refused — the owner's guest route was
+    /// stale — is sent once more, straight to the owner.
+    fn answer(
+        &self,
+        call: Call,
+        keys: &[CellKey],
+        trace: &mut QueryTrace,
+    ) -> Result<QueryResult, ClusterError> {
+        let owner = call.node;
+        let timeout = self.config.sub_rpc_timeout;
+        let (result, st) = self.gateway.wait(call, timeout, SUB_RESULT)?;
+        trace.absorb_sub(&st);
+        let Err(ClusterError::RerouteRefused { .. }) = result else {
+            return result;
+        };
+        trace.retries += 1;
+        let call = self.send_share(owner, keys, false)?;
+        let (result, st) = self.gateway.wait(call, timeout, SUB_RESULT)?;
+        trace.absorb_sub(&st);
+        result
     }
 
     /// One owner's share on the wire.
     fn send_share(
         &self,
         owner: usize,
-        keys: Vec<CellKey>,
+        keys: &[CellKey],
         allow_reroute: bool,
     ) -> Result<Call, ClusterError> {
         self.gateway.call(owner, |rpc, reply_to| Msg::SubQuery {
             rpc,
             reply_to,
-            keys,
+            keys: keys.to_vec(),
             allow_reroute,
             via_guest: false,
         })
     }
 
-    /// The node owning the most Cells of `query`'s spatial cover, ties to
-    /// the lowest index; `None` when the cover is empty or cannot be
-    /// planned.
-    fn home(&self, query: &AggQuery) -> Option<usize> {
-        let cover = cover_bbox_bounded(&query.bbox, query.spatial_res, self.max_cells).ok()?;
-        let mut owned = vec![0usize; self.n_nodes()];
-        for gh in cover {
-            owned[self.partitioner.owner(gh)] += 1;
+    /// The front end's view of storage for a failover: it holds no blocks,
+    /// so every one is asked for.
+    fn gatherer(&self) -> Gatherer<'_> {
+        Gatherer {
+            caller: &self.gateway,
+            config: &self.config,
+            partitioner: &self.partitioner,
+            store: None,
         }
-        let (home, &most) = owned
-            .iter()
-            .enumerate()
-            .max_by_key(|&(node, &n)| (n, Reverse(node)))?;
-        (most > 0).then_some(home)
     }
+}
 
-    /// Dispatch with retries (no pinned coordinator): a STASH query is
-    /// scattered first; the rest of its attempts, and all of a Basic one's,
-    /// are coordinated.
-    fn dispatch_rotating(
-        &self,
-        query: &AggQuery,
-    ) -> Result<(QueryResult, QueryTrace), ClientError> {
-        if self.mode == Mode::Basic {
-            return self.coordinate(query, self.retries + 1, ClientError::Disconnected);
-        }
-        let planned = Instant::now();
-        let keys = self.plan(query)?;
-        if keys.is_empty() {
-            return Ok(Default::default());
-        }
-        self.scatter_or_coordinate(query, &keys, planned)
-    }
+/// Add one owner's share of an answer to the answer so far: its Cells, and
+/// its four hit counters. The merged Cells are sorted and deduplicated once
+/// every share is in.
+fn absorb(merged: &mut QueryResult, part: QueryResult) {
+    merged.cells.extend(part.cells);
+    merged.cache_hits += part.cache_hits;
+    merged.derived_hits += part.derived_hits;
+    merged.misses += part.misses;
+    merged.rollup_hits += part.rollup_hits;
+}
 
-    /// Up to `attempts` coordinated attempts: the home first, then
-    /// round-robin. `last` is the error returned if no attempt is left.
-    fn coordinate(
-        &self,
-        query: &AggQuery,
-        attempts: u32,
-        mut last: ClientError,
-    ) -> Result<(QueryResult, QueryTrace), ClientError> {
-        let is_up = |node: usize| !self.gateway.router.is_crashed(NodeId(node));
-        let mut home = self.home(query).filter(|&node| is_up(node));
-        let n_nodes = self.n_nodes();
-        for _ in 0..attempts {
-            // The home, else the next coordinator the fabric still talks to.
-            let coord = home.take().or_else(|| {
-                (0..n_nodes)
-                    .map(|_| self.next_coordinator.fetch_add(1, Ordering::Relaxed) % n_nodes)
-                    .find(|&c| is_up(c))
-            });
-            let Some(coord) = coord else {
-                return Err(ClientError::Disconnected); // every node is down
-            };
-            match self.dispatch_at(query, coord) {
-                Ok(traced) => return Ok(traced),
-                Err(ClientError::Remote(e)) if !e.is_transient() => {
-                    return Err(ClientError::Remote(e)); // deterministic: retry is futile
-                }
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
+/// `keys` grouped by the node that owns them, in node order.
+pub(crate) fn by_owner(
+    partitioner: &Partitioner,
+    keys: impl IntoIterator<Item = CellKey>,
+) -> BTreeMap<usize, Vec<CellKey>> {
+    let mut groups: BTreeMap<usize, Vec<CellKey>> = BTreeMap::new();
+    for key in keys {
+        groups
+            .entry(partitioner.owner_of_cell(&key))
+            .or_default()
+            .push(key);
     }
-
-    /// One attempt through a fixed coordinator.
-    fn dispatch_at(
-        &self,
-        query: &AggQuery,
-        coordinator: usize,
-    ) -> Result<(QueryResult, QueryTrace), ClientError> {
-        assert!(
-            coordinator < self.n_nodes(),
-            "coordinator index out of range"
-        );
-        let reply = self
-            .gateway
-            .ask(coordinator, self.timeout, QUERY_REPLY, |rpc, reply_to| {
-                Msg::Query {
-                    rpc,
-                    reply_to,
-                    query: query.clone(),
-                }
-            });
-        match reply {
-            Ok((result, trace)) => result
-                .map(|result| (result, trace))
-                .map_err(ClientError::Remote),
-            Err(e) => Err(ClientError::unanswered(e)),
-        }
-    }
+    groups
 }
 
 /// One prepared query (see [`ClusterClient::query`]). Nothing is sent until
@@ -342,27 +365,18 @@ impl ClusterClient {
 pub struct QueryCall<'a> {
     client: &'a ClusterClient,
     query: &'a AggQuery,
-    coordinator: Option<usize>,
 }
 
 impl<'a> QueryCall<'a> {
-    /// Pin the coordinator node: exactly one attempt, no rotation, no
-    /// client-level retries.
-    pub fn at(mut self, coordinator: usize) -> Self {
-        self.coordinator = Some(coordinator);
-        self
-    }
-
-    /// Also return the coordinator's [`QueryTrace`] — the per-stage
-    /// breakdown of where the answer's latency went (the trace of the
-    /// attempt that succeeded).
+    /// Also return the front end's [`QueryTrace`] — the per-stage
+    /// breakdown of where the answer's latency went.
     pub fn traced(self) -> TracedQueryCall<'a> {
         TracedQueryCall { call: self }
     }
 
     /// Send the query; block until the summary arrives (or fails).
     pub fn run(self) -> Result<QueryResult, ClientError> {
-        self.dispatch().map(|(result, _)| result)
+        self.client.run(self.query).map(|(result, _)| result)
     }
 
     /// Run the query and fold the per-Cell quantile sketches into one
@@ -410,13 +424,6 @@ impl<'a> QueryCall<'a> {
     ) -> Result<Option<stash_model::TopKResult>, ClientError> {
         Ok(self.run()?.top_k_report(attr, k))
     }
-
-    fn dispatch(self) -> Result<(QueryResult, QueryTrace), ClientError> {
-        match self.coordinator {
-            Some(c) => self.client.dispatch_at(self.query, c),
-            None => self.client.dispatch_rotating(self.query),
-        }
-    }
 }
 
 /// A [`QueryCall`] that returns the trace alongside the result.
@@ -426,14 +433,8 @@ pub struct TracedQueryCall<'a> {
 }
 
 impl TracedQueryCall<'_> {
-    /// Pin the coordinator node (see [`QueryCall::at`]).
-    pub fn at(mut self, coordinator: usize) -> Self {
-        self.call.coordinator = Some(coordinator);
-        self
-    }
-
     /// Send the query; block until result and trace arrive (or fail).
     pub fn run(self) -> Result<(QueryResult, QueryTrace), ClientError> {
-        self.call.dispatch()
+        self.call.client.run(self.call.query)
     }
 }

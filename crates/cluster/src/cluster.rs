@@ -1,10 +1,10 @@
 //! Cluster assembly: configuration, node spawning, stats, teardown.
 
 use crate::caller::Caller;
-use crate::client::ClusterClient;
+use crate::client::{by_owner, ClusterClient};
 use crate::config::RollupPolicy;
 use crate::ingest::IngestClient;
-use crate::node::{by_owner, NodeCtx, WorkTiers};
+use crate::node::{NodeCtx, WorkTiers};
 use crate::protocol::Msg;
 use crate::source::{GenBlockSource, LiveSource};
 use stash_core::LogicalClock;
@@ -35,11 +35,9 @@ pub enum Mode {
 pub struct ClusterConfig {
     /// Storage nodes (the paper used 120; laptop default 8).
     pub n_nodes: usize,
-    /// Coordination workers per node (handle front-end `Query`s; may block
-    /// waiting on subquery service at other nodes).
-    pub coord_workers: usize,
-    /// Subquery service workers per node (STASH graph evaluation; may block
-    /// on block fetches at other nodes).
+    /// Subquery service workers per node (STASH graph evaluation, or a
+    /// Basic share's block scan; may block on block fetches at other
+    /// nodes). They are the cores a node serves Cells with.
     pub service_workers: usize,
     /// Block-fetch workers per node (disk scans; never block on peers).
     /// The tiers together model the paper's 8-core nodes while keeping the
@@ -69,22 +67,21 @@ pub struct ClusterConfig {
     /// Modeled CPU cost per Cell served from the STASH graph (lookup,
     /// merge, serialization on the paper's nodes).
     pub cell_service_cost: Duration,
-    /// Deadline of one sub-RPC reply: a coordinator's, or the front end's
-    /// for one share of its scatter.
+    /// Deadline of one sub-RPC reply: the front end's for one share of its
+    /// scatter, a gatherer's for one FetchPartials.
     pub sub_rpc_timeout: Duration,
     pub distress_timeout: Duration,
-    pub client_timeout: Duration,
     /// Retries per sub-RPC (SubQuery / FetchPartials) after the first
     /// attempt times out; each retry backs off exponentially from
-    /// `retry_backoff` with deterministic jitter. When retries are
-    /// exhausted the coordinator fails the work over to DFS replicas.
+    /// `retry_backoff` with deterministic jitter. When a share's retries
+    /// are exhausted the front end recomputes it from DFS replicas with its
+    /// owner excluded.
     pub sub_rpc_retries: u32,
     /// Base delay of the sub-RPC retry backoff.
     pub retry_backoff: Duration,
-    /// Client-side retries of a whole query (the first attempt is the
-    /// front end's scatter, or goes to the viewport's home; each retry
-    /// lands on the home or the next live coordinator in the round-robin
-    /// rotation).
+    /// Further runs of one share's whole ladder — SubQuery, retries,
+    /// replica failover — after a failover that failed transiently; a
+    /// producer's retries of an append batch.
     pub client_retries: u32,
     /// Blocks that boot truncated and grow through live ingestion
     /// (DESIGN.md §13). Empty (the default) means a fully sealed dataset —
@@ -107,7 +104,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             n_nodes: 8,
-            coord_workers: 3,
             service_workers: 3,
             fetch_workers: 2,
             mode: Mode::Stash,
@@ -134,7 +130,6 @@ impl Default for ClusterConfig {
             cell_service_cost: Duration::from_nanos(500),
             sub_rpc_timeout: Duration::from_secs(30),
             distress_timeout: Duration::from_secs(2),
-            client_timeout: Duration::from_secs(120),
             sub_rpc_retries: 2,
             retry_backoff: Duration::from_millis(10),
             client_retries: 2,
@@ -149,7 +144,6 @@ impl Default for ClusterConfig {
 /// Per-node live counters (relaxed atomics).
 #[derive(Debug, Default)]
 pub struct NodeStats {
-    pub queries_coordinated: AtomicU64,
     pub subqueries: AtomicU64,
     pub reroutes: AtomicU64,
     pub guest_serves: AtomicU64,
@@ -169,7 +163,6 @@ pub struct NodeStatsSnapshot {
     pub evictions: u64,
     pub disk_reads: u64,
     pub disk_bytes: u64,
-    pub queries_coordinated: u64,
     pub subqueries: u64,
     pub reroutes: u64,
     pub guest_serves: u64,
@@ -242,7 +235,6 @@ fn spawn_node(
     .with_scan_cost(config.scan_cost_per_obs);
     let clock = Arc::new(LogicalClock::new());
     let tiers = WorkTiers {
-        coord: router.delay_queue(ep.id),
         service: router.delay_queue(ep.id),
         fetch: router.delay_queue(ep.id),
     };
@@ -272,7 +264,6 @@ fn spawn_node(
     );
     // Tiered workers.
     let tiers = [
-        ("coord", config.coord_workers, tiers.coord),
         ("service", config.service_workers, tiers.service),
         ("fetch", config.fetch_workers, tiers.fetch),
     ];
@@ -292,8 +283,8 @@ fn spawn_node(
 }
 
 impl SimCluster {
-    /// Boot a cluster: spawns `n_nodes × (1 + coord + service + fetch
-    /// workers)` threads — mains and workers. The fabric and the gateway
+    /// Boot a cluster: spawns `n_nodes × (1 + service + fetch workers)`
+    /// threads — mains and workers. The fabric and the gateway
     /// have none: every message waits out its wire time on the thread that
     /// consumes it.
     pub fn new(config: ClusterConfig) -> Self {
@@ -435,11 +426,7 @@ impl SimCluster {
         ClusterClient::new(
             Arc::clone(&self.gateway),
             self.partitioner.clone(),
-            self.config.mode,
-            self.config.stash.max_cells_per_query,
-            self.config.client_timeout,
-            self.config.sub_rpc_timeout,
-            self.config.client_retries,
+            Arc::clone(&self.config),
         )
     }
 
@@ -447,13 +434,6 @@ impl SimCluster {
     /// partitions, and crashes directly on it.
     pub fn router(&self) -> &Router<Msg> {
         &self.router
-    }
-
-    /// A front-end handle with its own client-side STASH graph of
-    /// `max_cells` capacity (the paper's §IX-A future work; see
-    /// [`crate::client_cache`]).
-    pub fn caching_client(&self, max_cells: usize) -> crate::client_cache::CachingClient {
-        crate::client_cache::CachingClient::new(self.client(), max_cells, self.config.n_attrs)
     }
 
     /// A producer-side ingest handle: the [`stash_ingest::AppendSink`] that
@@ -575,7 +555,6 @@ impl SimCluster {
                 evictions: n.graph.stats().evictions.load(Ordering::Relaxed),
                 disk_reads: n.store.disk_stats().reads(),
                 disk_bytes: n.store.disk_stats().bytes(),
-                queries_coordinated: n.stats.queries_coordinated.load(Ordering::Relaxed),
                 subqueries: n.stats.subqueries.load(Ordering::Relaxed),
                 reroutes: n.stats.reroutes.load(Ordering::Relaxed),
                 guest_serves: n.stats.guest_serves.load(Ordering::Relaxed),
@@ -665,7 +644,6 @@ mod tests {
     fn small_config(mode: Mode) -> ClusterConfig {
         ClusterConfig::builder()
             .n_nodes(4)
-            .coord_workers(2)
             .service_workers(2)
             .fetch_workers(2)
             .mode(mode)
@@ -847,14 +825,12 @@ mod tests {
         );
         // A cold county query misses everywhere: DFS time must show up.
         assert!(trace.agg.dfs_ns > 0, "cold query must charge dfs time");
-        // The front end scattered it, once, and no node coordinated it.
+        // The front end recorded it, once, with no share retried.
         let gateway = cluster.gateway_obs();
-        assert_eq!(gateway.counter("query.scatter.ok").get(), 1);
-        assert_eq!(gateway.counter("query.scatter.fallback").get(), 0);
-        let coordinated: u64 = (0..cluster.n_nodes())
-            .map(|i| cluster.node(i).obs.counter("query.coordinate.ok").get())
-            .sum();
-        assert_eq!(coordinated, 0);
+        assert_eq!(gateway.counter("query.ok").get(), 1);
+        assert_eq!(gateway.counter("query.err").get(), 0);
+        assert_eq!(gateway.histogram("query.wall").snapshot().count(), 1);
+        assert_eq!(gateway.counter("query.retries").get(), 0);
         // A warm repeat serves from cache: PLM/lookup time recorded.
         let (_, warm) = client.query(&q).traced().run().expect("warm traced query");
         assert!(warm.agg.plm_ns > 0, "warm query must charge plm lookups");

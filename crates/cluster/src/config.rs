@@ -192,7 +192,7 @@ impl ClusterConfig {
                 "cluster needs at least one node".into(),
             ));
         }
-        if self.coord_workers == 0 || self.service_workers == 0 || self.fetch_workers == 0 {
+        if self.service_workers == 0 || self.fetch_workers == 0 {
             return Err(ConfigError::Workers(
                 "every worker tier needs at least one thread".into(),
             ));
@@ -268,10 +268,7 @@ impl ClusterConfig {
                 }
             }
         }
-        if self.sub_rpc_timeout.is_zero()
-            || self.distress_timeout.is_zero()
-            || self.client_timeout.is_zero()
-        {
+        if self.sub_rpc_timeout.is_zero() || self.distress_timeout.is_zero() {
             return Err(ConfigError::Timing("rpc timeouts must be positive".into()));
         }
         Ok(())
@@ -302,7 +299,6 @@ impl ClusterConfigBuilder {
     pub fn paper_scale() -> Self {
         ClusterConfig::builder()
             .n_nodes(16)
-            .coord_workers(3)
             .service_workers(3)
             .fetch_workers(2)
     }
@@ -312,7 +308,6 @@ impl ClusterConfigBuilder {
     pub fn smoke() -> Self {
         ClusterConfig::builder()
             .n_nodes(4)
-            .coord_workers(2)
             .service_workers(2)
             .fetch_workers(2)
             .disk(DiskModel::free())
@@ -323,7 +318,6 @@ impl ClusterConfigBuilder {
     }
 
     setter!(n_nodes: usize);
-    setter!(coord_workers: usize);
     setter!(service_workers: usize);
     setter!(fetch_workers: usize);
     setter!(mode: Mode);
@@ -341,7 +335,6 @@ impl ClusterConfigBuilder {
     setter!(cell_service_cost: Duration);
     setter!(sub_rpc_timeout: Duration);
     setter!(distress_timeout: Duration);
-    setter!(client_timeout: Duration);
     setter!(sub_rpc_retries: u32);
     setter!(retry_backoff: Duration);
     setter!(client_retries: u32);
@@ -432,7 +425,7 @@ mod tests {
         assert!(matches!(stash, ConfigError::Stash(_)), "{stash}");
 
         let timing = ClusterConfig::builder()
-            .client_timeout(Duration::ZERO)
+            .sub_rpc_timeout(Duration::ZERO)
             .build()
             .unwrap_err();
         assert!(matches!(timing, ConfigError::Timing(_)), "{timing}");

@@ -2,16 +2,17 @@
 //!
 //! The full simulated deployment of the paper's system (Fig. 4): Galileo
 //! storage nodes with STASH graphs in their memory, a front end that
-//! scatters each query to its owners (with a coordinator node to fall back
-//! on), the Clique Handoff hotspot protocol, and a client API standing in
-//! for the Grafana front-end.
+//! scatters each query to its owners and settles every failed share itself
+//! (retry, then DFS replica failover), the Clique Handoff hotspot protocol,
+//! and a client API standing in for the Grafana front-end.
 //!
 //! One [`SimCluster`] owns:
 //!
 //! * a [`stash_net::Router`] fabric with `n_nodes + 1` endpoints (the extra
 //!   endpoint is the client gateway);
-//! * per node: a main dispatch thread (never blocks), a small worker pool
-//!   (the paper's nodes are 8-core), a [`stash_dfs::NodeStore`], a local
+//! * per node: a main dispatch thread (never blocks), two small worker
+//!   tiers — SubQuery service and block fetch (the paper's nodes are
+//!   8-core), a [`stash_dfs::NodeStore`], a local
 //!   [`stash_core::StashGraph`], a **guest** graph for replicas
 //!   (§VII-A: "a helper node maintains two STASH graphs — one local and one
 //!   guest"), a routing table, and a hotspot manager;
@@ -24,18 +25,16 @@
 
 mod caller;
 pub mod client;
-pub mod client_cache;
 pub mod cluster;
 pub mod config;
 mod fence;
+mod gather;
 pub mod ingest;
 pub mod node;
 pub mod protocol;
-mod slots;
 pub mod source;
 
 pub use client::{ClientError, ClusterClient, QueryCall, TracedQueryCall};
-pub use client_cache::{CachingClient, Prefetcher};
 pub use cluster::{ClusterConfig, Mode, NodeStatsSnapshot, RetentionReport, SimCluster};
 pub use config::{ClusterConfigBuilder, ConfigError, RollupPolicy};
 pub use ingest::IngestClient;

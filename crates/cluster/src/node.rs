@@ -12,13 +12,14 @@
 //!   fall through because it must run at its due time on a thread that
 //!   never blocks: control messages (Invalidate, Distress) are answered
 //!   inline, a hotspotted node's reroute decision for a received SubQuery
-//!   is taken here. (A coordinator takes the same decision for its own
-//!   share, on its worker.) Because
-//!   main threads always drain, a worker blocked on an Invalidate or
-//!   Distress round is always eventually answered.
+//!   is taken here. Because main threads always drain, a worker blocked on
+//!   an Invalidate or Distress round is always eventually answered.
 //! * **Workers** (the paper's 8-core nodes, scaled down) take work off
-//!   their tier's queue as it comes due, evaluate queries, scan blocks,
-//!   and may block on sub-RPCs to other nodes.
+//!   their tier's queue as it comes due. Service workers answer SubQueries
+//!   (and replication and appends) and may block on FetchPartials to other
+//!   nodes; fetch workers scan blocks and never block on a peer. Nothing
+//!   here plans a viewport or merges shares: the front end does
+//!   ([`crate::client`]).
 //! * **Handoff** runs on its own short-lived thread, at most one at a time,
 //!   so a hotspotted node can replicate Cliques while its workers stay busy
 //!   serving the very queue that triggered the hotspot.
@@ -26,74 +27,27 @@
 //! The pending-work counter doubles as the paper's hotspot signal: "a node
 //! deems itself to be hotspotted when the number of pending requests in its
 //! message queue crosses a configured threshold" (§VII-B1). It counts every
-//! request queued here and the data-service work running here — a
-//! coordinator's own share included, its waits on other nodes not.
+//! request queued or running here; all of it is data-service work.
 
 use crate::caller::{Call, Caller};
 use crate::cluster::{ClusterConfig, Mode, NodeStats};
 use crate::fence::IngestFence;
-use crate::protocol::{ClusterError, Msg, Reply, ACK, PARTIALS, SUB_RESULT};
-use crate::slots::Slots;
+use crate::gather::{recomputed, Gatherer};
+use crate::protocol::{ClusterError, Msg, Reply, ACK};
 use parking_lot::Mutex;
 use stash_core::{
     evaluate_traced, CliqueFinder, GuestBook, LogicalClock, RouteDecision, RoutingTable, StashGraph,
 };
-use stash_dfs::{
-    frame_spatial_res, plan_blocks, AppendOutcome, BlockFrame, BlockKey, NodeStore, Partitioner,
-    RollupStore,
-};
+use stash_dfs::{frame_spatial_res, AppendOutcome, BlockFrame, BlockKey, NodeStore, RollupStore};
 use stash_geo::TemporalRes;
 use stash_model::key::ancestors_at;
 use stash_model::level::MAX_SPATIAL_RES;
 use stash_model::{Cell, CellKey, CellSummary, FlatPartials, Level, Observation, QueryResult};
 use stash_net::{DelayQueue, Envelope, Handover, NodeId, Parked, Router};
-use stash_obs::{sleep_until, Histogram, MetricsRegistry, QueryTrace, StageTimes};
-use std::collections::{BTreeMap, HashMap};
+use stash_obs::{sleep_until, MetricsRegistry, StageTimes};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Why one gather round could not complete (see [`NodeCtx::try_gather`]):
-/// an unreachable owner is recoverable — grow the exclusion set and replan
-/// onto the replica chain; anything else ends the gather.
-#[derive(Debug)]
-enum GatherFailure {
-    Owner(usize, ClusterError),
-    Fatal(ClusterError),
-}
-
-/// Fold one partials fragment — the local scan's, or a peer's
-/// wire-delivered reply — into a gather's per-key accumulators.
-///
-/// `sketch_merges` counts pairwise estimator-state merges (both sides
-/// sketched; the seed's first adoption is a clone, not a merge) — the
-/// coordinator-side half of the `sketch.merges` counter, matching the
-/// per-store fragment-merge half.
-///
-/// A fragment built by a misconfigured peer (wrong schema width or sketch
-/// parameters) is a protocol fault of that deployment, not a reason to
-/// crash this node: the merge is refused with a typed error and the round
-/// aborts.
-fn absorb_fragment(
-    merged: &mut HashMap<CellKey, CellSummary>,
-    sketch_merges: &mut u64,
-    parts: Vec<(CellKey, CellSummary)>,
-) -> Result<(), GatherFailure> {
-    for (key, summary) in parts {
-        if let Some(m) = merged.get_mut(&key) {
-            let sketched = m.has_sketches() && summary.has_sketches();
-            m.merge_strict(&summary).map_err(|e| {
-                GatherFailure::Fatal(ClusterError::Protocol(format!(
-                    "partials fragment for {key:?} refused: {e}"
-                )))
-            })?;
-            if sketched {
-                *sketch_merges += summary.n_attrs() as u64;
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Shared state of one node, used by its main thread, workers, and handoff
 /// thread.
@@ -119,21 +73,9 @@ pub struct NodeCtx {
     pub stats: NodeStats,
     /// Named counters/gauges/histograms for this node (DESIGN.md §11).
     pub obs: Arc<MetricsRegistry>,
-    /// The `query.stage.*` histograms in [`StageTimes::stages`] order,
-    /// resolved once so a coordinated query records without a name lookup.
-    stage_hists: [Arc<Histogram>; 7],
-    /// Requests dispatched to workers and not yet finished (all tiers).
+    /// The hotspot signal: requests dispatched to workers and not yet
+    /// finished, both tiers — SubQueries, fetches, replication, appends.
     pending: AtomicUsize,
-    /// The hotspot signal: every request queued here — a Query included,
-    /// since the front end sends it where most of its Cells live — plus
-    /// the data-service work running here (subqueries, fetches,
-    /// replication, appends, a coordinator's own share). Coordination waits
-    /// are excluded: a node blocked *waiting on others* is not itself
-    /// overloaded.
-    service_pending: AtomicUsize,
-    /// The node's Cell-serving capacity: every evaluation holds one of
-    /// `service_workers` slots, wherever it runs (DESIGN.md §2b).
-    serving: Slots,
     /// Level of the most recent share served here — where a hotspot's
     /// Cliques live.
     hot_level: AtomicU8,
@@ -153,18 +95,17 @@ pub struct NodeCtx {
     /// evaluation or a handoff, so the interleaving under test is fixed.
     #[cfg(test)]
     hook: Mutex<Option<(tests::Site, tests::Hook)>>,
-    /// Tiered work queues. Coordination (tier 0) may block on subquery
-    /// service (tier 1), which may block on block fetches (tier 2), which
-    /// never block — the cross-node wait graph is acyclic by construction,
-    /// so the cluster cannot deadlock however saturated it gets.
+    /// Tiered work queues. Subquery service may block on block fetches,
+    /// which never block — the cross-node wait graph is acyclic by
+    /// construction, so the cluster cannot deadlock however saturated it
+    /// gets.
     tiers: WorkTiers,
 }
 
-/// The three per-node worker tiers (see module docs): each a delay queue
-/// of the node's, pushed to by its port and consumed by the tier's workers.
+/// The two per-node worker tiers (see module docs): each a delay queue of
+/// the node's, pushed to by its port and consumed by the tier's workers.
 #[derive(Clone)]
 pub struct WorkTiers {
-    pub coord: DelayQueue<Msg>,
     pub service: DelayQueue<Msg>,
     pub fetch: DelayQueue<Msg>,
 }
@@ -203,13 +144,8 @@ impl NodeCtx {
             routing: Mutex::new(RoutingTable::new()),
             clock,
             stats: NodeStats::default(),
-            stage_hists: StageTimes::default()
-                .stages()
-                .map(|(stage, _)| obs.histogram(&format!("query.stage.{stage}"))),
             obs,
             pending: AtomicUsize::new(0),
-            service_pending: AtomicUsize::new(0),
-            serving: Slots::new(config.service_workers),
             hot_level: AtomicU8::new(
                 Level::of(4, stash_geo::TemporalRes::Day)
                     .expect("static level")
@@ -231,9 +167,9 @@ impl NodeCtx {
 
     /// The paper's hotspot predicate: "the number of pending requests in
     /// its message queue crosses a configured threshold" (§VII-B1), counted
-    /// over the data-service queue.
+    /// over the work queued or running here.
     pub fn is_hotspotted(&self) -> bool {
-        self.service_pending.load(Ordering::Relaxed) > self.config.stash.hotspot_threshold
+        self.pending.load(Ordering::Relaxed) > self.config.stash.hotspot_threshold
     }
 
     pub fn pending(&self) -> usize {
@@ -267,13 +203,12 @@ impl NodeCtx {
             return Handover::Taken;
         }
         match &parked.env.payload {
-            Msg::Query { .. }
-            | Msg::SubQuery { .. }
+            Msg::SubQuery { .. }
             | Msg::FetchPartials { .. }
             | Msg::AppendBatch { .. }
             | Msg::ReplicationRequest { .. } => {
                 // Counted with this message queued.
-                let queued = self.service_pending.load(Ordering::Relaxed) + 1;
+                let queued = self.pending.load(Ordering::Relaxed) + 1;
                 if queued > self.config.stash.hotspot_threshold {
                     return Handover::Inbox(parked);
                 }
@@ -282,15 +217,6 @@ impl NodeCtx {
             }
             _ => Handover::Inbox(parked),
         }
-    }
-
-    /// Does `work` count towards the hotspot predicate until it finishes?
-    /// Everything the service and fetch tiers take does. A Query counts
-    /// only while it is queued: once a coordinator takes it, what is this
-    /// node's own work is its own share, counted while it runs
-    /// ([`NodeCtx::eval_own_share`]).
-    fn is_service(work: &Msg) -> bool {
-        !matches!(work, Msg::Query { .. })
     }
 
     /// Drain the fabric inbox until shutdown — or until the fabric severs
@@ -312,7 +238,6 @@ impl NodeCtx {
     /// Send every worker in every tier a poison pill.
     fn poison_workers(&self) {
         let poisons = [
-            (&self.tiers.coord, self.config.coord_workers),
             (&self.tiers.service, self.config.service_workers),
             (&self.tiers.fetch, self.config.fetch_workers),
         ];
@@ -375,7 +300,7 @@ impl NodeCtx {
             }
             // Rerouting decision happens *before* queueing (§VII-C): a
             // hotspotted node sheds covered subqueries to their helper,
-            // which answers the coordinator directly.
+            // which answers the sender directly.
             Msg::SubQuery {
                 rpc,
                 reply_to,
@@ -383,17 +308,7 @@ impl NodeCtx {
                 allow_reroute,
                 via_guest,
             } => {
-                let forward = |helper: usize| {
-                    let forwarded = Msg::SubQuery {
-                        rpc,
-                        reply_to,
-                        keys: keys.clone(),
-                        allow_reroute: false,
-                        via_guest: true,
-                    };
-                    self.caller.send(NodeId(helper), forwarded).then_some(())
-                };
-                if allow_reroute && !via_guest && self.shed(&keys, forward).is_some() {
+                if allow_reroute && !via_guest && self.shed(rpc, reply_to, &keys) {
                     return;
                 }
                 self.dispatch(Envelope {
@@ -426,12 +341,10 @@ impl NodeCtx {
     /// port calls it: counting and a push, nothing else.
     fn enqueue(&self, parked: Parked<Msg>) {
         self.pending.fetch_add(1, Ordering::Relaxed);
-        self.service_pending.fetch_add(1, Ordering::Relaxed);
-        // Route to the tier whose workers may safely block on the tiers
+        // Route to the tier whose workers may safely block on the tier
         // below it. Queues only close at crash or shutdown; the message is
         // dropped (and counted) then.
         let queue = match &parked.env.payload {
-            Msg::Query { .. } => &self.tiers.coord,
             Msg::FetchPartials { .. } => &self.tiers.fetch,
             _ => &self.tiers.service,
         };
@@ -450,39 +363,17 @@ impl NodeCtx {
                 return;
             }
             self.caller.record_late(env.late);
-            let is_service = Self::is_service(&env.payload);
-            if !is_service {
-                self.service_pending.fetch_sub(1, Ordering::Relaxed);
-            }
             self.process(env);
             self.pending.fetch_sub(1, Ordering::Relaxed);
-            if is_service {
-                self.service_pending.fetch_sub(1, Ordering::Relaxed);
-            }
         }
     }
 
     fn process(self: &Arc<Self>, env: Envelope<Msg>) {
         // Request-leg wire time of the envelope that carried this work in;
-        // it rides out on the reply's trace so the coordinator's aggregate
-        // sees both legs.
+        // it rides out on the reply's trace so the asker's aggregate sees
+        // both legs.
         let wire_ns = env.wire.as_nanos() as u64;
         match env.payload {
-            Msg::Query {
-                rpc,
-                reply_to,
-                query,
-            } => {
-                self.stats
-                    .queries_coordinated
-                    .fetch_add(1, Ordering::Relaxed);
-                let (result, mut trace) = self.coordinate(&query);
-                trace.agg.wire_ns += wire_ns;
-                self.observe_query(&trace, result.is_ok());
-                let _ = self
-                    .caller
-                    .send(reply_to, Msg::QueryResponse { rpc, result, trace });
-            }
             Msg::SubQuery {
                 rpc,
                 reply_to,
@@ -558,260 +449,6 @@ impl NodeCtx {
         }
     }
 
-    // -- Coordinator role ----------------------------------------------------
-
-    /// Evaluate a whole front-end query: split target Cells by owner,
-    /// scatter, gather, merge (Basic mode goes straight to storage). The
-    /// returned [`QueryTrace`] is assembled here and rides back to the
-    /// client in the `QueryResponse`; its `local` view is built from
-    /// disjoint wall segments of this thread, so `local.sum_ns()` can
-    /// never exceed `wall_ns`.
-    fn coordinate(
-        self: &Arc<Self>,
-        query: &stash_model::AggQuery,
-    ) -> (Result<QueryResult, ClusterError>, QueryTrace) {
-        let start = Instant::now();
-        let mut trace = QueryTrace::default();
-        let keys = query
-            .target_keys(self.config.stash.max_cells_per_query)
-            .map_err(|e| ClusterError::BadQuery(e.to_string()));
-        trace.local.route_ns += start.elapsed().as_nanos() as u64;
-        let result = match keys {
-            Err(e) => Err(e),
-            Ok(keys) if keys.is_empty() => Ok(QueryResult::default()),
-            Ok(keys) => match self.config.mode {
-                Mode::Basic => self.coordinate_basic(&keys, &mut trace),
-                Mode::Stash => self.coordinate_stash(&keys, &mut trace),
-            },
-        };
-        trace.wall_ns = start.elapsed().as_nanos() as u64;
-        // The aggregate view covers the whole cluster, this node included.
-        let local = trace.local;
-        trace.agg.add(&local);
-        (result, trace)
-    }
-
-    /// Record one finished coordination into this node's registry.
-    fn observe_query(&self, trace: &QueryTrace, ok: bool) {
-        self.obs.inc(if ok {
-            "query.coordinate.ok"
-        } else {
-            "query.coordinate.err"
-        });
-        self.obs.observe("query.wall", trace.wall_ns);
-        for (hist, (_, ns)) in self.stage_hists.iter().zip(trace.agg.stages()) {
-            if ns > 0 {
-                hist.record(ns);
-            }
-        }
-        if trace.retries > 0 {
-            self.obs.counter("query.retries").add(trace.retries as u64);
-        }
-        if trace.failovers > 0 {
-            self.obs
-                .counter("query.failovers")
-                .add(trace.failovers as u64);
-        }
-    }
-
-    /// Basic system: every query scans blocks; nothing is cached. Keys at
-    /// partition granularity or finer are grouped by owner (their blocks
-    /// are colocated); coarser keys span partitions and go through the
-    /// scatter/merge path. An owner that stays unreachable after retries is
-    /// failed over to the raw-storage path with the dead node excluded, so
-    /// its DFS replicas answer instead (answers stay exact).
-    fn coordinate_basic(
-        self: &Arc<Self>,
-        keys: &[CellKey],
-        trace: &mut QueryTrace,
-    ) -> Result<QueryResult, ClusterError> {
-        let route = Instant::now();
-        let prefix_len = self.store.partitioner().prefix_len();
-        let (local_ownable, spanning): (Vec<CellKey>, Vec<CellKey>) =
-            keys.iter().partition(|k| k.geohash.len() >= prefix_len);
-        let mut summaries: Vec<(CellKey, CellSummary)> = Vec::with_capacity(keys.len());
-        if !local_ownable.is_empty() {
-            let mut by_owner = by_owner(self.store.partitioner(), local_ownable);
-            let own = by_owner.remove(&self.node_idx);
-            // First wave: one scattered attempt per owner, waits in parallel.
-            let mut waits = Vec::with_capacity(by_owner.len());
-            let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
-            for (owner, group) in by_owner {
-                match self.send_fetch(owner, &group, &[]) {
-                    Ok(call) => waits.push((owner, group, call)),
-                    Err(_) => stragglers.push((owner, group)),
-                }
-            }
-            trace.subqueries += waits.len() as u32;
-            trace.local.route_ns += route.elapsed().as_nanos() as u64;
-            if let Some(group) = own {
-                let scan = Instant::now();
-                summaries.extend(
-                    self.store
-                        .fetch_partials(&group)
-                        .map_err(|e| ClusterError::Storage(e.to_string()))?
-                        .into_iter()
-                        .map(|p| (p.key, p.summary)),
-                );
-                trace.local.dfs_ns += scan.elapsed().as_nanos() as u64;
-            }
-            let waited = Instant::now();
-            for (owner, group, call) in waits {
-                match self.wait(call, PARTIALS) {
-                    Ok((Ok(parts), st)) => {
-                        trace.absorb_sub(&st);
-                        summaries.extend(parts);
-                    }
-                    Err(ClusterError::Timeout { .. }) => stragglers.push((owner, group)),
-                    Ok((Err(e), _)) | Err(e) => return Err(e),
-                }
-            }
-            trace.local.wait_ns += waited.elapsed().as_nanos() as u64;
-            for (owner, group) in stragglers {
-                let retried = |acc: &mut StageTimes| self.fetch_retried(owner, &group, &[], acc);
-                summaries.extend(self.straggler(owner, &group, trace, retried, |parts| parts)?);
-            }
-        } else {
-            trace.local.route_ns += route.elapsed().as_nanos() as u64;
-        }
-        if !spanning.is_empty() {
-            let span = Instant::now();
-            let mut acc = StageTimes::default();
-            let parts = self.gather_partials(&spanning, &[], &mut acc);
-            trace.local.dfs_ns += span.elapsed().as_nanos() as u64;
-            trace.absorb_sub(&acc);
-            summaries.extend(parts?);
-        }
-        let merge = Instant::now();
-        let mut cells: Vec<Cell> = summaries
-            .into_iter()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(key, summary)| Cell { key, summary })
-            .collect();
-        cells.sort_by_key(|c| c.key);
-        cells.dedup_by_key(|c| c.key);
-        trace.local.merge_ns += merge.elapsed().as_nanos() as u64;
-        Ok(QueryResult {
-            misses: keys.len(),
-            cells,
-            ..Default::default()
-        })
-    }
-
-    /// STASH system: scatter SubQueries to Cell owners, gather, merge. Owner
-    /// failures degrade per group: retry with backoff, then bypass the dead
-    /// owner's STASH graph entirely and recompute its Cells from DFS
-    /// replicas ([`NodeCtx::gather_partials`] with the owner excluded).
-    fn coordinate_stash(
-        self: &Arc<Self>,
-        keys: &[CellKey],
-        trace: &mut QueryTrace,
-    ) -> Result<QueryResult, ClusterError> {
-        let route = Instant::now();
-        let mut by_owner = by_owner(self.store.partitioner(), keys.iter().copied());
-        let own = by_owner.remove(&self.node_idx);
-        let mut waits = Vec::with_capacity(by_owner.len() + 1);
-        let mut stragglers: Vec<(usize, Vec<CellKey>)> = Vec::new();
-        for (owner, group) in by_owner {
-            match self.send_subquery(owner, &group, true) {
-                Ok(call) => waits.push((owner, group, call)),
-                Err(_) => stragglers.push((owner, group)),
-            }
-        }
-        // Our own share is data-service work like any SubQuery we receive:
-        // a hotspotted node sheds it to a covering helper the same way, or
-        // else evaluates it inline (no message round-trip and no risk of
-        // waiting on our own queue).
-        let own = own.and_then(|group| {
-            let reroute = |helper: usize| {
-                self.caller
-                    .call(helper, |rpc, reply_to| Msg::SubQuery {
-                        rpc,
-                        reply_to,
-                        keys: group.clone(),
-                        allow_reroute: false,
-                        via_guest: true,
-                    })
-                    .ok()
-            };
-            match self.shed(&group, reroute) {
-                Some(call) => {
-                    waits.push((self.node_idx, group, call));
-                    None
-                }
-                None => Some(group),
-            }
-        });
-        trace.subqueries += waits.len() as u32;
-        trace.local.route_ns += route.elapsed().as_nanos() as u64;
-        // Our own share runs on this very thread: its stage times are local
-        // wall segments, not a fan-out contribution.
-        let mut merged = match own {
-            Some(group) => {
-                let (result, st) = self.eval_own_share(&group);
-                trace.local.add(&st);
-                result?
-            }
-            None => QueryResult::default(),
-        };
-        let waited = Instant::now();
-        for (owner, group, call) in waits {
-            match self.wait(call, SUB_RESULT) {
-                Ok((Ok(part), st)) => {
-                    trace.absorb_sub(&st);
-                    absorb(&mut merged, part);
-                }
-                Ok((Err(e), _)) | Err(e) if e.is_transient() => stragglers.push((owner, group)),
-                Ok((Err(e), _)) | Err(e) => return Err(e),
-            }
-        }
-        trace.local.wait_ns += waited.elapsed().as_nanos() as u64;
-        for (owner, group) in stragglers {
-            if owner == self.node_idx {
-                // A shed share of ours whose helper did not answer.
-                let (result, st) = self.eval_own_share(&group);
-                trace.local.add(&st);
-                absorb(&mut merged, result?);
-                continue;
-            }
-            let retried = |acc: &mut StageTimes| self.subquery_retried(owner, &group, acc);
-            // Empty summaries are dropped exactly as `evaluate` drops them,
-            // so a failed-over share matches the fault-free path.
-            let failed_over = |parts: Vec<(CellKey, CellSummary)>| QueryResult {
-                cells: parts
-                    .into_iter()
-                    .filter(|(_, s)| !s.is_empty())
-                    .map(|(key, summary)| Cell { key, summary })
-                    .collect(),
-                misses: group.len(),
-                ..QueryResult::default()
-            };
-            let part = self.straggler(owner, &group, trace, retried, failed_over)?;
-            absorb(&mut merged, part);
-        }
-        let merge = Instant::now();
-        merged.cells.sort_by_key(|c| c.key);
-        merged.cells.dedup_by_key(|c| c.key);
-        trace.local.merge_ns += merge.elapsed().as_nanos() as u64;
-        Ok(merged)
-    }
-
-    /// This node's own share of a query it coordinates, evaluated on the
-    /// coordinating thread. It is data-service work like a SubQuery this
-    /// node receives: it counts towards the hotspot predicate while it runs
-    /// (so the port lets further work fall through to the main thread's
-    /// hotspot check) and marks the level a Clique Handoff replicates.
-    fn eval_own_share(
-        self: &Arc<Self>,
-        keys: &[CellKey],
-    ) -> (Result<QueryResult, ClusterError>, StageTimes) {
-        self.service_pending.fetch_add(1, Ordering::Relaxed);
-        self.note_hot_level(keys);
-        let evaluated = self.eval_subquery_traced(keys, false);
-        self.service_pending.fetch_sub(1, Ordering::Relaxed);
-        evaluated
-    }
-
     /// Remember the level of the latest share served here: where a
     /// hotspot's Cliques live.
     fn note_hot_level(&self, keys: &[CellKey]) {
@@ -820,27 +457,33 @@ impl NodeCtx {
         }
     }
 
-    /// The reroute decision of §VII-C, for every share this node would
-    /// serve from its local graph — a SubQuery it received or its own share
-    /// of a query it coordinates: while the node is hotspotted and one
-    /// helper hosts every key, shed the share to it with the configured
-    /// probability. `send` hands the helper a `via_guest` SubQuery and
-    /// returns what the caller keeps of it, `None` when the fabric refused;
-    /// then the helper crashed since its route was recorded, its routes are
-    /// dropped and the share stays here.
-    fn shed<T>(&self, keys: &[CellKey], send: impl FnOnce(usize) -> Option<T>) -> Option<T> {
+    /// The reroute decision of §VII-C for a SubQuery this node received:
+    /// while the node is hotspotted and one helper hosts every key, forward
+    /// the share to it with the configured probability, as a `via_guest`
+    /// SubQuery the helper answers straight to the sender. Returns whether
+    /// the share left. A forward the fabric refuses means the helper
+    /// crashed since its route was recorded: its routes are dropped and the
+    /// share stays here.
+    fn shed(&self, rpc: u64, reply_to: NodeId, keys: &[CellKey]) -> bool {
         if !self.is_hotspotted() {
-            return None;
+            return false;
         }
         let decision = self.routing.lock().decide(keys);
         let RouteDecision::Covered { helper } = decision else {
-            return None;
+            return false;
         };
         if !self.flip(self.config.stash.reroute_probability) {
-            return None;
+            return false;
         }
-        let sent = send(helper);
-        if sent.is_some() {
+        let forwarded = Msg::SubQuery {
+            rpc,
+            reply_to,
+            keys: keys.to_vec(),
+            allow_reroute: false,
+            via_guest: true,
+        };
+        let sent = self.caller.send(NodeId(helper), forwarded);
+        if sent {
             self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
             self.obs.inc("handoff.reroute");
         } else {
@@ -849,117 +492,20 @@ impl NodeCtx {
         sent
     }
 
-    /// A straggling owner's share, second wave: asked again under the retry
-    /// policy (`retried`) and, if the owner stays dark, recomputed from raw
-    /// storage with the owner excluded, reading its blocks off the replica
-    /// chain (`failed_over` makes those partials an answer).
-    fn straggler<T>(
-        self: &Arc<Self>,
-        owner: usize,
-        group: &[CellKey],
-        trace: &mut QueryTrace,
-        retried: impl FnOnce(&mut StageTimes) -> Result<T, ClusterError>,
-        failed_over: impl FnOnce(Vec<(CellKey, CellSummary)>) -> T,
-    ) -> Result<T, ClusterError> {
-        trace.retries += 1;
-        let started = Instant::now();
-        let mut acc = StageTimes::default();
-        let outcome = match retried(&mut acc) {
-            Err(e) if e.is_transient() => {
-                trace.failovers += 1;
-                self.gather_partials(group, &[owner], &mut acc)
-                    .map(failed_over)
-            }
-            outcome => outcome,
-        };
-        trace.local.retry_ns += started.elapsed().as_nanos() as u64;
-        trace.absorb_sub(&acc);
-        outcome
-    }
-
     /// Wait for a reply to one of this node's sub-RPCs.
     fn wait<T>(&self, call: Call, reply: Reply<T>) -> Result<T, ClusterError> {
         self.caller.wait(call, self.config.sub_rpc_timeout, reply)
     }
 
-    /// One SubQuery for `keys` to their owner.
-    fn send_subquery(
-        &self,
-        owner: usize,
-        keys: &[CellKey],
-        allow_reroute: bool,
-    ) -> Result<Call, ClusterError> {
-        self.caller.call(owner, |rpc, reply_to| Msg::SubQuery {
-            rpc,
-            reply_to,
-            keys: keys.to_vec(),
-            allow_reroute,
-            via_guest: false,
-        })
-    }
-
-    /// One FetchPartials for `keys` to a block owner under `exclude`.
-    fn send_fetch(
-        &self,
-        owner: usize,
-        keys: &[CellKey],
-        exclude: &[usize],
-    ) -> Result<Call, ClusterError> {
-        self.caller.call(owner, |rpc, reply_to| Msg::FetchPartials {
-            rpc,
-            reply_to,
-            keys: keys.to_vec(),
-            exclude: exclude.to_vec(),
-        })
-    }
-
-    /// A straggling owner's SubQuery, asked again under the retry policy.
-    /// A [`ClusterError::RerouteRefused`] answer (stale guest route) is
-    /// resent at once, straight to the owner, inside the same attempt.
-    ///
-    /// `acc` collects the remote party's stage times (on any answered
-    /// attempt) plus this thread's backoff naps, for the trace's aggregate
-    /// view.
-    fn subquery_retried(
-        &self,
-        owner: usize,
-        keys: &[CellKey],
-        acc: &mut StageTimes,
-    ) -> Result<QueryResult, ClusterError> {
-        let mut allow_reroute = true;
-        let attempts = self.config.sub_rpc_retries + 1;
-        let (outcome, napped) = self.caller.retry(owner as u64, attempts, false, || loop {
-            let call = self.send_subquery(owner, keys, allow_reroute)?;
-            let (result, st) = self.wait(call, SUB_RESULT)?;
-            acc.add(&st);
-            match result {
-                Err(ClusterError::RerouteRefused { .. }) if allow_reroute => allow_reroute = false,
-                result => return result,
-            }
-        });
-        acc.retry_ns += napped.as_nanos() as u64;
-        outcome
-    }
-
-    /// A block owner's FetchPartials, asked again under the retry policy.
-    /// `acc` collects the responder's stage times and the backoff naps.
-    fn fetch_retried(
-        &self,
-        owner: usize,
-        keys: &[CellKey],
-        exclude: &[usize],
-        acc: &mut StageTimes,
-    ) -> Result<Vec<(CellKey, CellSummary)>, ClusterError> {
-        let attempts = self.config.sub_rpc_retries + 1;
-        let salt = owner as u64 ^ 0xF00D;
-        let (outcome, napped) = self.caller.retry(salt, attempts, false, || {
-            let call = self.send_fetch(owner, keys, exclude)?;
-            let (result, st) = self.wait(call, PARTIALS)?;
-            acc.add(&st);
-            result
-        });
-        acc.retry_ns += napped.as_nanos() as u64;
-        outcome
+    /// This node's view of storage for a gather: its own blocks are scanned
+    /// on the gathering thread.
+    pub(crate) fn gatherer(&self) -> Gatherer<'_> {
+        Gatherer {
+            caller: &self.caller,
+            config: &self.config,
+            partitioner: self.store.partitioner(),
+            store: Some(&self.store),
+        }
     }
 
     // -- Owner role ------------------------------------------------------------
@@ -980,17 +526,30 @@ impl NodeCtx {
     /// DFS span covers the whole fetch wall, including wire time and retry
     /// sleeps of any cross-node gathers; those shares are reclassified out
     /// of `dfs_ns` here so the stages stay disjoint.
+    ///
+    /// In [`Mode::Basic`] — the bare storage system — the share is gathered
+    /// from blocks outright: no graph, no rollup, no serve cost.
     pub(crate) fn eval_subquery_traced(
         self: &Arc<Self>,
         keys: &[CellKey],
         via_guest: bool,
     ) -> (Result<QueryResult, ClusterError>, StageTimes) {
-        let _serving = self.serving.take();
-        let graph = if via_guest { &self.guest } else { &self.graph };
         let mut st = StageTimes::default();
+        if self.config.mode == Mode::Basic {
+            let scan = Instant::now();
+            let mut acc = StageTimes::default();
+            let result = self
+                .gatherer()
+                .gather_partials(keys, &[], &mut acc)
+                .map(|parts| recomputed(parts, keys.len()));
+            st.dfs_ns = scan.elapsed().as_nanos() as u64;
+            reclassify_gather(&mut st, &acc);
+            return (result, st);
+        }
+        let graph = if via_guest { &self.guest } else { &self.graph };
         if via_guest {
             // A rerouted subquery whose Cells were purged (or never hosted)
-            // is refused — the coordinator resends to the owner directly.
+            // is refused — the sender resends to the owner directly.
             // Serving it here would silently grow the guest graph with
             // Cells nobody handed off.
             if !self.guestbook.lock().hosts_any(keys) {
@@ -1035,16 +594,21 @@ impl NodeCtx {
                 return (Ok(result), st);
             }
         }
-        let this = Arc::clone(self);
-        let gather_acc = Arc::new(Mutex::new(StageTimes::default()));
-        let fetch_acc = Arc::clone(&gather_acc);
-        let fetch = move |missing: &[CellKey]| {
+        let gather_acc = Mutex::new(StageTimes::default());
+        // The evaluator's fetch contract is stringly typed (it belongs to
+        // the core layer); by then retries and failover are exhausted, so
+        // whatever error remains is final either way.
+        let fetch = |missing: &[CellKey]| {
             #[cfg(test)]
-            this.fire(tests::Site::MidFetch);
+            self.fire(tests::Site::MidFetch);
             let mut acc = StageTimes::default();
-            let cells = this.gather_partials_as_cells(missing, &mut acc);
-            fetch_acc.lock().add(&acc);
-            cells
+            let parts = self.gatherer().gather_partials(missing, &[], &mut acc);
+            gather_acc.lock().add(&acc);
+            Ok(parts
+                .map_err(|e| e.to_string())?
+                .into_iter()
+                .map(|(key, summary)| Cell { key, summary })
+                .collect())
         };
         let epoch0 = self.fence.begin();
         let result = match evaluate_traced(graph, keys, &fetch) {
@@ -1080,10 +644,7 @@ impl NodeCtx {
                     .add(overlap.restale.len() as u64);
             }
         }
-        let acc = *gather_acc.lock();
-        st.dfs_ns = st.dfs_ns.saturating_sub(acc.wire_ns + acc.retry_ns);
-        st.wire_ns += acc.wire_ns;
-        st.retry_ns += acc.retry_ns;
+        reclassify_gather(&mut st, &gather_acc.into_inner());
         // Modeled serve cost: lookup/merge/serialize per Cell on the
         // paper's hardware, charged as virtual time (DESIGN.md §2).
         let serve = self.config.cell_service_cost * keys.len() as u32;
@@ -1277,147 +838,6 @@ impl NodeCtx {
         all_ok
     }
 
-    // -- Storage scatter/gather -------------------------------------------------
-
-    /// Complete summaries for `keys` by merging per-partition partials
-    /// (local scan for owned blocks, one forwarded FetchPartials hop for
-    /// blocks on peers — the paper's "up to one query forwarding", §IV-D).
-    ///
-    /// `base_exclude` seeds the dead-node set for failover reads; owners
-    /// that stay unreachable after retries are added to it and the whole
-    /// gather replans, walking each dead node's blocks down the DFS replica
-    /// chain. Merged answers are exact as long as any replica survives.
-    fn gather_partials(
-        self: &Arc<Self>,
-        keys: &[CellKey],
-        base_exclude: &[usize],
-        acc: &mut StageTimes,
-    ) -> Result<Vec<(CellKey, CellSummary)>, ClusterError> {
-        let mut exclude = base_exclude.to_vec();
-        let n_nodes = self.store.partitioner().n_nodes();
-        loop {
-            match self.try_gather(keys, &exclude, acc) {
-                Ok(out) => return Ok(out),
-                Err(GatherFailure::Owner(node, err)) => {
-                    if exclude.contains(&node) || exclude.len() + 1 >= n_nodes {
-                        return Err(err); // replica chain exhausted
-                    }
-                    exclude.push(node);
-                }
-                Err(GatherFailure::Fatal(err)) => return Err(err),
-            }
-        }
-    }
-
-    /// One gather round under a fixed exclusion set. An unreachable owner
-    /// aborts the round with [`GatherFailure::Owner`] so the caller can
-    /// grow the exclusion and replan.
-    fn try_gather(
-        self: &Arc<Self>,
-        keys: &[CellKey],
-        exclude: &[usize],
-        acc: &mut StageTimes,
-    ) -> Result<Vec<(CellKey, CellSummary)>, GatherFailure> {
-        // Which nodes effectively own blocks relevant to these keys?
-        let plan = plan_blocks(
-            keys,
-            self.store.block_len(),
-            self.store.data_bbox(),
-            self.store.data_time(),
-            self.config.stash.max_blocks_per_fetch,
-        )
-        .map_err(|e| GatherFailure::Fatal(ClusterError::Storage(e.to_string())))?;
-        let mut owners: Vec<usize> = plan
-            .keys()
-            .map(|bk| {
-                self.store
-                    .partitioner()
-                    .owner_excluding(bk.geohash, exclude)
-            })
-            .collect();
-        owners.sort_unstable();
-        owners.dedup();
-
-        // Every remote owner gets its FetchPartials before this node scans
-        // its own blocks, so the round costs max(local, slowest remote), not
-        // local + slowest remote.
-        let mut waits = Vec::new();
-        for &owner in owners.iter().filter(|&&o| o != self.node_idx) {
-            // A refused send aborts the round; peers' replies for it land
-            // in removed slots and are dropped.
-            let call = self
-                .send_fetch(owner, keys, exclude)
-                .map_err(|e| GatherFailure::Owner(owner, e))?;
-            waits.push(call);
-        }
-        let mut local: Vec<(CellKey, CellSummary)> = Vec::new();
-        if owners.contains(&self.node_idx) {
-            let scan = Instant::now();
-            local = self
-                .store
-                .fetch_partials_excluding(keys, exclude)
-                .map(|v| v.into_iter().map(|p| (p.key, p.summary)).collect())
-                .map_err(|e| GatherFailure::Fatal(ClusterError::Storage(e.to_string())))?;
-            acc.dfs_ns += scan.elapsed().as_nanos() as u64;
-        }
-        // Merge partials per key; keys with no observations end up with an
-        // empty summary (a valid "computed, empty" answer).
-        let n_attrs = self.config.n_attrs;
-        let mut merged: HashMap<CellKey, CellSummary> = keys
-            .iter()
-            .map(|&k| (k, CellSummary::empty(n_attrs)))
-            .collect();
-        let mut sketch_merges = 0u64;
-        absorb_fragment(&mut merged, &mut sketch_merges, local)?;
-        let mut dead: Option<(usize, ClusterError)> = None;
-        for call in waits {
-            let owner = call.node;
-            match self.wait(call, PARTIALS) {
-                Ok((Ok(parts), st)) => {
-                    acc.add(&st);
-                    absorb_fragment(&mut merged, &mut sketch_merges, parts)?;
-                }
-                // Retry this owner alone before declaring it dead; keep
-                // draining the other waits either way.
-                Err(ClusterError::Timeout { .. }) if dead.is_none() => {
-                    match self.fetch_retried(owner, keys, exclude, acc) {
-                        Ok(parts) => absorb_fragment(&mut merged, &mut sketch_merges, parts)?,
-                        Err(e) if e.is_transient() => dead = Some((owner, e)),
-                        Err(e) => return Err(GatherFailure::Fatal(e)),
-                    }
-                }
-                Err(ClusterError::Timeout { .. }) => {}
-                Ok((Err(e), _)) | Err(e) => return Err(GatherFailure::Fatal(e)),
-            }
-        }
-        if let Some((node, err)) = dead {
-            return Err(GatherFailure::Owner(node, err));
-        }
-        if sketch_merges > 0 {
-            self.obs.counter("sketch.merges").add(sketch_merges);
-        }
-        let mut out: Vec<(CellKey, CellSummary)> = merged.into_iter().collect();
-        out.sort_by_key(|(k, _)| *k);
-        Ok(out)
-    }
-
-    /// [`gather_partials`] shaped for the evaluator's fetch contract. The
-    /// evaluator's `FetchFn` is stringly typed (it belongs to the core
-    /// layer); by this point retries and failover are already exhausted, so
-    /// whatever error remains is final either way.
-    fn gather_partials_as_cells(
-        self: &Arc<Self>,
-        keys: &[CellKey],
-        acc: &mut StageTimes,
-    ) -> Result<Vec<Cell>, String> {
-        Ok(self
-            .gather_partials(keys, &[], acc)
-            .map_err(|e| e.to_string())?
-            .into_iter()
-            .map(|(key, summary)| Cell { key, summary })
-            .collect())
-    }
-
     // -- Hotspot handling ---------------------------------------------------------
 
     fn maybe_start_handoff(self: &Arc<Self>) {
@@ -1598,30 +1018,12 @@ impl NodeCtx {
     }
 }
 
-/// Add one owner's share of an answer to the answer so far: its Cells, and
-/// its four hit counters. The merged Cells are sorted and deduplicated once
-/// every share is in.
-pub(crate) fn absorb(merged: &mut QueryResult, part: QueryResult) {
-    merged.cells.extend(part.cells);
-    merged.cache_hits += part.cache_hits;
-    merged.derived_hits += part.derived_hits;
-    merged.misses += part.misses;
-    merged.rollup_hits += part.rollup_hits;
-}
-
-/// `keys` grouped by the node that owns them, in node order.
-pub(crate) fn by_owner(
-    partitioner: &Partitioner,
-    keys: impl IntoIterator<Item = CellKey>,
-) -> BTreeMap<usize, Vec<CellKey>> {
-    let mut groups: BTreeMap<usize, Vec<CellKey>> = BTreeMap::new();
-    for key in keys {
-        groups
-            .entry(partitioner.owner_of_cell(&key))
-            .or_default()
-            .push(key);
-    }
-    groups
+/// Move a gather's wire time and retry naps, which its DFS span `st`
+/// measured as part of its wall, out of `dfs_ns` into their own stages.
+fn reclassify_gather(st: &mut StageTimes, acc: &StageTimes) {
+    st.dfs_ns = st.dfs_ns.saturating_sub(acc.wire_ns + acc.retry_ns);
+    st.wire_ns += acc.wire_ns;
+    st.retry_ns += acc.retry_ns;
 }
 
 /// The identity of one append batch: the distinct finest-level

@@ -1,10 +1,12 @@
 //! Unit tests of the node runtime: the gather's wire boundary, the ingest
-//! fence under fixed interleavings, the Clique Handoff under the fence, and
-//! the equivalence of level-projected append propagation with the retained
-//! 48-level reference.
+//! fence under fixed interleavings, the Clique Handoff under the fence, the
+//! hotspot predicate, per-site retry counts, and the equivalence of
+//! level-projected append propagation with the retained 48-level reference.
 
 use super::*;
 use crate::fence::FENCE_LOG_LEN;
+use crate::gather::{absorb_fragment, send_fetch, GatherFailure};
+use crate::protocol::PARTIALS;
 use crate::{ClusterConfig, RollupPolicy, SimCluster};
 use proptest::prelude::*;
 use stash_data::GeneratorConfig;
@@ -15,7 +17,7 @@ use stash_ingest::AppendSink;
 use stash_model::level::NUM_LEVELS;
 use stash_model::{AggQuery, SketchSpec};
 use stash_net::NetConfig;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::str::FromStr;
 
 // -- Fixed interleavings ------------------------------------------------------
@@ -126,7 +128,6 @@ fn live_blocks() -> Vec<BlockKey> {
 fn test_config(n_nodes: usize) -> ClusterConfig {
     ClusterConfig::builder()
         .n_nodes(n_nodes)
-        .coord_workers(1)
         .service_workers(1)
         .fetch_workers(1)
         .disk(DiskModel::free())
@@ -390,8 +391,7 @@ fn a_fetch_partials_backlog_starts_a_handoff() {
             let keys = CellKey::new(tile("9q8"), day(d))
                 .spatial_children()
                 .unwrap();
-            peer.send_fetch(home_idx, &keys, &[])
-                .expect("the fabric is up")
+            send_fetch(&peer.caller, home_idx, &keys, &[]).expect("the fabric is up")
         })
         .collect();
     let fetches = waits.len();
@@ -412,31 +412,33 @@ fn a_fetch_partials_backlog_starts_a_handoff() {
     cluster.shutdown();
 }
 
-// -- A coordinator's own share is service work --------------------------------
+// -- The hotspot predicate ----------------------------------------------------
 
-/// The hotspot predicate counts what a node has to serve: a Query while it
-/// waits in the queue, then — once a coordinator takes it — its own share
-/// while it runs, which also marks the share's level as the one a handoff
-/// replicates. The coordination itself is not counted.
+/// The hotspot predicate counts what a node has to serve (§VII-B1): a
+/// SubQuery queued behind a running one counts, and so does the running
+/// one, which also marks its share's level as the one a handoff replicates.
 #[test]
-fn a_queued_query_and_a_running_own_share_count_as_service_work() {
+fn a_queued_and_a_running_subquery_count_toward_the_hotspot() {
     let cluster = SimCluster::new(test_config(1));
     let node = cluster.node(0);
     // Res-5 Cells: not the level `hot_level` starts at.
     let cell = viewport()[0];
     let query = AggQuery::new(cell.geohash.bbox(), cell.time.range(), 5, TemporalRes::Day);
+    let keys = query.target_keys(100_000).unwrap();
     let level = Level::of(5, TemporalRes::Day).unwrap().index();
+    assert_ne!(node.hot_level.load(Ordering::Relaxed), level);
     let seen = Arc::new(Mutex::new(None));
     let probe = Arc::clone(&seen);
-    let behind = query.clone();
-    // Parked on the node's one coordinator, mid-evaluation of its share.
+    // Parked on the node's one service worker, mid-evaluation of the share.
     node.park(Site::MidFetch, move |node| {
-        let running = node.service_pending.load(Ordering::Relaxed);
+        let running = node.pending();
         let gateway = NodeId(node.store.partitioner().n_nodes());
-        let queued = Msg::Query {
+        let queued = Msg::SubQuery {
             rpc: u64::MAX,
             reply_to: gateway,
-            query: behind,
+            keys,
+            allow_reroute: false,
+            via_guest: false,
         };
         assert!(node
             .caller
@@ -444,78 +446,30 @@ fn a_queued_query_and_a_running_own_share_count_as_service_work() {
             .send(node.caller.id, node.caller.id, queued, 64));
         *probe.lock() = Some((
             running,
-            node.service_pending.load(Ordering::Relaxed),
+            node.pending(),
             node.hot_level.load(Ordering::Relaxed),
         ));
     });
-    cluster.client().query(&query).at(0).run().unwrap();
+    cluster.client().query(&query).run().unwrap();
     assert_eq!(*seen.lock(), Some((1, 2, level)));
     let started = Instant::now();
     while node.pending() > 0 {
         assert!(
             started.elapsed() < Duration::from_secs(10),
-            "the queued Query never ran"
+            "the queued SubQuery never ran"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(node.service_pending.load(Ordering::Relaxed), 0);
-    cluster.shutdown();
-}
-
-/// A hotspotted coordinator whose own share a helper covers sheds that
-/// share exactly as it sheds a SubQuery it receives: the helper serves it
-/// from its guest graph, every reroute is one guest serve, and the answer
-/// is the one the home would have given.
-#[test]
-fn a_hotspotted_home_sheds_its_own_share_to_the_covering_helper() {
-    let mut config = test_config(2);
-    config.stash.reroute_probability = 1.0;
-    let cluster = SimCluster::new(config);
-    let members = viewport();
-    let home_idx = cluster
-        .node(0)
-        .store
-        .partitioner()
-        .owner_of_cell(&members[0]);
-    let (home, helper) = (cluster.node(home_idx), cluster.node(1 - home_idx));
-    let mut served_home = home.eval_subquery(&members, false).unwrap().cells;
-    let clique = stash_core::Clique {
-        root: CellKey::new(tile("9q8"), day(2)),
-        members: members.clone(),
-        cumulative_freshness: 1.0,
-    };
-    assert!(home.try_replicate_to(&clique, helper.node_idx));
-    let reroutes = || home.stats.reroutes.load(Ordering::Relaxed);
-    let guest_serves = || helper.stats.guest_serves.load(Ordering::Relaxed);
-
-    let backlog = home.config.stash.hotspot_threshold + 1;
-    home.service_pending.fetch_add(backlog, Ordering::Relaxed);
-    let mut trace = QueryTrace::default();
-    let mut shed = home.coordinate_stash(&members, &mut trace).unwrap().cells;
-    home.service_pending.fetch_sub(backlog, Ordering::Relaxed);
-    assert_eq!(
-        trace.subqueries, 1,
-        "the own share went out as one SubQuery"
-    );
-    assert_eq!((reroutes(), guest_serves()), (1, 1));
-    shed.sort_by_key(|c| c.key);
-    served_home.sort_by_key(|c| c.key);
-    assert_eq!(shed, served_home);
-
-    // Not hotspotted: the share is the home's to serve again.
-    let mut trace = QueryTrace::default();
-    home.coordinate_stash(&members, &mut trace).unwrap();
-    assert_eq!(trace.subqueries, 0);
-    assert_eq!((reroutes(), guest_serves()), (1, 1));
+    assert_eq!(node.stats.subqueries.load(Ordering::Relaxed), 2);
     cluster.shutdown();
 }
 
 /// A front end's share that a hotspotted owner sheds along a stale guest
 /// route — the helper hosts none of its keys — comes back refused and is
-/// sent once more, straight to the owner: a caching client still gets the
-/// exact answer, not the refusal.
+/// sent once more, straight to the owner: the client gets the exact
+/// answer, not the refusal.
 #[test]
-fn a_caching_client_resends_a_share_a_stale_route_got_refused() {
+fn the_front_end_resends_a_share_a_stale_route_got_refused() {
     let mut config = test_config(2);
     config.stash.reroute_probability = 1.0;
     config.enable_replication = false;
@@ -536,12 +490,13 @@ fn a_caching_client_resends_a_share_a_stale_route_got_refused() {
         .insert(root, helper.node_idx, &members, home.clock.now());
 
     let query = AggQuery::new(root.geohash.bbox(), root.time.range(), 4, TemporalRes::Day);
-    let client = cluster.caching_client(10_000);
     let backlog = home.config.stash.hotspot_threshold + 1;
-    home.service_pending.fetch_add(backlog, Ordering::Relaxed);
-    let answer = client.query(&query);
-    home.service_pending.fetch_sub(backlog, Ordering::Relaxed);
-    assert_eq!(answer.expect("resent to the owner").cells, want);
+    home.pending.fetch_add(backlog, Ordering::Relaxed);
+    let answer = cluster.client().query(&query).traced().run();
+    home.pending.fetch_sub(backlog, Ordering::Relaxed);
+    let (answer, trace) = answer.expect("resent to the owner");
+    assert_eq!(answer.cells, want);
+    assert_eq!((trace.retries, trace.failovers), (1, 0));
     assert_eq!(home.stats.reroutes.load(Ordering::Relaxed), 1);
     assert_eq!(counter(helper, "handoff.guest.refuse"), 1);
     cluster.shutdown();
@@ -550,9 +505,9 @@ fn a_caching_client_resends_a_share_a_stale_route_got_refused() {
 // -- Retry counts per site, with the peer partitioned away --------------------
 
 /// Two nodes with short deadlines and naps, two retries per sub-RPC, and the
-/// owner of [`viewport`] partitioned away from the other: `(cluster, from,
-/// owner)`. Every message to the owner is lost, so its per-destination send
-/// count is exactly the number of attempts made on it.
+/// owner of [`viewport`] partitioned away from the other node and the front
+/// end: `(cluster, from, owner)`. Every message to the owner is lost, so its
+/// per-destination send count is exactly the number of attempts made on it.
 fn partitioned_pair() -> (SimCluster, usize, usize) {
     let mut config = test_config(2);
     config.sub_rpc_timeout = Duration::from_millis(40);
@@ -565,7 +520,10 @@ fn partitioned_pair() -> (SimCluster, usize, usize) {
         .partitioner()
         .owner_of_cell(&viewport()[0]);
     let from = 1 - owner;
-    cluster.router().set_partition(&[vec![from], vec![owner]]);
+    let gateway = cluster.n_nodes();
+    cluster
+        .router()
+        .set_partition(&[vec![from, gateway], vec![owner]]);
     (cluster, from, owner)
 }
 
@@ -575,12 +533,18 @@ fn retries(cluster: &SimCluster) -> u64 {
 
 #[test]
 fn a_dark_owner_gets_its_first_wave_subquery_then_retries_plus_one_more() {
-    let (cluster, from, owner) = partitioned_pair();
-    let mut trace = QueryTrace::default();
-    let mut answer = cluster
-        .node(from)
-        .coordinate_stash(&viewport(), &mut trace)
-        .unwrap();
+    let (cluster, _, owner) = partitioned_pair();
+    let root = CellKey::new(tile("9q8"), day(2));
+    let query = AggQuery::new(root.geohash.bbox(), root.time.range(), 4, TemporalRes::Day);
+    let sorted = |mut keys: Vec<CellKey>| {
+        keys.sort_unstable();
+        keys
+    };
+    assert_eq!(
+        sorted(query.target_keys(100_000).unwrap()),
+        sorted(viewport())
+    );
+    let (mut answer, trace) = cluster.client().query(&query).traced().run().unwrap();
     assert_eq!(
         cluster.net_stats().node_sent(owner),
         1 + (retries(&cluster) + 1)
@@ -604,6 +568,7 @@ fn a_dark_gather_owner_is_retried_once_then_excluded() {
     let mut acc = StageTimes::default();
     let parts = cluster
         .node(from)
+        .gatherer()
         .gather_partials(&viewport(), &[], &mut acc)
         .unwrap();
     assert_eq!(parts.len(), viewport().len());
@@ -629,7 +594,7 @@ fn a_dark_peer_gets_at_least_six_invalidate_retries() {
 
 // -- Reply ids across a restart ------------------------------------------------
 
-/// A peer's worker that answers after its coordinator crashed and came back
+/// A peer's worker that answers after the node that asked crashed and came back
 /// addresses the new incarnation with the old reply id: it must find no
 /// slot there — not one of the new node's own requests — and be counted.
 #[test]

@@ -11,9 +11,9 @@
 
 use stash_dfs::BlockKey;
 use stash_model::flat::KEY_WORDS;
-use stash_model::{AggQuery, Cell, CellKey, CellSummary, FlatPartials, Observation, QueryResult};
+use stash_model::{Cell, CellKey, CellSummary, FlatPartials, Observation, QueryResult};
 use stash_net::NodeId;
-use stash_obs::{QueryTrace, StageTimes};
+use stash_obs::StageTimes;
 use std::sync::Arc;
 
 /// Bytes of the flat list envelope: one magic word plus one count word.
@@ -34,7 +34,7 @@ pub enum ClusterError {
     /// the fabric is shutting down).
     Unreachable { node: usize },
     /// A rerouted (guest-graph) subquery reached a helper that no longer
-    /// hosts the Cells; the coordinator must resend to the owner with
+    /// hosts the Cells; the asker must resend to the owner with
     /// `allow_reroute` cleared.
     RerouteRefused { helper: usize },
     /// The storage layer failed (block planning, incomplete fetch).
@@ -85,25 +85,10 @@ impl std::error::Error for ClusterError {}
 /// message is delivered as two independent envelopes.
 #[derive(Debug, Clone)]
 pub enum Msg {
-    // ---- Client path -------------------------------------------------------
-    /// Front-end query arriving at a coordinator node.
-    Query {
-        rpc: u64,
-        reply_to: NodeId,
-        query: AggQuery,
-    },
-    /// Final answer back to the client gateway, with the coordinator's
-    /// assembled per-stage trace riding alongside the result.
-    QueryResponse {
-        rpc: u64,
-        result: Result<QueryResult, ClusterError>,
-        trace: QueryTrace,
-    },
-
-    // ---- Coordinator → owner scatter/gather --------------------------------
-    /// Evaluate these Cells (all owned by the destination) against STASH.
-    /// `allow_reroute` is cleared on the fallback resend after a failed
-    /// guest-graph hit, preventing ping-pong.
+    // ---- Front end → owner scatter/gather ------------------------------------
+    /// Evaluate these Cells (all owned by the destination) against STASH —
+    /// or, in Basic mode, straight from blocks. `allow_reroute` is cleared
+    /// on the resend after a failed guest-graph hit, preventing ping-pong.
     SubQuery {
         rpc: u64,
         reply_to: NodeId,
@@ -287,21 +272,6 @@ fn unexpected<T>(reply: Msg) -> Result<T, ClusterError> {
     )))
 }
 
-/// A coordinator's answer to the front end, with the whole trace; the
-/// client-bound leg is folded into its aggregate view.
-pub(crate) const QUERY_REPLY: Reply<(Result<QueryResult, ClusterError>, QueryTrace)> = Reply {
-    op: "query",
-    read: |reply, wire_ns| match reply {
-        Msg::QueryResponse {
-            result, mut trace, ..
-        } => {
-            trace.agg.wire_ns += wire_ns;
-            Ok((result, trace))
-        }
-        other => unexpected(other),
-    },
-};
-
 /// An owner's share of a scatter.
 pub(crate) const SUB_RESULT: Reply<Answer<QueryResult>> = Reply {
     op: "subquery",
@@ -355,8 +325,7 @@ impl Msg {
     /// the waiter on that RPC slot.
     pub fn reply_id(&self) -> Option<u64> {
         match self {
-            Msg::QueryResponse { rpc, .. }
-            | Msg::SubQueryResponse { rpc, .. }
+            Msg::SubQueryResponse { rpc, .. }
             | Msg::PartialsResponse { rpc, .. }
             | Msg::DistressAck { rpc, .. }
             | Msg::ReplicationResponse { rpc, .. }
@@ -369,8 +338,6 @@ impl Msg {
     /// Wire size estimate for the fabric's bandwidth model.
     pub fn wire_size(&self) -> usize {
         match self {
-            Msg::Query { .. } => 256,
-            Msg::QueryResponse { result, .. } => result_bytes(result),
             Msg::SubQuery { keys, .. } => keys_bytes(keys.len()),
             Msg::SubQueryResponse { result, .. } => result_bytes(result),
             Msg::FetchPartials { keys, exclude, .. } => keys_bytes(keys.len()) + 8 * exclude.len(),
@@ -423,21 +390,21 @@ mod tests {
         };
         assert!(big.wire_size() > small.wire_size());
 
-        let resp_ok = Msg::QueryResponse {
+        let resp_ok = Msg::SubQueryResponse {
             rpc: 1,
             result: Ok(QueryResult {
                 cells: vec![cell(); 10],
                 ..Default::default()
             }),
-            trace: QueryTrace::default(),
+            trace: StageTimes::default(),
         };
-        let resp_err = Msg::QueryResponse {
+        let resp_err = Msg::SubQueryResponse {
             rpc: 1,
             result: Err(ClusterError::Timeout {
                 node: 2,
                 op: "subquery",
             }),
-            trace: QueryTrace::default(),
+            trace: StageTimes::default(),
         };
         assert!(resp_ok.wire_size() > resp_err.wire_size());
 
@@ -490,7 +457,7 @@ mod tests {
 
     #[test]
     fn priced_payloads_equal_their_flat_encoding() {
-        // `SubQueryResponse`, `QueryResponse` and `ReplicationRequest` are
+        // `SubQueryResponse` and `ReplicationRequest` are
         // priced, never encoded: hold the arithmetic to the real encoder
         // over sketched Cells in every form — no rows, a few rows (sparse
         // register file and count-min matrix), thousands (both promoted).
@@ -601,11 +568,6 @@ mod tests {
         };
         let replies = || {
             vec![
-                Msg::QueryResponse {
-                    rpc: 1,
-                    result: Ok(QueryResult::default()),
-                    trace: QueryTrace::default(),
-                },
                 Msg::SubQueryResponse {
                     rpc: 1,
                     result: Ok(QueryResult::default()),
@@ -630,18 +592,7 @@ mod tests {
         };
         assert!(replies().iter().all(|r| r.reply_id() == Some(1)));
         let wire = 100;
-        // Which of the seven kinds (in `replies` order) each reader takes.
-        let query: Vec<bool> = replies()
-            .into_iter()
-            .map(|r| match (QUERY_REPLY.read)(r, wire) {
-                Ok((Ok(_), trace)) => {
-                    assert_eq!(trace.agg.wire_ns, wire);
-                    true
-                }
-                Ok((Err(e), _)) => panic!("no reader makes up an answer: {e}"),
-                Err(e) => !matches!(e, ClusterError::Protocol(_)),
-            })
-            .collect();
+        // Which of the six kinds (in `replies` order) each reader takes.
         let sub: Vec<bool> = replies()
             .into_iter()
             .map(|r| match (SUB_RESULT.read)(r, wire) {
@@ -673,13 +624,12 @@ mod tests {
             })
             .collect();
         let (t, f) = (true, false);
-        assert_eq!(query, [t, f, f, f, f, f, f]);
-        assert_eq!(sub, [f, t, f, f, f, f, f]);
-        assert_eq!(partials, [f, f, t, f, f, f, f]);
-        assert_eq!(acks, [None, None, None, Some(f), Some(t), Some(f), Some(t)]);
+        assert_eq!(sub, [t, f, f, f, f, f]);
+        assert_eq!(partials, [f, t, f, f, f, f]);
+        assert_eq!(acks, [None, None, Some(f), Some(t), Some(f), Some(t)]);
         // Names for the timeouts of their waits.
-        let ops = [QUERY_REPLY.op, SUB_RESULT.op, PARTIALS.op, ACK.op];
-        assert_eq!(ops, ["query", "subquery", "partials", "ack"]);
+        let ops = [SUB_RESULT.op, PARTIALS.op, ACK.op];
+        assert_eq!(ops, ["subquery", "partials", "ack"]);
     }
 
     #[test]

@@ -36,7 +36,6 @@ fn live_blocks() -> Vec<(Geohash, TimeBin)> {
 fn config(live: bool) -> ClusterConfig {
     ClusterConfig::builder()
         .n_nodes(4)
-        .coord_workers(2)
         .service_workers(2)
         .fetch_workers(2)
         .mode(Mode::Stash)

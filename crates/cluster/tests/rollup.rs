@@ -204,7 +204,6 @@ proptest! {
 fn rollup_config(live: bool, policy: RollupPolicy) -> ClusterConfig {
     ClusterConfig::builder()
         .n_nodes(4)
-        .coord_workers(2)
         .service_workers(2)
         .fetch_workers(2)
         .mode(Mode::Stash)

@@ -3,16 +3,17 @@
 //!
 //! The freshness policy (§V-C) scores an *accessed region* and decays by
 //! logical time, so how a viewport travels on the wire must not show in an
-//! owner's clock or in the trace: a remote owner's share is one evaluation
-//! — one tick, one sub-query — exactly as the coordinator's own share is.
-//! And a Cell that spans partitions is gathered with "up to one query
-//! forwarding" (§IV-D) per block owner, all of them in flight while the
-//! gathering node reads its own blocks. A hop costs what the wire model
-//! says it costs: a warm hit the front end scatters is two of them whatever
-//! its owner count, one a coordinator forwards is four, and little else.
-//! A share that fails hands the whole query to a coordinator, once.
+//! owner's clock or in the trace: an owner's share is one evaluation — one
+//! tick, one sub-query. And a Cell that spans partitions is gathered with
+//! "up to one query forwarding" (§IV-D) per block owner, all of them in
+//! flight while the gathering node reads its own blocks. A hop costs what
+//! the wire model says it costs: a warm hit the front end scatters is two
+//! of them whatever its owner count, and little else. A share that fails
+//! costs only itself: the front end asks that owner again and then reads
+//! its blocks off the replica chain, keeping every other share's answer.
+//! Basic, the oracle every suite compares against, answers what the nodes'
+//! block partials merge to.
 
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -21,7 +22,7 @@ use stash_data::GeneratorConfig;
 use stash_dfs::{plan_blocks, DiskModel};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{cover_bbox, BBox, TemporalRes, TimeBin, TimeRange};
-use stash_model::{AggQuery, CellKey};
+use stash_model::{AggQuery, Cell, CellKey, CellSummary, QueryResult};
 use stash_net::{FaultPlan, NetConfig};
 
 fn config(mode: Mode) -> ClusterConfig {
@@ -45,43 +46,46 @@ fn config_with_disk(mode: Mode, disk: DiskModel) -> ClusterConfig {
         .expect("scatter test config is valid")
 }
 
-#[test]
-fn one_subquery_and_one_clock_tick_per_owner_share() {
-    // A res-4 state-sized viewport centred on a corner of the 2-character
-    // partition grid, so it is shared by several owners.
+/// A res-4 state-sized viewport centred on a corner of the 2-character
+/// partition grid, so it is shared by several owners.
+fn state_viewport() -> AggQuery {
     let day = epoch_seconds(2015, 2, 2, 0, 0, 0);
-    let query = AggQuery::new(
+    AggQuery::new(
         BBox::from_corner_extent(37.375, -104.25, 4.0, 6.0),
         TimeRange::new(day, day + 86_400).unwrap(),
         4,
         TemporalRes::Day,
-    );
+    )
+}
 
-    let stash = SimCluster::new(config(Mode::Stash));
+/// Cells of `query` per owner on `cluster`.
+fn shares_of(cluster: &SimCluster, query: &AggQuery) -> BTreeMap<usize, usize> {
+    let part = cluster.node(0).store.partitioner().clone();
     let mut shares: BTreeMap<usize, usize> = BTreeMap::new();
     for key in query.target_keys(usize::MAX).unwrap() {
-        *shares
-            .entry(stash.node(0).store.partitioner().owner_of_cell(&key))
-            .or_default() += 1;
+        *shares.entry(part.owner_of_cell(&key)).or_default() += 1;
     }
-    // Coordinate at the owner of the smallest share: the largest stays remote.
-    let (&coordinator, _) = shares.iter().min_by_key(|(_, &n)| n).unwrap();
-    let remote_owners = shares.len() - 1;
-    let largest_remote = shares
-        .iter()
-        .filter(|(&o, _)| o != coordinator)
-        .map(|(_, &n)| n)
-        .max()
-        .expect("viewport must reach a remote owner");
-    assert!(
-        largest_remote > 64,
-        "largest remote share is {largest_remote} keys"
-    );
+    shares
+}
 
-    let basic = SimCluster::new(config(Mode::Basic));
-    let truth = basic.client().query(&query).run().expect("basic");
+/// The cache-less answer to `query` on a fresh cluster of `config`.
+fn ground_truth(config: ClusterConfig, query: &AggQuery) -> QueryResult {
+    let basic = SimCluster::new(config);
+    let truth = basic.client().query(query).run().expect("basic");
     basic.shutdown();
     assert!(!truth.cells.is_empty());
+    truth
+}
+
+#[test]
+fn one_subquery_and_one_clock_tick_per_owner_share() {
+    let query = state_viewport();
+    let stash = SimCluster::new(config(Mode::Stash));
+    let shares = shares_of(&stash, &query);
+    assert!(shares.len() > 1, "the viewport must have several owners");
+    let largest = shares.values().max().unwrap();
+    assert!(*largest > 64, "largest share is {largest} keys");
+    let truth = ground_truth(config(Mode::Basic), &query);
 
     let clocks = |c: &SimCluster| -> Vec<u64> {
         (0..c.n_nodes())
@@ -92,15 +96,11 @@ fn one_subquery_and_one_clock_tick_per_owner_share() {
     // Cold, then warm: scan-and-insert and cache-hit evaluations alike.
     for pass in ["cold", "warm"] {
         let before = clocks(&stash);
-        let (result, trace) = client
-            .query(&query)
-            .at(coordinator)
-            .traced()
-            .run()
-            .expect("stash");
+        let (result, trace) = client.query(&query).traced().run().expect("stash");
         assert_eq!(
-            trace.subqueries as usize, remote_owners,
-            "{pass}: sub-queries are counted per remote owner"
+            trace.subqueries as usize,
+            shares.len(),
+            "{pass}: sub-queries are counted per owner"
         );
         for (node, (b, a)) in before.iter().zip(clocks(&stash)).enumerate() {
             let ticks = u64::from(shares.contains_key(&node));
@@ -168,12 +168,7 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
     );
     assert_eq!(query.target_keys(usize::MAX).unwrap(), vec![cell]);
     let t0 = Instant::now();
-    let result = cluster
-        .client()
-        .query(&query)
-        .at(gatherer)
-        .run()
-        .expect("first touch");
+    let result = cluster.client().query(&query).run().expect("first touch");
     let wall = t0.elapsed();
     assert_eq!(result.misses, 1, "a first touch");
     assert!(
@@ -226,7 +221,6 @@ fn two_nodes(mode: Mode) -> ClusterConfig {
         .scan_cost_per_obs(Duration::ZERO)
         .cell_service_cost(Duration::ZERO)
         .sub_rpc_timeout(Duration::from_millis(250))
-        .client_timeout(Duration::from_secs(5))
         .build()
         .expect("two-node config is valid")
 }
@@ -282,26 +276,18 @@ fn a_two_owner_viewport(cluster: &SimCluster) -> (AggQuery, BTreeMap<usize, usiz
         .expect("some partition edge has an owner on each side")
 }
 
-/// A warm hit of `query` — coordinated at `at`, or scattered by the client
-/// — with `subqueries` shares sent over the wire costs `hops` wire
-/// latencies: each hop slept once, to its deadline, by the thread that
-/// consumes the message.
+/// A warm hit of `query` the client scatters, with `subqueries` shares
+/// sent over the wire, costs `hops` wire latencies: each hop slept once, to
+/// its deadline, by the thread that consumes the message.
 fn assert_warm_hit_costs_its_hops(
     cluster: &SimCluster,
     query: &AggQuery,
-    at: Option<usize>,
     subqueries: u32,
     hops: u32,
 ) {
     let wire = NetConfig::default();
     let client = cluster.client();
-    let run = || {
-        let call = client.query(query);
-        match at {
-            Some(node) => call.at(node).traced().run(),
-            None => call.traced().run(),
-        }
-    };
+    let run = || client.query(query).traced().run();
     run().expect("warm-up");
 
     let modeled = wire.base_latency * hops;
@@ -335,8 +321,8 @@ fn assert_warm_hit_costs_its_hops(
     // this one are not busy through all of them, and each a burst of
     // queries, so that the cores it wakes on are not asleep themselves.
     // Why a burst and not one query a round: the bound sits just above
-    // this host's *median*. Alone on an idle 2-core VM a warm remote hit is
-    // 100–115 µs over the model at best and 160–190 µs at p50 (four
+    // this host's *median*. Alone on an idle 2-core VM a warm hit of four
+    // hops was 100–115 µs over the model at best and 160–190 µs at p50 (four
     // wake-ups from idle at ~40 µs each plus ~30 µs of real work), so a
     // single try meets it 6 to 8 times in 10 there — and the other tests
     // of this file run beside it and only add time. With eight tries a
@@ -366,19 +352,10 @@ fn assert_warm_hit_costs_its_hops(
 }
 
 #[test]
-fn a_warm_remote_hit_costs_its_four_hops() {
-    // Coordinated at the node that does not own it: client → coordinator
-    // → owner → coordinator → client.
-    let (cluster, query, owner) = two_nodes_and_a_single_owner_viewport();
-    assert_warm_hit_costs_its_hops(&cluster, &query, Some(1 - owner), 1, 4);
-    cluster.shutdown();
-}
-
-#[test]
 fn a_warm_local_hit_costs_its_two_hops() {
     // Sent by the client, which knows the owner: client → owner → client.
     let (cluster, query, _) = two_nodes_and_a_single_owner_viewport();
-    assert_warm_hit_costs_its_hops(&cluster, &query, None, 1, 2);
+    assert_warm_hit_costs_its_hops(&cluster, &query, 1, 2);
     cluster.shutdown();
 }
 
@@ -388,71 +365,134 @@ fn a_warm_hit_costs_two_hops_whatever_its_owners() {
     // in flight at once: client → owners → client.
     let cluster = SimCluster::new(two_nodes(Mode::Stash));
     let (query, _) = a_two_owner_viewport(&cluster);
-    assert_warm_hit_costs_its_hops(&cluster, &query, None, 2, 2);
+    assert_warm_hit_costs_its_hops(&cluster, &query, 2, 2);
     cluster.shutdown();
 }
 
-/// How often the front end's scatter answered and handed over, and how
-/// many attempts the client made in all: the scatters plus the Queries the
-/// nodes coordinated.
-fn scatters_and_attempts(cluster: &SimCluster) -> (u64, u64, u64) {
-    let gateway = cluster.gateway_obs();
-    let ok = gateway.counter("query.scatter.ok").get();
-    let fallback = gateway.counter("query.scatter.fallback").get();
-    let coordinated: u64 = cluster
-        .node_stats()
-        .iter()
-        .map(|s| s.queries_coordinated)
-        .sum();
-    (ok, fallback, ok + fallback + coordinated)
-}
-
-/// The cache-less answer to `query` on a fresh two-node cluster.
-fn ground_truth(query: &AggQuery) -> stash_model::QueryResult {
-    let basic = SimCluster::new(two_nodes(Mode::Basic));
-    let truth = basic.client().query(query).run().expect("basic");
-    basic.shutdown();
-    assert!(!truth.cells.is_empty());
-    truth
+/// A small viewport astride a corner of the partition grid whose four
+/// quarters four different nodes of `cluster` own, and its Cells per owner.
+fn a_four_owner_viewport(cluster: &SimCluster) -> (AggQuery, BTreeMap<usize, usize>) {
+    let day = epoch_seconds(2015, 2, 2, 0, 0, 0);
+    // Partition tiles (2-character geohashes) are 5.625° by 11.25°.
+    let corners = (0..6).flat_map(|i| (0..6).map(move |j| (i, j)));
+    corners
+        .map(|(i, j)| {
+            let (lat, lon) = (22.5 + 5.625 * f64::from(i), -123.75 + 11.25 * f64::from(j));
+            AggQuery::new(
+                BBox::from_corner_extent(lat - 0.3, lon - 0.6, 0.6, 1.2),
+                TimeRange::new(day, day + 86_400).unwrap(),
+                4,
+                TemporalRes::Day,
+            )
+        })
+        .map(|query| {
+            let shares = shares_of(cluster, &query);
+            (query, shares)
+        })
+        .find(|(_, shares)| shares.len() == 4)
+        .expect("some partition corner has four owners")
 }
 
 #[test]
-fn a_crashed_owner_hands_the_scatter_to_a_coordinator() {
-    let cluster = SimCluster::new(two_nodes(Mode::Stash));
-    let (query, shares) = a_two_owner_viewport(&cluster);
-    let truth = ground_truth(&query);
-    let (&crashed, _) = shares.iter().next().unwrap();
+fn a_crashed_owner_costs_only_its_own_share() {
+    let cluster = SimCluster::new(config(Mode::Stash));
+    let (query, shares) = a_four_owner_viewport(&cluster);
+    let truth = ground_truth(config(Mode::Basic), &query);
+    // The scatter reaches the owners in node order: crash the last.
+    let (&crashed, _) = shares.iter().next_back().unwrap();
     cluster.crash_node(crashed);
-    let result = cluster.client().query(&query).run().expect("exact anyway");
+    let (result, trace) = cluster
+        .client()
+        .query(&query)
+        .traced()
+        .run()
+        .expect("exact anyway");
     assert_eq!(result.cells, truth.cells);
-    let (ok, fallback, attempts) = scatters_and_attempts(&cluster);
-    assert_eq!((ok, fallback), (0, 1));
-    assert!(attempts <= u64::from(cluster.config().client_retries) + 1);
+    // The answered shares are kept: every healthy owner served its share
+    // once, and only the crashed one's was recomputed from replicas.
+    let stats = cluster.node_stats();
+    for &owner in shares.keys().filter(|&&o| o != crashed) {
+        assert_eq!(stats[owner].subqueries, 1, "SubQueries served by {owner}");
+    }
+    assert_eq!(trace.subqueries, 3, "the crashed owner's send was refused");
+    assert_eq!((trace.retries, trace.failovers), (1, 1));
     cluster.shutdown();
 }
 
 #[test]
-fn a_lost_share_hands_the_scatter_to_a_coordinator() {
+fn a_lost_share_is_asked_again_alone_then_failed_over() {
     let cluster = SimCluster::new(two_nodes(Mode::Stash));
     let (query, shares) = a_two_owner_viewport(&cluster);
-    let truth = ground_truth(&query);
-    // Every answer the smaller share's owner sends the front end is lost
-    // (the gateway is the fabric's endpoint after the nodes); the home —
-    // the owner of the larger share, ties to the lower index — coordinates
-    // the fallback and hears from it.
-    let (&lost, _) = shares
-        .iter()
-        .min_by_key(|&(&node, &n)| (n, Reverse(node)))
-        .unwrap();
+    let truth = ground_truth(two_nodes(Mode::Basic), &query);
+    // Every answer one owner sends the front end is lost (the gateway is
+    // the fabric's endpoint after the nodes).
+    let (&lost, _) = shares.iter().next().unwrap();
+    let healthy = 1 - lost;
     let gateway = cluster.n_nodes();
     cluster
         .router()
         .install_faults(FaultPlan::new(7).drop_link(lost, gateway, 1.0));
-    let result = cluster.client().query(&query).run().expect("exact anyway");
+    let (result, trace) = cluster
+        .client()
+        .query(&query)
+        .traced()
+        .run()
+        .expect("exact anyway");
     assert_eq!(result.cells, truth.cells);
     assert!(cluster.net_stats().messages_dropped() > 0);
-    let (ok, fallback, attempts) = scatters_and_attempts(&cluster);
-    assert_eq!((ok, fallback), (0, 1));
-    assert!(attempts <= u64::from(cluster.config().client_retries) + 1);
+    // The dark owner got its first-wave SubQuery and the retry policy's
+    // attempts; the healthy owner's one answer was kept.
+    let retries = u64::from(cluster.config().sub_rpc_retries);
+    let stats = cluster.node_stats();
+    assert_eq!(stats[lost].subqueries, 1 + (retries + 1));
+    assert_eq!(stats[healthy].subqueries, 1);
+    assert_eq!((trace.retries, trace.failovers), (1, 1));
+    let gateway = cluster.gateway_obs();
+    assert_eq!(gateway.counter("query.retries").get(), 1);
+    assert_eq!(gateway.counter("query.failovers").get(), 1);
+    assert_eq!(gateway.counter("query.ok").get(), 1);
+    cluster.shutdown();
+}
+
+/// Basic — the oracle every suite compares against — answers exactly the
+/// merge of every node's own block partials, computed here with no route
+/// at all: for a viewport shared by several owners and for Cells coarser
+/// than a partition, gathered across nodes.
+#[test]
+fn basic_answers_the_merge_of_every_nodes_block_partials() {
+    let cluster = SimCluster::new(config(Mode::Basic));
+    let day = epoch_seconds(2015, 2, 2, 0, 0, 0);
+    let coarse = AggQuery::new(
+        BBox::from_corner_extent(25.0, -120.0, 20.0, 40.0),
+        TimeRange::new(day, day + 86_400).unwrap(),
+        1,
+        TemporalRes::Day,
+    );
+    for query in [state_viewport(), coarse] {
+        let keys = query.target_keys(usize::MAX).unwrap();
+        let mut merged: BTreeMap<CellKey, CellSummary> = BTreeMap::new();
+        for node in 0..cluster.n_nodes() {
+            let partials = cluster.node(node).store.fetch_partials(&keys).unwrap();
+            for p in partials {
+                match merged.entry(p.key) {
+                    std::collections::btree_map::Entry::Vacant(e) => {
+                        e.insert(p.summary);
+                    }
+                    std::collections::btree_map::Entry::Occupied(mut e) => {
+                        e.get_mut().merge(&p.summary)
+                    }
+                }
+            }
+        }
+        let want: Vec<Cell> = merged
+            .into_iter()
+            .filter(|(_, s)| !s.is_empty())
+            .map(|(key, summary)| Cell { key, summary })
+            .collect();
+        assert!(!want.is_empty());
+        let got = cluster.client().query(&query).run().expect("basic");
+        assert_eq!(got.cells, want, "{query}");
+        assert_eq!(got.misses, keys.len());
+    }
     cluster.shutdown();
 }

@@ -62,7 +62,7 @@ pub struct EvalOutcome {
 }
 
 /// Evaluate the given target keys against a node's graph. `keys` are the
-/// Cells this node is responsible for (the coordinator has already split
+/// Cells this node is responsible for (the front end has already split
 /// the query by owner); call sites with a whole query use
 /// [`stash_model::AggQuery::target_keys`] first.
 pub fn evaluate(

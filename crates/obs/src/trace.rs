@@ -1,13 +1,11 @@
 //! Per-query tracing spans.
 //!
-//! A [`QueryTrace`] is assembled by the coordinating node and carried back
-//! to the client inside the `QueryResponse` RPC; each owner's sub-query
-//! reply carries a [`StageTimes`] that the coordinator folds into the
-//! trace's cluster-wide aggregate. Two views coexist:
+//! A [`QueryTrace`] is assembled by the front end that scattered the query;
+//! each owner's sub-query reply carries a [`StageTimes`] that the front end
+//! folds into the trace's cluster-wide aggregate. Two views coexist:
 //!
-//! - `local` — disjoint wall-clock segments of the *coordinator thread*
-//!   (route, its own PLM check / merge / DFS share, reply waits, retry
-//!   backoff). By construction `local.sum_ns() <= wall_ns`, which is the
+//! - `local` — disjoint wall-clock segments of the *front end's thread*
+//!   (route, reply waits, retries and failover, merge). By construction `local.sum_ns() <= wall_ns`, which is the
 //!   invariant the chaos suite checks under fault injection.
 //! - `agg` — the same stages summed across *every* node the query touched,
 //!   plus wire time from `Router` delivery timestamps. Parallel fan-out
@@ -73,17 +71,18 @@ impl StageTimes {
 /// End-to-end trace of one client query, returned beside its result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryTrace {
-    /// Disjoint coordinator-thread segments; `local.sum_ns() <= wall_ns`.
+    /// Disjoint front-end-thread segments; `local.sum_ns() <= wall_ns`.
     pub local: StageTimes,
     /// Cluster-wide stage totals (may exceed `wall_ns` under fan-out).
     pub agg: StageTimes,
-    /// Coordinator wall clock from receipt to reply.
+    /// Front-end wall clock from planning to the merged answer.
     pub wall_ns: u64,
-    /// Sub-queries scattered to other owners.
+    /// First-wave sub-queries sent, one per owner.
     pub subqueries: u32,
     /// DFS replica-failover rounds taken.
     pub failovers: u32,
-    /// Sub-RPC attempts beyond the first (timeout retries + reroute resends).
+    /// Shares that climbed the retry ladder, one per ladder run, plus
+    /// refused reroutes resent to their owner.
     pub retries: u32,
 }
 
@@ -93,7 +92,7 @@ impl QueryTrace {
         self.agg.add(sub);
     }
 
-    /// The coordinator-thread accounted time; never exceeds `wall_ns`.
+    /// The front-end-thread accounted time; never exceeds `wall_ns`.
     pub fn local_sum_ns(&self) -> u64 {
         self.local.sum_ns()
     }

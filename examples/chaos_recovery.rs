@@ -37,7 +37,6 @@ fn main() {
         // the production-sized defaults.
         .sub_rpc_timeout(Duration::from_millis(250))
         .retry_backoff(Duration::from_millis(5))
-        .client_timeout(Duration::from_secs(10))
         .build()
         .expect("chaos recovery example config is valid");
     let query = AggQuery::new(
@@ -52,7 +51,6 @@ fn main() {
     let keys = query.target_keys(200_000).expect("valid query");
     let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
     let owner = partitioner.owner_of_cell(&keys[0]);
-    let coordinator = (owner + 1) % config.n_nodes;
 
     let mut cluster = SimCluster::new(config);
     let client = cluster.client();
@@ -68,17 +66,19 @@ fn main() {
     cluster.crash_node(owner);
     let failed_over = client
         .query(&query)
-        .at(coordinator)
         .run()
-        .expect("sub-queries fail over to DFS replicas");
+        .expect("the front end fails the share over to DFS replicas");
     println!(
         "owner down      : {} cells, {} observations — identical: {}",
         failed_over.cells.len(),
         failed_over.total_count(),
         same_cells(&failed_over, &healthy)
     );
-    let refused: u64 = cluster.node_stats().iter().map(|s| s.send_failures).sum();
-    println!("fabric refused {refused} sends to the corpse; each refusal triggered a failover");
+    let failovers = cluster.gateway_obs().counter("query.failovers").get();
+    println!(
+        "the fabric refused the front end's SubQueries to the corpse; \
+         {failovers} share(s) recomputed from replicas"
+    );
 
     println!("\n--- restart node {owner} ---");
     cluster.restart_node(owner);
@@ -86,11 +86,7 @@ fn main() {
         "node {owner} is back with an empty STASH graph ({} cells cached)",
         cluster.node_stats()[owner].graph_cells
     );
-    let recovered = client
-        .query(&query)
-        .at(coordinator)
-        .run()
-        .expect("query after restart");
+    let recovered = client.query(&query).run().expect("query after restart");
     println!(
         "after restart   : {} cells, {} observations — identical: {}",
         recovered.cells.len(),

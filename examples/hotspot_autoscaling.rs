@@ -24,11 +24,6 @@ fn run_burst(enable_replication: bool, n_requests: usize, n_clients: usize) -> (
     let config = ClusterConfig::builder()
         .mode(Mode::Stash)
         .enable_replication(enable_replication)
-        // Coordination is I/O-bound (a worker mostly waits on its
-        // scattered subqueries), so give it enough threads that client
-        // pressure reaches the owning node's service tier — where the
-        // hotspot actually forms.
-        .coord_workers(24)
         // Node capacity is defined by the virtual serve cost (100 us per
         // Cell), far above the simulator's real per-request CPU — so
         // shifting load to a helper genuinely adds capacity (DESIGN.md §2).

@@ -19,7 +19,6 @@ fn hotspot_config(enable_replication: bool) -> ClusterConfig {
         .n_nodes(4)
         .mode(Mode::Stash)
         .enable_replication(enable_replication)
-        .coord_workers(16)
         .disk(DiskModel::free())
         .cell_service_cost(std::time::Duration::from_micros(400))
         .generator(GeneratorConfig {
