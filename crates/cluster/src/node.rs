@@ -20,6 +20,13 @@
 //!   nodes; fetch workers scan blocks and never block on a peer. Nothing
 //!   here plans a viewport or merges shares: the front end does
 //!   ([`crate::client`]).
+//! * A service worker **answers first**: it sends a share's
+//!   `SubQueryResponse` as soon as the evaluation is done, then — still
+//!   holding the graph's upkeep baton it took before sending — runs the
+//!   share's upkeep: the replacement pass, freshness dispersal and the
+//!   periodic housekeeping due on the evaluation's tick. The reply's wire
+//!   time hides the upkeep; the baton keeps any evaluation that starts
+//!   after the reply from overtaking it (DESIGN.md §5).
 //! * **Handoff** runs on its own short-lived thread, at most one at a time,
 //!   so a hotspotted node can replicate Cliques while its workers stay busy
 //!   serving the very queue that triggered the hotspot.
@@ -89,6 +96,12 @@ pub struct NodeCtx {
     /// Serializes this node's append applies; the fence's parity rule
     /// needs non-overlapping apply windows.
     ingest_apply: Mutex<()>,
+    /// Upkeep batons of `graph` and `guest` (DESIGN.md §5): a share holds
+    /// its graph's from before its reply until its upkeep is done, and
+    /// every evaluation passes through it before advancing the clock — so
+    /// an evaluation that starts after a reply was sent never overtakes
+    /// that reply's upkeep, and replacement passes never overlap.
+    batons: [Mutex<()>; 2],
     /// Deterministic per-node RNG stream for reroute coin flips.
     rng_state: AtomicU64,
     /// One-shot callback the race tests park at a named point of an
@@ -155,6 +168,7 @@ impl NodeCtx {
             cooldown_until: AtomicU64::new(0),
             fence: IngestFence::default(),
             ingest_apply: Mutex::new(()),
+            batons: [Mutex::new(()), Mutex::new(())],
             rng_state: AtomicU64::new((0x9E37_79B9u64 ^ ((node_idx as u64) << 17)) | 1),
             #[cfg(test)]
             hook: Mutex::new(None),
@@ -383,12 +397,13 @@ impl NodeCtx {
             } => {
                 self.stats.subqueries.fetch_add(1, Ordering::Relaxed);
                 self.note_hot_level(&keys);
-                let (result, mut trace) = self.eval_subquery_traced(&keys, via_guest);
+                let (result, mut trace, tick) = self.eval_subquery_traced(&keys, via_guest);
                 trace.wire_ns += wire_ns;
-                let _ = self
-                    .caller
-                    .send(reply_to, Msg::SubQueryResponse { rpc, result, trace });
-                self.maintain();
+                self.reply_then_upkeep(&keys, via_guest, tick, || {
+                    let _ = self
+                        .caller
+                        .send(reply_to, Msg::SubQueryResponse { rpc, result, trace });
+                });
             }
             Msg::FetchPartials {
                 rpc,
@@ -511,19 +526,24 @@ impl NodeCtx {
     // -- Owner role ------------------------------------------------------------
 
     /// Evaluate owned keys against the local (or guest) STASH graph; misses
-    /// fall through to block scans, possibly on peer partitions.
-    /// `pub(crate)` so [`crate::cluster::SimCluster`] can pre-warm graphs
-    /// for the zoom experiments without timing a client round-trip.
+    /// fall through to block scans, possibly on peer partitions. The share's
+    /// upkeep runs before this returns. `pub(crate)` so
+    /// [`crate::cluster::SimCluster`] can pre-warm graphs for the zoom
+    /// experiments without timing a client round-trip.
     pub(crate) fn eval_subquery(
         self: &Arc<Self>,
         keys: &[CellKey],
         via_guest: bool,
     ) -> Result<QueryResult, ClusterError> {
-        self.eval_subquery_traced(keys, via_guest).0
+        let (result, _, tick) = self.eval_subquery_traced(keys, via_guest);
+        self.reply_then_upkeep(keys, via_guest, tick, || ());
+        result
     }
 
-    /// [`NodeCtx::eval_subquery`] with per-stage timings. The evaluator's
-    /// DFS span covers the whole fetch wall, including wire time and retry
+    /// [`NodeCtx::eval_subquery`] with per-stage timings and without its
+    /// upkeep: the tick returned, when the share was evaluated on a graph,
+    /// is what [`NodeCtx::reply_then_upkeep`] owes it. The evaluator's DFS
+    /// span covers the whole fetch wall, including wire time and retry
     /// sleeps of any cross-node gathers; those shares are reclassified out
     /// of `dfs_ns` here so the stages stay disjoint.
     ///
@@ -533,7 +553,7 @@ impl NodeCtx {
         self: &Arc<Self>,
         keys: &[CellKey],
         via_guest: bool,
-    ) -> (Result<QueryResult, ClusterError>, StageTimes) {
+    ) -> (Result<QueryResult, ClusterError>, StageTimes, Option<u64>) {
         let mut st = StageTimes::default();
         if self.config.mode == Mode::Basic {
             let scan = Instant::now();
@@ -544,9 +564,9 @@ impl NodeCtx {
                 .map(|parts| recomputed(parts, keys.len()));
             st.dfs_ns = scan.elapsed().as_nanos() as u64;
             reclassify_gather(&mut st, &acc);
-            return (result, st);
+            return (result, st, None);
         }
-        let graph = if via_guest { &self.guest } else { &self.graph };
+        let (graph, baton) = self.graph_of(via_guest);
         if via_guest {
             // A rerouted subquery whose Cells were purged (or never hosted)
             // is refused — the sender resends to the owner directly.
@@ -559,6 +579,7 @@ impl NodeCtx {
                         helper: self.node_idx,
                     }),
                     st,
+                    None,
                 );
             }
             self.stats.guest_serves.fetch_add(1, Ordering::Relaxed);
@@ -591,7 +612,7 @@ impl NodeCtx {
                     sleep_until(Instant::now() + serve);
                     st.merge_ns += serve.as_nanos() as u64;
                 }
-                return (Ok(result), st);
+                return (Ok(result), st, None);
             }
         }
         let gather_acc = Mutex::new(StageTimes::default());
@@ -610,10 +631,13 @@ impl NodeCtx {
                 .map(|(key, summary)| Cell { key, summary })
                 .collect())
         };
+        self.pass_baton(baton);
         let epoch0 = self.fence.begin();
+        let mut tick = None;
         let result = match evaluate_traced(graph, keys, &fetch) {
-            Ok((part, times)) => {
+            Ok((part, times, at)) => {
                 st.add(&times);
+                tick = Some(at);
                 Ok(part)
             }
             Err(stash_core::EvalError::Query(q)) => Err(ClusterError::BadQuery(q.to_string())),
@@ -652,7 +676,59 @@ impl NodeCtx {
             sleep_until(Instant::now() + serve);
             st.merge_ns += serve.as_nanos() as u64;
         }
-        (result, st)
+        (result, st, tick)
+    }
+
+    /// The graph a share is evaluated on, and its upkeep baton.
+    fn graph_of(&self, via_guest: bool) -> (&StashGraph, &Mutex<()>) {
+        if via_guest {
+            (&self.guest, &self.batons[1])
+        } else {
+            (&self.graph, &self.batons[0])
+        }
+    }
+
+    /// Wait out any upkeep in progress on the baton's graph. Counted, with
+    /// the wait, only when the baton was held.
+    fn pass_baton(&self, baton: &Mutex<()>) {
+        if baton.try_lock().is_some() {
+            return;
+        }
+        self.obs.inc("eval.upkeep_wait");
+        let waited = Instant::now();
+        drop(baton.lock());
+        self.obs
+            .observe("eval.upkeep_wait_ns", waited.elapsed().as_nanos() as u64);
+    }
+
+    /// Send a share's answer, then — when the share was evaluated on a
+    /// graph at `tick` — its upkeep, under that graph's baton: the
+    /// replacement pass and freshness dispersal ([`StashGraph::upkeep`]),
+    /// then the housekeeping due on that tick. A share served without an
+    /// evaluation (rollup, Basic, refused, failed) owes nothing.
+    fn reply_then_upkeep(
+        self: &Arc<Self>,
+        keys: &[CellKey],
+        via_guest: bool,
+        tick: Option<u64>,
+        reply: impl FnOnce(),
+    ) {
+        let Some(tick) = tick else {
+            reply();
+            return;
+        };
+        #[cfg(test)]
+        self.fire(tests::Site::Evaluated);
+        let (graph, baton) = self.graph_of(via_guest);
+        let _baton = baton.lock();
+        reply();
+        #[cfg(test)]
+        self.fire(tests::Site::Upkeep);
+        let started = Instant::now();
+        graph.upkeep(keys, tick);
+        self.maintain(tick);
+        self.obs
+            .observe("eval.upkeep", started.elapsed().as_nanos() as u64);
     }
 
     // -- Live ingest (DESIGN.md §13) ---------------------------------------------
@@ -998,12 +1074,13 @@ impl NodeCtx {
     }
 
     /// Periodic housekeeping: purge idle guest Cells and expired routes
-    /// (§VII-D).
-    fn maintain(self: &Arc<Self>) {
-        let now = self.clock.now();
+    /// (§VII-D), once every 64 ticks — on the upkeep of the evaluation that
+    /// took the tick `now`, which no other share holds.
+    fn maintain(&self, now: u64) {
         if !now.is_multiple_of(64) {
             return;
         }
+        self.obs.inc("node.maintain");
         let expired = self
             .guestbook
             .lock()

@@ -29,6 +29,11 @@ pub(crate) enum Site {
     MidFetch,
     /// In a handoff, between the Clique snapshot and the ReplicationRequest.
     AfterSnapshot,
+    /// After a share's evaluation, before its upkeep baton is taken.
+    Evaluated,
+    /// After a share's reply was sent, its upkeep baton held, before its
+    /// upkeep runs.
+    Upkeep,
 }
 
 pub(crate) type Hook = Box<dyn FnOnce(&Arc<NodeCtx>) + Send>;
@@ -499,6 +504,162 @@ fn the_front_end_resends_a_share_a_stale_route_got_refused() {
     assert_eq!((trace.retries, trace.failovers), (1, 0));
     assert_eq!(home.stats.reroutes.load(Ordering::Relaxed), 1);
     assert_eq!(counter(helper, "handoff.guest.refuse"), 1);
+    cluster.shutdown();
+}
+
+// -- The owner answers first: upkeep after the reply, under the baton ---------
+
+/// The query for one res-4 Day tile's 32 children, and those keys.
+fn tile_query(root: CellKey) -> (AggQuery, Vec<CellKey>) {
+    let query = AggQuery::new(root.geohash.bbox(), root.time.range(), 4, TemporalRes::Day);
+    (query, root.spatial_children().unwrap())
+}
+
+/// `(key, freshness bits)` of every Cell in the node's graph.
+fn freshness_state(node: &NodeCtx) -> Vec<(CellKey, u64)> {
+    graph_state(&node.graph)
+        .into_iter()
+        .map(|(k, _, _)| (k, node.graph.freshness_of(&k).unwrap().to_bits()))
+        .collect()
+}
+
+/// Wait until the node has run `n` upkeeps in all.
+fn await_upkeeps(node: &NodeCtx, n: u64) {
+    let started = Instant::now();
+    while node.obs.histogram("eval.upkeep").count() < n {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "upkeep {n} never ran"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The owner's reply leaves before the share's upkeep: while the worker is
+/// parked after the send, the client already holds the exact answer and a
+/// cached lateral neighbour of the viewport has not been bumped; once the
+/// worker goes on, it has.
+#[test]
+fn the_owner_replies_before_its_upkeep() {
+    let mut config = test_config(1);
+    // No decay: a score's bits change only when it is bumped.
+    config.stash.decay_tau = f64::INFINITY;
+    let cluster = SimCluster::new(config.clone());
+    let node = cluster.node(0);
+    let (query, asked) = tile_query(CellKey::new(tile("9q8"), day(2)));
+    let neighbour = asked
+        .iter()
+        .flat_map(|k| k.lateral_neighbors())
+        .find(|n| !asked.contains(n))
+        .unwrap();
+    node.eval_subquery(&[neighbour], false).unwrap();
+    let before = node.graph.freshness_of(&neighbour).unwrap().to_bits();
+    let dispersed = node.graph.stats().dispersals.load(Ordering::Relaxed);
+
+    let (release, parked) = std::sync::mpsc::channel::<()>();
+    node.park(Site::Upkeep, move |_| parked.recv().unwrap());
+    let answer = cluster.client().query(&query).run().unwrap();
+    let twin = SimCluster::new(config);
+    let mut want = twin.node(0).eval_subquery(&asked, false).unwrap().cells;
+    want.sort_by_key(|c| c.key);
+    assert_eq!(answer.cells, want);
+    assert_eq!(
+        node.graph.freshness_of(&neighbour).unwrap().to_bits(),
+        before
+    );
+    assert_eq!(
+        node.graph.stats().dispersals.load(Ordering::Relaxed),
+        dispersed
+    );
+
+    release.send(()).unwrap();
+    await_upkeeps(node, 2);
+    assert!(node.graph.freshness_of(&neighbour).unwrap() > f64::from_bits(before));
+    assert_eq!(counter(node, "eval.upkeep_wait"), 0);
+    twin.shutdown();
+    cluster.shutdown();
+}
+
+/// An evaluation that starts while an earlier share's upkeep is parked
+/// waits for it at the baton: its hits are not bumped until the upkeep is
+/// released, and afterwards every cached Cell's freshness equals, bit for
+/// bit, that of the same two queries run one after the other.
+#[test]
+fn an_upkeep_is_never_overtaken_by_a_later_evaluation() {
+    let mut config = test_config(1);
+    config.service_workers = 2;
+    let viewport_a = tile_query(CellKey::new(tile("9q8"), day(2)));
+    // The tile east of `9q8`: its western column borders A's viewport.
+    let viewport_b = tile_query(CellKey::new(tile("9q9"), day(2)));
+    let run = |park: bool| {
+        let cluster = SimCluster::new(config.clone());
+        let node = Arc::clone(cluster.node(0));
+        node.eval_subquery(&viewport_a.1, false).unwrap();
+        node.eval_subquery(&viewport_b.1, false).unwrap();
+        if !park {
+            for (n, (query, _)) in [&viewport_a, &viewport_b].into_iter().enumerate() {
+                cluster.client().query(query).run().unwrap();
+                await_upkeeps(&node, 3 + n as u64);
+            }
+            return freshness_state(&node);
+        }
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        node.park(Site::Upkeep, move |_| parked.recv().unwrap());
+        cluster.client().query(&viewport_a.0).run().unwrap();
+        let held = freshness_state(&node);
+        let hits = node.graph.stats().hits.load(Ordering::Relaxed);
+        std::thread::scope(|s| {
+            let b = s.spawn(|| cluster.client().query(&viewport_b.0).run().unwrap());
+            let started = Instant::now();
+            while counter(&node, "eval.upkeep_wait") == 0 {
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "B never reached the baton"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(
+                freshness_state(&node),
+                held,
+                "B bumped Cells before A's upkeep"
+            );
+            assert_eq!(node.graph.stats().hits.load(Ordering::Relaxed), hits);
+            release.send(()).unwrap();
+            b.join().unwrap();
+        });
+        await_upkeeps(&node, 4);
+        assert_eq!(node.obs.histogram("eval.upkeep_wait_ns").count(), 1);
+        freshness_state(&node)
+    };
+    let sequential = run(false);
+    assert_eq!(run(true), sequential);
+}
+
+/// Housekeeping is keyed to the tick a share's own evaluation took: a share
+/// that evaluated at tick 64 runs exactly one pass — purging a guest Cell
+/// idle past its TTL — even though another share evaluated at tick 65
+/// before it got to its upkeep.
+#[test]
+fn maintain_runs_on_the_tick_its_own_evaluation_took() {
+    let mut config = test_config(1);
+    config.stash.guest_ttl_ticks = 32;
+    let cluster = SimCluster::new(config);
+    let node = cluster.node(0);
+    let asked = viewport();
+    let idle = CellKey::new(tile("9qc"), day(2));
+    node.guestbook.lock().record([idle], 1, 0);
+    node.guest.insert(Cell::empty(idle, node.config.n_attrs));
+    node.clock.advance_by(63 - node.clock.now());
+    let later = asked[16..].to_vec();
+    node.park(Site::Evaluated, move |node| {
+        assert_eq!(node.clock.now(), 64);
+        node.eval_subquery(&later, false).unwrap();
+        assert_eq!(node.clock.now(), 65);
+        assert_eq!(counter(node, "node.maintain"), 0);
+    });
+    node.eval_subquery(&asked[..16], false).unwrap();
+    assert_eq!(counter(node, "node.maintain"), 1);
+    assert!(node.guest.is_empty(), "the idle guest Cell was not purged");
     cluster.shutdown();
 }
 

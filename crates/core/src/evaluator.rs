@@ -13,8 +13,11 @@
 //!    caller-supplied [`FetchFn`] (local scan or one forwarded hop), and
 //!    the fetched Cells are inserted for future reuse (collective caching).
 //!
-//! Finally the accessed region's freshness is dispersed to its
-//! spatiotemporal neighborhood (§V-C2).
+//! The ladder's last step needs no answer and changes none: the replacement
+//! pass (§V-C) and the accessed region's freshness dispersal to its
+//! spatiotemporal neighborhood (§V-C2). [`evaluate_traced`] leaves it to its
+//! caller, who runs [`StashGraph::upkeep`] at the returned tick — an owner
+//! after its reply has left; [`evaluate`] runs it at once.
 
 use crate::graph::StashGraph;
 use stash_model::{Cell, CellKey, QueryError, QueryResult};
@@ -61,29 +64,34 @@ pub struct EvalOutcome {
     pub fetched: usize,
 }
 
-/// Evaluate the given target keys against a node's graph. `keys` are the
-/// Cells this node is responsible for (the front end has already split
-/// the query by owner); call sites with a whole query use
-/// [`stash_model::AggQuery::target_keys`] first.
+/// Evaluate the given target keys against a node's graph, then run the
+/// evaluation's upkeep. `keys` are the Cells this node is responsible for
+/// (the front end has already split the query by owner); call sites with a
+/// whole query use [`stash_model::AggQuery::target_keys`] first. The
+/// non-empty Cells come back in no particular order.
 pub fn evaluate(
     graph: &StashGraph,
     keys: &[CellKey],
     fetch: &FetchFn,
 ) -> Result<QueryResult, EvalError> {
-    evaluate_traced(graph, keys, fetch).map(|(result, _)| result)
+    let (result, _, tick) = evaluate_traced(graph, keys, fetch)?;
+    graph.upkeep(keys, tick);
+    Ok(result)
 }
 
-/// [`evaluate`] plus a per-stage timing breakdown: `plm_ns` covers the
-/// batched PLM/cache pass, `merge_ns` derivation, insertion, dispersal,
-/// and result assembly, and `dfs_ns` the wall time spent inside `fetch`
-/// (local DFS scan, or scan + wire when the fetcher gathers remotely —
-/// callers that know their fetcher's wire share move it to `wire_ns`).
+/// The answer of [`evaluate`] without its upkeep, plus a per-stage timing
+/// breakdown and the logical tick the evaluation took. `plm_ns` covers the
+/// batched PLM/cache pass, `merge_ns` derivation, insertion and result
+/// assembly, and `dfs_ns` the wall time spent inside `fetch` (local DFS
+/// scan, or scan + wire when the fetcher gathers remotely — callers that
+/// know their fetcher's wire share move it to `wire_ns`). The caller owes
+/// the graph `upkeep(keys, tick)`, before any later evaluation of it.
 pub fn evaluate_traced(
     graph: &StashGraph,
     keys: &[CellKey],
     fetch: &FetchFn,
-) -> Result<(QueryResult, StageTimes), EvalError> {
-    graph.clock().advance();
+) -> Result<(QueryResult, StageTimes, u64), EvalError> {
+    let tick = graph.clock().advance();
     let mut outcome = EvalOutcome::default();
     let mut times = StageTimes::default();
 
@@ -131,14 +139,10 @@ pub fn evaluate_traced(
         times.merge_ns += t.elapsed().as_nanos() as u64;
     }
 
+    // Drop empty Cells from the rendered set (nothing to draw) while
+    // keeping them cached. The front end orders the merged answer.
     let t = Instant::now();
-    // Freshness dispersion over the accessed region (§V-C2).
-    graph.touch_region(keys);
-
-    // Deterministic output order; drop empty Cells from the rendered set
-    // (nothing to draw) while keeping them cached.
     cells.retain(|c| !c.summary.is_empty());
-    cells.sort_by_key(|c| c.key);
     times.merge_ns += t.elapsed().as_nanos() as u64;
     Ok((
         QueryResult {
@@ -149,6 +153,7 @@ pub fn evaluate_traced(
             rollup_hits: 0,
         },
         times,
+        tick,
     ))
 }
 
@@ -157,10 +162,12 @@ mod tests {
     use super::*;
     use crate::clock::LogicalClock;
     use crate::config::StashConfig;
+    use crate::fx::FxHashSet;
     use parking_lot::Mutex;
     use stash_geo::time::epoch_seconds;
     use stash_geo::{Geohash, TemporalRes, TimeBin};
     use std::str::FromStr;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     fn graph() -> StashGraph {
@@ -283,17 +290,23 @@ mod tests {
     }
 
     #[test]
-    fn results_are_sorted_by_key() {
+    fn results_hold_every_asked_cell_once() {
         let g = graph();
         let mut keys: Vec<CellKey> = key("9q8").spatial_children().unwrap();
         keys.reverse();
         let fetch = |keys: &[CellKey]| -> Result<Vec<Cell>, String> {
             Ok(keys.iter().map(|&k| filled(k, 1.0)).collect())
         };
-        let r = evaluate(&g, &keys, &fetch).unwrap();
-        for w in r.cells.windows(2) {
-            assert!(w[0].key < w[1].key);
-        }
+        g.insert_many(keys[..10].iter().map(|&k| filled(k, 1.0)));
+        let mut got: Vec<CellKey> = evaluate(&g, &keys, &fetch)
+            .unwrap()
+            .cells
+            .iter()
+            .map(|c| c.key)
+            .collect();
+        got.sort_unstable();
+        keys.sort_unstable();
+        assert_eq!(got, keys);
     }
 
     #[test]
@@ -304,7 +317,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
             Ok(keys.iter().map(|&k| filled(k, 1.0)).collect())
         };
-        let (cold, t_cold) = evaluate_traced(&g, &keys, &slow_fetch).unwrap();
+        let (cold, t_cold, _) = evaluate_traced(&g, &keys, &slow_fetch).unwrap();
         assert_eq!(cold.misses, 32);
         assert!(
             t_cold.dfs_ns >= 5_000_000,
@@ -315,7 +328,7 @@ mod tests {
         assert_eq!((t_cold.wire_ns, t_cold.retry_ns, t_cold.wait_ns), (0, 0, 0));
 
         let deny = |_: &[CellKey]| -> Result<Vec<Cell>, String> { Err("warm".into()) };
-        let (warm, t_warm) = evaluate_traced(&g, &keys, &deny).unwrap();
+        let (warm, t_warm, _) = evaluate_traced(&g, &keys, &deny).unwrap();
         assert_eq!(warm.cache_hits, 32);
         assert_eq!(t_warm.dfs_ns, 0, "warm evaluation must not fetch");
         // Results are identical to the untraced path.
@@ -331,5 +344,159 @@ mod tests {
         };
         evaluate(&g, &[key("9q8y")], &fetch).unwrap();
         assert_eq!(g.clock().now(), t0 + 1);
+        let (_, _, tick) = evaluate_traced(&g, &[key("9q8y")], &fetch).unwrap();
+        assert_eq!(tick, t0 + 2);
+    }
+
+    #[test]
+    fn upkeep_is_left_to_the_caller_of_the_traced_evaluation() {
+        let g = graph();
+        let center = key("9q8y");
+        let neighbor = center.lateral_neighbors()[0];
+        let fetch = |keys: &[CellKey]| -> Result<Vec<Cell>, String> {
+            Ok(keys.iter().map(|&k| filled(k, 1.0)).collect())
+        };
+        g.insert_many([filled(neighbor, 1.0)]);
+        let (_, _, tick) = evaluate_traced(&g, &[center], &fetch).unwrap();
+        let untouched = g.freshness_of(&neighbor).unwrap();
+        assert_eq!(g.stats().dispersal_probes.load(Ordering::Relaxed), 0);
+        g.upkeep(&[center], tick);
+        assert!(g.freshness_of(&neighbor).unwrap() > untouched);
+        assert_eq!(g.stats().dispersals.load(Ordering::Relaxed), 1);
+    }
+
+    // -- Upkeep after the answer == the in-evaluate order ----------------------
+
+    /// The evaluation order this crate had before upkeep left the
+    /// evaluation: a replacement pass after every derivation and after the
+    /// post-fetch inserts, dispersal at the end, the answer sorted.
+    fn evaluate_reference(
+        graph: &StashGraph,
+        keys: &[CellKey],
+        fetch: &FetchFn,
+    ) -> Result<QueryResult, EvalError> {
+        graph.clock().advance();
+        let (mut cells, candidates) = graph.get_many(keys);
+        let cache_hits = cells.len();
+        let (mut derived_hits, mut missing) = (0, Vec::new());
+        for key in candidates {
+            if let Some(cell) = graph.try_derive(&key) {
+                graph.evict_if_needed();
+                derived_hits += 1;
+                cells.push(cell);
+            } else {
+                missing.push(key);
+            }
+        }
+        let mut misses = 0;
+        if !missing.is_empty() {
+            let fetched = fetch(&missing).map_err(EvalError::Fetch)?;
+            misses = fetched.len();
+            graph.insert_many(fetched.iter().cloned());
+            graph.evict_if_needed();
+            cells.extend(fetched);
+        }
+        graph.touch_region(keys);
+        cells.retain(|c| !c.summary.is_empty());
+        cells.sort_by_key(|c| c.key);
+        Ok(QueryResult {
+            cells,
+            cache_hits,
+            derived_hits,
+            misses,
+            rollup_hits: 0,
+        })
+    }
+
+    /// Storage for the proptest: a res-4 Day Cell holds one row (or none)
+    /// valued by its key; a res-3 Day Cell is the merge of its 32 children,
+    /// so deriving it from cache and fetching it give the same bits.
+    fn stored(k: CellKey) -> Cell {
+        if k.geohash.len() == 3 {
+            let children: Vec<Cell> = k
+                .spatial_children()
+                .unwrap()
+                .into_iter()
+                .map(stored)
+                .collect();
+            return Cell::from_children(k, 1, &children);
+        }
+        match k.dense_id() % 5 {
+            0 => Cell::empty(k, 1),
+            v => filled(k, v as f64),
+        }
+    }
+
+    fn resident(g: &StashGraph) -> Vec<(CellKey, u64)> {
+        let mut out: Vec<(CellKey, u64)> = g
+            .keys_intersecting(
+                &stash_geo::BBox::from_corner_extent(-90.0, -180.0, 180.0, 360.0),
+                &stash_geo::TimeRange::new(i64::MIN / 2, i64::MAX / 2).unwrap(),
+            )
+            .into_iter()
+            .map(|k| (k, g.freshness_of(&k).unwrap().to_bits()))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 48, ..Default::default() })]
+
+        /// Single-threaded sequences of hit / derive / miss shares on twin
+        /// graphs, one evaluated in the reference order and one with its
+        /// upkeep after the answer: the answers are always equal; freshness
+        /// is equal bit for bit until a replacement pass ran (the two orders
+        /// may then pick different victims); every upkeep leaves the graph
+        /// within budget, evicting no Cell fresher than one it keeps.
+        #[test]
+        fn upkeep_after_the_answer_equals_the_in_evaluate_order(
+            budget in 0usize..4,
+            shares in proptest::collection::vec(
+                (0u8..3, 0usize..3, 0i64..2, 0usize..32, 1usize..=32),
+                1..24,
+            ),
+        ) {
+            // One in four sequences never evicts.
+            let max_cells = [100_000, 40, 80, 150][budget];
+            let config = StashConfig { max_cells, ..StashConfig::default() };
+            let twins = [0, 1].map(|_| StashGraph::new(config.clone(), Arc::new(LogicalClock::new())));
+            let fetch = |keys: &[CellKey]| -> Result<Vec<Cell>, String> {
+                Ok(keys.iter().map(|&k| stored(k)).collect())
+            };
+            let tiles = ["9q8", "9q9", "9qb"];
+            // A share is res-3 tiles (derived once their children are all
+            // cached), a whole tile's 32 children, or a run of them.
+            for (kind, tile, day, start, len) in shares {
+                let k = key(tiles[tile]);
+                let root = CellKey::new(k.geohash, TimeBin { idx: k.time.idx + day, ..k.time });
+                let children = root.spatial_children().unwrap().into_iter();
+                let keys: Vec<CellKey> = match kind {
+                    0 => tiles.iter().take(tile + 1).map(|t| CellKey::new(key(t).geohash, root.time)).collect(),
+                    1 => children.collect(),
+                    _ => children.skip(start).take(len).collect(),
+                };
+                let want = evaluate_reference(&twins[0], &keys, &fetch).unwrap();
+                let g = &twins[1];
+                let (mut got, _, tick) = evaluate_traced(g, &keys, &fetch).unwrap();
+                got.cells.sort_by_key(|c| c.key);
+                proptest::prop_assert_eq!(&got.cells, &want.cells);
+
+                let before: Vec<(CellKey, f64)> =
+                    resident(g).into_iter().map(|(k, _)| (k, g.freshness_of(&k).unwrap())).collect();
+                g.upkeep(&keys, tick);
+                proptest::prop_assert!(g.len() <= max_cells);
+                let after: FxHashSet<CellKey> = resident(g).into_iter().map(|(k, _)| k).collect();
+                let (kept, evicted): (Vec<_>, Vec<_>) = before.iter().partition(|(k, _)| after.contains(k));
+                let least_kept = kept.iter().map(|(_, f)| *f).fold(f64::INFINITY, f64::min);
+                let most_evicted = evicted.iter().map(|(_, f)| *f).fold(f64::NEG_INFINITY, f64::max);
+                proptest::prop_assert!(least_kept >= most_evicted, "kept {} < evicted {}", least_kept, most_evicted);
+
+                let passes = |g: &StashGraph| g.stats().evict_passes.load(Ordering::Relaxed);
+                if passes(&twins[0]) + passes(&twins[1]) == 0 {
+                    proptest::prop_assert_eq!(resident(&twins[0]), resident(&twins[1]));
+                }
+            }
+        }
     }
 }

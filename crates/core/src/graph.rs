@@ -11,7 +11,8 @@
 //! * **freshness** scores and their dispersion to the spatiotemporal
 //!   neighborhood of accessed regions (§V-C2, Fig. 3);
 //! * **replacement**: when the Cell count crosses the configured threshold,
-//!   lowest-freshness Cells are evicted until the safe limit (§V-C).
+//!   lowest-freshness Cells are evicted until the safe limit (§V-C) — one
+//!   pass per evaluation, in its [`StashGraph::upkeep`].
 //!
 //! Locking: one `RwLock` per level keeps cross-level operations (a query
 //! touches one level; derivation touches two) from contending, and
@@ -291,13 +292,12 @@ impl StashGraph {
     }
 
     /// Bulk insert — the post-fetch population path ("the population of
-    /// Cells fetched from disk to memory", §VIII-C2). One eviction pass at
-    /// the end instead of per Cell.
+    /// Cells fetched from disk to memory", §VIII-C2). Runs no replacement
+    /// pass: the evaluation's [`StashGraph::upkeep`] does, once per share.
     pub fn insert_many(&self, cells: impl IntoIterator<Item = Cell>) {
         for cell in cells {
             self.insert_with_freshness(cell, self.config.f_inc);
         }
-        self.evict_if_needed();
     }
 
     /// Insert preserving an explicit freshness score (guest-graph
@@ -331,13 +331,14 @@ impl StashGraph {
     /// (§V-B condition (b): disk is only touched when the value cannot be
     /// computed "from the existing cached values"). Spatial children are
     /// tried first (fixed fan-out 32), then temporal children. The derived
-    /// Cell is inserted so later queries hit directly.
+    /// Cell is inserted so later queries hit directly; like
+    /// [`StashGraph::insert_many`], without a replacement pass.
     pub fn try_derive(&self, key: &CellKey) -> Option<Cell> {
         let derived = self
             .try_derive_from(key, key.spatial_children()?)
             .or_else(|| self.try_derive_from(key, key.temporal_children()?))?;
         self.stats.derived.fetch_add(1, Ordering::Relaxed);
-        self.insert(derived.clone());
+        self.insert_with_freshness(derived.clone(), self.config.f_inc);
         Some(derived)
     }
 
@@ -374,6 +375,21 @@ impl StashGraph {
     /// [`stash_model::AggQuery::target_keys`] produces (bin by bin, geohash
     /// ordered) is the fast one.
     pub fn touch_region(&self, region: &[CellKey]) {
+        self.touch_region_at(region, self.clock.now());
+    }
+
+    /// What an evaluation leaves to do once its answer is out (§V-C): the
+    /// replacement pass, then the accessed region's freshness dispersal,
+    /// both at `tick`, the tick the evaluation ran at. Neither changes the
+    /// answer, so an owner replies first and runs this after; it must run
+    /// before any later evaluation of this graph advances the clock for
+    /// freshness to come out as if it had run inside the evaluation.
+    pub fn upkeep(&self, region: &[CellKey], tick: u64) {
+        self.evict_at(tick);
+        self.touch_region_at(region, tick);
+    }
+
+    fn touch_region_at(&self, region: &[CellKey], now: u64) {
         if region.is_empty() || self.config.neighbor_fraction == 0.0 {
             return;
         }
@@ -389,7 +405,6 @@ impl StashGraph {
             }
         }
 
-        let now = self.clock.now();
         let tau = self.config.decay_tau;
         let frac = self.config.f_inc * self.config.neighbor_fraction;
         for (level, mut candidates) in plan {
@@ -533,12 +548,16 @@ impl StashGraph {
     /// at the safe limit. Stale Cells rank below everything (their data is
     /// wrong anyway).
     pub fn evict_if_needed(&self) -> usize {
+        self.evict_at(self.clock.now())
+    }
+
+    /// [`StashGraph::evict_if_needed`], scoring freshness at tick `now`.
+    fn evict_at(&self, now: u64) -> usize {
         if self.len() <= self.config.max_cells {
             return 0;
         }
         let target = self.config.safe_limit();
         self.stats.evict_passes.fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now();
         let tau = self.config.decay_tau;
         // Score every cached cell. Eviction is rare and O(n log n) here;
         // the paper accepts a full replacement pass on threshold breach.

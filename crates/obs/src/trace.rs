@@ -19,7 +19,10 @@ pub struct StageTimes {
     pub route_ns: u64,
     /// PLM completeness checks + cache lookups (`get_many`).
     pub plm_ns: u64,
-    /// Derivation from finer levels, inserts, and result merging.
+    /// Derivation from finer levels, inserts, result assembly and the
+    /// modeled serve cost. Not an owner's upkeep (replacement, dispersal,
+    /// housekeeping), which runs after its reply: node histogram
+    /// `eval.upkeep`.
     pub merge_ns: u64,
     /// DFS scans: fetching observations for cells the cache couldn't serve.
     pub dfs_ns: u64,
