@@ -30,11 +30,23 @@ pub(crate) struct Caller {
 }
 
 /// A request in flight: the peer it went to and the slot its reply will
-/// complete.
-pub(crate) struct Call {
+/// complete. A call dropped without a [`Caller::wait`] cancels its id, so
+/// its slot does not outlive it and a reply that comes later is stale.
+pub(crate) struct Call<'a> {
     pub(crate) node: usize,
     pub(crate) id: u64,
     slot: ReplySlot<Msg>,
+    /// The table the id is pending in; cleared by the wait, which leaves
+    /// nothing to cancel.
+    pending: Option<&'a RpcTable<Msg>>,
+}
+
+impl Drop for Call<'_> {
+    fn drop(&mut self) {
+        if let Some(rpc) = self.pending {
+            rpc.cancel(self.id);
+        }
+    }
 }
 
 impl Caller {
@@ -81,13 +93,14 @@ impl Caller {
         &self,
         dst: usize,
         build: impl FnOnce(u64, NodeId) -> Msg,
-    ) -> Result<Call, ClusterError> {
+    ) -> Result<Call<'_>, ClusterError> {
         let (id, slot) = self.rpc.register();
         if self.send(NodeId(dst), build(id, self.id)) {
             Ok(Call {
                 node: dst,
                 id,
                 slot,
+                pending: Some(&self.rpc),
             })
         } else {
             self.rpc.cancel(id);
@@ -99,17 +112,17 @@ impl Caller {
     /// ([`ClusterError::Timeout`]), and read it as `reply`.
     pub(crate) fn wait<T>(
         &self,
-        call: Call,
+        mut call: Call<'_>,
         timeout: Duration,
         reply: Reply<T>,
     ) -> Result<T, ClusterError> {
-        let arrived = self
-            .rpc
-            .wait(call.id, &call.slot, timeout)
-            .ok_or(ClusterError::Timeout {
-                node: call.node,
-                op: reply.op,
-            })?;
+        // Whatever the wait's outcome, it takes the id out of the table.
+        let arrived = self.rpc.wait(call.id, &call.slot, timeout);
+        call.pending = None;
+        let arrived = arrived.ok_or(ClusterError::Timeout {
+            node: call.node,
+            op: reply.op,
+        })?;
         self.record_late(arrived.late);
         (reply.read)(arrived.response, arrived.wire.as_nanos() as u64)
     }
@@ -212,7 +225,8 @@ pub(crate) fn backoff(base: Duration, who: usize, salt: u64, attempt: u32) -> Du
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stash_net::NetConfig;
+    use crate::protocol::ACK;
+    use stash_net::{Envelope, NetConfig};
 
     #[test]
     fn backoff_is_a_pure_function_inside_its_band() {
@@ -268,6 +282,43 @@ mod tests {
         let naps = (1..made + u32::from(nap_first)).map(|n| backoff(caller.backoff, 2, 5, n));
         assert_eq!(napped, naps.sum::<Duration>());
         made
+    }
+
+    /// A call given up without its wait — a gather that returned on an
+    /// error, an aborted round — must not strand its slot in the table for
+    /// the life of the party, and a reply that comes afterwards is stale.
+    #[test]
+    fn a_call_dropped_unwaited_cancels_its_slot() {
+        let caller = caller();
+        let ask = || {
+            caller
+                .call(1, |rpc, reply_to| Msg::Distress {
+                    rpc,
+                    reply_to,
+                    n_cells: 1,
+                })
+                .expect("the fabric is up")
+        };
+        let call = ask();
+        let id = call.id;
+        assert_eq!(caller.rpc.in_flight(), 1);
+        drop(call);
+        assert_eq!(caller.rpc.in_flight(), 0, "an un-waited call left its slot");
+        let reply = Msg::DistressAck {
+            rpc: id,
+            accept: true,
+        };
+        caller.complete(id, Parked::local(Envelope::local(NodeId(2), reply)));
+        assert_eq!(caller.obs.counter("node.stale_reply").get(), 1);
+        // A waited call leaves the table through its wait, even one that
+        // timed out; only the un-waited one is left to cancel.
+        let waited = ask();
+        let other = ask();
+        let got = caller.wait(waited, Duration::from_millis(1), ACK);
+        assert!(matches!(got, Err(ClusterError::Timeout { node: 1, .. })));
+        assert_eq!(caller.rpc.in_flight(), 1);
+        drop(other);
+        assert_eq!(caller.rpc.in_flight(), 0);
     }
 
     #[test]

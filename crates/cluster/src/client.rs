@@ -196,14 +196,14 @@ impl ClusterClient {
         planned: Instant,
         trace: &mut QueryTrace,
     ) -> Result<QueryResult, ClusterError> {
-        let shares: Vec<(usize, Vec<CellKey>, Result<Call, ClusterError>)> =
-            by_owner(&self.partitioner, keys.iter().copied())
-                .into_iter()
-                .map(|(owner, share)| {
-                    let call = self.send_share(owner, &share, true);
-                    (owner, share, call)
-                })
-                .collect();
+        let shares: Vec<_> = by_owner(&self.partitioner, keys.iter().copied())
+            .into_iter()
+            .map(|(owner, share)| {
+                let share: Arc<[CellKey]> = share.into();
+                let call = self.send_share(owner, &share, true);
+                (owner, share, call)
+            })
+            .collect();
         trace.subqueries = shares.iter().filter(|(_, _, call)| call.is_ok()).count() as u32;
         let sent = Instant::now();
         trace.local.route_ns = (sent - planned).as_nanos() as u64;
@@ -239,7 +239,7 @@ impl ClusterClient {
     fn settle(
         &self,
         owner: usize,
-        keys: &[CellKey],
+        keys: &Arc<[CellKey]>,
         trace: &mut QueryTrace,
     ) -> Result<QueryResult, ClusterError> {
         let attempts = self.config.sub_rpc_retries + 1;
@@ -276,7 +276,7 @@ impl ClusterClient {
     fn ask(
         &self,
         owner: usize,
-        keys: &[CellKey],
+        keys: &Arc<[CellKey]>,
         trace: &mut QueryTrace,
     ) -> Result<QueryResult, ClusterError> {
         self.answer(self.send_share(owner, keys, true)?, keys, trace)
@@ -287,8 +287,8 @@ impl ClusterClient {
     /// stale — is sent once more, straight to the owner.
     fn answer(
         &self,
-        call: Call,
-        keys: &[CellKey],
+        call: Call<'_>,
+        keys: &Arc<[CellKey]>,
         trace: &mut QueryTrace,
     ) -> Result<QueryResult, ClusterError> {
         let owner = call.node;
@@ -305,17 +305,17 @@ impl ClusterClient {
         result
     }
 
-    /// One owner's share on the wire.
+    /// One owner's share on the wire, sharing the planned key list.
     fn send_share(
         &self,
         owner: usize,
-        keys: &[CellKey],
+        keys: &Arc<[CellKey]>,
         allow_reroute: bool,
-    ) -> Result<Call, ClusterError> {
+    ) -> Result<Call<'_>, ClusterError> {
         self.gateway.call(owner, |rpc, reply_to| Msg::SubQuery {
             rpc,
             reply_to,
-            keys: keys.to_vec(),
+            keys: Arc::clone(keys),
             allow_reroute,
             via_guest: false,
         })

@@ -96,8 +96,9 @@ impl Gatherer<'_> {
         let me = self.caller.id.0;
         let mut waits = Vec::new();
         for &owner in owners.iter().filter(|&&o| o != me) {
-            // A refused send aborts the round; peers' replies for it land
-            // in removed slots and are dropped.
+            // A refused send aborts the round: the calls already made are
+            // dropped, which cancels their slots, so peers' replies for
+            // them are stale.
             let call = send_fetch(self.caller, owner, keys, exclude)
                 .map_err(|e| GatherFailure::Owner(owner, e))?;
             waits.push(call);
@@ -180,12 +181,12 @@ impl Gatherer<'_> {
 }
 
 /// One FetchPartials for `keys` to a block owner under `exclude`.
-pub(crate) fn send_fetch(
-    caller: &Caller,
+pub(crate) fn send_fetch<'a>(
+    caller: &'a Caller,
     owner: usize,
     keys: &[CellKey],
     exclude: &[usize],
-) -> Result<Call, ClusterError> {
+) -> Result<Call<'a>, ClusterError> {
     caller.call(owner, |rpc, reply_to| Msg::FetchPartials {
         rpc,
         reply_to,

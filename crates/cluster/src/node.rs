@@ -479,7 +479,7 @@ impl NodeCtx {
     /// the share left. A forward the fabric refuses means the helper
     /// crashed since its route was recorded: its routes are dropped and the
     /// share stays here.
-    fn shed(&self, rpc: u64, reply_to: NodeId, keys: &[CellKey]) -> bool {
+    fn shed(&self, rpc: u64, reply_to: NodeId, keys: &Arc<[CellKey]>) -> bool {
         if !self.is_hotspotted() {
             return false;
         }
@@ -493,7 +493,7 @@ impl NodeCtx {
         let forwarded = Msg::SubQuery {
             rpc,
             reply_to,
-            keys: keys.to_vec(),
+            keys: Arc::clone(keys),
             allow_reroute: false,
             via_guest: true,
         };
@@ -508,7 +508,7 @@ impl NodeCtx {
     }
 
     /// Wait for a reply to one of this node's sub-RPCs.
-    fn wait<T>(&self, call: Call, reply: Reply<T>) -> Result<T, ClusterError> {
+    fn wait<T>(&self, call: Call<'_>, reply: Reply<T>) -> Result<T, ClusterError> {
         self.caller.wait(call, self.config.sub_rpc_timeout, reply)
     }
 
@@ -867,7 +867,11 @@ impl NodeCtx {
     }
 
     /// One `Invalidate` to one peer.
-    fn send_invalidate(&self, peer: usize, keys: &Arc<[CellKey]>) -> Result<Call, ClusterError> {
+    fn send_invalidate(
+        &self,
+        peer: usize,
+        keys: &Arc<[CellKey]>,
+    ) -> Result<Call<'_>, ClusterError> {
         self.obs
             .counter("ingest.invalidate.keys")
             .add(keys.len() as u64);
@@ -891,7 +895,7 @@ impl NodeCtx {
     /// the batch ack anyway.
     fn broadcast_invalidate(&self, keys: &Arc<[CellKey]>) -> bool {
         let n_nodes = self.store.partitioner().n_nodes();
-        let waits: Vec<Call> = (0..n_nodes)
+        let waits: Vec<Call<'_>> = (0..n_nodes)
             .filter(|&p| p != self.node_idx)
             .filter_map(|peer| self.send_invalidate(peer, keys).ok())
             .collect();

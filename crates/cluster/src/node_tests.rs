@@ -441,7 +441,7 @@ fn a_queued_and_a_running_subquery_count_toward_the_hotspot() {
         let queued = Msg::SubQuery {
             rpc: u64::MAX,
             reply_to: gateway,
-            keys,
+            keys: keys.into(),
             allow_reroute: false,
             via_guest: false,
         };
@@ -663,6 +663,47 @@ fn maintain_runs_on_the_tick_its_own_evaluation_took() {
     cluster.shutdown();
 }
 
+// -- Shared summaries: an answer is a snapshot -------------------------------
+
+/// The flat bytes of `cells`, in order: their summaries' content, bit for bit.
+fn cell_bits(cells: &[Cell]) -> Vec<u8> {
+    let parts: Vec<(CellKey, CellSummary)> =
+        cells.iter().map(|c| (c.key, c.summary.clone())).collect();
+    FlatPartials::encode(&parts).to_bytes()
+}
+
+/// A warm share's answer holds its Cells' summaries shared with the
+/// owner's resident Cells. A batch that patches one of them afterwards
+/// un-shares it on the owner: the answer keeps its pre-batch bits, and the
+/// resident Cell carries the batch.
+#[test]
+fn a_served_answer_keeps_its_bits_under_a_later_patch() {
+    let cluster = SimCluster::new(test_config(1));
+    let node = cluster.node(0);
+    let (query, asked) = tile_query(CellKey::new(tile("9q8"), day(2)));
+    node.eval_subquery(&asked, false).unwrap();
+    let answer = cluster.client().query(&query).run().unwrap();
+    assert_eq!(answer.misses, 0, "the share was warm");
+    let target = answer.cells[0].key;
+    let before = cell_bits(&answer.cells);
+    let resident = node.graph.peek(&target).unwrap().summary;
+
+    append_now(node, live_blocks()[0], 0, vec![row_in(&target)]);
+    assert_eq!(counter(node, "ingest.cells_patched"), 1);
+    assert_eq!(
+        cell_bits(&answer.cells),
+        before,
+        "the patch reached the answer"
+    );
+    let mut want = resident;
+    let mut delta = CellSummary::empty(want.n_attrs());
+    delta.push_row(&row_in(&target).values);
+    want.merge(&delta);
+    assert!(node.graph.contains_fresh(&target));
+    assert_eq!(node.graph.peek(&target).unwrap().summary, want);
+    cluster.shutdown();
+}
+
 // -- Retry counts per site, with the peer partitioned away --------------------
 
 /// Two nodes with short deadlines and naps, two retries per sub-RPC, and the
@@ -763,7 +804,7 @@ fn a_restarted_node_takes_no_reply_meant_for_its_previous_incarnation() {
     let mut cluster = SimCluster::new(test_config(2));
     // Node 1 never hears node 0's requests, so they stay outstanding.
     cluster.router().set_partition(&[vec![0], vec![1]]);
-    let ask = |cluster: &SimCluster| {
+    fn ask(cluster: &SimCluster) -> Call<'_> {
         cluster
             .node(0)
             .caller
@@ -773,18 +814,19 @@ fn a_restarted_node_takes_no_reply_meant_for_its_previous_incarnation() {
                 n_cells: 1,
             })
             .expect("node 1 is up")
-    };
-    let old = ask(&cluster);
+    }
+    // Only the id is kept: the old incarnation goes with its table.
+    let old = ask(&cluster).id;
     cluster.crash_node(0);
     cluster.restart_node(0);
     let new = ask(&cluster);
-    assert_ne!(old.id, new.id, "a restarted node reuses reply ids");
+    assert_ne!(old, new.id, "a restarted node reuses reply ids");
     cluster.router().heal_partition();
     assert!(cluster.router().send(
         NodeId(1),
         NodeId(0),
         Msg::DistressAck {
-            rpc: old.id,
+            rpc: old,
             accept: true,
         },
         48,

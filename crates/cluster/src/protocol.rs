@@ -89,10 +89,12 @@ pub enum Msg {
     /// Evaluate these Cells (all owned by the destination) against STASH —
     /// or, in Basic mode, straight from blocks. `allow_reroute` is cleared
     /// on the resend after a failed guest-graph hit, preventing ping-pong.
+    /// The key list is shared: the first wave, a resend, every retry and
+    /// a hotspot's forward carry the one list the front end planned.
     SubQuery {
         rpc: u64,
         reply_to: NodeId,
-        keys: Vec<CellKey>,
+        keys: Arc<[CellKey]>,
         allow_reroute: bool,
         /// Set when the destination should serve from its guest graph
         /// (the request was rerouted by a hotspotted node, §VII-C).
@@ -377,14 +379,14 @@ mod tests {
         let small = Msg::SubQuery {
             rpc: 1,
             reply_to: NodeId(0),
-            keys: vec![cell().key],
+            keys: vec![cell().key].into(),
             allow_reroute: true,
             via_guest: false,
         };
         let big = Msg::SubQuery {
             rpc: 1,
             reply_to: NodeId(0),
-            keys: vec![cell().key; 100],
+            keys: vec![cell().key; 100].into(),
             allow_reroute: true,
             via_guest: false,
         };
@@ -517,7 +519,7 @@ mod tests {
             let req = Msg::SubQuery {
                 rpc: 1,
                 reply_to: NodeId(0),
-                keys: vec![cell().key; n],
+                keys: vec![cell().key; n].into(),
                 allow_reroute: true,
                 via_guest: false,
             };

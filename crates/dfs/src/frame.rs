@@ -590,9 +590,7 @@ impl BlockFrame {
                 };
                 if let Some(i) = out_idx {
                     let base = dense as usize * self.n_attrs;
-                    for (a, s) in acc[base..base + self.n_attrs].iter().enumerate() {
-                        out[i].1.merge_attr(a, s);
-                    }
+                    out[i].1.merge_attrs(&acc[base..base + self.n_attrs]);
                     if sketch.enabled {
                         slot_out_all[g * dense_count + dense as usize] = i as u32;
                     }

@@ -191,8 +191,10 @@ impl RollupStore {
     /// unless *every* key is at a rollup level with its bin fully under the
     /// watermark (partial eligibility falls back to the normal path so the
     /// caller never mixes authorities within one sub-query). The returned
-    /// cells are the non-empty ones, sorted by key — the same shape the
-    /// evaluator produces.
+    /// cells are the non-empty ones, sorted by key; each summary is a
+    /// shared clone of the stored one (reference counts, not a copy), so a
+    /// later fold un-shares the stored Cell and leaves the answer as
+    /// served.
     pub fn serve(&self, keys: &[CellKey]) -> Option<Vec<(CellKey, CellSummary)>> {
         let inner = self.inner.read();
         if !keys

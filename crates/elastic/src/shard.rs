@@ -4,7 +4,7 @@ use crate::lru::LruCache;
 use parking_lot::Mutex;
 use stash_dfs::{plan_blocks, BlockKey, BlockSource, DiskModel, DiskStats, Lanes};
 use stash_geo::{BBox, TimeRange};
-use stash_model::{AggQuery, CellKey, CellSummary, Observation};
+use stash_model::{AggQuery, CellKey, CellSummary, Observation, SummaryStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -162,7 +162,9 @@ impl NodeShards {
             .collect();
 
         let n_attrs = self.source.n_attrs();
-        let mut out: HashMap<CellKey, CellSummary> = HashMap::new();
+        // Exact summaries accumulate unshared, one vector per Cell, and
+        // become Cells once every row is in: no per-row un-share check.
+        let mut out: HashMap<CellKey, Vec<SummaryStats>> = HashMap::new();
         // The same two-lane schedule the STASH and Basic stores bill
         // through (DESIGN.md §2b): the disk reads block i+1 while this
         // thread collects block i.
@@ -183,9 +185,13 @@ impl NodeShards {
                         continue;
                     };
                     if members.contains(&key) {
-                        out.entry(key)
-                            .or_insert_with(|| CellSummary::empty(n_attrs))
-                            .push_row(&obs.values);
+                        assert_eq!(obs.values.len(), n_attrs, "row width mismatch");
+                        let acc = out
+                            .entry(key)
+                            .or_insert_with(|| vec![SummaryStats::empty(); n_attrs]);
+                        for (s, &v) in acc.iter_mut().zip(&obs.values) {
+                            s.push(v);
+                        }
                     }
                 }
             }
@@ -198,7 +204,10 @@ impl NodeShards {
             );
         }
         lanes.end();
-        let mut result: Vec<(CellKey, CellSummary)> = out.into_iter().collect();
+        let mut result: Vec<(CellKey, CellSummary)> = out
+            .into_iter()
+            .map(|(k, acc)| (k, CellSummary::from_parts(acc)))
+            .collect();
         result.sort_by_key(|(k, _)| *k);
         let shared = Arc::new(result);
         self.request_cache.lock().put(fp, Arc::clone(&shared));

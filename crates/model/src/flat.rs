@@ -83,14 +83,15 @@ fn encode_summary(w: &mut WordWriter, s: &SummaryStats) {
     w.push_f64(s.sum_sq);
 }
 
-fn decode_summary(r: &mut WordReader) -> Result<SummaryStats, FlatError> {
-    Ok(SummaryStats {
-        count: r.u64()?,
-        min: r.f64()?,
-        max: r.f64()?,
-        sum: r.f64()?,
-        sum_sq: r.f64()?,
-    })
+/// The summary in five words of [`encode_summary`]'s form.
+fn summary_of_words(w: &[u64]) -> SummaryStats {
+    SummaryStats {
+        count: w[0],
+        min: f64::from_bits(w[1]),
+        max: f64::from_bits(w[2]),
+        sum: f64::from_bits(w[3]),
+        sum_sq: f64::from_bits(w[4]),
+    }
 }
 
 /// Append a Cell summary's flat form: header word (attribute count in the
@@ -99,7 +100,7 @@ fn decode_summary(r: &mut WordReader) -> Result<SummaryStats, FlatError> {
 pub fn encode_cell_stats(w: &mut WordWriter, s: &CellStats) {
     let flag = if s.sketches.is_some() { 1u64 << 32 } else { 0 };
     w.push_u64(s.summaries.len() as u64 | flag);
-    for summary in &s.summaries {
+    for summary in s.summaries.iter() {
         encode_summary(w, summary);
     }
     if let Some(sketches) = &s.sketches {
@@ -122,10 +123,14 @@ pub fn decode_cell_stats(r: &mut WordReader) -> Result<CellStats, FlatError> {
             "cell stats attribute count out of range",
         ));
     }
-    let mut summaries = Vec::with_capacity(n_attrs);
-    for _ in 0..n_attrs {
-        summaries.push(decode_summary(r)?);
-    }
+    // Every exact summary's words are present before any is decoded, so
+    // the shared slice is collected straight from them: one allocation of
+    // known length.
+    let summaries = r
+        .take(5 * n_attrs)?
+        .chunks_exact(5)
+        .map(summary_of_words)
+        .collect();
     let sketches = if flag == 1 {
         let mut bundles = Vec::with_capacity(n_attrs);
         for _ in 0..n_attrs {

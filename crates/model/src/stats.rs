@@ -194,18 +194,20 @@ impl<'de> serde::Deserialize<'de> for SummaryStats {
 /// `CellSummary`. The serialized object gains a `"sketches"` key only when
 /// sketch state is present.
 ///
-/// The sketch payload is **shared and copy-on-write**: cloning a sketched
-/// `CellStats` copies the exact summaries and bumps a reference count, so a
-/// cache hit, a rollup serve or a handoff snapshot never deep-copies
-/// estimator state, and a clone already handed out is an immutable snapshot.
-/// The three writers — [`push_row`](Self::push_row), the pairwise arm of
-/// [`merge_strict`](Self::merge_strict) and
+/// Both halves are **shared and copy-on-write**: cloning a `CellStats`
+/// bumps one reference count (two when sketched), so a cache hit, a rollup
+/// serve or a handoff snapshot copies neither the exact summaries nor
+/// estimator state, and a clone already handed out is an immutable
+/// snapshot. The exact writers — [`push_row`](Self::push_row),
+/// [`merge_strict`](Self::merge_strict), [`merge_attr`](Self::merge_attr)
+/// and [`merge_attrs`](Self::merge_attrs) — and the sketch writers —
+/// `push_row`, the pairwise arm of `merge_strict` and
 /// [`attr_sketches_mut`](Self::attr_sketches_mut) — un-share first
 /// (`Arc::make_mut`: free while unshared, one deep copy otherwise). Equality
 /// and both serialized forms see content only (DESIGN.md §14).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellStats {
-    pub(crate) summaries: Vec<SummaryStats>,
+    pub(crate) summaries: Arc<[SummaryStats]>,
     /// `Some` iff this Cell carries sketch partials; aligned with
     /// `summaries` when present.
     pub(crate) sketches: Option<Arc<[AttrSketches]>>,
@@ -219,7 +221,7 @@ impl CellStats {
     /// An empty exact-only summary for `n_attrs` attributes.
     pub fn empty(n_attrs: usize) -> Self {
         CellStats {
-            summaries: vec![SummaryStats::empty(); n_attrs],
+            summaries: std::iter::repeat_n(SummaryStats::empty(), n_attrs).collect(),
             sketches: None,
         }
     }
@@ -232,10 +234,12 @@ impl CellStats {
         s
     }
 
-    /// Wrap pre-computed per-attribute summaries (exact-only).
-    pub fn from_parts(summaries: Vec<SummaryStats>) -> Self {
+    /// Wrap pre-computed per-attribute summaries (exact-only), collected
+    /// straight into the shared slice: one allocation for an iterator of
+    /// known length.
+    pub fn from_parts(summaries: impl IntoIterator<Item = SummaryStats>) -> Self {
         CellStats {
-            summaries,
+            summaries: summaries.into_iter().collect(),
             sketches: None,
         }
     }
@@ -277,7 +281,7 @@ impl CellStats {
     #[inline]
     pub fn push_row(&mut self, values: &[f64]) {
         assert_eq!(values.len(), self.summaries.len(), "row width mismatch");
-        for (s, &v) in self.summaries.iter_mut().zip(values) {
+        for (s, &v) in Arc::make_mut(&mut self.summaries).iter_mut().zip(values) {
             s.push(v);
         }
         if let Some(sketches) = &mut self.sketches {
@@ -350,24 +354,46 @@ impl CellStats {
                 }
             }
         }
-        for (a, b) in self.summaries.iter_mut().zip(&other.summaries) {
+        for (a, b) in Arc::make_mut(&mut self.summaries)
+            .iter_mut()
+            .zip(other.summaries.iter())
+        {
             a.merge(b);
         }
         Ok(())
     }
 
-    /// Merge a single attribute's *exact* statistics into attribute `i` —
-    /// the emission primitive of the columnar scan kernel, which accumulates
-    /// per-slot stats in a flat `SummaryStats` array rather than as whole
-    /// `CellSummary` values. Sketch state is untouched; the kernel folds
-    /// sketches through [`attr_sketches_mut`](Self::attr_sketches_mut) in
-    /// its own pass.
+    /// Merge a single attribute's *exact* statistics into attribute `i`.
+    /// Sketch state is untouched. Un-shares the exact summaries first; to
+    /// fold every attribute, [`merge_attrs`](Self::merge_attrs) un-shares
+    /// once.
     ///
     /// # Panics
     /// Panics if `i` is out of range.
     #[inline]
     pub fn merge_attr(&mut self, i: usize, other: &SummaryStats) {
-        self.summaries[i].merge(other);
+        Arc::make_mut(&mut self.summaries)[i].merge(other);
+    }
+
+    /// Merge `others[i]` into attribute `i` for every attribute — the
+    /// emission primitive of the columnar scan kernel, which accumulates
+    /// per-slot stats in a flat `SummaryStats` array rather than as whole
+    /// `CellSummary` values. Un-shares once. Sketch state is untouched; the
+    /// kernel folds sketches through
+    /// [`attr_sketches_mut`](Self::attr_sketches_mut) in its own pass.
+    ///
+    /// # Panics
+    /// Panics if `others` is not as wide as the summary.
+    #[inline]
+    pub fn merge_attrs(&mut self, others: &[SummaryStats]) {
+        assert_eq!(
+            others.len(),
+            self.summaries.len(),
+            "schema mismatch in merge_attrs"
+        );
+        for (a, b) in Arc::make_mut(&mut self.summaries).iter_mut().zip(others) {
+            a.merge(b);
+        }
     }
 
     /// True if this summary carries sketch partials.
@@ -399,7 +425,10 @@ impl CellStats {
         }
     }
 
-    /// Approximate in-memory footprint, for the cache budget.
+    /// Approximate in-memory footprint of this Cell's state as if it were
+    /// unshared: a payload a clone still shares is counted in full by each
+    /// holder, so a sum over Cells over-counts shared state. Nothing
+    /// budgets by it yet.
     pub fn estimated_bytes(&self) -> usize {
         std::mem::size_of::<CellSummary>()
             + self.summaries.len() * SummaryStats::estimated_bytes()
@@ -430,7 +459,7 @@ impl serde::Serialize for CellStats {
         // The `sketches` key is emitted only when present, keeping the
         // exact-only wire form byte-identical to the historical
         // `{"summaries": [...]}` object.
-        let mut fields = vec![("summaries".to_string(), self.summaries.to_value())];
+        let mut fields = vec![("summaries".to_string(), self.summaries[..].to_value())];
         if let Some(sketches) = &self.sketches {
             fields.push(("sketches".to_string(), sketches.to_value()));
         }
@@ -440,7 +469,18 @@ impl serde::Serialize for CellStats {
 
 impl<'de> serde::Deserialize<'de> for CellStats {
     fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::DeError> {
-        let summaries = Vec::<SummaryStats>::from_value(v.get_or_null("summaries"))?;
+        let items = v.get_or_null("summaries");
+        let items = items.as_array().ok_or_else(|| {
+            serde::de::Error::custom(format!("expected array, got {}", items.kind()))
+        })?;
+        // Decoded straight into the shared slice: allocated once, as
+        // empties, and filled in place before anything can share it.
+        let mut summaries: Arc<[SummaryStats]> =
+            std::iter::repeat_n(SummaryStats::empty(), items.len()).collect();
+        let slots = Arc::get_mut(&mut summaries).expect("a fresh slice is unshared");
+        for (slot, item) in slots.iter_mut().zip(items) {
+            *slot = SummaryStats::from_value(item)?;
+        }
         let sketches: Option<Arc<[AttrSketches]>> = match v.get_or_null("sketches") {
             serde::value::Value::Null => None,
             present => Some(Vec::<AttrSketches>::from_value(present)?.into()),
@@ -567,8 +607,11 @@ mod tests {
         for i in 0..2 {
             by_attr.merge_attr(i, other.attr(i).unwrap());
         }
+        let mut all_attrs = whole.clone();
+        all_attrs.merge_attrs(other.attrs());
         whole.merge(&other);
         assert_eq!(by_attr, whole);
+        assert_eq!(all_attrs, whole);
     }
 
     #[test]
@@ -593,7 +636,7 @@ mod tests {
         assert!(big.estimated_bytes() > small.estimated_bytes());
     }
 
-    // -- Shared, copy-on-write sketch payload ------------------------------
+    // -- Shared, copy-on-write exact summaries and sketch payload -----------
 
     fn sketched(spec: &SketchSpec, rows: std::ops::Range<u32>) -> CellStats {
         let mut s = CellStats::empty_with(2, spec);
@@ -601,6 +644,10 @@ mod tests {
             s.push_row(&[i as f64 * 0.25, (i % 5) as f64]);
         }
         s
+    }
+
+    fn exact(rows: std::ops::Range<u32>) -> CellStats {
+        sketched(&SketchSpec::default(), rows)
     }
 
     fn flat_bytes(s: &CellStats) -> Vec<u8> {
@@ -615,32 +662,82 @@ mod tests {
         Arc::ptr_eq(a.sketches.as_ref().unwrap(), b.sketches.as_ref().unwrap())
     }
 
-    #[test]
-    fn every_sketch_writer_unshares_and_leaves_clones_untouched() {
-        let spec = SketchSpec::standard();
-        let other = sketched(&spec, 100..140);
-        type Writer = fn(&mut CellStats, &CellStats);
-        let writers: [(&str, Writer); 3] = [
-            ("push_row", |s, _| s.push_row(&[7.5, 2.0])),
-            ("merge", |s, other| s.merge(other)),
-            ("attr_sketches_mut", |s, _| {
-                s.attr_sketches_mut(1).unwrap().push(3.0)
-            }),
-        ];
-        for (name, write) in writers {
-            let mut original = sketched(&spec, 0..100);
-            let mut twin = sketched(&spec, 0..100); // never shared
-            let snapshot = original.clone();
-            assert!(shares_payload(&original, &snapshot), "{name}: clone copied");
-            let before = flat_bytes(&snapshot);
+    fn shares_summaries(a: &CellStats, b: &CellStats) -> bool {
+        Arc::ptr_eq(&a.summaries, &b.summaries)
+    }
 
-            write(&mut original, &other);
-            write(&mut twin, &other);
-            assert!(!shares_payload(&original, &snapshot), "{name}");
-            assert_eq!(flat_bytes(&snapshot), before, "{name}: clone changed");
-            assert_ne!(original, snapshot, "{name}: write lost");
-            assert_eq!(original, twin, "{name}");
-            assert_eq!(flat_bytes(&original), flat_bytes(&twin), "{name}");
+    #[test]
+    fn every_writer_unshares_and_leaves_clones_untouched() {
+        type Writer = fn(&mut CellStats, &CellStats);
+        // (name, writer, writes the exact summaries, writes the sketches)
+        let writers: [(&str, Writer, bool, bool); 5] = [
+            ("push_row", |s, _| s.push_row(&[7.5, 2.0]), true, true),
+            ("merge", |s, other| s.merge(other), true, true),
+            (
+                "merge_attr",
+                |s, other| s.merge_attr(1, other.attr(1).unwrap()),
+                true,
+                false,
+            ),
+            (
+                "merge_attrs",
+                |s, other| s.merge_attrs(other.attrs()),
+                true,
+                false,
+            ),
+            (
+                "attr_sketches_mut",
+                |s, _| s.attr_sketches_mut(1).unwrap().push(3.0),
+                false,
+                true,
+            ),
+        ];
+        let spec = SketchSpec::standard();
+        for with_sketches in [false, true] {
+            let cell = |rows| {
+                if with_sketches {
+                    sketched(&spec, rows)
+                } else {
+                    exact(rows)
+                }
+            };
+            let other = cell(100..140);
+            for (name, write, writes_exact, writes_sketches) in writers {
+                if !with_sketches && !writes_exact {
+                    continue;
+                }
+                let name = format!("{name}, sketches {with_sketches}");
+                let mut original = cell(0..100);
+                let mut twin = cell(0..100); // never shared
+                let snapshot = original.clone();
+                assert!(
+                    shares_summaries(&original, &snapshot),
+                    "{name}: clone copied"
+                );
+                if with_sketches {
+                    assert!(shares_payload(&original, &snapshot), "{name}: clone copied");
+                }
+                let before = flat_bytes(&snapshot);
+
+                write(&mut original, &other);
+                write(&mut twin, &other);
+                assert_eq!(
+                    !shares_summaries(&original, &snapshot),
+                    writes_exact,
+                    "{name}"
+                );
+                if with_sketches {
+                    assert_eq!(
+                        !shares_payload(&original, &snapshot),
+                        writes_sketches,
+                        "{name}"
+                    );
+                }
+                assert_eq!(flat_bytes(&snapshot), before, "{name}: clone changed");
+                assert_ne!(original, snapshot, "{name}: write lost");
+                assert_eq!(original, twin, "{name}");
+                assert_eq!(flat_bytes(&original), flat_bytes(&twin), "{name}");
+            }
         }
     }
 

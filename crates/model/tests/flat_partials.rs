@@ -3,10 +3,12 @@
 //! bundles — must round-trip bit-for-bit through [`FlatPartials`], agree
 //! with the seed's serde tree oracle (including after the coordinator's
 //! per-key merge), and reject truncated or corrupt buffers without ever
-//! panicking.
+//! panicking — whole fragments and single `CellStats` alike.
 
 use proptest::prelude::*;
+use stash_flat::{FlatError, WordReader, WordWriter};
 use stash_geo::{Geohash, TemporalRes, TimeBin};
+use stash_model::flat::{decode_cell_stats, encode_cell_stats};
 use stash_model::{CellKey, CellStats, FlatPartials, SketchSpec};
 use std::collections::BTreeMap;
 
@@ -129,5 +131,39 @@ proptest! {
         if let Ok(fp) = FlatPartials::from_bytes(&corrupt) {
             let _ = fp.decode();
         }
+    }
+
+    /// A flat `CellStats` cut at any word boundary short of its end is a
+    /// `FlatError` — the exact summaries are decoded straight into their
+    /// shared slice only once all their words are known to be there — and
+    /// the whole buffer decodes back to the same Cell.
+    #[test]
+    fn a_truncated_cell_stats_is_an_error_at_every_word(
+        n_attrs in 0usize..6,
+        rows in proptest::collection::vec(-512i32..=512, 0..40),
+        sketches_flag in 0u8..2,
+    ) {
+        let spec = SketchSpec::standard();
+        let mut stats = if sketches_flag == 1 {
+            CellStats::empty_with(n_attrs, &spec)
+        } else {
+            CellStats::empty(n_attrs)
+        };
+        for q in rows {
+            let row: Vec<f64> = (0..n_attrs).map(|a| (q + a as i32) as f64 * 0.25).collect();
+            stats.push_row(&row);
+        }
+        let mut w = WordWriter::new();
+        encode_cell_stats(&mut w, &stats);
+        let words = w.into_words();
+        prop_assert_eq!(words.len() * 8, stats.wire_bytes());
+        for cut in 0..words.len() {
+            let mut r = WordReader::new(&words[..cut]);
+            let got: Result<CellStats, FlatError> = decode_cell_stats(&mut r);
+            prop_assert!(got.is_err(), "cut at word {} of {} decoded", cut, words.len());
+        }
+        let mut r = WordReader::new(&words);
+        prop_assert_eq!(decode_cell_stats(&mut r).expect("whole buffer decodes"), stats);
+        prop_assert!(r.finish().is_ok());
     }
 }
