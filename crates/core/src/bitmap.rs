@@ -3,16 +3,19 @@
 //! The paper describes the PLM as "a memory-resident bitmap" (§IV-D). Cell
 //! identities are 64-bit [`dense_id`](stash_model::CellKey::dense_id)s, far
 //! too sparse for a flat bit vector, so the bitmap is chunked: a hash map
-//! from the upper 58 bits to one 64-bit word covering the lower 6. Dense
-//! regions of ids (consecutive cells of one area) share words; isolated ids
-//! cost one map entry.
+//! from the upper 58 bits to one 64-bit word covering the lower 6. A
+//! `dense_id` is SplitMix-mixed, so neighbouring Cells get unrelated ids and
+//! almost every cached Cell holds a word of its own; only ids that happen to
+//! agree in their upper 58 bits share one. The same mixing makes the upper
+//! bits a good hash already, so the map uses the Fx hasher rather than
+//! SipHash.
 
-use std::collections::HashMap;
+use stash_model::fx::FxHashMap;
 
 /// A set of `u64` keys stored as chunked bit words.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseBitmap {
-    chunks: HashMap<u64, u64>,
+    chunks: FxHashMap<u64, u64>,
     len: usize,
 }
 

@@ -17,6 +17,8 @@
 //! Locking: one `RwLock` per level keeps cross-level operations (a query
 //! touches one level; derivation touches two) from contending, and
 //! freshness bumps use atomics so the cache-hit path only takes read locks.
+//! Each level's lock also guards a count of its Cells per time bin, changed
+//! with the map, which dispersal reads to skip bins that hold nothing.
 
 use crate::clock::LogicalClock;
 use crate::config::StashConfig;
@@ -34,6 +36,83 @@ use std::sync::Arc;
 struct Entry {
     cell: Cell,
     fresh: Freshness,
+}
+
+/// One level's Cells and how many of them sit in each time bin
+/// (`TimeBin::idx`; a bin that holds none has no entry). Both change
+/// together, under the level's write lock.
+#[derive(Default)]
+struct LevelCells {
+    cells: FxHashMap<CellKey, Entry>,
+    per_bin: FxHashMap<i64, usize>,
+}
+
+impl LevelCells {
+    fn holds_bin(&self, idx: i64) -> bool {
+        self.per_bin.contains_key(&idx)
+    }
+
+    /// Insert or replace; returns whether `key` is new to the level.
+    fn insert(&mut self, key: CellKey, entry: Entry) -> bool {
+        let added = self.cells.insert(key, entry).is_none();
+        if added {
+            *self.per_bin.entry(key.time.idx).or_insert(0) += 1;
+        }
+        added
+    }
+
+    /// Remove; returns whether `key` was held.
+    fn remove(&mut self, key: &CellKey) -> bool {
+        if self.cells.remove(key).is_none() {
+            return false;
+        }
+        let n = self
+            .per_bin
+            .get_mut(&key.time.idx)
+            .expect("a held Cell's bin is counted");
+        *n -= 1;
+        if *n == 0 {
+            self.per_bin.remove(&key.time.idx);
+        }
+        true
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.per_bin.clear();
+    }
+}
+
+/// One distinct time bin of a dispersal region and the (level, bin) pairs
+/// its keys can disperse to that hold a Cell: the key's own bin at the
+/// region's level (the spatial ring), the bins before and after it, the own
+/// bin one geohash digit up, and the temporal parent bin at the two coarser
+/// levels.
+#[derive(Clone, Copy)]
+struct BinReach {
+    bin: TimeBin,
+    ring: bool,
+    prev: bool,
+    next: bool,
+    spatial: bool,
+    parent: Option<TimeBin>,
+    temporal: bool,
+    both: bool,
+}
+
+impl BinReach {
+    fn new(bin: TimeBin) -> Self {
+        BinReach {
+            bin,
+            ring: false,
+            prev: false,
+            next: false,
+            spatial: false,
+            parent: None,
+            temporal: false,
+            both: false,
+        }
+    }
 }
 
 /// Per-level monitoring counters (relaxed atomics).
@@ -112,7 +191,7 @@ impl GraphStats {
 /// One node's in-memory STASH graph.
 pub struct StashGraph {
     config: StashConfig,
-    levels: Vec<RwLock<FxHashMap<CellKey, Entry>>>,
+    levels: Vec<RwLock<LevelCells>>,
     plm: RwLock<Plm>,
     count: AtomicUsize,
     clock: Arc<LogicalClock>,
@@ -125,7 +204,7 @@ impl StashGraph {
         StashGraph {
             config,
             levels: (0..NUM_LEVELS)
-                .map(|_| RwLock::new(FxHashMap::default()))
+                .map(|_| RwLock::new(LevelCells::default()))
                 .collect(),
             plm: RwLock::new(Plm::new()),
             count: AtomicUsize::new(0),
@@ -156,7 +235,7 @@ impl StashGraph {
     }
 
     #[inline]
-    fn level_map(&self, key: &CellKey) -> &RwLock<FxHashMap<CellKey, Entry>> {
+    fn level_map(&self, key: &CellKey) -> &RwLock<LevelCells> {
         &self.levels[key.level().index() as usize]
     }
 
@@ -191,7 +270,7 @@ impl StashGraph {
             }
         }
         let map = self.level_map(key).read();
-        match map.get(key) {
+        match map.cells.get(key) {
             Some(entry) => {
                 entry
                     .fresh
@@ -236,7 +315,7 @@ impl StashGraph {
                 let plm = self.plm.read();
                 let map = self.levels[level.index() as usize].read();
                 for key in group {
-                    match map.get(key) {
+                    match map.cells.get(key) {
                         Some(entry) if !plm.is_stale(key) => {
                             entry.fresh.bump(self.config.f_inc, now, tau);
                             hits.push(entry.cell.clone());
@@ -274,13 +353,14 @@ impl StashGraph {
     /// tests).
     pub fn peek(&self, key: &CellKey) -> Option<Cell> {
         let map = self.level_map(key).read();
-        map.get(key).map(|e| e.cell.clone())
+        map.cells.get(key).map(|e| e.cell.clone())
     }
 
     /// Effective freshness of a cached Cell at the current tick.
     pub fn freshness_of(&self, key: &CellKey) -> Option<f64> {
         let map = self.level_map(key).read();
-        map.get(key)
+        map.cells
+            .get(key)
             .map(|e| e.fresh.effective(self.clock.now(), self.config.decay_tau))
     }
 
@@ -306,17 +386,15 @@ impl StashGraph {
         let key = cell.key;
         let now = self.clock.now();
         let mut map = self.level_map(&key).write();
-        let replaced = map
-            .insert(
-                key,
-                Entry {
-                    cell,
-                    fresh: Freshness::new(score, now),
-                },
-            )
-            .is_some();
+        let added = map.insert(
+            key,
+            Entry {
+                cell,
+                fresh: Freshness::new(score, now),
+            },
+        );
         drop(map);
-        if !replaced {
+        if added {
             self.count.fetch_add(1, Ordering::Relaxed);
         }
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
@@ -355,7 +433,7 @@ impl StashGraph {
         for c in &children {
             // A child may have been evicted between the PLM check and here;
             // bail out rather than derive from an incomplete set.
-            cells.push(&map.get(c)?.cell);
+            cells.push(&map.cells.get(c)?.cell);
         }
         let n_attrs = cells[0].summary.n_attrs();
         Some(Cell::from_children(*key, n_attrs, cells))
@@ -371,9 +449,10 @@ impl StashGraph {
     /// inserted.
     ///
     /// The neighborhood is planned once per call in grid coordinates, not
-    /// Cell by Cell (DESIGN.md §5). Any key order is correct; the order
-    /// [`stash_model::AggQuery::target_keys`] produces (bin by bin, geohash
-    /// ordered) is the fast one.
+    /// Cell by Cell, and only where Cells live: no candidate is generated
+    /// for a (level, time bin) that holds no Cell (DESIGN.md §5). Any key
+    /// order is correct; the order [`stash_model::AggQuery::target_keys`]
+    /// produces (bin by bin, geohash ordered) is the fast one.
     pub fn touch_region(&self, region: &[CellKey]) {
         self.touch_region_at(region, self.clock.now());
     }
@@ -416,7 +495,7 @@ impl StashGraph {
             {
                 let map = self.levels[level.index() as usize].read();
                 for n in &candidates {
-                    if let Some(e) = map.get(n) {
+                    if let Some(e) = map.cells.get(n) {
                         e.fresh.bump(frac, now, tau);
                         dispersed += 1;
                     }
@@ -440,7 +519,12 @@ impl StashGraph {
     /// The dispersal candidates contributed by the region keys of one
     /// `level`, appended to `plan` under each candidate's own level:
     /// lateral neighbors that are not region keys, then the three parents.
-    /// Nothing is generated for a level that holds no Cell.
+    ///
+    /// Nothing is generated for a (level, time bin) that holds no Cell. The
+    /// per-bin counts are read once per distinct bin of the region, each
+    /// target level under one short read lock at plan time — the lookups
+    /// take it again — so a Cell inserted into an empty bin meanwhile is
+    /// not bumped, as it never was under a whole-level emptiness check.
     fn plan_dispersal(
         &self,
         level: Level,
@@ -448,22 +532,62 @@ impl StashGraph {
         plan: &mut Vec<(Level, Vec<CellKey>)>,
     ) {
         let (len, res) = (level.spatial_res(), level.temporal_res());
-        let occupied = |spatial_res: u8, temporal_res: Option<TemporalRes>| {
-            let level = Level::of(spatial_res, temporal_res?).ok()?;
-            let holds_cells = !self.levels[level.index() as usize].read().is_empty();
-            holds_cells.then(|| (level, Vec::new()))
-        };
-        let mut lateral = occupied(len, Some(res));
-        let mut spatial = occupied(len - 1, Some(res));
-        let mut temporal = occupied(len, res.coarser());
-        let mut both = occupied(len - 1, res.coarser());
         let keys = || {
             region
                 .iter()
                 .filter(|k| k.geohash.len() == len && k.time.res == res)
         };
+        let at = |spatial_res: u8, temporal_res: Option<TemporalRes>| {
+            Level::of(spatial_res, temporal_res?).ok()
+        };
+        let spatial_level = at(len - 1, Some(res));
+        let temporal_level = at(len, res.coarser());
+        let both_level = at(len - 1, res.coarser());
 
-        if let Some((_, out)) = &mut lateral {
+        // The region's distinct bins (runs first: keys come bin by bin),
+        // each with the (level, bin) pairs it can reach that hold a Cell.
+        let mut bins: Vec<BinReach> = Vec::new();
+        for k in keys() {
+            if bins.last().map(|b| b.bin) != Some(k.time) {
+                bins.push(BinReach::new(k.time));
+            }
+        }
+        bins.sort_unstable_by_key(|b| b.bin.idx);
+        bins.dedup_by_key(|b| b.bin.idx);
+        self.mark_bins(Some(level), &mut bins, |cells, b| {
+            b.ring = cells.holds_bin(b.bin.idx);
+            b.prev = cells.holds_bin(b.bin.idx - 1);
+            b.next = cells.holds_bin(b.bin.idx + 1);
+        });
+        self.mark_bins(spatial_level, &mut bins, |cells, b| {
+            b.spatial = cells.holds_bin(b.bin.idx);
+        });
+        if temporal_level.is_some() {
+            // One calendar conversion per distinct bin of the share.
+            for b in &mut bins {
+                b.parent = b.bin.parent();
+            }
+            let parent_held =
+                |cells: &LevelCells, b: &BinReach| b.parent.is_some_and(|p| cells.holds_bin(p.idx));
+            self.mark_bins(temporal_level, &mut bins, |cells, b| {
+                b.temporal = parent_held(cells, b);
+            });
+            self.mark_bins(both_level, &mut bins, |cells, b| {
+                b.both = parent_held(cells, b);
+            });
+        }
+        let mut cursor = 0;
+        let mut reach = |k: &CellKey| {
+            if bins[cursor].bin.idx != k.time.idx {
+                cursor = bins
+                    .binary_search_by_key(&k.time.idx, |b| b.bin.idx)
+                    .expect("every region bin is listed");
+            }
+            bins[cursor]
+        };
+
+        let mut lateral = Vec::new();
+        if bins.iter().any(|b| b.ring || b.prev || b.next) {
             // Region membership in grid coordinates: (time index, row and
             // column packed — an axis has at most 30 bits). A ring is walked
             // by integer arithmetic and only the boxes outside the region
@@ -478,69 +602,85 @@ impl StashGraph {
             let (lat_bits, lon_bits) = Geohash::axis_bits(len);
             let (lat_end, lon_mask) = (1u64 << lat_bits, (1u64 << lon_bits) - 1);
             for k in keys() {
+                let b = reach(k);
                 let (lat, lon) = k.geohash.grid_index();
-                for nlat in [lat.wrapping_sub(1), lat, lat + 1] {
-                    if nlat >= lat_end {
-                        continue; // no neighbor beyond the poles
-                    }
-                    // Columns wrap across the antimeridian.
-                    for nlon in [lon.wrapping_sub(1) & lon_mask, lon, (lon + 1) & lon_mask] {
-                        let own = nlat == lat && nlon == lon;
-                        if !own && !members.contains(&(k.time.idx, pack(nlat, nlon))) {
-                            let geohash = Geohash::from_grid_index(nlat, nlon, len)
-                                .expect("row range-checked, column masked");
-                            out.push(CellKey::new(geohash, k.time));
+                if b.ring {
+                    for nlat in [lat.wrapping_sub(1), lat, lat + 1] {
+                        if nlat >= lat_end {
+                            continue; // no neighbor beyond the poles
+                        }
+                        // Columns wrap across the antimeridian.
+                        for nlon in [lon.wrapping_sub(1) & lon_mask, lon, (lon + 1) & lon_mask] {
+                            let own = nlat == lat && nlon == lon;
+                            if !own && !members.contains(&(k.time.idx, pack(nlat, nlon))) {
+                                let geohash = Geohash::from_grid_index(nlat, nlon, len)
+                                    .expect("row range-checked, column masked");
+                                lateral.push(CellKey::new(geohash, k.time));
+                            }
                         }
                     }
                 }
-                for t in k.time.neighbors() {
-                    if !members.contains(&(t.idx, pack(lat, lon))) {
-                        out.push(CellKey::new(k.geohash, t));
+                for (t, held) in [(k.time.prev(), b.prev), (k.time.next(), b.next)] {
+                    if held && !members.contains(&(t.idx, pack(lat, lon))) {
+                        lateral.push(CellKey::new(k.geohash, t));
                     }
                 }
             }
         }
 
-        if spatial.is_some() || temporal.is_some() || both.is_some() {
-            // Runs of one time bin share one calendar conversion and runs
-            // of siblings one pushed parent; the sort catches the rest.
-            let mut parent_bin: Option<(i64, TimeBin)> = None;
+        let (mut spatial, mut temporal, mut both) = (Vec::new(), Vec::new(), Vec::new());
+        if bins.iter().any(|b| b.spatial || b.temporal || b.both) {
+            // Runs of siblings push one parent; the sort catches the rest.
             let push_run = |out: &mut Vec<CellKey>, key: CellKey| {
                 if out.last() != Some(&key) {
                     out.push(key);
                 }
             };
             for k in keys() {
-                if let Some((_, out)) = &mut spatial {
-                    let geohash = k.geohash.parent().expect("occupied: len > 1");
-                    push_run(out, CellKey::new(geohash, k.time));
+                let b = reach(k);
+                if b.spatial {
+                    let geohash = k.geohash.parent().expect("a spatial parent level: len > 1");
+                    push_run(&mut spatial, CellKey::new(geohash, k.time));
                 }
-                if temporal.is_none() && both.is_none() {
-                    continue;
+                let Some(bin) = b.parent else { continue };
+                if b.temporal {
+                    push_run(&mut temporal, CellKey::new(k.geohash, bin));
                 }
-                let bin = match parent_bin {
-                    Some((idx, bin)) if idx == k.time.idx => bin,
-                    _ => {
-                        let bin = k.time.parent().expect("occupied: a coarser bin");
-                        parent_bin = Some((k.time.idx, bin));
-                        bin
-                    }
-                };
-                if let Some((_, out)) = &mut temporal {
-                    push_run(out, CellKey::new(k.geohash, bin));
-                }
-                if let Some((_, out)) = &mut both {
-                    let geohash = k.geohash.parent().expect("occupied: len > 1");
-                    push_run(out, CellKey::new(geohash, bin));
+                if b.both {
+                    let geohash = k.geohash.parent().expect("a parent level: len > 1");
+                    push_run(&mut both, CellKey::new(geohash, bin));
                 }
             }
         }
 
-        for (level, mut keys) in [lateral, spatial, temporal, both].into_iter().flatten() {
+        let targets = [
+            (Some(level), lateral),
+            (spatial_level, spatial),
+            (temporal_level, temporal),
+            (both_level, both),
+        ];
+        for (level, mut keys) in targets {
+            let Some(level) = level.filter(|_| !keys.is_empty()) else {
+                continue;
+            };
             match plan.iter_mut().find(|(l, _)| *l == level) {
                 Some((_, planned)) => planned.append(&mut keys),
                 None => plan.push((level, keys)),
             }
+        }
+    }
+
+    /// Sets `bins`' flags for one target level from its per-bin counts,
+    /// under one read lock; `None` (beyond a hierarchy's top) sets none.
+    fn mark_bins(
+        &self,
+        level: Option<Level>,
+        bins: &mut [BinReach],
+        mark: impl Fn(&LevelCells, &mut BinReach),
+    ) {
+        if let Some(level) = level {
+            let cells = self.levels[level.index() as usize].read();
+            bins.iter_mut().for_each(|b| mark(&cells, b));
         }
     }
 
@@ -566,7 +706,7 @@ impl StashGraph {
             let plm = self.plm.read();
             for level in &self.levels {
                 let map = level.read();
-                for (key, entry) in map.iter() {
+                for (key, entry) in map.cells.iter() {
                     let mut score = entry.fresh.effective(now, tau);
                     if plm.is_stale(key) {
                         score = -1.0; // stale cells leave first
@@ -599,7 +739,7 @@ impl StashGraph {
         let mut plm = self.plm.write();
         for key in keys {
             let mut map = self.level_map(key).write();
-            if map.remove(key).is_some() {
+            if map.remove(key) {
                 self.count.fetch_sub(1, Ordering::Relaxed);
                 plm.mark_evicted(key);
             }
@@ -630,7 +770,7 @@ impl StashGraph {
             return false;
         }
         let mut map = self.level_map(key).write();
-        match map.get_mut(key) {
+        match map.cells.get_mut(key) {
             Some(entry) => {
                 entry.cell.summary.merge(delta);
                 true
@@ -686,7 +826,7 @@ impl StashGraph {
         let mut out = Vec::new();
         for level in &self.levels {
             let map = level.read();
-            for key in map.keys() {
+            for key in map.cells.keys() {
                 if key.geohash.bbox().intersects(bbox) && key.time.range().intersects(time) {
                     out.push(*key);
                 }
@@ -701,7 +841,8 @@ impl StashGraph {
         let now = self.clock.now();
         let tau = self.config.decay_tau;
         let map = self.levels[level.index() as usize].read();
-        map.iter()
+        map.cells
+            .iter()
             .map(|(k, e)| (*k, e.fresh.effective(now, tau)))
             .collect()
     }
@@ -717,7 +858,7 @@ impl StashGraph {
         let plm = self.plm.read();
         for key in keys.iter().filter(|k| plm.is_fresh(k)) {
             let map = self.level_map(key).read();
-            if let Some(e) = map.get(key) {
+            if let Some(e) = map.cells.get(key) {
                 out.push((e.cell.clone(), e.fresh.effective(now, tau)));
             }
         }
@@ -729,7 +870,7 @@ impl StashGraph {
         let mut plm = self.plm.write();
         for level in &self.levels {
             let mut map = level.write();
-            for key in map.keys() {
+            for key in map.cells.keys() {
                 plm.mark_evicted(key);
             }
             map.clear();
@@ -1278,7 +1419,7 @@ mod tests {
             {
                 let map = g.levels[level.index() as usize].read();
                 for n in &neighbors {
-                    if let Some(e) = map.get(n) {
+                    if let Some(e) = map.cells.get(n) {
                         e.fresh.bump(frac, now, tau);
                         dispersed += 1;
                     }
@@ -1326,44 +1467,130 @@ mod tests {
         blocks
     }
 
+    /// Recounts every level's map and checks it against its per-bin counts
+    /// (a bin that holds nothing has no entry) and the graph's total.
+    fn audit_bin_counts(g: &StashGraph) {
+        let mut total = 0;
+        for (i, level) in g.levels.iter().enumerate() {
+            let level = level.read();
+            let mut recount: FxHashMap<i64, usize> = FxHashMap::default();
+            for key in level.cells.keys() {
+                *recount.entry(key.time.idx).or_insert(0) += 1;
+            }
+            assert_eq!(recount, level.per_bin, "per-bin counts of level {i}");
+            total += level.cells.len();
+        }
+        assert_eq!(total, g.len(), "Cells held");
+    }
+
+    #[test]
+    fn dispersal_probes_only_bins_that_hold_cells() {
+        // One day of (4, Day) Cells: a 5x5 block; the region is its middle
+        // 3x3, so the lateral ring is the 16 boxes around it. No other level
+        // or day holds a Cell, so parents and temporal neighbors are never
+        // generated.
+        let anchor = key("9q8y", TemporalRes::Day);
+        let block = |r: i64| -> Vec<CellKey> {
+            (-r..=r)
+                .flat_map(|dy| (-r..=r).map(move |dx| (dy, dx)))
+                .map(|(dy, dx)| CellKey::new(anchor.geohash.offset(dy, dx).unwrap(), anchor.time))
+                .collect()
+        };
+        let g = small_graph();
+        g.insert_many(block(2).into_iter().map(|k| Cell::empty(k, 1)));
+        let region = block(1);
+        let ring = 16;
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let touch = |g: &StashGraph| {
+            let (probes, bumps) = (count(&g.stats.dispersal_probes), count(&g.stats.dispersals));
+            g.touch_region(&region);
+            audit_bin_counts(g);
+            (
+                count(&g.stats.dispersal_probes) - probes,
+                count(&g.stats.dispersals) - bumps,
+            )
+        };
+        assert_eq!(touch(&g), (ring, ring));
+
+        // A Cell on the next day opens that day's bin: each region key's
+        // next-day neighbor is probed, and the one cached is bumped.
+        let next_day = CellKey::new(anchor.geohash, anchor.time.next());
+        g.insert_many([Cell::empty(next_day, 1)]);
+        let before = g.freshness_of(&next_day).unwrap();
+        assert_eq!(touch(&g), (ring + region.len() as u64, ring + 1));
+        let bumped = g.freshness_of(&next_day).unwrap() - before;
+        assert!((bumped - g.config.f_inc * g.config.neighbor_fraction).abs() < 1e-9);
+
+        // Removing it closes the bin again.
+        g.remove_many(&[next_day]);
+        assert_eq!(touch(&g), (ring, ring));
+    }
+
     proptest::proptest! {
         /// Planned dispersal == per-Cell dispersal: the same entries bumped
         /// once each with the same amount at the same tick, over regions of
         /// mixed levels, several days with a hole, pole rows, antimeridian
-        /// columns, repeated keys, and regions holding their own
-        /// neighbors' parents.
+        /// columns, repeated keys, regions holding their own neighbors'
+        /// parents, and keys in bins their level does not hold — while the
+        /// graph churns between rounds (removals, refills, replacement
+        /// passes, clears) and its per-bin counts are audited after each.
         #[test]
         fn planned_dispersal_equals_per_cell_reference(
             (cached, rounds) in (
                 proptest::collection::vec(proptest::prelude::any::<bool>(), 1500..=1500),
                 proptest::collection::vec(
                     (
-                        // Contiguous rectangles of blocks (overlapping
-                        // draws repeat keys), then single keys.
-                        proptest::collection::vec((0usize..60, 0usize..25, 1usize..=25), 0..5),
-                        proptest::collection::vec((0usize..60, 0usize..25), 0..12),
-                        0u64..4,
+                        (
+                            // Contiguous rectangles of blocks (overlapping
+                            // draws repeat keys), then single keys, then
+                            // single keys moved a few bins in time.
+                            proptest::collection::vec((0usize..60, 0usize..25, 1usize..=25), 0..5),
+                            proptest::collection::vec((0usize..60, 0usize..25), 0..12),
+                            proptest::collection::vec((0usize..60, 0usize..25, -6i64..=6), 0..8),
+                            0u64..4,
+                        ),
+                        // Churn after the round: keys removed, keys
+                        // (re)inserted, a replacement pass, a clear.
+                        (
+                            proptest::collection::vec(0usize..1500, 0..200),
+                            proptest::collection::vec(0usize..1500, 0..300),
+                            proptest::prelude::any::<bool>(),
+                            0u8..8,
+                        ),
                     ),
-                    1..4,
+                    1..5,
                 ),
             ),
         ) {
             let pool = dispersal_pool();
             proptest::prop_assert_eq!(pool.len(), 60);
             let all: Vec<CellKey> = pool.iter().flatten().copied().collect();
-            let twins = [(); 2].map(|_| graph(StashConfig::default()));
+            let refill = |g: &StashGraph| {
+                let keys = all.iter().zip(&cached).filter(|(_, &c)| c).map(|(k, _)| *k);
+                g.insert_many(keys.map(|k| Cell::empty(k, 1)));
+            };
+            // A budget below the initial fill, so a replacement pass evicts.
+            let config = StashConfig {
+                max_cells: 500,
+                ..Default::default()
+            };
+            let twins = [(); 2].map(|_| graph(config.clone()));
             for g in &twins {
-                for (k, _) in all.iter().zip(&cached).filter(|(_, &c)| c) {
-                    g.insert(Cell::empty(*k, 1));
-                }
+                refill(g);
+                audit_bin_counts(g);
             }
-            for (spans, singles, ticks) in rounds {
+            for ((spans, singles, moved, ticks), (removed, inserted, evict, clear)) in rounds {
                 let mut region: Vec<CellKey> = Vec::new();
                 for (b, start, n) in spans {
                     region.extend(pool[b].iter().skip(start).take(n));
                 }
                 for (b, i) in singles {
                     region.extend(pool[b].get(i));
+                }
+                for (b, i, shift) in moved {
+                    region.extend(pool[b].get(i).map(|k| {
+                        CellKey::new(k.geohash, TimeBin { res: k.time.res, idx: k.time.idx + shift })
+                    }));
                 }
                 for g in &twins {
                     g.clock.advance_by(ticks);
@@ -1386,6 +1613,23 @@ mod tests {
                     proptest::prop_assert_eq!(count(&new.dispersals), count(&old.dispersals));
                     proptest::prop_assert!(count(&new.dispersal_probes) >= count(&new.dispersals));
                 }
+
+                // The same churn on both twins; their maps stay identical,
+                // so a replacement pass picks the same victims.
+                let removed: Vec<CellKey> = removed.iter().map(|&i| all[i % all.len()]).collect();
+                for g in &twins {
+                    g.remove_many(&removed);
+                    g.insert_many(inserted.iter().map(|&i| Cell::empty(all[i % all.len()], 1)));
+                    if evict {
+                        g.evict_if_needed();
+                    }
+                    if clear == 0 {
+                        g.clear();
+                        refill(g);
+                    }
+                    audit_bin_counts(g);
+                }
+                proptest::prop_assert_eq!(twins[0].len(), twins[1].len());
             }
         }
     }
