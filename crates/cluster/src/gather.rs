@@ -8,7 +8,7 @@
 use crate::caller::{Call, Caller};
 use crate::cluster::ClusterConfig;
 use crate::protocol::{ClusterError, Msg, PARTIALS};
-use stash_dfs::{plan_blocks, NodeStore, Partitioner};
+use stash_dfs::{plan_reads, NodeStore, Partitioner};
 use stash_model::{Cell, CellKey, CellSummary, QueryResult};
 use stash_obs::StageTimes;
 use std::collections::HashMap;
@@ -74,28 +74,30 @@ impl Gatherer<'_> {
         exclude: &[usize],
         acc: &mut StageTimes,
     ) -> Result<Vec<(CellKey, CellSummary)>, GatherFailure> {
-        // Which nodes effectively own blocks relevant to these keys?
-        let plan = plan_blocks(
+        // Which nodes read blocks relevant to these keys? Each of them
+        // derives the same readers from the same (keys, exclude).
+        let mut readers: Vec<usize> = plan_reads(
             keys,
             self.config.block_len,
             &self.config.data_bbox,
             &self.config.data_time,
             self.config.stash.max_blocks_per_fetch,
+            self.partitioner,
+            exclude,
         )
-        .map_err(|e| GatherFailure::Fatal(ClusterError::Storage(e.to_string())))?;
-        let mut owners: Vec<usize> = plan
-            .keys()
-            .map(|bk| self.partitioner.owner_excluding(bk.geohash, exclude))
-            .collect();
-        owners.sort_unstable();
-        owners.dedup();
+        .map_err(|e| GatherFailure::Fatal(ClusterError::Storage(e.to_string())))?
+        .into_iter()
+        .map(|(_, _, reader)| reader)
+        .collect();
+        readers.sort_unstable();
+        readers.dedup();
 
-        // Every remote owner gets its FetchPartials before this party scans
+        // Every remote reader gets its FetchPartials before this party scans
         // its own blocks, so the round costs max(local, slowest remote), not
         // local + slowest remote.
         let me = self.caller.id.0;
         let mut waits = Vec::new();
-        for &owner in owners.iter().filter(|&&o| o != me) {
+        for &owner in readers.iter().filter(|&&o| o != me) {
             // A refused send aborts the round: the calls already made are
             // dropped, which cancels their slots, so peers' replies for
             // them are stale.
@@ -104,7 +106,7 @@ impl Gatherer<'_> {
             waits.push(call);
         }
         let mut local: Vec<(CellKey, CellSummary)> = Vec::new();
-        if let Some(store) = self.store.filter(|_| owners.contains(&me)) {
+        if let Some(store) = self.store.filter(|_| readers.contains(&me)) {
             let scan = Instant::now();
             local = store
                 .fetch_partials_excluding(keys, exclude)

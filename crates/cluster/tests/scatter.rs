@@ -14,12 +14,13 @@
 //! Basic, the oracle every suite compares against, answers what the nodes'
 //! block partials merge to.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use stash_cluster::{ClusterConfig, Mode, SimCluster};
 use stash_data::GeneratorConfig;
-use stash_dfs::{plan_blocks, DiskModel};
+use stash_dfs::{plan_reads, DiskModel};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{cover_bbox, BBox, TemporalRes, TimeBin, TimeRange};
 use stash_model::{AggQuery, Cell, CellKey, CellSummary, QueryResult};
@@ -111,49 +112,63 @@ fn one_subquery_and_one_clock_tick_per_owner_share() {
     stash.shutdown();
 }
 
-#[test]
-fn spanning_first_touch_overlaps_local_and_remote_scans() {
-    // Only the disk costs anything: 2 ms per block read, one disk per node.
-    let read_cost = Duration::from_millis(2);
+/// Only the disk costs anything: 2 ms per block read, one disk per node.
+const READ_COST: Duration = Duration::from_millis(2);
+
+fn disk_only_cluster() -> SimCluster {
     let disk = DiskModel {
-        seek: read_cost,
+        seek: READ_COST,
         bytes_per_sec: f64::INFINITY,
     };
-    let cluster = SimCluster::new(config_with_disk(Mode::Stash, disk));
-    let cfg = cluster.config().clone();
-    let part = cluster.node(0).store.partitioner().clone();
+    SimCluster::new(config_with_disk(Mode::Stash, disk))
+}
+
+/// Blocks each node reads for `cell` under `exclude`, by the reader rule
+/// (`plan_reads`); with `primaries`, by `owner_excluding` alone — the
+/// rule before reads were balanced over the replica chain.
+fn blocks_per_node(
+    cluster: &SimCluster,
+    cell: CellKey,
+    exclude: &[usize],
+    primaries: bool,
+) -> BTreeMap<usize, u32> {
+    let cfg = cluster.config();
+    let part = cluster.node(0).store.partitioner();
+    let plan = plan_reads(
+        &[cell],
+        cfg.block_len,
+        &cfg.data_bbox,
+        &cfg.data_time,
+        cfg.stash.max_blocks_per_fetch,
+        part,
+        exclude,
+    )
+    .expect("a resolution-1 Cell's plan fits the budget");
+    let mut blocks: BTreeMap<usize, u32> = BTreeMap::new();
+    for (bk, _, reader) in plan {
+        let node = if primaries {
+            part.owner_excluding(bk.geohash, exclude)
+        } else {
+            reader
+        };
+        *blocks.entry(node).or_default() += 1;
+    }
+    blocks
+}
+
+/// A resolution-1 Cell of the day's data (it spans partitions), the first
+/// that `pick` accepts, and a single-Cell query for it.
+fn a_resolution_1_cell(
+    cluster: &SimCluster,
+    pick: impl Fn(CellKey) -> bool,
+) -> (CellKey, AggQuery) {
+    let cfg = cluster.config();
     let day = TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0));
-
-    // A resolution-1 Cell spans partitions. Take one whose owner — the
-    // node that gathers it — is the lowest-indexed of its block owners:
-    // the case where scanning locally before sending delays every peer.
-    let (cell, blocks) = cover_bbox(&cfg.data_bbox, 1)
+    let cell = cover_bbox(&cfg.data_bbox, 1)
         .into_iter()
-        .find_map(|gh| {
-            let key = CellKey::new(gh, day);
-            let plan = plan_blocks(
-                &[key],
-                cfg.block_len,
-                &cfg.data_bbox,
-                &cfg.data_time,
-                cfg.stash.max_blocks_per_fetch,
-            )
-            .ok()?;
-            let mut blocks: BTreeMap<usize, u32> = BTreeMap::new();
-            for bk in plan.keys() {
-                *blocks.entry(part.owner(bk.geohash)).or_default() += 1;
-            }
-            let gatherer = part.owner_of_cell(&key);
-            (blocks.len() > 1 && blocks.keys().next() == Some(&gatherer)).then_some((key, blocks))
-        })
-        .expect("a res-1 Cell gathered by its lowest-indexed block owner");
-    let gatherer = part.owner_of_cell(&cell);
-    let slowest = read_cost * *blocks.values().max().unwrap();
-    assert!(
-        read_cost * blocks[&gatherer] * 2 >= slowest,
-        "the local scan must be long enough to show: {blocks:?}"
-    );
-
+        .map(|gh| CellKey::new(gh, day))
+        .find(|&key| pick(key))
+        .expect("a resolution-1 Cell the test can use");
     let centre = cell.geohash.bbox();
     let query = AggQuery::new(
         BBox::from_corner_extent(
@@ -167,13 +182,34 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
         TemporalRes::Day,
     );
     assert_eq!(query.target_keys(usize::MAX).unwrap(), vec![cell]);
+    (cell, query)
+}
+
+#[test]
+fn spanning_first_touch_overlaps_local_and_remote_scans() {
+    let cluster = disk_only_cluster();
+    let part = cluster.node(0).store.partitioner().clone();
+    // A resolution-1 Cell whose owner — the node that gathers it — is the
+    // lowest-indexed of its block readers: the case where scanning locally
+    // before sending delays every peer.
+    let (cell, query) = a_resolution_1_cell(&cluster, |key| {
+        let readers = blocks_per_node(&cluster, key, &[], false);
+        readers.len() > 1 && readers.keys().next() == Some(&part.owner_of_cell(&key))
+    });
+    let gatherer = part.owner_of_cell(&cell);
+    let blocks = blocks_per_node(&cluster, cell, &[], false);
+    let slowest = READ_COST * *blocks.values().max().unwrap();
+    assert!(
+        READ_COST * blocks[&gatherer] * 2 >= slowest,
+        "the local scan must be long enough to show: {blocks:?}"
+    );
     let t0 = Instant::now();
     let result = cluster.client().query(&query).run().expect("first touch");
     let wall = t0.elapsed();
     assert_eq!(result.misses, 1, "a first touch");
     assert!(
         wall >= slowest,
-        "{wall:?}: the slowest owner's disk alone takes {slowest:?}"
+        "{wall:?}: the slowest reader's disk alone takes {slowest:?}"
     );
     // What the model billed is what was read: every block once, nowhere a
     // disk paid for a frame-cache hit (DESIGN.md §2b).
@@ -187,7 +223,7 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
                 )
             });
     assert_eq!(reads, blocks.values().map(|&b| u64::from(b)).sum::<u64>());
-    assert_eq!(Duration::from_nanos(billed), read_cost * reads as u32);
+    assert_eq!(Duration::from_nanos(billed), READ_COST * reads as u32);
     // Every frame-cache miss is one read, and its decode is timed.
     let counter = |name: &str| -> u64 {
         (0..cluster.n_nodes())
@@ -206,8 +242,51 @@ fn spanning_first_touch_overlaps_local_and_remote_scans() {
     // local + slowest remote would be >= 1.5 x; max(local, slowest) is ~1 x.
     assert!(
         wall < slowest * 3 / 2,
-        "{wall:?} for blocks per owner {blocks:?}: the gather waited for the \
-         local scan before asking the peers (slowest owner {slowest:?})"
+        "{wall:?} for blocks per reader {blocks:?}: the gather waited for the \
+         local scan before asking the peers (slowest reader {slowest:?})"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn spanning_first_touch_after_an_owner_crash_stays_balanced() {
+    let cluster = disk_only_cluster();
+    let part = cluster.node(0).store.partitioner().clone();
+    // The node holding the most blocks of a resolution-1 Cell, which is
+    // not the node that gathers it. Failing over to the replica chain
+    // alone, its successor would read its own blocks and the crashed
+    // node's: at least twice what the balanced rule asks of anyone.
+    let busiest = |key| {
+        let primaries = blocks_per_node(&cluster, key, &[], true);
+        let (&node, _) = primaries
+            .iter()
+            .max_by_key(|&(n, b)| (b, Reverse(n)))
+            .unwrap();
+        node
+    };
+    let (cell, query) = a_resolution_1_cell(&cluster, |key| {
+        let crashed = busiest(key);
+        let worst = |primaries| {
+            let blocks = blocks_per_node(&cluster, key, &[crashed], primaries);
+            *blocks.values().max().unwrap()
+        };
+        crashed != part.owner_of_cell(&key) && worst(true) >= 2 * worst(false)
+    });
+    let crashed = busiest(cell);
+    let blocks = blocks_per_node(&cluster, cell, &[crashed], false);
+    let balanced = READ_COST * *blocks.values().max().unwrap();
+    let truth = ground_truth(config(Mode::Basic), &query);
+
+    cluster.crash_node(crashed);
+    let t0 = Instant::now();
+    let result = cluster.client().query(&query).run().expect("exact anyway");
+    let wall = t0.elapsed();
+    assert_eq!(result.misses, 1, "a first touch");
+    assert_eq!(result.cells, truth.cells, "answer vs fault-free Basic");
+    assert!(
+        wall < balanced * 3 / 2,
+        "{wall:?} with node {crashed} down, blocks per reader {blocks:?} \
+         (slowest balanced reader {balanced:?})"
     );
     cluster.shutdown();
 }

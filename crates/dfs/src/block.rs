@@ -7,6 +7,7 @@
 //! observations, clipped to the dataset's domain so nothing is fetched for
 //! regions/times where no data exists.
 
+use crate::partitioner::Partitioner;
 use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange};
 use stash_model::CellKey;
 use std::collections::BTreeMap;
@@ -100,6 +101,47 @@ pub fn plan_blocks(
         }
     }
     Ok(plan)
+}
+
+/// [`plan_blocks`] with the node that reads each block, in plan order:
+/// `(block, cells needing it, reader)`.
+///
+/// A plan whose Cells are all at least as fine as the placement prefix is
+/// read where it lives: every reader is the block's effective owner
+/// ([`Partitioner::owner_excluding`]), the node that owns those Cells too.
+/// A plan that spans partitions (some Cell coarser than the prefix, see
+/// [`Partitioner::spans_partitions`]) is gathered from several nodes
+/// anyway, so its reads are balanced over each block's first two live
+/// replicas ([`Partitioner::balance_reads`]). Both the gathering party and
+/// every block reader call this with the same `(cells, exclude)`, so they
+/// agree on who reads what without a message about it.
+pub fn plan_reads(
+    cells: &[CellKey],
+    block_len: u8,
+    data_bbox: &BBox,
+    data_time: &TimeRange,
+    max_blocks: usize,
+    partitioner: &Partitioner,
+    exclude: &[usize],
+) -> Result<Vec<(BlockKey, Vec<CellKey>, usize)>, BlockPlanError> {
+    let plan = plan_blocks(cells, block_len, data_bbox, data_time, max_blocks)?;
+    let owners: Vec<usize> = plan
+        .keys()
+        .map(|bk| partitioner.owner_excluding(bk.geohash, exclude))
+        .collect();
+    let readers = if cells
+        .iter()
+        .any(|c| partitioner.spans_partitions(c.geohash))
+    {
+        partitioner.balance_reads(&owners, exclude)
+    } else {
+        owners
+    };
+    Ok(plan
+        .into_iter()
+        .zip(readers)
+        .map(|((bk, cells), reader)| (bk, cells, reader))
+        .collect())
 }
 
 /// All descendants of `gh` at exactly `target_len`.

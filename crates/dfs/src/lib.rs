@@ -14,14 +14,17 @@
 //!   is colocated.
 //! * **Zero-hop lookup** — [`Partitioner`] is a pure function every node
 //!   can evaluate locally; finding any block's owner costs no network hops.
+//!   [`plan_reads`] derives, from the same pure inputs, one reader per plan
+//!   block: the block's effective owner, or — for a plan that spans
+//!   partitions — possibly its first live replica, balancing the reads.
 //! * **Expensive cold reads** — every block read is charged through a
 //!   [`DiskModel`] (seek + transfer time) before its observations are
 //!   scanned. This is the cost STASH exists to avoid. Reads are sequential
 //!   on the node's one disk; [`Lanes`] is the schedule that lets the disk
 //!   read block *i+1* while block *i* is aggregated, for this store and
 //!   for the `stash-elastic` baseline alike.
-//! * **Local aggregation** — [`NodeStore::fetch_partials`] scans owned
-//!   blocks as they become ready (on as many threads as the host has
+//! * **Local aggregation** — [`NodeStore::fetch_partials`] scans the
+//!   blocks the plan gives this node as they become ready (on as many threads as the host has
 //!   cores) and returns per-Cell partial summaries, which a coordinator
 //!   merges (the monoid property of [`stash_model::SummaryStats`] makes
 //!   partial merging exact).
@@ -39,7 +42,7 @@ pub mod partitioner;
 pub mod rollup;
 pub mod store;
 
-pub use block::{plan_blocks, BlockKey, BlockPlanError};
+pub use block::{plan_blocks, plan_reads, BlockKey, BlockPlanError};
 pub use disk::{DiskModel, DiskStats, LaneBill, Lanes};
 pub use frame::{
     frame_spatial_res, BlockFrame, FrameAggregation, FrameBuilder, FrameCache,

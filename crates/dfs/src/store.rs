@@ -3,12 +3,12 @@
 //! A [`NodeStore`] is one Galileo node's view of the dataset: the blocks the
 //! partitioner assigns to it. [`NodeStore::fetch_partials`] is the
 //! distributed-aggregation workhorse — it plans the blocks needed by a set
-//! of missing Cells, reads the ones this node owns (charging the disk
-//! model), scans their observations in parallel, and returns per-Cell
+//! of missing Cells, reads the ones the plan gives this node (charging the
+//! disk model), scans their observations in parallel, and returns per-Cell
 //! *partial* summaries. Partials from different nodes merge exactly thanks
 //! to the summary monoid, so the coordinator never re-reads anything.
 
-use crate::block::{plan_blocks, BlockKey, BlockPlanError};
+use crate::block::{plan_reads, BlockKey, BlockPlanError};
 use crate::disk::{DiskModel, DiskStats, Lanes};
 use crate::frame::{frame_spatial_res, BlockFrame, FrameCache, DEFAULT_FRAME_CACHE_BYTES};
 use crate::partitioner::Partitioner;
@@ -128,6 +128,9 @@ pub struct NodeStore {
     metrics: Arc<MetricsRegistry>,
     /// Sketch-valued Cell configuration; disabled keeps scans exact-only.
     sketches: SketchSpec,
+    /// The host's core count, read once: the standard library re-reads the
+    /// cgroup CPU quota on every `available_parallelism` call.
+    cores: usize,
 }
 
 /// Modeled cost ratio of aggregating a row from an already-decoded frame
@@ -177,6 +180,7 @@ impl NodeStore {
             frame_cache: FrameCache::new(DEFAULT_FRAME_CACHE_BYTES),
             metrics: Arc::new(MetricsRegistry::new()),
             sketches: SketchSpec::disabled(),
+            cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
         }
     }
 
@@ -253,8 +257,9 @@ impl NodeStore {
         self.partitioner.owner(block.geohash) == self.node_idx
     }
 
-    /// Fetch partial summaries for `cells`, reading only blocks this node
-    /// owns. Cells whose blocks all live elsewhere produce no partial here;
+    /// Fetch partial summaries for `cells`, reading only the blocks
+    /// [`plan_reads`] gives this node. Cells whose blocks are all read
+    /// elsewhere produce no partial here;
     /// cells covered but with no matching observations produce an *empty*
     /// partial (so callers can distinguish "computed, empty region" from
     /// "not my data").
@@ -265,28 +270,29 @@ impl NodeStore {
     /// [`NodeStore::fetch_partials`] under failover: blocks whose primary
     /// owner is in `exclude` (crashed / unreachable) are scanned by their
     /// replica instead — the first ring successor not excluded (see
-    /// [`Partitioner::owner_excluding`]). Every node applies the same
-    /// effective-owner predicate, so each block is still scanned exactly
-    /// once cluster-wide and merged answers stay exact.
+    /// [`Partitioner::owner_excluding`]). This node scans the blocks
+    /// [`plan_reads`] gives it: every node derives the same readers from
+    /// the same `(cells, exclude)`, so there is one reader per plan block
+    /// cluster-wide and merged answers stay exact.
     pub fn fetch_partials_excluding(
         &self,
         cells: &[CellKey],
         exclude: &[usize],
     ) -> Result<Vec<PartialCell>, BlockPlanError> {
-        let plan = plan_blocks(
+        let mine: Vec<(BlockKey, Vec<CellKey>)> = plan_reads(
             cells,
             self.block_len,
             &self.data_bbox,
             &self.data_time,
             self.max_blocks_per_fetch,
-        )?;
-        let owned: Vec<(BlockKey, Vec<CellKey>)> = plan
-            .into_iter()
-            .filter(|(bk, _)| {
-                self.partitioner.owner_excluding(bk.geohash, exclude) == self.node_idx
-            })
-            .collect();
-        if owned.is_empty() {
+            &self.partitioner,
+            exclude,
+        )?
+        .into_iter()
+        .filter(|&(_, _, reader)| reader == self.node_idx)
+        .map(|(bk, wanted, _)| (bk, wanted))
+        .collect();
+        if mine.is_empty() {
             return Ok(Vec::new());
         }
 
@@ -298,9 +304,9 @@ impl NodeStore {
         // read-ahead does on a real node. With a free disk every block is
         // ready at once and this is a plain parallel scan. A lone block has
         // nothing to overlap: this thread reads it, then scans it.
-        let n_workers = match owned.len() {
+        let n_workers = match mine.len() {
             1 => 0,
-            n => std::thread::available_parallelism().map_or(1, |c| c.get().min(n)),
+            n => self.cores.min(n),
         };
         let (ready_tx, ready_rx) = std::sync::mpsc::channel::<(usize, Option<Arc<BlockFrame>>)>();
         let ready_rx = Mutex::new(ready_rx);
@@ -309,7 +315,7 @@ impl NodeStore {
             loop {
                 let ready = ready_rx.lock().recv();
                 let Ok((i, cached)) = ready else { break };
-                let (bk, wanted) = &owned[i];
+                let (bk, wanted) = &mine[i];
                 let scan = self.scan_frame(*bk, wanted, cached);
                 done.push((i, scan, Instant::now()));
             }
@@ -318,7 +324,7 @@ impl NodeStore {
         let mut lanes = Lanes::begin();
         let mut scans = std::thread::scope(|s| {
             let workers: Vec<_> = (0..n_workers).map(|_| s.spawn(scan_ready)).collect();
-            for (i, (bk, wanted)) in owned.iter().enumerate() {
+            for (i, (bk, wanted)) in mine.iter().enumerate() {
                 let cached = self.lookup_frame(*bk, wanted);
                 if cached.is_none() {
                     lanes.read(self.disk.read_cost(self.source.block_bytes(bk.geohash)));
@@ -538,6 +544,7 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::plan_blocks;
     use crate::disk::timing::{within, MS, SLACK};
     use stash_data::{GeneratorConfig, NamGenerator};
     use stash_geo::time::epoch_seconds;
