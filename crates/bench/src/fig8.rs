@@ -1,13 +1,17 @@
 //! Fig. 8 experiments: STASH vs the ElasticSearch-like baseline on the
 //! same overlapping-request streams (§VIII-F).
 //!
-//! The comparison holds dataset, disk model, and network fixed and varies
-//! only the middleware: STASH reuses partial results Cell-by-Cell, while
-//! the ES request cache only fires on byte-identical queries.
+//! Both engines boot from one `ClusterConfig` value, so dataset, disk
+//! model, scan cost, network and worker tiers are the same by construction
+//! and only the middleware varies: STASH reuses partial results
+//! Cell-by-Cell, while the ES request cache only fires on byte-identical
+//! queries.
 
 use crate::harness::{time_ms, Scale};
 use crate::report::{ms, pct, Table};
+use stash_cluster::{Mode, SimCluster};
 use stash_data::QuerySizeClass;
+use stash_elastic::EsSimCluster;
 use stash_model::AggQuery;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -20,8 +24,9 @@ pub struct Row {
 /// Run one query stream on both engines, timing each step; averaged over
 /// `scale.repeats` cold-cache passes (single-core scheduling is noisy).
 fn run_stream(scale: &Scale, stream: &[AggQuery]) -> Vec<Row> {
-    let stash = scale.stash_cluster();
-    let es = scale.es_cluster();
+    let config = scale.base_cluster_config(Mode::Stash);
+    let stash = SimCluster::new(config.clone());
+    let es = EsSimCluster::new(config).expect("the ES baseline serves the bench scale");
     let sc = stash.client();
     let ec = es.client();
     let mut rows: Vec<Row> = (1..=stream.len())

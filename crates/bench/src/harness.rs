@@ -6,7 +6,6 @@ use rand::SeedableRng;
 use stash_cluster::{ClusterConfig, Mode, SimCluster};
 use stash_core::StashConfig;
 use stash_data::{GeneratorConfig, WorkloadConfig, WorkloadGen};
-use stash_elastic::{EsClusterConfig, EsSimCluster};
 use stash_model::AggQuery;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -77,7 +76,8 @@ impl Scale {
         })
     }
 
-    fn base_cluster_config(&self, mode: Mode) -> ClusterConfig {
+    /// The deployment every experiment at this scale boots from.
+    pub(crate) fn base_cluster_config(&self, mode: Mode) -> ClusterConfig {
         ClusterConfig::builder()
             .n_nodes(self.n_nodes)
             .mode(mode)
@@ -112,22 +112,6 @@ impl Scale {
         // (DESIGN.md §12).
         config.stash.frame_cache_bytes = 0;
         SimCluster::new(config)
-    }
-
-    /// The ElasticSearch-like baseline over the same dataset and cost
-    /// models.
-    pub fn es_cluster(&self) -> EsSimCluster {
-        EsSimCluster::new(EsClusterConfig {
-            n_nodes: self.n_nodes,
-            n_shards: self.n_nodes * 5, // the paper's 600-over-120 ratio
-            generator: GeneratorConfig {
-                seed: self.seed ^ 0xDA7A,
-                obs_per_deg2_per_day: self.density,
-                max_obs_per_block: 100_000,
-                value_quantum: 0.0,
-            },
-            ..EsClusterConfig::default()
-        })
     }
 
     /// The hotspot-regime STASH config (virtual serve cost dominates; see

@@ -110,7 +110,6 @@ impl Gatherer<'_> {
             let scan = Instant::now();
             local = store
                 .fetch_partials_excluding(keys, exclude)
-                .map(|v| v.into_iter().map(|p| (p.key, p.summary)).collect())
                 .map_err(|e| GatherFailure::Fatal(ClusterError::Storage(e.to_string())))?;
             acc.dfs_ns += scan.elapsed().as_nanos() as u64;
         }

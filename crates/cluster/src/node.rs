@@ -49,7 +49,7 @@ use stash_dfs::{frame_spatial_res, AppendOutcome, BlockFrame, BlockKey, NodeStor
 use stash_geo::TemporalRes;
 use stash_model::key::ancestors_at;
 use stash_model::level::MAX_SPATIAL_RES;
-use stash_model::{Cell, CellKey, CellSummary, FlatPartials, Level, Observation, QueryResult};
+use stash_model::{Cell, CellKey, FlatPartials, Level, Observation, QueryResult};
 use stash_net::{DelayQueue, Envelope, Handover, NodeId, Parked, Router};
 use stash_obs::{sleep_until, MetricsRegistry, StageTimes};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -417,11 +417,7 @@ impl NodeCtx {
                 let partials = self
                     .store
                     .fetch_partials_excluding(&keys, &exclude)
-                    .map(|v| {
-                        let parts: Vec<(CellKey, CellSummary)> =
-                            v.into_iter().map(|p| (p.key, p.summary)).collect();
-                        FlatPartials::encode(&parts)
-                    })
+                    .map(|parts| FlatPartials::encode(&parts))
                     .map_err(|e| ClusterError::Storage(e.to_string()));
                 let trace = StageTimes {
                     dfs_ns: scan.elapsed().as_nanos() as u64,
@@ -605,13 +601,8 @@ impl NodeCtx {
                     rollup_hits: keys.len(),
                     ..QueryResult::default()
                 };
-                // The per-Cell serve cost is the same as a graph serve:
-                // lookup, merge, serialization (DESIGN.md §2).
-                let serve = self.config.cell_service_cost * keys.len() as u32;
-                if serve > Duration::ZERO {
-                    sleep_until(Instant::now() + serve);
-                    st.merge_ns += serve.as_nanos() as u64;
-                }
+                // The per-Cell serve cost is the same as a graph serve.
+                self.charge_serve(keys.len(), &mut st);
                 return (Ok(result), st, None);
             }
         }
@@ -669,14 +660,19 @@ impl NodeCtx {
             }
         }
         reclassify_gather(&mut st, &gather_acc.into_inner());
-        // Modeled serve cost: lookup/merge/serialize per Cell on the
-        // paper's hardware, charged as virtual time (DESIGN.md §2).
-        let serve = self.config.cell_service_cost * keys.len() as u32;
+        self.charge_serve(keys.len(), &mut st);
+        (result, st, tick)
+    }
+
+    /// Modeled serve cost of `cells` answered Cells: lookup, merge and
+    /// serialization on the paper's hardware, charged as virtual time
+    /// (DESIGN.md §2) and booked as merge time.
+    fn charge_serve(&self, cells: usize, st: &mut StageTimes) {
+        let serve = self.config.cell_service_cost * cells as u32;
         if serve > Duration::ZERO {
             sleep_until(Instant::now() + serve);
             st.merge_ns += serve.as_nanos() as u64;
         }
-        (result, st, tick)
     }
 
     /// The graph a share is evaluated on, and its upkeep baton.

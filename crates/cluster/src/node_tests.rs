@@ -15,7 +15,7 @@ use stash_geo::time::epoch_seconds;
 use stash_geo::{BBox, Geohash, TimeBin, TimeRange};
 use stash_ingest::AppendSink;
 use stash_model::level::NUM_LEVELS;
-use stash_model::{AggQuery, SketchSpec};
+use stash_model::{AggQuery, CellSummary, SketchSpec};
 use stash_net::NetConfig;
 use std::collections::{HashMap, HashSet};
 use std::str::FromStr;

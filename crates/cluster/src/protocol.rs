@@ -217,18 +217,22 @@ pub fn error_bytes(e: &ClusterError) -> usize {
     }
 }
 
+/// Exact serialized bytes of a Cell list, priced as its flat encoding:
+/// envelope + flat key and exact [`CellSummary::wire_bytes`] per Cell. Both
+/// engines price their answers with it.
+pub fn cell_list_bytes<'a>(summaries: impl IntoIterator<Item = &'a CellSummary>) -> usize {
+    LIST_ENVELOPE_BYTES
+        + summaries
+            .into_iter()
+            .map(|s| KEY_BYTES + s.wire_bytes())
+            .sum::<usize>()
+}
+
 /// Exact serialized bytes of a result, priced as the flat encoding of its
-/// cells (each cell = flat key + exact
-/// [`stash_model::CellSummary::wire_bytes`]).
+/// cells ([`cell_list_bytes`]).
 pub fn result_bytes(r: &Result<QueryResult, ClusterError>) -> usize {
     match r {
-        Ok(qr) => {
-            LIST_ENVELOPE_BYTES
-                + qr.cells
-                    .iter()
-                    .map(|c| KEY_BYTES + c.summary.wire_bytes())
-                    .sum::<usize>()
-        }
+        Ok(qr) => cell_list_bytes(qr.cells.iter().map(|c| &c.summary)),
         Err(e) => error_bytes(e),
     }
 }

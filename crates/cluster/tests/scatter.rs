@@ -552,13 +552,13 @@ fn basic_answers_the_merge_of_every_nodes_block_partials() {
         let mut merged: BTreeMap<CellKey, CellSummary> = BTreeMap::new();
         for node in 0..cluster.n_nodes() {
             let partials = cluster.node(node).store.fetch_partials(&keys).unwrap();
-            for p in partials {
-                match merged.entry(p.key) {
+            for (key, summary) in partials {
+                match merged.entry(key) {
                     std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(p.summary);
+                        e.insert(summary);
                     }
                     std::collections::btree_map::Entry::Occupied(mut e) => {
-                        e.get_mut().merge(&p.summary)
+                        e.get_mut().merge(&summary)
                     }
                 }
             }

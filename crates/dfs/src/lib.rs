@@ -50,4 +50,4 @@ pub use frame::{
 };
 pub use partitioner::Partitioner;
 pub use rollup::RollupStore;
-pub use store::{AppendOutcome, BlockScan, BlockSource, NodeStore, PartialCell};
+pub use store::{AppendOutcome, BlockScan, BlockSource, NodeStore};

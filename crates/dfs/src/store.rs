@@ -21,14 +21,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A per-partition fragment of a Cell's summary. Fragments for the same key
-/// from different nodes merge into the complete Cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialCell {
-    pub key: CellKey,
-    pub summary: CellSummary,
-}
-
 /// Result of appending rows to a block (see [`BlockSource::append`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppendOutcome {
@@ -263,7 +255,10 @@ impl NodeStore {
     /// cells covered but with no matching observations produce an *empty*
     /// partial (so callers can distinguish "computed, empty region" from
     /// "not my data").
-    pub fn fetch_partials(&self, cells: &[CellKey]) -> Result<Vec<PartialCell>, BlockPlanError> {
+    pub fn fetch_partials(
+        &self,
+        cells: &[CellKey],
+    ) -> Result<Vec<(CellKey, CellSummary)>, BlockPlanError> {
         self.fetch_partials_excluding(cells, &[])
     }
 
@@ -278,7 +273,7 @@ impl NodeStore {
         &self,
         cells: &[CellKey],
         exclude: &[usize],
-    ) -> Result<Vec<PartialCell>, BlockPlanError> {
+    ) -> Result<Vec<(CellKey, CellSummary)>, BlockPlanError> {
         let mine: Vec<(BlockKey, Vec<CellKey>)> = plan_reads(
             cells,
             self.block_len,
@@ -383,11 +378,8 @@ impl NodeStore {
         if sketch_merges > 0 {
             self.metrics.counter("sketch.merges").add(sketch_merges);
         }
-        let mut out: Vec<PartialCell> = merged
-            .into_iter()
-            .map(|(key, summary)| PartialCell { key, summary })
-            .collect();
-        out.sort_unstable_by_key(|p| p.key);
+        let mut out: Vec<(CellKey, CellSummary)> = merged.into_iter().collect();
+        out.sort_unstable_by_key(|&(key, _)| key);
         Ok(out)
     }
 
@@ -620,7 +612,7 @@ mod tests {
             let partials = s.fetch_partials(&[cell]).unwrap();
             if s.node_idx() == owner {
                 assert_eq!(partials.len(), 1);
-                assert_eq!(partials[0].key, cell);
+                assert_eq!(partials[0].0, cell);
             } else {
                 assert!(
                     partials.is_empty(),
@@ -650,7 +642,7 @@ mod tests {
             let partials = s.fetch_partials_excluding(&[cell], &[primary]).unwrap();
             if !partials.is_empty() {
                 assert_eq!(partials.len(), 1);
-                assert_eq!(partials[0].summary.count(), baseline[0].summary.count());
+                assert_eq!(partials[0].1.count(), baseline[0].1.count());
                 served_by.push(s.node_idx());
             }
         }
@@ -669,8 +661,8 @@ mod tests {
                 if exclude.contains(&s.node_idx()) {
                     continue;
                 }
-                for p in s.fetch_partials_excluding(&[cell], exclude).unwrap() {
-                    merged.merge(&p.summary);
+                for (_, summary) in s.fetch_partials_excluding(&[cell], exclude).unwrap() {
+                    merged.merge(&summary);
                 }
             }
             merged
@@ -690,9 +682,9 @@ mod tests {
         let mut merged = CellSummary::empty(4);
         let mut contributors = 0;
         for s in &stores {
-            for p in s.fetch_partials(&[cell]).unwrap() {
-                assert_eq!(p.key, cell);
-                merged.merge(&p.summary);
+            for (key, summary) in s.fetch_partials(&[cell]).unwrap() {
+                assert_eq!(key, cell);
+                merged.merge(&summary);
                 contributors += 1;
             }
         }
@@ -740,8 +732,8 @@ mod tests {
         );
         let mut produced = 0;
         for s in &stores {
-            for p in s.fetch_partials(&[cell]).unwrap() {
-                assert_eq!(p.key, cell);
+            for (key, _) in s.fetch_partials(&[cell]).unwrap() {
+                assert_eq!(key, cell);
                 produced += 1;
                 // Summary may be empty or not; both are valid partials.
             }
@@ -808,7 +800,7 @@ mod tests {
         );
         assert_eq!(partials.len(), 32);
         // The union of children equals the parent's observations.
-        let total: u64 = partials.iter().map(|p| p.summary.count()).sum();
+        let total: u64 = partials.iter().map(|(_, s)| s.count()).sum();
         let gen_count = s
             .source
             .read_block(BlockKey {
@@ -867,7 +859,7 @@ mod tests {
         let partials = s.fetch_partials(&cells).unwrap();
         assert_eq!(partials.len(), cells.len());
         assert!(
-            partials.windows(2).all(|w| w[0].key < w[1].key),
+            partials.windows(2).all(|w| w[0].0 < w[1].0),
             "partials must be strictly sorted by CellKey"
         );
     }
@@ -1111,11 +1103,8 @@ mod tests {
                 }
             }
         }
-        let direct: Vec<PartialCell> = merged
-            .into_iter()
-            .map(|(key, summary)| PartialCell { key, summary })
-            .collect();
-        assert!(direct.iter().any(|p| p.summary.count() > 0));
+        let direct: Vec<(CellKey, CellSummary)> = merged.into_iter().collect();
+        assert!(direct.iter().any(|(_, s)| s.count() > 0));
         assert_eq!(s.fetch_partials(&cells).unwrap(), direct);
     }
 
@@ -1248,7 +1237,7 @@ mod tests {
         // the result matches a sealed store over the complete dataset.
         let fresh = s.fetch_partials(&[cell]).unwrap();
         let full = store(0, 1).fetch_partials(&[cell]).unwrap();
-        assert!(cold[0].summary.count() < fresh[0].summary.count());
+        assert!(cold[0].1.count() < fresh[0].1.count());
         assert_eq!(fresh, full);
         assert!(s.frame_cache().contains(&bk, 4, 1));
     }

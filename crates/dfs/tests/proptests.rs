@@ -301,7 +301,7 @@ proptest! {
         let mut fetched = BTreeMap::new();
         for s in stores.iter().filter(|s| !exclude.contains(&s.node_idx())) {
             let parts = s.fetch_partials_excluding(&keys, &exclude).unwrap();
-            merge_into(&mut fetched, parts.into_iter().map(|p| (p.key, p.summary)).collect());
+            merge_into(&mut fetched, parts);
         }
         let plan = plan_blocks(&keys, 3, &bbox, &time, 100_000).unwrap();
         let mut direct = BTreeMap::new();

@@ -1,17 +1,21 @@
 //! The simulated ElasticSearch deployment: coordinator scatter/gather over
-//! hash-routed shards, on the same fabric and dataset as the STASH cluster.
+//! hash-routed shards, booted from the same [`ClusterConfig`] as the STASH
+//! cluster it is compared with, on the same fabric machinery.
 
 use crate::shard::NodeShards;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use stash_dfs::{BlockKey, BlockSource, DiskModel};
-use stash_geo::time::epoch_seconds;
-use stash_geo::{BBox, Geohash, TimeRange};
-use stash_model::{AggQuery, Cell, CellKey, CellSummary, Observation, QueryResult};
-use stash_net::{Envelope, NetConfig, NodeId, Router, RpcTable};
+use stash_cluster::config::ConfigError;
+use stash_cluster::protocol::cell_list_bytes;
+use stash_cluster::{ClusterConfig, GenBlockSource};
+use stash_data::NamGenerator;
+use stash_dfs::BlockSource;
+use stash_model::{AggQuery, Cell, CellKey, CellSummary, QueryResult};
+use stash_net::{DelayQueue, Handover, NodeId, Parked, Router, RpcTable};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+type Partials = Result<Vec<(CellKey, CellSummary)>, String>;
 
 /// Wire protocol of the baseline. `Clone` is required by the fabric's
 /// duplication faults.
@@ -35,152 +39,94 @@ pub enum EsMsg {
     },
     ShardResponse {
         rpc: u64,
-        partials: Result<Vec<(CellKey, CellSummary)>, String>,
+        partials: Partials,
     },
-    Shutdown,
 }
 
 impl EsMsg {
+    /// Wire size for the fabric's bandwidth model. Cell lists are priced
+    /// exactly as the STASH protocol prices its own ([`cell_list_bytes`]);
+    /// an error as one discriminant and one length word plus its text.
     fn wire_size(&self) -> usize {
+        let priced = |cells: Result<usize, &String>| cells.unwrap_or_else(|e| 16 + e.len());
         match self {
             EsMsg::Search { .. } | EsMsg::ShardSearch { .. } => 256,
-            EsMsg::SearchResponse { result, .. } => match result {
-                Ok(r) => {
-                    r.cells
-                        .iter()
-                        .map(|c| 24 + 40 * c.summary.n_attrs())
-                        .sum::<usize>()
-                        + 64
-                }
-                Err(e) => e.len() + 32,
-            },
-            EsMsg::ShardResponse { partials, .. } => match partials {
-                Ok(v) => v.iter().map(|(_, s)| 24 + 40 * s.n_attrs()).sum::<usize>() + 64,
-                Err(e) => e.len() + 32,
-            },
-            EsMsg::Shutdown => 16,
+            EsMsg::SearchResponse { result, .. } => priced(
+                result
+                    .as_ref()
+                    .map(|r| cell_list_bytes(r.cells.iter().map(|c| &c.summary))),
+            ),
+            EsMsg::ShardResponse { partials, .. } => priced(
+                partials
+                    .as_ref()
+                    .map(|v| cell_list_bytes(v.iter().map(|(_, s)| s))),
+            ),
         }
     }
 }
 
-/// Configuration of the baseline deployment.
-#[derive(Debug, Clone)]
-pub struct EsClusterConfig {
-    pub n_nodes: usize,
-    /// Total shards (paper: 600 over 120 nodes ⇒ 5× nodes).
-    pub n_shards: usize,
-    /// Coordination workers per node (`Search`; block on shard fan-out).
-    pub coord_workers: usize,
-    /// Shard-search workers per node (local scans; never block on peers).
-    pub shard_workers: usize,
-    pub net: NetConfig,
-    pub disk: DiskModel,
-    pub block_len: u8,
-    pub data_bbox: BBox,
-    pub data_time: TimeRange,
-    pub generator: stash_data::GeneratorConfig,
-    pub n_attrs: usize,
-    /// Request-cache entries per node.
-    pub request_cache_entries: usize,
-    /// Field-data cache capacity per node, in blocks.
-    pub field_cache_blocks: usize,
-    pub max_cells_per_query: usize,
-    pub max_blocks_per_fetch: usize,
-    /// Modeled CPU cost per document collected during shard aggregation
-    /// (virtual time; DESIGN.md §2).
-    pub scan_cost_per_obs: Duration,
-    pub shard_rpc_timeout: Duration,
-    pub client_timeout: Duration,
-}
-
-impl Default for EsClusterConfig {
-    fn default() -> Self {
-        EsClusterConfig {
-            n_nodes: 8,
-            n_shards: 40,
-            coord_workers: 3,
-            shard_workers: 3,
-            net: NetConfig::default(),
-            disk: DiskModel::default(),
-            block_len: 3,
-            data_bbox: BBox {
-                min_lat: 20.0,
-                max_lat: 55.0,
-                min_lon: -130.0,
-                max_lon: -60.0,
-            },
-            data_time: TimeRange::new(
-                epoch_seconds(2015, 1, 1, 0, 0, 0),
-                epoch_seconds(2016, 1, 1, 0, 0, 0),
-            )
-            .expect("static range"),
-            generator: stash_data::GeneratorConfig::default(),
-            n_attrs: 4,
-            request_cache_entries: 256,
-            // Sized to the paper's cache:dataset ratio (~1-2% of blocks fit
-            // in memory): repeated *overlapping* searches keep paying disk,
-            // which is what keeps ES's panning latency flat in Fig. 8a.
-            field_cache_blocks: 4,
-            max_cells_per_query: 200_000,
-            max_blocks_per_fetch: 20_000,
-            scan_cost_per_obs: Duration::from_nanos(400),
-            shard_rpc_timeout: Duration::from_secs(30),
-            client_timeout: Duration::from_secs(120),
-        }
+/// Can the baseline serve this deployment? It reads sealed blocks only:
+/// with live blocks it would read their full contents while STASH reads
+/// them truncated, and it has no rollup authority to answer from.
+fn check_servable(config: &ClusterConfig) -> Result<(), ConfigError> {
+    config.check()?;
+    if !config.live_blocks.is_empty() {
+        return Err(ConfigError::LiveSet(
+            "the ES-like baseline serves sealed blocks only".into(),
+        ));
     }
+    if config.rollup.is_enabled() {
+        return Err(ConfigError::Rollup(
+            "the ES-like baseline has no rollup levels to serve".into(),
+        ));
+    }
+    Ok(())
 }
 
 struct EsNode {
-    idx: usize,
     id: NodeId,
     shards: NodeShards,
     router: Router<EsMsg>,
-    rpc: RpcTable<Result<Vec<(CellKey, CellSummary)>, String>>,
-    config: Arc<EsClusterConfig>,
-    coord_tx: Sender<Envelope<EsMsg>>,
-    shard_tx: Sender<Envelope<EsMsg>>,
+    rpc: RpcTable<Partials>,
+    config: Arc<ClusterConfig>,
+    /// `Search`: coordinations, which block on the shard fan-out.
+    coord: DelayQueue<EsMsg>,
+    /// `ShardSearch`: local scans, which never block on peers.
+    shard: DelayQueue<EsMsg>,
 }
 
 impl EsNode {
-    fn send(&self, dst: NodeId, msg: EsMsg) {
+    /// Send over the fabric; `false` when it refuses (shutdown).
+    fn send(&self, dst: NodeId, msg: EsMsg) -> bool {
         let bytes = msg.wire_size();
-        self.router.send(self.id, dst, msg, bytes);
+        self.router.send(self.id, dst, msg, bytes)
     }
 
-    fn run_main(self: &Arc<Self>, inbox: stash_net::Inbox<EsMsg>) {
-        while let Ok(env) = inbox.recv() {
-            match env.payload {
-                EsMsg::Shutdown => {
-                    let poisons = [
-                        (&self.coord_tx, self.config.coord_workers),
-                        (&self.shard_tx, self.config.shard_workers),
-                    ];
-                    for (tx, n) in poisons {
-                        for _ in 0..n {
-                            let _ = tx.send(Envelope::local(self.id, EsMsg::Shutdown));
-                        }
-                    }
-                    return;
-                }
-                EsMsg::ShardResponse { rpc, partials } => {
-                    self.rpc.complete(rpc, partials);
-                }
-                // Shard searches never block on peers, so they get their
-                // own tier; coordinations may block waiting for them.
-                payload @ EsMsg::ShardSearch { .. } => {
-                    let _ = self.shard_tx.send(Envelope { payload, ..env });
-                }
-                payload => {
-                    let _ = self.coord_tx.send(Envelope { payload, ..env });
-                }
+    /// This node's port (see [`stash_net::Port`]): a shard reply completes
+    /// its slot, due when the wire says; a search is parked on the tier that
+    /// serves it. Nothing falls through, so no thread drains an inbox.
+    fn accept(&self, parked: Parked<EsMsg>) -> Handover<EsMsg> {
+        let tier = match parked.env.payload {
+            EsMsg::Search { .. } => &self.coord,
+            EsMsg::ShardSearch { .. } => &self.shard,
+            EsMsg::ShardResponse { rpc, partials } => {
+                let due = parked.due;
+                self.rpc
+                    .complete_at(rpc, partials, parked.sent_at.unwrap_or(due), due);
+                return Handover::Taken;
             }
-        }
+            // Only the client gateway asks for searches.
+            EsMsg::SearchResponse { .. } => return Handover::Taken,
+        };
+        tier.push(parked);
+        Handover::Queued
     }
 
-    fn run_worker(self: &Arc<Self>, work_rx: Receiver<Envelope<EsMsg>>) {
-        while let Ok(env) = work_rx.recv() {
+    /// Worker loop of one tier: take work as it comes due, until the fabric
+    /// shuts down and closes the queue.
+    fn run_worker(&self, work: DelayQueue<EsMsg>) {
+        while let Ok(env) = work.recv() {
             match env.payload {
-                EsMsg::Shutdown => return,
                 EsMsg::Search {
                     rpc,
                     reply_to,
@@ -195,40 +141,40 @@ impl EsNode {
                     query,
                 } => {
                     let partials = query
-                        .target_keys(self.config.max_cells_per_query)
+                        .target_keys(self.config.stash.max_cells_per_query)
                         .map_err(|e| e.to_string())
                         .and_then(|keys| self.shards.search(&query, &keys));
                     self.send(reply_to, EsMsg::ShardResponse { rpc, partials });
                 }
-                other => unreachable!("worker received {other:?}"),
+                other => unreachable!("the port queues searches only: {other:?}"),
             }
         }
     }
 
     /// Scatter to every data node (hash sharding has no locality), gather,
     /// merge per-cell partials.
-    fn coordinate(self: &Arc<Self>, query: &AggQuery) -> Result<QueryResult, String> {
+    fn coordinate(&self, query: &AggQuery) -> Result<QueryResult, String> {
         let keys = query
-            .target_keys(self.config.max_cells_per_query)
+            .target_keys(self.config.stash.max_cells_per_query)
             .map_err(|e| e.to_string())?;
         if keys.is_empty() {
             return Ok(QueryResult::default());
         }
         let mut waits = Vec::new();
-        for node in 0..self.config.n_nodes {
-            if node == self.idx {
-                continue;
+        for node in (0..self.config.n_nodes).filter(|&n| n != self.id.0) {
+            let (rpc, slot) = self.rpc.register();
+            let msg = EsMsg::ShardSearch {
+                rpc,
+                reply_to: self.id,
+                query: query.clone(),
+            };
+            if !self.send(NodeId(node), msg) {
+                for (rpc, _) in waits.into_iter().chain([(rpc, slot)]) {
+                    self.rpc.cancel(rpc);
+                }
+                return Err(format!("data node {node} unreachable"));
             }
-            let (rpc, rx) = self.rpc.register();
-            self.send(
-                NodeId(node),
-                EsMsg::ShardSearch {
-                    rpc,
-                    reply_to: self.id,
-                    query: query.clone(),
-                },
-            );
-            waits.push((rpc, rx));
+            waits.push((rpc, slot));
         }
         let own = self.shards.search(query, &keys)?;
 
@@ -239,8 +185,8 @@ impl EsNode {
             }
         };
         absorb(own);
-        for (rpc, rx) in waits {
-            match self.rpc.wait(rpc, &rx, self.config.shard_rpc_timeout) {
+        for (rpc, slot) in waits {
+            match self.rpc.wait(rpc, &slot, self.config.sub_rpc_timeout) {
                 Some(arrived) => absorb(arrived.response?),
                 None => return Err("shard rpc timed out".into()),
             }
@@ -274,7 +220,7 @@ impl EsClient {
     /// Issue one search; blocks for the merged result.
     pub fn query(&self, query: &AggQuery) -> Result<QueryResult, String> {
         let coord = self.next.fetch_add(1, Ordering::Relaxed) % self.n_nodes;
-        let (rpc_id, rx) = self.rpc.register();
+        let (rpc_id, slot) = self.rpc.register();
         let msg = EsMsg::Search {
             rpc: rpc_id,
             reply_to: self.gateway,
@@ -285,7 +231,7 @@ impl EsClient {
             self.rpc.cancel(rpc_id);
             return Err("cluster disconnected".into());
         }
-        match self.rpc.wait(rpc_id, &rx, self.timeout) {
+        match self.rpc.wait(rpc_id, &slot, self.timeout) {
             Some(arrived) => arrived.response,
             None => Err("search timed out".into()),
         }
@@ -294,41 +240,40 @@ impl EsClient {
 
 /// The running baseline deployment.
 pub struct EsSimCluster {
-    config: Arc<EsClusterConfig>,
+    config: Arc<ClusterConfig>,
     router: Router<EsMsg>,
     nodes: Vec<Arc<EsNode>>,
     client_rpc: Arc<RpcTable<Result<QueryResult, String>>>,
     gateway: NodeId,
     threads: Vec<std::thread::JoinHandle<()>>,
-    shut: AtomicBool,
-}
-
-struct GenSource(stash_data::NamGenerator);
-
-impl BlockSource for GenSource {
-    fn read_block(&self, key: BlockKey) -> Vec<Observation> {
-        self.0.block_for_day(key.geohash, key.day)
-    }
-    fn block_bytes(&self, geohash: Geohash) -> usize {
-        self.0.block_bytes(geohash)
-    }
-    fn n_attrs(&self) -> usize {
-        self.0.schema().len()
-    }
 }
 
 impl EsSimCluster {
-    pub fn new(config: EsClusterConfig) -> Self {
-        assert!(config.n_nodes > 0, "cluster needs nodes");
-        assert!(
-            config.coord_workers >= 1 && config.shard_workers >= 1,
-            "both worker tiers need at least one thread"
-        );
+    /// Boot the baseline on the deployment `config` describes: the same
+    /// nodes, fabric, disk, scan cost and dataset a STASH cluster booted
+    /// from it has, with `5 × n_nodes` shards (the paper's 600 over 120).
+    /// Each node runs `service_workers` coordination and `fetch_workers`
+    /// shard-search threads, fed by its port; the fabric and the client
+    /// gateway have none. Refuses a config [`ClusterConfig::check`]
+    /// rejects, and one with live blocks or rollups.
+    pub fn new(config: ClusterConfig) -> Result<Self, ConfigError> {
+        check_servable(&config)?;
         let config = Arc::new(config);
         let (router, mut endpoints) = Router::<EsMsg>::new(config.n_nodes + 1, config.net.clone());
-        let gateway_ep = endpoints.pop().expect("gateway endpoint");
-        let gateway = gateway_ep.id;
-        let source: Arc<dyn BlockSource> = Arc::new(GenSource(stash_data::NamGenerator::new(
+        let gateway = endpoints.pop().expect("gateway endpoint").id;
+        let client_rpc: Arc<RpcTable<Result<QueryResult, String>>> = Arc::new(RpcTable::default());
+        let replies = Arc::clone(&client_rpc);
+        router.install_port(
+            gateway,
+            Arc::new(move |parked: Parked<EsMsg>| {
+                if let EsMsg::SearchResponse { rpc, result } = parked.env.payload {
+                    let due = parked.due;
+                    replies.complete_at(rpc, result, parked.sent_at.unwrap_or(due), due);
+                }
+                Handover::Taken
+            }),
+        );
+        let source: Arc<dyn BlockSource> = Arc::new(GenBlockSource::new(NamGenerator::new(
             config.generator.clone(),
         )));
 
@@ -336,50 +281,29 @@ impl EsSimCluster {
         let mut threads = Vec::new();
         for ep in endpoints {
             let idx = ep.id.0;
-            let shards = NodeShards::new(
-                idx,
-                config.n_nodes,
-                config.n_shards,
-                config.block_len,
-                config.data_bbox,
-                config.data_time,
-                config.disk.clone(),
-                Arc::clone(&source),
-                config.max_blocks_per_fetch,
-                config.request_cache_entries,
-                config.field_cache_blocks,
-            )
-            .with_scan_cost(config.scan_cost_per_obs);
-            let (coord_tx, coord_rx) = unbounded();
-            let (shard_tx, shard_rx) = unbounded();
             let node = Arc::new(EsNode {
-                idx,
                 id: ep.id,
-                shards,
+                shards: NodeShards::new(idx, Arc::clone(&config), Arc::clone(&source)),
                 router: router.clone(),
                 rpc: RpcTable::default(),
                 config: Arc::clone(&config),
-                coord_tx,
-                shard_tx,
+                coord: router.delay_queue(ep.id),
+                shard: router.delay_queue(ep.id),
             });
-            let main = Arc::clone(&node);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("es-node-{idx}"))
-                    .spawn(move || main.run_main(ep.inbox))
-                    .expect("spawn es node"),
-            );
-            for (tier, count, rx) in [
-                ("coord", config.coord_workers, coord_rx),
-                ("shard", config.shard_workers, shard_rx),
-            ] {
+            let port = Arc::clone(&node);
+            router.install_port(ep.id, Arc::new(move |parked| port.accept(parked)));
+            let tiers = [
+                ("coord", config.service_workers, &node.coord),
+                ("shard", config.fetch_workers, &node.shard),
+            ];
+            for (tier, count, queue) in tiers {
                 for w in 0..count {
                     let worker = Arc::clone(&node);
-                    let rx = rx.clone();
+                    let queue = queue.clone();
                     threads.push(
                         std::thread::Builder::new()
                             .name(format!("es-{tier}-{idx}-{w}"))
-                            .spawn(move || worker.run_worker(rx))
+                            .spawn(move || worker.run_worker(queue))
                             .expect("spawn es worker"),
                     );
                 }
@@ -387,37 +311,17 @@ impl EsSimCluster {
             nodes.push(node);
         }
 
-        let client_rpc: Arc<RpcTable<Result<QueryResult, String>>> = Arc::new(RpcTable::default());
-        let pump = Arc::clone(&client_rpc);
-        threads.push(
-            std::thread::Builder::new()
-                .name("es-gateway".into())
-                .spawn(move || {
-                    while let Ok(env) = gateway_ep.inbox.recv() {
-                        match env.payload {
-                            EsMsg::SearchResponse { rpc, result } => {
-                                pump.complete(rpc, result);
-                            }
-                            EsMsg::Shutdown => return,
-                            other => debug_assert!(false, "gateway got {other:?}"),
-                        }
-                    }
-                })
-                .expect("spawn es gateway"),
-        );
-
-        EsSimCluster {
+        Ok(EsSimCluster {
             config,
             router,
             nodes,
             client_rpc,
             gateway,
             threads,
-            shut: AtomicBool::new(false),
-        }
+        })
     }
 
-    pub fn config(&self) -> &EsClusterConfig {
+    pub fn config(&self) -> &ClusterConfig {
         &self.config
     }
 
@@ -428,7 +332,8 @@ impl EsSimCluster {
             rpc: Arc::clone(&self.client_rpc),
             n_nodes: self.config.n_nodes,
             next: Arc::new(AtomicUsize::new(0)),
-            timeout: self.config.client_timeout,
+            // A search's own shard fan-out waits up to one sub-RPC deadline.
+            timeout: self.config.sub_rpc_timeout * 2,
         }
     }
 
@@ -455,15 +360,11 @@ impl EsSimCluster {
         }
     }
 
+    /// Stop the deployment; also runs on drop. The fabric refuses later
+    /// searches and closes every tier queue, so each worker finishes what
+    /// is already due and exits.
     pub fn shutdown(&self) {
-        if self.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for n in &self.nodes {
-            self.router.send(self.gateway, n.id, EsMsg::Shutdown, 16);
-        }
-        self.router
-            .send(self.gateway, self.gateway, EsMsg::Shutdown, 16);
+        self.router.shutdown();
     }
 }
 
@@ -473,21 +374,27 @@ impl Drop for EsSimCluster {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.router.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stash_geo::TemporalRes;
+    use stash_cluster::protocol::{Msg, KEY_BYTES, LIST_ENVELOPE_BYTES};
+    use stash_cluster::RollupPolicy;
+    use stash_dfs::DiskModel;
+    use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange};
+    use stash_model::{FlatPartials, Level};
+    use stash_net::NetConfig;
+    use stash_obs::StageTimes;
+    use std::str::FromStr;
+    use std::time::Instant;
 
-    fn small_config() -> EsClusterConfig {
-        EsClusterConfig {
+    fn small_config() -> ClusterConfig {
+        ClusterConfig {
             n_nodes: 4,
-            n_shards: 16,
-            coord_workers: 2,
-            shard_workers: 2,
+            service_workers: 2,
+            fetch_workers: 2,
             disk: DiskModel::free(),
             generator: stash_data::GeneratorConfig {
                 seed: 3,
@@ -497,6 +404,10 @@ mod tests {
             },
             ..Default::default()
         }
+    }
+
+    fn boot(config: ClusterConfig) -> EsSimCluster {
+        EsSimCluster::new(config).expect("servable test config")
     }
 
     fn county_query() -> AggQuery {
@@ -510,7 +421,7 @@ mod tests {
 
     #[test]
     fn search_returns_aggregations() {
-        let es = EsSimCluster::new(small_config());
+        let es = boot(small_config());
         let client = es.client();
         let r = client.query(&county_query()).expect("search");
         assert!(r.total_count() > 0);
@@ -520,7 +431,7 @@ mod tests {
 
     #[test]
     fn identical_search_hits_request_cache() {
-        let es = EsSimCluster::new(small_config());
+        let es = boot(small_config());
         let client = es.client();
         let q = county_query();
         let a = client.query(&q).unwrap();
@@ -533,7 +444,7 @@ mod tests {
 
     #[test]
     fn overlapping_search_misses_request_cache() {
-        let es = EsSimCluster::new(small_config());
+        let es = boot(small_config());
         let client = es.client();
         let q = county_query();
         client.query(&q).unwrap();
@@ -550,7 +461,7 @@ mod tests {
     #[test]
     fn es_agrees_with_ground_truth_volume() {
         // ES and a single-node full scan must count the same observations.
-        let es = EsSimCluster::new(small_config());
+        let es = boot(small_config());
         let q = county_query();
         let r = es.client().query(&q).unwrap();
         let gen = stash_data::NamGenerator::new(es.config().generator.clone());
@@ -579,7 +490,7 @@ mod tests {
 
     #[test]
     fn concurrent_searches() {
-        let es = EsSimCluster::new(small_config());
+        let es = boot(small_config());
         let q = county_query();
         let expected = es.client().query(&q).unwrap().total_count();
         let handles: Vec<_> = (0..6)
@@ -593,5 +504,108 @@ mod tests {
             assert_eq!(h.join().unwrap(), expected);
         }
         es.shutdown();
+    }
+
+    #[test]
+    fn configs_the_baseline_cannot_serve_are_refused() {
+        let live = ClusterConfig {
+            live_blocks: vec![(
+                Geohash::from_str("9xj").unwrap(),
+                TimeBin::containing(TemporalRes::Day, county_query().time.start),
+            )],
+            ..small_config()
+        };
+        assert!(live.check().is_ok(), "STASH serves it");
+        assert!(matches!(
+            EsSimCluster::new(live).err(),
+            Some(ConfigError::LiveSet(_))
+        ));
+        let rollup = ClusterConfig {
+            rollup: RollupPolicy::new(vec![Level::of(2, TemporalRes::Month).unwrap()]).unwrap(),
+            ..small_config()
+        };
+        assert!(rollup.check().is_ok(), "STASH serves it");
+        assert!(matches!(
+            EsSimCluster::new(rollup).err(),
+            Some(ConfigError::Rollup(_))
+        ));
+        // What `check` rejects is refused too.
+        let idle = ClusterConfig {
+            fetch_workers: 0,
+            ..small_config()
+        };
+        assert!(matches!(
+            EsSimCluster::new(idle).err(),
+            Some(ConfigError::Workers(_))
+        ));
+    }
+
+    #[test]
+    fn a_search_waits_out_four_hops() {
+        // Client → coordinator → the other node's shards → coordinator →
+        // client: four wire hops, each waited out on the thread that takes
+        // the message — the tier worker or the reply slot's waiter.
+        let hop = Duration::from_millis(5);
+        let es = boot(ClusterConfig {
+            n_nodes: 2,
+            net: NetConfig {
+                base_latency: hop,
+                ..NetConfig::default()
+            },
+            scan_cost_per_obs: Duration::ZERO,
+            ..small_config()
+        });
+        let client = es.client();
+        let q = county_query();
+        let mut best = Duration::MAX;
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            client.query(&q).expect("search");
+            let wall = t0.elapsed();
+            assert!(wall >= hop * 4, "{wall:?} < 4 hops");
+            best = best.min(wall);
+        }
+        // No relay adds a fifth hop.
+        assert!(best < hop * 5, "best of five {best:?}");
+    }
+
+    #[test]
+    fn cell_lists_cost_the_same_on_both_engines() {
+        let key = county_query().target_keys(100).unwrap()[0];
+        let mut summary = CellSummary::empty(4);
+        summary.push_row(&[1.0, 2.0, 3.0, 4.0]);
+        let parts = vec![(key, summary.clone()); 3];
+        let result = QueryResult {
+            cells: vec![Cell { key, summary }; 3],
+            ..Default::default()
+        };
+        // Three Cells of four exact 40-byte summaries behind a header word.
+        let bytes = LIST_ENVELOPE_BYTES + 3 * (KEY_BYTES + 8 + 4 * 40);
+        let es = [
+            EsMsg::ShardResponse {
+                rpc: 1,
+                partials: Ok(parts.clone()),
+            },
+            EsMsg::SearchResponse {
+                rpc: 1,
+                result: Ok(result.clone()),
+            },
+        ];
+        let stash = [
+            Msg::PartialsResponse {
+                rpc: 1,
+                partials: Ok(FlatPartials::encode(&parts)),
+                trace: StageTimes::default(),
+            },
+            Msg::SubQueryResponse {
+                rpc: 1,
+                result: Ok(result),
+                trace: StageTimes::default(),
+            },
+        ];
+        for (e, s) in es.iter().zip(&stash) {
+            assert_eq!(e.wire_size(), bytes);
+            assert_eq!(s.wire_size(), bytes);
+        }
     }
 }

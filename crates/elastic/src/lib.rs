@@ -21,15 +21,19 @@
 //!   *disk* cost fades while *aggregation* cost remains. ("Three types of
 //!   caches … stored the query results, aggregations, and field values.")
 //!
-//! The engine shares the dataset generator, disk model, fetch schedule
-//! ([`stash_dfs::Lanes`]: the disk reads ahead while a block is collected)
-//! and network fabric with the STASH cluster so Fig. 8's comparisons hold
-//! the substrate fixed and vary only the middleware.
+//! The engine is booted from the same [`stash_cluster::ClusterConfig`] a
+//! STASH deployment boots from, so the substrate is shared by construction:
+//! node count and worker tiers, network fabric (each node receives through a
+//! port that completes reply slots and parks searches on its tiers, as a
+//! STASH node does), disk model, scan cost, dataset generator (read through
+//! [`stash_cluster::GenBlockSource`]) and fetch schedule
+//! ([`stash_dfs::Lanes`]: the disk reads ahead while a block is collected).
+//! Fig. 8's comparisons vary only the middleware.
 
 pub mod cluster;
 pub mod lru;
 pub mod shard;
 
-pub use cluster::{EsClient, EsClusterConfig, EsSimCluster};
+pub use cluster::{EsClient, EsSimCluster};
 pub use lru::LruCache;
 pub use shard::{query_fingerprint, ShardStats};

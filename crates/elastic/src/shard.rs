@@ -2,8 +2,8 @@
 
 use crate::lru::LruCache;
 use parking_lot::Mutex;
-use stash_dfs::{plan_blocks, BlockKey, BlockSource, DiskModel, DiskStats, Lanes};
-use stash_geo::{BBox, TimeRange};
+use stash_cluster::ClusterConfig;
+use stash_dfs::{plan_blocks, BlockKey, BlockSource, DiskStats, Lanes};
 use stash_model::{AggQuery, CellKey, CellSummary, Observation, SummaryStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,71 +38,48 @@ pub struct ShardStats {
     pub field_cache_misses: AtomicU64,
 }
 
+/// Shards per data node: the paper split its index into 600 shards over
+/// 120 data nodes.
+pub(crate) const SHARDS_PER_NODE: usize = 5;
+
+/// Request-cache entries per node.
+pub(crate) const REQUEST_CACHE_ENTRIES: usize = 256;
+
+/// Field-data cache capacity per node, in blocks. Sized to the paper's
+/// cache:dataset ratio (~1-2% of blocks fit in memory): repeated
+/// *overlapping* searches keep paying disk, which is what keeps ES's
+/// panning latency flat in Fig. 8a.
+pub(crate) const FIELD_CACHE_BLOCKS: usize = 4;
+
 /// A cached per-shard aggregation output, shared between cache and callers.
 type CachedPartials = Arc<Vec<(CellKey, CellSummary)>>;
 
-/// One node's slice of the hash-sharded index plus its caches.
+/// One node's slice of the hash-sharded index plus its caches. Geometry,
+/// disk and scan cost come from the same [`ClusterConfig`] a STASH
+/// deployment boots from.
 pub struct NodeShards {
     node_idx: usize,
-    n_nodes: usize,
-    n_shards: usize,
-    block_len: u8,
-    data_bbox: BBox,
-    data_time: TimeRange,
-    disk: DiskModel,
+    config: Arc<ClusterConfig>,
     disk_stats: DiskStats,
     source: Arc<dyn BlockSource>,
-    max_blocks: usize,
     /// Shard request cache: exact-query → this node's aggregation output.
     request_cache: Mutex<LruCache<u64, CachedPartials>>,
     /// Field-data cache: block → resident column values.
     field_cache: Mutex<LruCache<BlockKey, Arc<Vec<Observation>>>>,
-    /// Modeled CPU cost per document collected (virtual time).
-    scan_cost_per_obs: std::time::Duration,
     pub stats: ShardStats,
 }
 
 impl NodeShards {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        node_idx: usize,
-        n_nodes: usize,
-        n_shards: usize,
-        block_len: u8,
-        data_bbox: BBox,
-        data_time: TimeRange,
-        disk: DiskModel,
-        source: Arc<dyn BlockSource>,
-        max_blocks: usize,
-        request_cache_entries: usize,
-        field_cache_blocks: usize,
-    ) -> Self {
-        assert!(
-            n_nodes > 0 && n_shards >= n_nodes,
-            "shards must cover nodes"
-        );
+    pub fn new(node_idx: usize, config: Arc<ClusterConfig>, source: Arc<dyn BlockSource>) -> Self {
         NodeShards {
             node_idx,
-            n_nodes,
-            n_shards,
-            block_len,
-            data_bbox,
-            data_time,
-            disk,
+            config,
             disk_stats: DiskStats::default(),
             source,
-            max_blocks,
-            request_cache: Mutex::new(LruCache::new(request_cache_entries)),
-            field_cache: Mutex::new(LruCache::new(field_cache_blocks)),
-            scan_cost_per_obs: std::time::Duration::from_nanos(400),
+            request_cache: Mutex::new(LruCache::new(REQUEST_CACHE_ENTRIES)),
+            field_cache: Mutex::new(LruCache::new(FIELD_CACHE_BLOCKS)),
             stats: ShardStats::default(),
         }
-    }
-
-    /// Override the modeled per-document collection cost.
-    pub fn with_scan_cost(mut self, per_obs: std::time::Duration) -> Self {
-        self.scan_cost_per_obs = per_obs;
-        self
     }
 
     /// Hash routing: block → shard (ES `_id`-hash routing — geography-blind).
@@ -114,12 +91,12 @@ impl NodeShards {
             .wrapping_add(block.day.idx as u64)
             .wrapping_mul(0xE703_7ED1_A0B4_28DB);
         x ^= x >> 32;
-        (x % self.n_shards as u64) as usize
+        (x % (SHARDS_PER_NODE * self.config.n_nodes) as u64) as usize
     }
 
     /// Shards are spread round-robin over data nodes.
     pub fn node_of_shard(&self, shard: usize) -> usize {
-        shard % self.n_nodes
+        shard % self.config.n_nodes
     }
 
     fn owns_block(&self, block: &BlockKey) -> bool {
@@ -148,12 +125,13 @@ impl NodeShards {
             .request_cache_misses
             .fetch_add(1, Ordering::Relaxed);
 
+        let c = &*self.config;
         let plan = plan_blocks(
             keys,
-            self.block_len,
-            &self.data_bbox,
-            &self.data_time,
-            self.max_blocks,
+            c.block_len,
+            &c.data_bbox,
+            &c.data_time,
+            c.stash.max_blocks_per_fetch,
         )
         .map_err(|e| e.to_string())?;
         let mine: Vec<(BlockKey, Vec<CellKey>)> = plan
@@ -161,7 +139,7 @@ impl NodeShards {
             .filter(|(bk, _)| self.owns_block(bk))
             .collect();
 
-        let n_attrs = self.source.n_attrs();
+        let n_attrs = c.n_attrs;
         // Exact summaries accumulate unshared, one vector per Cell, and
         // become Cells once every row is in: no per-row un-share check.
         let mut out: HashMap<CellKey, Vec<SummaryStats>> = HashMap::new();
@@ -200,7 +178,7 @@ impl NodeShards {
             // request-cache miss).
             lanes.scan(
                 std::time::Instant::now(),
-                self.scan_cost_per_obs * observations.len() as u32,
+                c.scan_cost_per_obs * observations.len() as u32,
             );
         }
         lanes.end();
@@ -226,7 +204,7 @@ impl NodeShards {
             .fetch_add(1, Ordering::Relaxed);
         let bytes = self.source.block_bytes(bk.geohash);
         self.disk_stats.record_read(bytes);
-        lanes.read(self.disk.read_cost(bytes));
+        lanes.read(self.config.disk.read_cost(bytes));
         let obs = Arc::new(self.source.read_block(bk));
         self.field_cache.lock().put(bk, Arc::clone(&obs));
         obs
@@ -242,50 +220,34 @@ impl NodeShards {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stash_cluster::GenBlockSource;
     use stash_data::{GeneratorConfig, NamGenerator};
-    use stash_geo::time::epoch_seconds;
-    use stash_geo::{Geohash, TemporalRes};
-
-    struct GenSource(NamGenerator);
-    impl BlockSource for GenSource {
-        fn read_block(&self, key: BlockKey) -> Vec<Observation> {
-            self.0.block_for_day(key.geohash, key.day)
-        }
-        fn block_bytes(&self, geohash: Geohash) -> usize {
-            self.0.block_bytes(geohash)
-        }
-        fn n_attrs(&self) -> usize {
-            self.0.schema().len()
-        }
-    }
+    use stash_dfs::DiskModel;
+    use stash_geo::{BBox, TemporalRes, TimeRange};
 
     fn shards(node_idx: usize, n_nodes: usize) -> NodeShards {
-        shards_on(node_idx, n_nodes, DiskModel::free())
+        shards_on(node_idx, n_nodes, |_| {})
     }
 
-    fn shards_on(node_idx: usize, n_nodes: usize, disk: DiskModel) -> NodeShards {
-        NodeShards::new(
-            node_idx,
+    fn shards_on(
+        node_idx: usize,
+        n_nodes: usize,
+        f: impl FnOnce(&mut ClusterConfig),
+    ) -> NodeShards {
+        let mut config = ClusterConfig {
             n_nodes,
-            n_nodes * 8,
-            3,
-            BBox::new(20.0, 55.0, -130.0, -60.0).unwrap(),
-            TimeRange::new(
-                epoch_seconds(2015, 1, 1, 0, 0, 0),
-                epoch_seconds(2016, 1, 1, 0, 0, 0),
-            )
-            .unwrap(),
-            disk,
-            Arc::new(GenSource(NamGenerator::new(GeneratorConfig {
+            disk: DiskModel::free(),
+            generator: GeneratorConfig {
                 seed: 11,
                 obs_per_deg2_per_day: 100.0,
                 max_obs_per_block: 20_000,
                 value_quantum: 0.0,
-            }))),
-            10_000,
-            64,
-            256,
-        )
+            },
+            ..ClusterConfig::default()
+        };
+        f(&mut config);
+        let source = GenBlockSource::new(NamGenerator::new(config.generator.clone()));
+        NodeShards::new(node_idx, Arc::new(config), Arc::new(source))
     }
 
     fn county_query() -> AggQuery {
@@ -373,15 +335,13 @@ mod tests {
         use std::time::{Duration, Instant};
         let read = Duration::from_millis(3);
         let per_doc = Duration::from_micros(10);
-        let s = shards_on(
-            0,
-            1,
-            DiskModel {
+        let s = shards_on(0, 1, |c| {
+            c.disk = DiskModel {
                 seek: read,
                 bytes_per_sec: f64::INFINITY,
-            },
-        )
-        .with_scan_cost(per_doc);
+            };
+            c.scan_cost_per_obs = per_doc;
+        });
         let q = AggQuery::new(
             BBox::from_corner_extent(36.0, -108.0, 4.0, 8.0),
             TimeRange::whole_day(2015, 2, 2),
@@ -389,7 +349,7 @@ mod tests {
             TemporalRes::Day,
         );
         let keys = q.target_keys(100_000).unwrap();
-        let plan = plan_blocks(&keys, 3, &s.data_bbox, &s.data_time, 10_000).unwrap();
+        let plan = plan_blocks(&keys, 3, &s.config.data_bbox, &s.config.data_time, 10_000).unwrap();
         let docs: Vec<u32> = plan
             .keys()
             .map(|bk| s.source.read_block(*bk).len() as u32)
@@ -433,12 +393,12 @@ mod tests {
             TemporalRes::Day,
         );
         let keys = q.target_keys(100_000).unwrap();
-        let plan = plan_blocks(&keys, 3, &s.data_bbox, &s.data_time, 10_000).unwrap();
+        let plan = plan_blocks(&keys, 3, &s.config.data_bbox, &s.config.data_time, 10_000).unwrap();
         let mut nodes_used: HashSet<usize> = HashSet::new();
         for bk in plan.keys() {
             let shard = s.shard_of(bk);
             assert_eq!(shard, s.shard_of(bk), "routing must be stable");
-            assert!(shard < 32);
+            assert!(shard < SHARDS_PER_NODE * 4);
             nodes_used.insert(s.node_of_shard(shard));
         }
         assert_eq!(

@@ -1,6 +1,6 @@
 //! STASH vs the ElasticSearch-like baseline (paper §VIII-F, Fig. 8): the
-//! same panning stream on both engines over the same dataset, disk, and
-//! network models.
+//! same panning stream on both engines, booted from one `ClusterConfig`:
+//! the same dataset, disk, scan-cost and network models.
 //!
 //! ES's request cache only helps byte-identical queries, so overlapping
 //! pans barely improve; STASH reuses the shared Cells and drops steeply
@@ -13,7 +13,7 @@
 
 use stash::cluster::{ClusterConfig, SimCluster};
 use stash::data::{WorkloadConfig, WorkloadGen};
-use stash::elastic::{EsClusterConfig, EsSimCluster};
+use stash::elastic::EsSimCluster;
 use stash::geo::BBox;
 use stash::model::AggQuery;
 use std::time::Instant;
@@ -31,8 +31,9 @@ fn time_stream<F: FnMut(&AggQuery)>(queries: &[AggQuery], mut run: F) -> Vec<f64
 
 fn main() {
     println!("booting STASH and ElasticSearch-like clusters…\n");
-    let stash_cluster = SimCluster::new(ClusterConfig::default());
-    let es_cluster = EsSimCluster::new(EsClusterConfig::default());
+    let config = ClusterConfig::default();
+    let stash_cluster = SimCluster::new(config.clone());
+    let es_cluster = EsSimCluster::new(config).expect("a sealed dataset");
     let stash_client = stash_cluster.client();
     let es_client = es_cluster.client();
 

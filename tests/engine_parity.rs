@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use stash::cluster::{ClusterConfig, Mode, SimCluster};
 use stash::data::GeneratorConfig;
 use stash::dfs::DiskModel;
-use stash::elastic::{EsClusterConfig, EsSimCluster};
+use stash::elastic::EsSimCluster;
 use stash::geo::{BBox, TemporalRes, TimeRange};
 use stash::model::AggQuery;
 
@@ -19,36 +19,31 @@ fn generator() -> GeneratorConfig {
     }
 }
 
-fn stash_cluster(mode: Mode) -> SimCluster {
-    SimCluster::new(
-        ClusterConfig::builder()
-            .n_nodes(3)
-            .mode(mode)
-            .disk(DiskModel::free())
-            .generator(generator())
-            .scan_cost_per_obs(std::time::Duration::ZERO)
-            .cell_service_cost(std::time::Duration::ZERO)
-            .build()
-            .expect("parity test config is valid"),
-    )
+/// The one deployment every engine here boots from.
+fn config() -> ClusterConfig {
+    ClusterConfig::builder()
+        .n_nodes(3)
+        .disk(DiskModel::free())
+        .generator(generator())
+        .scan_cost_per_obs(std::time::Duration::ZERO)
+        .cell_service_cost(std::time::Duration::ZERO)
+        .build()
+        .expect("parity test config is valid")
 }
 
-fn es_cluster() -> EsSimCluster {
-    EsSimCluster::new(EsClusterConfig {
-        n_nodes: 3,
-        n_shards: 12,
-        disk: DiskModel::free(),
-        generator: generator(),
-        scan_cost_per_obs: std::time::Duration::ZERO,
-        ..EsClusterConfig::default()
+fn stash_cluster(config: &ClusterConfig, mode: Mode) -> SimCluster {
+    SimCluster::new(ClusterConfig {
+        mode,
+        ..config.clone()
     })
 }
 
 #[test]
 fn three_engines_agree_on_a_query_set() {
-    let basic = stash_cluster(Mode::Basic);
-    let stash = stash_cluster(Mode::Stash);
-    let es = es_cluster();
+    let config = config();
+    let basic = stash_cluster(&config, Mode::Basic);
+    let stash = stash_cluster(&config, Mode::Stash);
+    let es = EsSimCluster::new(config).expect("a sealed dataset");
     let (bc, sc, ec) = (basic.client(), stash.client(), es.client());
 
     let queries = [
@@ -119,8 +114,9 @@ proptest! {
         dlon in 0.3f64..3.0,
         res in 2u8..=4,
     ) {
-        let basic = stash_cluster(Mode::Basic);
-        let stash = stash_cluster(Mode::Stash);
+        let config = config();
+        let basic = stash_cluster(&config, Mode::Basic);
+        let stash = stash_cluster(&config, Mode::Stash);
         let q = AggQuery::new(
             BBox::from_corner_extent(lat, lon, dlat, dlon),
             TimeRange::whole_day(2015, 2, 2),
