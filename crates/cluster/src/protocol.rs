@@ -465,8 +465,9 @@ mod tests {
     fn priced_payloads_equal_their_flat_encoding() {
         // `SubQueryResponse` and `ReplicationRequest` are
         // priced, never encoded: hold the arithmetic to the real encoder
-        // over sketched Cells in every form — no rows, a few rows (sparse
-        // register file and count-min matrix), thousands (both promoted).
+        // over sketched Cells in every form — no rows, a few and a few
+        // dozen (raw runs of values), thousands (sketches, both arrays
+        // promoted).
         let spec = stash_model::SketchSpec::standard();
         let cells: Vec<Cell> = [0usize, 1, 5, 40, 3000]
             .iter()
@@ -502,6 +503,37 @@ mod tests {
         // Replicated Cells add one freshness word each.
         let replicated: Vec<(Cell, f64)> = cells.iter().map(|c| (c.clone(), 0.5)).collect();
         assert_eq!(cells_bytes(&replicated), encoded + 8 * cells.len());
+    }
+
+    #[test]
+    fn cell_list_bytes_prices_raw_and_sketched_cells_as_encoded() {
+        // Cells either side of the 64-value raw cap, and a list mixing
+        // them: the price is the encoded fragment's length, so the fabric
+        // charges a raw run's words, not the sketches it stands for.
+        let spec = stash_model::SketchSpec::standard();
+        let cells: Vec<(CellKey, stash_model::CellSummary)> = [0usize, 6, 64, 65, 500]
+            .iter()
+            .enumerate()
+            .map(|(i, &rows)| {
+                let mut key = cell().key;
+                key.time.idx += i as i64;
+                let mut s = stash_model::CellSummary::empty_with(4, &spec);
+                for r in 0..rows {
+                    let v = (r * 7 % 1201) as f64 / 64.0;
+                    s.push_row(&[v, -v, v * 3.0, 1.0]);
+                }
+                (key, s)
+            })
+            .collect();
+        let raw = |s: &stash_model::CellSummary| s.attr_sketches(0).unwrap().is_raw();
+        assert_eq!(
+            cells.iter().map(|(_, s)| raw(s)).collect::<Vec<_>>(),
+            [true, true, true, false, false]
+        );
+        let priced = cell_list_bytes(cells.iter().map(|(_, s)| s));
+        assert_eq!(priced, FlatPartials::encode(&cells).wire_size());
+        // A 6-row Cell ships its values: 4 × (3 + 6) sketch words.
+        assert_eq!(cells[1].1.sketch_wire_bytes(), 4 * 9 * 8);
     }
 
     #[test]

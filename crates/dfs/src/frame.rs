@@ -631,7 +631,11 @@ impl BlockFrame {
     /// distinct values stay within the candidate cap (the sketch crate's
     /// documented exactness regime). Quantile updates apply per
     /// `(cell, bucket)` in one batched pass, order-invariant by the
-    /// quantile sketch's canonical compaction.
+    /// quantile sketch's canonical compaction. A target whose bundle is
+    /// still raw and has room for the slot's rows takes their values as
+    /// they are (`AttrSketches::try_extend_raw`, DESIGN.md §14): a slot's
+    /// values are prepared and tallied only when some target holds
+    /// sketches or is promoted by them.
     fn sketch_fold_rows(
         &self,
         ctx: &FoldCtx,
@@ -709,6 +713,7 @@ impl BlockFrame {
         let cloned: FxHashSet<u32> = clone_from.iter().map(|&(dup, _)| dup).collect();
 
         let mut targets: Vec<u32> = Vec::with_capacity(n_groups);
+        let mut values: Vec<f64> = Vec::new();
         let mut prepared: Vec<PreparedValue> = Vec::new();
         // Per-(slot, attr) quantile-bucket tally. Small slots dedup by
         // linear scan; big slots go through the hash map once and drain
@@ -737,33 +742,41 @@ impl BlockFrame {
             }
             for a in 0..self.n_attrs {
                 let col = self.col(a);
-                prepared.clear();
-                tally.clear();
-                for &r in rows {
-                    prepared.push(ctx.prepare(f64::from_bits(col[r as usize])));
-                }
-                if rows.len() <= 32 {
-                    for pv in &prepared {
-                        let key = pv.quantile_key();
-                        match tally.iter_mut().find(|e| e.0 == key) {
-                            Some(e) => e.1 += 1,
-                            None => tally.push((key, 1)),
-                        }
-                    }
-                } else {
-                    tally_map.clear();
-                    for pv in &prepared {
-                        *tally_map.entry(pv.quantile_key()).or_insert(0) += 1;
-                    }
-                    tally.extend(tally_map.iter().map(|(&k, &c)| (k, c)));
-                }
+                values.clear();
+                values.extend(rows.iter().map(|&r| f64::from_bits(col[r as usize])));
+                // Prepared and tallied on the first target that holds
+                // sketches (or that this slot promotes); raw targets that
+                // still have room take the values themselves.
+                let mut ready = false;
                 for &oi in &targets {
-                    if let Some(sk) = out[oi as usize].1.attr_sketches_mut(a) {
-                        sk.push_prepared_batch(&prepared);
-                        for &(key, count) in &tally {
-                            sk.add_quantile_batch(key, count);
+                    let Some(sk) = out[oi as usize].1.attr_sketches_mut(a) else {
+                        continue;
+                    };
+                    if sk.try_extend_raw(&values) {
+                        continue;
+                    }
+                    if !ready {
+                        ready = true;
+                        prepared.clear();
+                        tally.clear();
+                        prepared.extend(values.iter().map(|&v| ctx.prepare(v)));
+                        if rows.len() <= 32 {
+                            for pv in &prepared {
+                                let key = pv.quantile_key();
+                                match tally.iter_mut().find(|e| e.0 == key) {
+                                    Some(e) => e.1 += 1,
+                                    None => tally.push((key, 1)),
+                                }
+                            }
+                        } else {
+                            tally_map.clear();
+                            for pv in &prepared {
+                                *tally_map.entry(pv.quantile_key()).or_insert(0) += 1;
+                            }
+                            tally.extend(tally_map.iter().map(|(&k, &c)| (k, c)));
                         }
                     }
+                    sk.push_prepared_batch(&prepared, &tally);
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! that with one contiguous little-endian word buffer per fragment:
 //!
 //! ```text
-//! word 0        magic "STSHPRT2"
+//! word 0        magic "STSHPRT3"
 //! word 1        entry count n
 //! per entry     key   (3 words: geohash bits|len, temporal res, bin index)
 //!               stats (header word, 5 words per attribute, optional
@@ -26,9 +26,10 @@ use stash_flat::{magic, FlatError, WordReader, WordWriter};
 use stash_geo::{Geohash, TemporalRes, TimeBin};
 use stash_sketch::AttrSketches;
 
-/// Magic word of a flat partials fragment (`2`: sketch bundles carry
-/// sparse-until-dense runs, which a `1` decoder would misread).
-pub const PARTIALS_MAGIC: u64 = magic(b"STSHPRT2");
+/// Magic word of a flat partials fragment (`3`: a sketch bundle may be a
+/// raw run of values, which a `2` decoder would refuse; `2` added the
+/// sparse-until-dense runs a `1` decoder would misread).
+pub const PARTIALS_MAGIC: u64 = magic(b"STSHPRT3");
 
 /// Words of one flat-encoded [`CellKey`].
 pub const KEY_WORDS: usize = 3;
@@ -132,9 +133,17 @@ pub fn decode_cell_stats(r: &mut WordReader) -> Result<CellStats, FlatError> {
         .map(summary_of_words)
         .collect();
     let sketches = if flag == 1 {
-        let mut bundles = Vec::with_capacity(n_attrs);
+        let mut bundles: Vec<AttrSketches> = Vec::with_capacity(n_attrs);
         for _ in 0..n_attrs {
-            bundles.push(AttrSketches::flat_decode(r)?);
+            let bundle = AttrSketches::flat_decode(r)?;
+            // One spec builds every bundle of a Cell.
+            if bundles
+                .first()
+                .is_some_and(|b| b.check_config(&bundle).is_err())
+            {
+                return Err(FlatError::Corrupt("cell sketch bundles of different specs"));
+            }
+            bundles.push(bundle);
         }
         Some(bundles.into())
     } else {
@@ -351,6 +360,26 @@ mod tests {
         let mut bad = bytes;
         bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(FlatPartials::from_bytes(&bad).unwrap().decode().is_err());
+    }
+
+    #[test]
+    fn a_cell_of_bundles_under_two_specs_is_refused() {
+        let other = SketchSpec {
+            hll_precision: 9,
+            ..SketchSpec::standard()
+        };
+        let mut stats = CellStats::empty(2);
+        stats.sketches = Some(
+            vec![
+                AttrSketches::new(&SketchSpec::standard()),
+                AttrSketches::new(&other),
+            ]
+            .into(),
+        );
+        let mut w = WordWriter::new();
+        encode_cell_stats(&mut w, &stats);
+        let words = w.into_words();
+        assert!(decode_cell_stats(&mut WordReader::new(&words)).is_err());
     }
 
     #[test]

@@ -249,14 +249,14 @@ impl QueryResult {
     /// with its relative-error bound. `None` unless the deployment carries
     /// sketch-valued Cells and the result holds data.
     pub fn quantile(&self, attr: usize, q: f64) -> Option<stash_sketch::QuantileEstimate> {
-        self.fold_sketches(attr)?.quantile.quantile(q)
+        self.fold_sketches(attr)?.quantile(q)
     }
 
     /// Estimated distinct-value count of attribute `attr` over the whole
     /// result, with its standard error. `None` unless the deployment
     /// carries sketch-valued Cells and the result holds data.
     pub fn distinct(&self, attr: usize) -> Option<stash_sketch::DistinctEstimate> {
-        Some(self.fold_sketches(attr)?.distinct.estimate())
+        Some(self.fold_sketches(attr)?.distinct())
     }
 
     /// The `k` most frequent values of attribute `attr` over the whole
@@ -264,7 +264,7 @@ impl QueryResult {
     /// unless the deployment carries sketch-valued Cells and the result
     /// holds data.
     pub fn top_k(&self, attr: usize, k: usize) -> Option<Vec<stash_sketch::TopKEntry>> {
-        Some(self.fold_sketches(attr)?.heavy.top_k(k))
+        Some(self.fold_sketches(attr)?.top_k(k))
     }
 
     /// [`top_k`](Self::top_k) plus the truncation flag: when
@@ -275,7 +275,7 @@ impl QueryResult {
     /// truth — the data simply had fewer distinct values. Front-ends should
     /// prefer this over `top_k` whenever they render completeness.
     pub fn top_k_report(&self, attr: usize, k: usize) -> Option<stash_sketch::TopKResult> {
-        Some(self.fold_sketches(attr)?.heavy.top_k_report(k))
+        Some(self.fold_sketches(attr)?.top_k_report(k))
     }
 }
 

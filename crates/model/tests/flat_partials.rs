@@ -1,6 +1,6 @@
-//! Flat wire-form proptests for partials fragments (ISSUE 7 satellite):
-//! random `(CellKey, CellStats)` fragments — with and without sketch
-//! bundles — must round-trip bit-for-bit through [`FlatPartials`], agree
+//! Flat wire-form proptests for partials fragments: random
+//! `(CellKey, CellStats)` fragments — with and without sketch bundles,
+//! raw runs and sketches mixed — must round-trip bit-for-bit through [`FlatPartials`], agree
 //! with the seed's serde tree oracle (including after the coordinator's
 //! per-key merge), and reject truncated or corrupt buffers without ever
 //! panicking — whole fragments and single `CellStats` alike.
@@ -50,6 +50,16 @@ fn build_parts(picks: &[(usize, Vec<(i32, i32)>)], sketches: bool) -> Vec<(CellK
         .collect()
 }
 
+/// Rows of one Cell: a handful, held as raw runs with sketches on, or a
+/// few dozen either side of the 64-value raw cap — so fragments mix raw
+/// and sketched Cells, and the per-key merge promotes raw runs.
+fn arb_rows(q: i32) -> impl Strategy<Value = Vec<(i32, i32)>> {
+    prop_oneof![
+        proptest::collection::vec((-q..=q, -q..=q), 0..6),
+        proptest::collection::vec((-q..=q, -q..=q), 30..90),
+    ]
+}
+
 /// The coordinator's gather step: merge fragments per key.
 fn merged(parts: &[(CellKey, CellStats)]) -> BTreeMap<CellKey, CellStats> {
     let mut out: BTreeMap<CellKey, CellStats> = BTreeMap::new();
@@ -71,7 +81,7 @@ proptest! {
     #[test]
     fn flat_partials_match_serde_oracle(
         picks in proptest::collection::vec(
-            (0usize..16, proptest::collection::vec((-512i32..=512, -512i32..=512), 0..6)),
+            (0usize..16, arb_rows(512)),
             0..12,
         ),
         sketches_flag in 0u8..2,
@@ -103,7 +113,7 @@ proptest! {
     #[test]
     fn corrupt_partials_never_panic(
         picks in proptest::collection::vec(
-            (0usize..16, proptest::collection::vec((-64i32..=64, -64i32..=64), 0..4)),
+            (0usize..16, arb_rows(64)),
             1..8,
         ),
         sketches_flag in 0u8..2,
@@ -140,7 +150,10 @@ proptest! {
     #[test]
     fn a_truncated_cell_stats_is_an_error_at_every_word(
         n_attrs in 0usize..6,
-        rows in proptest::collection::vec(-512i32..=512, 0..40),
+        rows in prop_oneof![
+            proptest::collection::vec(-512i32..=512, 0..40),
+            proptest::collection::vec(-512i32..=512, 60..100),
+        ],
         sketches_flag in 0u8..2,
     ) {
         let spec = SketchSpec::standard();

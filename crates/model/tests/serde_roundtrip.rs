@@ -155,3 +155,19 @@ fn sketched_cells_roundtrip() {
     cell.summary = s;
     roundtrip(&cell);
 }
+
+#[test]
+fn raw_and_sketched_bundles_roundtrip_through_json() {
+    // Up to 64 rows a bundle is a raw run of values, past them sketches;
+    // each serializes as its own form and comes back as it was.
+    for rows in [0usize, 2, 64, 65, 300] {
+        let mut s = CellSummary::empty_with(2, &SketchSpec::standard());
+        for i in 0..rows {
+            s.push_row(&[i as f64 * 0.5, (i % 9) as f64]);
+        }
+        roundtrip(&s);
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(json.contains("\"raw\""), rows <= 64, "{rows} rows: {json}");
+        assert_eq!(json.contains("\"quantile\""), rows > 64, "{rows} rows");
+    }
+}

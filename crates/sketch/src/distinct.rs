@@ -283,6 +283,11 @@ impl DistinctSketch {
         }
     }
 
+    /// log₂ of the register count: the configuration a merge must match.
+    pub(crate) fn precision(&self) -> u8 {
+        self.precision
+    }
+
     /// Refuse to merge differently-configured sketches (see
     /// [`try_merge`](Self::try_merge)).
     pub(crate) fn check_config(&self, other: &DistinctSketch) -> Result<(), MergeError> {

@@ -9,17 +9,22 @@
 //! `(row, attribute)`, and the sketches accept the precomputed
 //! [`PreparedValue`] instead:
 //!
-//! * [`AttrSketches::push_prepared`](crate::AttrSketches::push_prepared)
-//!   applies the HLL register update and the heavy-hitter matrix/candidate
-//!   update — the two order-sensitive folds, which must still run per cell
-//!   in row order to stay bit-identical to a direct per-cell fold;
-//! * the quantile update is *deferred*: the caller accumulates
-//!   `(cell, `[`PreparedValue::quantile_key`]`)` counts in a scratch table
-//!   and applies each distinct pair once via
+//! * [`AttrSketches::push_prepared_batch`](crate::AttrSketches::push_prepared_batch)
+//!   applies the HLL register updates and the heavy-hitter matrix/candidate
+//!   updates of a run — the two order-sensitive folds, which must still run
+//!   per cell in row order to stay bit-identical to a direct per-cell fold;
+//! * the quantile update is *batched*: the caller tallies the run's
+//!   [`PreparedValue::quantile_key`]s once and the bundle applies each
+//!   `(key, count)` pair once via
 //!   [`UddSketch::add_packed`](crate::UddSketch::add_packed). The quantile
 //!   sketch's canonical compaction level makes its state a pure function of
 //!   the inserted multiset, so batching (and the reordering it implies) is
 //!   exact, not approximate.
+//!
+//! A bundle still in its raw form (DESIGN.md §14) needs neither: the kernel
+//! appends the values themselves
+//! ([`AttrSketches::try_extend_raw`](crate::AttrSketches::try_extend_raw))
+//! and prepares a slot's values only for targets that hold sketches.
 //!
 //! Folding a prepared value is bit-for-bit identical to calling the plain
 //! `push` entry points with the original `f64` — pinned by the
@@ -36,7 +41,7 @@ const MAX_CM_DEPTH: usize = 8;
 ///
 /// Cheap to copy; build one per `(row, attribute)` and reuse it for every
 /// resolution group the row lands in.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PreparedValue {
     /// Canonical bit pattern of the value (`-0.0` → `0.0`, NaNs collapsed).
     pub(crate) bits: u64,
@@ -73,10 +78,16 @@ pub struct FoldCtx {
 impl FoldCtx {
     /// Fold constants for sketches configured per `spec`.
     pub fn new(spec: &SketchSpec) -> Self {
+        FoldCtx::with(spec.quantile_alpha, spec.cm_width, spec.cm_depth)
+    }
+
+    /// Fold constants for a quantile α and a `cm_width × cm_depth`
+    /// count-min matrix.
+    pub(crate) fn with(quantile_alpha: f64, cm_width: usize, cm_depth: usize) -> Self {
         FoldCtx {
-            ln_gamma0: ((1.0 + spec.quantile_alpha) / (1.0 - spec.quantile_alpha)).ln(),
-            cm_width: spec.cm_width as u64,
-            cm_depth: spec.cm_depth.min(MAX_CM_DEPTH),
+            ln_gamma0: ((1.0 + quantile_alpha) / (1.0 - quantile_alpha)).ln(),
+            cm_width: cm_width as u64,
+            cm_depth: cm_depth.min(MAX_CM_DEPTH),
         }
     }
 

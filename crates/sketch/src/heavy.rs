@@ -522,43 +522,67 @@ impl HeavyHitters {
         }
     }
 
-    /// [`push`](Self::push) with the hashing precomputed by
-    /// [`FoldCtx::prepare`](crate::FoldCtx) — bit-identical state, the
-    /// per-value `splitmix64` rounds (per matrix row and for the candidate
-    /// probe) hoisted out. The prepared value must come from a `FoldCtx`
-    /// built with this sketch's configuration.
-    #[inline]
-    pub(crate) fn push_prepared(&mut self, pv: &PreparedValue) {
-        self.total = self.total.saturating_add(1);
-        self.fit_total();
-        self.absorb_one(&pv.cols);
-        if self.candidates.insert_hashed(pv.bits, pv.hash) {
-            self.trim();
-        }
-    }
-
-    /// Fold a run of prepared observations in — bit-identical to calling
-    /// [`push_prepared`](Self::push_prepared) once per element in order.
+    /// Fold a run of observations [prepared](crate::FoldCtx::prepare) with
+    /// this sketch's configuration in — calling [`push`](Self::push) once
+    /// per element in order, the per-value `splitmix64` rounds (per matrix
+    /// row and for the candidate probe) hoisted out.
     /// The count-min updates apply matrix-row-major across the batch
     /// (saturating adds commute, so the matrix state is order-invariant),
-    /// and candidate inserts keep the per-insert trim schedule so the
-    /// eviction sequence matches the one-at-a-time fold exactly. Into the
-    /// sparse list the batch goes as sorted runs, one merge pass each; a
+    /// and candidate inserts keep the per-insert trim schedule. A trim
+    /// ranks by the whole batch's counts, so the two folds agree bit for
+    /// bit while the candidates never trim (at most twice the cap
+    /// distinct); past it the survivors may differ, the documented best
+    /// effort. Into the sparse list the batch goes as sorted runs, one
+    /// merge pass each; a
     /// batch that could promote the list by itself folds into the dense
     /// array instead and returns to the canonical form afterwards.
     pub(crate) fn push_prepared_batch(&mut self, pvs: &[PreparedValue]) {
-        self.total = self.total.saturating_add(pvs.len() as u64);
+        self.count_prepared(pvs, None);
+        for pv in pvs {
+            if self.candidates.insert_hashed(pv.bits, pv.hash) {
+                self.trim();
+            }
+        }
+    }
+
+    /// The first half of a [`try_merge`](Self::try_merge) of the sketch a
+    /// direct fold of a multiset builds, when that fold never trims (its
+    /// distinct values fit twice the cap) — without building it. The
+    /// multiset is `pvs[i]` `counts[i]` times each, distinct values: the
+    /// matrix takes the counts and the candidates the values. Called once
+    /// or more, then [`trim`](Self::trim) once, as the merge does; how a
+    /// bundle's raw run folds into its sketches.
+    pub(crate) fn add_counted(&mut self, pvs: &[PreparedValue], counts: &[u64]) {
+        debug_assert_eq!(pvs.len(), counts.len());
+        self.count_prepared(pvs, Some(counts));
+        for pv in pvs {
+            self.candidates.insert_hashed(pv.bits, pv.hash);
+        }
+    }
+
+    /// The matrix half of a fold: `total` and the count-min counters take
+    /// `pvs`, each once or `counts[i]` times.
+    fn count_prepared(&mut self, pvs: &[PreparedValue], counts: Option<&[u64]>) {
+        let weight = |i: usize| counts.map_or(1, |c| c[i]);
+        let total = counts.map_or(pvs.len() as u64, |c| {
+            c.iter().fold(0u64, |a, &b| a.saturating_add(b))
+        });
+        self.total = self.total.saturating_add(total);
         self.fit_total();
         let (cells, width, depth) = (self.cells(), self.width, self.depth);
         let sparse = matches!(self.counters, Counters::Sparse(_));
         if sparse && pvs.len() * depth < promote_at(cells) {
             let vbits = value_bits(cells);
-            for chunk in pvs.chunks(RUN_BUFFER / depth) {
+            let per_chunk = RUN_BUFFER / depth;
+            for (c, chunk) in pvs.chunks(per_chunk).enumerate() {
                 let mut run = [0u64; RUN_BUFFER];
                 let mut n = 0;
                 for d in 0..depth {
-                    for pv in chunk {
-                        run[n] = entry(d * width + pv.cols[d] as usize, 1, vbits);
+                    for (i, pv) in chunk.iter().enumerate() {
+                        // A weight is at most `total`, which fits the
+                        // count field while the list is held.
+                        let w = weight(c * per_chunk + i);
+                        run[n] = entry(d * width + pv.cols[d] as usize, w, vbits);
                         n += 1;
                     }
                 }
@@ -575,20 +599,20 @@ impl HeavyHitters {
                 unreachable!("promote leaves the dense form");
             };
             for (d, row) in rows.chunks_exact_mut(width).enumerate() {
-                for pv in pvs {
+                for (i, pv) in pvs.iter().enumerate() {
                     let c = &mut row[pv.cols[d] as usize];
-                    *c = c.saturating_add(1);
+                    *c = c.saturating_add(weight(i));
                 }
             }
             if sparse {
                 self.canonicalize();
             }
         }
-        for pv in pvs {
-            if self.candidates.insert_hashed(pv.bits, pv.hash) {
-                self.trim();
-            }
-        }
+    }
+
+    /// `(width, depth, limit)`: the configuration a merge must match.
+    pub(crate) fn config(&self) -> (usize, usize, usize) {
+        (self.width, self.depth, self.limit)
     }
 
     /// Refuse to merge differently-configured sketches (see
@@ -652,7 +676,7 @@ impl HeavyHitters {
     /// full sort) finds the survivors: ranks are distinct (bits break
     /// ties), so the surviving *set* — and therefore the canonical state —
     /// is deterministic regardless of partition order.
-    fn trim(&mut self) {
+    pub(crate) fn trim(&mut self) {
         if self.candidates.len() <= 2 * self.limit {
             return;
         }
@@ -1226,18 +1250,12 @@ mod tests {
                 };
                 let mut batched = seeded();
                 batched.push_prepared_batch(&pvs);
-                let mut one_by_one = seeded();
-                for pv in &pvs {
-                    one_by_one.push_prepared(pv);
-                }
                 let mut pushed = seeded();
                 for &v in &values {
                     pushed.push(v);
                 }
                 assert_eq!(batched, pushed, "n={n} d={distinct}");
-                assert_eq!(one_by_one, pushed, "n={n} d={distinct}");
                 assert_eq!(is_sparse(&batched), is_sparse(&pushed));
-                assert_eq!(is_sparse(&one_by_one), is_sparse(&pushed));
             }
         }
     }

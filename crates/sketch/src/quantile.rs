@@ -300,6 +300,11 @@ impl UddSketch {
         self.compact_to_budget();
     }
 
+    /// `(alpha, max_buckets)`: the configuration a merge must match.
+    pub(crate) fn config(&self) -> (f64, usize) {
+        (self.alpha, self.max_buckets)
+    }
+
     /// Refuse to merge differently-configured sketches (see
     /// [`try_merge`](Self::try_merge)).
     pub(crate) fn check_config(&self, other: &UddSketch) -> Result<(), MergeError> {

@@ -31,6 +31,15 @@ pub struct SketchSpec {
     pub hh_candidates: usize,
 }
 
+/// Most values a bundle ever holds raw, whatever the candidate cap.
+pub(crate) const RAW_MAX: usize = 64;
+
+/// [`SketchSpec::raw_cap`] for a candidate cap.
+#[inline]
+pub(crate) fn raw_cap(hh_candidates: usize) -> usize {
+    (hh_candidates / 2).min(RAW_MAX)
+}
+
 impl Default for SketchSpec {
     fn default() -> Self {
         SketchSpec::disabled()
@@ -61,6 +70,15 @@ impl SketchSpec {
         }
     }
 
+    /// Values a bundle built under this spec holds raw before it folds
+    /// them into its sketches: `min(64, hh_candidates / 2)`. Derived, not
+    /// a knob. The half keeps every promotion — a raw run, or two merged
+    /// runs of at most this many each — inside the candidate cap, where
+    /// the sketches are a pure function of the values (DESIGN.md §14).
+    pub fn raw_cap(&self) -> usize {
+        raw_cap(self.hh_candidates)
+    }
+
     /// Validate parameter ranges (mirrors the panics of the sketch
     /// constructors, but as a `Result` for config loading).
     pub fn validate(&self) -> Result<(), String> {
@@ -81,6 +99,16 @@ impl SketchSpec {
         }
         if self.hh_candidates == 0 {
             return Err("sketch.hh_candidates must be positive".into());
+        }
+        // A raw bundle's wire header packs these three in 32 bits each.
+        for (name, v) in [
+            ("quantile_max_buckets", self.quantile_max_buckets),
+            ("cm_width", self.cm_width),
+            ("hh_candidates", self.hh_candidates),
+        ] {
+            if u32::try_from(v).is_err() {
+                return Err(format!("sketch.{name} must fit in 32 bits"));
+            }
         }
         Ok(())
     }
@@ -149,6 +177,18 @@ mod tests {
     }
 
     #[test]
+    fn raw_cap_is_half_the_candidate_cap_up_to_64() {
+        assert_eq!(SketchSpec::standard().raw_cap(), 64);
+        for (cap, raw) in [(1, 0), (2, 1), (100, 50), (128, 64), (4096, 64)] {
+            let spec = SketchSpec {
+                hh_candidates: cap,
+                ..SketchSpec::standard()
+            };
+            assert_eq!(spec.raw_cap(), raw, "hh_candidates {cap}");
+        }
+    }
+
+    #[test]
     fn null_deserializes_to_disabled() {
         let spec = SketchSpec::from_value(&Value::Null).unwrap();
         assert_eq!(spec, SketchSpec::disabled());
@@ -190,6 +230,9 @@ mod tests {
             |s: &mut SketchSpec| s.cm_width = 1,
             |s: &mut SketchSpec| s.cm_depth = 0,
             |s: &mut SketchSpec| s.hh_candidates = 0,
+            |s: &mut SketchSpec| s.cm_width = 1 << 32,
+            |s: &mut SketchSpec| s.quantile_max_buckets = 1 << 33,
+            |s: &mut SketchSpec| s.hh_candidates = usize::MAX,
         ] {
             let mut spec = SketchSpec::standard();
             f(&mut spec);

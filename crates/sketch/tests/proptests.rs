@@ -3,8 +3,9 @@
 //! over the raw observations — plus oracle tests pinning the heavy-hitter
 //! candidate table against the ordered-set implementation it replaced,
 //! dense-array oracles pinning the sparse-until-dense register file and
-//! count-min matrix across their promotion points, and corruption tests for
-//! the wire decoders.
+//! count-min matrix across their promotion points, merge trees crossing the
+//! bundle's raw-until-sketched cap against a direct fold, and corruption
+//! tests for the wire decoders.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -473,18 +474,10 @@ proptest! {
         let ctx = FoldCtx::new(&spec);
         let mut pushed = AttrSketches::new(&spec);
         let mut prepared = AttrSketches::new(&spec);
-        let mut tally: Vec<(i64, u64)> = Vec::new();
         for &v in &values {
             pushed.push(v);
             let pv = ctx.prepare(v);
-            prepared.push_prepared(&pv);
-            match tally.iter_mut().find(|(k, _)| *k == pv.quantile_key()) {
-                Some((_, c)) => *c += 1,
-                None => tally.push((pv.quantile_key(), 1)),
-            }
-        }
-        for (key, count) in tally {
-            prepared.add_quantile_batch(key, count);
+            prepared.push_prepared_batch(&[pv], &[(pv.quantile_key(), 1)]);
         }
         prop_assert_eq!(prepared, pushed);
     }
@@ -556,24 +549,133 @@ proptest! {
 
     #[test]
     fn prepared_batches_match_pushes_across_promotion(values in arb_spanning(), chunk in 1usize..80) {
-        // The scan kernel's entry point, in runs short enough to search the
-        // sparse lists and long enough to fold through the dense arrays.
-        let spec = SketchSpec { hll_precision: 6, cm_width: 32, hh_candidates: 1024, ..SketchSpec::standard() };
-        let ctx = FoldCtx::new(&spec);
-        let mut pushed = AttrSketches::new(&spec);
-        let mut batched = AttrSketches::new(&spec);
-        for run in values.chunks(chunk) {
-            let prepared: Vec<_> = run.iter().map(|&v| ctx.prepare(v)).collect();
-            batched.push_prepared_batch(&prepared);
-            for (&v, pv) in run.iter().zip(&prepared) {
-                pushed.push(v);
-                batched.add_quantile_batch(pv.quantile_key(), 1);
+        // The scan kernel's entry points: raw targets take the values while
+        // they fit, and the run that would pass the cap arrives prepared and
+        // promotes the bundle. A raw cap of 8 (16 candidates) promotes while
+        // the register file and matrix are still sparse lists, so later runs
+        // search them or cross them into the dense arrays; a cap of 64 (1 024
+        // candidates) promotes the larger draws straight into the dense arrays.
+        // A batch's trims rank candidates by the whole batch's counts, so
+        // past 2 × 16 distinct values only the order-free parts must agree.
+        let distinct = values.iter().map(|v| v.to_bits()).collect::<std::collections::BTreeSet<_>>().len();
+        for hh_candidates in [16, 1024] {
+            let spec = SketchSpec { hll_precision: 6, cm_width: 32, hh_candidates, ..SketchSpec::standard() };
+            let ctx = FoldCtx::new(&spec);
+            let mut pushed = AttrSketches::new(&spec);
+            let mut batched = AttrSketches::new(&spec);
+            for run in values.chunks(chunk) {
+                for &v in run {
+                    pushed.push(v);
+                }
+                if batched.try_extend_raw(run) {
+                    continue;
+                }
+                let prepared: Vec<_> = run.iter().map(|&v| ctx.prepare(v)).collect();
+                let tally: Vec<_> = prepared.iter().map(|pv| (pv.quantile_key(), 1)).collect();
+                batched.push_prepared_batch(&prepared, &tally);
+            }
+            prop_assert_eq!(batched.is_raw(), values.len() <= spec.raw_cap());
+            let (quantile, hll, heavy) = batched.to_sketches();
+            let (pushed_quantile, pushed_hll, _) = pushed.to_sketches();
+            prop_assert_eq!(&quantile, &pushed_quantile);
+            prop_assert_eq!(&hll, &pushed_hll);
+            prop_assert_eq!(dense::registers(&hll), dense::registers_of(&values, 6));
+            prop_assert_eq!(dense::matrix(&heavy), dense::matrix_of(&values, 32, 3));
+            if distinct <= 2 * hh_candidates {
+                prop_assert_eq!(&batched, &pushed);
+                prop_assert_eq!(flat_roundtrip!(AttrSketches, &batched), flat_roundtrip!(AttrSketches, &pushed));
             }
         }
-        prop_assert_eq!(&batched, &pushed);
-        prop_assert_eq!(dense::registers(&batched.distinct), dense::registers_of(&values, 6));
-        prop_assert_eq!(dense::matrix(&batched.heavy), dense::matrix_of(&values, 32, 3));
-        prop_assert_eq!(flat_roundtrip!(AttrSketches, &batched), flat_roundtrip!(AttrSketches, &pushed));
+    }
+
+    // ---- the raw form: exact below its cap, the sketches above ----
+
+    #[test]
+    fn raw_form_merge_trees_equal_the_direct_fold(
+        parts in prop::collection::vec(
+            prop_oneof![arb_quantized(40), arb_values(40), arb_values(90)],
+            1..7,
+        ),
+        picks in prop::collection::vec(any::<usize>(), 6),
+        flips in prop::collection::vec(any::<bool>(), 6),
+    ) {
+        // Parts from empty to past the 64-value cap, merged along a random
+        // tree with random operand order: merged raw runs, runs promoted
+        // by a merge, raw into sketched and sketched into raw. At most 540
+        // values: no candidate set ever trims, so every form must land on
+        // the direct fold's state.
+        let spec = SketchSpec::standard();
+        let all: Vec<f64> = parts.concat();
+        let mut level: Vec<AttrSketches> = parts.iter().map(|p| bundle_of(p)).collect();
+        for (&pick, &flip) in picks.iter().zip(&flips) {
+            if level.len() < 2 {
+                break;
+            }
+            let i = pick % (level.len() - 1);
+            let right = level.remove(i + 1);
+            let left = &mut level[i];
+            if flip {
+                let mut r = right;
+                r.merge(left);
+                *left = r;
+            } else {
+                left.merge(&right);
+            }
+        }
+        let merged = level.into_iter().reduce(|mut a, b| { a.merge(&b); a }).unwrap();
+        let direct = bundle_of(&all);
+        prop_assert_eq!(&merged, &direct);
+        prop_assert_eq!(merged.is_raw(), all.len() <= spec.raw_cap());
+        prop_assert_eq!(merged.count(), all.len() as u64);
+        // Encoded state: one canonical word sequence.
+        prop_assert_eq!(flat_roundtrip!(AttrSketches, &merged), flat_roundtrip!(AttrSketches, &direct));
+        if merged.is_raw() {
+            prop_assert_eq!(merged.flat_words(), 3 + all.len());
+        }
+        // Every estimator equals the plain sketches' direct per-value fold.
+        let (q, d, h) = merged.to_sketches();
+        let mut sq = UddSketch::new(spec.quantile_alpha, spec.quantile_max_buckets);
+        let mut sd = DistinctSketch::new(spec.hll_precision);
+        let mut sh = HeavyHitters::new(spec.cm_width, spec.cm_depth, spec.hh_candidates);
+        for &v in &all {
+            sq.push(v);
+            sd.push(v);
+            sh.push(v);
+        }
+        prop_assert_eq!(&q, &sq);
+        prop_assert_eq!(&d, &sd);
+        prop_assert_eq!(&h, &sh);
+        for p in [0.0, 0.25, 0.5, 0.99, 1.0] {
+            prop_assert_eq!(merged.quantile(p), sq.quantile(p));
+        }
+        prop_assert_eq!(merged.distinct().count.to_bits(), sd.estimate().count.to_bits());
+        prop_assert_eq!(merged.top_k_report(8), sh.top_k_report(8));
+    }
+
+    #[test]
+    fn try_merge_refuses_another_specs_bundle_in_either_form(
+        ours in prop_oneof![arb_values(10), arb_values(120)],
+        theirs in prop_oneof![arb_values(10), arb_values(120)],
+        which in 0usize..5,
+    ) {
+        let spec = SketchSpec::standard();
+        let mut other_spec = spec.clone();
+        match which {
+            0 => other_spec.quantile_alpha = 0.02,
+            1 => other_spec.quantile_max_buckets = 32,
+            2 => other_spec.hll_precision = 6,
+            3 => other_spec.cm_width = 32,
+            _ => other_spec.hh_candidates = 100,
+        }
+        let mut a = bundle_of(&ours);
+        let before = a.clone();
+        let mut b = AttrSketches::new(&other_spec);
+        for &v in &theirs {
+            b.push(v);
+        }
+        prop_assert!(a.try_merge(&b).is_err());
+        prop_assert_eq!(&a, &before);
+        prop_assert!(a.check_config(&b).is_err());
     }
 
     // ---- wire-form corruption never panics ----
