@@ -18,9 +18,11 @@
 //! fails is settled on its own, the answered ones kept: asked again under
 //! the retry policy and, if its owner stays dark, recomputed from the
 //! owner's DFS replicas. Basic mode takes the same route; its owners answer
-//! from blocks. The JSON-serializable [`QueryResult`] is what the WorldMap
-//! panel would render. Clients are cheap to clone; the throughput
-//! experiments run hundreds of them concurrently.
+//! from blocks. The [`QueryResult`] is what the WorldMap panel would
+//! render; its JSON carries exact summaries as readable objects and sketch
+//! bundles as their flat words, so the builder's accessors above do the
+//! estimating. Clients are cheap to clone; the throughput experiments run
+//! hundreds of them concurrently.
 
 use crate::caller::{Call, Caller};
 use crate::cluster::ClusterConfig;

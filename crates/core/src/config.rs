@@ -6,12 +6,11 @@
 //! §VII-B1; cooldown and purge periods, §VII-D). This struct gathers all of
 //! them with defaults scaled for the laptop-size simulated cluster.
 
-use serde::{Deserialize, Serialize};
 use stash_model::SketchSpec;
 
 /// How a hotspotted node picks candidate helper nodes (§VII-B3 vs the
 /// random-helper ablation of DESIGN.md §8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HelperSelection {
     /// The paper's scheme: the node owning the geohash antipode of the
     /// Clique root, maximally isolated from the hotspotted region.
@@ -21,7 +20,7 @@ pub enum HelperSelection {
 }
 
 /// Configuration of one node's STASH instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StashConfig {
     // -- Cell replacement (§V-C) -------------------------------------------
     /// Maximum Cells held in the local graph before replacement kicks in.

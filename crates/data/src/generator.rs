@@ -15,12 +15,11 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use stash_geo::{Geohash, TimeBin};
 use stash_model::{AttrSchema, Observation};
 
 /// Tuning knobs for the synthetic dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneratorConfig {
     /// Master seed; every block derives its RNG from this.
     pub seed: u64,

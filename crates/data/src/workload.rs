@@ -21,12 +21,11 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, Zipf};
-use serde::{Deserialize, Serialize};
 use stash_geo::{BBox, TemporalRes, TimeRange};
 use stash_model::AggQuery;
 
 /// The paper's four query size classes (§VIII-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuerySizeClass {
     Country,
     State,
@@ -82,7 +81,7 @@ pub const PAN_DIRECTIONS: [(f64, f64); 8] = [
 ];
 
 /// Workload parameters shared by all streams.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Spatial domain queries are drawn from. Defaults to the NAM coverage
     /// area (continental North America).

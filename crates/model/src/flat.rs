@@ -16,15 +16,19 @@
 //!
 //! The encoding is canonical — equal states produce identical words — and
 //! exact: [`FlatPartials::wire_size`] is the buffer's true byte length,
-//! which is what the simulated network now charges. The serde value-tree
-//! path stays alive as the oracle; equivalence tests assert that decoding
-//! a flat fragment yields bit-identical partials to the serde roundtrip.
+//! which is what the simulated network now charges. It is the one codec of
+//! sketch state: the JSON edge (`CellStats`' serde impls) carries a Cell's
+//! bundles as the words [`encode_cell_stats`] writes after its summaries
+//! and reads them back through the same bundle loop, so JSON refuses
+//! exactly the Cells the wire refuses. Both readers hold every summary to
+//! `SummaryStats::check_decoded`.
 
 use crate::key::CellKey;
 use crate::stats::{CellStats, SummaryStats};
 use stash_flat::{magic, FlatError, WordReader, WordWriter};
 use stash_geo::{Geohash, TemporalRes, TimeBin};
 use stash_sketch::AttrSketches;
+use std::sync::Arc;
 
 /// Magic word of a flat partials fragment (`3`: a sketch bundle may be a
 /// raw run of values, which a `2` decoder would refuse; `2` added the
@@ -84,7 +88,8 @@ fn encode_summary(w: &mut WordWriter, s: &SummaryStats) {
     w.push_f64(s.sum_sq);
 }
 
-/// The summary in five words of [`encode_summary`]'s form.
+/// The summary in five words of [`encode_summary`]'s form, unchecked
+/// ([`SummaryStats::check_decoded`]).
 fn summary_of_words(w: &[u64]) -> SummaryStats {
     SummaryStats {
         count: w[0],
@@ -127,25 +132,16 @@ pub fn decode_cell_stats(r: &mut WordReader) -> Result<CellStats, FlatError> {
     // Every exact summary's words are present before any is decoded, so
     // the shared slice is collected straight from them: one allocation of
     // known length.
-    let summaries = r
+    let summaries: Arc<[SummaryStats]> = r
         .take(5 * n_attrs)?
         .chunks_exact(5)
         .map(summary_of_words)
         .collect();
+    if let Some(e) = summaries.iter().find_map(|s| s.check_decoded().err()) {
+        return Err(FlatError::Corrupt(e));
+    }
     let sketches = if flag == 1 {
-        let mut bundles: Vec<AttrSketches> = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let bundle = AttrSketches::flat_decode(r)?;
-            // One spec builds every bundle of a Cell.
-            if bundles
-                .first()
-                .is_some_and(|b| b.check_config(&bundle).is_err())
-            {
-                return Err(FlatError::Corrupt("cell sketch bundles of different specs"));
-            }
-            bundles.push(bundle);
-        }
-        Some(bundles.into())
+        Some(decode_bundles(r, n_attrs)?)
     } else {
         None
     };
@@ -153,6 +149,27 @@ pub fn decode_cell_stats(r: &mut WordReader) -> Result<CellStats, FlatError> {
         summaries,
         sketches,
     })
+}
+
+/// Decode a Cell's `n_attrs` sketch bundles — the reader of the flat form
+/// and of the JSON edge, which carries the same words. One spec builds
+/// every bundle of a Cell.
+pub(crate) fn decode_bundles(
+    r: &mut WordReader,
+    n_attrs: usize,
+) -> Result<Arc<[AttrSketches]>, FlatError> {
+    let mut bundles: Vec<AttrSketches> = Vec::with_capacity(n_attrs);
+    for _ in 0..n_attrs {
+        let bundle = AttrSketches::flat_decode(r)?;
+        if bundles
+            .first()
+            .is_some_and(|b| b.check_config(&bundle).is_err())
+        {
+            return Err(FlatError::Corrupt("cell sketch bundles of different specs"));
+        }
+        bundles.push(bundle);
+    }
+    Ok(bundles.into())
 }
 
 /// A partials fragment in flat wire form: one contiguous word buffer,
@@ -380,6 +397,22 @@ mod tests {
         encode_cell_stats(&mut w, &stats);
         let words = w.into_words();
         assert!(decode_cell_stats(&mut WordReader::new(&words)).is_err());
+    }
+
+    #[test]
+    fn a_summary_of_no_rows_must_be_empty() {
+        let parts = [(sample_key("9xj", TemporalRes::Day, 3), CellStats::empty(2))];
+        let words = stash_flat::bytes_to_words(&FlatPartials::encode(&parts).to_bytes()).unwrap();
+        // Magic, count, key, stats header, then summary 0: count, min,
+        // max, sum, sum of squares.
+        let min = 2 + KEY_WORDS + 2;
+        assert_eq!(words[min], f64::INFINITY.to_bits());
+        for (at, value) in [(min, 5.0), (min + 1, 5.0), (min + 2, -0.0), (min + 3, 1.0)] {
+            let mut bad = words.clone();
+            bad[at] = f64::to_bits(value);
+            let fp = FlatPartials::from_bytes(&stash_flat::words_to_bytes(&bad)).unwrap();
+            assert!(fp.decode().is_err(), "word {at} = {value}");
+        }
     }
 
     #[test]

@@ -8,8 +8,15 @@
 //! spatial children of a cell yields the summary of the parent, bit-for-bit
 //! identical to aggregating the raw observations directly. That algebraic
 //! property is what makes roll-up queries answerable from cache.
+//!
+//! Both types cross the client edge as JSON (the front-end protocol,
+//! paper §VI-A): the exact summaries as readable objects, sketch bundles as
+//! their flat words (DESIGN.md §14, §15) — one machine-readable partial
+//! form, read back by the flat decoder's own checks, with estimates left to
+//! the accessors.
 
 use serde::{Deserialize, Serialize};
+use stash_flat::{WordReader, WordWriter};
 use stash_sketch::{AttrSketches, MergeError, SketchSpec};
 use std::sync::Arc;
 
@@ -138,6 +145,18 @@ impl SummaryStats {
     pub const fn estimated_bytes() -> usize {
         std::mem::size_of::<SummaryStats>()
     }
+
+    /// The check both readers — flat words and JSON — hold a decoded
+    /// summary to: one of no rows is [`empty`](Self::empty) bit for bit.
+    /// Any other extremes or sums would move a receiver's under
+    /// [`merge`](Self::merge) with no row behind them.
+    pub(crate) fn check_decoded(&self) -> Result<(), &'static str> {
+        let state = |s: &SummaryStats| [s.min, s.max, s.sum, s.sum_sq].map(f64::to_bits);
+        if self.count == 0 && state(self) != state(&SummaryStats::empty()) {
+            return Err("summary of no rows with non-empty state");
+        }
+        Ok(())
+    }
 }
 
 /// JSON-safe mirror of [`SummaryStats`]: optional extremes instead of ±∞
@@ -172,13 +191,15 @@ impl<'de> serde::Deserialize<'de> for SummaryStats {
                 "non-empty summary requires min and max",
             ));
         }
-        Ok(SummaryStats {
+        let s = SummaryStats {
             count: w.count,
             min: w.min.unwrap_or(f64::INFINITY),
             max: w.max.unwrap_or(f64::NEG_INFINITY),
             sum: w.sum,
             sum_sq: w.sum_sq,
-        })
+        };
+        s.check_decoded().map_err(serde::de::Error::custom)?;
+        Ok(s)
     }
 }
 
@@ -192,7 +213,7 @@ impl<'de> serde::Deserialize<'de> for SummaryStats {
 /// the only state older builds could produce) every operation and the wire
 /// form are bit-for-bit identical to the historical exact-only
 /// `CellSummary`. The serialized object gains a `"sketches"` key only when
-/// sketch state is present.
+/// sketch state is present: the bundles' flat words, as `u64`s.
 ///
 /// Both halves are **shared and copy-on-write**: cloning a `CellStats`
 /// bumps one reference count (two when sketched), so a cache hit, a rollup
@@ -457,11 +478,17 @@ impl CellStats {
 impl serde::Serialize for CellStats {
     fn to_value(&self) -> serde::value::Value {
         // The `sketches` key is emitted only when present, keeping the
-        // exact-only wire form byte-identical to the historical
-        // `{"summaries": [...]}` object.
+        // exact-only JSON byte-identical to the historical
+        // `{"summaries": [...]}` object. When present it holds the words
+        // the flat form writes after the summaries (DESIGN.md §15).
         let mut fields = vec![("summaries".to_string(), self.summaries[..].to_value())];
         if let Some(sketches) = &self.sketches {
-            fields.push(("sketches".to_string(), sketches.to_value()));
+            let mut w =
+                WordWriter::with_capacity(sketches.iter().map(AttrSketches::flat_words).sum());
+            for bundle in sketches.iter() {
+                bundle.flat_encode(&mut w);
+            }
+            fields.push(("sketches".to_string(), w.into_words().to_value()));
         }
         serde::value::Value::Object(fields)
     }
@@ -481,17 +508,19 @@ impl<'de> serde::Deserialize<'de> for CellStats {
         for (slot, item) in slots.iter_mut().zip(items) {
             *slot = SummaryStats::from_value(item)?;
         }
-        let sketches: Option<Arc<[AttrSketches]>> = match v.get_or_null("sketches") {
+        let sketches = match v.get_or_null("sketches") {
             serde::value::Value::Null => None,
-            present => Some(Vec::<AttrSketches>::from_value(present)?.into()),
-        };
-        if let Some(s) = &sketches {
-            if s.len() != summaries.len() {
-                return Err(serde::de::Error::custom(
-                    "sketches misaligned with summaries",
-                ));
+            present => {
+                // The flat reader's bundle loop, held to the same refusals;
+                // the words must end with the last bundle.
+                let words = Vec::<u64>::from_value(present)?;
+                let mut r = WordReader::new(&words);
+                let bundles = crate::flat::decode_bundles(&mut r, summaries.len())
+                    .and_then(|b| r.finish().map(|()| b))
+                    .map_err(|e| serde::de::Error::custom(format!("sketch bundles: {e}")))?;
+                Some(bundles)
             }
-        }
+        };
         Ok(CellStats {
             summaries,
             sketches,

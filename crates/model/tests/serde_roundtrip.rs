@@ -5,7 +5,9 @@
 
 use stash_geo::time::epoch_seconds;
 use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange};
-use stash_model::{AggQuery, Cell, CellKey, CellSummary, QueryResult, SketchSpec, SummaryStats};
+use stash_model::{
+    AggQuery, Cell, CellKey, CellSummary, FlatPartials, QueryResult, SketchSpec, SummaryStats,
+};
 use std::str::FromStr;
 
 fn sample_key() -> CellKey {
@@ -156,18 +158,139 @@ fn sketched_cells_roundtrip() {
     roundtrip(&cell);
 }
 
+/// A two-attribute sketched Cell of `rows` rows over `distinct` values.
+fn sketched_cell(rows: usize, distinct: usize) -> Cell {
+    let mut c = Cell::empty(sample_key(), 2);
+    c.summary = CellSummary::empty_with(2, &SketchSpec::standard());
+    for i in 0..rows {
+        let v = (i % distinct) as f64 * 0.5;
+        c.summary.push_row(&[v, -v]);
+    }
+    c
+}
+
+fn flat_bytes(cells: &[Cell]) -> Vec<u8> {
+    let parts: Vec<(CellKey, CellSummary)> =
+        cells.iter().map(|c| (c.key, c.summary.clone())).collect();
+    FlatPartials::encode(&parts).to_bytes()
+}
+
 #[test]
 fn raw_and_sketched_bundles_roundtrip_through_json() {
     // Up to 64 rows a bundle is a raw run of values, past them sketches;
-    // each serializes as its own form and comes back as it was.
+    // JSON carries either as the flat words that follow the summaries.
     for rows in [0usize, 2, 64, 65, 300] {
         let mut s = CellSummary::empty_with(2, &SketchSpec::standard());
         for i in 0..rows {
             s.push_row(&[i as f64 * 0.5, (i % 9) as f64]);
         }
         roundtrip(&s);
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(json.contains("\"raw\""), rows <= 64, "{rows} rows: {json}");
-        assert_eq!(json.contains("\"quantile\""), rows > 64, "{rows} rows");
+        let v = serde_json::to_value(&s).unwrap();
+        let words = v["sketches"].as_array().expect("sketch words");
+        assert_eq!(words.len() * 8, s.sketch_wire_bytes(), "{rows} rows");
+        assert!(words.iter().all(|w| w.as_u64().is_some()), "{rows} rows");
     }
+}
+
+#[test]
+fn query_results_of_raw_sparse_and_dense_bundles_roundtrip_bit_for_bit() {
+    // 3 rows: raw runs. 200 rows over 10 values: sketches whose register
+    // file and matrix are sparse lists. 3 000 distinct rows: dense arrays.
+    let cells = vec![
+        sketched_cell(3, 3),
+        sketched_cell(200, 10),
+        sketched_cell(3000, 3000),
+    ];
+    let forms: Vec<(bool, usize)> = cells
+        .iter()
+        .map(|c| {
+            let b = c.summary.attr_sketches(0).unwrap();
+            (b.is_raw(), b.to_sketches().1.flat_words())
+        })
+        .collect();
+    // A p = 8 register file ships dense as 1 + 32 words.
+    assert!(forms[0].0 && !forms[1].0 && !forms[2].0, "{forms:?}");
+    assert!(forms[1].1 < 33 && forms[2].1 == 33, "{forms:?}");
+    let r = QueryResult {
+        cells,
+        cache_hits: 1,
+        derived_hits: 1,
+        misses: 1,
+        rollup_hits: 0,
+    };
+    let json = serde_json::to_string(&r).unwrap();
+    let back: QueryResult = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, r);
+    assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    assert_eq!(flat_bytes(&back.cells), flat_bytes(&r.cells));
+    assert_eq!(back.quantile(1, 0.5), r.quantile(1, 0.5));
+}
+
+/// `s`'s JSON with its sketch words edited by `edit`.
+fn with_words(s: &CellSummary, edit: impl FnOnce(&mut Vec<u64>)) -> String {
+    let v = serde_json::to_value(s).unwrap();
+    let mut words: Vec<u64> = v["sketches"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|w| w.as_u64().unwrap())
+        .collect();
+    edit(&mut words);
+    format!(
+        r#"{{"summaries":{},"sketches":{}}}"#,
+        serde_json::to_string(&v["summaries"]).unwrap(),
+        serde_json::to_string(&words).unwrap()
+    )
+}
+
+#[test]
+fn corrupt_bundle_words_are_an_error_never_a_panic() {
+    let raw = sketched_cell(2, 2).summary;
+    let sketched = sketched_cell(300, 300).summary;
+    for s in [&raw, &sketched] {
+        let json = with_words(s, |_| {});
+        assert_eq!(serde_json::from_str::<CellSummary>(&json).unwrap(), *s);
+        let n = s.sketch_wire_bytes() / 8;
+        for cut in 0..n {
+            let json = with_words(s, |w| w.truncate(cut));
+            assert!(
+                serde_json::from_str::<CellSummary>(&json).is_err(),
+                "cut {cut}"
+            );
+        }
+        // A word past the last bundle.
+        let json = with_words(s, |w| w.push(0));
+        assert!(serde_json::from_str::<CellSummary>(&json).is_err());
+    }
+    // The quantile sketch opens a sketched bundle: α, budget, level, zero
+    // count, |neg|, |pos|, then (index, count) pairs.
+    let (quantile, _, _) = sketched.attr_sketches(0).unwrap().to_sketches();
+    assert!(quantile.flat_words() > 6 + 2 * 4);
+    let zero_count = with_words(&sketched, |w| w[7] = 0);
+    assert!(serde_json::from_str::<CellSummary>(&zero_count).is_err());
+    let over_budget = with_words(&sketched, |w| w[1] = 4);
+    assert!(serde_json::from_str::<CellSummary>(&over_budget).is_err());
+    // A raw run: a 3-word header, then its values ascending and canonical.
+    let (lo, hi) = (0.0f64.to_bits(), 0.5f64.to_bits());
+    assert_eq!(
+        with_words(&raw, |_| {}),
+        with_words(&raw, |w| w[3..5].copy_from_slice(&[lo, hi]))
+    );
+    let unsorted = with_words(&raw, |w| w[3..5].copy_from_slice(&[hi, lo]));
+    assert!(serde_json::from_str::<CellSummary>(&unsorted).is_err());
+    let negzero = with_words(&raw, |w| w[3] = (-0.0f64).to_bits());
+    assert!(serde_json::from_str::<CellSummary>(&negzero).is_err());
+}
+
+#[test]
+fn a_summary_of_no_rows_with_extremes_is_refused() {
+    let bad = r#"{"count":0,"min":5.0,"max":null,"sum":0.0,"sum_sq":0.0}"#;
+    assert!(serde_json::from_str::<SummaryStats>(bad).is_err());
+    let cell = format!(r#"{{"summaries":[{bad}]}}"#);
+    assert!(serde_json::from_str::<CellSummary>(&cell).is_err());
+    let empty = r#"{"count":0,"min":null,"max":null,"sum":0.0,"sum_sq":0.0}"#;
+    assert_eq!(
+        serde_json::from_str::<SummaryStats>(empty).unwrap(),
+        SummaryStats::empty()
+    );
 }

@@ -23,8 +23,6 @@ use crate::hash::{canonical_bits, is_canonical_bits};
 use crate::heavy::{HeavyHitters, TopKEntry, TopKResult};
 use crate::quantile::{QuantileEstimate, UddSketch};
 use crate::spec::{raw_cap, SketchSpec, RAW_MAX};
-use serde::value::Value;
-use serde::{Deserialize, Serialize};
 use stash_flat::{FlatError, WordReader, WordWriter};
 use std::borrow::Cow;
 
@@ -326,9 +324,7 @@ impl AttrSketches {
     }
 
     /// Fold a run of [`prepared`](crate::FoldCtx::prepare) observations in,
-    /// bit-identical to [`push`](Self::push)ing them in order while the
-    /// candidates never trim (past that, a trim ranks by the whole run's
-    /// counts and the surviving candidates may differ). `tally` counts
+    /// bit-identical to [`push`](Self::push)ing them in order. `tally` counts
     /// the run's [`quantile_key`](PreparedValue::quantile_key)s — one
     /// `(key, count)` pair per key, or several that sum to it — so a caller
     /// folding one run into many bundles tallies it once. A raw bundle the
@@ -512,7 +508,13 @@ impl AttrSketches {
                 distinct: DistinctSketch::flat_decode(r)?,
                 heavy: HeavyHitters::flat_decode(r)?,
             };
-            return Self::sketched(s).map_err(FlatError::Corrupt);
+            let cap = raw_cap(s.heavy.config().2) as u64;
+            if s.heavy.count() <= cap || s.quantile.count() <= cap {
+                return Err(FlatError::Corrupt("sketched bundle within its raw cap"));
+            }
+            return Ok(AttrSketches {
+                form: Form::Sketched(Box::new(s)),
+            });
         }
         let head = r.u64()?;
         let alpha = r.f64()?;
@@ -530,35 +532,17 @@ impl AttrSketches {
         };
         // The 8-bit count borrows at most 255 words before it is checked.
         let values = r.take((head >> 32) as u8 as usize)?;
-        Self::raw(params, values).map_err(FlatError::Corrupt)
-    }
-
-    /// A sketched bundle decoded from the wire, if its count belongs to
-    /// the sketched form.
-    fn sketched(s: Sketches) -> Result<Self, &'static str> {
-        let cap = raw_cap(s.heavy.config().2) as u64;
-        if s.heavy.count() <= cap || s.quantile.count() <= cap {
-            return Err("sketched bundle within its raw cap");
-        }
-        Ok(AttrSketches {
-            form: Form::Sketched(Box::new(s)),
-        })
-    }
-
-    /// A raw bundle decoded from the wire: a valid spec, a run within its
-    /// cap, canonical bit patterns, ascending.
-    fn raw(params: Params, values: &[u64]) -> Result<Self, &'static str> {
         if params.spec().validate().is_err() {
-            return Err("invalid raw bundle config");
+            return Err(FlatError::Corrupt("invalid raw bundle config"));
         }
         if values.len() > params.raw_cap() {
-            return Err("raw run above its cap");
+            return Err(FlatError::Corrupt("raw run above its cap"));
         }
         if !values.is_sorted() {
-            return Err("raw run not sorted");
+            return Err(FlatError::Corrupt("raw run not sorted"));
         }
         if !values.iter().all(|&b| is_canonical_bits(b)) {
-            return Err("non-canonical raw value");
+            return Err(FlatError::Corrupt("non-canonical raw value"));
         }
         Ok(AttrSketches {
             form: Form::Raw {
@@ -566,73 +550,6 @@ impl AttrSketches {
                 values: values.to_vec(),
             },
         })
-    }
-}
-
-/// JSON mirror of the raw form.
-#[derive(Serialize, Deserialize)]
-struct WireRaw {
-    alpha: f64,
-    max_buckets: u64,
-    hll_precision: u8,
-    cm_width: u64,
-    cm_depth: u64,
-    hh_candidates: u64,
-    values: Vec<u64>,
-}
-
-/// JSON: a raw bundle is `{"raw": {spec…, "values": [bits…]}}`; a sketched
-/// one is `{"quantile", "distinct", "heavy"}`, as before the raw form
-/// existed. Deserializing holds the flat decoder's form checks.
-impl Serialize for AttrSketches {
-    fn to_value(&self) -> Value {
-        match &self.form {
-            Form::Raw { params, values } => Value::Object(vec![(
-                "raw".to_string(),
-                WireRaw {
-                    alpha: params.alpha,
-                    max_buckets: params.max_buckets as u64,
-                    hll_precision: params.hll_precision,
-                    cm_width: params.cm_width as u64,
-                    cm_depth: params.cm_depth as u64,
-                    hh_candidates: params.hh_candidates as u64,
-                    values: values.clone(),
-                }
-                .to_value(),
-            )]),
-            Form::Sketched(s) => Value::Object(vec![
-                ("quantile".to_string(), s.quantile.to_value()),
-                ("distinct".to_string(), s.distinct.to_value()),
-                ("heavy".to_string(), s.heavy.to_value()),
-            ]),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for AttrSketches {
-    fn from_value(v: &Value) -> Result<Self, serde::de::DeError> {
-        use serde::de::Error;
-        let raw = v.get_or_null("raw");
-        if raw.is_null() {
-            let s = Sketches {
-                quantile: UddSketch::from_value(v.get_or_null("quantile"))?,
-                distinct: DistinctSketch::from_value(v.get_or_null("distinct"))?,
-                heavy: HeavyHitters::from_value(v.get_or_null("heavy"))?,
-            };
-            return Self::sketched(s).map_err(serde::de::DeError::custom);
-        }
-        let w = WireRaw::from_value(raw)?;
-        // Out-of-range sizes saturate, and `raw` refuses them.
-        let size = |x: u64| usize::try_from(x).unwrap_or(usize::MAX);
-        let params = Params {
-            alpha: w.alpha,
-            max_buckets: size(w.max_buckets),
-            hll_precision: w.hll_precision,
-            cm_width: size(w.cm_width),
-            cm_depth: size(w.cm_depth),
-            hh_candidates: size(w.hh_candidates),
-        };
-        Self::raw(params, &w.values).map_err(serde::de::DeError::custom)
     }
 }
 
@@ -768,47 +685,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_state() {
-        let spec = SketchSpec::standard();
-        for rows in [0usize, 5, 64, 65, 400] {
-            let values: Vec<f64> = (0..rows).map(|i| (i % 7) as f64 - 2.0).collect();
-            let s = bundle_of(&spec, &values);
-            let json = serde_json::to_string(&s).unwrap();
-            assert_eq!(json.starts_with("{\"raw\""), rows <= 64, "{json}");
-            let back: AttrSketches = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, s);
-        }
-    }
-
-    #[test]
-    fn serde_refuses_a_non_canonical_form() {
-        let spec = SketchSpec::standard();
-        // A sketched form of a count the raw form holds.
-        let small = direct(&spec, &[1.0, 2.0]);
-        let v = Value::Object(vec![
-            ("quantile".to_string(), small.quantile.to_value()),
-            ("distinct".to_string(), small.distinct.to_value()),
-            ("heavy".to_string(), small.heavy.to_value()),
-        ]);
-        assert!(AttrSketches::from_value(&v).is_err());
-        // A raw run out of order, over its cap, or holding -0.0.
-        let raw = bundle_of(&spec, &[1.0, 2.0]).to_value();
-        let json = serde_json::to_string(&raw).unwrap();
-        let (one, two) = (1.0f64.to_bits(), 2.0f64.to_bits());
-        let unsorted = json.replace(&format!("[{one},{two}]"), &format!("[{two},{one}]"));
-        assert!(serde_json::from_str::<AttrSketches>(&unsorted).is_err());
-        let negzero = json.replace(&format!(",{two}]"), &format!(",{}]", (-0.0f64).to_bits()));
-        assert!(serde_json::from_str::<AttrSketches>(&negzero).is_err());
-        let over = json.replace(
-            &format!("[{one},{two}]"),
-            &format!("[{}]", vec![one.to_string(); 65].join(",")),
-        );
-        assert!(serde_json::from_str::<AttrSketches>(&over).is_err());
-        let bad_spec = json.replace("\"cm_depth\":3", "\"cm_depth\":0");
-        assert!(serde_json::from_str::<AttrSketches>(&bad_spec).is_err());
     }
 
     #[test]

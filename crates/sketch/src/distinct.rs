@@ -20,7 +20,6 @@
 use crate::error::MergeError;
 use crate::hash::hash_value;
 use crate::sparse::{coalesce, merge_run, upsert, RUN_BUFFER};
-use serde::{Deserialize, Serialize};
 use stash_flat::{FlatError, WordReader, WordWriter};
 
 /// A distinct-count estimate plus its standard error.
@@ -500,55 +499,6 @@ impl DistinctSketch {
     }
 }
 
-/// Wire mirror: registers packed big-endian 8-per-u64, canonical order —
-/// always the dense file, whichever form holds it.
-#[derive(Serialize, Deserialize)]
-struct WireHll {
-    precision: u8,
-    packed: Vec<u64>,
-}
-
-impl serde::Serialize for DistinctSketch {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let packed = self
-            .registers
-            .to_dense(self.m())
-            .chunks_exact(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("chunks(8)")))
-            .collect();
-        WireHll {
-            precision: self.precision,
-            packed,
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for DistinctSketch {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let w = WireHll::deserialize(deserializer)?;
-        if !(4..=16).contains(&w.precision) {
-            return Err(serde::de::Error::custom("invalid hll precision"));
-        }
-        let m = 1usize << w.precision;
-        if w.packed.len() != m / 8 {
-            return Err(serde::de::Error::custom("hll register payload size"));
-        }
-        let mut registers = Vec::with_capacity(m);
-        for word in &w.packed {
-            registers.extend_from_slice(&word.to_be_bytes());
-        }
-        let max_rank = 64 - w.precision + 1;
-        if registers.iter().any(|&r| r > max_rank) {
-            return Err(serde::de::Error::custom("hll register rank out of range"));
-        }
-        Ok(DistinctSketch {
-            precision: w.precision,
-            registers: Registers::from_dense(registers),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,15 +567,6 @@ mod tests {
         assert!(a.try_merge(&sketch_of([3.0])).is_ok());
     }
 
-    #[test]
-    fn serde_roundtrip_preserves_state() {
-        let s = sketch_of((0..77).map(|i| i as f64 - 38.0));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: DistinctSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-    }
-
     fn flat_words_of(s: &DistinctSketch) -> Vec<u64> {
         let mut w = WordWriter::new();
         s.flat_encode(&mut w);
@@ -676,10 +617,8 @@ mod tests {
             let held = sketch_of((0..n).map(|i| i as f64 * 1.5 - 9.0));
             let mut dense = held.clone();
             dense.promote();
-            let via_serde: DistinctSketch =
-                serde_json::from_str(&serde_json::to_string(&held).unwrap()).unwrap();
             let via_flat = decode(&flat_words_of(&held)).unwrap();
-            for other in [&dense, &via_serde, &via_flat] {
+            for other in [&dense, &via_flat] {
                 assert_eq!(other, &held, "n={n}");
                 assert_eq!(
                     other.estimate().count.to_bits(),
@@ -688,13 +627,12 @@ mod tests {
                 );
                 assert_eq!(other.is_empty(), held.is_empty());
             }
-            // Serde and flat decoding both land in the canonical form.
-            assert_eq!(is_sparse(&via_serde), is_sparse(&held));
+            // Flat decoding lands in the canonical form.
             assert_eq!(is_sparse(&via_flat), is_sparse(&held));
-            // The JSON is the dense register file whatever the form.
+            // Both forms hold the same register file.
             assert_eq!(
-                serde_json::to_string(&dense).unwrap(),
-                serde_json::to_string(&held).unwrap()
+                dense.registers.to_dense(dense.m()),
+                held.registers.to_dense(held.m())
             );
         }
     }

@@ -40,7 +40,6 @@ use crate::error::MergeError;
 use crate::fold::PreparedValue;
 use crate::hash::{canonical_bits, is_canonical_bits, splitmix64};
 use crate::sparse::{coalesce, merge_run, upsert, RUN_BUFFER};
-use serde::{Deserialize, Serialize};
 use stash_flat::{FlatError, WordReader, WordWriter};
 
 /// One entry of a top-K answer.
@@ -181,27 +180,6 @@ impl CandidateSet {
 
     fn estimated_bytes(&self) -> usize {
         self.slots.len() * 8
-    }
-}
-
-impl FromIterator<u64> for CandidateSet {
-    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let it = iter.into_iter();
-        let mut s = CandidateSet::new();
-        // Presize from the lower size hint so bulk rebuilds (trim survivor
-        // lists, flat decodes) skip the grow-rehash chain. Capacity never
-        // affects the canonical (sorted-member) state.
-        let (lower, _) = it.size_hint();
-        if lower > 0 {
-            let cap = (lower * 8 / 7 + 1)
-                .next_power_of_two()
-                .max(Self::MIN_CAPACITY);
-            s.slots = vec![EMPTY_SLOT; cap];
-        }
-        for bits in it {
-            s.insert(bits);
-        }
-        s
     }
 }
 
@@ -523,26 +501,28 @@ impl HeavyHitters {
     }
 
     /// Fold a run of observations [prepared](crate::FoldCtx::prepare) with
-    /// this sketch's configuration in — calling [`push`](Self::push) once
-    /// per element in order, the per-value `splitmix64` rounds (per matrix
-    /// row and for the candidate probe) hoisted out.
-    /// The count-min updates apply matrix-row-major across the batch
-    /// (saturating adds commute, so the matrix state is order-invariant),
-    /// and candidate inserts keep the per-insert trim schedule. A trim
-    /// ranks by the whole batch's counts, so the two folds agree bit for
-    /// bit while the candidates never trim (at most twice the cap
-    /// distinct); past it the survivors may differ, the documented best
-    /// effort. Into the sparse list the batch goes as sorted runs, one
-    /// merge pass each; a
-    /// batch that could promote the list by itself folds into the dense
-    /// array instead and returns to the canonical form afterwards.
+    /// this sketch's configuration in — bit for bit [`push`](Self::push)
+    /// once per element in order, the per-value `splitmix64` rounds (per
+    /// matrix row and for the candidate probe) hoisted out. The count-min
+    /// updates apply matrix-row-major across the values between trims
+    /// (saturating adds commute, so the matrix state is order-invariant);
+    /// an insert that trims first counts the values up to and including
+    /// its own, so the trim ranks by the counts a per-value push has seen.
+    /// Into the sparse list the values go as sorted runs, one merge pass
+    /// each; a run that could promote the list by itself folds into the
+    /// dense array instead and returns to the canonical form afterwards.
     pub(crate) fn push_prepared_batch(&mut self, pvs: &[PreparedValue]) {
-        self.count_prepared(pvs, None);
-        for pv in pvs {
-            if self.candidates.insert_hashed(pv.bits, pv.hash) {
+        let mut counted = 0;
+        for (i, pv) in pvs.iter().enumerate() {
+            if self.candidates.insert_hashed(pv.bits, pv.hash)
+                && self.candidates.len() > 2 * self.limit
+            {
+                self.count_prepared(&pvs[counted..=i], None);
+                counted = i + 1;
                 self.trim();
             }
         }
+        self.count_prepared(&pvs[counted..], None);
     }
 
     /// The first half of a [`try_merge`](Self::try_merge) of the sketch a
@@ -905,67 +885,6 @@ impl HeavyHitters {
     }
 }
 
-/// Wire mirror: matrix row-major — always the full matrix, whichever form
-/// holds it — and candidates in sorted bit order.
-#[derive(Serialize, Deserialize)]
-struct WireHh {
-    width: u64,
-    depth: u64,
-    limit: u64,
-    trimmed: bool,
-    total: u64,
-    rows: Vec<u64>,
-    candidates: Vec<u64>,
-}
-
-impl serde::Serialize for HeavyHitters {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        WireHh {
-            width: self.width as u64,
-            depth: self.depth as u64,
-            limit: self.limit as u64,
-            trimmed: self.trimmed,
-            total: self.total,
-            rows: self.to_dense(),
-            candidates: self.candidates.sorted(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for HeavyHitters {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let w = WireHh::deserialize(deserializer)?;
-        let (width, depth, limit) = (w.width as usize, w.depth as usize, w.limit as usize);
-        if width < 8 || !(1..=8).contains(&depth) || limit == 0 {
-            return Err(serde::de::Error::custom("invalid heavy-hitter config"));
-        }
-        let cells = width.checked_mul(depth);
-        if cells != Some(w.rows.len()) || w.candidates.len() > limit.saturating_mul(2) {
-            return Err(serde::de::Error::custom("heavy-hitter payload size"));
-        }
-        if w.rows.iter().any(|&c| c > w.total) {
-            return Err(serde::de::Error::custom(
-                "heavy-hitter counter out of range",
-            ));
-        }
-        if w.candidates.iter().any(|&b| !is_canonical_bits(b)) {
-            return Err(serde::de::Error::custom(
-                "non-canonical heavy-hitter candidate",
-            ));
-        }
-        Ok(HeavyHitters {
-            width,
-            depth,
-            limit,
-            trimmed: w.trimmed,
-            total: w.total,
-            counters: Self::canonical(w.rows.len(), w.rows, w.total),
-            candidates: w.candidates.into_iter().collect(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1095,9 +1014,7 @@ mod tests {
         assert!(!clean.is_trimmed());
         clean.merge(&trimmed);
         assert!(clean.is_trimmed(), "trim flag must be sticky across merge");
-        let json = serde_json::to_string(&clean).unwrap();
-        let back: HeavyHitters = serde_json::from_str(&json).unwrap();
-        assert!(back.is_trimmed());
+        assert!(decode(&flat_words_of(&clean)).unwrap().is_trimmed());
     }
 
     #[test]
@@ -1155,27 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_state() {
-        let s = sketch_of((0..60).map(|i| (i % 11) as f64 - 5.0));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: HeavyHitters = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-    }
-
-    #[test]
-    fn serde_rejects_noncanonical_candidates() {
-        let s = sketch_of([1.0, 2.0]);
-        let json = serde_json::to_string(&s).unwrap();
-        // Smuggle the sentinel in as a candidate.
-        let bad = json.replace(
-            "\"candidates\":[",
-            &format!("\"candidates\":[{},", u64::MAX),
-        );
-        assert!(serde_json::from_str::<HeavyHitters>(&bad).is_err());
-    }
-
-    #[test]
     fn promotes_exactly_at_the_promotion_point() {
         // 16 × 2 = 32 counters: sparse while fewer than 8 are non-zero.
         assert_eq!(promote_at(32), 8);
@@ -1211,24 +1107,18 @@ mod tests {
             let held = sketch_of((0..n).map(|i| ((i * 7) % 500) as f64 * 0.25));
             let mut dense = held.clone();
             dense.promote();
-            let via_serde: HeavyHitters =
-                serde_json::from_str(&serde_json::to_string(&held).unwrap()).unwrap();
             let via_flat = decode(&flat_words_of(&held)).unwrap();
-            for other in [&dense, &via_serde, &via_flat] {
+            for other in [&dense, &via_flat] {
                 assert_eq!(other, &held, "n={n}");
                 assert_eq!(other.top_k(16), held.top_k(16), "n={n}");
                 for v in [0.0, 0.25, 17.5, 124.75, 9999.0] {
                     assert_eq!(other.estimate(v), held.estimate(v), "n={n} v={v}");
                 }
             }
-            // Serde and flat decoding both land in the canonical form.
-            assert_eq!(is_sparse(&via_serde), is_sparse(&held));
+            // Flat decoding lands in the canonical form.
             assert_eq!(is_sparse(&via_flat), is_sparse(&held));
-            // The JSON is the full matrix whatever the form.
-            assert_eq!(
-                serde_json::to_string(&dense).unwrap(),
-                serde_json::to_string(&held).unwrap()
-            );
+            // Both forms hold the same matrix.
+            assert_eq!(dense.to_dense(), held.to_dense());
         }
         assert!(is_sparse(&sketch_of((0..10).map(f64::from))));
         assert!(!is_sparse(&sketch_of((0..3000).map(f64::from))));
@@ -1241,21 +1131,23 @@ mod tests {
             for distinct in [2usize, 30, 1500] {
                 let values: Vec<f64> = (0..n).map(|i| (i % distinct) as f64).collect();
                 let pvs: Vec<PreparedValue> = values.iter().map(|&v| ctx.prepare(v)).collect();
-                // A cap no run here reaches: batching is exact within it.
-                let seeded = || {
-                    let mut s = HeavyHitters::new(64, 3, 4096);
-                    s.push(-1.0);
-                    s.push(-2.0);
-                    s
-                };
-                let mut batched = seeded();
-                batched.push_prepared_batch(&pvs);
-                let mut pushed = seeded();
-                for &v in &values {
-                    pushed.push(v);
+                // A cap no run here reaches, and one most runs trim.
+                for limit in [4096, 8] {
+                    let seeded = || {
+                        let mut s = HeavyHitters::new(64, 3, limit);
+                        s.push(-1.0);
+                        s.push(-2.0);
+                        s
+                    };
+                    let mut batched = seeded();
+                    batched.push_prepared_batch(&pvs);
+                    let mut pushed = seeded();
+                    for &v in &values {
+                        pushed.push(v);
+                    }
+                    assert_eq!(batched, pushed, "n={n} d={distinct} limit={limit}");
+                    assert_eq!(is_sparse(&batched), is_sparse(&pushed));
                 }
-                assert_eq!(batched, pushed, "n={n} d={distinct}");
-                assert_eq!(is_sparse(&batched), is_sparse(&pushed));
             }
         }
     }

@@ -26,9 +26,12 @@
 //! values stays within its cap (the intended regime: quantized/categorical
 //! attributes).
 //!
-//! Wire form is deterministic: every sketch serializes its buckets and
-//! registers in a canonical sorted order, so equal states produce equal
-//! bytes — the property the cluster's bit-for-bit equivalence tests lean on.
+//! The flat word form (`flat_encode` / `flat_decode`, DESIGN.md §15) is
+//! the one codec of sketch state, and it is deterministic: every sketch
+//! writes its buckets and registers in a canonical sorted order, so equal
+//! states produce equal words — the property the cluster's bit-for-bit
+//! equivalence tests lean on. The crate depends on `stash-flat` only; the
+//! JSON edge carries a bundle as its flat words (`stash-model`).
 //!
 //! State follows content: the HLL register file and the count-min matrix
 //! are held — and flat-encoded — as sorted lists of their non-zero slots

@@ -27,7 +27,6 @@
 
 use crate::error::MergeError;
 use crate::hash::splitmix64;
-use serde::{Deserialize, Serialize};
 use stash_flat::{FlatError, WordReader, WordWriter};
 
 /// A quantile estimate plus the guarantee it came with.
@@ -133,18 +132,6 @@ impl BucketMap {
     /// Table capacity in slots, for memory accounting.
     pub(crate) fn capacity(&self) -> usize {
         self.counts.len()
-    }
-}
-
-impl FromIterator<(i64, u64)> for BucketMap {
-    fn from_iter<I: IntoIterator<Item = (i64, u64)>>(iter: I) -> Self {
-        let mut m = BucketMap::new();
-        for (k, c) in iter {
-            if c != 0 {
-                m.add(k, c);
-            }
-        }
-        m
     }
 }
 
@@ -513,49 +500,6 @@ impl UddSketch {
     }
 }
 
-/// Wire mirror: buckets as sorted `(index, count)` pairs, so equal sketches
-/// serialize to identical bytes.
-#[derive(Serialize, Deserialize)]
-struct WireUdd {
-    alpha: f64,
-    max_buckets: u64,
-    compactions: u32,
-    zero: u64,
-    neg: Vec<(i64, u64)>,
-    pos: Vec<(i64, u64)>,
-}
-
-impl serde::Serialize for UddSketch {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        WireUdd {
-            alpha: self.alpha,
-            max_buckets: self.max_buckets as u64,
-            compactions: self.compactions,
-            zero: self.zero_count,
-            neg: self.neg.sorted(),
-            pos: self.pos.sorted(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for UddSketch {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let w = WireUdd::deserialize(deserializer)?;
-        if !(w.alpha > 0.0 && w.alpha < 1.0) || w.max_buckets < 4 {
-            return Err(serde::de::Error::custom("invalid quantile sketch config"));
-        }
-        Ok(UddSketch {
-            alpha: w.alpha,
-            max_buckets: w.max_buckets as usize,
-            compactions: w.compactions,
-            zero_count: w.zero,
-            neg: w.neg.into_iter().collect(),
-            pos: w.pos.into_iter().collect(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,15 +668,6 @@ mod tests {
         let mut merged = UddSketch::flat_decode(&mut WordReader::new(&words)).unwrap();
         merged.merge(&big);
         assert_eq!(merged.count(), u64::MAX);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_state() {
-        let s = sketch_of(&[-3.5, 0.0, 1.0, 2.0, 2.0, 1e9, 1e-9]);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: UddSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -5,9 +5,6 @@
 //! parameters — a precondition for merging (sketches panic on config
 //! mismatch, mirroring the schema-mismatch panic of the exact summaries).
 
-use serde::value::Value;
-use serde::{Deserialize, Serialize};
-
 /// Knobs for the per-attribute sketch bundle. `enabled: false` (the
 /// default) keeps Cells exact-only and bit-for-bit identical to a build
 /// without this crate.
@@ -114,56 +111,6 @@ impl SketchSpec {
     }
 }
 
-/// Wire mirror with every field present; hand-written `Deserialize` below
-/// additionally accepts `Null`/missing (older configs) as "disabled".
-#[derive(Serialize, Deserialize)]
-struct WireSpec {
-    enabled: bool,
-    quantile_alpha: f64,
-    quantile_max_buckets: u64,
-    hll_precision: u8,
-    cm_width: u64,
-    cm_depth: u64,
-    hh_candidates: u64,
-}
-
-impl serde::Serialize for SketchSpec {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        WireSpec {
-            enabled: self.enabled,
-            quantile_alpha: self.quantile_alpha,
-            quantile_max_buckets: self.quantile_max_buckets as u64,
-            hll_precision: self.hll_precision,
-            cm_width: self.cm_width as u64,
-            cm_depth: self.cm_depth as u64,
-            hh_candidates: self.hh_candidates as u64,
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for SketchSpec {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let v = deserializer.deserialize_value()?;
-        if matches!(v, Value::Null) {
-            // Configs written before sketches existed: exact-only.
-            return Ok(SketchSpec::disabled());
-        }
-        let w = WireSpec::from_value(&v).map_err(serde::de::Error::custom)?;
-        let spec = SketchSpec {
-            enabled: w.enabled,
-            quantile_alpha: w.quantile_alpha,
-            quantile_max_buckets: w.quantile_max_buckets as usize,
-            hll_precision: w.hll_precision,
-            cm_width: w.cm_width as usize,
-            cm_depth: w.cm_depth as usize,
-            hh_candidates: w.hh_candidates as usize,
-        };
-        spec.validate().map_err(serde::de::Error::custom)?;
-        Ok(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,39 +132,6 @@ mod tests {
                 ..SketchSpec::standard()
             };
             assert_eq!(spec.raw_cap(), raw, "hh_candidates {cap}");
-        }
-    }
-
-    #[test]
-    fn null_deserializes_to_disabled() {
-        let spec = SketchSpec::from_value(&Value::Null).unwrap();
-        assert_eq!(spec, SketchSpec::disabled());
-    }
-
-    #[test]
-    fn roundtrips_through_json() {
-        let spec = SketchSpec::standard();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: SketchSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn stored_fold_mode_key_is_ignored_on_load() {
-        // Configs written while the kernel had a selectable fold mode carry
-        // a "fold_mode" key. Like any unknown key it is ignored on load:
-        // the one remaining fold is the stronger (bit-for-bit) contract, so
-        // neither stored value can be answered worse than it asked for.
-        let json = serde_json::to_string(&SketchSpec::standard()).unwrap();
-        assert!(!json.contains("fold_mode"));
-        for mode in ["per_group", "finest_then_merge"] {
-            let stored = json.replace(
-                "\"enabled\":true",
-                &format!("\"enabled\":true,\"fold_mode\":\"{mode}\""),
-            );
-            assert!(stored.contains("fold_mode"));
-            let back: SketchSpec = serde_json::from_str(&stored).unwrap();
-            assert_eq!(back, SketchSpec::standard());
         }
     }
 

@@ -188,10 +188,12 @@ mod oracle {
 }
 
 /// The register file and the count-min matrix as plain dense arrays, folded
-/// from raw values with no notion of a sparse form, and the same arrays read
-/// back from a sketch's serde mirror (which always carries them whole).
+/// from raw values with no notion of a sparse form, and the same arrays
+/// expanded from a sketch's flat words (DESIGN.md §15), whichever run —
+/// sparse entries or the whole array — the sketch ships.
 mod dense {
     use super::oracle::{canonical_bits, splitmix64};
+    use stash_flat::WordWriter;
     use stash_sketch::{DistinctSketch, HeavyHitters};
 
     pub fn registers_of(values: &[f64], precision: u32) -> Vec<u8> {
@@ -216,22 +218,58 @@ mod dense {
         rows
     }
 
-    fn u64s(v: &serde_json::Value, key: &str) -> Vec<u64> {
-        let items = v.get(key).and_then(|a| a.as_array()).expect("array field");
-        items.iter().map(|x| x.as_u64().expect("u64")).collect()
+    fn words(encode: impl FnOnce(&mut WordWriter)) -> Vec<u64> {
+        let mut w = WordWriter::new();
+        encode(&mut w);
+        w.into_words()
     }
 
+    /// Header `precision | sparse << 8 | n << 32`, then either `n` entries
+    /// `index << 8 | rank`, two per word with the earlier in the upper half,
+    /// or the registers eight per word, big-endian.
     pub fn registers(s: &DistinctSketch) -> Vec<u8> {
-        let packed = u64s(&serde_json::to_value(s).unwrap(), "packed");
-        packed.iter().flat_map(|w| w.to_be_bytes()).collect()
+        let words = words(|w| s.flat_encode(w));
+        let (head, body) = (words[0], &words[1..]);
+        if head & 1 << 8 == 0 {
+            return body.iter().flat_map(|w| w.to_be_bytes()).collect();
+        }
+        let mut regs = vec![0u8; 1 << (head & 0xFF)];
+        let halves = body.iter().flat_map(|&w| [(w >> 32) as u32, w as u32]);
+        for e in halves.take((head >> 32) as usize) {
+            regs[(e >> 8) as usize] = e as u8;
+        }
+        regs
+    }
+
+    /// Header `width, depth, limit, total, k, flags`; then either `n`
+    /// entries `index << v | count` (flags `1 << 1 | n << 32`, `v = 64 −
+    /// ⌈log₂(width·depth)⌉`) or the matrix row-major; then the `k`
+    /// candidates. Returns the matrix and the candidates.
+    fn heavy(s: &HeavyHitters) -> (Vec<u64>, Vec<u64>) {
+        let words = words(|w| s.flat_encode(w));
+        let cells = (words[0] * words[1]) as usize;
+        let (k, flags, body) = (words[4] as usize, words[5], &words[6..]);
+        let (matrix, candidates) = if flags & 1 << 1 == 0 {
+            (body[..cells].to_vec(), &body[cells..])
+        } else {
+            let n = (flags >> 32) as usize;
+            let v = 64 - cells.next_power_of_two().trailing_zeros();
+            let mut rows = vec![0u64; cells];
+            for &e in &body[..n] {
+                rows[(e >> v) as usize] = e & ((1 << v) - 1);
+            }
+            (rows, &body[n..])
+        };
+        assert_eq!(candidates.len(), k, "candidates end the words");
+        (matrix, candidates.to_vec())
     }
 
     pub fn matrix(s: &HeavyHitters) -> Vec<u64> {
-        u64s(&serde_json::to_value(s).unwrap(), "rows")
+        heavy(s).0
     }
 
     pub fn candidates(s: &HeavyHitters) -> Vec<u64> {
-        u64s(&serde_json::to_value(s).unwrap(), "candidates")
+        heavy(s).1
     }
 }
 
@@ -553,11 +591,9 @@ proptest! {
         // they fit, and the run that would pass the cap arrives prepared and
         // promotes the bundle. A raw cap of 8 (16 candidates) promotes while
         // the register file and matrix are still sparse lists, so later runs
-        // search them or cross them into the dense arrays; a cap of 64 (1 024
+        // search them or cross them into the dense arrays, and draws past
+        // 2 × 16 distinct values trim inside a batch; a cap of 64 (1 024
         // candidates) promotes the larger draws straight into the dense arrays.
-        // A batch's trims rank candidates by the whole batch's counts, so
-        // past 2 × 16 distinct values only the order-free parts must agree.
-        let distinct = values.iter().map(|v| v.to_bits()).collect::<std::collections::BTreeSet<_>>().len();
         for hh_candidates in [16, 1024] {
             let spec = SketchSpec { hll_precision: 6, cm_width: 32, hh_candidates, ..SketchSpec::standard() };
             let ctx = FoldCtx::new(&spec);
@@ -581,10 +617,8 @@ proptest! {
             prop_assert_eq!(&hll, &pushed_hll);
             prop_assert_eq!(dense::registers(&hll), dense::registers_of(&values, 6));
             prop_assert_eq!(dense::matrix(&heavy), dense::matrix_of(&values, 32, 3));
-            if distinct <= 2 * hh_candidates {
-                prop_assert_eq!(&batched, &pushed);
-                prop_assert_eq!(flat_roundtrip!(AttrSketches, &batched), flat_roundtrip!(AttrSketches, &pushed));
-            }
+            prop_assert_eq!(&batched, &pushed);
+            prop_assert_eq!(flat_roundtrip!(AttrSketches, &batched), flat_roundtrip!(AttrSketches, &pushed));
         }
     }
 
