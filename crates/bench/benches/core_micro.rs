@@ -3,7 +3,6 @@
 //! graph's lookup / insert / derive / clique paths, and the DFS columnar
 //! scan kernel (old direct binning vs. frame kernel, cold vs. warm).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use stash_core::{CliqueFinder, LogicalClock, StashConfig, StashGraph};
 use stash_data::{GeneratorConfig, NamGenerator};
 use stash_dfs::{
@@ -14,42 +13,28 @@ use stash_geo::{cover_bbox, BBox, Geohash, TemporalRes, TimeBin, TimeRange};
 use stash_model::{
     AggQuery, Cell, CellKey, CellSummary, Level, Observation, SketchSpec, SummaryStats, UddSketch,
 };
+use std::hint::black_box;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn bench_geohash(c: &mut Criterion) {
-    let mut group = c.benchmark_group("geohash");
-    group.measurement_time(Duration::from_secs(2));
+fn bench_geohash() {
+    let mut group = Group::new("geohash", Duration::from_secs(2));
     let gh = Geohash::encode(40.018, -105.274, 6).unwrap();
     group.bench_function("encode_len6", |b| {
-        b.iter(|| {
-            Geohash::encode(
-                std::hint::black_box(40.018),
-                std::hint::black_box(-105.274),
-                6,
-            )
-        })
+        b.iter(|| Geohash::encode(black_box(40.018), black_box(-105.274), 6))
     });
-    group.bench_function("bbox_decode", |b| {
-        b.iter(|| std::hint::black_box(gh).bbox())
-    });
-    group.bench_function("neighbors8", |b| {
-        b.iter(|| std::hint::black_box(gh).neighbors())
-    });
-    group.bench_function("antipode", |b| {
-        b.iter(|| std::hint::black_box(gh).antipode())
-    });
+    group.bench_function("bbox_decode", |b| b.iter(|| black_box(gh).bbox()));
+    group.bench_function("neighbors8", |b| b.iter(|| black_box(gh).neighbors()));
+    group.bench_function("antipode", |b| b.iter(|| black_box(gh).antipode()));
     let q = BBox::from_corner_extent(30.0, -110.0, 4.0, 8.0);
     group.bench_function("cover_state_res4", |b| b.iter(|| cover_bbox(&q, 4)));
-    group.finish();
 }
 
-fn bench_summary(c: &mut Criterion) {
-    let mut group = c.benchmark_group("summary");
-    group.measurement_time(Duration::from_secs(2));
+fn bench_summary() {
+    let mut group = Group::new("summary", Duration::from_secs(2));
     let values: Vec<f64> = (0..1024).map(|i| (i as f64).sin() * 30.0).collect();
-    group.throughput(Throughput::Elements(values.len() as u64));
+    group.elements = Some(values.len() as u64);
     group.bench_function("push_1024", |b| {
         b.iter(|| {
             let mut s = SummaryStats::empty();
@@ -69,7 +54,6 @@ fn bench_summary(c: &mut Criterion) {
             acc
         })
     });
-    group.finish();
 }
 
 fn keys_for_state() -> Vec<CellKey> {
@@ -93,13 +77,12 @@ fn filled_graph(keys: &[CellKey]) -> StashGraph {
     g
 }
 
-fn bench_graph(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stash_graph");
-    group.measurement_time(Duration::from_secs(2));
+fn bench_graph() {
+    let mut group = Group::new("stash_graph", Duration::from_secs(2));
     let keys = keys_for_state();
     let graph = filled_graph(&keys);
 
-    group.throughput(Throughput::Elements(keys.len() as u64));
+    group.elements = Some(keys.len() as u64);
     group.bench_function(format!("get_many_{}keys", keys.len()), |b| {
         b.iter(|| graph.get_many(&keys))
     });
@@ -117,7 +100,7 @@ fn bench_graph(c: &mut Criterion) {
         .map(|gh| CellKey::new(gh, keys[0].time))
         .collect();
     assert!(share.iter().all(|k| graph.contains_fresh(k)));
-    group.throughput(Throughput::Elements(share.len() as u64));
+    group.elements = Some(share.len() as u64);
     group.bench_function(format!("touch_region_share_{}", share.len()), |b| {
         b.iter(|| graph.touch_region(&share))
     });
@@ -134,11 +117,11 @@ fn bench_graph(c: &mut Criterion) {
         }
         Cell::new(k, summary)
     }));
-    group.throughput(Throughput::Elements(256));
+    group.elements = Some(256);
     group.bench_function("get_many_sketched_256", |b| {
         b.iter(|| sketched.get_many(&keys[..256]))
     });
-    group.throughput(Throughput::Elements(keys.len() as u64));
+    group.elements = Some(keys.len() as u64);
 
     let cells: Vec<Cell> = keys.iter().map(|&k| Cell::empty(k, 4)).collect();
     group.bench_function(format!("insert_many_{}cells", cells.len()), |b| {
@@ -150,7 +133,6 @@ fn bench_graph(c: &mut Criterion) {
                 )
             },
             |(g, cs)| g.insert_many(cs),
-            BatchSize::LargeInput,
         )
     });
 
@@ -178,12 +160,10 @@ fn bench_graph(c: &mut Criterion) {
     group.bench_function("top_cliques_depth2", |b| {
         b.iter(|| finder.top_cliques(&graph, level, 4096, 8))
     });
-    group.finish();
 }
 
-fn bench_planning(c: &mut Criterion) {
-    let mut group = c.benchmark_group("planning");
-    group.measurement_time(Duration::from_secs(2));
+fn bench_planning() {
+    let mut group = Group::new("planning", Duration::from_secs(2));
     for (label, extent) in [
         ("city", (0.2, 0.5)),
         ("state", (4.0, 8.0)),
@@ -199,7 +179,6 @@ fn bench_planning(c: &mut Criterion) {
             b.iter(|| q.target_keys(1_000_000).unwrap())
         });
     }
-    group.finish();
 }
 
 /// NamGenerator as a BlockSource for the scan-kernel benches. Keeps the
@@ -312,46 +291,43 @@ fn multi_level_wanted(tile: Geohash, day: TimeBin) -> Vec<CellKey> {
     wanted
 }
 
-fn bench_scan_kernel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scan_kernel");
-    group.measurement_time(Duration::from_secs(3));
+fn bench_scan_kernel() {
+    let mut group = Group::new("scan_kernel", Duration::from_secs(3));
     let tile = Geohash::from_str("9xj").unwrap();
     let day = TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0));
     let bk = BlockKey { geohash: tile, day };
     let wanted = multi_level_wanted(tile, day);
     let store = scan_store();
     let rows = store.scan_block(bk, &wanted).rows;
-    group.throughput(Throughput::Elements(rows as u64));
+    group.elements = Some(rows as u64);
 
     group.bench_function(format!("direct_old_{rows}rows"), |b| {
-        b.iter(|| store.scan_block_direct(bk, std::hint::black_box(&wanted)))
+        b.iter(|| store.scan_block_direct(bk, black_box(&wanted)))
     });
     // Cold: a fresh zero-budget cache forces decode + aggregate each iter.
     let cold = scan_store().with_frame_cache_bytes(0);
     group.bench_function(format!("frame_cold_{rows}rows"), |b| {
-        b.iter(|| cold.scan_block(bk, std::hint::black_box(&wanted)))
+        b.iter(|| cold.scan_block(bk, black_box(&wanted)))
     });
     // Cold through the row-struct oracle: same work, but decode goes
     // Vec<Observation> → frame instead of streaming into the flat buffer.
     // The gap between this and frame_cold is the flat-decode win.
     let cold_rows = scan_store_rowpath().with_frame_cache_bytes(0);
     group.bench_function(format!("frame_cold_rowpath_{rows}rows"), |b| {
-        b.iter(|| cold_rows.scan_block(bk, std::hint::black_box(&wanted)))
+        b.iter(|| cold_rows.scan_block(bk, black_box(&wanted)))
     });
     // Warm: the frame decoded once above stays cached; iters only aggregate.
     group.bench_function(format!("frame_warm_{rows}rows"), |b| {
-        b.iter(|| store.scan_block(bk, std::hint::black_box(&wanted)))
+        b.iter(|| store.scan_block(bk, black_box(&wanted)))
     });
-    group.finish();
 }
 
 /// Cost of carrying sketch-valued Cells (ISSUE 6): the same warm-frame
 /// aggregate with sketches off vs. on isolates the per-row sketch fold,
 /// and the partial-merge pair isolates the per-merge cost the coordinator
 /// gather and ingest patch paths pay.
-fn bench_sketch_fold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sketch_fold");
-    group.measurement_time(Duration::from_secs(3));
+fn bench_sketch_fold() {
+    let mut group = Group::new("sketch_fold", Duration::from_secs(3));
     let tile = Geohash::from_str("9xj").unwrap();
     let day = TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0));
     let bk = BlockKey { geohash: tile, day };
@@ -360,14 +336,14 @@ fn bench_sketch_fold(c: &mut Criterion) {
     // Warm frame caches: iterations measure only the aggregate stage.
     let exact = scan_store();
     let rows = exact.scan_block(bk, &wanted).rows;
-    group.throughput(Throughput::Elements(rows as u64));
+    group.elements = Some(rows as u64);
     group.bench_function(format!("scan_exact_only_{rows}rows"), |b| {
-        b.iter(|| exact.scan_block(bk, std::hint::black_box(&wanted)))
+        b.iter(|| exact.scan_block(bk, black_box(&wanted)))
     });
     let sketched = scan_store().with_sketches(SketchSpec::standard());
     sketched.scan_block(bk, &wanted);
     group.bench_function(format!("scan_with_sketches_{rows}rows"), |b| {
-        b.iter(|| sketched.scan_block(bk, std::hint::black_box(&wanted)))
+        b.iter(|| sketched.scan_block(bk, black_box(&wanted)))
     });
 
     // Merging 32 partials (4 attrs each), exact-only vs. sketch-carrying.
@@ -397,12 +373,12 @@ fn bench_sketch_fold(c: &mut Criterion) {
     // per `UddSketch::push`, free of the fold's HLL/heavy-hitter work
     // (which dominates `scan_with_sketches` on continuous data).
     let push_values: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.7).sin() * 50.0).collect();
-    group.throughput(Throughput::Elements(push_values.len() as u64));
+    group.elements = Some(push_values.len() as u64);
     group.bench_function("quantile_push_4096", |b| {
         b.iter(|| {
             let mut s = UddSketch::new(0.01, 64);
             for &v in &push_values {
-                s.push(std::hint::black_box(v));
+                s.push(black_box(v));
             }
             s
         })
@@ -411,14 +387,14 @@ fn bench_sketch_fold(c: &mut Criterion) {
     let spec = SketchSpec::standard();
     // Row-at-a-time fold (`CellSummary::push_row`, the live-ingest patch
     // path): 32 fresh Cells of 32 rows each, exact-only vs. sketch-carrying.
-    group.throughput(Throughput::Elements(values.len() as u64));
+    group.elements = Some(values.len() as u64);
     group.bench_function("push_row_32x32_exact", |b| b.iter(|| build(None)));
     group.bench_function("push_row_32x32_sketched", |b| b.iter(|| build(Some(&spec))));
     for (label, parts) in [
         ("merge_32_exact_partials", build(None)),
         ("merge_32_sketched_partials", build(Some(&spec))),
     ] {
-        group.throughput(Throughput::Elements(32));
+        group.elements = Some(32);
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut acc = parts[0].clone();
@@ -429,16 +405,77 @@ fn bench_sketch_fold(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_geohash,
-    bench_summary,
-    bench_graph,
-    bench_planning,
-    bench_scan_kernel,
-    bench_sketch_fold
-);
-criterion_main!(benches);
+fn main() {
+    bench_geohash();
+    bench_summary();
+    bench_graph();
+    bench_planning();
+    bench_scan_kernel();
+    bench_sketch_fold();
+}
+
+/// A group of timed benchmarks. Each takes samples until it has ten or has
+/// spent the group's budget (one sample under `--test`), then prints
+/// `group/id: mean … ms, min … ms over N samples[, … elem/s]`.
+struct Group {
+    name: &'static str,
+    budget: Duration,
+    /// Elements one call handles: later benchmarks print an `elem/s` rate.
+    elements: Option<u64>,
+    taken: Vec<Duration>,
+}
+
+impl Group {
+    fn new(name: &'static str, budget: Duration) -> Self {
+        Group {
+            name,
+            budget,
+            elements: None,
+            taken: Vec::new(),
+        }
+    }
+
+    fn bench_function(&mut self, id: impl std::fmt::Display, f: impl FnOnce(&mut Self)) {
+        self.taken.clear();
+        f(self);
+        let n = self.taken.len();
+        let mean = self.taken.iter().sum::<Duration>().as_secs_f64() / n as f64;
+        let min = self.taken.iter().min().expect("a sample").as_secs_f64();
+        let rate = self
+            .elements
+            .map(|e| format!(", {:.0} elem/s", e as f64 / mean));
+        let (name, rate) = (self.name, rate.unwrap_or_default());
+        let (mean, min) = (mean * 1e3, min * 1e3);
+        println!("{name}/{id}: mean {mean:.3} ms, min {min:.3} ms over {n} samples{rate}");
+    }
+
+    /// One untimed warm-up call, then timed calls.
+    fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
+        black_box(routine());
+        self.iter_batched(|| (), |()| routine());
+    }
+
+    /// Times `routine` alone, on a fresh input from `setup` each call.
+    fn iter_batched<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        let samples = if std::env::args().any(|a| a == "--test") {
+            1
+        } else {
+            10
+        };
+        loop {
+            let input = setup();
+            let t0 = Instant::now();
+            black_box(routine(input));
+            self.taken.push(t0.elapsed());
+            if self.taken.len() >= samples || self.taken.iter().sum::<Duration>() >= self.budget {
+                break;
+            }
+        }
+    }
+}

@@ -29,7 +29,6 @@ use crate::block::{plan_blocks, BlockKey};
 use crate::frame::frame_spatial_res;
 use crate::store::BlockSource;
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use stash_geo::{BBox, TimeRange};
 use stash_model::fx::FxHashMap;
 use stash_model::{AggQuery, CellKey, CellSummary, Level, SketchSpec};
@@ -291,13 +290,28 @@ impl RollupStore {
         let plan = plan_blocks(&keys, block_len, data_bbox, data_time, max_blocks)
             .map_err(|e| format!("rollup backfill plan: {e}"))?;
         let entries: Vec<(BlockKey, Vec<CellKey>)> = plan.into_iter().collect();
-        let scans: Vec<(BlockKey, Vec<(CellKey, CellSummary)>)> = entries
-            .par_iter()
-            .map(|(bk, wanted)| {
-                let frame = source.read_frame(*bk, frame_spatial_res(block_len, wanted));
-                (*bk, frame.aggregate_with(wanted, sketch).cells)
+        let scan = |(bk, wanted): &(BlockKey, Vec<CellKey>)| {
+            let frame = source.read_frame(*bk, frame_spatial_res(block_len, wanted));
+            (*bk, frame.aggregate_with(wanted, sketch).cells)
+        };
+        // One scoped thread per core, each scanning a contiguous run of the
+        // plan; the runs are folded below in plan order.
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(entries.len());
+        let scans: Vec<(BlockKey, Vec<(CellKey, CellSummary)>)> = if threads <= 1 {
+            entries.iter().map(scan).collect()
+        } else {
+            std::thread::scope(|s| {
+                let runs: Vec<_> = entries
+                    .chunks(entries.len().div_ceil(threads))
+                    .map(|run| s.spawn(move || run.iter().map(scan).collect::<Vec<_>>()))
+                    .collect();
+                runs.into_iter()
+                    .flat_map(|h| h.join().expect("rollup backfill scan panicked"))
+                    .collect()
             })
-            .collect();
+        };
         let mut folded = 0;
         for (bk, cells) in scans {
             if self.fold_base(bk, &cells) {
@@ -311,8 +325,11 @@ impl RollupStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::GenSource;
+    use stash_data::{GeneratorConfig, NamGenerator};
     use stash_geo::time::epoch_seconds;
     use stash_geo::{Geohash, TemporalRes, TimeBin};
+    use stash_model::FlatPartials;
     use std::str::FromStr;
 
     fn day_bin(y: i64, m: u32, d: u32) -> TimeBin {
@@ -463,5 +480,57 @@ mod tests {
             &[(key("9q", TemporalRes::Day, 2015, 2, 2), summary(&[1.0]))],
         );
         assert!(store.estimated_bytes() > before);
+    }
+
+    #[test]
+    fn backfill_equals_base_folds_in_plan_order() {
+        let bbox = BBox::new(30.0, 40.0, -110.0, -90.0).unwrap();
+        let time = TimeRange::new(
+            epoch_seconds(2015, 2, 1, 0, 0, 0),
+            epoch_seconds(2015, 2, 4, 0, 0, 0),
+        )
+        .unwrap();
+        // Unquantized values: float sums depend on the order they are
+        // folded in, so a reordered fold shows in the bits.
+        let source = GenSource(NamGenerator::new(GeneratorConfig {
+            seed: 7,
+            obs_per_deg2_per_day: 20.0,
+            max_obs_per_block: 10_000,
+            value_quantum: 0.0,
+        }));
+        let spec = SketchSpec::disabled();
+        let (block_len, max_cells, max_blocks) = (3, 100_000, 100_000);
+
+        // The reference: each planned block's base folded on this thread,
+        // in `plan_blocks` order.
+        let mut keys: Vec<CellKey> = Vec::new();
+        for level in levels() {
+            let q = AggQuery::new(bbox, time, level.spatial_res(), level.temporal_res());
+            keys.extend(q.target_keys(max_cells).unwrap());
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let plan = plan_blocks(&keys, block_len, &bbox, &time, max_blocks).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(plan.len() > cores, "{} blocks on {cores} cores", plan.len());
+        let horizon = epoch_seconds(2016, 1, 1, 0, 0, 0);
+        let reference = RollupStore::new(levels(), [], horizon);
+        for (bk, wanted) in &plan {
+            let frame = source.read_frame(*bk, frame_spatial_res(block_len, wanted));
+            assert!(reference.fold_base(*bk, &frame.aggregate_with(wanted, &spec).cells));
+        }
+
+        let store = RollupStore::new(levels(), [], horizon);
+        let folded = store.backfill(
+            &source, block_len, &bbox, &time, &spec, max_cells, max_blocks,
+        );
+        assert_eq!(folded, Ok(plan.len()));
+        let want = reference.serve(&keys).unwrap();
+        assert!(want.len() > 1);
+        let got = store.serve(&keys).unwrap();
+        assert!(
+            FlatPartials::encode(&got).to_bytes() == FlatPartials::encode(&want).to_bytes(),
+            "backfill differs from the base folds in plan order"
+        );
     }
 }

@@ -534,7 +534,7 @@ impl NodeStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::block::plan_blocks;
     use crate::disk::timing::{within, MS, SLACK};
@@ -545,7 +545,7 @@ mod tests {
     use std::time::Duration;
 
     /// Adapter: NamGenerator as a BlockSource.
-    struct GenSource(NamGenerator);
+    pub(crate) struct GenSource(pub(crate) NamGenerator);
 
     impl BlockSource for GenSource {
         fn read_block(&self, key: BlockKey) -> Vec<Observation> {

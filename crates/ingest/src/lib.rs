@@ -27,7 +27,7 @@ use stash_data::StreamSource;
 use stash_dfs::BlockKey;
 use stash_model::Observation;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What to do when an owner's unacknowledged backlog exceeds the budget.
@@ -179,13 +179,13 @@ pub fn run_stream(
         .map(|&(geohash, day)| sink.owner_of(BlockKey { geohash, day }))
         .collect();
     type Lane = (
-        crossbeam::channel::Sender<(BlockKey, Vec<Observation>, bool)>,
+        mpsc::Sender<(BlockKey, Vec<Observation>, bool)>,
         Arc<LagGate>,
     );
     let mut lanes: HashMap<usize, Lane> = HashMap::new();
     let mut workers = Vec::new();
     for owner in owners {
-        let (tx, rx) = crossbeam::channel::unbounded::<(BlockKey, Vec<Observation>, bool)>();
+        let (tx, rx) = mpsc::channel::<(BlockKey, Vec<Observation>, bool)>();
         let gate = Arc::new(LagGate::new());
         lanes.insert(owner, (tx, Arc::clone(&gate)));
         let sink = Arc::clone(&sink);

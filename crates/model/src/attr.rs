@@ -6,11 +6,9 @@
 //! simply names the columns so that `values[i]` in an observation and
 //! `summaries[i]` in a Cell line up.
 
-use serde::{Deserialize, Serialize};
-
 /// An ordered list of attribute names shared by a dataset, its observations,
 /// and all Cells aggregated from it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrSchema {
     names: Vec<String>,
 }

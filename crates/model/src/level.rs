@@ -10,7 +10,6 @@
 //! implement the evident intent: `level = t_idx * N_SPATIAL + s_idx`, a
 //! bijection from resolution pairs to `0..N_SPATIAL*N_TEMPORAL`.
 
-use serde::{Deserialize, Serialize};
 use stash_geo::time::NUM_TEMPORAL_RES;
 use stash_geo::{TemporalRes, MAX_GEOHASH_LEN};
 
@@ -25,7 +24,7 @@ pub const NUM_LEVELS: usize = MAX_SPATIAL_RES as usize * NUM_TEMPORAL_RES as usi
 /// Levels order coarse-to-fine: level 0 is (geohash length 1, Year); each
 /// +1 in geohash length adds 1, each temporal refinement adds
 /// [`MAX_SPATIAL_RES`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Level(u8);
 
 /// Error constructing a [`Level`].

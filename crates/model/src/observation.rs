@@ -7,11 +7,10 @@
 
 use crate::attr::AttrSchema;
 use crate::key::CellKey;
-use serde::{Deserialize, Serialize};
 use stash_geo::{Geohash, TemporalRes, TimeBin};
 
 /// One observation: a georeferenced, timestamped row of attribute values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     pub lat: f64,
     pub lon: f64,

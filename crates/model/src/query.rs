@@ -19,7 +19,7 @@ use stash_geo::{BBox, TemporalRes, TimeBin, TimeRange};
 ///
 /// All are computable from a Cell's [`SummaryStats`], so the choice of
 /// function never changes what STASH caches — only how the client renders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     Count,
     Min,

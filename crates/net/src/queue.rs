@@ -19,10 +19,10 @@
 
 use crate::router::{Envelope, NodeId};
 use crate::stats::NetStats;
-use crossbeam::channel::{RecvError, RecvTimeoutError, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::mpsc::{RecvError, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -621,8 +621,8 @@ impl<M: Send + Clone + 'static> Router<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{RecvTimeoutError, TryRecvError};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 
     #[test]
     fn delivers_to_destination() {
