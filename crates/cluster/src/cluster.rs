@@ -58,7 +58,8 @@ pub struct ClusterConfig {
     /// Temporal domain of the dataset (the paper's NAM year).
     pub data_time: TimeRange,
     pub generator: GeneratorConfig,
-    /// Attribute count of the dataset schema (NAM: 4).
+    /// Attribute count of the dataset schema (NAM: 4); [`ClusterConfig::check`]
+    /// holds it to the generator schema's length.
     pub n_attrs: usize,
     /// Modeled CPU cost per observation scanned during block aggregation
     /// (virtual time; defines node capacity independent of the host's core

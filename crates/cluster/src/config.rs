@@ -19,7 +19,7 @@
 //! backstop so an unvalidated literal still fails loudly.
 
 use crate::cluster::{ClusterConfig, Mode};
-use stash_data::GeneratorConfig;
+use stash_data::{GeneratorConfig, NamGenerator};
 use stash_dfs::DiskModel;
 use stash_geo::{BBox, Geohash, TemporalRes, TimeBin, TimeRange, MAX_GEOHASH_LEN};
 use stash_model::Level;
@@ -39,7 +39,8 @@ pub enum ConfigError {
     /// Block/partition geometry is inconsistent (prefix longer than the
     /// block, block longer than a geohash, …).
     Partitioning(String),
-    /// Dataset shape is unusable (zero attributes, …).
+    /// Dataset shape is unusable (an attribute count other than the
+    /// generator schema's, …).
     Dataset(String),
     /// The live-ingest block set disagrees with the block geometry or the
     /// data domain.
@@ -209,10 +210,12 @@ impl ClusterConfig {
                 self.partition_prefix_len, self.block_len
             )));
         }
-        if self.n_attrs == 0 {
-            return Err(ConfigError::Dataset(
-                "schema needs at least one attribute".into(),
-            ));
+        let schema_len = NamGenerator::new(self.generator.clone()).schema().len();
+        if self.n_attrs != schema_len {
+            return Err(ConfigError::Dataset(format!(
+                "n_attrs {} is not the generator schema's {schema_len} attributes",
+                self.n_attrs
+            )));
         }
         if !(0.0..=1.0).contains(&self.live_base_fraction) {
             return Err(ConfigError::LiveSet(format!(
@@ -330,7 +333,6 @@ impl ClusterConfigBuilder {
     setter!(data_bbox: BBox);
     setter!(data_time: TimeRange);
     setter!(generator: GeneratorConfig);
-    setter!(n_attrs: usize);
     setter!(scan_cost_per_obs: Duration);
     setter!(cell_service_cost: Duration);
     setter!(sub_rpc_timeout: Duration);
@@ -409,8 +411,14 @@ mod tests {
             "{partitioning}"
         );
 
-        let dataset = ClusterConfig::builder().n_attrs(0).build().unwrap_err();
-        assert!(matches!(dataset, ConfigError::Dataset(_)), "{dataset}");
+        // The attribute count is the generator schema's (4), and no other.
+        for n_attrs in [0, 3, 5] {
+            let dataset = ClusterConfig::builder()
+                .tweak(|c| c.n_attrs = n_attrs)
+                .build()
+                .unwrap_err();
+            assert!(matches!(dataset, ConfigError::Dataset(_)), "{dataset}");
+        }
 
         let live = ClusterConfig::builder()
             .live_blocks(vec![(Geohash::from_str("9q").unwrap(), day(2015, 2, 2))])

@@ -6,8 +6,6 @@
 //! (§VIII-A), so [`BBox`] is the unit of workload generation as well as of
 //! query planning.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned latitude/longitude rectangle.
 ///
 /// Invariants (enforced by [`BBox::new`]):
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Boxes that would cross the antimeridian must be split by the caller;
 /// the STASH paper's workloads (NAM North-American data) never produce them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     pub min_lat: f64,
     pub max_lat: f64,

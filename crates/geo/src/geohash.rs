@@ -13,14 +13,13 @@
 use crate::base32;
 use crate::bbox::BBox;
 use crate::MAX_GEOHASH_LEN;
-use serde::{Deserialize, Serialize};
 
 /// A geohash: a variable-length (1..=12 characters) spatial index.
 ///
 /// Ordering is lexicographic on the character string for equal lengths
 /// (equivalently, numeric on the packed bits), which groups spatially
 /// proximate boxes — the property Galileo-style DHT partitioning relies on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Geohash {
     /// Right-aligned 5-bit digits: the first character occupies the most
     /// significant used bits, the last character the 5 least significant.

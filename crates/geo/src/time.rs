@@ -12,13 +12,11 @@
 //! indices (Howard Hinnant's `days_from_civil` algorithm) — no system clock,
 //! no timezone: observation timestamps are UTC epoch seconds.
 
-use serde::{Deserialize, Serialize};
-
 /// Temporal resolution of a Cell, coarsest to finest.
 ///
 /// The discriminant is the resolution *index* used by STASH level arithmetic
 /// (coarser = smaller, like a shorter geohash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum TemporalRes {
     Year = 0,
@@ -123,7 +121,7 @@ pub fn epoch_seconds(y: i64, m: u32, d: u32, hh: u32, mm: u32, ss: u32) -> i64 {
 
 /// A half-open UTC time interval `[start, end)` in epoch seconds — the
 /// `Query_Time` of a STASH query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeRange {
     pub start: i64,
     pub end: i64,
@@ -171,7 +169,7 @@ impl TimeRange {
 /// `year*12 + month0` for `Month`, days-since-epoch for `Day`,
 /// `days*24 + hour` for `Hour`. Indexes are consecutive integers, so lateral
 /// neighbors are `idx ± 1` and range covers are integer intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimeBin {
     pub res: TemporalRes,
     pub idx: i64,

@@ -12,11 +12,10 @@
 
 use crate::key::CellKey;
 use crate::stats::CellSummary;
-use serde::{Deserialize, Serialize};
 use stash_geo::{BBox, TimeRange};
 
 /// A unit of aggregated, cacheable data: the paper's Cell (Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Component (a): the spatiotemporal labels.
     pub key: CellKey,

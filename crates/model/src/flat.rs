@@ -2,7 +2,7 @@
 //! (DESIGN.md §15).
 //!
 //! A partials fragment — the payload a worker ships back for
-//! `FetchPartials` — historically traveled as a serde value tree whose
+//! `FetchPartials` — historically traveled as a value tree whose
 //! size the protocol could only approximate. [`FlatPartials`] replaces
 //! that with one contiguous little-endian word buffer per fragment:
 //!
@@ -17,7 +17,7 @@
 //! The encoding is canonical — equal states produce identical words — and
 //! exact: [`FlatPartials::wire_size`] is the buffer's true byte length,
 //! which is what the simulated network now charges. It is the one codec of
-//! sketch state: the JSON edge (`CellStats`' serde impls) carries a Cell's
+//! sketch state: the JSON edge (`json.rs`) carries a Cell's
 //! bundles as the words [`encode_cell_stats`] writes after its summaries
 //! and reads them back through the same bundle loop, so JSON refuses
 //! exactly the Cells the wire refuses. Both readers hold every summary to

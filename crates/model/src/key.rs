@@ -8,11 +8,10 @@
 //! [`CellKey::lateral_neighbors`].
 
 use crate::level::{Level, LevelError};
-use serde::{Deserialize, Serialize};
 use stash_geo::{Geohash, TemporalRes, TimeBin};
 
 /// The identity of a Cell: `(geohash, time bin)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey {
     pub geohash: Geohash,
     pub time: TimeBin,

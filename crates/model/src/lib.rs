@@ -25,6 +25,7 @@ pub mod attr;
 pub mod cell;
 pub mod flat;
 pub mod fx;
+mod json;
 pub mod key;
 pub mod level;
 pub mod observation;

@@ -11,7 +11,6 @@ use crate::cell::Cell;
 use crate::key::CellKey;
 use crate::level::{Level, LevelError, MAX_SPATIAL_RES};
 use crate::stats::SummaryStats;
-use serde::{Deserialize, Serialize};
 use stash_geo::cover::{cover_bbox_bounded, cover_len, CoverError};
 use stash_geo::{BBox, TemporalRes, TimeBin, TimeRange};
 
@@ -45,7 +44,7 @@ impl AggFunc {
 }
 
 /// A hierarchical aggregation query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggQuery {
     /// Spatial extent (the paper's `Query_Polygon`).
     pub bbox: BBox,
@@ -181,7 +180,7 @@ impl std::fmt::Display for AggQuery {
 /// Result of evaluating an [`AggQuery`]: one Cell per non-empty
 /// spatiotemporal group, plus evaluation provenance counters used by the
 /// benchmarks (cache hits vs disk fetches).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
     pub cells: Vec<Cell>,
     /// Cells answered directly from the in-memory STASH graph.

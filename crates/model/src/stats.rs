@@ -10,13 +10,11 @@
 //! property is what makes roll-up queries answerable from cache.
 //!
 //! Both types cross the client edge as JSON (the front-end protocol,
-//! paper §VI-A): the exact summaries as readable objects, sketch bundles as
-//! their flat words (DESIGN.md §14, §15) — one machine-readable partial
-//! form, read back by the flat decoder's own checks, with estimates left to
-//! the accessors.
+//! paper §VI-A; `json.rs`): the exact summaries as readable objects, sketch
+//! bundles as their flat words (DESIGN.md §14, §15) — one machine-readable
+//! partial form, read back by the flat decoder's own checks, with estimates
+//! left to the accessors.
 
-use serde::{Deserialize, Serialize};
-use stash_flat::{WordReader, WordWriter};
 use stash_sketch::{AttrSketches, MergeError, SketchSpec};
 use std::sync::Arc;
 
@@ -27,7 +25,7 @@ use std::sync::Arc;
 ///
 /// Serialization: the in-memory ±∞ sentinels of an empty summary are not
 /// representable in JSON (the front-end protocol, §VI-A), so the wire form
-/// carries `min`/`max` as optional fields — see the manual serde impls.
+/// carries `min`/`max` as `null` when the summary holds no rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SummaryStats {
     pub count: u64,
@@ -156,50 +154,6 @@ impl SummaryStats {
             return Err("summary of no rows with non-empty state");
         }
         Ok(())
-    }
-}
-
-/// JSON-safe mirror of [`SummaryStats`]: optional extremes instead of ±∞
-/// sentinels.
-#[derive(Serialize, Deserialize)]
-struct WireSummary {
-    count: u64,
-    min: Option<f64>,
-    max: Option<f64>,
-    sum: f64,
-    sum_sq: f64,
-}
-
-impl serde::Serialize for SummaryStats {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        WireSummary {
-            count: self.count,
-            min: self.min(),
-            max: self.max(),
-            sum: self.sum,
-            sum_sq: self.sum_sq,
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for SummaryStats {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let w = WireSummary::deserialize(deserializer)?;
-        if w.count > 0 && (w.min.is_none() || w.max.is_none()) {
-            return Err(serde::de::Error::custom(
-                "non-empty summary requires min and max",
-            ));
-        }
-        let s = SummaryStats {
-            count: w.count,
-            min: w.min.unwrap_or(f64::INFINITY),
-            max: w.max.unwrap_or(f64::NEG_INFINITY),
-            sum: w.sum,
-            sum_sq: w.sum_sq,
-        };
-        s.check_decoded().map_err(serde::de::Error::custom)?;
-        Ok(s)
     }
 }
 
@@ -472,59 +426,6 @@ impl CellStats {
     /// per exact summary, plus any sketch payload — DESIGN.md §15).
     pub fn wire_bytes(&self) -> usize {
         crate::flat::cell_stats_words(self) * 8
-    }
-}
-
-impl serde::Serialize for CellStats {
-    fn to_value(&self) -> serde::value::Value {
-        // The `sketches` key is emitted only when present, keeping the
-        // exact-only JSON byte-identical to the historical
-        // `{"summaries": [...]}` object. When present it holds the words
-        // the flat form writes after the summaries (DESIGN.md §15).
-        let mut fields = vec![("summaries".to_string(), self.summaries[..].to_value())];
-        if let Some(sketches) = &self.sketches {
-            let mut w =
-                WordWriter::with_capacity(sketches.iter().map(AttrSketches::flat_words).sum());
-            for bundle in sketches.iter() {
-                bundle.flat_encode(&mut w);
-            }
-            fields.push(("sketches".to_string(), w.into_words().to_value()));
-        }
-        serde::value::Value::Object(fields)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for CellStats {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::de::DeError> {
-        let items = v.get_or_null("summaries");
-        let items = items.as_array().ok_or_else(|| {
-            serde::de::Error::custom(format!("expected array, got {}", items.kind()))
-        })?;
-        // Decoded straight into the shared slice: allocated once, as
-        // empties, and filled in place before anything can share it.
-        let mut summaries: Arc<[SummaryStats]> =
-            std::iter::repeat_n(SummaryStats::empty(), items.len()).collect();
-        let slots = Arc::get_mut(&mut summaries).expect("a fresh slice is unshared");
-        for (slot, item) in slots.iter_mut().zip(items) {
-            *slot = SummaryStats::from_value(item)?;
-        }
-        let sketches = match v.get_or_null("sketches") {
-            serde::value::Value::Null => None,
-            present => {
-                // The flat reader's bundle loop, held to the same refusals;
-                // the words must end with the last bundle.
-                let words = Vec::<u64>::from_value(present)?;
-                let mut r = WordReader::new(&words);
-                let bundles = crate::flat::decode_bundles(&mut r, summaries.len())
-                    .and_then(|b| r.finish().map(|()| b))
-                    .map_err(|e| serde::de::Error::custom(format!("sketch bundles: {e}")))?;
-                Some(bundles)
-            }
-        };
-        Ok(CellStats {
-            summaries,
-            sketches,
-        })
     }
 }
 

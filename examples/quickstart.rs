@@ -66,6 +66,7 @@ fn main() {
             })
         })
         .collect();
+    let rows = serde_json::Value::Array(rows);
     println!("{}", serde_json::to_string_pretty(&rows).unwrap());
 
     cluster.shutdown();

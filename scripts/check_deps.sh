@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Every workspace manifest (the root package and crates/*) names only what its
-# crate uses:
+# Every manifest (the root package, crates/* and the vendored shims in vendor/*)
+# names only what its crate uses:
 #   - a [dependencies] entry must be referenced from the crate's src/;
 #   - a [dev-dependencies] entry from src/, tests/, benches/ or examples/.
 # A reference is a code line (not a `//` comment) naming the crate as a path
@@ -32,7 +32,7 @@ used() { # crate dir...
 }
 
 bad=0
-for manifest in Cargo.toml crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
   dir="$(dirname "$manifest")"
   name="$(awk '/^\[package\]/ { p = 1; next } /^\[/ { p = 0 } p && /^name *=/ { gsub(/[" ]/, ""); sub(/name=/, ""); print; exit }' "$manifest")"
   for dep in $(entries "$manifest" dependencies); do
