@@ -44,7 +44,6 @@ pub fn chaos_config(mode: Mode) -> ClusterConfig {
         .cell_service_cost(Duration::ZERO)
         .sub_rpc_timeout(Duration::from_millis(250))
         .distress_timeout(Duration::from_millis(100))
-        .sub_rpc_retries(2)
         .retry_backoff(Duration::from_millis(5))
         .client_retries(9)
         .build()

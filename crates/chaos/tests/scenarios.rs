@@ -7,7 +7,7 @@
 //! returns for the same workload.
 
 use stash_chaos::{assert_results_match, chaos_config, grid_queries, ground_truth, run_workload};
-use stash_cluster::{Mode, SimCluster};
+use stash_cluster::{ClusterConfig, Mode, SimCluster};
 use stash_dfs::Partitioner;
 use stash_geo::{BBox, TemporalRes, TimeRange};
 use stash_model::AggQuery;
@@ -125,7 +125,7 @@ fn three_way_partition_serves_exactly_from_in_group_replicas() {
 
     // Precondition: the viewport really does have owners in the stranded
     // groups, otherwise this scenario wouldn't test anything.
-    let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+    let partitioner = Partitioner::new(config.n_nodes, ClusterConfig::PARTITION_PREFIX_LEN);
     let owners: std::collections::BTreeSet<usize> = q
         .target_keys(200_000)
         .expect("valid query")
@@ -180,7 +180,7 @@ fn owner_crash_mid_scatter_stays_exact_and_cluster_recovers() {
     let queries = grid_queries(1); // 20 distinct viewports
     let truth = ground_truth(config.clone(), &queries);
     let q = &queries[5];
-    let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+    let partitioner = Partitioner::new(config.n_nodes, ClusterConfig::PARTITION_PREFIX_LEN);
     let victim = partitioner.owner_of_cell(&q.target_keys(200_000).expect("valid query")[0]);
 
     let mut cluster = SimCluster::new(config);
@@ -230,7 +230,7 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
     let config = chaos_config(Mode::Stash);
     let q = county_query();
     let keys = q.target_keys(200_000).expect("valid query");
-    let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+    let partitioner = Partitioner::new(config.n_nodes, ClusterConfig::PARTITION_PREFIX_LEN);
     let owner = partitioner.owner_of_cell(&keys[0]);
     let truth = ground_truth(config.clone(), std::slice::from_ref(&q));
 
@@ -266,7 +266,7 @@ fn owner_crash_fails_over_and_restart_recomputes_from_dfs() {
 fn a_crashed_sole_owner_is_failed_over_once_and_the_answer_stays_exact() {
     let config = chaos_config(Mode::Stash);
     let q = county_query();
-    let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+    let partitioner = Partitioner::new(config.n_nodes, ClusterConfig::PARTITION_PREFIX_LEN);
     let keys = q.target_keys(200_000).expect("valid query");
     let owner = partitioner.owner_of_cell(&keys[0]);
     assert!(

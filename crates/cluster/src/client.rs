@@ -29,7 +29,7 @@ use crate::cluster::ClusterConfig;
 use crate::gather::{recomputed, Gatherer};
 use crate::protocol::{ClusterError, Msg, SUB_RESULT};
 use stash_dfs::Partitioner;
-use stash_model::{AggQuery, CellKey, QueryResult};
+use stash_model::{AggQuery, CellKey, QueryResult, MAX_CELLS_PER_QUERY};
 use stash_obs::{Counter, Histogram, QueryTrace, StageTimes};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -134,12 +134,10 @@ impl ClusterClient {
     /// retries and failovers.
     fn run(&self, query: &AggQuery) -> Result<(QueryResult, QueryTrace), ClientError> {
         let planned = Instant::now();
-        let keys = query
-            .target_keys(self.config.stash.max_cells_per_query)
-            .map_err(|e| {
-                self.metrics.err.inc();
-                ClientError::Remote(ClusterError::BadQuery(e.to_string()))
-            })?;
+        let keys = query.target_keys(MAX_CELLS_PER_QUERY).map_err(|e| {
+            self.metrics.err.inc();
+            ClientError::Remote(ClusterError::BadQuery(e.to_string()))
+        })?;
         if keys.is_empty() {
             self.metrics.ok.inc();
             return Ok(Default::default());
@@ -232,7 +230,7 @@ impl ClusterClient {
     }
 
     /// A share whose first wave failed transiently, settled on its own: its
-    /// SubQuery asked again under the retry policy (`sub_rpc_retries + 1`
+    /// SubQuery asked again under the retry policy (`SUB_RPC_RETRIES + 1`
     /// attempts) and, if its owner stays dark, its Cells recomputed from
     /// storage with the owner excluded, reading the owner's blocks off the
     /// DFS replica chain. A failover that itself fails transiently runs the
@@ -244,7 +242,7 @@ impl ClusterClient {
         keys: &Arc<[CellKey]>,
         trace: &mut QueryTrace,
     ) -> Result<QueryResult, ClusterError> {
-        let attempts = self.config.sub_rpc_retries + 1;
+        let attempts = ClusterConfig::SUB_RPC_RETRIES + 1;
         let mut rounds = 1;
         loop {
             trace.retries += 1;

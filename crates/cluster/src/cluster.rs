@@ -10,13 +10,15 @@ use crate::source::{GenBlockSource, LiveSource};
 use stash_core::LogicalClock;
 use stash_core::StashConfig;
 use stash_data::{GeneratorConfig, NamGenerator, StreamConfig, StreamSource};
-use stash_dfs::{BlockKey, BlockSource, DiskModel, NodeStore, Partitioner, RollupStore};
+use stash_dfs::{
+    BlockKey, BlockSource, DiskModel, NodeStore, Partitioner, RollupStore, MAX_BLOCKS_PER_FETCH,
+};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{BBox, Geohash, TimeBin, TimeRange};
-use stash_model::CellKey;
+use stash_model::{CellKey, MAX_CELLS_PER_QUERY};
 use stash_net::{NetConfig, NodeId, Parked, Router};
 use stash_obs::MetricsRegistry;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,8 +53,6 @@ pub struct ClusterConfig {
     pub disk: DiskModel,
     /// Geohash length of storage blocks.
     pub block_len: u8,
-    /// Geohash characters determining DHT placement (paper: 2).
-    pub partition_prefix_len: u8,
     /// Spatial domain of the dataset (NAM coverage).
     pub data_bbox: BBox,
     /// Temporal domain of the dataset (the paper's NAM year).
@@ -72,13 +72,8 @@ pub struct ClusterConfig {
     /// scatter, a gatherer's for one FetchPartials.
     pub sub_rpc_timeout: Duration,
     pub distress_timeout: Duration,
-    /// Retries per sub-RPC (SubQuery / FetchPartials) after the first
-    /// attempt times out; each retry backs off exponentially from
-    /// `retry_backoff` with deterministic jitter. When a share's retries
-    /// are exhausted the front end recomputes it from DFS replicas with its
-    /// owner excluded.
-    pub sub_rpc_retries: u32,
-    /// Base delay of the sub-RPC retry backoff.
+    /// Base delay of the sub-RPC retry backoff
+    /// ([`ClusterConfig::SUB_RPC_RETRIES`]).
     pub retry_backoff: Duration,
     /// Further runs of one share's whole ladder — SubQuery, retries,
     /// replica failover — after a failover that failed transiently; a
@@ -101,6 +96,17 @@ pub struct ClusterConfig {
     pub rollup: RollupPolicy,
 }
 
+impl ClusterConfig {
+    /// Geohash characters determining DHT placement (paper: 2).
+    pub const PARTITION_PREFIX_LEN: u8 = 2;
+    /// Retries per sub-RPC (SubQuery / FetchPartials) after the first
+    /// attempt times out; each retry backs off exponentially from
+    /// `retry_backoff` with deterministic jitter. When a share's retries
+    /// are exhausted the front end recomputes it from DFS replicas with its
+    /// owner excluded.
+    pub const SUB_RPC_RETRIES: u32 = 2;
+}
+
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
@@ -113,7 +119,6 @@ impl Default for ClusterConfig {
             net: NetConfig::default(),
             disk: DiskModel::default(),
             block_len: 3,
-            partition_prefix_len: 2,
             data_bbox: BBox {
                 min_lat: 20.0,
                 max_lat: 55.0,
@@ -131,7 +136,6 @@ impl Default for ClusterConfig {
             cell_service_cost: Duration::from_nanos(500),
             sub_rpc_timeout: Duration::from_secs(30),
             distress_timeout: Duration::from_secs(2),
-            sub_rpc_retries: 2,
             retry_backoff: Duration::from_millis(10),
             client_retries: 2,
             live_blocks: Vec::new(),
@@ -140,16 +144,6 @@ impl Default for ClusterConfig {
             rollup: RollupPolicy::disabled(),
         }
     }
-}
-
-/// Per-node live counters (relaxed atomics).
-#[derive(Debug, Default)]
-pub struct NodeStats {
-    pub subqueries: AtomicU64,
-    pub reroutes: AtomicU64,
-    pub guest_serves: AtomicU64,
-    pub handoffs: AtomicU64,
-    pub replicas_hosted: AtomicU64,
 }
 
 /// A point-in-time snapshot of one node's state, for experiment reporting.
@@ -231,7 +225,7 @@ fn spawn_node(
         config.data_time,
         config.disk.clone(),
         source.clone(),
-        config.stash.max_blocks_per_fetch,
+        MAX_BLOCKS_PER_FETCH,
     )
     .with_scan_cost(config.scan_cost_per_obs);
     let clock = Arc::new(LogicalClock::new());
@@ -307,7 +301,7 @@ impl SimCluster {
             config.retry_backoff,
         ));
         router.install_port(gateway.id, gateway.port());
-        let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+        let partitioner = Partitioner::new(config.n_nodes, ClusterConfig::PARTITION_PREFIX_LEN);
         // Sealed dataset by default; with live blocks configured, the same
         // shared storage serves truncated blocks that grow via appends.
         let (live, source): (Option<Arc<LiveSource>>, Arc<dyn BlockSource>) =
@@ -346,8 +340,8 @@ impl SimCluster {
                     &config.data_bbox,
                     &config.data_time,
                     &config.stash.sketch,
-                    config.stash.max_cells_per_query,
-                    config.stash.max_blocks_per_fetch,
+                    MAX_CELLS_PER_QUERY,
+                    MAX_BLOCKS_PER_FETCH,
                 )
                 .expect("rollup backfill over a checked config");
             Some(Arc::new(store))
@@ -556,11 +550,11 @@ impl SimCluster {
                 evictions: n.graph.stats().evictions.load(Ordering::Relaxed),
                 disk_reads: n.store.disk_stats().reads(),
                 disk_bytes: n.store.disk_stats().bytes(),
-                subqueries: n.stats.subqueries.load(Ordering::Relaxed),
-                reroutes: n.stats.reroutes.load(Ordering::Relaxed),
-                guest_serves: n.stats.guest_serves.load(Ordering::Relaxed),
-                handoffs: n.stats.handoffs.load(Ordering::Relaxed),
-                replicas_hosted: n.stats.replicas_hosted.load(Ordering::Relaxed),
+                subqueries: n.obs.counter("subquery.recv").get(),
+                reroutes: n.obs.counter("handoff.reroute").get(),
+                guest_serves: n.obs.counter("handoff.guest.serve").get(),
+                handoffs: n.obs.counter("handoff.ok").get(),
+                replicas_hosted: n.obs.counter("handoff.guest.host").get(),
                 send_failures: n.caller.refused.load(Ordering::Relaxed),
                 pending: n.pending(),
             })

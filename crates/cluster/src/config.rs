@@ -204,10 +204,11 @@ impl ClusterConfig {
                 self.block_len
             )));
         }
-        if self.partition_prefix_len == 0 || self.partition_prefix_len > self.block_len {
+        if self.block_len < ClusterConfig::PARTITION_PREFIX_LEN {
             return Err(ConfigError::Partitioning(format!(
-                "partition_prefix_len {} not in 1..=block_len ({})",
-                self.partition_prefix_len, self.block_len
+                "block_len {} shorter than the partition prefix ({})",
+                self.block_len,
+                ClusterConfig::PARTITION_PREFIX_LEN
             )));
         }
         let schema_len = NamGenerator::new(self.generator.clone()).schema().len();
@@ -329,7 +330,6 @@ impl ClusterConfigBuilder {
     setter!(net: NetConfig);
     setter!(disk: DiskModel);
     setter!(block_len: u8);
-    setter!(partition_prefix_len: u8);
     setter!(data_bbox: BBox);
     setter!(data_time: TimeRange);
     setter!(generator: GeneratorConfig);
@@ -337,7 +337,6 @@ impl ClusterConfigBuilder {
     setter!(cell_service_cost: Duration);
     setter!(sub_rpc_timeout: Duration);
     setter!(distress_timeout: Duration);
-    setter!(sub_rpc_retries: u32);
     setter!(retry_backoff: Duration);
     setter!(client_retries: u32);
     setter!(live_blocks: Vec<(Geohash, TimeBin)>);
@@ -401,11 +400,7 @@ mod tests {
         assert!(matches!(workers, ConfigError::Workers(_)), "{workers}");
         assert!(workers.to_string().contains("worker tier"));
 
-        let partitioning = ClusterConfig::builder()
-            .partition_prefix_len(5)
-            .block_len(3)
-            .build()
-            .unwrap_err();
+        let partitioning = ClusterConfig::builder().block_len(1).build().unwrap_err();
         assert!(
             matches!(partitioning, ConfigError::Partitioning(_)),
             "{partitioning}"

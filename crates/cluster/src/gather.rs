@@ -8,7 +8,7 @@
 use crate::caller::{Call, Caller};
 use crate::cluster::ClusterConfig;
 use crate::protocol::{ClusterError, Msg, PARTIALS};
-use stash_dfs::{plan_reads, NodeStore, Partitioner};
+use stash_dfs::{plan_reads, NodeStore, Partitioner, MAX_BLOCKS_PER_FETCH};
 use stash_model::{Cell, CellKey, CellSummary, QueryResult};
 use stash_obs::StageTimes;
 use std::collections::HashMap;
@@ -81,7 +81,7 @@ impl Gatherer<'_> {
             self.config.block_len,
             &self.config.data_bbox,
             &self.config.data_time,
-            self.config.stash.max_blocks_per_fetch,
+            MAX_BLOCKS_PER_FETCH,
             self.partitioner,
             exclude,
         )
@@ -166,7 +166,7 @@ impl Gatherer<'_> {
         exclude: &[usize],
         acc: &mut StageTimes,
     ) -> Result<Vec<(CellKey, CellSummary)>, ClusterError> {
-        let attempts = self.config.sub_rpc_retries + 1;
+        let attempts = ClusterConfig::SUB_RPC_RETRIES + 1;
         let salt = owner as u64 ^ 0xF00D;
         let (outcome, napped) = self.caller.retry(salt, attempts, false, || {
             let call = send_fetch(self.caller, owner, keys, exclude)?;

@@ -37,13 +37,14 @@
 //! request queued or running here; all of it is data-service work.
 
 use crate::caller::{Call, Caller};
-use crate::cluster::{ClusterConfig, Mode, NodeStats};
+use crate::cluster::{ClusterConfig, Mode};
 use crate::fence::IngestFence;
 use crate::gather::{recomputed, Gatherer};
 use crate::protocol::{ClusterError, Msg, Reply, ACK};
 use parking_lot::Mutex;
 use stash_core::{
-    evaluate_traced, CliqueFinder, GuestBook, LogicalClock, RouteDecision, RoutingTable, StashGraph,
+    evaluate_traced, CliqueFinder, GuestBook, LogicalClock, RouteDecision, RoutingTable,
+    StashConfig, StashGraph,
 };
 use stash_dfs::{frame_spatial_res, AppendOutcome, BlockFrame, BlockKey, NodeStore, RollupStore};
 use stash_geo::TemporalRes;
@@ -77,7 +78,6 @@ pub struct NodeCtx {
     /// completed by the port with the reply message as it came and its due
     /// time.
     pub(crate) caller: Caller,
-    pub stats: NodeStats,
     /// Named counters/gauges/histograms for this node (DESIGN.md §11).
     pub obs: Arc<MetricsRegistry>,
     /// The hotspot signal: requests dispatched to workers and not yet
@@ -134,7 +134,7 @@ impl NodeCtx {
         tiers: WorkTiers,
     ) -> Self {
         let mut guest_cfg = config.stash.clone();
-        guest_cfg.max_cells = config.stash.guest_max_cells;
+        guest_cfg.max_cells = StashConfig::GUEST_MAX_CELLS;
         // Share one registry between the node and its store so the `dfs.*`
         // scan-kernel counters land next to the node's other metrics, and
         // size the decoded-frame cache from config.
@@ -156,7 +156,6 @@ impl NodeCtx {
             guestbook: Mutex::new(GuestBook::new()),
             routing: Mutex::new(RoutingTable::new()),
             clock,
-            stats: NodeStats::default(),
             obs,
             pending: AtomicUsize::new(0),
             hot_level: AtomicU8::new(
@@ -304,7 +303,7 @@ impl NodeCtx {
                     && self
                         .guestbook
                         .lock()
-                        .can_accommodate(n_cells, self.config.stash.guest_max_cells);
+                        .can_accommodate(n_cells, StashConfig::GUEST_MAX_CELLS);
                 self.obs.inc(if accept {
                     "handoff.distress.accept"
                 } else {
@@ -395,7 +394,7 @@ impl NodeCtx {
                 via_guest,
                 ..
             } => {
-                self.stats.subqueries.fetch_add(1, Ordering::Relaxed);
+                self.obs.inc("subquery.recv");
                 self.note_hot_level(&keys);
                 let (result, mut trace, tick) = self.eval_subquery_traced(&keys, via_guest);
                 trace.wire_ns += wire_ns;
@@ -495,7 +494,6 @@ impl NodeCtx {
         };
         let sent = self.caller.send(NodeId(helper), forwarded);
         if sent {
-            self.stats.reroutes.fetch_add(1, Ordering::Relaxed);
             self.obs.inc("handoff.reroute");
         } else {
             self.routing.lock().drop_helper(helper);
@@ -578,7 +576,6 @@ impl NodeCtx {
                     None,
                 );
             }
-            self.stats.guest_serves.fetch_add(1, Ordering::Relaxed);
             self.obs.inc("handoff.guest.serve");
             self.guestbook.lock().touch(keys, self.clock.now());
         } else if let Some(rollup) = &self.rollup {
@@ -895,7 +892,7 @@ impl NodeCtx {
             .filter(|&p| p != self.node_idx)
             .filter_map(|peer| self.send_invalidate(peer, keys).ok())
             .collect();
-        let attempts = (self.config.sub_rpc_retries + 1).max(6);
+        let attempts = (ClusterConfig::SUB_RPC_RETRIES + 1).max(6);
         let mut all_ok = true;
         for call in waits {
             let peer = call.node;
@@ -953,7 +950,7 @@ impl NodeCtx {
             &self.graph,
             level,
             self.config.stash.max_replicable_cells,
-            self.config.stash.top_k_cliques,
+            StashConfig::TOP_K_CLIQUES,
         );
         const MAX_ATTEMPTS: u64 = 5;
         for clique in cliques {
@@ -981,7 +978,6 @@ impl NodeCtx {
                 }
                 self.obs.inc("handoff.attempt");
                 if self.try_replicate_to(&clique, helper) {
-                    self.stats.handoffs.fetch_add(1, Ordering::Relaxed);
                     self.obs.inc("handoff.ok");
                     break;
                 }
@@ -1061,7 +1057,7 @@ impl NodeCtx {
     /// Helper side of replication: stash the Cells in the guest graph.
     fn accept_replicas(self: &Arc<Self>, src_node: usize, cells: Vec<(Cell, f64)>) -> bool {
         let mut gb = self.guestbook.lock();
-        if !gb.can_accommodate(cells.len(), self.config.stash.guest_max_cells) {
+        if !gb.can_accommodate(cells.len(), StashConfig::GUEST_MAX_CELLS) {
             return false;
         }
         gb.record(cells.iter().map(|(c, _)| c.key), src_node, self.clock.now());
@@ -1069,7 +1065,7 @@ impl NodeCtx {
         for (cell, freshness) in cells {
             self.guest.insert_with_freshness(cell, freshness);
         }
-        self.stats.replicas_hosted.fetch_add(1, Ordering::Relaxed);
+        self.obs.inc("handoff.guest.host");
         true
     }
 

@@ -405,7 +405,7 @@ fn a_fetch_partials_backlog_starts_a_handoff() {
         assert!(matches!(reply, Ok((Ok(_), _))));
     }
     let started = Instant::now();
-    while home.stats.handoffs.load(Ordering::Relaxed) == 0 {
+    while counter(home, "handoff.ok") == 0 {
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "a backlog of {fetches} fetches over a threshold of 2 started no handoff"
@@ -465,7 +465,7 @@ fn a_queued_and_a_running_subquery_count_toward_the_hotspot() {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(node.stats.subqueries.load(Ordering::Relaxed), 2);
+    assert_eq!(counter(node, "subquery.recv"), 2);
     cluster.shutdown();
 }
 
@@ -502,7 +502,7 @@ fn the_front_end_resends_a_share_a_stale_route_got_refused() {
     let (answer, trace) = answer.expect("resent to the owner");
     assert_eq!(answer.cells, want);
     assert_eq!((trace.retries, trace.failovers), (1, 0));
-    assert_eq!(home.stats.reroutes.load(Ordering::Relaxed), 1);
+    assert_eq!(counter(home, "handoff.reroute"), 1);
     assert_eq!(counter(helper, "handoff.guest.refuse"), 1);
     cluster.shutdown();
 }
@@ -714,7 +714,6 @@ fn partitioned_pair() -> (SimCluster, usize, usize) {
     let mut config = test_config(2);
     config.sub_rpc_timeout = Duration::from_millis(40);
     config.retry_backoff = Duration::from_millis(1);
-    config.sub_rpc_retries = 2;
     let cluster = SimCluster::new(config);
     let owner = cluster
         .node(0)
@@ -729,9 +728,7 @@ fn partitioned_pair() -> (SimCluster, usize, usize) {
     (cluster, from, owner)
 }
 
-fn retries(cluster: &SimCluster) -> u64 {
-    u64::from(cluster.config().sub_rpc_retries)
-}
+const RETRIES: u64 = ClusterConfig::SUB_RPC_RETRIES as u64;
 
 #[test]
 fn a_dark_owner_gets_its_first_wave_subquery_then_retries_plus_one_more() {
@@ -747,10 +744,7 @@ fn a_dark_owner_gets_its_first_wave_subquery_then_retries_plus_one_more() {
         sorted(viewport())
     );
     let (mut answer, trace) = cluster.client().query(&query).traced().run().unwrap();
-    assert_eq!(
-        cluster.net_stats().node_sent(owner),
-        1 + (retries(&cluster) + 1)
-    );
+    assert_eq!(cluster.net_stats().node_sent(owner), 1 + (RETRIES + 1));
     assert_eq!((trace.retries, trace.failovers), (1, 1));
     // The failover read the owner's blocks off the replica chain: exact.
     cluster.router().heal_partition();
@@ -774,10 +768,7 @@ fn a_dark_gather_owner_is_retried_once_then_excluded() {
         .gather_partials(&viewport(), &[], &mut acc)
         .unwrap();
     assert_eq!(parts.len(), viewport().len());
-    assert_eq!(
-        cluster.net_stats().node_sent(owner),
-        1 + (retries(&cluster) + 1)
-    );
+    assert_eq!(cluster.net_stats().node_sent(owner), 1 + (RETRIES + 1));
     cluster.shutdown();
 }
 
@@ -788,7 +779,7 @@ fn a_dark_peer_gets_at_least_six_invalidate_retries() {
     append_now(node, live_blocks()[0], 0, vec![row_in(&viewport()[3])]);
     assert_eq!(
         cluster.net_stats().node_sent(owner),
-        1 + (retries(&cluster) + 1).max(6)
+        1 + (RETRIES + 1).max(6)
     );
     assert_eq!(counter(node, "ingest.invalidate.incomplete"), 1);
     cluster.shutdown();

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use stash_cluster::{ClusterConfig, Mode, SimCluster};
 use stash_data::GeneratorConfig;
-use stash_dfs::{plan_reads, DiskModel};
+use stash_dfs::{plan_reads, DiskModel, MAX_BLOCKS_PER_FETCH};
 use stash_geo::time::epoch_seconds;
 use stash_geo::{cover_bbox, BBox, TemporalRes, TimeBin, TimeRange};
 use stash_model::{AggQuery, Cell, CellKey, CellSummary, QueryResult};
@@ -139,7 +139,7 @@ fn blocks_per_node(
         cfg.block_len,
         &cfg.data_bbox,
         &cfg.data_time,
-        cfg.stash.max_blocks_per_fetch,
+        MAX_BLOCKS_PER_FETCH,
         part,
         exclude,
     )
@@ -521,7 +521,7 @@ fn a_lost_share_is_asked_again_alone_then_failed_over() {
     assert!(cluster.net_stats().messages_dropped() > 0);
     // The dark owner got its first-wave SubQuery and the retry policy's
     // attempts; the healthy owner's one answer was kept.
-    let retries = u64::from(cluster.config().sub_rpc_retries);
+    let retries = u64::from(ClusterConfig::SUB_RPC_RETRIES);
     let stats = cluster.node_stats();
     assert_eq!(stats[lost].subqueries, 1 + (retries + 1));
     assert_eq!(stats[healthy].subqueries, 1);

@@ -28,21 +28,14 @@ pub struct StashConfig {
     /// Replacement evicts lowest-freshness Cells until the count drops to
     /// `max_cells * safe_fraction` (the paper's "safe limit").
     pub safe_fraction: f64,
-    /// Freshness added to each Cell of a directly-accessed region (`f_inc`).
-    pub f_inc: f64,
-    /// Fraction of `f_inc` dispersed to the region's spatiotemporal
-    /// neighborhood (the grey cells of Fig. 3).
+    /// Fraction of [`StashConfig::F_INC`] dispersed to the region's
+    /// spatiotemporal neighborhood (the grey cells of Fig. 3).
     pub neighbor_fraction: f64,
     /// Logical-time constant of the exponential freshness decay: a Cell
     /// untouched for `decay_tau` clock ticks retains 1/e of its score.
     pub decay_tau: f64,
 
     // -- Query evaluation ----------------------------------------------------
-    /// Ceiling on target Cells per query; protects the planner from
-    /// degenerate resolution/extent combinations.
-    pub max_cells_per_query: usize,
-    /// Ceiling on blocks per backing-store fetch.
-    pub max_blocks_per_fetch: usize,
     /// Derive missing coarse Cells by merging cached children (§V-B
     /// condition (b)). Disabled only by the ablation benches.
     pub enable_derivation: bool,
@@ -64,8 +57,6 @@ pub struct StashConfig {
     pub clique_depth: u8,
     /// Maximum total Cells replicated per handoff (the paper's `N`).
     pub max_replicable_cells: usize,
-    /// Maximum Cliques shipped per handoff (the paper's `K`).
-    pub top_k_cliques: usize,
     /// Probability that a query fully covered by a replica is rerouted to
     /// the helper node (§VII-C "probabilistically rerouted").
     pub reroute_probability: f64,
@@ -77,8 +68,6 @@ pub struct StashConfig {
     /// Routing-table entries older than this are purged (§VII-D "signifying
     /// the retreat of hotspot").
     pub routing_ttl_ticks: u64,
-    /// Cell capacity of a helper's guest graph.
-    pub guest_max_cells: usize,
     /// Helper-node selection policy.
     pub helper_selection: HelperSelection,
 }
@@ -88,29 +77,31 @@ impl Default for StashConfig {
         StashConfig {
             max_cells: 200_000,
             safe_fraction: 0.85,
-            f_inc: 1.0,
             neighbor_fraction: 0.4,
             decay_tau: 64.0,
-            max_cells_per_query: 200_000,
-            max_blocks_per_fetch: 20_000,
             enable_derivation: true,
             frame_cache_bytes: 64 << 20,
             sketch: SketchSpec::disabled(),
             hotspot_threshold: 100,
             clique_depth: 2,
             max_replicable_cells: 4_096,
-            top_k_cliques: 8,
             reroute_probability: 0.75,
             cooldown_ticks: 32,
             guest_ttl_ticks: 512,
             routing_ttl_ticks: 512,
-            guest_max_cells: 100_000,
             helper_selection: HelperSelection::Antipode,
         }
     }
 }
 
 impl StashConfig {
+    /// Freshness added to each Cell of a directly-accessed region (`f_inc`).
+    pub const F_INC: f64 = 1.0;
+    /// Maximum Cliques shipped per handoff (the paper's `K`).
+    pub const TOP_K_CLIQUES: usize = 8;
+    /// Cell capacity of a helper's guest graph.
+    pub const GUEST_MAX_CELLS: usize = 100_000;
+
     /// The replacement target: Cell count after an eviction pass.
     pub fn safe_limit(&self) -> usize {
         ((self.max_cells as f64) * self.safe_fraction).floor() as usize
@@ -127,9 +118,6 @@ impl StashConfig {
         if !(0.0..=1.0).contains(&self.safe_fraction) {
             return Err("safe_fraction must be within [0,1]".into());
         }
-        if self.f_inc <= 0.0 {
-            return Err("f_inc must be positive".into());
-        }
         if !(0.0..=1.0).contains(&self.neighbor_fraction) {
             return Err("neighbor_fraction must be within [0,1]".into());
         }
@@ -144,9 +132,6 @@ impl StashConfig {
         }
         if self.max_replicable_cells == 0 {
             return Err("max_replicable_cells must be positive".into());
-        }
-        if self.top_k_cliques == 0 {
-            return Err("top_k_cliques must be positive".into());
         }
         self.sketch
             .validate()

@@ -274,7 +274,7 @@ impl StashGraph {
             Some(entry) => {
                 entry
                     .fresh
-                    .bump(self.config.f_inc, self.clock.now(), self.config.decay_tau);
+                    .bump(StashConfig::F_INC, self.clock.now(), self.config.decay_tau);
                 self.stats.plm_outcome(1, 0, 0);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 lstats.hits.fetch_add(1, Ordering::Relaxed);
@@ -317,7 +317,7 @@ impl StashGraph {
                 for key in group {
                     match map.cells.get(key) {
                         Some(entry) if !plm.is_stale(key) => {
-                            entry.fresh.bump(self.config.f_inc, now, tau);
+                            entry.fresh.bump(StashConfig::F_INC, now, tau);
                             hits.push(entry.cell.clone());
                             fresh_n += 1;
                         }
@@ -367,7 +367,7 @@ impl StashGraph {
     /// Insert (or replace) one Cell with initial freshness `f_inc`.
     /// Triggers replacement when the budget is exceeded.
     pub fn insert(&self, cell: Cell) {
-        self.insert_with_freshness(cell, self.config.f_inc);
+        self.insert_with_freshness(cell, StashConfig::F_INC);
         self.evict_if_needed();
     }
 
@@ -376,7 +376,7 @@ impl StashGraph {
     /// pass: the evaluation's [`StashGraph::upkeep`] does, once per share.
     pub fn insert_many(&self, cells: impl IntoIterator<Item = Cell>) {
         for cell in cells {
-            self.insert_with_freshness(cell, self.config.f_inc);
+            self.insert_with_freshness(cell, StashConfig::F_INC);
         }
     }
 
@@ -416,7 +416,7 @@ impl StashGraph {
             .try_derive_from(key, key.spatial_children()?)
             .or_else(|| self.try_derive_from(key, key.temporal_children()?))?;
         self.stats.derived.fetch_add(1, Ordering::Relaxed);
-        self.insert_with_freshness(derived.clone(), self.config.f_inc);
+        self.insert_with_freshness(derived.clone(), StashConfig::F_INC);
         Some(derived)
     }
 
@@ -485,7 +485,7 @@ impl StashGraph {
         }
 
         let tau = self.config.decay_tau;
-        let frac = self.config.f_inc * self.config.neighbor_fraction;
+        let frac = StashConfig::F_INC * self.config.neighbor_fraction;
         for (level, mut candidates) in plan {
             // One sort makes "once each" hold across region Cells sharing a
             // neighbor and across the levels of a mixed region.
@@ -1208,7 +1208,7 @@ mod tests {
             let after = g.freshness_of(n).unwrap();
             assert!(after > b, "neighbor {n} not boosted: {b} -> {after}");
             // Neighbor boost is the configured fraction of f_inc.
-            assert!((after - b - g.config().f_inc * g.config().neighbor_fraction).abs() < 1e-9);
+            assert!((after - b - StashConfig::F_INC * g.config().neighbor_fraction).abs() < 1e-9);
         }
     }
 
@@ -1245,7 +1245,7 @@ mod tests {
         let snap = g.snapshot(&[c.key, key("9q8z", TemporalRes::Day)]);
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].0.key, c.key);
-        assert!(snap[0].1 > g.config().f_inc * 0.9);
+        assert!(snap[0].1 > StashConfig::F_INC * 0.9);
     }
 
     #[test]
@@ -1413,7 +1413,7 @@ mod tests {
                 by_level.entry(p.level()).or_default().insert(p);
             }
         }
-        let frac = g.config.f_inc * g.config.neighbor_fraction;
+        let frac = StashConfig::F_INC * g.config.neighbor_fraction;
         for (level, neighbors) in by_level {
             let mut dispersed = 0u64;
             {
@@ -1519,7 +1519,7 @@ mod tests {
         let before = g.freshness_of(&next_day).unwrap();
         assert_eq!(touch(&g), (ring + region.len() as u64, ring + 1));
         let bumped = g.freshness_of(&next_day).unwrap() - before;
-        assert!((bumped - g.config.f_inc * g.config.neighbor_fraction).abs() < 1e-9);
+        assert!((bumped - StashConfig::F_INC * g.config.neighbor_fraction).abs() < 1e-9);
 
         // Removing it closes the bin again.
         g.remove_many(&[next_day]);

@@ -45,6 +45,10 @@ impl std::fmt::Display for BlockPlanError {
 
 impl std::error::Error for BlockPlanError {}
 
+/// Ceiling on blocks per fetch plan a cluster node uses: degenerate
+/// queries fail fast instead of grinding the node.
+pub const MAX_BLOCKS_PER_FETCH: usize = 20_000;
+
 /// Map missing Cells onto the blocks containing their observations.
 ///
 /// Returns `block → cells needing it`, sorted by block for deterministic

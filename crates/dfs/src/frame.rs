@@ -352,13 +352,9 @@ impl BlockFrame {
                 return Err(FlatError::Corrupt("row slot out of range"));
             }
         }
-        let block = BlockKey {
-            geohash: tile,
-            day: TimeBin {
-                res: TemporalRes::Day,
-                idx: buf[3] as i64,
-            },
-        };
+        let day = TimeBin::new(TemporalRes::Day, buf[3] as i64)
+            .ok_or(FlatError::Corrupt("block day outside i64 seconds"))?;
+        let block = BlockKey { geohash: tile, day };
         Ok(BlockFrame {
             block,
             n_rows,
@@ -808,7 +804,7 @@ struct CacheInner {
     map: FxHashMap<BlockKey, CacheEntry>,
 }
 
-/// A bytes-budgeted LRU of decoded frames, shared by a node's scan workers.
+/// A bytes-budgeted LRU of decoded frames, shared by a node's fetches.
 ///
 /// Sibling of `stash-elastic`'s entry-count `LruCache` (same stamp-based
 /// recency, same O(n) eviction scan — budgets are small enough that the
@@ -1217,6 +1213,13 @@ mod tests {
         let mut words = bytes_to_words(&bytes).unwrap();
         words[1] = (words[1] & !(0xFFu64 << 48)) | 2u64 << 48;
         assert!(BlockFrame::from_words(words).is_err());
+        // A block day whose start second overflows i64.
+        let mut words = bytes_to_words(&bytes).unwrap();
+        words[3] = (i64::MAX / 1000) as u64;
+        assert!(matches!(
+            BlockFrame::from_words(words),
+            Err(FlatError::Corrupt(_))
+        ));
     }
 
     #[test]

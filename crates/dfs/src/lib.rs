@@ -42,7 +42,7 @@ pub mod partitioner;
 pub mod rollup;
 pub mod store;
 
-pub use block::{plan_blocks, plan_reads, BlockKey, BlockPlanError};
+pub use block::{plan_blocks, plan_reads, BlockKey, BlockPlanError, MAX_BLOCKS_PER_FETCH};
 pub use disk::{DiskModel, DiskStats, LaneBill, Lanes};
 pub use frame::{
     frame_spatial_res, BlockFrame, FrameAggregation, FrameBuilder, FrameCache,

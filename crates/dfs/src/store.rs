@@ -4,15 +4,15 @@
 //! partitioner assigns to it. [`NodeStore::fetch_partials`] is the
 //! distributed-aggregation workhorse — it plans the blocks needed by a set
 //! of missing Cells, reads the ones the plan gives this node (charging the
-//! disk model), scans their observations in parallel, and returns per-Cell
-//! *partial* summaries. Partials from different nodes merge exactly thanks
-//! to the summary monoid, so the coordinator never re-reads anything.
+//! disk model), scans each on the calling thread between its reads, and
+//! returns per-Cell *partial* summaries. Partials from different nodes merge
+//! exactly thanks to the summary monoid, so the coordinator never re-reads
+//! anything.
 
 use crate::block::{plan_reads, BlockKey, BlockPlanError};
 use crate::disk::{DiskModel, DiskStats, Lanes};
 use crate::frame::{frame_spatial_res, BlockFrame, FrameCache, DEFAULT_FRAME_CACHE_BYTES};
 use crate::partitioner::Partitioner;
-use parking_lot::Mutex;
 use stash_geo::{BBox, Geohash, TimeRange};
 use stash_model::fx::FxHashMap;
 use stash_model::{CellKey, CellSummary, Observation, SketchSpec};
@@ -120,9 +120,6 @@ pub struct NodeStore {
     metrics: Arc<MetricsRegistry>,
     /// Sketch-valued Cell configuration; disabled keeps scans exact-only.
     sketches: SketchSpec,
-    /// The host's core count, read once: the standard library re-reads the
-    /// cgroup CPU quota on every `available_parallelism` call.
-    cores: usize,
 }
 
 /// Modeled cost ratio of aggregating a row from an already-decoded frame
@@ -172,7 +169,6 @@ impl NodeStore {
             frame_cache: FrameCache::new(DEFAULT_FRAME_CACHE_BYTES),
             metrics: Arc::new(MetricsRegistry::new()),
             sketches: SketchSpec::disabled(),
-            cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
         }
     }
 
@@ -292,65 +288,28 @@ impl NodeStore {
         }
 
         // One schedule, two virtual-time lanes ([`Lanes`], DESIGN.md §2b).
-        // This thread is the spindle: one disk per node, so blocks become
-        // ready one after another in plan order, and each is decided hit or
-        // read exactly once, here. The scan workers take blocks as they
-        // become ready — block i+1 is read while block i is aggregated, as
-        // read-ahead does on a real node. With a free disk every block is
-        // ready at once and this is a plain parallel scan. A lone block has
-        // nothing to overlap: this thread reads it, then scans it.
-        let n_workers = match mine.len() {
-            1 => 0,
-            n => self.cores.min(n),
-        };
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<(usize, Option<Arc<BlockFrame>>)>();
-        let ready_rx = Mutex::new(ready_rx);
-        let scan_ready = || {
-            let mut done = Vec::new();
-            loop {
-                let ready = ready_rx.lock().recv();
-                let Ok((i, cached)) = ready else { break };
-                let (bk, wanted) = &mine[i];
-                let scan = self.scan_frame(*bk, wanted, cached);
-                done.push((i, scan, Instant::now()));
-            }
-            done
-        };
+        // This thread is both spindle and scanner: one disk per node, so
+        // blocks become ready one after another in plan order, each decided
+        // hit or read exactly once, here, and scanned right after. The scan
+        // lane's charge only sleeps at the end, so the modeled aggregation of
+        // block i runs behind the read of block i+1, as read-ahead does on a
+        // real node. Rows aggregated from a cached frame skip the decode, so
+        // they cost a fraction of a cold row.
         let mut lanes = Lanes::begin();
-        let mut scans = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..n_workers).map(|_| s.spawn(scan_ready)).collect();
-            for (i, (bk, wanted)) in mine.iter().enumerate() {
-                let cached = self.lookup_frame(*bk, wanted);
-                if cached.is_none() {
-                    lanes.read(self.disk.read_cost(self.source.block_bytes(bk.geohash)));
-                }
-                ready_tx
-                    .send((i, cached))
-                    .expect("the receiver outlives the spindle lane");
+        let mut scans = Vec::with_capacity(mine.len());
+        for (bk, wanted) in &mine {
+            let cached = self.lookup_frame(*bk, wanted);
+            if cached.is_none() {
+                lanes.read(self.disk.read_cost(self.source.block_bytes(bk.geohash)));
             }
-            drop(ready_tx);
-            let mut scans = if workers.is_empty() {
-                scan_ready()
-            } else {
-                Vec::new()
-            };
-            for h in workers {
-                scans.extend(h.join().expect("scan worker panicked"));
-            }
-            scans
-        });
-        // Charge the modeled aggregation CPU (virtual time — see field
-        // docs) on the scan lane, in plan order. Rows aggregated from a
-        // cached frame skip the decode, so they cost a fraction of a cold
-        // row.
-        scans.sort_unstable_by_key(|(i, ..)| *i);
-        for (_, scan, finished) in &scans {
+            let scan = self.scan_frame(*bk, wanted, cached);
             let per_row = if scan.cache_hit {
                 self.scan_cost_per_obs / FRAME_AGG_COST_DIVISOR
             } else {
                 self.scan_cost_per_obs
             };
-            lanes.scan(*finished, per_row * scan.rows as u32);
+            lanes.scan(Instant::now(), per_row * scan.rows as u32);
+            scans.push(scan);
         }
         lanes.end().record(&self.metrics);
 
@@ -360,7 +319,7 @@ impl NodeStore {
         // paying ordered-map entry churn per key.
         let mut merged: FxHashMap<CellKey, CellSummary> = FxHashMap::default();
         let mut sketch_merges = 0u64;
-        for (_, scan, _) in scans {
+        for scan in scans {
             for (key, summary) in scan.cells {
                 match merged.entry(key) {
                     std::collections::hash_map::Entry::Vacant(v) => {
@@ -1132,6 +1091,67 @@ pub(crate) mod tests {
             reads,
             "every miss is a read"
         );
+    }
+
+    /// [`FixedSource`] that records the thread of every frame read.
+    #[derive(Default)]
+    struct ThreadRecordingSource {
+        readers: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl BlockSource for ThreadRecordingSource {
+        fn read_block(&self, key: BlockKey) -> Vec<Observation> {
+            FixedSource.read_block(key)
+        }
+        fn block_bytes(&self, geohash: Geohash) -> usize {
+            FixedSource.block_bytes(geohash)
+        }
+        fn n_attrs(&self) -> usize {
+            FixedSource.n_attrs()
+        }
+        fn read_frame(&self, key: BlockKey, spatial_res: u8) -> BlockFrame {
+            self.readers
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            FixedSource.read_frame(key, spatial_res)
+        }
+    }
+
+    #[test]
+    fn multi_block_fetch_reads_on_the_calling_thread() {
+        // The fetch's own thread is spindle and scanner: no block of a
+        // multi-block fetch is read anywhere else, whether every block is
+        // cold or some are already cached.
+        let (bbox, time) = domain();
+        let source = Arc::new(ThreadRecordingSource::default());
+        let s = NodeStore::new(
+            0,
+            Partitioner::new(1, 2),
+            3,
+            bbox,
+            time,
+            DiskModel::free(),
+            source.clone(),
+            10_000,
+        );
+        let cells = block_cells(8);
+        let me = std::thread::current().id();
+        // Cold: all eight blocks are read.
+        s.fetch_partials(&cells).unwrap();
+        assert_eq!(source.readers.lock().unwrap().len(), 8);
+        // Warm: the cached blocks are hits, the four dropped ones re-read.
+        for cell in &cells[..4] {
+            let block = BlockKey {
+                geohash: cell.geohash,
+                day: cell.time,
+            };
+            assert!(s.frame_cache().remove(&block) > 0);
+        }
+        s.fetch_partials(&cells).unwrap();
+        let readers = source.readers.lock().unwrap();
+        assert_eq!(readers.len(), 12);
+        assert!(readers.iter().all(|&t| t == me), "{readers:?}");
     }
 
     /// Appendable source for the append-path tests: each block starts with

@@ -8,7 +8,7 @@ use stash_cluster::protocol::cell_list_bytes;
 use stash_cluster::{ClusterConfig, GenBlockSource};
 use stash_data::NamGenerator;
 use stash_dfs::BlockSource;
-use stash_model::{AggQuery, Cell, CellKey, CellSummary, QueryResult};
+use stash_model::{AggQuery, Cell, CellKey, CellSummary, QueryResult, MAX_CELLS_PER_QUERY};
 use stash_net::{DelayQueue, Handover, NodeId, Parked, Router, RpcTable};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -141,7 +141,7 @@ impl EsNode {
                     query,
                 } => {
                     let partials = query
-                        .target_keys(self.config.stash.max_cells_per_query)
+                        .target_keys(MAX_CELLS_PER_QUERY)
                         .map_err(|e| e.to_string())
                         .and_then(|keys| self.shards.search(&query, &keys));
                     self.send(reply_to, EsMsg::ShardResponse { rpc, partials });
@@ -155,7 +155,7 @@ impl EsNode {
     /// merge per-cell partials.
     fn coordinate(&self, query: &AggQuery) -> Result<QueryResult, String> {
         let keys = query
-            .target_keys(self.config.stash.max_cells_per_query)
+            .target_keys(MAX_CELLS_PER_QUERY)
             .map_err(|e| e.to_string())?;
         if keys.is_empty() {
             return Ok(QueryResult::default());

@@ -3,7 +3,7 @@
 use crate::lru::LruCache;
 use parking_lot::Mutex;
 use stash_cluster::ClusterConfig;
-use stash_dfs::{plan_blocks, BlockKey, BlockSource, DiskStats, Lanes};
+use stash_dfs::{plan_blocks, BlockKey, BlockSource, DiskStats, Lanes, MAX_BLOCKS_PER_FETCH};
 use stash_model::{AggQuery, CellKey, CellSummary, Observation, SummaryStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,7 +131,7 @@ impl NodeShards {
             c.block_len,
             &c.data_bbox,
             &c.data_time,
-            c.stash.max_blocks_per_fetch,
+            MAX_BLOCKS_PER_FETCH,
         )
         .map_err(|e| e.to_string())?;
         let mine: Vec<(BlockKey, Vec<CellKey>)> = plan

@@ -176,6 +176,15 @@ pub struct TimeBin {
 }
 
 impl TimeBin {
+    /// The bin `idx` at `res`, or `None` when its start or end second lies
+    /// outside `i64` — the checked constructor for indexes read off the
+    /// wire, so [`TimeBin::start`] and [`TimeBin::end`] can never overflow.
+    pub fn new(res: TemporalRes, idx: i64) -> Option<TimeBin> {
+        let first = TimeBin::containing(res, i64::MIN).idx;
+        let last = TimeBin::containing(res, i64::MAX).idx;
+        (first < idx && idx < last).then_some(TimeBin { res, idx })
+    }
+
     /// The bin at resolution `res` containing epoch second `t`.
     pub fn containing(res: TemporalRes, t: i64) -> TimeBin {
         let days = t.div_euclid(86_400);
@@ -474,6 +483,24 @@ mod tests {
         let day = TimeBin::containing(TemporalRes::Day, epoch_seconds(2015, 2, 2, 0, 0, 0));
         assert_eq!(day.coarsened(TemporalRes::Day), Some(day));
         assert_eq!(day.coarsened(TemporalRes::Hour), None);
+    }
+
+    #[test]
+    fn checked_bins_start_and_end_inside_i64() {
+        for res in TemporalRes::ALL {
+            let first = TimeBin::containing(res, i64::MIN).idx;
+            let last = TimeBin::containing(res, i64::MAX).idx;
+            for idx in [first + 1, -1, 0, 1, last - 1] {
+                let bin = TimeBin::new(res, idx).expect("a bin that fits");
+                assert!(bin.start() < bin.end(), "{res:?} {idx}");
+            }
+            for idx in [i64::MIN, first, last, i64::MAX] {
+                assert_eq!(TimeBin::new(res, idx), None, "{res:?} {idx}");
+            }
+        }
+        assert_eq!(TimeBin::new(TemporalRes::Hour, i64::MAX / 1000), None);
+        let last_hour = TimeBin::new(TemporalRes::Hour, i64::MAX / 3600 - 1).unwrap();
+        assert_eq!(last_hour.end(), i64::MAX / 3600 * 3600);
     }
 
     #[test]

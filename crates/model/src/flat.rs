@@ -52,8 +52,8 @@ pub fn encode_key(w: &mut WordWriter, key: &CellKey) {
     w.push_i64(key.time.idx);
 }
 
-/// Decode a key's flat form, validating geohash length/bits and the
-/// temporal resolution index.
+/// Decode a key's flat form, validating geohash length/bits, the temporal
+/// resolution index and the bin index ([`TimeBin::new`]).
 pub fn decode_key(r: &mut WordReader) -> Result<CellKey, FlatError> {
     let packed = r.u64()?;
     let res = r.u64()?;
@@ -66,7 +66,8 @@ pub fn decode_key(r: &mut WordReader) -> Result<CellKey, FlatError> {
         .ok_or(FlatError::Corrupt(
             "invalid temporal resolution in cell key",
         ))?;
-    Ok(CellKey::new(geohash, TimeBin { res, idx }))
+    let time = TimeBin::new(res, idx).ok_or(FlatError::Corrupt("time bin outside i64 seconds"))?;
+    Ok(CellKey::new(geohash, time))
 }
 
 /// Words of one flat-encoded [`CellStats`]: a header word, five words per
@@ -306,6 +307,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_key_whose_bin_overflows_i64_seconds_is_refused() {
+        let decode = |idx: i64| {
+            let key = sample_key("9x", TemporalRes::Hour, idx);
+            let mut w = WordWriter::new();
+            encode_key(&mut w, &key);
+            decode_key(&mut WordReader::new(&w.into_words()))
+        };
+        assert!(matches!(
+            decode(i64::MAX / 1000),
+            Err(FlatError::Corrupt(_))
+        ));
+        let last = i64::MAX / 3600 - 1;
+        assert_eq!(decode(last).unwrap().time.idx, last);
     }
 
     #[test]

@@ -180,10 +180,8 @@ fn key_from_json(v: &Value) -> Result<CellKey> {
         Geohash::from_bits(field(v, "bits", uint)?, field(v, "len", uint)?).map_err(invalid)
     })?;
     let time = field(v, "time", |v| {
-        Ok(TimeBin {
-            res: field(v, "res", res_from_json)?,
-            idx: field(v, "idx", int)?,
-        })
+        let (res, idx) = (field(v, "res", res_from_json)?, field(v, "idx", int)?);
+        TimeBin::new(res, idx).ok_or_else(|| Error(format!("time bin {idx} outside i64 seconds")))
     })?;
     Ok(CellKey::new(geohash, time))
 }

@@ -39,7 +39,7 @@ pub use flat::FlatPartials;
 pub use key::CellKey;
 pub use level::{Level, MAX_SPATIAL_RES};
 pub use observation::Observation;
-pub use query::{AggFunc, AggQuery, QueryError, QueryResult};
+pub use query::{AggFunc, AggQuery, QueryError, QueryResult, MAX_CELLS_PER_QUERY};
 pub use stash_sketch::{
     AttrSketches, DistinctEstimate, DistinctSketch, FoldCtx, HeavyHitters, MergeError,
     PreparedValue, QuantileEstimate, SketchSpec, TopKEntry, TopKResult, UddSketch,

@@ -11,7 +11,7 @@ use crate::cell::Cell;
 use crate::key::CellKey;
 use crate::level::{Level, LevelError, MAX_SPATIAL_RES};
 use crate::stats::SummaryStats;
-use stash_geo::cover::{cover_bbox_bounded, cover_len, CoverError};
+use stash_geo::cover::{cover_bbox, cover_len, CoverError};
 use stash_geo::{BBox, TemporalRes, TimeBin, TimeRange};
 
 /// Aggregate functions a front-end can request per attribute.
@@ -88,6 +88,10 @@ impl From<CoverError> for QueryError {
     }
 }
 
+/// Ceiling on target Cells per query ([`AggQuery::target_keys`]); protects
+/// the planner from degenerate resolution/extent combinations.
+pub const MAX_CELLS_PER_QUERY: usize = 200_000;
+
 impl AggQuery {
     pub fn new(bbox: BBox, time: TimeRange, spatial_res: u8, temporal_res: TemporalRes) -> Self {
         AggQuery {
@@ -104,16 +108,20 @@ impl AggQuery {
     }
 
     /// Enumerate the keys of every Cell this query needs, bounded by
-    /// `max_cells` to protect the planner from degenerate requests.
+    /// `max_cells` to protect the planner from degenerate requests: the
+    /// count is checked before anything is allocated.
     pub fn target_keys(&self, max_cells: usize) -> Result<Vec<CellKey>, QueryError> {
         self.level()?;
-        let bins = TimeBin::cover_range(self.temporal_res, self.time);
-        if bins.is_empty() {
+        let n = self.target_cell_count();
+        if n > max_cells {
+            return Err(CoverError::TooManyCells(n).into());
+        }
+        if n == 0 {
             return Ok(Vec::new());
         }
-        let per_bin_budget = max_cells / bins.len().max(1);
-        let hashes = cover_bbox_bounded(&self.bbox, self.spatial_res, per_bin_budget.max(1))?;
-        let mut keys = Vec::with_capacity(hashes.len() * bins.len());
+        let bins = TimeBin::cover_range(self.temporal_res, self.time);
+        let hashes = cover_bbox(&self.bbox, self.spatial_res);
+        let mut keys = Vec::with_capacity(n);
         for bin in &bins {
             for gh in &hashes {
                 keys.push(CellKey::new(*gh, *bin));
@@ -125,7 +133,7 @@ impl AggQuery {
     /// Number of target cells without materializing them.
     pub fn target_cell_count(&self) -> usize {
         cover_len(&self.bbox, self.spatial_res.min(MAX_SPATIAL_RES))
-            * TimeBin::cover_range_len(self.temporal_res, self.time)
+            .saturating_mul(TimeBin::cover_range_len(self.temporal_res, self.time))
     }
 
     /// One step coarser spatially — the paper's *roll-up*.
@@ -313,6 +321,31 @@ mod tests {
             Err(QueryError::Cover(CoverError::TooManyCells(_))) => {}
             other => panic!("expected budget error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn target_keys_budget_is_checked_before_allocating() {
+        // ~1.1 × 10^15 hour bins: a cover built first would abort.
+        let mut eons = day_query((0.2, 0.5), 1);
+        eons.temporal_res = TemporalRes::Hour;
+        eons.time = TimeRange::new(0, 4_000_000_000_000_000_000).unwrap();
+        assert!(matches!(
+            eons.target_keys(200_000),
+            Err(QueryError::Cover(CoverError::TooManyCells(n))) if n > 1_000_000_000_000_000
+        ));
+        // More bins than budget over a one-cell box: the keys outnumber it.
+        let mut days = day_query((0.2, 0.5), 1);
+        days.time = TimeRange::new(
+            epoch_seconds(2015, 1, 1, 0, 0, 0),
+            epoch_seconds(2015, 1, 11, 0, 0, 0),
+        )
+        .unwrap();
+        assert_eq!(days.target_cell_count(), 10);
+        assert_eq!(
+            days.target_keys(9),
+            Err(QueryError::Cover(CoverError::TooManyCells(10)))
+        );
+        assert_eq!(days.target_keys(10).unwrap().len(), 10);
     }
 
     #[test]

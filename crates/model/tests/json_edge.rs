@@ -484,6 +484,26 @@ fn invalid_edge_values_are_refused() {
     }
 }
 
+#[test]
+fn a_key_whose_bin_overflows_i64_seconds_is_refused() {
+    let doc = |idx: i64| {
+        let key = CellKey::new(
+            Geohash::from_str("9x").unwrap(),
+            TimeBin {
+                res: TemporalRes::Hour,
+                idx,
+            },
+        );
+        compact(&of_cells(vec![Cell::empty(key, 1)]).to_json())
+    };
+    assert!(decode_result(&doc(i64::MAX / 1000)).is_err());
+    let last = i64::MAX / 3600 - 1;
+    assert_eq!(
+        decode_result(&doc(last)).unwrap().cells[0].key.time.idx,
+        last
+    );
+}
+
 /// Decode `text` as a result, and if it decodes, use what it holds.
 fn decode_and_use(text: &str) {
     if let Ok(r) = decode_result(text) {

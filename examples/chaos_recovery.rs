@@ -49,7 +49,7 @@ fn main() {
     // Every node derives placement from the same pure partitioner, so the
     // front-end can name the owner without asking anyone.
     let keys = query.target_keys(200_000).expect("valid query");
-    let partitioner = Partitioner::new(config.n_nodes, config.partition_prefix_len);
+    let partitioner = Partitioner::new(config.n_nodes, ClusterConfig::PARTITION_PREFIX_LEN);
     let owner = partitioner.owner_of_cell(&keys[0]);
 
     let mut cluster = SimCluster::new(config);
