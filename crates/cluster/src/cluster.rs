@@ -18,8 +18,9 @@ use stash_geo::{BBox, Geohash, TimeBin, TimeRange};
 use stash_model::{CellKey, MAX_CELLS_PER_QUERY};
 use stash_net::{NetConfig, NodeId, Parked, Router};
 use stash_obs::MetricsRegistry;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Which system the cluster runs — the paper's two comparison points.
@@ -184,8 +185,8 @@ pub struct SimCluster {
     /// block source it models durable replicated state: node crash/restart
     /// does not lose rollup Cells or regress the watermark.
     rollup: Option<Arc<RollupStore>>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    shut: AtomicBool,
+    /// Each node's worker threads, by node index.
+    threads: Vec<Vec<JoinHandle<()>>>,
 }
 
 /// What one [`SimCluster::apply_retention`] pass did (DESIGN.md §17).
@@ -203,7 +204,7 @@ pub struct RetentionReport {
     pub blocks_eligible_kept: usize,
 }
 
-/// Build one node's store, context, and threads (main + tiered workers).
+/// Build one node's store, context, and threads (its two worker tiers).
 /// Shared by boot and by [`SimCluster::restart_node`] — a restarted node
 /// goes through exactly this path, so it comes back with an *empty* STASH
 /// graph and must recover via PLM-driven recomputation from DFS.
@@ -213,10 +214,9 @@ fn spawn_node(
     partitioner: &Partitioner,
     source: &Arc<dyn BlockSource>,
     rollup: &Option<Arc<RollupStore>>,
-    ep: stash_net::Endpoint<Msg>,
-    threads: &mut Vec<std::thread::JoinHandle<()>>,
-) -> Arc<NodeCtx> {
-    let node_idx = ep.id.0;
+    id: NodeId,
+) -> (Arc<NodeCtx>, Vec<JoinHandle<()>>) {
+    let node_idx = id.0;
     let store = NodeStore::new(
         node_idx,
         partitioner.clone(),
@@ -230,8 +230,8 @@ fn spawn_node(
     .with_scan_cost(config.scan_cost_per_obs);
     let clock = Arc::new(LogicalClock::new());
     let tiers = WorkTiers {
-        service: router.delay_queue(ep.id),
-        fetch: router.delay_queue(ep.id),
+        service: router.delay_queue(id),
+        fetch: router.delay_queue(id),
     };
     let ctx = Arc::new(NodeCtx::new(
         node_idx,
@@ -240,52 +240,43 @@ fn spawn_node(
         store,
         rollup.clone(),
         clock,
-        tiers.clone(),
+        tiers,
     ));
     // From here on the fabric hands this node's messages to its port, on
-    // the sender's thread; only what falls through reaches the inbox.
+    // the sender's thread.
     let port_ctx = Arc::clone(&ctx);
     router.install_port(
-        ep.id,
+        id,
         Arc::new(move |parked: Parked<Msg>| port_ctx.accept(parked)),
     );
-    // Main thread.
-    let main_ctx = Arc::clone(&ctx);
-    threads.push(
-        std::thread::Builder::new()
-            .name(format!("stash-node-{node_idx}"))
-            .spawn(move || main_ctx.run_main(ep.inbox))
-            .expect("spawn node main"),
-    );
-    // Tiered workers.
     let tiers = [
-        ("service", config.service_workers, tiers.service),
-        ("fetch", config.fetch_workers, tiers.fetch),
+        ("service", config.service_workers, false),
+        ("fetch", config.fetch_workers, true),
     ];
-    for (tier_name, count, queue) in tiers {
+    let mut threads = Vec::new();
+    for (tier_name, count, fetch_tier) in tiers {
         for w in 0..count {
             let worker_ctx = Arc::clone(&ctx);
-            let rx = queue.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("stash-{tier_name}-{node_idx}-{w}"))
-                    .spawn(move || worker_ctx.run_worker(rx))
+                    .spawn(move || worker_ctx.run_worker(fetch_tier))
                     .expect("spawn node worker"),
             );
         }
     }
-    ctx
+    (ctx, threads)
 }
 
 impl SimCluster {
-    /// Boot a cluster: spawns `n_nodes × (1 + service + fetch workers)`
-    /// threads — mains and workers. The fabric and the gateway
+    /// Boot a cluster: spawns `n_nodes × (service + fetch workers)`
+    /// threads, each node's two worker tiers. The fabric and the gateway
     /// have none: every message waits out its wire time on the thread that
     /// consumes it.
     pub fn new(config: ClusterConfig) -> Self {
-        // Backstop for configs assembled by struct literal during the
-        // builder deprecation window; builder-built configs already passed
-        // this check and cannot fail here.
+        // Backstop for configs assembled as struct literals or edited field
+        // by field after `build()`; a config fresh from the builder already
+        // passed this check and cannot fail here.
         if let Err(e) = config.check() {
             panic!("invalid cluster config: {e}");
         }
@@ -349,19 +340,12 @@ impl SimCluster {
             None
         };
 
-        let mut nodes = Vec::with_capacity(config.n_nodes);
-        let mut threads = Vec::new();
-        for ep in endpoints {
-            nodes.push(spawn_node(
-                &config,
-                &router,
-                &partitioner,
-                &source,
-                &rollup,
-                ep,
-                &mut threads,
-            ));
-        }
+        // Nothing reaches a node through its inbox: dropping the endpoints
+        // closes them.
+        let (nodes, threads) = endpoints
+            .into_iter()
+            .map(|ep| spawn_node(&config, &router, &partitioner, &source, &rollup, ep.id))
+            .unzip();
 
         SimCluster {
             config,
@@ -373,12 +357,11 @@ impl SimCluster {
             live,
             rollup,
             threads,
-            shut: AtomicBool::new(false),
         }
     }
 
-    /// Crash a node: the fabric severs its inbox (in-flight deliveries are
-    /// dropped, future sends are refused) and its threads wind down. The
+    /// Crash a node: the fabric closes its queues (in-flight deliveries are
+    /// dropped, future sends are refused) and its workers wind down. The
     /// data it cached dies with it; its DFS blocks remain readable through
     /// the replica chain, so queries keep answering exactly.
     pub fn crash_node(&self, idx: usize) {
@@ -386,25 +369,31 @@ impl SimCluster {
         self.router.crash_node(NodeId(idx));
     }
 
-    /// Restart a crashed node: a fresh endpoint is wired into the fabric
-    /// and a brand-new node context spawned — empty STASH graph, empty
-    /// guest graph, zeroed counters. Recovery is PLM-driven: the first
-    /// queries that land on it recompute their Cells from DFS.
+    /// Restart a crashed node: a brand-new node context — empty STASH
+    /// graph, empty guest graph, zeroed counters — is wired to the fabric
+    /// while the node still refuses sends, and only then restarted, so
+    /// every message sent to it from then on reaches its port. The crashed
+    /// incarnation's workers are joined first: their queues are closed and
+    /// their sends refused, so each ends with what it was doing. Recovery
+    /// is PLM-driven: the first queries that land on the new node recompute
+    /// their Cells from DFS.
     pub fn restart_node(&mut self, idx: usize) {
         assert!(idx < self.nodes.len(), "node index out of range");
-        let ep = self.router.restart_node(NodeId(idx));
-        let ctx = spawn_node(
+        assert!(self.is_crashed(idx), "restart of live node {idx}");
+        for t in self.threads[idx].drain(..) {
+            t.join().expect("a worker of the crashed node panicked");
+        }
+        let (ctx, threads) = spawn_node(
             &self.config,
             &self.router,
             &self.partitioner,
             &self.source,
             &self.rollup,
-            ep,
-            &mut self.threads,
+            NodeId(idx),
         );
-        // The old context's threads already exited (crash poisons them);
-        // their JoinHandles stay in `threads` and join instantly at drop.
+        self.router.restart_node(NodeId(idx));
         self.nodes[idx] = ctx;
+        self.threads[idx] = threads;
     }
 
     /// Is this node currently crashed?
@@ -597,36 +586,21 @@ impl SimCluster {
         }
     }
 
-    /// Orderly teardown; also runs on drop.
+    /// Stop the deployment; also runs on drop. The fabric refuses later
+    /// sends and closes every tier queue, so each worker ends with what it
+    /// was doing and exits. Idempotent.
     pub fn shutdown(&self) {
-        if self.shut.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Teardown is harness machinery, not protocol traffic: a fault plan
-        // that dropped a Shutdown message would leave that node's receive
-        // loop blocked forever and deadlock Drop's join.
-        self.router.clear_faults();
-        self.router.heal_partition();
-        for n in &self.nodes {
-            self.router
-                .send(self.gateway.id, NodeId(n.node_idx), Msg::Shutdown, 16);
-        }
+        self.router.shutdown();
     }
 }
 
 impl Drop for SimCluster {
     fn drop(&mut self) {
         self.shutdown();
-        // Give threads a moment to drain the shutdown messages, then stop
-        // the fabric; threads blocked on closed channels exit.
-        for t in self.threads.drain(..) {
-            // Shutdown messages wait out their wire time in each inbox;
-            // joining bounds teardown at a few wire latencies.
-            if t.join().is_err() {
-                // A panicked node thread shouldn't abort teardown.
-            }
+        for t in self.threads.drain(..).flatten() {
+            // A panicked node thread shouldn't abort teardown.
+            let _ = t.join();
         }
-        self.router.shutdown();
     }
 }
 
@@ -830,6 +804,55 @@ mod tests {
         let (_, warm) = client.query(&q).traced().run().expect("warm traced query");
         assert!(warm.agg.plm_ns > 0, "warm query must charge plm lookups");
         cluster.shutdown();
+    }
+
+    /// Worker threads the cluster holds, across every node.
+    fn held_threads(cluster: &SimCluster) -> usize {
+        cluster.threads.iter().map(Vec::len).sum()
+    }
+
+    /// A node's threads are its two worker tiers: a default deployment holds
+    /// 8 × (3 + 2), as many as the ES-like baseline booted from the same
+    /// config, and a crash/restart cycle replaces the crashed node's
+    /// workers instead of adding to them.
+    #[test]
+    fn a_node_holds_its_two_worker_tiers_and_nothing_else() {
+        let config = ClusterConfig::default();
+        let per_node = config.service_workers + config.fetch_workers;
+        assert_eq!(held_threads(&SimCluster::new(config)), 8 * per_node);
+        assert_eq!(8 * per_node, 40);
+
+        let config = small_config(Mode::Stash);
+        let per_node = config.service_workers + config.fetch_workers;
+        let mut cluster = SimCluster::new(config);
+        assert_eq!(held_threads(&cluster), 4 * per_node);
+        let client = cluster.client();
+        let want = client.query(&county_query()).run().unwrap();
+        cluster.crash_node(1);
+        cluster.restart_node(1);
+        assert_eq!(held_threads(&cluster), 4 * per_node);
+        let again = client.query(&county_query()).run().unwrap();
+        assert_eq!(again.total_count(), want.total_count());
+    }
+
+    /// Teardown needs no message: dropping a cluster whose wire loses
+    /// everything, with a partition still installed, joins every worker
+    /// at once.
+    #[test]
+    fn a_cluster_behind_a_dead_wire_drops_within_a_second() {
+        let cluster = SimCluster::new(small_config(Mode::Stash));
+        cluster.client().query(&county_query()).run().unwrap();
+        cluster
+            .router()
+            .install_faults(stash_net::FaultPlan::new(7).drop_all(1.0));
+        cluster.router().set_partition(&[vec![0, 1], vec![2, 3]]);
+        let (dropped, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(cluster);
+            dropped.send(()).expect("the test waits");
+        });
+        let joined = joined.recv_timeout(Duration::from_secs(1));
+        assert!(joined.is_ok(), "teardown took over a second");
     }
 
     #[test]

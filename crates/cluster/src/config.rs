@@ -14,9 +14,10 @@
 //! violated invariant class. [`RollupPolicy`] has private fields, so a
 //! rollup configuration can *only* enter through its validated
 //! constructors — there is no way to hand the cluster an unchecked policy.
-//! Plain struct literals over `Default` keep compiling (a deprecation
-//! window, not a break); `SimCluster::new` re-runs the same `check()` as a
-//! backstop so an unvalidated literal still fails loudly.
+//! The fields stay public, so a config can still be written as a struct
+//! literal over `Default`, or edited after `build()`; `SimCluster::new`
+//! re-runs the same `check()` as the backstop for those, so an unvalidated
+//! config still fails loudly.
 
 use crate::cluster::{ClusterConfig, Mode};
 use stash_data::{GeneratorConfig, NamGenerator};
@@ -185,7 +186,7 @@ impl ClusterConfig {
 
     /// Check every construction invariant, returning the first violation.
     /// [`crate::SimCluster::new`] runs this as a backstop, so configurations
-    /// assembled by struct literal (the deprecation window) are still
+    /// assembled by struct literal, or edited after `build()`, are still
     /// rejected — just with a panic instead of a `Result`.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.n_nodes == 0 {
@@ -298,29 +299,6 @@ macro_rules! setter {
 }
 
 impl ClusterConfigBuilder {
-    /// The paper's deployment shape (§VIII-A) scaled to a workstation:
-    /// more nodes and workers than the laptop default, full replication.
-    pub fn paper_scale() -> Self {
-        ClusterConfig::builder()
-            .n_nodes(16)
-            .service_workers(3)
-            .fetch_workers(2)
-    }
-
-    /// A minimal fast-boot shape for smoke tests and examples: few nodes,
-    /// free disk, low fabric latency.
-    pub fn smoke() -> Self {
-        ClusterConfig::builder()
-            .n_nodes(4)
-            .service_workers(2)
-            .fetch_workers(2)
-            .disk(DiskModel::free())
-            .net(NetConfig {
-                base_latency: Duration::from_micros(20),
-                ..NetConfig::default()
-            })
-    }
-
     setter!(n_nodes: usize);
     setter!(service_workers: usize);
     setter!(fetch_workers: usize);
@@ -380,10 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn default_and_presets_build_clean() {
+    fn default_checks_clean() {
         assert_eq!(ClusterConfig::default().check(), Ok(()));
-        ClusterConfigBuilder::paper_scale().build().unwrap();
-        ClusterConfigBuilder::smoke().build().unwrap();
     }
 
     #[test]

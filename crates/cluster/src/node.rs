@@ -6,20 +6,20 @@
 //! * The node's **port** ([`NodeCtx::accept`]) is handed every message at
 //!   send time, on the *sender's* thread, and only places it where its
 //!   consumer will wait out the wire time: a reply completes its RPC slot
-//!   with its due time, work is parked on its tier's delay queue. It never
-//!   blocks and never sends.
-//! * The **main thread** drains the fabric inbox — whatever the port let
-//!   fall through because it must run at its due time on a thread that
-//!   never blocks: control messages (Invalidate, Distress) are answered
-//!   inline, a hotspotted node's reroute decision for a received SubQuery
-//!   is taken here. Because main threads always drain, a worker blocked on
-//!   an Invalidate or Distress round is always eventually answered.
-//! * **Workers** (the paper's 8-core nodes, scaled down) take work off
-//!   their tier's queue as it comes due. Service workers answer SubQueries
-//!   (and replication and appends) and may block on FetchPartials to other
-//!   nodes; fetch workers scan blocks and never block on a peer. Nothing
-//!   here plans a viewport or merges shares: the front end does
-//!   ([`crate::client`]).
+//!   with its due time, everything else is parked on a worker tier's delay
+//!   queue. It never blocks and never sends. Nothing drains the node's
+//!   inbox: a node's threads are its two worker tiers.
+//! * **Workers** (the paper's 8-core nodes, scaled down) take messages off
+//!   their tier's queue as they come due. Service workers answer SubQueries
+//!   (and replication and appends) and may block on FetchPartials and
+//!   Invalidate rounds to other nodes; fetch workers scan blocks and never
+//!   block on a peer. So the fetch tier also takes what must be answered
+//!   however busy the service tier is: control (Invalidate, Distress) is
+//!   answered there, and a hotspotted node's reroute decision for received
+//!   work is taken there. Because fetch workers never wait on a peer, a
+//!   worker blocked on an Invalidate or Distress round is always eventually
+//!   answered. Nothing here plans a viewport or merges shares: the front
+//!   end does ([`crate::client`]).
 //! * A service worker **answers first**: it sends a share's
 //!   `SubQueryResponse` as soon as the evaluation is done, then — still
 //!   holding the graph's upkeep baton it took before sending — runs the
@@ -34,7 +34,8 @@
 //! The pending-work counter doubles as the paper's hotspot signal: "a node
 //! deems itself to be hotspotted when the number of pending requests in its
 //! message queue crosses a configured threshold" (§VII-B1). It counts every
-//! request queued or running here; all of it is data-service work.
+//! request queued or running here, from the port that takes it to the
+//! worker that answers or sheds it; control never counts.
 
 use crate::caller::{Call, Caller};
 use crate::cluster::{ClusterConfig, Mode};
@@ -57,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shared state of one node, used by its main thread, workers, and handoff
+/// Shared state of one node, used by its port, workers, and handoff
 /// thread.
 pub struct NodeCtx {
     pub node_idx: usize,
@@ -80,8 +81,8 @@ pub struct NodeCtx {
     pub(crate) caller: Caller,
     /// Named counters/gauges/histograms for this node (DESIGN.md §11).
     pub obs: Arc<MetricsRegistry>,
-    /// The hotspot signal: requests dispatched to workers and not yet
-    /// finished, both tiers — SubQueries, fetches, replication, appends.
+    /// The hotspot signal: requests taken by the port and not yet answered
+    /// or shed, both tiers — SubQueries, fetches, replication, appends.
     pending: AtomicUsize,
     /// Level of the most recent share served here — where a hotspot's
     /// Cliques live.
@@ -117,7 +118,6 @@ pub struct NodeCtx {
 
 /// The two per-node worker tiers (see module docs): each a delay queue of
 /// the node's, pushed to by its port and consumed by the tier's workers.
-#[derive(Clone)]
 pub struct WorkTiers {
     pub service: DelayQueue<Msg>,
     pub fetch: DelayQueue<Msg>,
@@ -200,88 +200,79 @@ impl NodeCtx {
     }
 
     // =======================================================================
-    // Port (the sender's thread) and main thread
+    // Port (the sender's thread) and workers
     // =======================================================================
 
     /// This node's port (see [`stash_net::Port`]): place one message, at
-    /// send time, where its consumer will wait for its due time. Replies go
-    /// to their slot, work to its tier; control that answers by sending
-    /// falls through to the inbox so the main thread handles it once due —
-    /// and so does all work that finds the node hotspotted or makes it so:
-    /// shedding it (a reroute) and relieving the node (a Clique Handoff)
-    /// both send, which a port may not.
-    pub fn accept(&self, parked: Parked<Msg>) -> Handover<Msg> {
-        if let Some(rpc) = parked.env.payload.reply_id() {
+    /// send time, where its consumer will wait for its due time. A reply
+    /// completes its slot. Work is counted here — the one place the hotspot
+    /// signal rises — and parked on the tier that serves it, unless it finds
+    /// the node over its threshold or makes it so: then it goes to the fetch
+    /// tier, like control that answers by sending (Invalidate, Distress),
+    /// because shedding it (a reroute) and relieving the node (a Clique
+    /// Handoff) both send, which a port may not, and fetch workers never
+    /// wait on a peer.
+    pub fn accept(&self, parked: Parked<Msg>) -> Handover {
+        let payload = &parked.env.payload;
+        if let Some(rpc) = payload.reply_id() {
             self.caller.complete(rpc, parked);
             return Handover::Taken;
         }
-        match &parked.env.payload {
-            Msg::SubQuery { .. }
-            | Msg::FetchPartials { .. }
-            | Msg::AppendBatch { .. }
-            | Msg::ReplicationRequest { .. } => {
-                // Counted with this message queued.
-                let queued = self.pending.load(Ordering::Relaxed) + 1;
-                if queued > self.config.stash.hotspot_threshold {
-                    return Handover::Inbox(parked);
-                }
-                self.enqueue(parked);
-                Handover::Queued
-            }
-            _ => Handover::Inbox(parked),
-        }
+        let control = matches!(payload, Msg::Invalidate { .. } | Msg::Distress { .. });
+        // Counted with this message queued.
+        let hot = !control
+            && self.pending.fetch_add(1, Ordering::Relaxed) + 1
+                > self.config.stash.hotspot_threshold;
+        let queue = if control || hot || matches!(payload, Msg::FetchPartials { .. }) {
+            &self.tiers.fetch
+        } else {
+            &self.tiers.service
+        };
+        // Queues only close at crash or shutdown; the message is dropped
+        // (and counted) then.
+        queue.push(parked);
+        Handover::Queued
     }
 
-    /// Drain the fabric inbox until shutdown — or until the fabric severs
-    /// the inbox (node crash): either way the workers are poisoned so the
-    /// whole node winds down instead of leaving threads parked forever.
-    pub fn run_main(self: &Arc<Self>, inbox: stash_net::Inbox<Msg>) {
-        while let Ok(env) = inbox.recv() {
-            if matches!(env.payload, Msg::Shutdown) {
-                break;
-            }
-            self.handle_fast(env);
-        }
-        // On a crash recv() erred: the router severed this node's inbox
-        // (and closed its tier queues, so the poison below is moot).
-        // Workers must die too — a crashed node answers nothing.
-        self.poison_workers();
-    }
-
-    /// Send every worker in every tier a poison pill.
-    fn poison_workers(&self) {
-        let poisons = [
-            (&self.tiers.service, self.config.service_workers),
-            (&self.tiers.fetch, self.config.fetch_workers),
-        ];
-        for (queue, n) in poisons {
-            for _ in 0..n {
-                queue.push(Parked::local(Envelope::local(
-                    self.caller.id,
-                    Msg::Shutdown,
-                )));
+    /// Worker loop of the fetch tier (`fetch_tier`) or the service tier:
+    /// take messages off the tier's queue as they come due, until the queue
+    /// closes (crash or shutdown). Work stops counting toward the hotspot
+    /// here, once it has left the node — answered or shed.
+    pub fn run_worker(self: &Arc<Self>, fetch_tier: bool) {
+        let work = if fetch_tier {
+            &self.tiers.fetch
+        } else {
+            &self.tiers.service
+        };
+        while let Ok(env) = work.recv() {
+            self.caller.record_late(env.late);
+            if self.process(env, fetch_tier) {
+                self.pending.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// What fell through the port, at its due time, on the thread that
-    /// never blocks. (What is relayed to a tier keeps its stamps; the worker
-    /// that takes it records its lateness.)
-    fn handle_fast(self: &Arc<Self>, env: Envelope<Msg>) {
-        let late = env.late;
+    /// Serve one message a worker of the fetch tier (`fetch_tier`) or the
+    /// service tier took. Returns whether it was work that has now left the
+    /// node.
+    fn process(self: &Arc<Self>, env: Envelope<Msg>, fetch_tier: bool) -> bool {
+        // Request-leg wire time of the envelope that carried this work in;
+        // it rides out on the reply's trace so the asker's aggregate sees
+        // both legs.
+        let wire_ns = env.wire.as_nanos() as u64;
         match env.payload {
-            // Ingest invalidation: answered inline on the main thread, so
-            // an applier's ack-wait doubles as a processing barrier — once
-            // every peer acked, no cache anywhere still serves the
-            // pre-append summary as fresh (DESIGN.md §13). Fence first:
-            // an evaluation that caches a cell between our stale-marks and
-            // its own final fence check must still see the bump.
+            // Ingest invalidation: answered on the tier that never waits on
+            // a peer, so an applier's ack-wait doubles as a processing
+            // barrier — once every peer acked, no cache anywhere still
+            // serves the pre-append summary as fresh (DESIGN.md §13). Fence
+            // first: an evaluation that caches a cell between our
+            // stale-marks and its own final fence check must still see the
+            // bump.
             Msg::Invalidate {
                 rpc,
                 reply_to,
                 keys,
             } => {
-                self.caller.record_late(late);
                 self.fence.invalidate(Arc::clone(&keys));
                 let marked =
                     self.graph.mark_stale_covering(&keys) + self.guest.mark_stale_covering(&keys);
@@ -290,15 +281,14 @@ impl NodeCtx {
                     .counter("ingest.cells_invalidated")
                     .add(marked as u64);
                 let _ = self.caller.send(reply_to, Msg::InvalidateAck { rpc });
+                return false;
             }
-            // Control plane: answer inline (§VII-B3). A hotspotted or full
-            // helper declines.
+            // Control plane (§VII-B3): a hotspotted or full helper declines.
             Msg::Distress {
                 rpc,
                 reply_to,
                 n_cells,
             } => {
-                self.caller.record_late(late);
                 let accept = !self.is_hotspotted()
                     && self
                         .guestbook
@@ -310,83 +300,15 @@ impl NodeCtx {
                     "handoff.distress.decline"
                 });
                 let _ = self.caller.send(reply_to, Msg::DistressAck { rpc, accept });
+                return false;
             }
-            // Rerouting decision happens *before* queueing (§VII-C): a
-            // hotspotted node sheds covered subqueries to their helper,
-            // which answers the sender directly.
-            Msg::SubQuery {
-                rpc,
-                reply_to,
-                keys,
-                allow_reroute,
-                via_guest,
-            } => {
-                if allow_reroute && !via_guest && self.shed(rpc, reply_to, &keys) {
-                    return;
-                }
-                self.dispatch(Envelope {
-                    payload: Msg::SubQuery {
-                        rpc,
-                        reply_to,
-                        keys,
-                        allow_reroute,
-                        via_guest,
-                    },
-                    ..env
-                });
+            payload @ (Msg::SubQuery { .. }
+            | Msg::AppendBatch { .. }
+            | Msg::ReplicationRequest { .. })
+                if fetch_tier =>
+            {
+                return self.relieve(Envelope { payload, ..env });
             }
-            // A reply that found no port: it raced a restart's wiring, and
-            // a restarted node has no request outstanding. Stale.
-            payload if payload.reply_id().is_some() => self.obs.inc("node.stale_reply"),
-            // Everything else is real work.
-            payload => self.dispatch(Envelope { payload, ..env }),
-        }
-    }
-
-    /// Main-thread dispatch of a message that is already due; its arrival
-    /// is also where a hotspot is noticed.
-    fn dispatch(self: &Arc<Self>, env: Envelope<Msg>) {
-        self.enqueue(Parked::local(env));
-        self.maybe_start_handoff();
-    }
-
-    /// Park work on its tier's queue. Runs on the sender's thread when the
-    /// port calls it: counting and a push, nothing else.
-    fn enqueue(&self, parked: Parked<Msg>) {
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        // Route to the tier whose workers may safely block on the tier
-        // below it. Queues only close at crash or shutdown; the message is
-        // dropped (and counted) then.
-        let queue = match &parked.env.payload {
-            Msg::FetchPartials { .. } => &self.tiers.fetch,
-            _ => &self.tiers.service,
-        };
-        queue.push(parked);
-    }
-
-    // =======================================================================
-    // Workers
-    // =======================================================================
-
-    /// Worker loop: take work off the tier's queue as it comes due, until
-    /// shutdown (a poison pill) or crash (the queue closes).
-    pub fn run_worker(self: &Arc<Self>, work: DelayQueue<Msg>) {
-        while let Ok(env) = work.recv() {
-            if matches!(env.payload, Msg::Shutdown) {
-                return;
-            }
-            self.caller.record_late(env.late);
-            self.process(env);
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn process(self: &Arc<Self>, env: Envelope<Msg>) {
-        // Request-leg wire time of the envelope that carried this work in;
-        // it rides out on the reply's trace so the asker's aggregate sees
-        // both legs.
-        let wire_ns = env.wire.as_nanos() as u64;
-        match env.payload {
             Msg::SubQuery {
                 rpc,
                 reply_to,
@@ -410,6 +332,8 @@ impl NodeCtx {
                 keys,
                 exclude,
             } => {
+                // A backlog of fetches alone is a hotspot too (§VII-B1).
+                self.maybe_start_handoff();
                 let scan = Instant::now();
                 // Ship the fragment as one contiguous flat buffer; its
                 // length is the exact wire size the fabric charges.
@@ -455,8 +379,36 @@ impl NodeCtx {
                 self.apply_append(rpc, reply_to, block, seq, rows, last);
             }
             // Replies never reach workers (the port completes their slots).
-            other => unreachable!("worker received non-work message {other:?}"),
+            other => unreachable!("worker received a reply {other:?}"),
         }
+        true
+    }
+
+    /// Service work that found the node over its hotspot threshold, at its
+    /// due time on the fetch tier. The reroute decision happens *before*
+    /// queueing (§VII-C): a hotspotted node sheds a covered SubQuery to its
+    /// helper, which answers the sender directly. Anything else goes on to
+    /// the service tier — its wire stamps kept, its lateness already
+    /// recorded — and its arrival is where the node starts relieving
+    /// itself. Returns whether the work left.
+    fn relieve(self: &Arc<Self>, env: Envelope<Msg>) -> bool {
+        if let Msg::SubQuery {
+            rpc,
+            reply_to,
+            keys,
+            allow_reroute: true,
+            via_guest: false,
+        } = &env.payload
+        {
+            if self.shed(*rpc, *reply_to, keys) {
+                return true;
+            }
+        }
+        self.tiers
+            .service
+            .push(Parked::local(Envelope { late: None, ..env }));
+        self.maybe_start_handoff();
+        false
     }
 
     /// Remember the level of the latest share served here: where a
@@ -876,11 +828,11 @@ impl NodeCtx {
     }
 
     /// Tell every live peer to stale its cached Cells containing `keys` and
-    /// wait for all acks (peers answer inline on their main threads, so
-    /// this service-tier block cannot deadlock). Crashed peers — the fabric
-    /// refuses the send — are skipped: their graphs died with them, and a
-    /// restarted node boots empty. Returns whether every reachable peer
-    /// confirmed.
+    /// wait for all acks (peers answer on their fetch tiers, which never
+    /// wait on a peer, so this service-tier block cannot deadlock). Crashed
+    /// peers — the fabric refuses the send — are skipped: their graphs died
+    /// with them, and a restarted node boots empty. Returns whether every
+    /// reachable peer confirmed.
     ///
     /// A missed invalidation is a correctness hazard (a stale summary would
     /// keep serving as fresh), so a peer that does not ack is asked again

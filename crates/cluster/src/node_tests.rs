@@ -1,12 +1,14 @@
 //! Unit tests of the node runtime: the gather's wire boundary, the ingest
 //! fence under fixed interleavings, the Clique Handoff under the fence, the
-//! hotspot predicate, per-site retry counts, and the equivalence of
-//! level-projected append propagation with the retained 48-level reference.
+//! hotspot predicate, the fetch tier serving control and over-threshold
+//! work beside a parked service worker, per-site retry counts, and the
+//! equivalence of level-projected append propagation with the retained
+//! 48-level reference.
 
 use super::*;
 use crate::fence::FENCE_LOG_LEN;
 use crate::gather::{absorb_fragment, send_fetch, GatherFailure};
-use crate::protocol::PARTIALS;
+use crate::protocol::{PARTIALS, SUB_RESULT};
 use crate::{ClusterConfig, RollupPolicy, SimCluster};
 use proptest::prelude::*;
 use stash_data::GeneratorConfig;
@@ -203,14 +205,17 @@ fn an_unrelated_batch_mid_evaluation_leaves_every_key_fresh() {
     node.park(Site::MidFetch, |node| {
         let elsewhere = CellKey::new(tile("9qc"), day(2));
         append_now(node, live_blocks()[3], 0, vec![row_in(&elsewhere)]);
-        node.handle_fast(Envelope::local(
-            node.caller.id,
-            Msg::Invalidate {
-                rpc: 0,
-                reply_to: node.caller.id,
-                keys: finest_keys(&[row_in(&CellKey::new(tile("9q9"), day(2)))]).into(),
-            },
-        ));
+        node.process(
+            Envelope::local(
+                node.caller.id,
+                Msg::Invalidate {
+                    rpc: 0,
+                    reply_to: node.caller.id,
+                    keys: finest_keys(&[row_in(&CellKey::new(tile("9q9"), day(2)))]).into(),
+                },
+            ),
+            true,
+        );
     });
     node.eval_subquery(&asked, false).unwrap();
     assert_eq!(counter(node, "ingest.batches"), 1, "the hook ran");
@@ -312,14 +317,17 @@ fn an_evaluation_that_outlives_the_fence_log_stales_all_it_asked_for() {
         let keys: Arc<[CellKey]> =
             finest_keys(&[row_in(&CellKey::new(tile("9qc"), day(2)))]).into();
         for _ in 0..=FENCE_LOG_LEN {
-            node.handle_fast(Envelope::local(
-                node.caller.id,
-                Msg::Invalidate {
-                    rpc: 0,
-                    reply_to: node.caller.id,
-                    keys: Arc::clone(&keys),
-                },
-            ));
+            node.process(
+                Envelope::local(
+                    node.caller.id,
+                    Msg::Invalidate {
+                        rpc: 0,
+                        reply_to: node.caller.id,
+                        keys: Arc::clone(&keys),
+                    },
+                ),
+                true,
+            );
         }
     });
     node.eval_subquery(&asked, false).unwrap();
@@ -369,7 +377,7 @@ fn a_handoff_raced_by_an_append_serves_rerouted_queries_the_appended_rows() {
 
 /// The hotspot predicate counts every request in the data-service queue
 /// (§VII-B1): a backlog of FetchPartials alone — placed by the port, nothing
-/// reroutable among it — must still reach the main thread's hotspot check
+/// reroutable among it — must still reach the fetch tier's hotspot check
 /// and start a Clique Handoff.
 #[test]
 fn a_fetch_partials_backlog_starts_a_handoff() {
@@ -414,6 +422,114 @@ fn a_fetch_partials_backlog_starts_a_handoff() {
     }
     assert_eq!(peer.guest.len(), members.len());
     assert_eq!(counter(home, "handoff.reroute"), 0);
+    cluster.shutdown();
+}
+
+// -- The fetch tier serves what a service worker waits for --------------------
+
+/// Wait until `done` holds, for at most ten seconds.
+fn await_that(what: &str, done: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !done() {
+        assert!(started.elapsed() < Duration::from_secs(10), "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// With the node's one service worker parked mid-evaluation, its fetch tier
+/// still acks a peer's Invalidate, answers its Distress, and takes the
+/// reroute decision for SubQueries that find the node over its threshold:
+/// one its routes cover is shed to the helper and stops counting at once;
+/// one that may not be rerouted waits for the service worker, counted. Once
+/// the worker goes on, every share is answered and the count is back to 0.
+#[test]
+fn the_fetch_tier_answers_control_and_sheds_beside_a_parked_service_worker() {
+    let mut config = test_config(2);
+    config.stash.hotspot_threshold = 1;
+    config.stash.reroute_probability = 1.0;
+    config.enable_replication = false;
+    let cluster = SimCluster::new(config);
+    let members = viewport();
+    let home_idx = cluster
+        .node(0)
+        .store
+        .partitioner()
+        .owner_of_cell(&members[0]);
+    let (home, peer) = (cluster.node(home_idx), cluster.node(1 - home_idx));
+    // The first half is hosted by the peer as guest replicas, routed there.
+    let (covered, evaluated) = members.split_at(16);
+    home.eval_subquery(covered, false).unwrap();
+    assert!(peer.accept_replicas(home_idx, home.graph.snapshot(covered)));
+    home.routing.lock().insert(
+        CellKey::new(tile("9q8"), day(2)),
+        peer.node_idx,
+        covered,
+        home.clock.now(),
+    );
+    let share = |keys: &[CellKey], allow_reroute: bool| {
+        peer.caller
+            .call(home_idx, |rpc, reply_to| Msg::SubQuery {
+                rpc,
+                reply_to,
+                keys: keys.into(),
+                allow_reroute,
+                via_guest: false,
+            })
+            .expect("the fabric is up")
+    };
+    let (release, parked) = std::sync::mpsc::channel::<()>();
+    home.park(Site::MidFetch, move |_| parked.recv().unwrap());
+    let running = share(evaluated, false);
+    await_that("the share never reached the fetch", || {
+        home.hook.lock().is_none()
+    });
+    assert_eq!(home.pending(), 1);
+
+    let elsewhere: Arc<[CellKey]> =
+        finest_keys(&[row_in(&CellKey::new(tile("9qc"), day(2)))]).into();
+    let ask = |build: &dyn Fn(u64, NodeId) -> Msg| {
+        peer.caller
+            .ask(home_idx, Duration::from_secs(10), ACK, build)
+    };
+    let acked = ask(&|rpc, reply_to| Msg::Invalidate {
+        rpc,
+        reply_to,
+        keys: Arc::clone(&elsewhere),
+    });
+    assert_eq!(acked, Ok(true));
+    let accepted = ask(&|rpc, reply_to| Msg::Distress {
+        rpc,
+        reply_to,
+        n_cells: 1,
+    });
+    assert_eq!(accepted, Ok(true), "one share running is not over 1");
+    assert_eq!(home.pending(), 1, "control never counts");
+
+    let shed = share(covered, true);
+    let (answer, _) = peer
+        .caller
+        .wait(shed, Duration::from_secs(10), SUB_RESULT)
+        .unwrap();
+    assert_eq!(answer.unwrap().cache_hits, covered.len());
+    assert_eq!(counter(peer, "handoff.guest.serve"), 1);
+    // The helper may answer before the fetch worker that shed the share
+    // has gone on from its send.
+    await_that("a shed share kept counting after it left", || {
+        counter(home, "handoff.reroute") == 1 && home.pending() == 1
+    });
+
+    let kept = share(covered, false);
+    assert_eq!(home.pending(), 2, "a share passed on to service counts");
+    release.send(()).unwrap();
+    for call in [running, kept] {
+        let (answer, _) = peer
+            .caller
+            .wait(call, Duration::from_secs(10), SUB_RESULT)
+            .unwrap();
+        answer.unwrap();
+    }
+    await_that("the count never went back to 0", || home.pending() == 0);
+    assert_eq!(counter(home, "subquery.recv"), 2);
     cluster.shutdown();
 }
 

@@ -185,8 +185,8 @@ pub enum Msg {
     /// included. An append sends its batch's distinct finest-level keys and
     /// each receiver projects them onto the levels it holds Cells at; a
     /// Clique Handoff sends the replicated keys an append overlapped.
-    /// Answered inline on the peer's main loop so the ack doubles as a
-    /// processing barrier. Shared, not copied, across peers and retries.
+    /// Answered by the peer's fetch tier, which never waits on a peer, so
+    /// the ack doubles as a processing barrier. Shared, not copied, across peers and retries.
     Invalidate {
         rpc: u64,
         reply_to: NodeId,
@@ -195,10 +195,6 @@ pub enum Msg {
     InvalidateAck {
         rpc: u64,
     },
-
-    // ---- Lifecycle -------------------------------------------------------------
-    /// Orderly teardown: main loops and workers exit on receipt.
-    Shutdown,
 }
 
 /// Exact serialized bytes of a flat key list: envelope + one flat key each.
@@ -356,7 +352,6 @@ impl Msg {
             Msg::AppendAck { .. } => 24,
             Msg::Invalidate { keys, .. } => keys_bytes(keys.len()),
             Msg::InvalidateAck { .. } => 24,
-            Msg::Shutdown => 16,
         }
     }
 }

@@ -104,8 +104,8 @@ impl EsNode {
 
     /// This node's port (see [`stash_net::Port`]): a shard reply completes
     /// its slot, due when the wire says; a search is parked on the tier that
-    /// serves it. Nothing falls through, so no thread drains an inbox.
-    fn accept(&self, parked: Parked<EsMsg>) -> Handover<EsMsg> {
+    /// serves it. Every message is placed, so no thread drains an inbox.
+    fn accept(&self, parked: Parked<EsMsg>) -> Handover {
         let tier = match parked.env.payload {
             EsMsg::Search { .. } => &self.coord,
             EsMsg::ShardSearch { .. } => &self.shard,

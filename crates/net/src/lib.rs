@@ -13,8 +13,8 @@
 //!   send time, stamped due `base_latency + bytes / bandwidth` later, and
 //!   waited for by the thread that consumes it, without occupying either
 //!   endpoint (messages are genuinely in flight; the fabric has no threads).
-//! * **Observability** — per-node inbox depth (the paper's hotspot trigger,
-//!   §VII-B1) and fabric-wide message/byte counters.
+//! * **Observability** — per-node delivered/dropped/refused counts and
+//!   fabric-wide message/byte counters.
 //!
 //! The fabric is payload-generic: the cluster crate defines its own message
 //! enum and the ElasticSearch baseline its own; both share this router.

@@ -34,7 +34,7 @@ pub struct Parked<M> {
     /// When it entered the wire — whoever takes it stamps
     /// [`Envelope::wire`] and [`Envelope::late`] from this. `None` for a
     /// message that never rode the wire (loopback, a node's re-dispatch of
-    /// something it already took, poison pills): its stamps are final and
+    /// something it already took): its stamps are final and
     /// the fabric's ledger does not count it.
     pub sent_at: Option<Instant>,
     pub env: Envelope<M>,

@@ -106,8 +106,8 @@ pub struct Envelope<M> {
 }
 
 impl<M> Envelope<M> {
-    /// A message a node dispatches to itself off the fabric (a poison pill,
-    /// a test fixture): no wire time, no lateness.
+    /// A message a node dispatches to itself off the fabric (work moved
+    /// between its queues, a test fixture): no wire time, no lateness.
     pub fn local(node: NodeId, payload: M) -> Self {
         Envelope {
             src: node,
@@ -120,26 +120,25 @@ impl<M> Envelope<M> {
 }
 
 /// What a port did with a message it was handed.
-pub enum Handover<M> {
+pub enum Handover {
     /// Consumed on the spot (a reply slot completed with its due time):
     /// the fabric counts it delivered.
     Taken,
     /// Parked on one of the node's own delay queues
     /// ([`Router::delay_queue`]), which accounts for it from here.
     Queued,
-    /// Not the port's to place: it falls through to the node's inbox.
-    Inbox(Parked<M>),
 }
 
 /// A node's own way of receiving: called with every message for the node
 /// at *send* time, **on the sender's thread**, with no fabric lock held.
 ///
-/// It must only *place* the message — complete a reply slot, push to a
-/// delay queue — and never block or send: whatever needs a thread of the
-/// node at the message's due time (control that answers by sending, a
-/// reroute) falls through to the inbox, so that every send still happens at
-/// or after the due time of the message that caused it.
-pub type Port<M> = Arc<dyn Fn(Parked<M>) -> Handover<M> + Send + Sync>;
+/// It must *place* every message — complete a reply slot, push to a delay
+/// queue — and never block or send: whatever needs a thread of the node at
+/// the message's due time (control that answers by sending, a reroute) is
+/// parked on a queue whose consumer may send, so that every send still
+/// happens at or after the due time of the message that caused it. A node
+/// with a port has no use for its inbox.
+pub type Port<M> = Arc<dyn Fn(Parked<M>) -> Handover + Send + Sync>;
 
 /// How one node receives right now. Replaced wholesale (crash, restart,
 /// port or queue installation), so a sender works on a consistent snapshot
@@ -292,16 +291,17 @@ impl<M: Send + 'static> Router<M> {
         std::mem::replace(&mut *slot, new)
     }
 
-    /// Due messages waiting in a node's inbox — the paper's hotspot
-    /// detection signal ("the number of pending requests in its message
-    /// queue", §VII-B1).
+    /// Due messages waiting in a node's inbox, the one queue of a node
+    /// without a port.
     pub fn inbox_len(&self, node: NodeId) -> usize {
         self.receiver(node.0).inbox.len()
     }
 
     /// Install `node`'s port: from now on every message for it is handed to
     /// `port` at send time (see [`Port`] for what it may do). Replaces any
-    /// earlier port; a crash removes it.
+    /// earlier port; a crash removes it. Installed on a crashed node, it
+    /// takes the node's messages once [`Router::restart_node`] brings it
+    /// back.
     pub fn install_port(&self, node: NodeId, port: Port<M>) {
         self.replace_receiver(node.0, |r| Receiver {
             port: Some(port),
@@ -314,7 +314,8 @@ impl<M: Send + 'static> Router<M> {
     /// park work on and its workers to consume. It is the node's as far as
     /// the fabric is concerned: its deliveries and drops count under
     /// `node`, [`Router::in_flight`] sees it, and a crash of the node or a
-    /// shutdown of the fabric closes it.
+    /// shutdown of the fabric closes it. Made for a crashed node, it serves
+    /// the node once [`Router::restart_node`] brings it back.
     pub fn delay_queue(&self, node: NodeId) -> DelayQueue<M> {
         let queue = DelayQueue::new(Arc::clone(&self.stats), node);
         self.replace_receiver(node.0, |r| Receiver {
@@ -325,29 +326,20 @@ impl<M: Send + 'static> Router<M> {
         queue
     }
 
-    /// Hand a stamped message to `dst`: its port if it has one, else (or on
-    /// fall-through) its inbox. `false` when the inbox was closed.
+    /// Hand a stamped message to `dst`: to its port if it has one, else to
+    /// its inbox. `false` when the inbox was closed.
     fn hand(&self, dst: usize, parked: Parked<M>) -> bool {
         let receiver = self.receiver(dst);
         // No fabric lock is held from here on: the port takes locks of its
         // own (a reply table, a queue), and so may whoever it wakes.
-        let parked = match &receiver.port {
-            Some(port) => {
-                let on_ledger = parked.sent_at.is_some();
-                match port(parked) {
-                    Handover::Taken => {
-                        if on_ledger {
-                            self.stats.record_deliver(dst);
-                        }
-                        return true;
-                    }
-                    Handover::Queued => return true,
-                    Handover::Inbox(parked) => parked,
-                }
-            }
-            None => parked,
+        let Some(port) = &receiver.port else {
+            return receiver.inbox.push(parked);
         };
-        receiver.inbox.push(parked)
+        let on_ledger = parked.sent_at.is_some();
+        if matches!(port(parked), Handover::Taken) && on_ledger {
+            self.stats.record_deliver(dst);
+        }
+        true
     }
 
     // ---- Fault plane --------------------------------------------------------
@@ -437,19 +429,21 @@ impl<M: Send + 'static> Router<M> {
         }
     }
 
-    /// Restart a crashed node with a fresh, empty inbox and no port. The
-    /// caller wires the returned [`Endpoint`] to a new node process;
-    /// nothing of the old process survives.
+    /// Restart a crashed node: it takes sends again, through the port and
+    /// delay queues installed since its crash, and a fresh, empty inbox. A
+    /// crashed node refuses every send, so a new process wired up before
+    /// its restart gets every message sent to it from then on, and none
+    /// lands where nobody takes it. Nothing of the old process survives.
     pub fn restart_node(&self, node: NodeId) -> Endpoint<M> {
         assert!(node.0 < self.n_nodes(), "unknown node {node}");
         let inbox = DelayQueue::new(Arc::clone(&self.stats), node);
         {
             let mut crashed = self.faults.crashed.write();
             assert!(crashed[node.0], "restart of live node {node}");
-            self.replace_receiver(node.0, |_| Receiver {
-                port: None,
+            self.replace_receiver(node.0, |wired| Receiver {
+                port: wired.port.clone(),
                 inbox: inbox.clone(),
-                queues: Vec::new(),
+                queues: wired.queues.clone(),
             });
             crashed[node.0] = false;
         }
@@ -950,20 +944,21 @@ mod tests {
         };
         let (router, mut eps) = Router::<u32>::new(2, config);
         let ep1 = eps.remove(1);
+        // Two wait in the inbox of the still port-less node …
+        for i in 0..2 {
+            assert!(router.send(NodeId(0), NodeId(1), i, 8));
+        }
+        // … and two in the queue its port parks them on.
         let tier = router.delay_queue(NodeId(1));
         let to_tier = tier.clone();
         router.install_port(
             NodeId(1),
             Arc::new(move |p: Parked<u32>| {
-                if p.env.payload.is_multiple_of(2) {
-                    to_tier.push(p);
-                    Handover::Queued
-                } else {
-                    Handover::Inbox(p)
-                }
+                to_tier.push(p);
+                Handover::Queued
             }),
         );
-        for i in 0..4 {
+        for i in 2..4 {
             assert!(
                 router.send(NodeId(0), NodeId(1), i, 8),
                 "send precedes the crash"
@@ -987,8 +982,55 @@ mod tests {
         assert_eq!(router.inbox_len(NodeId(1)), 0);
         assert!(router.send(NodeId(0), NodeId(1), 6, 8));
         let env = new_ep.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(env.payload, 6, "even payloads no longer go to the old tier");
+        assert_eq!(env.payload, 6, "the old port and tier are gone");
         assert_eq!(router.stats().node_dropped(1), 4);
+        router.shutdown();
+    }
+
+    #[test]
+    fn a_crashed_node_refuses_sends_until_it_restarts_wired() {
+        // A new process is wired up while its node is down — its queue and
+        // port installed — and is reachable only from its restart on. No
+        // message of the crash/restart cycle reaches the inbox, which
+        // nobody takes from.
+        let config = NetConfig {
+            base_latency: Duration::from_millis(50),
+            bytes_per_sec: 1e12,
+            ..NetConfig::default()
+        };
+        let (router, mut eps) = Router::<u32>::new(2, config);
+        drop(eps.remove(1));
+        let port_to = |tier: DelayQueue<u32>| -> Port<u32> {
+            Arc::new(move |p: Parked<u32>| {
+                tier.push(p);
+                Handover::Queued
+            })
+        };
+        let old_tier = router.delay_queue(NodeId(1));
+        router.install_port(NodeId(1), port_to(old_tier.clone()));
+        assert!(router.send(NodeId(0), NodeId(1), 1, 8));
+        router.crash_node(NodeId(1));
+        assert!(!router.send(NodeId(0), NodeId(1), 2, 8), "crashed");
+        let tier = router.delay_queue(NodeId(1));
+        assert!(!router.send(NodeId(0), NodeId(1), 3, 8), "queue made");
+        router.install_port(NodeId(1), port_to(tier.clone()));
+        assert!(!router.send(NodeId(0), NodeId(1), 4, 8), "port installed");
+        assert!(router.is_crashed(NodeId(1)));
+        let ep = router.restart_node(NodeId(1));
+        assert!(router.send(NodeId(0), NodeId(1), 5, 8));
+        assert_eq!(
+            tier.recv_timeout(Duration::from_secs(2)).unwrap().payload,
+            5
+        );
+        assert!(old_tier.recv().is_err(), "the old process's queue died");
+        assert!(matches!(ep.inbox.try_recv(), Err(TryRecvError::Empty)));
+        assert_eq!(router.inbox_len(NodeId(1)), 0);
+        let s = router.stats();
+        assert_eq!(s.messages_refused(), 3);
+        // Sent twice: the one the crash dropped and the one the new port took.
+        assert_eq!((s.messages_sent(), s.messages_dropped()), (2, 1));
+        assert_eq!(s.messages_delivered(), 1);
+        assert_eq!(s.ledger_in_flight(), 0);
         router.shutdown();
     }
 
@@ -1212,6 +1254,8 @@ mod tests {
         let sender = std::thread::current().id();
         let taken = Arc::new(AtomicUsize::new(0));
         let port_taken = Arc::clone(&taken);
+        let tier = router.delay_queue(NodeId(1));
+        let to_tier = tier.clone();
         router.install_port(
             NodeId(1),
             Arc::new(move |p: Parked<u32>| {
@@ -1222,7 +1266,8 @@ mod tests {
                     port_taken.fetch_add(1, Ordering::Relaxed);
                     Handover::Taken
                 } else {
-                    Handover::Inbox(p)
+                    to_tier.push(p);
+                    Handover::Queued
                 }
             }),
         );
@@ -1232,11 +1277,11 @@ mod tests {
         assert_eq!(taken.load(Ordering::Relaxed), 1);
         assert_eq!(router.stats().messages_delivered(), 1);
         assert_eq!(router.in_flight(), 0);
-        // Fallen through: waits out its wire time in the inbox.
+        // Parked: waits out its wire time in the node's queue.
         assert!(router.send(NodeId(0), NodeId(1), 1, 8));
         assert_eq!(router.in_flight(), 1);
-        assert!(matches!(ep1.inbox.try_recv(), Err(TryRecvError::Empty)));
-        let env = ep1.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert!(matches!(tier.try_recv(), Err(TryRecvError::Empty)));
+        let env = tier.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(env.payload, 1);
         assert!(t0.elapsed() >= Duration::from_millis(30));
         assert_eq!(
@@ -1244,6 +1289,7 @@ mod tests {
             Duration::from_millis(30) + env.late.expect("waited for")
         );
         assert_eq!(router.stats().ledger_in_flight(), 0);
+        assert!(matches!(ep1.inbox.try_recv(), Err(TryRecvError::Empty)));
         router.shutdown();
     }
 
